@@ -3,10 +3,12 @@
 Run:  python demos/04_interdomain_handles.py
 """
 
-from sdnsec import bundled_scenario_path, load_scenario, run
+from sdnsec import build_world, bundled_scenario_path, load_scenario, run
+from sdnsec.simulation import Simulation
 
 scenario = load_scenario(bundled_scenario_path("four_domain_transit"))
-report = run(scenario)
+world = build_world(scenario, scenario.costs)
+report = Simulation(world).run()
 flow = report.flows[0]
 
 print(f"flow {flow.flow_id}: {flow.outcome}")
@@ -14,8 +16,13 @@ print("  domains visited (from the delivered handle):", " -> ".join(flow.as_path
 print("  switch-level route:                          ", " -> ".join(flow.switch_path))
 
 print("\ncontroller event log:")
-for line in report.events:
-    print("  " + line)
+for as_id, ctrl in world.controllers.items():
+    for event in ctrl.events:
+        print(
+            f"  tick={event.tick} domain={as_id} verdict={event.verdict} reason={event.reason!r}"
+            f" pe={event.matched_pe} rules={event.rules_installed}"
+            f" service_ticks={event.service_ticks} [{event.summary}]"
+        )
 
 # Every domain holds its own permit; removing any single one strands the
 # flow exactly there (default deny at that domain).

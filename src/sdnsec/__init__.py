@@ -64,9 +64,7 @@ from .interdomain import (
     UNSATISFIABLE,
     AugmentedPacket,
     Handle,
-    IntegrityError,
     PolicyTransferToken,
-    forward_interdomain,
     merge_constraints,
     validate_handle,
 )
@@ -87,7 +85,7 @@ from .scenario import (
     load_scenario,
 )
 from .metrics import MetricsReport, emit, emit_series
-from .simulation import build_world, run, wallclock_latency
+from .simulation import build_world, run
 from .sweep import chain_scenario, flood_response_series, sweep
 
 __all__ = [
@@ -112,7 +110,6 @@ __all__ = [
     "FlowModBatch",
     "FlowRule",
     "Handle",
-    "IntegrityError",
     "LabelConstraint",
     "LabelParseError",
     "LabelRelation",
@@ -147,7 +144,6 @@ __all__ = [
     "flow_dump",
     "format_compact_pe",
     "format_flow_dump",
-    "forward_interdomain",
     "gateway_name",
     "list_bundled_scenarios",
     "load_scenario",
@@ -165,7 +161,6 @@ __all__ = [
     "sweep",
     "synthesize_rules",
     "validate_handle",
-    "wallclock_latency",
 ]
 
 __version__ = "0.1.0"

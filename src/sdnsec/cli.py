@@ -37,10 +37,6 @@ def _write(text: str, out: str | None) -> None:
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if getattr(args, "mode", None):
         scenario = scenario.with_mode(args.mode)
-    if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
-
-        scenario = replace(scenario, seed=args.seed)
     if getattr(args, "baseline", False):
         scenario = scenario.with_enforcement(False)
     return scenario
@@ -103,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("scenario", help="scenario file path or bundled scenario name")
         p.add_argument("--mode", choices=("reactive", "proactive"))
-        p.add_argument("--seed", type=int)
         p.add_argument("--baseline", action="store_true", help="disable policy processing")
         p.add_argument("--out", help="write output to a file instead of stdout")
 

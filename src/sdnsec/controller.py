@@ -29,7 +29,6 @@ from .dataplane import (
 from .defense import FloodMonitor, Verdict
 from .interdomain import (
     Handle,
-    IntegrityError,
     PolicyTransferToken,
     UNSATISFIABLE,
     extend_handle_record,
@@ -49,6 +48,7 @@ from .policy import (
     DomainInfo,
     FlowContext,
     PolicyExpression,
+    predicates_hold,
     select_policy,
 )
 from .topology import (
@@ -252,7 +252,6 @@ class Controller:
         self.flow_state: dict[str, PipelineResult] = {}
         self.blocked_hosts: set[str] = set()
         self.next_free_tick = 0
-        self.flow_mods = 0
         # admitted flows per (source, window) for PE rate constraints
         self._rate_admitted: dict[str, tuple[int, int]] = {}
 
@@ -260,16 +259,6 @@ class Controller:
 
     def create_handle(self, flow_id: str) -> Handle:
         return mint_handle(flow_id, self.as_id, self.handle_key)
-
-    def extend_handle(self, handle: Handle) -> Handle:
-        if not validate_handle(self, handle):
-            raise IntegrityError(f"refusing to extend unverifiable handle for {handle.flow_id}")
-        return extend_handle_record(handle, self.as_id, self.handle_key)
-
-    def create_ptt(self, decision: Decision, flow_id: str) -> PolicyTransferToken | None:
-        if decision.verdict is not Action.ALLOW:
-            raise ValueError("transfer tokens are only minted for allowed flows")
-        return mint_ptt(flow_id, self.as_id, decision.ptt_constraints, self.handle_key)
 
     # --- context -------------------------------------------------------------
 
@@ -429,15 +418,10 @@ class Controller:
             return self._drop(
                 DropReason.UNSATISFIABLE, summary, flow_id, tick, ticks, matched_pe=decision.matched_pe
             )
-        for constraint in merged:
-            if constraint.kind is ConstraintKind.PACKET_ATTR:
-                actual = {"type": ctx.packet_type, "port": str(ctx.service_port)}.get(
-                    constraint.attr or ""
-                )
-                if actual != constraint.value:
-                    return self._drop(
-                        DropReason.POLICY, summary, flow_id, tick, ticks, matched_pe=decision.matched_pe
-                    )
+        if not predicates_hold(merged, ctx):
+            return self._drop(
+                DropReason.POLICY, summary, flow_id, tick, ticks, matched_pe=decision.matched_pe
+            )
         winner = next((pe for pe in self.policy_repo if pe.id == decision.matched_pe), None)
         own_constraints = (winner.flow_cons + winner.dom_cons) if winner else ()
         if not self._rate_admits(str(packet.src_ip), tuple(merged) + own_constraints, tick):

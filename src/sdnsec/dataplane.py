@@ -9,7 +9,7 @@ on the simulation loop's thread.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from ipaddress import IPv4Address
 
 from .labels import SecurityLabel
@@ -53,15 +53,6 @@ class Packet:
     @property
     def flow_id(self) -> str:
         return derive_flow_id(self.src_ip, self.dst_ip, self.ip_proto, self.service_port)
-
-    def reversed(self) -> Packet:
-        return replace(
-            self,
-            src_ip=self.dst_ip,
-            dst_ip=self.src_ip,
-            src_mac=self.dst_mac,
-            dst_mac=self.src_mac,
-        )
 
 
 @dataclass(frozen=True)
@@ -182,7 +173,8 @@ class Switch:
     def install(self, rule: FlowRule) -> None:
         """Insert in priority position; re-installing an identical match is
         idempotent and an identical-match rule of lower priority is replaced.
-        Buffered packets are re-offered against the new rule."""
+        Buffered packets stay buffered; whoever installs the rule decides
+        whether to take and re-offer them (see :meth:`take_buffered`)."""
         existing = self._by_match.get(rule.match)
         if existing is not None:
             if rule.priority < existing.priority:

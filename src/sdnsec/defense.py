@@ -34,17 +34,14 @@ __all__ = [
 @dataclass(frozen=True)
 class CapacityModel:
     """controller capacity (requests/s), switches per controller, hosts per
-    switch, switch capacity (requests/s)."""
+    switch."""
 
     cc: Fraction
     x: int
     y: int
-    cs: Fraction | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cc", Fraction(self.cc))
-        if self.cs is not None:
-            object.__setattr__(self, "cs", Fraction(self.cs))
         for name in ("cc", "x", "y"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"capacity model field {name} must be positive")
@@ -69,6 +66,10 @@ class ResponseMode(Enum):
     DROP_RULE = "drop_rule"
 
 
+# past windows kept per counter for decayed history weighting
+HISTORY_WINDOWS = 4
+
+
 @dataclass
 class _WindowCounter:
     current: int = 0
@@ -90,29 +91,25 @@ class FloodMonitor:
         cap: CapacityModel,
         response: ResponseMode = ResponseMode.THROTTLE,
         window_ticks: int = 1_000_000,
-        history_windows: int = 4,
     ):
         if window_ticks < 1:
             raise ValueError("window must be at least one tick")
         self.cap = cap
         self.response = response
         self.window_ticks = window_ticks
-        self.history_windows = history_windows
         self.decay: Fraction | None = None
-        self.instances = 1
         self.tsw, self.thost = compute_thresholds(cap)
         self._window_index = 0
         self._hosts: dict[str, _WindowCounter] = {}
         self._switches: dict[str, _WindowCounter] = {}
         self.active_responses: dict[str, Verdict] = {}
-        self.crossings: list[tuple[int, str, str]] = []
 
     def _roll(self, tick: int) -> None:
         index = tick // self.window_ticks
         while self._window_index < index:
             for counter in list(self._hosts.values()) + list(self._switches.values()):
                 counter.history.insert(0, counter.current)
-                del counter.history[self.history_windows :]
+                del counter.history[HISTORY_WINDOWS:]
                 counter.current = 0
                 counter.admitted = 0
             self._window_index += 1
@@ -178,9 +175,7 @@ class FloodMonitor:
             # switch budget blown by someone else: only offenders above their
             # own host budget are acted on, so this request is throttled at
             # the switch level but the host is not marked
-            self.crossings.append((tick, src_switch, "switch"))
             return Verdict.THROTTLE
-        self.crossings.append((tick, src_host, "host"))
         if self.response is ResponseMode.DROP_RULE:
             self.active_responses[src_host] = Verdict.DROP_RULE
             return Verdict.DROP_RULE
@@ -195,7 +190,6 @@ def rescale_thresholds(
     on exponentially decayed history weighting (decay per window step)."""
     if instances < 1:
         raise ValueError("instances must be >= 1")
-    monitor.instances = instances
-    effective = CapacityModel(monitor.cap.cc * instances, monitor.cap.x, monitor.cap.y, monitor.cap.cs)
+    effective = CapacityModel(monitor.cap.cc * instances, monitor.cap.x, monitor.cap.y)
     monitor.tsw, monitor.thost = compute_thresholds(effective)
     monitor.decay = None if history_decay is None else Fraction(history_decay)

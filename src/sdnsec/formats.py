@@ -183,6 +183,17 @@ def _parse_constraint_token(token: str, where: str) -> Constraint | tuple[int, i
         raise PolicyParseError(f"bad constraint token {token!r} ({exc.reason})", where=where) from None
 
 
+def _intersect_validity(
+    a: tuple[int, int] | None, b: tuple[int, int] | None
+) -> tuple[int, int] | None:
+    """Overlap of two ``[start, end)`` windows; ``None`` is unbounded."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return (max(a[0], b[0]), min(a[1], b[1]))
+
+
 def _parse_constraints(
     text: str, where: str
 ) -> tuple[tuple[Constraint, ...], tuple[int, int] | None]:
@@ -191,10 +202,7 @@ def _parse_constraints(
     for token in _split_list(text):
         parsed = _parse_constraint_token(token, where)
         if isinstance(parsed, tuple):
-            if validity is None:
-                validity = parsed
-            else:
-                validity = (max(validity[0], parsed[0]), min(validity[1], parsed[1]))
+            validity = _intersect_validity(validity, parsed)
         else:
             constraints.append(parsed)
     return tuple(constraints), validity
@@ -315,10 +323,7 @@ def _parse_record(index: int, record: dict) -> PolicyExpression:
     )
     flow_cons, validity_a = _parse_constraints(get("flowcons"), where)
     dom_cons, validity_b = _parse_constraints(get("domcons"), where)
-    validity = validity_a if validity_b is None else validity_b if validity_a is None else (
-        max(validity_a[0], validity_b[0]),
-        min(validity_a[1], validity_b[1]),
-    )
+    validity = _intersect_validity(validity_a, validity_b)
     action, exit_switch = _parse_action(get("action"), where)
     try:
         return PolicyExpression(
@@ -507,10 +512,7 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon") -> PolicyExpression:
     )
     flow_cons, validity_a = _parse_constraints(fields[8], where)
     dom_cons, validity_b = _parse_constraints(fields[9], where)
-    validity = validity_a if validity_b is None else validity_b if validity_a is None else (
-        max(validity_a[0], validity_b[0]),
-        min(validity_a[1], validity_b[1]),
-    )
+    validity = _intersect_validity(validity_a, validity_b)
     try:
         return PolicyExpression(
             id=pe_id,

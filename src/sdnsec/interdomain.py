@@ -25,10 +25,8 @@ __all__ = [
     "UNSATISFIABLE",
     "AugmentedPacket",
     "Handle",
-    "IntegrityError",
     "PolicyTransferToken",
     "Unsatisfiable",
-    "forward_interdomain",
     "handle_tag",
     "merge_constraints",
     "mint_handle",
@@ -39,8 +37,13 @@ __all__ = [
 ]
 
 
-class IntegrityError(Exception):
-    """A tagged credential failed verification."""
+def _handle_payload(flow_id: str, origin_as: str, visited: tuple[str, ...]) -> bytes:
+    return f"handle|v1|{flow_id}|{origin_as}|{','.join(visited)}".encode()
+
+
+def _ptt_payload(flow_id: str, origin_as: str, constraints: tuple[Constraint, ...]) -> bytes:
+    body = ";".join(c.text() for c in constraints)
+    return f"ptt|v1|{flow_id}|{origin_as}|{body}".encode()
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class Handle:
             raise ValueError(f"handle repeats a domain: {self.visited}")
 
     def payload(self) -> bytes:
-        return f"handle|v1|{self.flow_id}|{self.origin_as}|{','.join(self.visited)}".encode()
+        return _handle_payload(self.flow_id, self.origin_as, self.visited)
 
     def to_wire(self) -> str:
         return f"{self.payload().decode()}|{self.tag}"
@@ -73,8 +76,7 @@ class Handle:
 
 
 def handle_tag(flow_id: str, origin_as: str, visited: tuple[str, ...], key: bytes) -> str:
-    payload = f"handle|v1|{flow_id}|{origin_as}|{','.join(visited)}".encode()
-    return hmac.new(key, payload, hashlib.sha256).hexdigest()
+    return hmac.new(key, _handle_payload(flow_id, origin_as, visited), hashlib.sha256).hexdigest()
 
 
 def mint_handle(flow_id: str, origin_as: str, key: bytes) -> Handle:
@@ -85,8 +87,8 @@ def mint_handle(flow_id: str, origin_as: str, key: bytes) -> Handle:
 def extend_handle_record(handle: Handle, as_id: str, key: bytes) -> Handle:
     """Append ``as_id`` and re-tag under the extending domain's key.
 
-    Callers must have validated the incoming handle first; this is enforced
-    at the controller which raises :class:`IntegrityError` otherwise.
+    Callers must have validated the incoming handle first (see
+    :func:`validate_handle`); this function does not check it.
     """
     visited = handle.visited + (as_id,)
     tag = handle_tag(handle.flow_id, handle.origin_as, visited, key)
@@ -108,8 +110,7 @@ class PolicyTransferToken:
             raise ValueError(f"token carries non-flow-scoped constraints: {foreign}")
 
     def payload(self) -> bytes:
-        body = ";".join(c.text() for c in self.constraints)
-        return f"ptt|v1|{self.flow_id}|{self.origin_as}|{body}".encode()
+        return _ptt_payload(self.flow_id, self.origin_as, self.constraints)
 
     def to_wire(self) -> str:
         return f"{self.payload().decode()}|{self.tag}"
@@ -131,9 +132,7 @@ class PolicyTransferToken:
 
 
 def ptt_tag(flow_id: str, origin_as: str, constraints: tuple[Constraint, ...], key: bytes) -> str:
-    body = ";".join(c.text() for c in constraints)
-    payload = f"ptt|v1|{flow_id}|{origin_as}|{body}".encode()
-    return hmac.new(key, payload, hashlib.sha256).hexdigest()
+    return hmac.new(key, _ptt_payload(flow_id, origin_as, constraints), hashlib.sha256).hexdigest()
 
 
 def mint_ptt(
@@ -250,8 +249,9 @@ def merge_constraints(
     """Conjoin local constraints with a (verified) token's constraints.
 
     Label-path constraints collapse to their intersection window, strongest
-    bound winning; contradictory equalities yield :data:`UNSATISFIABLE`,
-    which callers turn into a deny.  Other kinds are unioned.
+    bound winning; an empty window yields :data:`UNSATISFIABLE`, which
+    callers turn into a deny.  Other kinds are unioned without any check
+    between them.
     """
     delegated = ptt.constraints if ptt is not None else ()
     combined = tuple(local) + tuple(delegated)
@@ -270,19 +270,3 @@ def merge_constraints(
             merged.append(constraint)
     return tuple(merged)
 
-
-def forward_interdomain(ctrl, augmented: AugmentedPacket, ingress_switch: str, tick: int):
-    """Run a domain's full admission pipeline on an augmented arrival.
-
-    Transit domains re-emit the packet toward a constraint-satisfying next
-    domain; the destination domain delivers; anything else is a drop.  The
-    heavy lifting lives in the controller pipeline, which validates the
-    handle, merges token constraints and applies its own repository.
-    """
-    return ctrl.handle_packet_in(
-        augmented.packet,
-        ingress_switch,
-        tick,
-        handle=augmented.handle,
-        ptt=augmented.ptt,
-    )

@@ -1,10 +1,9 @@
 """Run results and their stable textual emissions.
 
 One simulation run produces one report: per-flow outcomes with the exact
-path taken, per-packet-in latency in ticks, a time series of rule
-installations, and the controllers' event logs.  Emissions are byte-stable:
-equal runs serialize identically, and the delimited form loads straight into
-standard plotting tools.
+path taken, per-packet-in latency in ticks and a time series of rule
+installations.  Emissions are byte-stable: equal runs serialize identically,
+and the delimited form loads straight into standard plotting tools.
 """
 
 from __future__ import annotations
@@ -66,14 +65,12 @@ class InstallRecord:
 @dataclass
 class MetricsReport:
     scenario: str
-    seed: int
     mode: str
     enforcement: bool
     window_ticks: int
     flows: list[FlowRecord] = field(default_factory=list)
     latencies: list[LatencyRecord] = field(default_factory=list)
     installs: list[InstallRecord] = field(default_factory=list)
-    events: list[str] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
 
     # --- derived views -------------------------------------------------------
@@ -156,7 +153,6 @@ def emit(report: MetricsReport, fmt: str = "table") -> str:
             json.dumps(
                 {
                     "scenario": report.scenario,
-                    "seed": report.seed,
                     "mode": report.mode,
                     "enforcement": report.enforcement,
                     "counters": report.counters,
@@ -182,7 +178,7 @@ def emit(report: MetricsReport, fmt: str = "table") -> str:
     for row in rows:
         widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
     header = "  ".join(c.ljust(w) for c, w in zip(_FLOW_COLUMNS, widths))
-    lines = [f"scenario: {report.scenario}  seed={report.seed} mode={report.mode} enforcement={report.enforcement}"]
+    lines = [f"scenario: {report.scenario}  mode={report.mode} enforcement={report.enforcement}"]
     lines.append(header)
     lines.append("-" * len(header))
     lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows]

@@ -30,6 +30,7 @@ __all__ = [
     "derive_flow_id",
     "match_pe",
     "normalize_mac",
+    "predicates_hold",
     "select_policy",
     "specificity",
 ]
@@ -281,8 +282,10 @@ def _selector_matches(sel: EndpointSelector, domain: DomainInfo, ip: IPv4Address
     return True
 
 
-def _predicate_constraints_hold(pe: PolicyExpression, ctx: FlowContext) -> bool:
-    for constraint in pe.flow_cons + pe.dom_cons:
+def predicates_hold(constraints: tuple[Constraint, ...], ctx: FlowContext) -> bool:
+    """True iff every PACKET_ATTR and SIGNATURE constraint holds for ``ctx``;
+    other kinds are not predicates on the packet and are skipped."""
+    for constraint in constraints:
         if constraint.kind is ConstraintKind.PACKET_ATTR:
             actual = {"type": ctx.packet_type, "port": str(ctx.service_port)}.get(constraint.attr or "")
             if actual != constraint.value:
@@ -316,7 +319,7 @@ def match_pe(pe: PolicyExpression, ctx: FlowContext) -> bool:
         start, end = pe.validity
         if not start <= ctx.timestamp < end:
             return False
-    return _predicate_constraints_hold(pe, ctx)
+    return predicates_hold(pe.flow_cons + pe.dom_cons, ctx)
 
 
 _SELECTOR_FIELDS = ("as_id", "subnet", "as_type", "label_req", "host_ip", "host_mac")

@@ -75,9 +75,6 @@ class DomainSpec:
     users: dict[str, str]
     policies: tuple[PolicyExpression, ...]
 
-    def switch_ids(self) -> set[str]:
-        return {s.id for s in self.switches}
-
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -109,7 +106,6 @@ class FloodSpec:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    seed: int
     mode: str  # reactive | proactive
     enforcement: bool
     domains: tuple[DomainSpec, ...]
@@ -127,13 +123,6 @@ class Scenario:
             if domain.id == as_id:
                 return domain
         raise KeyError(as_id)
-
-    def host(self, host_id: str) -> tuple[DomainSpec, HostSpec]:
-        for domain in self.domains:
-            for host in domain.hosts:
-                if host.id == host_id:
-                    return domain, host
-        raise KeyError(host_id)
 
     # functional updates used by experiments and acceptance variants
 
@@ -172,6 +161,19 @@ class Scenario:
         return replace(self, traffic=traffic)
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(path, f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _positive_int(raw, path: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ScenarioError(path, f"must be at least 1, got {value}")
+    return value
+
+
 def _want(obj: dict, key: str, path: str, kind=None):
     if key not in obj:
         raise ScenarioError(f"{path}.{key}", "missing required field")
@@ -208,6 +210,7 @@ def _parse_policies(raw, path: str) -> tuple[PolicyExpression, ...]:
 
 
 def _parse_domain(obj: dict, path: str) -> DomainSpec:
+    _object(obj, path)
     as_id = _want(obj, "id", path, str)
     if not as_id.startswith("AS"):
         raise ScenarioError(f"{path}.id", f"domain ids start with 'AS', got {as_id!r}")
@@ -222,6 +225,7 @@ def _parse_domain(obj: dict, path: str) -> DomainSpec:
     switches = []
     for index, sw in enumerate(_want(obj, "switches", path, list)):
         sw_path = f"{path}.switches[{index}]"
+        _object(sw, sw_path)
         sw_id = _want(sw, "id", sw_path, str)
         if sw_id.startswith("AS"):
             raise ScenarioError(f"{sw_path}.id", "switch ids must not start with 'AS'")
@@ -245,6 +249,7 @@ def _parse_domain(obj: dict, path: str) -> DomainSpec:
     hosts = []
     for index, h in enumerate(obj.get("hosts", [])):
         host_path = f"{path}.hosts[{index}]"
+        _object(h, host_path)
         host_id = _want(h, "id", host_path, str)
         try:
             ip = parse_ipv4(_want(h, "ip", host_path, str))
@@ -282,12 +287,18 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
     out: list[FlowSpec | FloodSpec] = []
     for index, item in enumerate(items):
         item_path = f"{path}[{index}]"
-        if not isinstance(item, dict):
-            raise ScenarioError(item_path, "traffic entries are objects")
+        _object(item, item_path)
         src = _want(item, "from", item_path, str)
         if src not in host_ids:
             raise ScenarioError(f"{item_path}.from", f"undefined host {src!r}")
         dst = _want(item, "to", item_path, str)
+        if dst not in host_ids:
+            try:
+                IPv4Address(dst)
+            except ValueError:
+                raise ScenarioError(
+                    f"{item_path}.to", f"{dst!r} is neither a declared host nor an IPv4 address"
+                ) from None
         at = int(item.get("at", 0))
         if item.get("kind") == "flood":
             out.append(
@@ -295,8 +306,8 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
                     at=at,
                     src_host=src,
                     dst=dst,
-                    rate=int(_want(item, "rate", item_path)),
-                    seconds=int(item.get("seconds", 1)),
+                    rate=_positive_int(_want(item, "rate", item_path), f"{item_path}.rate"),
+                    seconds=_positive_int(item.get("seconds", 1), f"{item_path}.seconds"),
                     packet_type=str(item.get("type", "SYN")),
                     port_base=int(item.get("port_base", 20000)),
                     proto=str(item.get("proto", "tcp")),
@@ -375,24 +386,23 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
                 cc=cap["controller_rps"],
                 x=int(cap["switches_per_controller"]),
                 y=int(cap["hosts_per_switch"]),
-                cs=cap.get("switch_rps"),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise ScenarioError("$.capacity", str(exc)) from None
     response = ResponseMode.NONE
     window_ticks = TICKS_PER_SECOND
     if "defense" in document:
-        defense = document["defense"]
+        defense = _object(document["defense"], "$.defense")
         try:
             response = ResponseMode(defense.get("response", "none"))
         except ValueError:
             raise ScenarioError("$.defense.response", f"unknown response {defense.get('response')!r}") from None
-        window_ticks = int(defense.get("window_ticks", TICKS_PER_SECOND))
+        window_ticks = _positive_int(defense.get("window_ticks", TICKS_PER_SECOND), "$.defense.window_ticks")
         if response is not ResponseMode.NONE and capacity is None:
             raise ScenarioError("$.defense", "a defense response requires a capacity model")
     costs = CostModel()
     if "costs" in document:
-        raw = document["costs"]
+        raw = _object(document["costs"], "$.costs")
         known = {"base", "defense", "per_pe", "per_switch", "per_rule"}
         unknown = set(raw) - known
         if unknown:
@@ -400,7 +410,6 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
         costs = CostModel(**{k: int(v) for k, v in raw.items()})
     return Scenario(
         name=name,
-        seed=int(document.get("seed", 0)),
         mode=mode,
         enforcement=bool(document.get("enforcement", True)),
         domains=domains,
@@ -409,8 +418,8 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
         capacity=capacity,
         defense_response=response,
         window_ticks=window_ticks,
-        table_capacity=int(document.get("table_capacity", 1024)),
-        max_ttl=int(document.get("max_ttl", 6)),
+        table_capacity=_positive_int(document.get("table_capacity", 1024), "$.table_capacity"),
+        max_ttl=_positive_int(document.get("max_ttl", 6), "$.max_ttl"),
         costs=costs,
     )
 

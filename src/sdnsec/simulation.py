@@ -4,7 +4,7 @@ The world is rebuilt from the scenario for every run: switches wired port by
 port in declaration order, one controller per domain with a freshly probed
 topology repository, and per-domain policy repositories.  The event loop is
 a single tick-ordered heap; ties resolve in insertion order, so equal
-(scenario, seed) pairs produce byte-identical reports.
+scenarios produce byte-identical reports.
 
 Controllers are modeled as sequential servers: a packet-in waits until the
 controller is free, is charged the pipeline's deterministic service ticks,
@@ -22,12 +22,12 @@ from ipaddress import IPv4Address
 from .controller import Controller, CostModel, FlowModBatch, PipelineResult, arp_discovery_rule
 from .dataplane import BLOCK_RULE_PRIORITY, Packet, Switch, TableFullError
 from .defense import FloodMonitor
-from .interdomain import AugmentedPacket, Handle, PolicyTransferToken, forward_interdomain
+from .interdomain import Handle, PolicyTransferToken
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
 from .scenario import FloodSpec, HostSpec, Scenario
 from .topology import ASDescriptor, ASGraph, SwitchGraph, gateway_name, probe_topology
 
-__all__ = ["World", "build_world", "run", "wallclock_latency"]
+__all__ = ["World", "build_world", "run"]
 
 LINK_TICK = 1
 
@@ -168,7 +168,6 @@ class Simulation:
         self.scenario = world.scenario
         self.report = MetricsReport(
             scenario=self.scenario.name,
-            seed=self.scenario.seed,
             mode=self.scenario.mode,
             enforcement=self.scenario.enforcement,
             window_ticks=self.scenario.window_ticks,
@@ -324,14 +323,14 @@ class Simulation:
         ctrl = self.world.controllers[domain]
         arrival = tick
         start = max(arrival, ctrl.next_free_tick)
-        if inflight.handle is not None:
-            augmented = AugmentedPacket(inflight.packet, inflight.handle, inflight.ptt)
-            result = forward_interdomain(ctrl, augmented, ingress, start)
-        else:
+        # only handle-less packets pass the in-port's peer; with a handle the
+        # controller takes the return hop from the handle's last domain
+        entry_peer = None
+        if inflight.handle is None:
             entry_peer = self.world.switches[ingress].ports.get(in_port)
-            result = ctrl.handle_packet_in(
-                inflight.packet, ingress, start, entry_peer=entry_peer
-            )
+        result = ctrl.handle_packet_in(
+            inflight.packet, ingress, start, inflight.handle, inflight.ptt, entry_peer=entry_peer
+        )
         emission = start + result.service_ticks
         ctrl.next_free_tick = emission
         self.report.latencies.append(LatencyRecord(domain, arrival, start, emission))
@@ -429,14 +428,6 @@ class Simulation:
                 record.reason = "STALLED"
                 self._counters["dropped_other"] += 1
         self.report.counters = dict(self._counters)
-        for ctrl in self.world.controllers.values():
-            for event in ctrl.events:
-                self.report.events.append(
-                    f"tick={event.tick} domain={ctrl.as_id} flow={event.flow_id}"
-                    f" verdict={event.verdict} reason={event.reason!r}"
-                    f" pe={event.matched_pe} rules={event.rules_installed}"
-                    f" service_ticks={event.service_ticks} [{event.summary}]"
-                )
         return self.report
 
 
@@ -444,16 +435,3 @@ def run(scenario: Scenario, costs: CostModel | None = None) -> MetricsReport:
     """Build the world and execute the scenario to quiescence."""
     return Simulation(build_world(scenario, costs or scenario.costs)).run()
 
-
-def wallclock_latency(scenario: Scenario, repeats: int = 10) -> float:
-    """Optional wall-clock microbenchmark: mean seconds per run over
-    ``repeats`` repetitions.  Tick-based latency is the deterministic
-    measure; this exists for hardware-bound comparisons only."""
-    import time
-
-    total = 0.0
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run(scenario)
-        total += time.perf_counter() - started
-    return total / repeats

@@ -83,7 +83,7 @@ def pad_switches(scenario: Scenario, total: int) -> Scenario:
     )
 
 
-def chain_scenario(as_count: int, seed: int = 0, mode: str = "reactive", enforcement: bool = True) -> Scenario:
+def chain_scenario(as_count: int, mode: str = "reactive", enforcement: bool = True) -> Scenario:
     """A source-to-destination world of ``as_count`` domains in a row, each
     with one transit switch between its gateways, used for the multi-domain
     establishment-time experiment."""
@@ -130,7 +130,6 @@ def chain_scenario(as_count: int, seed: int = 0, mode: str = "reactive", enforce
     traffic = (FlowSpec(at=0, src_host="src", dst=dst_ip, port=80, packet_type="HTTP"),)
     return Scenario(
         name=f"chain-{as_count}",
-        seed=seed,
         mode=mode,
         enforcement=enforcement,
         domains=tuple(domains),
@@ -151,7 +150,7 @@ def offer_horizon(scenario: Scenario) -> int:
 
 
 def sweep(scenario: Scenario, axis: str, points: list[int]) -> list[tuple[int, MetricsReport]]:
-    """One run per point, shared seed, reports keyed by the axis value."""
+    """One run per point, reports keyed by the axis value."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r} (have {SWEEP_AXES})")
     results = []
@@ -163,7 +162,7 @@ def sweep(scenario: Scenario, axis: str, points: list[int]) -> list[tuple[int, M
         elif axis == "switch_count":
             variant = pad_switches(scenario, point)
         else:
-            variant = chain_scenario(point, seed=scenario.seed, mode=scenario.mode, enforcement=scenario.enforcement)
+            variant = chain_scenario(point, mode=scenario.mode, enforcement=scenario.enforcement)
         results.append((point, run(variant)))
     return results
 

@@ -19,7 +19,6 @@ __all__ = [
     "ASDescriptor",
     "ASGraph",
     "NoPathError",
-    "ProbeResponse",
     "SwitchGraph",
     "TopologyEntry",
     "TopologyRepository",
@@ -51,17 +50,6 @@ class ASDescriptor:
     as_type: str
     sec_label: SecurityLabel
     controller_id: str
-
-
-@dataclass(frozen=True)
-class ProbeResponse:
-    """Payload of a TTL-expired reply: sender identity plus its security label."""
-
-    sender_ip: str
-    as_id: str
-    sec_label: SecurityLabel
-    subnet: IPv4Network
-    as_type: str
 
 
 @dataclass(frozen=True)
@@ -172,8 +160,9 @@ def probe_topology(
     """Build (or rebuild) a controller's topology repository.
 
     Simulates probes at TTL 1..max_ttl: a domain at shortest-path distance d
-    answers the TTL-d probe with a :class:`ProbeResponse`, so hop counts come
-    out as breadth-first distances and unreachable domains are simply absent.
+    answers the TTL-d probe with its identity, security label, subnet and
+    type, so hop counts come out as breadth-first distances and unreachable
+    domains are simply absent.
     Re-running replaces the repository wholesale, so it is idempotent.
     """
     if max_ttl < 1:
@@ -203,20 +192,13 @@ def probe_topology(
         if as_id == owner_as or distance > max_ttl:
             continue
         descriptor = world.descriptor(as_id)
-        response = ProbeResponse(
-            sender_ip=str(next(descriptor.subnet.hosts())),
+        repo.entries[as_id] = TopologyEntry(
             as_id=as_id,
             sec_label=descriptor.sec_label,
-            subnet=descriptor.subnet,
-            as_type=descriptor.as_type,
-        )
-        repo.entries[as_id] = TopologyEntry(
-            as_id=response.as_id,
-            sec_label=response.sec_label,
             hops=distance,
             next_hop_gateway=gateway_name(owner_as, first_hop[as_id]),
-            subnet=response.subnet,
-            as_type=response.as_type,
+            subnet=descriptor.subnet,
+            as_type=descriptor.as_type,
         )
     return repo
 

@@ -4,9 +4,7 @@ import pytest
 
 from sdnsec.controller import DropReason, synthesize_rules
 from sdnsec.dataplane import ActionKind, Packet
-from sdnsec.interdomain import IntegrityError, mint_handle
-from sdnsec.labels import LabelConstraint, LabelRelation, SecurityLabel
-from sdnsec.policy import Action, Constraint, ConstraintKind, Decision
+from sdnsec.interdomain import mint_handle
 from sdnsec.scenario import bundled_scenario_path, load_scenario
 from sdnsec.simulation import build_world
 
@@ -97,16 +95,6 @@ def test_unknown_destination_is_dropped(transit_world):
     assert result.reason in (DropReason.NO_ROUTE, DropReason.POLICY)
 
 
-def test_handle_extension_requires_valid_handle(transit_world):
-    ctrl = transit_world.controllers["AS2"]
-    genuine = transit_world.controllers["AS1"].create_handle("f1")
-    extended = ctrl.extend_handle(genuine)
-    assert extended.visited == ("AS1", "AS2")
-    forged = mint_handle("f1", "AS1", b"wrong-key")
-    with pytest.raises(IntegrityError):
-        ctrl.extend_handle(forged)
-
-
 def test_tampered_handle_dropped_in_pipeline(transit_world):
     ctrl = transit_world.controllers["AS2"]
     packet = make_packet()
@@ -114,22 +102,6 @@ def test_tampered_handle_dropped_in_pipeline(transit_world):
     result = ctrl.handle_packet_in(packet, "2SW1", 0, handle=forged)
     assert not result.installed
     assert result.reason == DropReason.HANDLE_INVALID
-
-
-def test_create_ptt_requires_allow():
-    world = build_world(load_scenario(bundled_scenario_path("minimal")))
-    ctrl = world.controllers["AS1"]
-    with pytest.raises(ValueError):
-        ctrl.create_ptt(Decision(Action.DENY), "f1")
-    label = Constraint(
-        ConstraintKind.LABEL_PATH, label=LabelConstraint(LabelRelation.GEQ, SecurityLabel(2))
-    )
-    token = ctrl.create_ptt(
-        Decision(Action.ALLOW, matched_pe="p", ptt_constraints=(label,)), "f1"
-    )
-    assert token.origin_as == "AS1"
-    assert token.constraints == (label,)
-    assert ctrl.create_ptt(Decision(Action.ALLOW, matched_pe="p"), "f1") is None
 
 
 def test_baseline_mode_allows_everything(transit_world):

@@ -211,8 +211,7 @@ def make_augmented():
     return AugmentedPacket(packet, handle, ptt)
 
 
-def test_forward_interdomain_classifies_transit_and_drop():
-    from sdnsec.interdomain import forward_interdomain
+def test_transit_packet_in_classifies_transit_and_drop():
     from sdnsec.scenario import bundled_scenario_path, load_scenario
     from sdnsec.simulation import build_world
 
@@ -223,14 +222,12 @@ def test_forward_interdomain_classifies_transit_and_drop():
     # the world's actual keys
     handle = as1.create_handle(augmented.packet.flow_id)
     ptt = mint_ptt(augmented.packet.flow_id, "AS1", (label_geq(2),), as1.handle_key)
-    genuine = AugmentedPacket(augmented.packet, handle, ptt)
-    result = forward_interdomain(as2, genuine, "2SW1", 0)
+    result = as2.handle_packet_in(augmented.packet, "2SW1", 0, handle=handle, ptt=ptt)
     assert result.installed
     assert result.disposition == "egress"
     assert result.next_as == "AS3"
     assert result.handle_out.visited == ("AS1", "AS2")
-    forged = AugmentedPacket(augmented.packet, augmented.handle, None)
-    refused = forward_interdomain(as2, forged, "2SW1", 0)
+    refused = as2.handle_packet_in(augmented.packet, "2SW1", 0, handle=augmented.handle)
     assert not refused.installed
     assert refused.reason == "HANDLE_INVALID"
 

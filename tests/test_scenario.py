@@ -165,3 +165,64 @@ def test_load_rejects_bad_json(tmp_path):
 def test_unknown_bundled_name_lists_known():
     with pytest.raises(ScenarioError, match="minimal"):
         bundled_scenario_path("does_not_exist")
+
+
+def _flood(**fields):
+    entry = {"kind": "flood", "at": 0, "from": "a", "to": "b", "rate": 10, "seconds": 1}
+    entry.update(fields)
+    return [entry]
+
+
+def _set(*keys, value):
+    def mutate(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (_set("traffic", 0, "to", value="ghost"), "$.traffic[0].to"),
+        (_set("traffic", 0, "to", value="10.0.0.300"), "$.traffic[0].to"),
+        (_set("table_capacity", value=0), "$.table_capacity"),
+        (_set("max_ttl", value=0), "$.max_ttl"),
+        (_set("defense", value={"response": "none", "window_ticks": 0}), "$.defense.window_ticks"),
+        (_set("defense", value="throttle"), "$.defense"),
+        (_set("costs", value=5), "$.costs"),
+        (_set("traffic", value=_flood(rate=0)), "$.traffic[0].rate"),
+        (_set("traffic", value=_flood(seconds=0)), "$.traffic[0].seconds"),
+        (_set("traffic", value=_flood(to="nowhere")), "$.traffic[0].to"),
+        (_set("domains", 0, value=5), "$.domains[0]"),
+        (_set("domains", 0, value="AS1"), "$.domains[0]"),
+        (_set("domains", 0, "switches", 0, value=5), "$.domains[0].switches[0]"),
+        (_set("domains", 0, "hosts", 0, value="a"), "$.domains[0].hosts[0]"),
+        (_set("traffic", 0, value=7), "$.traffic[0]"),
+    ],
+    ids=[
+        "undeclared-to",
+        "malformed-ip-to",
+        "table-capacity-0",
+        "max-ttl-0",
+        "window-ticks-0",
+        "defense-not-object",
+        "costs-not-object",
+        "flood-rate-0",
+        "flood-seconds-0",
+        "flood-undeclared-to",
+        "domain-int",
+        "domain-string",
+        "switch-int",
+        "host-string",
+        "traffic-int",
+    ],
+)
+def test_run_time_failures_are_rejected_at_parse(mutate, path):
+    doc = minimal_doc()
+    mutate(doc)
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(doc)
+    assert caught.value.path == path

@@ -200,13 +200,6 @@ def test_flood_drop_rule_blocks_offender():
     assert all(f.outcome == "delivered" for f in legit)
 
 
-def test_wallclock_microbenchmark_runs():
-    from sdnsec.simulation import wallclock_latency
-
-    mean_seconds = wallclock_latency(load("minimal"), repeats=2)
-    assert mean_seconds > 0
-
-
 def test_emissions_stable_and_parseable():
     report = run(load("minimal"))
     delimited = emit(report, "delimited")
