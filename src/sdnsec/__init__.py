@@ -61,7 +61,6 @@ from .dataplane import (
     format_flow_dump,
 )
 from .interdomain import (
-    UNSATISFIABLE,
     AugmentedPacket,
     Handle,
     PolicyTransferToken,
@@ -129,7 +128,6 @@ __all__ = [
     "TableFullError",
     "TopologyEntry",
     "TopologyRepository",
-    "UNSATISFIABLE",
     "Verdict",
     "build_world",
     "bundled_scenario_path",

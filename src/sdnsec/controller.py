@@ -30,7 +30,6 @@ from .defense import FloodMonitor, Verdict
 from .interdomain import (
     Handle,
     PolicyTransferToken,
-    UNSATISFIABLE,
     extend_handle_record,
     merge_constraints,
     mint_handle,
@@ -39,10 +38,8 @@ from .interdomain import (
     validate_handle,
     verify_ptt,
 )
-from .labels import LabelWindow
 from .policy import (
     Action,
-    Constraint,
     ConstraintKind,
     Decision,
     DomainInfo,
@@ -408,29 +405,21 @@ class Controller:
         else:
             decision = Decision(Action.ALLOW, matched_pe="baseline")
 
-        local_constraints: list[Constraint] = []
-        if decision.label_obligation is not None:
-            local_constraints.append(
-                Constraint(ConstraintKind.LABEL_PATH, label=decision.label_obligation)
-            )
-        merged = merge_constraints(tuple(local_constraints), verified_ptt)
-        if merged is UNSATISFIABLE:
+        window, delegated = merge_constraints(decision.label_window, verified_ptt)
+        if window.empty:
             return self._drop(
                 DropReason.UNSATISFIABLE, summary, flow_id, tick, ticks, matched_pe=decision.matched_pe
             )
-        if not predicates_hold(merged, ctx):
+        if not predicates_hold(delegated, ctx):
             return self._drop(
                 DropReason.POLICY, summary, flow_id, tick, ticks, matched_pe=decision.matched_pe
             )
         winner = next((pe for pe in self.policy_repo if pe.id == decision.matched_pe), None)
         own_constraints = (winner.flow_cons + winner.dom_cons) if winner else ()
-        if not self._rate_admits(str(packet.src_ip), tuple(merged) + own_constraints, tick):
+        if not self._rate_admits(str(packet.src_ip), delegated + own_constraints, tick):
             return self._drop(
                 DropReason.RATE_LIMIT, summary, flow_id, tick, ticks, matched_pe=decision.matched_pe
             )
-        window = LabelWindow.conjoin(
-            [c.label for c in merged if c.kind is ConstraintKind.LABEL_PATH]
-        )
 
         dst_domain = self.domain_for_ip(packet.dst_ip)
         if dst_domain is None:

@@ -1,9 +1,9 @@
 """Simulated match-action switches: flow tables, lookup and table-miss events.
 
 A switch owns a priority-ordered flow table.  An arriving packet executes the
-highest-priority matching rule; a miss buffers the packet (one per flow key,
-newest wins) and raises a packet-in for the controller.  All mutation happens
-on the simulation loop's thread.
+highest-priority matching rule; a miss raises a packet-in for the controller.
+The packet-in carries the packet, so the switch buffers nothing.  All
+mutation happens on the simulation loop's thread.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ BLOCK_RULE_PRIORITY = 200
 
 
 class TableFullError(Exception):
-    """Flow table is at capacity; surfaced to the controller."""
+    """A new match does not fit the flow table (see :meth:`Switch.room_for`)."""
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,6 @@ class Switch:
         self.down_ports: set[int] = set()
         self.table: list[FlowRule] = []
         self._by_match: dict[FlowMatch, FlowRule] = {}
-        self.buffered: dict[str, tuple[Packet, int | None]] = {}
         self.stats = SwitchStats()
         self.events: list[str] = []
 
@@ -173,8 +172,7 @@ class Switch:
     def install(self, rule: FlowRule) -> None:
         """Insert in priority position; re-installing an identical match is
         idempotent and an identical-match rule of lower priority is replaced.
-        Buffered packets stay buffered; whoever installs the rule decides
-        whether to take and re-offer them (see :meth:`take_buffered`)."""
+        A new match beyond capacity raises :class:`TableFullError`."""
         existing = self._by_match.get(rule.match)
         if existing is not None:
             if rule.priority < existing.priority:
@@ -191,6 +189,12 @@ class Switch:
             raise TableFullError(f"{self.id} flow table full ({self.capacity} entries)")
         self._by_match[rule.match] = rule
         self._insort(rule)
+
+    def room_for(self, matches: set[FlowMatch]) -> bool:
+        """True iff installing rules with ``matches`` stays within capacity;
+        a match already installed takes no new entry."""
+        new = sum(1 for match in matches if match not in self._by_match)
+        return len(self.table) + new <= self.capacity
 
     def _insort(self, rule: FlowRule) -> None:
         # insertion point after equal priorities keeps insertion order stable
@@ -209,7 +213,6 @@ class Switch:
         rule = self.lookup(packet, in_port)
         if rule is None:
             self.stats.packet_ins += 1
-            self.buffered[packet.flow_id] = (packet, in_port)  # newest wins
             return ForwardOutcome(kind="packet_in")
         rule.packets += 1
         rule.bytes += packet.payload_size
@@ -218,7 +221,6 @@ class Switch:
             return ForwardOutcome(kind="dropped", rule=rule)
         if rule.action == ActionKind.TO_CONTROLLER:
             self.stats.packet_ins += 1
-            self.buffered[packet.flow_id] = (packet, in_port)
             return ForwardOutcome(kind="packet_in", rule=rule)
         assert rule.out_port is not None
         if rule.out_port in self.down_ports or rule.out_port not in self.ports:
@@ -229,9 +231,6 @@ class Switch:
         return ForwardOutcome(
             kind="forwarded", out_port=rule.out_port, peer=self.ports[rule.out_port], rule=rule
         )
-
-    def take_buffered(self, flow_id: str) -> tuple[Packet, int | None] | None:
-        return self.buffered.pop(flow_id, None)
 
 
 def flow_dump(switch: Switch) -> list[FlowRule]:

@@ -22,11 +22,9 @@ from .labels import LabelWindow
 from .policy import Constraint, ConstraintKind, DELEGABLE_KINDS
 
 __all__ = [
-    "UNSATISFIABLE",
     "AugmentedPacket",
     "Handle",
     "PolicyTransferToken",
-    "Unsatisfiable",
     "handle_tag",
     "merge_constraints",
     "mint_handle",
@@ -233,40 +231,17 @@ def validate_handle(ctrl, handle: Handle) -> bool:
     return hmac.compare_digest(expected, handle.tag)
 
 
-class Unsatisfiable:
-    """Marker result: merged constraints admit no label at all."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "UNSATISFIABLE"
-
-
-UNSATISFIABLE = Unsatisfiable()
-
-
 def merge_constraints(
-    local: tuple[Constraint, ...] | list[Constraint], ptt: PolicyTransferToken | None
-):
-    """Conjoin local constraints with a (verified) token's constraints.
+    window: LabelWindow, ptt: PolicyTransferToken | None
+) -> tuple[LabelWindow, tuple[Constraint, ...]]:
+    """Conjoin the winning allow's label window with a (verified) token.
 
-    Label-path constraints collapse to their intersection window, strongest
-    bound winning; an empty window yields :data:`UNSATISFIABLE`, which
-    callers turn into a deny.  Other kinds are unioned without any check
-    between them.
+    The token's label-path constraints narrow ``window`` on both bounds; an
+    empty result is unsatisfiable and callers turn it into a drop.  The
+    token's other constraints are returned for the packet-predicate and rate
+    checks.
     """
     delegated = ptt.constraints if ptt is not None else ()
-    combined = tuple(local) + tuple(delegated)
-    labels = [c.label for c in combined if c.kind is ConstraintKind.LABEL_PATH]
-    window = LabelWindow.conjoin(labels)
-    if window.empty:
-        return UNSATISFIABLE
-    merged: list[Constraint] = [
-        Constraint(ConstraintKind.LABEL_PATH, label=constraint)
-        for constraint in window.to_constraints()
-    ]
-    for constraint in combined:
-        if constraint.kind is ConstraintKind.LABEL_PATH:
-            continue
-        if constraint not in merged:
-            merged.append(constraint)
-    return tuple(merged)
-
+    labels = [c.label for c in delegated if c.kind is ConstraintKind.LABEL_PATH]
+    others = tuple(c for c in delegated if c.kind is not ConstraintKind.LABEL_PATH)
+    return window.intersect(LabelWindow.conjoin(labels)), others

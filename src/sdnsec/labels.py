@@ -94,9 +94,6 @@ class LabelConstraint:
         suffix = {LabelRelation.GEQ: "+=", LabelRelation.LEQ: "-=", LabelRelation.EQ: ""}
         return f"{self.base}{suffix[self.relation]}"
 
-    def window(self) -> LabelWindow:
-        return LabelWindow.from_constraint(self)
-
     def __str__(self) -> str:
         return self.text()
 
@@ -188,33 +185,9 @@ class LabelWindow:
     def empty(self) -> bool:
         return self.hi is not None and self.lo > self.hi
 
-    @property
-    def unconstrained(self) -> bool:
-        return self.lo <= 1 and self.hi is None
-
     def satisfies(self, label: SecurityLabel) -> bool:
         if self.empty:
             return False
         if label.rank < self.lo:
             return False
         return self.hi is None or label.rank <= self.hi
-
-    def to_constraints(self) -> tuple[LabelConstraint, ...]:
-        """Minimal constraint list equivalent to this window (empty if unconstrained)."""
-        if self.empty:
-            raise ValueError("empty window has no constraint form")
-        if self.unconstrained:
-            return ()
-        if self.hi is not None and self.lo == self.hi:
-            return (LabelConstraint(LabelRelation.EQ, SecurityLabel(self.lo)),)
-        out: list[LabelConstraint] = []
-        if self.lo > 1:
-            out.append(LabelConstraint(LabelRelation.GEQ, SecurityLabel(self.lo)))
-        if self.hi is not None:
-            out.append(LabelConstraint(LabelRelation.LEQ, SecurityLabel(self.hi)))
-        return tuple(out)
-
-    def primary_constraint(self) -> LabelConstraint | None:
-        """The dominant single constraint, used where only one can be carried."""
-        constraints = self.to_constraints()
-        return constraints[0] if constraints else None

@@ -243,7 +243,7 @@ class Decision:
     verdict: Action
     matched_pe: str | None = None
     path_obligation: tuple[str, ...] | None = None
-    label_obligation: LabelConstraint | None = None
+    label_window: LabelWindow = LabelWindow()
     exit_obligation: str | None = None
     ptt_constraints: tuple[Constraint, ...] = ()
     sec_profile: frozenset[str] = frozenset()
@@ -253,7 +253,7 @@ class Decision:
         if self.verdict is Action.DENY:
             if (
                 self.path_obligation is not None
-                or self.label_obligation is not None
+                or self.label_window != LabelWindow()
                 or self.exit_obligation is not None
                 or self.ptt_constraints
             ):
@@ -401,7 +401,7 @@ def select_policy(pes: list[PolicyExpression], ctx: FlowContext) -> Decision:
         Action.ALLOW,
         matched_pe=winner.id,
         path_obligation=winner.path if winner.path_is_switches else None,
-        label_obligation=window.primary_constraint(),
+        label_window=window,
         exit_obligation=winner.action_exit,
         ptt_constraints=winner.delegable_constraints(),
         sec_profile=winner.sec_profile or frozenset(),

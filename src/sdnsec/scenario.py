@@ -11,7 +11,7 @@ scenarios live in ``sdnsec/scenarios/``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from ipaddress import IPv4Address, IPv4Network
 from pathlib import Path
@@ -38,6 +38,16 @@ __all__ = [
 ]
 
 TICKS_PER_SECOND = 1_000_000
+
+_TOP_LEVEL_FIELDS = {
+    "name", "mode", "enforcement", "max_ttl", "table_capacity", "costs",
+    "capacity", "defense", "domains", "links", "traffic",
+}
+_CAPACITY_FIELDS = {"controller_rps", "switches_per_controller", "hosts_per_switch"}
+_DEFENSE_FIELDS = {"response", "window_ticks"}
+_COST_FIELDS = {field.name for field in fields(CostModel)}
+_FLOW_FIELDS = {"at", "from", "to", "port", "type", "proto", "size"}
+_FLOOD_FIELDS = {"kind", "at", "from", "to", "rate", "seconds", "type", "port_base", "proto"}
 
 
 class ScenarioError(ValueError):
@@ -165,6 +175,13 @@ def _object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(path, f"expected an object, got {type(value).__name__}")
     return value
+
+
+def _known(obj: dict, known: set[str], path: str) -> dict:
+    for key in obj:
+        if key not in known:
+            raise ScenarioError(f"{path}.{key}", "unknown field")
+    return obj
 
 
 def _positive_int(raw, path: str) -> int:
@@ -301,25 +318,38 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
                 ) from None
         at = int(item.get("at", 0))
         if item.get("kind") == "flood":
+            _known(item, _FLOOD_FIELDS, item_path)
+            rate = _positive_int(_want(item, "rate", item_path), f"{item_path}.rate")
+            seconds = _positive_int(item.get("seconds", 1), f"{item_path}.seconds")
+            port_base = int(item.get("port_base", 20000))
+            last = port_base + rate * seconds - 1
+            if port_base < 1 or last > 65535:
+                raise ScenarioError(
+                    f"{item_path}.port_base", f"flood ports {port_base}..{last} leave 1..65535"
+                )
             out.append(
                 FloodSpec(
                     at=at,
                     src_host=src,
                     dst=dst,
-                    rate=_positive_int(_want(item, "rate", item_path), f"{item_path}.rate"),
-                    seconds=_positive_int(item.get("seconds", 1), f"{item_path}.seconds"),
+                    rate=rate,
+                    seconds=seconds,
                     packet_type=str(item.get("type", "SYN")),
-                    port_base=int(item.get("port_base", 20000)),
+                    port_base=port_base,
                     proto=str(item.get("proto", "tcp")),
                 )
             )
         else:
+            _known(item, _FLOW_FIELDS, item_path)
+            port = int(_want(item, "port", item_path))
+            if not 1 <= port <= 65535:
+                raise ScenarioError(f"{item_path}.port", f"port {port} outside 1..65535")
             out.append(
                 FlowSpec(
                     at=at,
                     src_host=src,
                     dst=dst,
-                    port=int(_want(item, "port", item_path)),
+                    port=port,
                     packet_type=str(_want(item, "type", item_path, str)),
                     proto=str(item.get("proto", "tcp")),
                     size=int(item.get("size", 64)),
@@ -332,6 +362,7 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
     """Validate a loaded scenario document and resolve every reference."""
     if not isinstance(document, dict):
         raise ScenarioError("$", "scenario document must be an object")
+    _known(document, _TOP_LEVEL_FIELDS, "$")
     name = str(document.get("name", name_hint))
     mode = str(document.get("mode", "reactive"))
     if mode not in ("reactive", "proactive"):
@@ -380,7 +411,7 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
             host_ips[host.ip] = host.id
     capacity = None
     if "capacity" in document:
-        cap = document["capacity"]
+        cap = _known(_object(document["capacity"], "$.capacity"), _CAPACITY_FIELDS, "$.capacity")
         try:
             capacity = CapacityModel(
                 cc=cap["controller_rps"],
@@ -392,7 +423,7 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
     response = ResponseMode.NONE
     window_ticks = TICKS_PER_SECOND
     if "defense" in document:
-        defense = _object(document["defense"], "$.defense")
+        defense = _known(_object(document["defense"], "$.defense"), _DEFENSE_FIELDS, "$.defense")
         try:
             response = ResponseMode(defense.get("response", "none"))
         except ValueError:
@@ -402,12 +433,12 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
             raise ScenarioError("$.defense", "a defense response requires a capacity model")
     costs = CostModel()
     if "costs" in document:
-        raw = _object(document["costs"], "$.costs")
-        known = {"base", "defense", "per_pe", "per_switch", "per_rule"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ScenarioError("$.costs", f"unknown cost fields {sorted(unknown)}")
-        costs = CostModel(**{k: int(v) for k, v in raw.items()})
+        raw = _known(_object(document["costs"], "$.costs"), _COST_FIELDS, "$.costs")
+        values = {key: int(value) for key, value in raw.items()}
+        for key, value in values.items():
+            if value < 0:
+                raise ScenarioError(f"$.costs.{key}", f"must be at least 0, got {value}")
+        costs = CostModel(**values)
     return Scenario(
         name=name,
         mode=mode,

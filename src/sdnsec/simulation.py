@@ -18,9 +18,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
+from itertools import groupby
 
 from .controller import Controller, CostModel, FlowModBatch, PipelineResult, arp_discovery_rule
-from .dataplane import BLOCK_RULE_PRIORITY, Packet, Switch, TableFullError
+from .dataplane import BLOCK_RULE_PRIORITY, FlowMatch, Packet, Switch
 from .defense import FloodMonitor
 from .interdomain import Handle, PolicyTransferToken
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
@@ -259,21 +260,15 @@ class Simulation:
         else:
             self._counters["dropped_other"] += 1
 
-    def _deliver(self, inflight: _InFlight, host: HostSpec, tick: int) -> None:
+    def _deliver(self, inflight: _InFlight, tick: int) -> None:
         record = inflight.record
         if record.outcome != "pending":
             return
-        domain = self.world.host_domain[host.id]
-        ctrl = self.world.controllers[domain]
-        state = ctrl.flow_state.get(inflight.packet.flow_id)
-        if state is not None and state.handle_out is not None:
-            as_path = state.handle_out.visited
-        else:
-            as_path = (domain,)
         record.outcome = "delivered"
         record.delivered_tick = tick
-        record.as_path = tuple(as_path)
         record.switch_path = tuple(inflight.trace)
+        domains = (self.world.switch_domain[switch_id] for switch_id in inflight.trace)
+        record.as_path = tuple(domain for domain, _ in groupby(domains))
         self._counters["delivered"] += 1
 
     def _on_switch_rx(self, tick: int, switch_id: str, inflight: _InFlight, in_port: int) -> None:
@@ -298,9 +293,8 @@ class Simulation:
         inflight.trace.append(switch_id)
         peer = outcome.peer
         if peer in self.world.hosts:
-            host = self.world.hosts[peer]
-            if host.ip == inflight.packet.dst_ip:
-                self._deliver(inflight, host, tick + LINK_TICK)
+            if self.world.hosts[peer].ip == inflight.packet.dst_ip:
+                self._deliver(inflight, tick + LINK_TICK)
             else:
                 self._finish(inflight.record, "MISDELIVERED", self.world.switch_domain[switch_id])
             return
@@ -334,42 +328,49 @@ class Simulation:
         emission = start + result.service_ticks
         ctrl.next_free_tick = emission
         self.report.latencies.append(LatencyRecord(domain, arrival, start, emission))
-        self._schedule(emission, "apply_result", (domain, inflight, ingress, result))
+        self._schedule(emission, "apply_result", (domain, inflight, ingress, in_port, result))
 
-    def _install_batch(self, batch: FlowModBatch, domain: str, tick: int, src_ip: str, flow_id: str) -> bool:
-        try:
-            for switch_id, rule in batch.installs:
-                self.world.switches[switch_id].install(rule)
-        except TableFullError:
+    def _install_batch(self, batch: FlowModBatch) -> bool:
+        """Install every rule of ``batch``, or none of them when some switch
+        lacks room for the matches new to it (an all-or-nothing bundle)."""
+        matches: dict[str, set[FlowMatch]] = {}
+        for switch_id, rule in batch.installs:
+            matches.setdefault(switch_id, set()).add(rule.match)
+        if not all(self.world.switches[s].room_for(m) for s, m in matches.items()):
             self._counters["table_full_events"] += 1
             return False
-        self._counters["rules_installed"] += len(batch)
-        self.report.installs.append(
-            InstallRecord(tick, domain, src_ip, flow_id, len(batch), batch.provenance)
-        )
+        for switch_id, rule in batch.installs:
+            self.world.switches[switch_id].install(rule)
         return True
 
+    def _record_install(self, batch: FlowModBatch, domain: str, tick: int, packet: Packet) -> None:
+        self._counters["rules_installed"] += len(batch)
+        self.report.installs.append(
+            InstallRecord(tick, domain, str(packet.src_ip), packet.flow_id, len(batch), batch.provenance)
+        )
+
     def _on_apply_result(
-        self, tick: int, domain: str, inflight: _InFlight, ingress: str, result: PipelineResult
+        self,
+        tick: int,
+        domain: str,
+        inflight: _InFlight,
+        ingress: str,
+        in_port: int,
+        result: PipelineResult,
     ) -> None:
-        flow_id = inflight.packet.flow_id
-        src_ip = str(inflight.packet.src_ip)
-        if result.block_batch is not None:
-            self._install_batch(result.block_batch, domain, tick, src_ip, flow_id)
+        if result.block_batch is not None and self._install_batch(result.block_batch):
+            self._record_install(result.block_batch, domain, tick, inflight.packet)
         if not result.installed:
-            self.world.switches[ingress].take_buffered(flow_id)
             self._finish(inflight.record, result.reason, domain)
             return
         assert result.batch is not None
-        if not self._install_batch(result.batch, domain, tick, src_ip, flow_id):
-            self.world.switches[ingress].take_buffered(flow_id)
+        if not self._install_batch(result.batch):
             self._finish(inflight.record, "TABLE_FULL", domain)
             return
+        self._record_install(result.batch, domain, tick, inflight.packet)
         self._counters["flow_mods"] += 1
-        buffered = self.world.switches[ingress].take_buffered(flow_id)
-        if buffered is not None:
-            packet, in_port = buffered
-            self._schedule(tick + LINK_TICK, "switch_rx", (ingress, inflight, in_port))
+        # the packet that missed is re-offered where it missed
+        self._schedule(tick + LINK_TICK, "switch_rx", (ingress, inflight, in_port))
 
     # --- proactive pre-install ---------------------------------------------------
 
@@ -395,11 +396,8 @@ class Simulation:
                     entry_peer=entry_peer,
                     defense=False,
                 )
-                if not result.installed:
+                if not result.installed or not self._install_batch(result.batch):
                     break
-                assert result.batch is not None
-                for switch_id, rule in result.batch.installs:
-                    self.world.switches[switch_id].install(rule)
                 self._counters["proactive_installs"] += len(result.batch)
                 if result.disposition == "deliver":
                     break

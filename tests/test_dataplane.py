@@ -110,19 +110,11 @@ def test_table_capacity_surfaces_error():
     sw.attach("peer")
     sw.install(forward(1, 1, service_port=1))
     sw.install(forward(1, 1, service_port=2))
+    # a match already installed takes no new entry
+    assert sw.room_for({FlowMatch(service_port=1), FlowMatch(service_port=2)})
+    assert not sw.room_for({FlowMatch(service_port=1), FlowMatch(service_port=3)})
     with pytest.raises(TableFullError):
         sw.install(forward(1, 1, service_port=3))
-
-
-def test_miss_buffer_keeps_newest_per_flow():
-    sw = make_switch()
-    first = make_packet(payload_size=10)
-    second = make_packet(payload_size=99)
-    sw.process_packet(first)
-    sw.process_packet(second)
-    packet, in_port = sw.take_buffered(first.flow_id)
-    assert packet.payload_size == 99
-    assert sw.take_buffered(first.flow_id) is None
 
 
 def test_link_down_event_recorded():
@@ -223,14 +215,3 @@ def test_counters_are_exact():
     # every offered packet either hit a rule or raised a packet-in
     assert rule_hits + sw.stats.packet_ins == offered
     assert sw.stats.offered == offered
-
-
-def test_buffered_packet_reoffered_after_install():
-    sw = make_switch()
-    sw.attach("peer")
-    packet = make_packet()
-    assert sw.process_packet(packet).kind == "packet_in"
-    sw.install(forward(100, 1, packet_type="HTTP"))
-    buffered = sw.take_buffered(packet.flow_id)
-    assert buffered is not None
-    assert sw.process_packet(buffered[0], buffered[1]).kind == "forwarded"

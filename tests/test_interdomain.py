@@ -3,10 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from sdnsec.labels import LabelConstraint, LabelRelation, SecurityLabel
+from sdnsec.labels import LabelConstraint, LabelRelation, LabelWindow, SecurityLabel
 from sdnsec.policy import Constraint, ConstraintKind
 from sdnsec.interdomain import (
-    UNSATISFIABLE,
     AugmentedPacket,
     Handle,
     PolicyTransferToken,
@@ -40,12 +39,6 @@ class StubController:
 def label_geq(rank):
     return Constraint(
         ConstraintKind.LABEL_PATH, label=LabelConstraint(LabelRelation.GEQ, SecurityLabel(rank))
-    )
-
-
-def label_eq(rank):
-    return Constraint(
-        ConstraintKind.LABEL_PATH, label=LabelConstraint(LabelRelation.EQ, SecurityLabel(rank))
     )
 
 
@@ -151,35 +144,34 @@ def test_retag_preserves_origin_attribution():
 
 def test_merge_dominant_lower_bound():
     token = mint_ptt("f1", "AS1", (label_geq(2),), KEYS["AS1"])
-    merged = merge_constraints((label_geq(1),), token)
-    assert merged == (label_geq(2),)
+    assert merge_constraints(LabelWindow(lo=1), token) == (LabelWindow(lo=2), ())
 
 
 def test_merge_contradiction_is_unsatisfiable():
     token = mint_ptt("f1", "AS1", (label_geq(3),), KEYS["AS1"])
-    assert merge_constraints((label_eq(1),), token) is UNSATISFIABLE
+    window, _ = merge_constraints(LabelWindow(lo=1, hi=1), token)
+    assert window.empty
 
 
 def test_merge_satisfiability_over_small_ranks():
-    # exhaustive satisfiability check: EQ a vs GEQ b over ranks 1..5
-    for a, b in itertools.product(range(1, 6), repeat=2):
+    # exhaustive satisfiability check: window [a, c] vs GEQ b over ranks 1..5
+    for a, b, c in itertools.product(range(1, 6), repeat=3):
         token = mint_ptt("f1", "AS1", (label_geq(b),), KEYS["AS1"])
-        merged = merge_constraints((label_eq(a),), token)
-        if a >= b:
-            assert merged == (label_eq(a),)
+        window, _ = merge_constraints(LabelWindow(lo=a, hi=c), token)
+        if max(a, b) <= c:
+            assert window == LabelWindow(lo=max(a, b), hi=c)
         else:
-            assert merged is UNSATISFIABLE
+            assert window.empty
 
 
 def test_merge_unions_other_kinds():
     attr = Constraint(ConstraintKind.PACKET_ATTR, attr="type", value="HTTP")
     token = mint_ptt("f1", "AS1", (label_geq(2), attr), KEYS["AS1"])
-    merged = merge_constraints((label_geq(1), attr), token)
-    assert merged == (label_geq(2), attr)
+    assert merge_constraints(LabelWindow(hi=4), token) == (LabelWindow(lo=2, hi=4), (attr,))
 
 
 def test_merge_without_token_keeps_local():
-    assert merge_constraints((label_geq(2),), None) == (label_geq(2),)
+    assert merge_constraints(LabelWindow(lo=2, hi=4), None) == (LabelWindow(lo=2, hi=4), ())
 
 
 def test_augmented_packet_requires_matching_flow():

@@ -96,14 +96,3 @@ def test_window_empty_detection():
         ]
     )
     assert window.empty
-
-
-def test_window_constraint_form():
-    assert LabelWindow().to_constraints() == ()
-    only_geq = LabelWindow(lo=2)
-    assert [c.text() for c in only_geq.to_constraints()] == ["SL2+="]
-    pinned = LabelWindow(lo=3, hi=3)
-    assert [c.text() for c in pinned.to_constraints()] == ["SL3"]
-    both = LabelWindow(lo=2, hi=4)
-    assert [c.text() for c in both.to_constraints()] == ["SL2+=", "SL4-="]
-    assert both.primary_constraint().text() == "SL2+="

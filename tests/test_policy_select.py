@@ -1,7 +1,7 @@
 import random
 from ipaddress import IPv4Address, IPv4Network
 
-from sdnsec.labels import LabelConstraint, LabelRelation, SecurityLabel
+from sdnsec.labels import LabelConstraint, LabelRelation, LabelWindow, SecurityLabel
 from sdnsec.policy import (
     Action,
     Constraint,
@@ -98,18 +98,13 @@ def test_selection_agrees_with_sort_oracle():
         assert decision.matched_pe == ranked[0].id
 
 
-def test_label_obligation_from_path_constraints():
-    pe = allow(
-        "1",
-        dom_cons=(
-            Constraint(
-                ConstraintKind.LABEL_PATH,
-                label=LabelConstraint(LabelRelation.GEQ, SecurityLabel(2)),
-            ),
-        ),
-    )
+def test_label_window_from_path_constraints():
+    def label(relation, rank):
+        return Constraint(ConstraintKind.LABEL_PATH, label=LabelConstraint(relation, SecurityLabel(rank)))
+
+    pe = allow("1", flow_cons=(label(LabelRelation.LEQ, 4),), dom_cons=(label(LabelRelation.GEQ, 2),))
     decision = select_policy([pe], make_ctx())
-    assert decision.label_obligation == LabelConstraint(LabelRelation.GEQ, SecurityLabel(2))
+    assert decision.label_window == LabelWindow(lo=2, hi=4)
 
 
 def test_ptt_constraints_are_flow_scoped_only():

@@ -167,6 +167,9 @@ def test_unknown_bundled_name_lists_known():
         bundled_scenario_path("does_not_exist")
 
 
+CAPACITY = {"controller_rps": 400, "switches_per_controller": 2, "hosts_per_switch": 2}
+
+
 def _flood(**fields):
     entry = {"kind": "flood", "at": 0, "from": "a", "to": "b", "rate": 10, "seconds": 1}
     entry.update(fields)
@@ -201,6 +204,18 @@ def _set(*keys, value):
         (_set("domains", 0, "switches", 0, value=5), "$.domains[0].switches[0]"),
         (_set("domains", 0, "hosts", 0, value="a"), "$.domains[0].hosts[0]"),
         (_set("traffic", 0, value=7), "$.traffic[0]"),
+        (_set("traffic", 0, "port", value=70000), "$.traffic[0].port"),
+        (_set("traffic", 0, "port", value=0), "$.traffic[0].port"),
+        (_set("traffic", value=_flood(rate=10, port_base=65530)), "$.traffic[0].port_base"),
+        (_set("costs", value={"base": -50}), "$.costs.base"),
+        (_set("max_tll", value=0), "$.max_tll"),
+        (_set("seed", value=1), "$.seed"),
+        (_set("costs", value={"bass": 5}), "$.costs.bass"),
+        (_set("capacity", value={**CAPACITY, "switch_rps": 9}), "$.capacity.switch_rps"),
+        (_set("capacity", value=[400]), "$.capacity"),
+        (_set("defense", value={"response": "none", "windows_ticks": 0}), "$.defense.windows_ticks"),
+        (_set("traffic", 0, "seconds", value=2), "$.traffic[0].seconds"),
+        (_set("traffic", value=_flood(port=80)), "$.traffic[0].port"),
     ],
     ids=[
         "undeclared-to",
@@ -218,6 +233,18 @@ def _set(*keys, value):
         "switch-int",
         "host-string",
         "traffic-int",
+        "port-70000",
+        "port-0",
+        "flood-ports-past-65535",
+        "negative-cost",
+        "unknown-top-level",
+        "removed-seed",
+        "unknown-cost",
+        "unknown-capacity",
+        "capacity-not-object",
+        "unknown-defense",
+        "seconds-on-flow",
+        "port-on-flood",
     ],
 )
 def test_run_time_failures_are_rejected_at_parse(mutate, path):

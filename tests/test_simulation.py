@@ -1,10 +1,22 @@
-import pytest
+import json
+from dataclasses import replace
 
-from sdnsec.dataplane import format_flow_dump
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sdnsec.dataplane import ARP_RULE_PRIORITY, FLOW_RULE_PRIORITY, format_flow_dump
 from sdnsec.defense import ResponseMode
 from sdnsec.metrics import emit
-from sdnsec.scenario import bundled_scenario_path, load_scenario
+from sdnsec.scenario import (
+    ScenarioError,
+    bundled_scenario_path,
+    list_bundled_scenarios,
+    load_scenario,
+    parse_scenario,
+)
 from sdnsec.simulation import Simulation, build_world, run
+
+ALLOW_ALL = "p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"
 
 
 def load(name):
@@ -20,8 +32,6 @@ def test_minimal_intra_delivery():
 
 
 def test_empty_traffic_program():
-    from dataclasses import replace
-
     scenario = replace(load("minimal"), traffic=())
     report = run(scenario)
     assert report.counters["offered"] == 0
@@ -212,3 +222,162 @@ def test_emissions_stable_and_parseable():
     assert records.count("\n") >= 2
     with pytest.raises(ValueError):
         emit(report, "yaml")
+
+
+def line_doc(policy=ALLOW_ALL, labels=("SL2", "SL2", "SL2"), **fields):
+    """One domain, switches S1-S2-S3 in a row, host a on S1 and b on S3."""
+    doc = {
+        "name": "line",
+        "domains": [
+            {
+                "id": "AS1",
+                "subnet": "10.0.0.0/24",
+                "type": "EDU",
+                "label": "SL2",
+                "handle_key": "k",
+                "switches": [{"id": f"S{i}", "label": label} for i, label in enumerate(labels, 1)],
+                "links": [["S1", "S2"], ["S2", "S3"]],
+                "hosts": [
+                    {"id": "a", "ip": "10.0.0.1", "mac": "00:00:00:00:00:0a", "switch": "S1"},
+                    {"id": "b", "ip": "10.0.0.2", "mac": "00:00:00:00:00:0b", "switch": "S3"},
+                ],
+                "policies": [policy],
+            }
+        ],
+        "links": [],
+        "traffic": [{"at": 0, "from": "a", "to": "b", "port": 80, "type": "SYN"}],
+    }
+    doc.update(fields)
+    return doc
+
+
+def test_label_upper_bound_constrains_switch_path():
+    policy = "p = <*,*,*,*,*,*,*,*,(SL2+=; SL3-=),*,*,*,*>:<Allow>"
+    report = run(parse_scenario(line_doc(policy, labels=("SL2", "SL5", "SL2"))))
+    flow = report.flows[0]
+    assert (flow.outcome, flow.reason) == ("dropped", "NO_SATISFYING_PATH")
+
+
+def test_same_flow_retry_is_delivered():
+    # the retry misses while the first packet-in is still queued
+    syn = {"from": "a", "to": "b", "port": 80, "type": "SYN"}
+    report = run(parse_scenario(line_doc(traffic=[{"at": 0, **syn}, {"at": 3, **syn}])))
+    assert [flow.outcome for flow in report.flows] == ["delivered", "delivered"]
+    assert [flow.switch_path for flow in report.flows] == [("S1", "S2", "S3")] * 2
+
+
+@pytest.mark.parametrize("mode", ["reactive", "proactive"])
+def test_flow_mod_batch_is_all_or_nothing(mode):
+    world = build_world(parse_scenario(line_doc(mode=mode, table_capacity=2)))
+    report = Simulation(world).run()
+    flow = report.flows[0]
+    assert (flow.outcome, flow.reason) == ("dropped", "TABLE_FULL")
+    assert report.counters["rules_installed"] == report.counters["proactive_installs"] == 0
+    assert report.installs == []
+    for switch in world.switches.values():
+        assert [rule.priority for rule in switch.table] == [ARP_RULE_PRIORITY]
+
+
+def transit_doc(traffic):
+    """AS1-AS2, then AS2-AS3-AS5 and AS2-AS4-AS5.  AS3 and its switches are
+    SL2, everything else SL3.  AS1 allows with the flow constraint SL3+=,
+    which it delegates in its transfer token; every other domain allows all."""
+    gateways = {
+        "AS1": ("1SW2",),
+        "AS2": ("2SW1", "2SW3", "2SW4"),
+        "AS3": ("3SW2", "3SW5"),
+        "AS4": ("4SW2", "4SW5"),
+        "AS5": ("5SW3", "5SW4"),
+    }
+    domains = []
+    for number, (as_id, switches) in enumerate(gateways.items(), 1):
+        label = "SL2" if as_id == "AS3" else "SL3"
+        domains.append(
+            {
+                "id": as_id,
+                "subnet": f"10.0.{number}.0/24",
+                "type": "EDU",
+                "label": label,
+                "handle_key": f"key-{as_id}",
+                "switches": [{"id": switch, "label": label} for switch in switches],
+                "links": [[switches[0], other] for other in switches[1:]],
+                "hosts": [],
+                "policies": [ALLOW_ALL],
+            }
+        )
+    domains[0]["policies"] = ["p = <*,*,*,*,*,*,*,*,SL3+=,*,*,*,*>:<Allow>"]
+    domains[0]["hosts"] = [{"id": "h1", "ip": "10.0.1.2", "mac": "00:00:00:00:00:01", "switch": "1SW2"}]
+    domains[4]["hosts"] = [{"id": "h5", "ip": "10.0.5.2", "mac": "00:00:00:00:00:05", "switch": "5SW3"}]
+    links = [["AS1", "AS2"], ["AS2", "AS3"], ["AS2", "AS4"], ["AS3", "AS5"], ["AS4", "AS5"]]
+    return {"name": "transit", "domains": domains, "links": links, "traffic": traffic}
+
+
+def test_transfer_token_constrains_transit_route():
+    # only the token tells AS2 about AS1's SL3+= constraint; without it AS2
+    # would take the first shortest path, through AS3
+    doc = transit_doc([{"at": 0, "from": "h1", "to": "h5", "port": 80, "type": "HTTP"}])
+    flow = run(parse_scenario(doc)).flows[0]
+    assert flow.outcome == "delivered"
+    assert flow.as_path == ("AS1", "AS2", "AS4", "AS5")
+
+
+def test_as_path_follows_switches_taken():
+    # the reply rides the first flow's return rules and reaches no controller
+    doc = transit_doc(
+        [
+            {"at": 0, "from": "h1", "to": "h5", "port": 80, "type": "HTTP"},
+            {"at": 1_000, "from": "h5", "to": "h1", "port": 80, "type": "HTTP"},
+        ]
+    )
+    report = run(parse_scenario(doc))
+    reply = report.flows[1]
+    assert report.counters["packet_ins"] == 4  # one per domain, all for the first flow
+    assert reply.outcome == "delivered"
+    assert reply.switch_path == ("5SW3", "5SW4", "4SW5", "4SW2", "2SW4", "2SW1", "1SW2")
+    assert reply.as_path == ("AS5", "AS4", "AS2", "AS1")
+
+
+COST_FIELDS = ("base", "defense", "per_pe", "per_switch", "per_rule")
+
+
+@st.composite
+def mutated_bundled_documents(draw):
+    name = draw(st.sampled_from(list_bundled_scenarios()))
+    doc = json.loads(bundled_scenario_path(name).read_text())
+    doc["mode"] = draw(st.sampled_from(("reactive", "proactive")))
+    capacity = draw(st.none() | st.integers(1, 4))
+    if capacity is not None:
+        doc["table_capacity"] = capacity
+    doc["costs"] = draw(st.dictionaries(st.sampled_from(COST_FIELDS), st.integers(-3, 50)))
+    if draw(st.booleans()):
+        item = draw(st.sampled_from(doc["traffic"]))
+        key = "port_base" if item.get("kind") == "flood" else "port"
+        item[key] = draw(st.sampled_from((0, 1, 65535, 70000)))
+    domain = draw(st.sampled_from(doc["domains"]))
+    if domain["policies"] and draw(st.booleans()):
+        del domain["policies"][draw(st.integers(0, len(domain["policies"]) - 1))]
+    return doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mutated_bundled_documents())
+def test_mutated_bundled_scenarios_are_rejected_or_run_clean(doc):
+    try:
+        scenario = parse_scenario(doc)
+    except ScenarioError:
+        return
+    world = build_world(scenario)
+    report = Simulation(world).run()
+    counters = report.counters
+    assert report.conservation_holds()
+    dropped = sum(value for key, value in counters.items() if key.startswith("dropped_"))
+    assert counters["delivered"] + dropped == counters["offered"] == len(report.flows)
+    for switch in world.switches.values():
+        assert len(switch.table) <= switch.capacity
+        # synthesis writes forward rules before return rules, so a batch cut
+        # short leaves a forward rule without its return rule
+        installed = {rule.match for rule in switch.table}
+        for rule in switch.table:
+            if rule.priority == FLOW_RULE_PRIORITY:
+                match = rule.match
+                assert replace(match, src_ip=match.dst_ip, dst_ip=match.src_ip) in installed
