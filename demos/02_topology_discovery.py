@@ -30,13 +30,14 @@ print("topology repository of AS1:")
 for as_id, entry in sorted(repos[0].entries.items()):
     print(f"  {as_id}: label={entry.sec_label} hops={entry.hops} via {entry.next_hop_gateway}")
 
+# Path search runs on the domain graph the probes' hop-1 answers make up.
 # Unconstrained, every simple path is a candidate, shortest first.
 print("\nall simple paths AS1 -> AS4:")
-for path in find_as_paths(repos, "AS1", "AS4"):
+for path in find_as_paths(world, "AS1", "AS4"):
     print("  ", " -> ".join(path))
 
 # Requiring trusted transit prunes the shortcut through AS5 (label SL1).
 constraint = parse_label_constraint("SL2+=")
 print(f"\npaths whose transit domains satisfy {constraint}:")
-for path in find_as_paths(repos, "AS1", "AS4", constraint):
+for path in find_as_paths(world, "AS1", "AS4", constraint):
     print("  ", " -> ".join(path))

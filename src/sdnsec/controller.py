@@ -1,10 +1,15 @@
 """Per-domain controller pipeline: admission, rule synthesis, credentials.
 
 A packet-in runs through a fixed pipeline: flood accounting, handle
-validation, token verification, context extraction, repository selection,
-constraint merging, route resolution and finally rule synthesis.  The result
-is either a batch of flow rules (plus, for flows leaving the domain, an
-extended handle and re-tagged transfer token) or a drop with a reason.
+validation, token verification, context extraction, repository selection
+(or the fixed ``BASELINE`` allow with enforcement off), constraint merging,
+route resolution and finally rule synthesis.  The result is either a batch
+of flow rules (plus, for flows leaving the domain, an extended handle and
+re-tagged transfer token) or a drop with a reason.  Every outcome appends one
+``ControllerEvent`` naming the matched policy and the ticks charged so far.
+
+Domain routes are searched on the world's domain graph; the caller names the
+node the packet came from (``entry_peer``), which the return rules lead to.
 
 Deterministic service cost in ticks is charged per stage so latency and
 throughput experiments are reproducible: scanning the repository costs per
@@ -50,6 +55,7 @@ from .policy import (
 )
 from .topology import (
     ASDescriptor,
+    ASGraph,
     NoPathError,
     TopologyRepository,
     find_as_paths,
@@ -58,6 +64,7 @@ from .topology import (
 )
 
 __all__ = [
+    "BASELINE",
     "Controller",
     "ControllerEvent",
     "CostModel",
@@ -108,8 +115,7 @@ class PipelineResult:
     reason: str = ""
     batch: FlowModBatch | None = None
     block_batch: FlowModBatch | None = None
-    disposition: str | None = None  # deliver | egress
-    next_as: str | None = None
+    next_as: str | None = None  # None: delivered inside this domain
     egress_switch: str | None = None
     handle_out: Handle | None = None
     ptt_out: PolicyTransferToken | None = None
@@ -131,6 +137,11 @@ class ControllerEvent:
     matched_pe: str | None
     rules_installed: int
     service_ticks: int
+
+
+# the decision every packet-in gets when enforcement is off: allow, with no
+# obligation and no constraint
+BASELINE = Decision(Action.ALLOW, matched_pe="baseline")
 
 
 def arp_discovery_rule() -> FlowRule:
@@ -214,15 +225,15 @@ class Controller:
         topo: TopologyRepository,
         handle_key: bytes,
         *,
+        as_graph: ASGraph,
+        port_of,
         monitor: FloodMonitor | None = None,
         key_ring: dict[str, bytes] | None = None,
         user_bindings: dict[str, str] | None = None,
         host_switch: dict[IPv4Address, str] | None = None,
         host_names: dict[IPv4Address, str] | None = None,
-        world_repos: list[TopologyRepository] | None = None,
         enforcement_enabled: bool = True,
         costs: CostModel = CostModel(),
-        port_of=None,
         window_ticks: int = 1_000_000,
     ):
         if not handle_key:
@@ -235,15 +246,15 @@ class Controller:
         self.policy_repo = list(policy_repo)
         self.topo = topo
         self.handle_key = handle_key
+        self.as_graph = as_graph
+        self._port_of = port_of
         self.monitor = monitor
         self.key_ring = dict(key_ring or {})
         self.user_bindings = {mac.lower(): user for mac, user in (user_bindings or {}).items()}
         self.host_switch = dict(host_switch or {})
         self.host_names = dict(host_names or {})
-        self.world_repos = world_repos if world_repos is not None else [topo]
         self.enforcement_enabled = enforcement_enabled
         self.costs = costs
-        self._port_of = port_of
         self.window_ticks = window_ticks
         self.events: list[ControllerEvent] = []
         self.flow_state: dict[str, PipelineResult] = {}
@@ -251,11 +262,6 @@ class Controller:
         self.next_free_tick = 0
         # admitted flows per (source, window) for PE rate constraints
         self._rate_admitted: dict[str, tuple[int, int]] = {}
-
-    # --- credentials ---------------------------------------------------------
-
-    def create_handle(self, flow_id: str) -> Handle:
-        return mint_handle(flow_id, self.as_id, self.handle_key)
 
     # --- context -------------------------------------------------------------
 
@@ -301,15 +307,6 @@ class Controller:
 
     # --- pipeline --------------------------------------------------------------
 
-    def _drop(
-        self, reason: str, ctx_summary: str, flow_id: str, tick: int, ticks: int, **extra
-    ) -> PipelineResult:
-        result = PipelineResult(verdict="drop", reason=reason, service_ticks=ticks, **extra)
-        self.events.append(
-            ControllerEvent(tick, flow_id, ctx_summary, "drop", reason, extra.get("matched_pe"), 0, ticks)
-        )
-        return result
-
     def _block_rule_batch(self, packet: Packet, ingress: str) -> FlowModBatch:
         rule = FlowRule(
             FlowMatch(src_ip=packet.src_ip),
@@ -344,17 +341,27 @@ class Controller:
         self,
         packet: Packet,
         ingress: str,
+        entry_peer: str,
         tick: int,
         handle: Handle | None = None,
         ptt: PolicyTransferToken | None = None,
         *,
-        entry_peer: str | None = None,
         defense: bool = True,
     ) -> PipelineResult:
-        """Admit or drop one table-miss packet; see the module docstring."""
+        """Admit or drop one table-miss packet; see the module docstring.
+
+        ``entry_peer`` is the node the packet reached ``ingress`` from: a
+        host, or the previous domain's gateway switch.  The return rule on
+        ``ingress`` forwards to it.
+        """
         ticks = self.costs.base
         flow_id = packet.flow_id
         summary = f"{packet.src_ip}->{packet.dst_ip}:{packet.service_port}/{packet.packet_type} via {ingress}"
+        matched: str | None = None
+
+        def drop(reason: str, detail: str = summary, block: FlowModBatch | None = None) -> PipelineResult:
+            self.events.append(ControllerEvent(tick, flow_id, detail, "drop", reason, matched, 0, ticks))
+            return PipelineResult("drop", reason, block_batch=block, matched_pe=matched, service_ticks=ticks)
 
         if self.enforcement_enabled and defense and self.monitor is not None:
             ticks += self.costs.defense
@@ -367,18 +374,15 @@ class Controller:
                     f" thost={self.monitor.thost} tsw={self.monitor.tsw}]"
                 )
                 if verdict is Verdict.THROTTLE:
-                    return self._drop(DropReason.DEFENSE_THROTTLED, detail, flow_id, tick, ticks)
+                    return drop(DropReason.DEFENSE_THROTTLED, detail)
                 block = None
                 if offender not in self.blocked_hosts:
                     self.blocked_hosts.add(offender)
                     block = self._block_rule_batch(packet, ingress)
-                return self._drop(
-                    DropReason.DEFENSE_BLOCKED, detail, flow_id, tick, ticks, block_batch=block
-                )
+                return drop(DropReason.DEFENSE_BLOCKED, detail, block)
 
-        if handle is not None and self.enforcement_enabled:
-            if not validate_handle(self, handle):
-                return self._drop(DropReason.HANDLE_INVALID, summary, flow_id, tick, ticks)
+        if handle is not None and self.enforcement_enabled and not validate_handle(self, handle):
+            return drop(DropReason.HANDLE_INVALID)
 
         verified_ptt: PolicyTransferToken | None = None
         if ptt is not None and self.enforcement_enabled:
@@ -394,79 +398,43 @@ class Controller:
                 )
 
         ctx = self.build_context(packet, ingress, handle, tick)
-
+        decision = BASELINE
         if self.enforcement_enabled:
             ticks += self.costs.per_pe * len(self.policy_repo)
             decision = select_policy(self.policy_repo, ctx)
-            if decision.verdict is Action.DENY:
-                return self._drop(
-                    DropReason.POLICY, summary, flow_id, tick, ticks, matched_pe=decision.matched_pe
-                )
-        else:
-            decision = Decision(Action.ALLOW, matched_pe="baseline")
+        matched = decision.matched_pe
+        if decision.verdict is Action.DENY:
+            return drop(DropReason.POLICY)
 
         window, delegated = merge_constraints(decision.label_window, verified_ptt)
         if window.empty:
-            return self._drop(
-                DropReason.UNSATISFIABLE, summary, flow_id, tick, ticks, matched_pe=decision.matched_pe
-            )
+            return drop(DropReason.UNSATISFIABLE)
         if not predicates_hold(delegated, ctx):
-            return self._drop(
-                DropReason.POLICY, summary, flow_id, tick, ticks, matched_pe=decision.matched_pe
-            )
-        winner = next((pe for pe in self.policy_repo if pe.id == decision.matched_pe), None)
-        own_constraints = (winner.flow_cons + winner.dom_cons) if winner else ()
-        if not self._rate_admits(str(packet.src_ip), delegated + own_constraints, tick):
-            return self._drop(
-                DropReason.RATE_LIMIT, summary, flow_id, tick, ticks, matched_pe=decision.matched_pe
-            )
+            return drop(DropReason.POLICY)
+        if not self._rate_admits(str(packet.src_ip), delegated + decision.rate_constraints, tick):
+            return drop(DropReason.RATE_LIMIT)
 
         dst_domain = self.domain_for_ip(packet.dst_ip)
-        if dst_domain is None:
-            return self._drop(
-                DropReason.NO_ROUTE, summary, flow_id, tick, ticks, matched_pe=decision.matched_pe
-            )
-
+        if dst_domain is None or (dst_domain == self.as_id and packet.dst_ip not in self.host_switch):
+            return drop(DropReason.NO_ROUTE)
         next_as: str | None = None
         if dst_domain == self.as_id:
-            disposition = "deliver"
-            final_switch = self.host_switch.get(packet.dst_ip)
-            if final_switch is None:
-                return self._drop(
-                    DropReason.NO_ROUTE, summary, flow_id, tick, ticks, matched_pe=decision.matched_pe
-                )
+            final_switch = self.host_switch[packet.dst_ip]
             final_peer = self.host_names.get(packet.dst_ip, str(packet.dst_ip))
         else:
-            disposition = "egress"
-            if decision.exit_obligation is not None:
+            if decision.exit_obligation is None:
+                paths = find_as_paths(self.as_graph, self.as_id, dst_domain, window)
+                next_as = paths[0][1] if paths else None
+            else:
                 # hard egress pin: the action's exit switch decides the next
                 # domain; a pinned transit domain must still satisfy the
                 # merged label window
                 next_as = self._peer_for_gateway(decision.exit_obligation)
-                entry = self.topo.entries.get(next_as) if next_as else None
-                if next_as is None or entry is None or (
-                    next_as != dst_domain and not window.satisfies(entry.sec_label)
-                ):
-                    return self._drop(
-                        DropReason.NO_SATISFYING_PATH,
-                        summary,
-                        flow_id,
-                        tick,
-                        ticks,
-                        matched_pe=decision.matched_pe,
-                    )
-            else:
-                paths = find_as_paths(self.world_repos, self.as_id, dst_domain, window)
-                if not paths:
-                    return self._drop(
-                        DropReason.NO_SATISFYING_PATH,
-                        summary,
-                        flow_id,
-                        tick,
-                        ticks,
-                        matched_pe=decision.matched_pe,
-                    )
-                next_as = paths[0][1]
+                entry = self.topo.entries.get(next_as)
+                if entry is None or (next_as != dst_domain and not window.satisfies(entry.sec_label)):
+                    next_as = None
+            if next_as is None:
+                return drop(DropReason.NO_SATISFYING_PATH)
             final_switch = gateway_name(self.as_id, next_as)
             final_peer = gateway_name(next_as, self.as_id)
 
@@ -481,23 +449,15 @@ class Controller:
                 constraint=window,
             )
         except NoPathError:
-            return self._drop(
-                DropReason.NO_SATISFYING_PATH, summary, flow_id, tick, ticks, matched_pe=decision.matched_pe
-            )
-
-        if entry_peer is None:
-            if handle is not None:
-                entry_peer = gateway_name(handle.visited[-1], self.as_id)
-            else:
-                entry_peer = self.host_names.get(packet.src_ip, str(packet.src_ip))
+            return drop(DropReason.NO_SATISFYING_PATH)
 
         batch = synthesize_rules(
             path,
             packet,
-            decision.matched_pe or "baseline",
+            matched,
             final_peer=final_peer,
             entry_peer=entry_peer,
-            port_of=self._port_of or (lambda s, p: 0),
+            port_of=self._port_of,
             sec_profile=decision.sec_profile,
         )
         ticks += self.costs.per_rule * len(batch)
@@ -506,38 +466,26 @@ class Controller:
         ptt_out: PolicyTransferToken | None = None
         if handle is not None:
             handle_out = extend_handle_record(handle, self.as_id, self.handle_key)
-            if disposition == "egress":
-                own_delegable = decision.ptt_constraints
-                if verified_ptt is not None:
-                    ptt_out = retag_ptt(verified_ptt, own_delegable, self.handle_key)
-                else:
-                    ptt_out = mint_ptt(flow_id, self.as_id, own_delegable, self.handle_key)
-        elif disposition == "egress":
-            handle_out = self.create_handle(flow_id)
-            ptt_out = mint_ptt(flow_id, self.as_id, decision.ptt_constraints, self.handle_key)
+        elif next_as is not None:
+            handle_out = mint_handle(flow_id, self.as_id, self.handle_key)
+        if next_as is not None:
+            if verified_ptt is not None:
+                ptt_out = retag_ptt(verified_ptt, decision.ptt_constraints, self.handle_key)
+            else:
+                ptt_out = mint_ptt(flow_id, self.as_id, decision.ptt_constraints, self.handle_key)
 
         result = PipelineResult(
             verdict="install",
             batch=batch,
-            disposition=disposition,
             next_as=next_as,
-            egress_switch=final_switch if disposition == "egress" else None,
+            egress_switch=final_switch if next_as is not None else None,
             handle_out=handle_out,
             ptt_out=ptt_out,
-            matched_pe=decision.matched_pe,
+            matched_pe=matched,
             service_ticks=ticks,
         )
         self.flow_state[flow_id] = result
         self.events.append(
-            ControllerEvent(
-                tick,
-                flow_id,
-                summary,
-                "install",
-                decision.reason,
-                decision.matched_pe,
-                len(batch),
-                ticks,
-            )
+            ControllerEvent(tick, flow_id, summary, "install", decision.reason, matched, len(batch), ticks)
         )
         return result

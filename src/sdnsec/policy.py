@@ -246,6 +246,7 @@ class Decision:
     label_window: LabelWindow = LabelWindow()
     exit_obligation: str | None = None
     ptt_constraints: tuple[Constraint, ...] = ()
+    rate_constraints: tuple[Constraint, ...] = ()
     sec_profile: frozenset[str] = frozenset()
     reason: str = ""
 
@@ -256,6 +257,7 @@ class Decision:
                 or self.label_window != LabelWindow()
                 or self.exit_obligation is not None
                 or self.ptt_constraints
+                or self.rate_constraints
             ):
                 raise ValueError("deny decision must carry no obligations")
         elif self.matched_pe is None:
@@ -404,6 +406,9 @@ def select_policy(pes: list[PolicyExpression], ctx: FlowContext) -> Decision:
         label_window=window,
         exit_obligation=winner.action_exit,
         ptt_constraints=winner.delegable_constraints(),
+        rate_constraints=tuple(
+            c for c in winner.flow_cons + winner.dom_cons if c.kind is ConstraintKind.RATE_THRESHOLD
+        ),
         sec_profile=winner.sec_profile or frozenset(),
         reason=f"allowed by {winner.id}",
     )

@@ -11,6 +11,7 @@ scenarios live in ``sdnsec/scenarios/``.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from ipaddress import IPv4Address, IPv4Network
@@ -184,19 +185,28 @@ def _known(obj: dict, known: set[str], path: str) -> dict:
     return obj
 
 
-def _positive_int(raw, path: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise ScenarioError(path, f"must be at least 1, got {value}")
+_REQUIRED = object()
+
+
+def _want(obj: dict, key: str, path: str, kind=None, default=_REQUIRED):
+    """``obj[key]`` (or ``default`` when absent), of type ``kind`` if given."""
+    if key not in obj and default is _REQUIRED:
+        raise ScenarioError(f"{path}.{key}", "missing required field")
+    value = obj.get(key, default)
+    if kind is not None and not isinstance(value, kind):
+        raise ScenarioError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
-def _want(obj: dict, key: str, path: str, kind=None):
-    if key not in obj:
-        raise ScenarioError(f"{path}.{key}", "missing required field")
-    value = obj[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ScenarioError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
+def _int(obj: dict, key: str, path: str, low: int, high: int | None = None, default=_REQUIRED) -> int:
+    """``obj[key]`` as a JSON integer in ``low..high``; booleans, floats and
+    strings are errors."""
+    value = _want(obj, key, path, default=default)
+    if type(value) is not int:  # a bool is an int to Python, not to JSON
+        raise ScenarioError(f"{path}.{key}", f"expected an integer, got {type(value).__name__}")
+    if value < low or (high is not None and value > high):
+        bounds = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ScenarioError(f"{path}.{key}", f"must be {bounds}, got {value}")
     return value
 
 
@@ -219,8 +229,7 @@ def _parse_policies(raw, path: str) -> tuple[PolicyExpression, ...]:
         except PolicyParseError as exc:
             raise ScenarioError(path, str(exc)) from None
         policies.extend(parsed)
-    ids = [pe.id for pe in policies]
-    duplicates = {i for i in ids if ids.count(i) > 1}
+    duplicates = [pe_id for pe_id, count in Counter(pe.id for pe in policies).items() if count > 1]
     if duplicates:
         raise ScenarioError(path, f"duplicate policy ids {sorted(duplicates)}")
     return tuple(policies)
@@ -255,7 +264,7 @@ def _parse_domain(obj: dict, path: str) -> DomainSpec:
     if len(switch_ids) != len(switches):
         raise ScenarioError(f"{path}.switches", "duplicate switch ids")
     links = []
-    for index, pair in enumerate(obj.get("links", [])):
+    for index, pair in enumerate(_want(obj, "links", path, list, default=[])):
         link_path = f"{path}.links[{index}]"
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ScenarioError(link_path, "link must be a [a, b] pair")
@@ -264,7 +273,7 @@ def _parse_domain(obj: dict, path: str) -> DomainSpec:
                 raise ScenarioError(link_path, f"undefined switch {end!r}")
         links.append((pair[0], pair[1]))
     hosts = []
-    for index, h in enumerate(obj.get("hosts", [])):
+    for index, h in enumerate(_want(obj, "hosts", path, list, default=[])):
         host_path = f"{path}.hosts[{index}]"
         _object(h, host_path)
         host_id = _want(h, "id", host_path, str)
@@ -281,7 +290,7 @@ def _parse_domain(obj: dict, path: str) -> DomainSpec:
             raise ScenarioError(f"{host_path}.switch", f"undefined switch {attach!r}")
         hosts.append(HostSpec(host_id, ip, mac, attach))
     users = {}
-    for mac, user in obj.get("users", {}).items():
+    for mac, user in _want(obj, "users", path, dict, default={}).items():
         try:
             users[normalize_mac(mac)] = str(user)
         except ValueError as exc:
@@ -296,7 +305,7 @@ def _parse_domain(obj: dict, path: str) -> DomainSpec:
         links=tuple(links),
         hosts=tuple(hosts),
         users=users,
-        policies=_parse_policies(obj.get("policies", []), f"{path}.policies"),
+        policies=_parse_policies(_want(obj, "policies", path, list, default=[]), f"{path}.policies"),
     )
 
 
@@ -316,14 +325,14 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
                 raise ScenarioError(
                     f"{item_path}.to", f"{dst!r} is neither a declared host nor an IPv4 address"
                 ) from None
-        at = int(item.get("at", 0))
+        at = _int(item, "at", item_path, 0, default=0)
         if item.get("kind") == "flood":
             _known(item, _FLOOD_FIELDS, item_path)
-            rate = _positive_int(_want(item, "rate", item_path), f"{item_path}.rate")
-            seconds = _positive_int(item.get("seconds", 1), f"{item_path}.seconds")
-            port_base = int(item.get("port_base", 20000))
+            rate = _int(item, "rate", item_path, 1)
+            seconds = _int(item, "seconds", item_path, 1, default=1)
+            port_base = _int(item, "port_base", item_path, 1, 65535, default=20000)
             last = port_base + rate * seconds - 1
-            if port_base < 1 or last > 65535:
+            if last > 65535:
                 raise ScenarioError(
                     f"{item_path}.port_base", f"flood ports {port_base}..{last} leave 1..65535"
                 )
@@ -341,18 +350,15 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
             )
         else:
             _known(item, _FLOW_FIELDS, item_path)
-            port = int(_want(item, "port", item_path))
-            if not 1 <= port <= 65535:
-                raise ScenarioError(f"{item_path}.port", f"port {port} outside 1..65535")
             out.append(
                 FlowSpec(
                     at=at,
                     src_host=src,
                     dst=dst,
-                    port=port,
+                    port=_int(item, "port", item_path, 1, 65535),
                     packet_type=str(_want(item, "type", item_path, str)),
                     proto=str(item.get("proto", "tcp")),
-                    size=int(item.get("size", 64)),
+                    size=_int(item, "size", item_path, 1, default=64),
                 )
             )
     return tuple(out)
@@ -383,7 +389,7 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
                 )
             all_switches[sw.id] = domain.id
     links = []
-    for index, pair in enumerate(document.get("links", [])):
+    for index, pair in enumerate(_want(document, "links", "$", list, default=[])):
         link_path = f"$.links[{index}]"
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ScenarioError(link_path, "domain link must be a [a, b] pair")
@@ -412,13 +418,12 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
     capacity = None
     if "capacity" in document:
         cap = _known(_object(document["capacity"], "$.capacity"), _CAPACITY_FIELDS, "$.capacity")
+        cc = _want(cap, "controller_rps", "$.capacity")
+        x = _int(cap, "switches_per_controller", "$.capacity", 1)
+        y = _int(cap, "hosts_per_switch", "$.capacity", 1)
         try:
-            capacity = CapacityModel(
-                cc=cap["controller_rps"],
-                x=int(cap["switches_per_controller"]),
-                y=int(cap["hosts_per_switch"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
+            capacity = CapacityModel(cc=cc, x=x, y=y)
+        except (ValueError, TypeError) as exc:
             raise ScenarioError("$.capacity", str(exc)) from None
     response = ResponseMode.NONE
     window_ticks = TICKS_PER_SECOND
@@ -428,29 +433,25 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
             response = ResponseMode(defense.get("response", "none"))
         except ValueError:
             raise ScenarioError("$.defense.response", f"unknown response {defense.get('response')!r}") from None
-        window_ticks = _positive_int(defense.get("window_ticks", TICKS_PER_SECOND), "$.defense.window_ticks")
+        window_ticks = _int(defense, "window_ticks", "$.defense", 1, default=TICKS_PER_SECOND)
         if response is not ResponseMode.NONE and capacity is None:
             raise ScenarioError("$.defense", "a defense response requires a capacity model")
     costs = CostModel()
     if "costs" in document:
         raw = _known(_object(document["costs"], "$.costs"), _COST_FIELDS, "$.costs")
-        values = {key: int(value) for key, value in raw.items()}
-        for key, value in values.items():
-            if value < 0:
-                raise ScenarioError(f"$.costs.{key}", f"must be at least 0, got {value}")
-        costs = CostModel(**values)
+        costs = CostModel(**{key: _int(raw, key, "$.costs", 0) for key in raw})
     return Scenario(
         name=name,
         mode=mode,
-        enforcement=bool(document.get("enforcement", True)),
+        enforcement=_want(document, "enforcement", "$", bool, default=True),
         domains=domains,
         links=tuple(links),
-        traffic=_parse_traffic(document.get("traffic", []), "$.traffic", host_ids),
+        traffic=_parse_traffic(_want(document, "traffic", "$", list, default=[]), "$.traffic", host_ids),
         capacity=capacity,
         defense_response=response,
         window_ticks=window_ticks,
-        table_capacity=_positive_int(document.get("table_capacity", 1024), "$.table_capacity"),
-        max_ttl=_positive_int(document.get("max_ttl", 6), "$.max_ttl"),
+        table_capacity=_int(document, "table_capacity", "$", 1, default=1024),
+        max_ttl=_int(document, "max_ttl", "$", 1, default=6),
         costs=costs,
     )
 

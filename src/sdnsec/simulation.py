@@ -112,7 +112,6 @@ def build_world(scenario: Scenario, costs: CostModel = CostModel()) -> World:
         domain.id: probe_topology(as_graph, domain.id, scenario.max_ttl, intra_graphs[domain.id])
         for domain in scenario.domains
     }
-    world_repos = [repos[domain.id] for domain in scenario.domains]
 
     def port_lookup(switch_id: str, peer: str) -> int:
         return switches[switch_id].port_to(peer)
@@ -135,15 +134,15 @@ def build_world(scenario: Scenario, costs: CostModel = CostModel()) -> World:
             list(domain.policies),
             repos[domain.id],
             domain.handle_key.encode(),
+            as_graph=as_graph,
+            port_of=port_lookup,
             monitor=monitor,
             key_ring=neighbor_keys,
             user_bindings=domain.users,
             host_switch={host.ip: host.switch for host in domain.hosts},
             host_names={host.ip: host.id for host in domain.hosts},
-            world_repos=world_repos,
             enforcement_enabled=scenario.enforcement,
             costs=costs,
-            port_of=port_lookup,
             window_ticks=scenario.window_ticks,
         )
     return World(
@@ -317,13 +316,9 @@ class Simulation:
         ctrl = self.world.controllers[domain]
         arrival = tick
         start = max(arrival, ctrl.next_free_tick)
-        # only handle-less packets pass the in-port's peer; with a handle the
-        # controller takes the return hop from the handle's last domain
-        entry_peer = None
-        if inflight.handle is None:
-            entry_peer = self.world.switches[ingress].ports.get(in_port)
+        entry_peer = self.world.switches[ingress].ports[in_port]
         result = ctrl.handle_packet_in(
-            inflight.packet, ingress, start, inflight.handle, inflight.ptt, entry_peer=entry_peer
+            inflight.packet, ingress, entry_peer, start, inflight.handle, inflight.ptt
         )
         emission = start + result.service_ticks
         ctrl.next_free_tick = emission
@@ -387,21 +382,13 @@ class Simulation:
             handle = ptt = None
             for _hop in range(len(self.scenario.domains) + 1):
                 ctrl = self.world.controllers[domain]
-                result = ctrl.handle_packet_in(
-                    packet,
-                    ingress,
-                    item.at,
-                    handle=handle,
-                    ptt=ptt,
-                    entry_peer=entry_peer,
-                    defense=False,
-                )
+                result = ctrl.handle_packet_in(packet, ingress, entry_peer, item.at, handle, ptt, defense=False)
                 if not result.installed or not self._install_batch(result.batch):
                     break
                 self._counters["proactive_installs"] += len(result.batch)
-                if result.disposition == "deliver":
+                if result.next_as is None:
                     break
-                entry_peer = gateway_name(domain, result.next_as)
+                entry_peer = result.egress_switch
                 ingress = gateway_name(result.next_as, domain)
                 handle, ptt = result.handle_out, result.ptt_out
                 domain = result.next_as

@@ -3,9 +3,10 @@
 Each controller walks the domain graph with probes of increasing TTL; a
 probe whose TTL expires at a domain is answered with that domain's identity,
 security label and addressing, and the answers become the controller's
-topology repository.  Path search then runs over the union of hop-1 entries
-(domain level) or over a domain's own switch graph (intra level), filtering
-every element through a label constraint.
+topology repository.  Path search then runs over the domain graph, which is
+the union of every controller's hop-1 entries (domain level), or over a
+domain's own switch graph (intra level), filtering every element through a
+label constraint.
 """
 
 from __future__ import annotations
@@ -71,20 +72,23 @@ class ASGraph:
 
     def __init__(self) -> None:
         self._descriptors: dict[str, ASDescriptor] = {}
-        self._adjacency: dict[str, set[str]] = {}
+        self._adjacency: dict[str, tuple[str, ...]] = {}  # sorted
 
     def add_domain(self, descriptor: ASDescriptor) -> None:
         if descriptor.as_id in self._descriptors:
             raise ValueError(f"duplicate domain {descriptor.as_id}")
         self._descriptors[descriptor.as_id] = descriptor
-        self._adjacency[descriptor.as_id] = set()
+        self._adjacency[descriptor.as_id] = ()
 
     def add_link(self, a: str, b: str) -> None:
         for end in (a, b):
             if end not in self._descriptors:
                 raise KeyError(f"unknown domain {end}")
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
+        self._adjacency[a] = tuple(sorted({*self._adjacency[a], b}))
+        self._adjacency[b] = tuple(sorted({*self._adjacency[b], a}))
+
+    def __contains__(self, as_id: str) -> bool:
+        return as_id in self._descriptors
 
     def domains(self) -> list[str]:
         return sorted(self._descriptors)
@@ -92,8 +96,8 @@ class ASGraph:
     def descriptor(self, as_id: str) -> ASDescriptor:
         return self._descriptors[as_id]
 
-    def neighbors(self, as_id: str) -> list[str]:
-        return sorted(self._adjacency[as_id])
+    def neighbors(self, as_id: str) -> tuple[str, ...]:
+        return self._adjacency[as_id]
 
 
 class SwitchGraph:
@@ -203,45 +207,29 @@ def probe_topology(
     return repo
 
 
-def _adjacency_and_labels(repo_set) -> tuple[dict[str, set[str]], dict[str, SecurityLabel]]:
-    adjacency: dict[str, set[str]] = {}
-    labels: dict[str, SecurityLabel] = {}
-    for repo in repo_set:
-        labels[repo.owner_as] = repo.owner_label
-        adjacency.setdefault(repo.owner_as, set())
-        for as_id, entry in repo.entries.items():
-            labels.setdefault(as_id, entry.sec_label)
-            if entry.hops == 1:
-                adjacency.setdefault(as_id, set())
-                adjacency[repo.owner_as].add(as_id)
-                adjacency[as_id].add(repo.owner_as)
-    return adjacency, labels
+def find_as_paths(graph: ASGraph, src_as: str, dst_as: str, constraint=ANY_LABEL) -> list[tuple[str, ...]]:
+    """All simple domain paths src..dst in ``graph`` whose transit domains
+    satisfy the constraint, ordered by (length, lexicographic).
 
-
-def find_as_paths(repo_set, src_as: str, dst_as: str, constraint=ANY_LABEL) -> list[tuple[str, ...]]:
-    """All simple domain paths src..dst whose transit domains satisfy the
-    constraint, ordered by (length, lexicographic).
-
-    ``repo_set`` is any iterable of topology repositories; domain adjacency
-    is reconstructed from their hop-1 entries.  Endpoints are not filtered:
-    the constraint governs the domains a flow passes through, not where it
+    ``graph`` is the world's domain graph, the union of what every
+    controller's probes find at hop 1.  Endpoints are not filtered: the
+    constraint governs the domains a flow passes through, not where it
     starts or ends.  An empty result is a valid return.
     """
     if src_as == dst_as:
         raise ValueError("source and destination domain must differ")
-    adjacency, labels = _adjacency_and_labels(repo_set)
-    if src_as not in adjacency or dst_as not in adjacency:
+    if src_as not in graph or dst_as not in graph:
         return []
     paths: list[tuple[str, ...]] = []
 
     def extend(node: str, trail: list[str]) -> None:
-        for neighbor in sorted(adjacency[node]):
+        for neighbor in graph.neighbors(node):
             if neighbor in trail:
                 continue
             if neighbor == dst_as:
                 paths.append(tuple(trail + [neighbor]))
                 continue
-            if not constraint.satisfies(labels[neighbor]):
+            if not constraint.satisfies(graph.descriptor(neighbor).sec_label):
                 continue
             extend(neighbor, trail + [neighbor])
 

@@ -21,7 +21,7 @@ from sdnsec.sweep import flood_response_series, offer_horizon, pad_switches, swe
 from sdnsec.topology import find_as_paths
 
 from helpers import oracle_match, random_ctx, random_pe
-from test_topology import build_repos, dfs_all_paths, make_world, random_as_links
+from test_topology import dfs_all_paths, make_world, random_as_links
 
 
 @contextmanager
@@ -229,14 +229,14 @@ def test_property_suites():
         for trial in range(60):
             links = random_as_links(rng, 6)
             labels = {f"AS{i}": rng.randrange(1, 5) for i in range(1, 7)}
-            repos = build_repos(make_world(links, labels))
+            graph = make_world(links, labels)
             adjacency = {}
             for a, b in links:
                 adjacency.setdefault(a, set()).add(b)
                 adjacency.setdefault(b, set()).add(a)
             base = rng.randrange(1, 5)
             constraint = LabelConstraint(LabelRelation.GEQ, SecurityLabel(base))
-            assert find_as_paths(repos, "AS1", "AS6", constraint) == dfs_all_paths(
+            assert find_as_paths(graph, "AS1", "AS6", constraint) == dfs_all_paths(
                 adjacency, "AS1", "AS6", lambda n: labels[n] >= base
             )
         # determinism: two identical runs emit byte-identical reports

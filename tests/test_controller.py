@@ -56,16 +56,16 @@ def test_synthesized_rules_match_flow_tuple_and_reverse():
 def test_empty_repository_is_default_deny(transit_world):
     ctrl = transit_world.controllers["AS1"]
     ctrl.policy_repo = []
-    result = ctrl.handle_packet_in(make_packet(), "S1A", 0)
+    result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
     assert not result.installed
     assert result.reason == DropReason.POLICY
 
 
 def test_admitted_flow_installs_and_pins_exit(transit_world):
     ctrl = transit_world.controllers["AS1"]
-    result = ctrl.handle_packet_in(make_packet(), "S1A", 0, entry_peer="X")
+    result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
     assert result.installed
-    assert result.disposition == "egress"
+    assert result.next_as is not None  # leaves the domain
     assert result.next_as == "AS2"
     assert result.egress_switch == "1SW2"
     assert result.matched_pe == "1"
@@ -77,21 +77,21 @@ def test_admitted_flow_installs_and_pins_exit(transit_world):
 
 def test_every_batch_names_its_decision(transit_world):
     ctrl = transit_world.controllers["AS1"]
-    result = ctrl.handle_packet_in(make_packet(), "S1A", 0, entry_peer="X")
+    result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
     assert result.batch.provenance == "1"
     assert all(rule.priority > 10 for _, rule in result.batch.installs)
 
 
 def test_no_flow_mod_for_denied_context(transit_world):
     ctrl = transit_world.controllers["AS1"]
-    result = ctrl.handle_packet_in(make_packet(port=22, ptype="SSH"), "S1A", 0)
+    result = ctrl.handle_packet_in(make_packet(port=22, ptype="SSH"), "S1A", "X", 0)
     assert result.batch is None
     assert not result.installed
 
 
 def test_unknown_destination_is_dropped(transit_world):
     ctrl = transit_world.controllers["AS1"]
-    result = ctrl.handle_packet_in(make_packet(dst="198.18.0.1"), "S1A", 0)
+    result = ctrl.handle_packet_in(make_packet(dst="198.18.0.1"), "S1A", "X", 0)
     assert result.reason in (DropReason.NO_ROUTE, DropReason.POLICY)
 
 
@@ -99,7 +99,7 @@ def test_tampered_handle_dropped_in_pipeline(transit_world):
     ctrl = transit_world.controllers["AS2"]
     packet = make_packet()
     forged = mint_handle(packet.flow_id, "AS1", b"wrong-key")
-    result = ctrl.handle_packet_in(packet, "2SW1", 0, handle=forged)
+    result = ctrl.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=forged)
     assert not result.installed
     assert result.reason == DropReason.HANDLE_INVALID
 
@@ -107,23 +107,23 @@ def test_tampered_handle_dropped_in_pipeline(transit_world):
 def test_baseline_mode_allows_everything(transit_world):
     ctrl = transit_world.controllers["AS1"]
     ctrl.enforcement_enabled = False
-    result = ctrl.handle_packet_in(make_packet(port=22, ptype="SSH"), "S1A", 0, entry_peer="X")
+    result = ctrl.handle_packet_in(make_packet(port=22, ptype="SSH"), "S1A", "X", 0)
     assert result.installed
     assert result.matched_pe == "baseline"
 
 
 def test_enforcement_latency_exceeds_baseline(transit_world):
     ctrl = transit_world.controllers["AS1"]
-    with_enforcement = ctrl.handle_packet_in(make_packet(), "S1A", 0, entry_peer="X").service_ticks
+    with_enforcement = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0).service_ticks
     ctrl.enforcement_enabled = False
-    without = ctrl.handle_packet_in(make_packet(port=80, ptype="HTTP"), "S1A", 0, entry_peer="X").service_ticks
+    without = ctrl.handle_packet_in(make_packet(port=80, ptype="HTTP"), "S1A", "X", 0).service_ticks
     assert with_enforcement > without
 
 
 def test_event_log_records_each_packet_in(transit_world):
     ctrl = transit_world.controllers["AS1"]
-    ctrl.handle_packet_in(make_packet(), "S1A", 0, entry_peer="X")
-    ctrl.handle_packet_in(make_packet(port=22, ptype="SSH"), "S1A", 5)
+    ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
+    ctrl.handle_packet_in(make_packet(port=22, ptype="SSH"), "S1A", "X", 5)
     assert len(ctrl.events) == 2
     assert ctrl.events[0].verdict == "install"
     assert ctrl.events[0].matched_pe == "1"

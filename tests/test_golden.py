@@ -1,34 +1,66 @@
-"""Records emissions of every bundled scenario, pinned by SHA-256.
+"""Outputs of every bundled scenario, pinned by SHA-256.
+
+``records_sha256.json`` pins the ``records`` emission; ``events_sha256.json``
+pins every controller's event log and the report's latency records, which
+carry the drop ticks and matched policies that ``records`` does not.
 
 A change that should not move behaviour must leave these digests alone.
-After an intended behaviour change, regenerate the file with::
+After an intended behaviour change, regenerate a file with::
 
-    PYTHONPATH=src python tests/test_golden.py > tests/golden/records_sha256.json
+    PYTHONPATH=src python tests/test_golden.py records > tests/golden/records_sha256.json
+    PYTHONPATH=src python tests/test_golden.py events > tests/golden/events_sha256.json
 """
 
 import hashlib
 import json
+import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
-from sdnsec import bundled_scenario_path, emit, list_bundled_scenarios, load_scenario, run
+from sdnsec import bundled_scenario_path, emit, list_bundled_scenarios, load_scenario
+from sdnsec.simulation import Simulation, build_world
 
-GOLDEN = Path(__file__).parent / "golden" / "records_sha256.json"
+GOLDEN = Path(__file__).parent / "golden"
 MODES = ("reactive", "proactive")
 CASES = [f"{name}/{mode}" for name in list_bundled_scenarios() for mode in MODES]
 
 
-def records_digest(case: str) -> str:
+def _run(case: str):
     name, mode = case.split("/")
     scenario = load_scenario(bundled_scenario_path(name)).with_mode(mode)
-    return hashlib.sha256(emit(run(scenario), "records").encode()).hexdigest()
+    world = build_world(scenario, scenario.costs)
+    return world, Simulation(world).run()
+
+
+def records_digest(case: str) -> str:
+    _, report = _run(case)
+    return hashlib.sha256(emit(report, "records").encode()).hexdigest()
+
+
+def events_digest(case: str) -> str:
+    world, report = _run(case)
+    trail = {
+        "events": {domain: [astuple(e) for e in ctrl.events] for domain, ctrl in world.controllers.items()},
+        "latencies": [astuple(record) for record in report.latencies],
+    }
+    return hashlib.sha256(json.dumps(trail, sort_keys=True).encode()).hexdigest()
+
+
+DIGESTS = {"records": records_digest, "events": events_digest}
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_records_digest_unchanged(case):
-    assert records_digest(case) == json.loads(GOLDEN.read_text())[case]
+    assert records_digest(case) == json.loads((GOLDEN / "records_sha256.json").read_text())[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_events_and_latencies_digest_unchanged(case):
+    assert events_digest(case) == json.loads((GOLDEN / "events_sha256.json").read_text())[case]
 
 
 if __name__ == "__main__":
-    print(json.dumps({case: records_digest(case) for case in CASES}, indent=2, sort_keys=True))
+    digest = DIGESTS[sys.argv[1] if len(sys.argv) > 1 else "records"]
+    print(json.dumps({case: digest(case) for case in CASES}, indent=2, sort_keys=True))

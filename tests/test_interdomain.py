@@ -212,14 +212,14 @@ def test_transit_packet_in_classifies_transit_and_drop():
     augmented = make_augmented()
     # the fixture's keys differ from this file's; rebuild credentials with
     # the world's actual keys
-    handle = as1.create_handle(augmented.packet.flow_id)
+    handle = mint_handle(augmented.packet.flow_id, "AS1", as1.handle_key)
     ptt = mint_ptt(augmented.packet.flow_id, "AS1", (label_geq(2),), as1.handle_key)
-    result = as2.handle_packet_in(augmented.packet, "2SW1", 0, handle=handle, ptt=ptt)
+    result = as2.handle_packet_in(augmented.packet, "2SW1", "1SW2", 0, handle=handle, ptt=ptt)
     assert result.installed
-    assert result.disposition == "egress"
+    assert result.next_as is not None  # leaves the domain
     assert result.next_as == "AS3"
     assert result.handle_out.visited == ("AS1", "AS2")
-    refused = as2.handle_packet_in(augmented.packet, "2SW1", 0, handle=augmented.handle)
+    refused = as2.handle_packet_in(augmented.packet, "2SW1", "1SW2", 0, handle=augmented.handle)
     assert not refused.installed
     assert refused.reason == "HANDLE_INVALID"
 

@@ -216,6 +216,32 @@ def _set(*keys, value):
         (_set("defense", value={"response": "none", "windows_ticks": 0}), "$.defense.windows_ticks"),
         (_set("traffic", 0, "seconds", value=2), "$.traffic[0].seconds"),
         (_set("traffic", value=_flood(port=80)), "$.traffic[0].port"),
+        (_set("traffic", 0, "port", value=80.7), "$.traffic[0].port"),
+        (_set("traffic", 0, "port", value=True), "$.traffic[0].port"),
+        (_set("traffic", 0, "port", value="abc"), "$.traffic[0].port"),
+        (_set("traffic", 0, "at", value=-50), "$.traffic[0].at"),
+        (_set("traffic", 0, "at", value="x"), "$.traffic[0].at"),
+        (_set("traffic", 0, "size", value=0), "$.traffic[0].size"),
+        (_set("traffic", 0, "size", value=64.5), "$.traffic[0].size"),
+        (_set("traffic", value=_flood(rate=10.5)), "$.traffic[0].rate"),
+        (_set("traffic", value=_flood(seconds=True)), "$.traffic[0].seconds"),
+        (_set("traffic", value=_flood(port_base="20000")), "$.traffic[0].port_base"),
+        (_set("traffic", value=_flood(at=-1)), "$.traffic[0].at"),
+        (_set("table_capacity", value="1024"), "$.table_capacity"),
+        (_set("max_ttl", value=2.5), "$.max_ttl"),
+        (_set("defense", value={"response": "none", "window_ticks": 1.5}), "$.defense.window_ticks"),
+        (_set("costs", value={"base": "5"}), "$.costs.base"),
+        (_set("capacity", value={**CAPACITY, "switches_per_controller": 2.5}), "$.capacity.switches_per_controller"),
+        (_set("capacity", value={**CAPACITY, "hosts_per_switch": False}), "$.capacity.hosts_per_switch"),
+        (_set("enforcement", value="false"), "$.enforcement"),
+        (_set("links", value={"AS1": "AS2"}), "$.links"),
+        (_set("links", value=5), "$.links"),
+        (_set("traffic", value={"at": 0}), "$.traffic"),
+        (_set("domains", 0, "policies", value=7), "$.domains[0].policies"),
+        (_set("domains", 0, "policies", value="p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"), "$.domains[0].policies"),
+        (_set("domains", 0, "users", value=["00:00:00:00:00:0a"]), "$.domains[0].users"),
+        (_set("domains", 0, "links", value=5), "$.domains[0].links"),
+        (_set("domains", 0, "hosts", value=5), "$.domains[0].hosts"),
     ],
     ids=[
         "undeclared-to",
@@ -245,6 +271,32 @@ def _set(*keys, value):
         "unknown-defense",
         "seconds-on-flow",
         "port-on-flood",
+        "port-float",
+        "port-bool",
+        "port-string",
+        "at-negative",
+        "at-string",
+        "size-0",
+        "size-float",
+        "flood-rate-float",
+        "flood-seconds-bool",
+        "flood-port-base-string",
+        "flood-at-negative",
+        "table-capacity-string",
+        "max-ttl-float",
+        "window-ticks-float",
+        "cost-string",
+        "capacity-switches-float",
+        "capacity-hosts-bool",
+        "enforcement-string",
+        "links-object",
+        "links-int",
+        "traffic-object",
+        "policies-int",
+        "policies-string",
+        "users-array",
+        "domain-links-int",
+        "hosts-int",
     ],
 )
 def test_run_time_failures_are_rejected_at_parse(mutate, path):

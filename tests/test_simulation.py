@@ -266,6 +266,17 @@ def test_same_flow_retry_is_delivered():
     assert [flow.switch_path for flow in report.flows] == [("S1", "S2", "S3")] * 2
 
 
+def test_policy_named_baseline_does_not_limit_unenforced_runs():
+    # with enforcement off no policy is selected, whatever its id
+    policy = "baseline = <*,*,*,*,*,*,*,*,*,rate<=1,*,*,*>:<Allow>"
+    syn = {"from": "a", "to": "b", "type": "SYN"}
+    traffic = [{"at": 0, "port": 80, **syn}, {"at": 10, "port": 81, **syn}]
+    enforced = run(parse_scenario(line_doc(policy, traffic=traffic)))
+    assert [(f.outcome, f.reason) for f in enforced.flows][1] == ("dropped", "RATE_LIMIT")
+    report = run(parse_scenario(line_doc(policy, traffic=traffic, enforcement=False)))
+    assert [flow.outcome for flow in report.flows] == ["delivered", "delivered"]
+
+
 @pytest.mark.parametrize("mode", ["reactive", "proactive"])
 def test_flow_mod_batch_is_all_or_nothing(mode):
     world = build_world(parse_scenario(line_doc(mode=mode, table_capacity=2)))

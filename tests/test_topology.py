@@ -117,24 +117,20 @@ def test_probe_distances_match_bfs_oracle():
         }
 
 
-def build_repos(world, max_ttl=10):
-    return [probe_topology(world, as_id, max_ttl) for as_id in world.domains()]
-
-
 def test_transit_constrained_paths():
     labels = {"AS1": 2, "AS2": 3, "AS3": 2, "AS4": 4}
-    repos = build_repos(make_world(CHAIN, labels))
+    graph = make_world(CHAIN, labels)
     geq2 = LabelConstraint(LabelRelation.GEQ, SecurityLabel(2))
-    assert find_as_paths(repos, "AS1", "AS4", geq2) == [("AS1", "AS2", "AS3", "AS4")]
+    assert find_as_paths(graph, "AS1", "AS4", geq2) == [("AS1", "AS2", "AS3", "AS4")]
     # raising the bar above a transit label prunes the only route
     geq3 = LabelConstraint(LabelRelation.GEQ, SecurityLabel(3))
-    assert find_as_paths(repos, "AS1", "AS4", geq3) == []
+    assert find_as_paths(graph, "AS1", "AS4", geq3) == []
 
 
 def test_unconstrained_returns_all_simple_paths():
     links = CHAIN + [("AS1", "AS3")]
-    repos = build_repos(make_world(links))
-    paths = find_as_paths(repos, "AS1", "AS4", ANY_LABEL)
+    graph = make_world(links)
+    paths = find_as_paths(graph, "AS1", "AS4", ANY_LABEL)
     assert paths == [
         ("AS1", "AS3", "AS4"),
         ("AS1", "AS2", "AS3", "AS4"),
@@ -142,9 +138,9 @@ def test_unconstrained_returns_all_simple_paths():
 
 
 def test_same_domain_rejected():
-    repos = build_repos(make_world(CHAIN))
+    graph = make_world(CHAIN)
     with pytest.raises(ValueError):
-        find_as_paths(repos, "AS1", "AS1")
+        find_as_paths(graph, "AS1", "AS1")
 
 
 def dfs_all_paths(adjacency, src, dst, allowed):
@@ -170,14 +166,13 @@ def test_as_paths_match_dfs_oracle_on_random_graphs():
         links = random_as_links(rng, 6)
         labels = {f"AS{i}": rng.randrange(1, 5) for i in range(1, 7)}
         world = make_world(links, labels)
-        repos = build_repos(world)
         adjacency = {}
         for a, b in links:
             adjacency.setdefault(a, set()).add(b)
             adjacency.setdefault(b, set()).add(a)
         base = rng.randrange(1, 5)
         constraint = LabelConstraint(LabelRelation.GEQ, SecurityLabel(base))
-        got = find_as_paths(repos, "AS1", "AS6", constraint)
+        got = find_as_paths(world, "AS1", "AS6", constraint)
         expected = dfs_all_paths(
             adjacency, "AS1", "AS6", lambda n: labels[n] >= base
         )
@@ -189,11 +184,11 @@ def test_constraint_strengthening_is_antitone():
     for trial in range(20):
         links = random_as_links(rng, 6)
         labels = {f"AS{i}": rng.randrange(1, 5) for i in range(1, 7)}
-        repos = build_repos(make_world(links, labels))
+        graph = make_world(links, labels)
         previous = None
         for base in range(1, 6):
             constraint = LabelConstraint(LabelRelation.GEQ, SecurityLabel(base))
-            paths = set(find_as_paths(repos, "AS1", "AS6", constraint))
+            paths = set(find_as_paths(graph, "AS1", "AS6", constraint))
             if previous is not None:
                 assert paths <= previous
             previous = paths
