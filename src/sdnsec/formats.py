@@ -16,6 +16,10 @@ classified by shape (CIDR, AS id, SL token, else type).  The action may
 carry an exit-switch attribute: ``(1SW2, Allow)``.  An optional ``name =``
 prefix supplies the expression id.  The full grammar lives in
 ``docs/policy-formats.md``.
+
+Both formats share the record layout: a compact expression is lowered onto
+a repository record (``COMPACT_COLUMNS``), so one builder makes every
+expression and one encoder feeds both serializers.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .policy import (
     ConstraintKind,
     EndpointSelector,
     PolicyExpression,
+    normalize_mac,
 )
 
 __all__ = [
@@ -70,20 +75,11 @@ REPOSITORY_FIELDS = (
     "action",
 )
 
-COMPACT_FIELDS = (
-    "flow id",
-    "source domain",
-    "destination domain",
-    "source host ip",
-    "destination host ip",
-    "source mac",
-    "destination mac",
-    "user",
-    "flow constraints",
-    "domain constraints",
-    "services",
-    "security profile",
-    "path",
+# Compact position -> record column.  ``src`` and ``dst`` stand for a domain
+# descriptor, whose elements fill that side's four ``as...`` columns.
+COMPACT_COLUMNS = (
+    "flowid", "src", "dst", "srcip", "dstip", "srcmac", "dstmac",
+    "user", "flowcons", "domcons", "services", "secprof", "seq",
 )
 
 
@@ -215,39 +211,21 @@ def _parse_services(text: str, where: str) -> frozenset[int] | None:
     for token in _split_list(text):
         lo, sep, hi = token.partition("-")
         try:
-            if sep:
-                ports.update(range(int(lo), int(hi) + 1))
-            else:
-                ports.add(int(token))
+            low, high = (int(lo), int(hi)) if sep else (int(token), int(token))
         except ValueError:
             raise PolicyParseError(f"bad service port {token!r}", where=where) from None
-    for port in ports:
-        if not 0 < port < 65536:
-            raise PolicyParseError(f"service port {port} out of range", where=where)
+        if low > high:
+            raise PolicyParseError(f"reversed service port range {token!r}", where=where)
+        if low < 1 or high > 65535:
+            raise PolicyParseError(f"service port {token!r} out of range 1..65535", where=where)
+        ports.update(range(low, high + 1))
     return frozenset(ports)
 
 
-def _parse_sec_profile(text: str, where: str) -> frozenset[str] | None:
+def _parse_sec_profile(text: str) -> frozenset[str] | None:
     if _is_wild(_strip_group(text)):
         return None
-    tokens = frozenset(token.lower() for token in _split_list(text))
-    unknown = tokens - {"conf", "intg"}
-    if unknown:
-        raise PolicyParseError(f"unknown security-profile tokens {sorted(unknown)}", where=where)
-    return tokens
-
-
-def _parse_path(text: str, where: str) -> tuple[str, ...] | None:
-    if _is_wild(_strip_group(text)):
-        return None
-    entries = tuple(_split_list(text))
-    if not entries:
-        return None
-    try:
-        PolicyExpression(id="probe", action=Action.ALLOW, path=entries)
-    except ValueError as exc:
-        raise PolicyParseError(str(exc), where=where) from None
-    return entries
+    return frozenset(token.lower() for token in _split_list(text))
 
 
 def _parse_action(text: str, where: str) -> tuple[Action, str | None]:
@@ -267,88 +245,103 @@ def _parse_action(text: str, where: str) -> tuple[Action, str | None]:
     return Action(verb), exit_switch
 
 
-# --- repository format -----------------------------------------------------
+# --- the record layout both formats share -------------------------------------
 
 
-def _record_where(index: int, record: dict) -> str:
-    pe_id = record.get("id", "?")
-    return f"record {index} (id {pe_id!r})"
+def _build_pe(record: dict[str, str], where: str) -> PolicyExpression:
+    """Build one expression from record columns; an absent column is a wildcard.
 
+    Both formats end here: the repository parser passes its checked records,
+    the compact parser the record its fields were lowered onto.
+    """
 
-def _parse_record(index: int, record: dict) -> PolicyExpression:
-    where = _record_where(index, record)
-    if not isinstance(record, dict):
-        raise PolicyParseError("record is not an object", where=f"record {index}")
-    unknown = set(record) - set(REPOSITORY_FIELDS)
-    if unknown:
-        raise PolicyParseError(f"unknown fields {sorted(unknown)}", where=where)
-    for required in ("id", "action"):
-        if required not in record or _is_wild(str(record[required])):
-            raise PolicyParseError(f"missing required field {required!r}", where=where)
-    get = lambda name: str(record.get(name, ""))
-
-    def opt(name: str, convert):
-        raw = get(name)
-        if _is_wild(raw):
+    def opt(name: str, convert=str):
+        raw = record.get(name)
+        if raw is None or _is_wild(raw):
             return None
         try:
             return convert(raw.strip())
-        except (ValueError, LabelParseError) as exc:
+        except ValueError as exc:
             raise PolicyParseError(f"bad {name} value {raw!r}: {exc}", where=where) from None
 
-    def label(name: str):
-        raw = get(name)
-        if _is_wild(raw):
-            return ANY_LABEL
-        try:
-            return parse_label_constraint(raw)
-        except LabelParseError as exc:
-            raise PolicyParseError(f"bad {name} value {raw!r}: {exc.reason}", where=where) from None
-
-    source = EndpointSelector(
-        as_id=opt("srcasid", str),
-        subnet=opt("srcassub", parse_network),
-        as_type=opt("srcastype", str),
-        label_req=label("srcastrulabel"),
-        host_ip=opt("srcip", parse_ipv4),
-        host_mac=opt("srcmac", str),
-    )
-    dest = EndpointSelector(
-        as_id=opt("dstasid", str),
-        subnet=opt("dstassub", parse_network),
-        as_type=opt("dstastype", str),
-        label_req=label("dstastrulabel"),
-        host_ip=opt("dstip", parse_ipv4),
-        host_mac=opt("dstmac", str),
-    )
-    flow_cons, validity_a = _parse_constraints(get("flowcons"), where)
-    dom_cons, validity_b = _parse_constraints(get("domcons"), where)
-    validity = _intersect_validity(validity_a, validity_b)
-    action, exit_switch = _parse_action(get("action"), where)
-    try:
-        return PolicyExpression(
-            id=str(record["id"]),
-            action=action,
-            flow_id=opt("flowid", str),
-            source=source,
-            dest=dest,
-            user=opt("user", str),
-            flow_cons=flow_cons,
-            dom_cons=dom_cons,
-            services=_parse_services(get("services"), where),
-            sec_profile=_parse_sec_profile(get("secprof"), where),
-            path=_parse_path(get("seq"), where),
-            action_exit=exit_switch,
-            validity=validity,
+    def selector(side: str) -> EndpointSelector:
+        return EndpointSelector(
+            as_id=opt(f"{side}asid"),
+            subnet=opt(f"{side}assub", parse_network),
+            as_type=opt(f"{side}astype"),
+            label_req=opt(f"{side}astrulabel", parse_label_constraint) or ANY_LABEL,
+            host_ip=opt(f"{side}ip", parse_ipv4),
+            host_mac=opt(f"{side}mac", normalize_mac),
         )
+
+    flow_cons, validity_a = _parse_constraints(record.get("flowcons", ""), where)
+    dom_cons, validity_b = _parse_constraints(record.get("domcons", ""), where)
+    action, exit_switch = _parse_action(record["action"], where)
+    fields = dict(
+        id=record["id"],
+        action=action,
+        flow_id=opt("flowid"),
+        source=selector("src"),
+        dest=selector("dst"),
+        user=opt("user"),
+        flow_cons=flow_cons,
+        dom_cons=dom_cons,
+        services=_parse_services(record.get("services", ""), where),
+        sec_profile=_parse_sec_profile(record.get("secprof", "")),
+        path=tuple(_split_list(record.get("seq", ""))) or None,
+        action_exit=exit_switch,
+        validity=_intersect_validity(validity_a, validity_b),
+    )
+    try:
+        return PolicyExpression(**fields)
     except ValueError as exc:
         raise PolicyParseError(str(exc), where=where) from None
+
+
+def _encode(pe: PolicyExpression) -> dict[str, list[str]]:
+    """The record columns of ``pe`` as token lists; no token is the wildcard."""
+
+    def one(value) -> list[str]:
+        return [str(value)] if value else []
+
+    columns = {"id": [pe.id], "flowid": one(pe.flow_id)}
+    for side, sel in (("src", pe.source), ("dst", pe.dest)):
+        columns[f"{side}asid"] = one(sel.as_id)
+        columns[f"{side}assub"] = one(sel.subnet)
+        columns[f"{side}astype"] = one(sel.as_type)
+        columns[f"{side}astrulabel"] = [] if sel.label_req.is_wildcard else [sel.label_req.text()]
+        columns[f"{side}ip"] = one(sel.host_ip)
+        columns[f"{side}mac"] = one(sel.host_mac)
+    validity = [f"valid[{pe.validity[0]},{pe.validity[1]})"] if pe.validity else []
+    columns.update(
+        user=one(pe.user),
+        flowcons=[c.text() for c in pe.flow_cons] + validity,
+        domcons=[c.text() for c in pe.dom_cons],
+        services=[str(port) for port in sorted(pe.services or ())],
+        secprof=sorted(pe.sec_profile or ()),
+        seq=list(pe.path or ()),
+        action=[pe.action_exit, pe.action.value] if pe.action_exit else [pe.action.value],
+    )
+    return columns
+
+
+def _group(tokens: list[str]) -> str:
+    """``*`` for no token, a lone token as is, several parenthesized."""
+    if not tokens:
+        return WILDCARD
+    if len(tokens) == 1:
+        return tokens[0]
+    return f"({', '.join(tokens)})"
+
+
+# --- repository format -----------------------------------------------------
 
 
 def parse_repository(document: str | list) -> list[PolicyExpression]:
     """Parse a repository document (JSON text or already-loaded array).
 
-    Strict: unknown fields, missing id/action and duplicate ids are errors.
+    Strict: non-object records, unknown or non-string fields, missing
+    id/action and duplicate ids are errors.
     """
     if isinstance(document, str):
         try:
@@ -359,7 +352,23 @@ def parse_repository(document: str | list) -> list[PolicyExpression]:
         loaded = document
     if not isinstance(loaded, list):
         raise PolicyParseError("repository must be a JSON array of records")
-    pes = [_parse_record(index, record) for index, record in enumerate(loaded)]
+    pes = []
+    for index, record in enumerate(loaded):
+        if not isinstance(record, dict):
+            raise PolicyParseError("record is not an object", where=f"record {index}")
+        where = f"record {index} (id {record.get('id', '?')!r})"
+        unknown = set(record) - set(REPOSITORY_FIELDS)
+        if unknown:
+            raise PolicyParseError(f"unknown fields {sorted(unknown)}", where=where)
+        for name, value in record.items():
+            if not isinstance(value, str):
+                raise PolicyParseError(
+                    f"field {name!r} must be a string, got {type(value).__name__}", where=where
+                )
+        for required in ("id", "action"):
+            if _is_wild(record.get(required, "")):
+                raise PolicyParseError(f"missing required field {required!r}", where=where)
+        pes.append(_build_pe(record, where))
     seen: dict[str, int] = {}
     for index, pe in enumerate(pes):
         if pe.id in seen:
@@ -370,24 +379,6 @@ def parse_repository(document: str | list) -> list[PolicyExpression]:
     return pes
 
 
-def _selector_record(sel: EndpointSelector, prefix: str) -> dict[str, str]:
-    return {
-        f"{prefix}asid": sel.as_id or WILDCARD,
-        f"{prefix}assub": str(sel.subnet) if sel.subnet else WILDCARD,
-        f"{prefix}astype": sel.as_type or WILDCARD,
-        f"{prefix}astrulabel": sel.label_req.text(),
-        f"{prefix}ip": str(sel.host_ip) if sel.host_ip else WILDCARD,
-        f"{prefix}mac": sel.host_mac or WILDCARD,
-    }
-
-
-def _constraints_text(constraints: tuple[Constraint, ...], validity: tuple[int, int] | None) -> str:
-    tokens = [c.text() for c in constraints]
-    if validity is not None:
-        tokens.append(f"valid[{validity[0]},{validity[1]})")
-    return ", ".join(tokens) if tokens else WILDCARD
-
-
 def serialize_repository(pes: list[PolicyExpression]) -> str:
     """Serialize expressions back to the repository JSON layout.
 
@@ -396,65 +387,35 @@ def serialize_repository(pes: list[PolicyExpression]) -> str:
     """
     records = []
     for pe in pes:
-        record = {
-            "id": pe.id,
-            "flowid": pe.flow_id or WILDCARD,
-            **_selector_record(pe.source, "src"),
-            **_selector_record(pe.dest, "dst"),
-            "user": pe.user or WILDCARD,
-            "flowcons": _constraints_text(pe.flow_cons, pe.validity),
-            "domcons": _constraints_text(pe.dom_cons, None),
-            "services": ", ".join(str(p) for p in sorted(pe.services))
-            if pe.services is not None
-            else WILDCARD,
-            "secprof": ", ".join(sorted(pe.sec_profile))
-            if pe.sec_profile is not None
-            else WILDCARD,
-            "seq": ", ".join(pe.path) if pe.path is not None else WILDCARD,
-            "action": f"({pe.action_exit}, {pe.action.value})"
-            if pe.action_exit
-            else pe.action.value,
-        }
-        records.append({name: record[name] for name in REPOSITORY_FIELDS})
+        columns = _encode(pe)
+        record = {name: ", ".join(columns[name]) or WILDCARD for name in REPOSITORY_FIELDS}
+        record["action"] = _group(columns["action"])
+        records.append(record)
     return json.dumps(records, indent=2)
 
 
 # --- compact format ----------------------------------------------------------
 
+def _lower_domain(side: str, text: str) -> dict[str, str]:
+    """Sort a domain descriptor's elements by shape into ``side``'s columns.
 
-def _parse_domain_field(text: str, where: str) -> EndpointSelector:
-    """Domain descriptor: ``*``, a bare AS id, or a parenthesized element list.
-
-    Elements are classified by shape: ``a.b.c.d/len`` is the subnet, ``AS...``
-    the identity, ``SL...`` the label requirement, anything else the type.
+    ``a.b.c.d/len`` is the subnet, ``AS...`` the identity, ``SL...`` the label
+    requirement, anything else the type; a later element of a shape wins.
     """
-    if _is_wild(_strip_group(text)):
-        return EndpointSelector()
-    as_id = subnet = as_type = None
-    label_req = ANY_LABEL
+    columns = {}
     for token in _split_list(text) or [_strip_group(text)]:
-        if token == WILDCARD:
+        if _is_wild(token):
             continue
         if "/" in token:
-            try:
-                subnet = parse_network(token)
-            except ValueError as exc:
-                raise PolicyParseError(f"bad subnet {token!r}: {exc}", where=where) from None
+            column = "assub"
         elif token.startswith("AS"):
-            as_id = token
+            column = "asid"
         elif token.startswith("SL"):
-            try:
-                label_req = parse_label_constraint(token)
-            except LabelParseError as exc:
-                raise PolicyParseError(f"bad label {token!r}: {exc.reason}", where=where) from None
+            column = "astrulabel"
         else:
-            as_type = token
-    return EndpointSelector(as_id=as_id, subnet=subnet, as_type=as_type, label_req=label_req)
-
-
-def _scalar(text: str) -> str | None:
-    inner = _strip_group(text)
-    return None if _is_wild(inner) else inner
+            column = "astype"
+        columns[side + column] = token
+    return columns
 
 
 def parse_compact_pe(text: str, *, pe_id: str = "anon") -> PolicyExpression:
@@ -462,7 +423,8 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon") -> PolicyExpression:
 
     A ``name =`` prefix, when present, overrides ``pe_id``.  The thirteen
     condition fields must all be present; a count mismatch is an error that
-    reports expected versus found.
+    reports expected versus found.  The fields are lowered onto a repository
+    record through ``COMPACT_COLUMNS``.
     """
     body = text.strip()
     if "=" in body.split("<", 1)[0]:
@@ -477,104 +439,33 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon") -> PolicyExpression:
         raise PolicyParseError("expected exactly one ':' between conditions and action", where=where)
     cond_text, action_text = halves[0][1:], halves[1][:-1]
     fields = [f.strip() for f in _split_top(cond_text, ",")]
-    if len(fields) != len(COMPACT_FIELDS):
+    if len(fields) != len(COMPACT_COLUMNS):
         raise PolicyParseError(
-            f"expected {len(COMPACT_FIELDS)} condition fields, found {len(fields)}", where=where
+            f"expected {len(COMPACT_COLUMNS)} condition fields, found {len(fields)}", where=where
         )
-    action, exit_switch = _parse_action(action_text, where)
-    source = _parse_domain_field(fields[1], where)
-    dest = _parse_domain_field(fields[2], where)
-
-    def host_ip(index: int):
-        token = _scalar(fields[index])
-        if token is None:
-            return None
-        try:
-            return parse_ipv4(token)
-        except ValueError as exc:
-            raise PolicyParseError(f"bad host address {token!r}: {exc}", where=where) from None
-
-    source = EndpointSelector(
-        as_id=source.as_id,
-        subnet=source.subnet,
-        as_type=source.as_type,
-        label_req=source.label_req,
-        host_ip=host_ip(3),
-        host_mac=_scalar(fields[5]),
-    )
-    dest = EndpointSelector(
-        as_id=dest.as_id,
-        subnet=dest.subnet,
-        as_type=dest.as_type,
-        label_req=dest.label_req,
-        host_ip=host_ip(4),
-        host_mac=_scalar(fields[6]),
-    )
-    flow_cons, validity_a = _parse_constraints(fields[8], where)
-    dom_cons, validity_b = _parse_constraints(fields[9], where)
-    validity = _intersect_validity(validity_a, validity_b)
-    try:
-        return PolicyExpression(
-            id=pe_id,
-            action=action,
-            flow_id=_scalar(fields[0]),
-            source=source,
-            dest=dest,
-            user=_scalar(fields[7]),
-            flow_cons=flow_cons,
-            dom_cons=dom_cons,
-            services=_parse_services(fields[10], where),
-            sec_profile=_parse_sec_profile(fields[11], where),
-            path=_parse_path(fields[12], where),
-            action_exit=exit_switch,
-            validity=validity,
-        )
-    except ValueError as exc:
-        raise PolicyParseError(str(exc), where=where) from None
-
-
-def _compact_domain(sel: EndpointSelector) -> str:
-    parts = []
-    if sel.subnet is not None:
-        parts.append(str(sel.subnet))
-    if sel.as_id is not None:
-        parts.append(sel.as_id)
-    if sel.as_type is not None:
-        parts.append(sel.as_type)
-    if not sel.label_req.is_wildcard:
-        parts.append(sel.label_req.text())
-    if not parts:
-        return WILDCARD
-    if len(parts) == 1 and parts[0] == sel.as_id:
-        return sel.as_id
-    return f"({', '.join(parts)})"
+    record = {"id": pe_id, "action": action_text}
+    for column, field in zip(COMPACT_COLUMNS, fields):
+        if field == WILDCARD:  # an absent column is the wildcard
+            continue
+        if column in ("src", "dst"):
+            record.update(_lower_domain(column, field))
+        else:
+            record[column] = _strip_group(field)
+    return _build_pe(record, where)
 
 
 def format_compact_pe(pe: PolicyExpression) -> str:
     """Serialize to the compact form with the ``id =`` prefix."""
+    columns = _encode(pe)
 
-    def group(tokens) -> str:
-        tokens = list(tokens)
-        if not tokens:
-            return WILDCARD
-        if len(tokens) == 1:
-            return tokens[0]
-        return f"({', '.join(tokens)})"
+    def field(column: str) -> str:
+        if column not in ("src", "dst"):
+            return _group(columns[column])
+        parts = [token for name in ("assub", "asid", "astype", "astrulabel") for token in columns[column + name]]
+        if parts and parts == columns[column + "asid"]:
+            return parts[0]
+        return f"({', '.join(parts)})" if parts else WILDCARD
 
-    fields = [
-        pe.flow_id or WILDCARD,
-        _compact_domain(pe.source),
-        _compact_domain(pe.dest),
-        str(pe.source.host_ip) if pe.source.host_ip else WILDCARD,
-        str(pe.dest.host_ip) if pe.dest.host_ip else WILDCARD,
-        pe.source.host_mac or WILDCARD,
-        pe.dest.host_mac or WILDCARD,
-        pe.user or WILDCARD,
-        group([c.text() for c in pe.flow_cons] + ([f"valid[{pe.validity[0]},{pe.validity[1]})"] if pe.validity else [])),
-        group(c.text() for c in pe.dom_cons),
-        group(str(p) for p in sorted(pe.services)) if pe.services is not None else WILDCARD,
-        group(sorted(pe.sec_profile)) if pe.sec_profile is not None else WILDCARD,
-        group(pe.path) if pe.path is not None else WILDCARD,
-    ]
-    action = f"({pe.action_exit}, {pe.action.value.capitalize()})" if pe.action_exit else pe.action.value.capitalize()
-    return f"{pe.id} = <{', '.join(fields)}>:<{action}>"
+    *exit_switch, verb = columns["action"]
+    action = _group(exit_switch + [verb.capitalize()])
+    return f"{pe.id} = <{', '.join(field(column) for column in COMPACT_COLUMNS)}>:<{action}>"

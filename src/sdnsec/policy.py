@@ -172,7 +172,11 @@ class PolicyExpression:
             if not self.path:
                 raise ValueError("path must be nonempty or wildcard")
             _classify_path(self.path)
+        if self.services is not None and not self.services:
+            raise ValueError("services must be a nonempty port set or wildcard")
         if self.sec_profile is not None:
+            if not self.sec_profile:
+                raise ValueError("security profile must be nonempty or wildcard")
             unknown = self.sec_profile - {"conf", "intg"}
             if unknown:
                 raise ValueError(f"unknown security-profile tokens: {sorted(unknown)}")

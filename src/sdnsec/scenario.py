@@ -11,6 +11,7 @@ scenarios live in ``sdnsec/scenarios/``.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from importlib import resources
@@ -291,8 +292,10 @@ def _parse_domain(obj: dict, path: str) -> DomainSpec:
         hosts.append(HostSpec(host_id, ip, mac, attach))
     users = {}
     for mac, user in _want(obj, "users", path, dict, default={}).items():
+        if not isinstance(user, str):
+            raise ScenarioError(f"{path}.users[{mac!r}]", f"expected str, got {type(user).__name__}")
         try:
-            users[normalize_mac(mac)] = str(user)
+            users[normalize_mac(mac)] = user
         except ValueError as exc:
             raise ScenarioError(f"{path}.users[{mac!r}]", str(exc)) from None
     return DomainSpec(
@@ -343,9 +346,9 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
                     dst=dst,
                     rate=rate,
                     seconds=seconds,
-                    packet_type=str(item.get("type", "SYN")),
+                    packet_type=_want(item, "type", item_path, str, default="SYN"),
                     port_base=port_base,
-                    proto=str(item.get("proto", "tcp")),
+                    proto=_want(item, "proto", item_path, str, default="tcp"),
                 )
             )
         else:
@@ -356,8 +359,8 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
                     src_host=src,
                     dst=dst,
                     port=_int(item, "port", item_path, 1, 65535),
-                    packet_type=str(_want(item, "type", item_path, str)),
-                    proto=str(item.get("proto", "tcp")),
+                    packet_type=_want(item, "type", item_path, str),
+                    proto=_want(item, "proto", item_path, str, default="tcp"),
                     size=_int(item, "size", item_path, 1, default=64),
                 )
             )
@@ -369,8 +372,8 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
     if not isinstance(document, dict):
         raise ScenarioError("$", "scenario document must be an object")
     _known(document, _TOP_LEVEL_FIELDS, "$")
-    name = str(document.get("name", name_hint))
-    mode = str(document.get("mode", "reactive"))
+    name = _want(document, "name", "$", str, default=name_hint)
+    mode = _want(document, "mode", "$", str, default="reactive")
     if mode not in ("reactive", "proactive"):
         raise ScenarioError("$.mode", f"mode must be reactive or proactive, got {mode!r}")
     domains = tuple(
@@ -419,12 +422,15 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
     if "capacity" in document:
         cap = _known(_object(document["capacity"], "$.capacity"), _CAPACITY_FIELDS, "$.capacity")
         cc = _want(cap, "controller_rps", "$.capacity")
-        x = _int(cap, "switches_per_controller", "$.capacity", 1)
-        y = _int(cap, "hosts_per_switch", "$.capacity", 1)
-        try:
-            capacity = CapacityModel(cc=cc, x=x, y=y)
-        except (ValueError, TypeError) as exc:
-            raise ScenarioError("$.capacity", str(exc)) from None
+        if type(cc) not in (int, float):  # a bool is an int to Python, not to JSON
+            raise ScenarioError("$.capacity.controller_rps", f"expected a number, got {type(cc).__name__}")
+        if not 0 < cc < math.inf:
+            raise ScenarioError("$.capacity.controller_rps", f"must be a positive finite number, got {cc}")
+        capacity = CapacityModel(
+            cc=cc,
+            x=_int(cap, "switches_per_controller", "$.capacity", 1),
+            y=_int(cap, "hosts_per_switch", "$.capacity", 1),
+        )
     response = ResponseMode.NONE
     window_ticks = TICKS_PER_SECOND
     if "defense" in document:

@@ -1,11 +1,13 @@
 import json
 import random
+from dataclasses import replace
+from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 
 from sdnsec.labels import LabelConstraint, LabelRelation, SecurityLabel
-from sdnsec.policy import Action, ConstraintKind, match_pe
+from sdnsec.policy import Action, Constraint, ConstraintKind, PolicyExpression, derive_flow_id, match_pe
 from sdnsec.formats import (
     PolicyParseError,
     format_compact_pe,
@@ -16,7 +18,7 @@ from sdnsec.formats import (
     serialize_repository,
 )
 
-from helpers import make_ctx, random_ctx
+from helpers import make_ctx, random_ctx, random_pe
 
 # Verbatim policy-database record as a restricted transit domain would store it.
 DB_SAMPLE = """
@@ -102,6 +104,21 @@ def test_duplicate_id_rejected():
     records = json.loads(DB_SAMPLE) * 2
     with pytest.raises(PolicyParseError, match="duplicate id"):
         parse_repository(json.dumps(records))
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("[1]", "record 0: record is not an object"),
+        ('[{"id": "a", "action": "allow", "user": null}]', "record 0 (id 'a'): field 'user' must be a string"),
+        ('[{"id": 5, "action": "allow"}]', "record 0 (id 5): field 'id' must be a string"),
+    ],
+    ids=["not-object", "null-user", "int-id"],
+)
+def test_malformed_record_rejected(document, message):
+    with pytest.raises(PolicyParseError) as caught:
+        parse_repository(document)
+    assert str(caught.value).startswith(message)
 
 
 def test_repository_round_trip():
@@ -225,3 +242,58 @@ def test_leading_zero_addresses_normalize():
     assert parse_network("010.0.0.0/25") == IPv4Network("10.0.0.0/25")
     with pytest.raises(ValueError):
         parse_network("10.0.0.0")
+
+
+# An empty set would match nothing, and both serializers print it as "*".
+@pytest.mark.parametrize(
+    "column, position, text",
+    [
+        ("services", 10, "(80-20)"),
+        ("services", 10, "(80, 90-85)"),
+        ("services", 10, "(;)"),
+        ("secprof", 11, "(;)"),
+    ],
+    ids=["reversed-range", "reversed-range-in-list", "empty-services", "empty-secprof"],
+)
+def test_empty_or_reversed_sets_rejected(column, position, text):
+    fields = ["*"] * 13
+    fields[position] = text
+    with pytest.raises(PolicyParseError):
+        parse_compact_pe(f"t = <{', '.join(fields)}>:<Allow>")
+    with pytest.raises(PolicyParseError):
+        parse_repository([{"id": "t", "action": "allow", column: text}])
+
+
+@pytest.mark.parametrize("field", ["services", "sec_profile"])
+def test_expression_rejects_empty_set(field):
+    with pytest.raises(ValueError, match="nonempty"):
+        PolicyExpression(id="t", action=Action.ALLOW, **{field: frozenset()})
+
+
+def _varied_pe(rng: random.Random, index: int) -> PolicyExpression:
+    """``random_pe`` plus the fields it leaves fixed: flow id, domain
+    constraints, rate tokens, exit switch and deny."""
+    pe = random_pe(rng, f"pe{index}", rng.choice((Action.ALLOW, Action.DENY)))
+    rate = Constraint(ConstraintKind.RATE_THRESHOLD, rate=Fraction(rng.randrange(1, 400), rng.choice((1, 2, 3))))
+    relation = rng.choice((LabelRelation.GEQ, LabelRelation.LEQ, LabelRelation.EQ))
+    label = Constraint(ConstraintKind.LABEL_PATH, label=LabelConstraint(relation, SecurityLabel(rng.randrange(1, 6))))
+    flow_id = derive_flow_id(IPv4Address("10.0.0.2"), IPv4Address("192.168.52.72"), "tcp", rng.choice((22, 80)))
+    return replace(
+        pe,
+        flow_id=flow_id if rng.random() < 0.3 else None,
+        flow_cons=pe.flow_cons + ((rate,) if rng.random() < 0.3 else ()),
+        dom_cons=tuple(c for c in (label, rate) if rng.random() < 0.4),
+        action_exit="1SW2" if rng.random() < 0.3 else None,
+    )
+
+
+def test_random_expressions_round_trip_through_both_formats():
+    rng = random.Random(5)
+    for index in range(300):
+        pe = _varied_pe(rng, index)
+        from_repository = parse_repository(serialize_repository([pe]))
+        from_compact = parse_compact_pe(format_compact_pe(pe))
+        assert from_repository == [pe]
+        assert from_compact == pe
+        assert parse_compact_pe(format_compact_pe(from_repository[0])) == pe
+        assert parse_repository(serialize_repository([from_compact])) == [pe]

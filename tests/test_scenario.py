@@ -242,6 +242,16 @@ def _set(*keys, value):
         (_set("domains", 0, "users", value=["00:00:00:00:00:0a"]), "$.domains[0].users"),
         (_set("domains", 0, "links", value=5), "$.domains[0].links"),
         (_set("domains", 0, "hosts", value=5), "$.domains[0].hosts"),
+        (_set("capacity", value={**CAPACITY, "controller_rps": True}), "$.capacity.controller_rps"),
+        (_set("capacity", value={**CAPACITY, "controller_rps": "400"}), "$.capacity.controller_rps"),
+        (_set("capacity", value={**CAPACITY, "controller_rps": 0}), "$.capacity.controller_rps"),
+        (_set("capacity", value={**CAPACITY, "controller_rps": float("inf")}), "$.capacity.controller_rps"),
+        (_set("traffic", 0, "proto", value=6), "$.traffic[0].proto"),
+        (_set("traffic", value=_flood(type=5)), "$.traffic[0].type"),
+        (_set("traffic", value=_flood(proto=17)), "$.traffic[0].proto"),
+        (_set("name", value=5), "$.name"),
+        (_set("mode", value=["reactive"]), "$.mode"),
+        (_set("domains", 0, "users", value={"00:00:00:00:00:0a": None}), "$.domains[0].users['00:00:00:00:00:0a']"),
     ],
     ids=[
         "undeclared-to",
@@ -297,6 +307,16 @@ def _set(*keys, value):
         "users-array",
         "domain-links-int",
         "hosts-int",
+        "capacity-rps-bool",
+        "capacity-rps-string",
+        "capacity-rps-0",
+        "capacity-rps-infinite",
+        "proto-int",
+        "flood-type-int",
+        "flood-proto-int",
+        "name-int",
+        "mode-array",
+        "user-null",
     ],
 )
 def test_run_time_failures_are_rejected_at_parse(mutate, path):
