@@ -1,4 +1,4 @@
-"""Probe a multi-domain world and search paths under label constraints.
+"""Probe a multi-domain world and choose domain routes under label constraints.
 
 Run:  python demos/02_topology_discovery.py
 """
@@ -30,14 +30,13 @@ print("topology repository of AS1:")
 for as_id, entry in sorted(repos[0].entries.items()):
     print(f"  {as_id}: label={entry.sec_label} hops={entry.hops} via {entry.next_hop_gateway}")
 
-# Path search runs on the domain graph the probes' hop-1 answers make up.
-# Unconstrained, every simple path is a candidate, shortest first.
-print("\nall simple paths AS1 -> AS4:")
-for path in find_as_paths(world, "AS1", "AS4"):
-    print("  ", " -> ".join(path))
+# Route search runs on the domain graph the probes' hop-1 answers make up.
+# Unconstrained, the shortest route wins: the shortcut through AS5.
+(route,) = find_as_paths(world, "AS1", "AS4")
+print("\nroute AS1 -> AS4:", " -> ".join(route))
 
-# Requiring trusted transit prunes the shortcut through AS5 (label SL1).
+# Requiring trusted transit rules out AS5 (label SL1), so the route takes
+# the long way round.
 constraint = parse_label_constraint("SL2+=")
-print(f"\npaths whose transit domains satisfy {constraint}:")
-for path in find_as_paths(world, "AS1", "AS4", constraint):
-    print("  ", " -> ".join(path))
+(route,) = find_as_paths(world, "AS1", "AS4", constraint)
+print(f"route whose transit domains satisfy {constraint}:", " -> ".join(route))

@@ -50,6 +50,7 @@ from .policy import (
     DomainInfo,
     FlowContext,
     PolicyExpression,
+    check_unique_ids,
     predicates_hold,
     select_policy,
 )
@@ -238,9 +239,7 @@ class Controller:
     ):
         if not handle_key:
             raise ValueError("controller needs a nonempty handle key")
-        ids = [pe.id for pe in policy_repo]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"policy repository ids must be unique: {ids}")
+        check_unique_ids(policy_repo)
         self.descriptor = descriptor
         self.as_id = descriptor.as_id
         self.policy_repo = list(policy_repo)
@@ -414,8 +413,8 @@ class Controller:
         if not self._rate_admits(str(packet.src_ip), delegated + decision.rate_constraints, tick):
             return drop(DropReason.RATE_LIMIT)
 
-        dst_domain = self.domain_for_ip(packet.dst_ip)
-        if dst_domain is None or (dst_domain == self.as_id and packet.dst_ip not in self.host_switch):
+        dst_domain = ctx.dst_as.as_id  # "" when no domain advertises the address
+        if not dst_domain or (dst_domain == self.as_id and packet.dst_ip not in self.host_switch):
             return drop(DropReason.NO_ROUTE)
         next_as: str | None = None
         if dst_domain == self.as_id:

@@ -34,8 +34,10 @@ from .policy import (
     Action,
     Constraint,
     ConstraintKind,
+    DuplicatePolicyIdError,
     EndpointSelector,
     PolicyExpression,
+    check_unique_ids,
     normalize_mac,
 )
 
@@ -45,6 +47,7 @@ __all__ = [
     "parse_compact_pe",
     "parse_ipv4",
     "parse_network",
+    "parse_record",
     "parse_repository",
     "serialize_repository",
 ]
@@ -144,6 +147,19 @@ def _split_list(token: str) -> list[str]:
     return [part.strip() for part in _split_top(inner, ",;") if part.strip()]
 
 
+def _list_column(record: dict[str, str], column: str, where: str) -> list[str] | None:
+    """A list column's tokens, or ``None`` for the wildcard.  A list with no
+    token, such as ``(;)``, would match nothing, and both serializers print
+    it as the wildcard, so it is an error."""
+    text = record.get(column, "")
+    if _is_wild(_strip_group(text)):
+        return None
+    tokens = _split_list(text)
+    if not tokens:
+        raise PolicyParseError(f"empty {column} list {text!r}", where=where)
+    return tokens
+
+
 def _parse_constraint_token(token: str, where: str) -> Constraint | tuple[int, int]:
     """One constraint token; a ``valid[a,b)`` token yields a validity window."""
     token = token.strip()
@@ -191,11 +207,11 @@ def _intersect_validity(
 
 
 def _parse_constraints(
-    text: str, where: str
+    tokens: list[str], where: str
 ) -> tuple[tuple[Constraint, ...], tuple[int, int] | None]:
     constraints: list[Constraint] = []
     validity: tuple[int, int] | None = None
-    for token in _split_list(text):
+    for token in tokens:
         parsed = _parse_constraint_token(token, where)
         if isinstance(parsed, tuple):
             validity = _intersect_validity(validity, parsed)
@@ -204,11 +220,9 @@ def _parse_constraints(
     return tuple(constraints), validity
 
 
-def _parse_services(text: str, where: str) -> frozenset[int] | None:
-    if _is_wild(_strip_group(text)):
-        return None
+def _parse_services(tokens: list[str], where: str) -> frozenset[int]:
     ports: set[int] = set()
-    for token in _split_list(text):
+    for token in tokens:
         lo, sep, hi = token.partition("-")
         try:
             low, high = (int(lo), int(hi)) if sep else (int(token), int(token))
@@ -220,12 +234,6 @@ def _parse_services(text: str, where: str) -> frozenset[int] | None:
             raise PolicyParseError(f"service port {token!r} out of range 1..65535", where=where)
         ports.update(range(low, high + 1))
     return frozenset(ports)
-
-
-def _parse_sec_profile(text: str) -> frozenset[str] | None:
-    if _is_wild(_strip_group(text)):
-        return None
-    return frozenset(token.lower() for token in _split_list(text))
 
 
 def _parse_action(text: str, where: str) -> tuple[Action, str | None]:
@@ -274,9 +282,12 @@ def _build_pe(record: dict[str, str], where: str) -> PolicyExpression:
             host_mac=opt(f"{side}mac", normalize_mac),
         )
 
-    flow_cons, validity_a = _parse_constraints(record.get("flowcons", ""), where)
-    dom_cons, validity_b = _parse_constraints(record.get("domcons", ""), where)
+    flow_cons, validity_a = _parse_constraints(_list_column(record, "flowcons", where) or [], where)
+    dom_cons, validity_b = _parse_constraints(_list_column(record, "domcons", where) or [], where)
     action, exit_switch = _parse_action(record["action"], where)
+    services = _list_column(record, "services", where)
+    sec_profile = _list_column(record, "secprof", where)
+    path = _list_column(record, "seq", where)
     fields = dict(
         id=record["id"],
         action=action,
@@ -286,9 +297,9 @@ def _build_pe(record: dict[str, str], where: str) -> PolicyExpression:
         user=opt("user"),
         flow_cons=flow_cons,
         dom_cons=dom_cons,
-        services=_parse_services(record.get("services", ""), where),
-        sec_profile=_parse_sec_profile(record.get("secprof", "")),
-        path=tuple(_split_list(record.get("seq", ""))) or None,
+        services=None if services is None else _parse_services(services, where),
+        sec_profile=None if sec_profile is None else frozenset(token.lower() for token in sec_profile),
+        path=None if path is None else tuple(path),
         action_exit=exit_switch,
         validity=_intersect_validity(validity_a, validity_b),
     )
@@ -337,11 +348,33 @@ def _group(tokens: list[str]) -> str:
 # --- repository format -----------------------------------------------------
 
 
+def parse_record(record: object, position: str) -> PolicyExpression:
+    """Parse one repository record; errors name ``position`` and the id.
+
+    Strict: a non-object record, unknown or non-string fields and a missing
+    id or action are errors.
+    """
+    if not isinstance(record, dict):
+        raise PolicyParseError("record is not an object", where=position)
+    where = f"{position} (id {record.get('id', '?')!r})"
+    unknown = set(record) - set(REPOSITORY_FIELDS)
+    if unknown:
+        raise PolicyParseError(f"unknown fields {sorted(unknown)}", where=where)
+    for name, value in record.items():
+        if not isinstance(value, str):
+            raise PolicyParseError(
+                f"field {name!r} must be a string, got {type(value).__name__}", where=where
+            )
+    for required in ("id", "action"):
+        if _is_wild(record.get(required, "")):
+            raise PolicyParseError(f"missing required field {required!r}", where=where)
+    return _build_pe(record, where)
+
+
 def parse_repository(document: str | list) -> list[PolicyExpression]:
     """Parse a repository document (JSON text or already-loaded array).
 
-    Strict: non-object records, unknown or non-string fields, missing
-    id/action and duplicate ids are errors.
+    Strict: every record as :func:`parse_record`, and ids are unique.
     """
     if isinstance(document, str):
         try:
@@ -352,30 +385,11 @@ def parse_repository(document: str | list) -> list[PolicyExpression]:
         loaded = document
     if not isinstance(loaded, list):
         raise PolicyParseError("repository must be a JSON array of records")
-    pes = []
-    for index, record in enumerate(loaded):
-        if not isinstance(record, dict):
-            raise PolicyParseError("record is not an object", where=f"record {index}")
-        where = f"record {index} (id {record.get('id', '?')!r})"
-        unknown = set(record) - set(REPOSITORY_FIELDS)
-        if unknown:
-            raise PolicyParseError(f"unknown fields {sorted(unknown)}", where=where)
-        for name, value in record.items():
-            if not isinstance(value, str):
-                raise PolicyParseError(
-                    f"field {name!r} must be a string, got {type(value).__name__}", where=where
-                )
-        for required in ("id", "action"):
-            if _is_wild(record.get(required, "")):
-                raise PolicyParseError(f"missing required field {required!r}", where=where)
-        pes.append(_build_pe(record, where))
-    seen: dict[str, int] = {}
-    for index, pe in enumerate(pes):
-        if pe.id in seen:
-            raise PolicyParseError(
-                f"duplicate id {pe.id!r} (records {seen[pe.id]} and {index})"
-            )
-        seen[pe.id] = index
+    pes = [parse_record(record, f"record {index}") for index, record in enumerate(loaded)]
+    try:
+        check_unique_ids(pes)
+    except DuplicatePolicyIdError as exc:
+        raise PolicyParseError(str(exc), where=f"record {exc.position}") from None
     return pes
 
 

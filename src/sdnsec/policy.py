@@ -24,9 +24,11 @@ __all__ = [
     "ConstraintKind",
     "Decision",
     "DomainInfo",
+    "DuplicatePolicyIdError",
     "EndpointSelector",
     "FlowContext",
     "PolicyExpression",
+    "check_unique_ids",
     "derive_flow_id",
     "match_pe",
     "normalize_mac",
@@ -381,6 +383,25 @@ CONDITION_FIELDS = (
     "path",
     "validity",
 )
+
+
+class DuplicatePolicyIdError(ValueError):
+    """Two expressions of one repository share an id; ``position`` is the
+    index of the second."""
+
+    def __init__(self, pe_id: str, first: int, position: int):
+        super().__init__(f"duplicate id {pe_id!r}, first at position {first}")
+        self.position = position
+
+
+def check_unique_ids(pes: list[PolicyExpression]) -> None:
+    """Ids name the matched expression in every decision and break selection
+    ties, so one repository never repeats an id."""
+    first: dict[str, int] = {}
+    for position, pe in enumerate(pes):
+        if pe.id in first:
+            raise DuplicatePolicyIdError(pe.id, first[pe.id], position)
+        first[pe.id] = position
 
 
 def select_policy(pes: list[PolicyExpression], ctx: FlowContext) -> Decision:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from ipaddress import IPv4Address, IPv4Network
@@ -20,9 +19,9 @@ from pathlib import Path
 
 from .controller import CostModel
 from .defense import CapacityModel, ResponseMode
-from .formats import PolicyParseError, parse_compact_pe, parse_ipv4, parse_network, parse_repository
+from .formats import PolicyParseError, parse_compact_pe, parse_ipv4, parse_network, parse_record
 from .labels import LabelParseError, SecurityLabel, parse_label
-from .policy import PolicyExpression, normalize_mac
+from .policy import DuplicatePolicyIdError, PolicyExpression, check_unique_ids, normalize_mac
 from .topology import gateway_name
 
 __all__ = [
@@ -212,27 +211,20 @@ def _int(obj: dict, key: str, path: str, low: int, high: int | None = None, defa
 
 
 def _parse_policies(raw, path: str) -> tuple[PolicyExpression, ...]:
+    """A domain's policies in document order, each a compact string or a
+    repository record; errors name the position in ``policies``."""
     policies: list[PolicyExpression] = []
-    records = []
     for index, item in enumerate(raw):
-        if isinstance(item, str):
-            try:
-                policies.append(parse_compact_pe(item))
-            except PolicyParseError as exc:
-                raise ScenarioError(f"{path}[{index}]", str(exc)) from None
-        elif isinstance(item, dict):
-            records.append((index, item))
-        else:
+        if not isinstance(item, (str, dict)):
             raise ScenarioError(f"{path}[{index}]", "policy must be a compact string or a record object")
-    if records:
         try:
-            parsed = parse_repository([item for _, item in records])
+            policies.append(parse_compact_pe(item) if isinstance(item, str) else parse_record(item, "record"))
         except PolicyParseError as exc:
-            raise ScenarioError(path, str(exc)) from None
-        policies.extend(parsed)
-    duplicates = [pe_id for pe_id, count in Counter(pe.id for pe in policies).items() if count > 1]
-    if duplicates:
-        raise ScenarioError(path, f"duplicate policy ids {sorted(duplicates)}")
+            raise ScenarioError(f"{path}[{index}]", str(exc)) from None
+    try:
+        check_unique_ids(policies)
+    except DuplicatePolicyIdError as exc:
+        raise ScenarioError(f"{path}[{exc.position}]", str(exc)) from None
     return tuple(policies)
 
 

@@ -6,7 +6,8 @@ security label and addressing, and the answers become the controller's
 topology repository.  Path search then runs over the domain graph, which is
 the union of every controller's hop-1 entries (domain level), or over a
 domain's own switch graph (intra level), filtering every element through a
-label constraint.
+label constraint.  A domain route is one breadth-first search, linear in the
+size of the domain graph; it never enumerates alternative paths.
 """
 
 from __future__ import annotations
@@ -208,34 +209,49 @@ def probe_topology(
 
 
 def find_as_paths(graph: ASGraph, src_as: str, dst_as: str, constraint=ANY_LABEL) -> list[tuple[str, ...]]:
-    """All simple domain paths src..dst in ``graph`` whose transit domains
-    satisfy the constraint, ordered by (length, lexicographic).
+    """The domain route src..dst in ``graph`` whose transit domains satisfy
+    the constraint: ``[route]``, or ``[]`` when there is none.
+
+    The route is the shortest such path, ties broken by the smallest domain
+    id at each hop in string order, so it is the first of all satisfying
+    simple paths ordered by (length, lexicographic).  One breadth-first
+    search from ``dst_as`` over satisfying domains gives every domain's
+    distance, then a walk from ``src_as`` takes at each hop the first
+    neighbor one step closer: O(domains + links), each label checked once.
 
     ``graph`` is the world's domain graph, the union of what every
     controller's probes find at hop 1.  Endpoints are not filtered: the
     constraint governs the domains a flow passes through, not where it
-    starts or ends.  An empty result is a valid return.
+    starts or ends.
     """
     if src_as == dst_as:
         raise ValueError("source and destination domain must differ")
     if src_as not in graph or dst_as not in graph:
         return []
-    paths: list[tuple[str, ...]] = []
-
-    def extend(node: str, trail: list[str]) -> None:
-        for neighbor in graph.neighbors(node):
-            if neighbor in trail:
-                continue
-            if neighbor == dst_as:
-                paths.append(tuple(trail + [neighbor]))
-                continue
-            if not constraint.satisfies(graph.descriptor(neighbor).sec_label):
-                continue
-            extend(neighbor, trail + [neighbor])
-
-    extend(src_as, [src_as])
-    paths.sort(key=lambda p: (len(p), p))
-    return paths
+    distance = {dst_as: 0}
+    refused: set[str] = set()
+    frontier = [dst_as]
+    # level by level; the search ends at the source's level, so the source,
+    # an endpoint, is never expanded as a transit domain
+    while frontier and src_as not in distance:
+        next_frontier = []
+        for node in frontier:
+            for neighbor in graph.neighbors(node):
+                if neighbor in distance or neighbor in refused:
+                    continue
+                if neighbor != src_as and not constraint.satisfies(graph.descriptor(neighbor).sec_label):
+                    refused.add(neighbor)
+                    continue
+                distance[neighbor] = distance[node] + 1
+                next_frontier.append(neighbor)
+        frontier = next_frontier
+    if src_as not in distance:
+        return []
+    route = [src_as]
+    while route[-1] != dst_as:
+        closer = distance[route[-1]] - 1
+        route.append(next(n for n in graph.neighbors(route[-1]) if distance.get(n) == closer))
+    return [tuple(route)]
 
 
 def _shortest_valid_paths(graph: SwitchGraph, ingress: str, egress: str, constraint) -> list[tuple[str, ...]]:

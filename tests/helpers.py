@@ -182,3 +182,31 @@ def oracle_match(pe: PolicyExpression, ctx: FlowContext) -> bool:
         elif constraint.kind is ConstraintKind.SIGNATURE:
             checks.append(ctx.packet_type == constraint.signature)
     return all(checks)
+
+
+def link_adjacency(links) -> dict[str, set[str]]:
+    """Undirected adjacency sets of a domain link list."""
+    adjacency: dict[str, set[str]] = {}
+    for a, b in links:
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    return adjacency
+
+
+def dfs_all_paths(adjacency, src, dst, allowed):
+    """Every simple path src..dst whose transit nodes pass ``allowed``,
+    ordered by (length, lexicographic): brute-force enumeration, exponential
+    in graph density.  The domain route is the first of these."""
+    out = []
+
+    def walk(node, trail):
+        for neighbor in sorted(adjacency.get(node, ())):
+            if neighbor in trail:
+                continue
+            if neighbor == dst:
+                out.append(tuple(trail + [neighbor]))
+            elif allowed(neighbor):
+                walk(neighbor, trail + [neighbor])
+
+    walk(src, [src])
+    return sorted(out, key=lambda p: (len(p), p))

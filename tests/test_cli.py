@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
 from sdnsec.cli import main
 from sdnsec.scenario import bundled_scenario_path
+
+from test_scenario import minimal_doc
 
 
 def test_validate_bundled_scenario(capsys):
@@ -20,6 +24,20 @@ def test_validate_schema_violation_fails(tmp_path, capsys):
     bad.write_text(json.dumps({"domains": [{"id": "X1"}]}))
     assert main(["validate", str(bad)]) == 2
     assert "AS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "first",
+    [{"id": "p", "action": "allow"}, "p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"],
+    ids=["record-vs-record", "compact-vs-record"],
+)
+def test_validate_rejects_duplicate_policy_id_with_field_path(tmp_path, capsys, first):
+    doc = minimal_doc()
+    doc["domains"][0]["policies"] = [first, {"id": "q", "action": "deny"}, {"id": "p", "action": "deny"}]
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert "$.domains[0].policies[2]: duplicate id 'p', first at position 0" in capsys.readouterr().err
 
 
 def test_run_emits_table(capsys):

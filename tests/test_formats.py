@@ -264,6 +264,20 @@ def test_empty_or_reversed_sets_rejected(column, position, text):
         parse_repository([{"id": "t", "action": "allow", column: text}])
 
 
+@pytest.mark.parametrize("compact", [True, False], ids=["compact", "repository"])
+@pytest.mark.parametrize("column, position", [("flowcons", 8), ("domcons", 9), ("seq", 12)])
+def test_empty_list_rejected_naming_the_column(column, position, compact):
+    # "(;)" once parsed to the wildcard, so an empty path or constraint list
+    # matched everything
+    fields = ["*"] * 13
+    fields[position] = "(;)"
+    with pytest.raises(PolicyParseError, match=f"empty {column} list"):
+        if compact:
+            parse_compact_pe(f"t = <{', '.join(fields)}>:<Allow>")
+        else:
+            parse_repository([{"id": "t", "action": "allow", column: "(;)"}])
+
+
 @pytest.mark.parametrize("field", ["services", "sec_profile"])
 def test_expression_rejects_empty_set(field):
     with pytest.raises(ValueError, match="nonempty"):

@@ -105,8 +105,32 @@ def test_duplicate_policy_id_is_an_error():
         "p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>",
         "p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Deny>",
     ]
-    with pytest.raises(ScenarioError, match="duplicate policy ids"):
+    with pytest.raises(ScenarioError, match=r"^\$\.domains\[0\]\.policies\[1\]: duplicate id 'p', first at position 0$"):
         parse_scenario(doc)
+
+
+def test_record_error_names_its_position_in_policies():
+    doc = minimal_doc()
+    doc["domains"][0]["policies"] = [
+        "p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>",
+        {"id": "r1", "action": "allow"},
+        {"id": "r2", "action": "allow", "seq": "(;)"},
+    ]
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(doc)
+    assert caught.value.path == "$.domains[0].policies[2]"
+    assert "record (id 'r2'): empty seq list" in str(caught.value)
+
+
+def test_mixed_policies_keep_document_order():
+    doc = minimal_doc()
+    doc["domains"][0]["policies"] = [
+        {"id": "r1", "action": "allow"},
+        "p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>",
+        {"id": "r2", "action": "deny"},
+    ]
+    (domain,) = parse_scenario(doc).domains
+    assert [pe.id for pe in domain.policies] == ["r1", "p", "r2"]
 
 
 def test_bad_mode_is_an_error():

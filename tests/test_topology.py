@@ -1,11 +1,11 @@
 import random
-from collections import deque
+from collections import Counter, deque
 from ipaddress import IPv4Network
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnsec.labels import ANY_LABEL, LabelConstraint, LabelRelation, SecurityLabel
+from sdnsec.labels import ANY_LABEL, LabelConstraint, LabelRelation, LabelWindow, SecurityLabel
 from sdnsec.topology import (
     ASDescriptor,
     ASGraph,
@@ -17,11 +17,13 @@ from sdnsec.topology import (
     probe_topology,
 )
 
+from helpers import dfs_all_paths, link_adjacency
 
-def make_world(links, labels=None):
+
+def make_world(links, labels=None, domains=()):
     labels = labels or {}
     world = ASGraph()
-    ids = sorted({a for link in links for a in link})
+    ids = sorted({*domains, *(a for link in links for a in link)})
     for index, as_id in enumerate(ids):
         world.add_domain(
             ASDescriptor(
@@ -105,10 +107,7 @@ def test_probe_distances_match_bfs_oracle():
     for trial in range(30):
         links = random_as_links(rng, 8)
         world = make_world(links)
-        adjacency = {}
-        for a, b in links:
-            adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set()).add(a)
+        adjacency = link_adjacency(links)
         origin = rng.choice(sorted(adjacency))
         repo = probe_topology(world, origin, max_ttl=10)
         oracle = bfs_distances(adjacency, origin)
@@ -128,13 +127,15 @@ def test_transit_constrained_paths():
 
 
 def test_unconstrained_returns_all_simple_paths():
+    # the oracle enumerates every simple path; the route is the first of them
     links = CHAIN + [("AS1", "AS3")]
     graph = make_world(links)
-    paths = find_as_paths(graph, "AS1", "AS4", ANY_LABEL)
+    paths = dfs_all_paths(link_adjacency(links), "AS1", "AS4", lambda n: True)
     assert paths == [
         ("AS1", "AS3", "AS4"),
         ("AS1", "AS2", "AS3", "AS4"),
     ]
+    assert find_as_paths(graph, "AS1", "AS4", ANY_LABEL) == paths[:1]
 
 
 def test_same_domain_rejected():
@@ -143,43 +144,78 @@ def test_same_domain_rejected():
         find_as_paths(graph, "AS1", "AS1")
 
 
-def dfs_all_paths(adjacency, src, dst, allowed):
-    """Brute-force enumeration with a per-transit-node filter."""
-    out = []
-
-    def walk(node, trail):
-        for neighbor in sorted(adjacency.get(node, ())):
-            if neighbor in trail:
-                continue
-            if neighbor == dst:
-                out.append(tuple(trail + [neighbor]))
-            elif allowed(neighbor):
-                walk(neighbor, trail + [neighbor])
-
-    walk(src, [src])
-    return sorted(out, key=lambda p: (len(p), p))
-
-
 def test_as_paths_match_dfs_oracle_on_random_graphs():
     rng = random.Random(13)
     for trial in range(40):
         links = random_as_links(rng, 6)
         labels = {f"AS{i}": rng.randrange(1, 5) for i in range(1, 7)}
         world = make_world(links, labels)
-        adjacency = {}
-        for a, b in links:
-            adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set()).add(a)
         base = rng.randrange(1, 5)
         constraint = LabelConstraint(LabelRelation.GEQ, SecurityLabel(base))
         got = find_as_paths(world, "AS1", "AS6", constraint)
         expected = dfs_all_paths(
-            adjacency, "AS1", "AS6", lambda n: labels[n] >= base
+            link_adjacency(links), "AS1", "AS6", lambda n: labels[n] >= base
         )
-        assert got == expected
+        assert got == expected[:1]
+
+
+_LABEL_CONSTRAINTS = st.one_of(
+    st.just(ANY_LABEL),
+    st.builds(
+        LabelConstraint,
+        st.sampled_from([LabelRelation.GEQ, LabelRelation.LEQ, LabelRelation.EQ]),
+        st.builds(SecurityLabel, st.integers(1, 5)),
+    ),
+    # both bounds; lo > hi is the empty window, which admits no transit
+    st.builds(LabelWindow, st.integers(1, 5), st.integers(1, 5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_route_is_first_of_all_satisfying_paths(data):
+    # up to 12 domains, so "AS10" < "AS2" string order decides ties; sparse
+    # enough for the enumerating oracle, and often disconnected
+    n = data.draw(st.integers(2, 12), label="domains")
+    ids = [f"AS{i}" for i in range(1, n + 1)]
+    possible = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    links = data.draw(st.lists(st.sampled_from(possible), max_size=2 * n, unique=True), label="links")
+    ranks = {as_id: data.draw(st.integers(1, 5), label=as_id) for as_id in ids}
+    src, dst = data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True), label="ends")
+    constraint = data.draw(_LABEL_CONSTRAINTS, label="constraint")
+    graph = make_world(links, ranks, domains=ids)
+    allowed = lambda as_id: constraint.satisfies(SecurityLabel(ranks[as_id]))
+    expected = dfs_all_paths(link_adjacency(links), src, dst, allowed)
+    assert find_as_paths(graph, src, dst, constraint) == expected[:1]
+
+
+class CountingConstraint:
+    """Refuses even ranks and counts the labels it is asked about."""
+
+    def __init__(self):
+        self.checked = Counter()
+
+    def satisfies(self, label):
+        self.checked[label.rank] += 1
+        return label.rank % 2 == 1
+
+
+def test_full_mesh_route_checks_each_label_at_most_once():
+    # 16 domains, every pair linked but the endpoints: enumerating the
+    # simple paths would never finish
+    ids = [f"AS{i}" for i in range(1, 17)]
+    links = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if {a, b} != {"AS1", "AS16"}]
+    graph = make_world(links, {as_id: rank for rank, as_id in enumerate(ids, start=1)})
+    constraint = CountingConstraint()
+    # AS10 < AS11 < AS2 as strings, and AS10 has an even rank
+    assert find_as_paths(graph, "AS1", "AS16", constraint) == [("AS1", "AS11", "AS16")]
+    assert constraint.checked and max(constraint.checked.values()) == 1
+    assert 1 not in constraint.checked and 16 not in constraint.checked  # endpoints are exempt
 
 
 def test_constraint_strengthening_is_antitone():
+    # a stronger window never gives a shorter route, and it keeps the weaker
+    # window's route whenever that route still satisfies it
     rng = random.Random(29)
     for trial in range(20):
         links = random_as_links(rng, 6)
@@ -188,10 +224,15 @@ def test_constraint_strengthening_is_antitone():
         previous = None
         for base in range(1, 6):
             constraint = LabelConstraint(LabelRelation.GEQ, SecurityLabel(base))
-            paths = set(find_as_paths(graph, "AS1", "AS6", constraint))
+            routes = find_as_paths(graph, "AS1", "AS6", constraint)
             if previous is not None:
-                assert paths <= previous
-            previous = paths
+                if not previous:
+                    assert routes == []
+                elif all(labels[as_id] >= base for as_id in previous[0][1:-1]):
+                    assert routes == previous
+                elif routes:
+                    assert len(routes[0]) >= len(previous[0])
+            previous = routes
 
 
 # --- switch-level search ------------------------------------------------------
