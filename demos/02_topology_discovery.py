@@ -28,7 +28,7 @@ for a, b in [("AS1", "AS2"), ("AS2", "AS3"), ("AS3", "AS4"), ("AS1", "AS5"), ("A
 repos = [probe_topology(world, as_id, max_ttl=4) for as_id in world.domains()]
 print("topology repository of AS1:")
 for as_id, entry in sorted(repos[0].entries.items()):
-    print(f"  {as_id}: label={entry.sec_label} hops={entry.hops} via {entry.next_hop_gateway}")
+    print(f"  {as_id}: label={entry.sec_label} hops={entry.hops}")
 
 # Route search runs on the domain graph the probes' hop-1 answers make up.
 # Unconstrained, the shortest route wins: the shortcut through AS5.

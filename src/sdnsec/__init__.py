@@ -61,7 +61,6 @@ from .dataplane import (
     format_flow_dump,
 )
 from .interdomain import (
-    AugmentedPacket,
     Handle,
     PolicyTransferToken,
     merge_constraints,
@@ -73,7 +72,6 @@ from .defense import (
     ResponseMode,
     Verdict,
     compute_thresholds,
-    rescale_thresholds,
 )
 from .controller import Controller, CostModel, DropReason, FlowModBatch, synthesize_rules
 from .scenario import (
@@ -93,7 +91,6 @@ __all__ = [
     "ASGraph",
     "Action",
     "ActionKind",
-    "AugmentedPacket",
     "CapacityModel",
     "Constraint",
     "ConstraintKind",
@@ -151,7 +148,6 @@ __all__ = [
     "parse_label_constraint",
     "parse_repository",
     "probe_topology",
-    "rescale_thresholds",
     "run",
     "select_policy",
     "serialize_repository",

@@ -4,9 +4,10 @@ A packet-in runs through a fixed pipeline: flood accounting, handle
 validation, token verification, context extraction, repository selection
 (or the fixed ``BASELINE`` allow with enforcement off), constraint merging,
 route resolution and finally rule synthesis.  The result is either a batch
-of flow rules (plus, for flows leaving the domain, an extended handle and
-re-tagged transfer token) or a drop with a reason.  Every outcome appends one
-``ControllerEvent`` naming the matched policy and the ticks charged so far.
+of flow rules (for a flow leaving the domain, the egress gateway's rule
+carries the extended handle and re-tagged transfer token) or a drop with a
+reason.  Every outcome appends one ``ControllerEvent`` naming the matched
+policy and the ticks charged so far.
 
 Domain routes are searched on the world's domain graph; the caller names the
 node the packet came from (``entry_peer``), which the return rules lead to.
@@ -159,13 +160,17 @@ def synthesize_rules(
     entry_peer: str,
     port_of,
     sec_profile: frozenset[str] = frozenset(),
+    handle_out: Handle | None = None,
+    ptt_out: PolicyTransferToken | None = None,
 ) -> FlowModBatch:
     """One forward rule per path switch plus the symmetric return set.
 
     Rules match the flow's (addresses, protocol, port, type) tuple.
     ``final_peer`` is what the last switch forwards to (a host or the peer
     domain's gateway); ``entry_peer`` is what the first switch's return rule
-    forwards to.  ``port_of(switch, peer)`` resolves port numbers.
+    forwards to.  ``port_of(switch, peer)`` resolves port numbers.  The last
+    switch's forward rule carries ``handle_out`` and ``ptt_out``, the
+    credentials of a flow that leaves the domain there.
     """
     if not path:
         raise ValueError("cannot synthesize rules for an empty path")
@@ -186,7 +191,8 @@ def synthesize_rules(
     installs: list[tuple[str, FlowRule]] = []
     hops = list(path)
     for index, switch in enumerate(hops):
-        peer = hops[index + 1] if index + 1 < len(hops) else final_peer
+        last = index + 1 == len(hops)
+        peer = final_peer if last else hops[index + 1]
         installs.append(
             (
                 switch,
@@ -196,6 +202,8 @@ def synthesize_rules(
                     FLOW_RULE_PRIORITY,
                     out_port=port_of(switch, peer),
                     sec_profile_tags=sec_profile,
+                    handle=handle_out if last else None,
+                    ptt=ptt_out if last else None,
                 ),
             )
         )
@@ -256,7 +264,6 @@ class Controller:
         self.costs = costs
         self.window_ticks = window_ticks
         self.events: list[ControllerEvent] = []
-        self.flow_state: dict[str, PipelineResult] = {}
         self.blocked_hosts: set[str] = set()
         self.next_free_tick = 0
         # admitted flows per (source, window) for PE rate constraints
@@ -450,6 +457,19 @@ class Controller:
         except NoPathError:
             return drop(DropReason.NO_SATISFYING_PATH)
 
+        # credentials for the next domain; tagging charges no ticks
+        handle_out: Handle | None = None
+        ptt_out: PolicyTransferToken | None = None
+        if next_as is not None:
+            if handle is not None:
+                handle_out = extend_handle_record(handle, self.as_id, self.handle_key)
+            else:
+                handle_out = mint_handle(flow_id, self.as_id, self.handle_key)
+            if verified_ptt is not None:
+                ptt_out = retag_ptt(verified_ptt, decision.ptt_constraints, self.handle_key)
+            else:
+                ptt_out = mint_ptt(flow_id, self.as_id, decision.ptt_constraints, self.handle_key)
+
         batch = synthesize_rules(
             path,
             packet,
@@ -458,22 +478,15 @@ class Controller:
             entry_peer=entry_peer,
             port_of=self._port_of,
             sec_profile=decision.sec_profile,
+            handle_out=handle_out,
+            ptt_out=ptt_out,
         )
         ticks += self.costs.per_rule * len(batch)
 
-        handle_out: Handle | None = None
-        ptt_out: PolicyTransferToken | None = None
-        if handle is not None:
-            handle_out = extend_handle_record(handle, self.as_id, self.handle_key)
-        elif next_as is not None:
-            handle_out = mint_handle(flow_id, self.as_id, self.handle_key)
-        if next_as is not None:
-            if verified_ptt is not None:
-                ptt_out = retag_ptt(verified_ptt, decision.ptt_constraints, self.handle_key)
-            else:
-                ptt_out = mint_ptt(flow_id, self.as_id, decision.ptt_constraints, self.handle_key)
-
-        result = PipelineResult(
+        self.events.append(
+            ControllerEvent(tick, flow_id, summary, "install", decision.reason, matched, len(batch), ticks)
+        )
+        return PipelineResult(
             verdict="install",
             batch=batch,
             next_as=next_as,
@@ -483,8 +496,3 @@ class Controller:
             matched_pe=matched,
             service_ticks=ticks,
         )
-        self.flow_state[flow_id] = result
-        self.events.append(
-            ControllerEvent(tick, flow_id, summary, "install", decision.reason, matched, len(batch), ticks)
-        )
-        return result

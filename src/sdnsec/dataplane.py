@@ -2,7 +2,9 @@
 
 A switch owns a priority-ordered flow table.  An arriving packet executes the
 highest-priority matching rule; a miss raises a packet-in for the controller.
-The packet-in carries the packet, so the switch buffers nothing.  All
+The packet-in carries the packet, so the switch buffers nothing.  A forward
+rule at a domain's egress gateway also carries the flow's handle and
+transfer token, which the switch adds to the packet as it leaves.  All
 mutation happens on the simulation loop's thread.
 """
 
@@ -12,6 +14,7 @@ import bisect
 from dataclasses import dataclass, replace
 from ipaddress import IPv4Address
 
+from .interdomain import Handle, PolicyTransferToken
 from .labels import SecurityLabel
 from .policy import derive_flow_id
 
@@ -101,6 +104,9 @@ class FlowRule:
     priority: int
     out_port: int | None = None
     sec_profile_tags: frozenset[str] = frozenset()
+    # credentials added to packets leaving the domain through this rule
+    handle: Handle | None = None
+    ptt: PolicyTransferToken | None = None
     packets: int = 0
     bytes: int = 0
 
@@ -122,7 +128,7 @@ class FlowRule:
 class ForwardOutcome:
     """Result of offering one packet to a switch."""
 
-    kind: str  # forwarded | dropped | packet_in | link_down
+    kind: str  # forwarded | dropped | packet_in
     out_port: int | None = None
     peer: str | None = None
     rule: FlowRule | None = None
@@ -149,11 +155,9 @@ class Switch:
         self.sec_label = sec_label
         self.capacity = capacity
         self.ports: dict[int, str] = {}
-        self.down_ports: set[int] = set()
         self.table: list[FlowRule] = []
         self._by_match: dict[FlowMatch, FlowRule] = {}
         self.stats = SwitchStats()
-        self.events: list[str] = []
 
     def attach(self, peer: str) -> int:
         """Wire a peer (switch or host id) to the next free port; injective."""
@@ -222,11 +226,6 @@ class Switch:
         if rule.action == ActionKind.TO_CONTROLLER:
             self.stats.packet_ins += 1
             return ForwardOutcome(kind="packet_in", rule=rule)
-        assert rule.out_port is not None
-        if rule.out_port in self.down_ports or rule.out_port not in self.ports:
-            self.events.append(f"link_down port={rule.out_port}")
-            self.stats.dropped += 1
-            return ForwardOutcome(kind="link_down", out_port=rule.out_port, rule=rule)
         self.stats.forwarded += 1
         return ForwardOutcome(
             kind="forwarded", out_port=rule.out_port, peer=self.ports[rule.out_port], rule=rule

@@ -6,6 +6,8 @@ processing capacity: a controller serving X switches gives each switch
 ``Thost = TSw/Y``.  Arithmetic is exact (fractions), enforcement compares
 window counts against the floor.
 
+Requests are counted per fixed window of ticks and counters start from zero
+in each window, so a steady rate at exactly the budget is never flagged.
 Two responses are available once an offender crosses its budget: THROTTLE
 caps the offender's admitted packet-ins at the threshold in every window
 (excess is dropped, not queued), and DROP_RULE asks for a one-time block
@@ -17,7 +19,7 @@ attacker sits behind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -27,7 +29,6 @@ __all__ = [
     "ResponseMode",
     "Verdict",
     "compute_thresholds",
-    "rescale_thresholds",
 ]
 
 
@@ -66,25 +67,14 @@ class ResponseMode(Enum):
     DROP_RULE = "drop_rule"
 
 
-# past windows kept per counter for decayed history weighting
-HISTORY_WINDOWS = 4
-
-
 @dataclass
 class _WindowCounter:
     current: int = 0
     admitted: int = 0
-    history: list[int] = field(default_factory=list)
 
 
 class FloodMonitor:
-    """Sliding-window request accounting against the capacity thresholds.
-
-    History weighting is off by default: a steady offender is capped at
-    exactly the threshold per window.  :func:`rescale_thresholds` switches on
-    exponentially decayed history so that a burst in a previous window
-    tightens the budget for a while.
-    """
+    """Per-window request accounting against the capacity thresholds."""
 
     def __init__(
         self,
@@ -97,7 +87,6 @@ class FloodMonitor:
         self.cap = cap
         self.response = response
         self.window_ticks = window_ticks
-        self.decay: Fraction | None = None
         self.tsw, self.thost = compute_thresholds(cap)
         self._window_index = 0
         self._hosts: dict[str, _WindowCounter] = {}
@@ -106,46 +95,20 @@ class FloodMonitor:
 
     def _roll(self, tick: int) -> None:
         index = tick // self.window_ticks
-        while self._window_index < index:
-            for counter in list(self._hosts.values()) + list(self._switches.values()):
-                counter.history.insert(0, counter.current)
-                del counter.history[HISTORY_WINDOWS:]
+        if index > self._window_index:
+            for counter in (*self._hosts.values(), *self._switches.values()):
                 counter.current = 0
                 counter.admitted = 0
-            self._window_index += 1
+            self._window_index = index
 
     def _over_budget(self, counter: _WindowCounter, threshold: Fraction) -> bool:
-        """Would admitting the current request overshoot the budget?
+        """Would admitting the current request overshoot the budget?"""
+        return counter.admitted + 1 > math.floor(threshold)
 
-        Without decay: admitted-so-far + 1 must stay within floor(threshold).
-        With decay d, previous windows are weighted in on both sides, so a
-        steady rate at exactly the threshold is a fixed point and never
-        flagged.
-        """
-        admitted = Fraction(counter.admitted + 1)
-        budget = Fraction(math.floor(threshold))
-        if self.decay is not None:
-            weight = Fraction(1)
-            factor = self.decay
-            for past in counter.history:
-                admitted += factor * past
-                weight += factor
-                factor *= self.decay
-            budget = threshold * weight
-        return admitted > budget
-
-    def weighted_count(self, host: str) -> Fraction:
-        """Decayed view of a host's request history plus the live window."""
+    def weighted_count(self, host: str) -> int:
+        """Requests from ``host`` in the current window."""
         counter = self._hosts.get(host)
-        if counter is None:
-            return Fraction(0)
-        total = Fraction(counter.current)
-        factor = self.decay if self.decay is not None else Fraction(0)
-        step = factor
-        for past in counter.history:
-            total += step * past
-            step *= factor
-        return total
+        return 0 if counter is None else counter.current
 
     def record_and_check(self, src_host: str, src_switch: str, tick: int) -> Verdict:
         """Account one request and say how the pipeline should treat it.
@@ -181,15 +144,3 @@ class FloodMonitor:
             return Verdict.DROP_RULE
         self.active_responses[src_host] = Verdict.THROTTLE
         return Verdict.THROTTLE
-
-
-def rescale_thresholds(
-    monitor: FloodMonitor, instances: int, history_decay: Fraction | float | None = Fraction(1, 2)
-) -> None:
-    """Scale capacity to the number of running controller instances and turn
-    on exponentially decayed history weighting (decay per window step)."""
-    if instances < 1:
-        raise ValueError("instances must be >= 1")
-    effective = CapacityModel(monitor.cap.cc * instances, monitor.cap.x, monitor.cap.y)
-    monitor.tsw, monitor.thost = compute_thresholds(effective)
-    monitor.decay = None if history_decay is None else Fraction(history_decay)

@@ -3,13 +3,16 @@
 Every flow that leaves its origin domain travels with a *handle* (the ordered
 list of domains it has visited, integrity-tagged) and optionally a *policy
 transfer token* (flow-scoped constraints the origin delegates to transit
-domains).  Tags are keyed hashes over a canonical wire form; each domain tags
-with its own key and verifies arrivals under the key of the adjacent domain
-that forwarded them, so a tag survives exactly one hop and is re-minted at
-each domain boundary.
+domains).  Tags are HMAC-SHA256 over a canonical pipe-delimited payload
+(``handle|v1|flow|origin|visited,...`` and ``ptt|v1|flow|origin|constraint;...``),
+so flipping any tag bit or payload field fails verification.
 
-Wire forms are pipe-delimited with fixed field order (see
-``docs/wire-formats.md``); tamper tests rely on them being byte-precise.
+Tagging follows a chain-of-keys model: each domain controller owns one key
+(``handle_key`` in the scenario) and holds the keys of its topology
+neighbors.  Every domain that forwards a credential re-tags it under its own
+key (a handle gains the domain's id, a token its delegable flow
+constraints), and the next domain verifies it under the key of the adjacent
+domain it came from, the last entry of the handle's visited list.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .labels import LabelWindow
 from .policy import Constraint, ConstraintKind, DELEGABLE_KINDS
 
 __all__ = [
-    "AugmentedPacket",
     "Handle",
     "PolicyTransferToken",
     "handle_tag",
@@ -59,19 +61,6 @@ class Handle:
         if len(set(self.visited)) != len(self.visited):
             raise ValueError(f"handle repeats a domain: {self.visited}")
 
-    def payload(self) -> bytes:
-        return _handle_payload(self.flow_id, self.origin_as, self.visited)
-
-    def to_wire(self) -> str:
-        return f"{self.payload().decode()}|{self.tag}"
-
-    @classmethod
-    def from_wire(cls, wire: str) -> Handle:
-        kind, version, flow_id, origin, visited, tag = wire.split("|")
-        if (kind, version) != ("handle", "v1"):
-            raise ValueError(f"not a v1 handle: {wire!r}")
-        return cls(flow_id, origin, tuple(visited.split(",")), tag)
-
 
 def handle_tag(flow_id: str, origin_as: str, visited: tuple[str, ...], key: bytes) -> str:
     return hmac.new(key, _handle_payload(flow_id, origin_as, visited), hashlib.sha256).hexdigest()
@@ -107,27 +96,6 @@ class PolicyTransferToken:
         if foreign:
             raise ValueError(f"token carries non-flow-scoped constraints: {foreign}")
 
-    def payload(self) -> bytes:
-        return _ptt_payload(self.flow_id, self.origin_as, self.constraints)
-
-    def to_wire(self) -> str:
-        return f"{self.payload().decode()}|{self.tag}"
-
-    @classmethod
-    def from_wire(cls, wire: str) -> PolicyTransferToken:
-        from .formats import _parse_constraint_token
-
-        kind, version, flow_id, origin, body, tag = wire.split("|")
-        if (kind, version) != ("ptt", "v1"):
-            raise ValueError(f"not a v1 transfer token: {wire!r}")
-        constraints = []
-        for token in filter(None, body.split(";")):
-            parsed = _parse_constraint_token(token, where="transfer token")
-            if isinstance(parsed, tuple):
-                raise ValueError("transfer token cannot carry a validity window")
-            constraints.append(parsed)
-        return cls(flow_id, origin, tuple(constraints), tag)
-
 
 def ptt_tag(flow_id: str, origin_as: str, constraints: tuple[Constraint, ...], key: bytes) -> str:
     return hmac.new(key, _ptt_payload(flow_id, origin_as, constraints), hashlib.sha256).hexdigest()
@@ -161,66 +129,11 @@ def verify_ptt(ptt: PolicyTransferToken, key: bytes) -> bool:
     return hmac.compare_digest(expected, ptt.tag)
 
 
-@dataclass(frozen=True)
-class AugmentedPacket:
-    """Packet plus its cross-domain credentials, as transferred at an edge."""
-
-    packet: object
-    handle: Handle
-    ptt: PolicyTransferToken | None = None
-
-    def __post_init__(self) -> None:
-        flow_id = getattr(self.packet, "flow_id", None)
-        if flow_id is not None and self.handle.flow_id != flow_id:
-            raise ValueError(
-                f"handle flow {self.handle.flow_id!r} does not match packet flow {flow_id!r}"
-            )
-
-    def to_wire(self) -> str:
-        p = self.packet
-        packet_line = (
-            f"pkt|v1|{p.src_ip}|{p.dst_ip}|{p.src_mac}|{p.dst_mac}|{p.ip_proto}"
-            f"|{p.service_port}|{p.packet_type}|{p.payload_size}|{p.timestamp}"
-        )
-        lines = [packet_line, self.handle.to_wire()]
-        if self.ptt is not None:
-            lines.append(self.ptt.to_wire())
-        return "\n".join(lines)
-
-    @classmethod
-    def from_wire(cls, wire: str) -> AugmentedPacket:
-        from ipaddress import IPv4Address
-
-        from .dataplane import Packet
-
-        lines = wire.split("\n")
-        if len(lines) not in (2, 3):
-            raise ValueError("augmented packet wire form has 2 or 3 lines")
-        kind, version, src_ip, dst_ip, src_mac, dst_mac, proto, port, ptype, size, ts = lines[0].split("|")
-        if (kind, version) != ("pkt", "v1"):
-            raise ValueError(f"not a v1 packet line: {lines[0]!r}")
-        packet = Packet(
-            src_ip=IPv4Address(src_ip),
-            dst_ip=IPv4Address(dst_ip),
-            src_mac=src_mac,
-            dst_mac=dst_mac,
-            ip_proto=proto,
-            service_port=int(port),
-            packet_type=ptype,
-            payload_size=int(size),
-            timestamp=int(ts),
-        )
-        handle = Handle.from_wire(lines[1])
-        ptt = PolicyTransferToken.from_wire(lines[2]) if len(lines) == 3 else None
-        return cls(packet, handle, ptt)
-
-
 def validate_handle(ctrl, handle: Handle) -> bool:
     """A handle is acceptable at a domain iff its tag verifies under the key
-    of the domain it last visited, its visited list is duplicate-free, and
-    that last domain is a topology neighbor."""
-    if len(set(handle.visited)) != len(handle.visited):
-        return False
+    of the domain it last visited and that last domain is a topology
+    neighbor.  Construction already refuses a visited list that repeats a
+    domain."""
     last = handle.visited[-1]
     if last not in ctrl.topo.neighbors():
         return False

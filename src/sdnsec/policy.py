@@ -11,7 +11,7 @@ id as the final tie-break, so the outcome is a pure function of
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
@@ -330,9 +330,6 @@ def match_pe(pe: PolicyExpression, ctx: FlowContext) -> bool:
     return predicates_hold(pe.flow_cons + pe.dom_cons, ctx)
 
 
-_SELECTOR_FIELDS = ("as_id", "subnet", "as_type", "label_req", "host_ip", "host_mac")
-
-
 def specificity(pe: PolicyExpression) -> int:
     """Count of non-wildcard condition fields, used to rank overlapping allows."""
     count = 0
@@ -352,37 +349,6 @@ def specificity(pe: PolicyExpression) -> int:
     count += pe.path is not None
     count += pe.validity is not None
     return count
-
-
-def wildcarded(pe: PolicyExpression, field_name: str) -> PolicyExpression:
-    """Copy of ``pe`` with one condition field widened to the wildcard.
-
-    Field names: ``flow_id``, ``user``, ``services``, ``sec_profile``,
-    ``path``, ``validity``, ``flow_cons``, ``dom_cons``, or
-    ``source.<attr>`` / ``dest.<attr>`` for selector components.
-    """
-    if "." in field_name:
-        side, attr = field_name.split(".", 1)
-        sel = getattr(pe, side)
-        value = ANY_LABEL if attr == "label_req" else None
-        return replace(pe, **{side: replace(sel, **{attr: value})})
-    if field_name in ("flow_cons", "dom_cons"):
-        return replace(pe, **{field_name: ()})
-    return replace(pe, **{field_name: None})
-
-
-CONDITION_FIELDS = (
-    "flow_id",
-    *(f"source.{name}" for name in _SELECTOR_FIELDS),
-    *(f"dest.{name}" for name in _SELECTOR_FIELDS),
-    "user",
-    "flow_cons",
-    "dom_cons",
-    "services",
-    "sec_profile",
-    "path",
-    "validity",
-)
 
 
 class DuplicatePolicyIdError(ValueError):

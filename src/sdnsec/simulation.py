@@ -8,9 +8,10 @@ scenarios produce byte-identical reports.
 
 Controllers are modeled as sequential servers: a packet-in waits until the
 controller is free, is charged the pipeline's deterministic service ticks,
-and its flow-mod batch applies at the emission tick.  Packets crossing a
-domain boundary pick up the sending controller's minted handle and transfer
-token at the gateway, which is where augmentation happens on a real edge.
+and its flow-mod batch applies at the emission tick.  A packet leaving a
+domain, retries included, picks up its handle and transfer token from the
+egress gateway's forward rule, which is where augmentation happens on a real
+edge.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ class World:
     hosts: dict[str, HostSpec]
     host_domain: dict[str, str]
     hosts_by_ip: dict[IPv4Address, HostSpec]
-
-    def controller_of_switch(self, switch_id: str) -> Controller:
-        return self.controllers[self.switch_domain[switch_id]]
 
 
 def build_world(scenario: Scenario, costs: CostModel = CostModel()) -> World:
@@ -286,9 +284,9 @@ class Simulation:
             )
             self._finish(inflight.record, reason, self.world.switch_domain[switch_id])
             return
-        if outcome.kind == "link_down":
-            self._finish(inflight.record, "LINK_DOWN", self.world.switch_domain[switch_id])
-            return
+        if outcome.rule.handle is not None:
+            inflight.handle = outcome.rule.handle
+            inflight.ptt = outcome.rule.ptt
         inflight.trace.append(switch_id)
         peer = outcome.peer
         if peer in self.world.hosts:
@@ -297,16 +295,6 @@ class Simulation:
             else:
                 self._finish(inflight.record, "MISDELIVERED", self.world.switch_domain[switch_id])
             return
-        peer_domain = self.world.switch_domain[peer]
-        here = self.world.switch_domain[switch_id]
-        if peer_domain != here:
-            # domain boundary: the gateway tags the packet with the handle
-            # and token its controller minted for this flow
-            ctrl = self.world.controllers[here]
-            state = ctrl.flow_state.get(inflight.packet.flow_id)
-            if state is not None:
-                inflight.handle = state.handle_out
-                inflight.ptt = state.ptt_out
         peer_port = self.world.switches[peer].port_to(switch_id)
         self._schedule(tick + LINK_TICK, "switch_rx", (peer, inflight, peer_port))
 

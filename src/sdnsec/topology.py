@@ -59,7 +59,6 @@ class TopologyEntry:
     as_id: str
     sec_label: SecurityLabel
     hops: int
-    next_hop_gateway: str
     subnet: IPv4Network | None = None
     as_type: str | None = None
 
@@ -143,7 +142,6 @@ class TopologyRepository:
     switch fabric.  Rebuilt atomically by :func:`probe_topology`."""
 
     owner_as: str
-    owner_label: SecurityLabel
     entries: dict[str, TopologyEntry] = field(default_factory=dict)
     intra_graph: SwitchGraph = field(default_factory=SwitchGraph)
 
@@ -172,16 +170,11 @@ def probe_topology(
     """
     if max_ttl < 1:
         raise ValueError("max_ttl must be >= 1")
-    owner = world.descriptor(owner_as)
     repo = TopologyRepository(
         owner_as=owner_as,
-        owner_label=owner.sec_label,
         intra_graph=intra_graph if intra_graph is not None else SwitchGraph(),
     )
-    # breadth-first walk; first_hop tracks which neighbor the shortest path
-    # leaves through so the entry can name the local egress gateway
     distances: dict[str, int] = {owner_as: 0}
-    first_hop: dict[str, str] = {}
     frontier = [owner_as]
     while frontier:
         next_frontier: list[str] = []
@@ -190,7 +183,6 @@ def probe_topology(
                 if neighbor in distances:
                     continue
                 distances[neighbor] = distances[node] + 1
-                first_hop[neighbor] = neighbor if node == owner_as else first_hop[node]
                 next_frontier.append(neighbor)
         frontier = next_frontier
     for as_id, distance in sorted(distances.items()):
@@ -201,7 +193,6 @@ def probe_topology(
             as_id=as_id,
             sec_label=descriptor.sec_label,
             hops=distance,
-            next_hop_gateway=gateway_name(owner_as, first_hop[as_id]),
             subnet=descriptor.subnet,
             as_type=descriptor.as_type,
         )

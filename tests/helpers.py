@@ -8,6 +8,7 @@ so they stay independent of the implementation paths they check.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from ipaddress import IPv4Address, IPv4Network
 
 from sdnsec.labels import ANY_LABEL, LabelConstraint, LabelRelation, SecurityLabel
@@ -182,6 +183,40 @@ def oracle_match(pe: PolicyExpression, ctx: FlowContext) -> bool:
         elif constraint.kind is ConstraintKind.SIGNATURE:
             checks.append(ctx.packet_type == constraint.signature)
     return all(checks)
+
+
+_SELECTOR_FIELDS = ("as_id", "subnet", "as_type", "label_req", "host_ip", "host_mac")
+
+
+def wildcarded(pe: PolicyExpression, field_name: str) -> PolicyExpression:
+    """Copy of ``pe`` with one condition field widened to the wildcard.
+
+    Field names: ``flow_id``, ``user``, ``services``, ``sec_profile``,
+    ``path``, ``validity``, ``flow_cons``, ``dom_cons``, or
+    ``source.<attr>`` / ``dest.<attr>`` for selector components.
+    """
+    if "." in field_name:
+        side, attr = field_name.split(".", 1)
+        sel = getattr(pe, side)
+        value = ANY_LABEL if attr == "label_req" else None
+        return replace(pe, **{side: replace(sel, **{attr: value})})
+    if field_name in ("flow_cons", "dom_cons"):
+        return replace(pe, **{field_name: ()})
+    return replace(pe, **{field_name: None})
+
+
+CONDITION_FIELDS = (
+    "flow_id",
+    *(f"source.{name}" for name in _SELECTOR_FIELDS),
+    *(f"dest.{name}" for name in _SELECTOR_FIELDS),
+    "user",
+    "flow_cons",
+    "dom_cons",
+    "services",
+    "sec_profile",
+    "path",
+    "validity",
+)
 
 
 def link_adjacency(links) -> dict[str, set[str]]:

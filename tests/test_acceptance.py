@@ -14,13 +14,21 @@ from sdnsec.defense import CapacityModel, ResponseMode, compute_thresholds
 from sdnsec.interdomain import mint_handle, extend_handle_record, validate_handle
 from sdnsec.labels import LabelConstraint, LabelRelation, SecurityLabel
 from sdnsec.metrics import emit
-from sdnsec.policy import Action, PolicyExpression, match_pe, select_policy, wildcarded, CONDITION_FIELDS
+from sdnsec.policy import Action, PolicyExpression, match_pe, select_policy
 from sdnsec.scenario import bundled_scenario_path, load_scenario
 from sdnsec.simulation import Simulation, build_world, run
 from sdnsec.sweep import flood_response_series, offer_horizon, pad_switches, sweep
 from sdnsec.topology import find_as_paths
 
-from helpers import dfs_all_paths, link_adjacency, oracle_match, random_ctx, random_pe
+from helpers import (
+    CONDITION_FIELDS,
+    dfs_all_paths,
+    link_adjacency,
+    oracle_match,
+    random_ctx,
+    random_pe,
+    wildcarded,
+)
 from test_topology import make_world, random_as_links
 
 

@@ -117,16 +117,6 @@ def test_table_capacity_surfaces_error():
         sw.install(forward(1, 1, service_port=3))
 
 
-def test_link_down_event_recorded():
-    sw = make_switch()
-    port = sw.attach("peer")
-    sw.down_ports.add(port)
-    sw.install(forward(100, port))
-    outcome = sw.process_packet(make_packet())
-    assert outcome.kind == "link_down"
-    assert sw.events == [f"link_down port={port}"]
-
-
 def test_dump_is_priority_then_insertion_ordered():
     sw = make_switch()
     sw.attach("peer")

@@ -9,7 +9,6 @@ from sdnsec.defense import (
     ResponseMode,
     Verdict,
     compute_thresholds,
-    rescale_thresholds,
 )
 
 
@@ -113,42 +112,18 @@ def test_response_none_admits_everything():
         assert monitor.record_and_check("mal", "s1", 0) is Verdict.OK
 
 
-def test_rescale_doubles_budgets():
-    monitor = make_monitor()
-    before = monitor.tsw
-    rescale_thresholds(monitor, instances=2, history_decay=None)
-    assert monitor.tsw == before * 2
-    assert monitor.thost * monitor.cap.y == monitor.tsw
-
-
-def test_decay_weighted_count_matches_hand_computation():
-    monitor = make_monitor(window=10)
-    rescale_thresholds(monitor, instances=1, history_decay=Fraction(1, 2))
-    for i in range(8):
-        monitor.record_and_check("h", "s", 0)
-    for i in range(8):
-        monitor.record_and_check("h", "s", 10)
-    # two windows of 8 raw requests: decayed view is 8 + 0.5*8 = 12, not 16
-    assert monitor.weighted_count("h") == 12
-
-
-def test_steady_traffic_at_threshold_never_flagged_under_any_decay():
-    for decay in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-        monitor = make_monitor(cc=40, x=2, y=2, window=10)  # Thost = 10
-        rescale_thresholds(monitor, instances=1, history_decay=decay)
-        for window in range(8):
-            for i in range(10):
-                verdict = monitor.record_and_check("h", "s", window * 10 + i)
-                assert verdict is Verdict.OK, (decay, window, i)
-
-
-def test_burst_history_tightens_budget_under_decay():
+def test_window_rollover_resets_the_budget():
     monitor = make_monitor(cc=40, x=2, y=2, window=10)  # Thost = 10
-    rescale_thresholds(monitor, instances=1, history_decay=Fraction(1, 2))
-    for i in range(40):  # burst window: 4x the budget
-        monitor.record_and_check("h", "s", 0)
-    admitted = sum(
-        monitor.record_and_check("h", "s", 10 + i) is Verdict.OK for i in range(10)
-    )
-    # budget for the next window: admitted + 0.5*40 <= 10 * 1.5
-    assert admitted < 10
+    # steady traffic at exactly the budget, window after window
+    for window in range(8):
+        for i in range(10):
+            assert monitor.record_and_check("h", "s", window * 10 + i) is Verdict.OK, (window, i)
+    assert monitor.weighted_count("h") == 10
+    # one request more in a window is throttled ...
+    for i in range(10):
+        assert monitor.record_and_check("h", "s", 80 + i) is Verdict.OK
+    assert monitor.record_and_check("h", "s", 89) is Verdict.THROTTLE
+    assert monitor.weighted_count("h") == 11
+    # ... and the next window admits again, counting from zero
+    assert monitor.record_and_check("h", "s", 90) is Verdict.OK
+    assert monitor.weighted_count("h") == 1

@@ -6,9 +6,7 @@ import pytest
 from sdnsec.labels import LabelConstraint, LabelRelation, LabelWindow, SecurityLabel
 from sdnsec.policy import Constraint, ConstraintKind
 from sdnsec.interdomain import (
-    AugmentedPacket,
     Handle,
-    PolicyTransferToken,
     extend_handle_record,
     handle_tag,
     merge_constraints,
@@ -110,11 +108,6 @@ def test_duplicate_visited_is_invalid_by_construction():
         Handle("f1", "AS1", ("AS1", "AS1"), "00")
 
 
-def test_handle_wire_round_trip():
-    handle = extend_handle_record(mint_handle("f1", "AS1", KEYS["AS1"]), "AS2", KEYS["AS2"])
-    assert Handle.from_wire(handle.to_wire()) == handle
-
-
 def test_ptt_only_carries_flow_scoped_kinds():
     sig = Constraint(ConstraintKind.SIGNATURE, signature="SYN")
     token = mint_ptt("f1", "AS1", (label_geq(2), sig), KEYS["AS1"])
@@ -126,11 +119,6 @@ def test_empty_constraints_mint_no_token():
     assert mint_ptt("f1", "AS1", (), KEYS["AS1"]) is None
     sig_only = (Constraint(ConstraintKind.SIGNATURE, signature="SYN"),)
     assert mint_ptt("f1", "AS1", sig_only, KEYS["AS1"]) is None
-
-
-def test_ptt_wire_round_trip():
-    token = mint_ptt("f1", "AS1", (label_geq(2),), KEYS["AS1"])
-    assert PolicyTransferToken.from_wire(token.to_wire()) == token
 
 
 def test_retag_preserves_origin_attribution():
@@ -174,21 +162,15 @@ def test_merge_without_token_keeps_local():
     assert merge_constraints(LabelWindow(lo=2, hi=4), None) == (LabelWindow(lo=2, hi=4), ())
 
 
-def test_augmented_packet_requires_matching_flow():
-    class FakePacket:
-        flow_id = "other"
-        src_ip = "10.0.0.1"
-
-    handle = mint_handle("f1", "AS1", KEYS["AS1"])
-    with pytest.raises(ValueError):
-        AugmentedPacket(FakePacket(), handle)
-
-
-def make_augmented():
+def test_transit_packet_in_classifies_transit_and_drop():
     from ipaddress import IPv4Address
 
     from sdnsec.dataplane import Packet
+    from sdnsec.scenario import bundled_scenario_path, load_scenario
+    from sdnsec.simulation import build_world
 
+    world = build_world(load_scenario(bundled_scenario_path("four_domain_transit")))
+    as1, as2 = world.controllers["AS1"], world.controllers["AS2"]
     packet = Packet(
         src_ip=IPv4Address("10.0.0.2"),
         dst_ip=IPv4Address("192.168.52.72"),
@@ -198,59 +180,33 @@ def make_augmented():
         service_port=443,
         packet_type="HTTPS",
     )
-    handle = mint_handle(packet.flow_id, "AS1", KEYS["AS1"])
-    ptt = mint_ptt(packet.flow_id, "AS1", (label_geq(2),), KEYS["AS1"])
-    return AugmentedPacket(packet, handle, ptt)
-
-
-def test_transit_packet_in_classifies_transit_and_drop():
-    from sdnsec.scenario import bundled_scenario_path, load_scenario
-    from sdnsec.simulation import build_world
-
-    world = build_world(load_scenario(bundled_scenario_path("four_domain_transit")))
-    as1, as2 = world.controllers["AS1"], world.controllers["AS2"]
-    augmented = make_augmented()
-    # the fixture's keys differ from this file's; rebuild credentials with
-    # the world's actual keys
-    handle = mint_handle(augmented.packet.flow_id, "AS1", as1.handle_key)
-    ptt = mint_ptt(augmented.packet.flow_id, "AS1", (label_geq(2),), as1.handle_key)
-    result = as2.handle_packet_in(augmented.packet, "2SW1", "1SW2", 0, handle=handle, ptt=ptt)
+    handle = mint_handle(packet.flow_id, "AS1", as1.handle_key)
+    ptt = mint_ptt(packet.flow_id, "AS1", (label_geq(2),), as1.handle_key)
+    result = as2.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle, ptt=ptt)
     assert result.installed
     assert result.next_as is not None  # leaves the domain
     assert result.next_as == "AS3"
     assert result.handle_out.visited == ("AS1", "AS2")
-    refused = as2.handle_packet_in(augmented.packet, "2SW1", "1SW2", 0, handle=augmented.handle)
+    # a handle tagged under a key other than AS1's is refused
+    foreign = mint_handle(packet.flow_id, "AS1", KEYS["AS1"])
+    refused = as2.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=foreign)
     assert not refused.installed
     assert refused.reason == "HANDLE_INVALID"
 
 
-def test_augmented_packet_wire_round_trip():
-    augmented = make_augmented()
-    again = AugmentedPacket.from_wire(augmented.to_wire())
-    assert again.packet == augmented.packet
-    assert again.handle == augmented.handle
-    assert again.ptt == augmented.ptt
-
-
 def test_wire_tampering_is_bit_precise():
-    # flipping any single hex digit of either credential's wire form breaks
-    # verification after decode
-    augmented = make_augmented()
-    wire = augmented.to_wire()
+    # flipping any single hex digit of either credential's tag breaks
+    # verification
+    handle = mint_handle("f1", "AS1", KEYS["AS1"])
+    token = mint_ptt("f1", "AS1", (label_geq(2),), KEYS["AS1"])
     ctrl = StubController(["AS1"], {"AS1": KEYS["AS1"]})
-    assert validate_handle(ctrl, AugmentedPacket.from_wire(wire).handle)
-    lines = wire.split("\n")
-    tag = lines[1].rsplit("|", 1)[1]
-    for index in range(len(tag)):
-        flipped = f"{int(tag[index], 16) ^ 1:x}"
-        mutated_tag = tag[:index] + flipped + tag[index + 1 :]
-        mutated = "\n".join([lines[0], lines[1].rsplit("|", 1)[0] + "|" + mutated_tag, lines[2]])
-        decoded = AugmentedPacket.from_wire(mutated)
-        assert not validate_handle(ctrl, decoded.handle)
-    ptt_tag_text = lines[2].rsplit("|", 1)[1]
-    for index in range(0, len(ptt_tag_text), 7):
-        flipped = f"{int(ptt_tag_text[index], 16) ^ 1:x}"
-        mutated_tag = ptt_tag_text[:index] + flipped + ptt_tag_text[index + 1 :]
-        mutated = "\n".join([lines[0], lines[1], lines[2].rsplit("|", 1)[0] + "|" + mutated_tag])
-        decoded = AugmentedPacket.from_wire(mutated)
-        assert not verify_ptt(decoded.ptt, KEYS["AS1"])
+    assert validate_handle(ctrl, handle)
+    assert verify_ptt(token, KEYS["AS1"])
+    for credential, verifies in (
+        (handle, lambda h: validate_handle(ctrl, h)),
+        (token, lambda t: verify_ptt(t, KEYS["AS1"])),
+    ):
+        tag = credential.tag
+        for index in range(len(tag)):
+            flipped = tag[:index] + f"{int(tag[index], 16) ^ 1:x}" + tag[index + 1 :]
+            assert not verifies(replace(credential, tag=flipped))

@@ -13,11 +13,9 @@ from sdnsec.policy import (
     PolicyExpression,
     match_pe,
     specificity,
-    wildcarded,
-    CONDITION_FIELDS,
 )
 
-from helpers import make_ctx, oracle_match, random_ctx, random_pe
+from helpers import CONDITION_FIELDS, make_ctx, oracle_match, random_ctx, random_pe, wildcarded
 
 SAMPLE_PE = PolicyExpression(
     id="21",

@@ -332,6 +332,19 @@ def test_transfer_token_constrains_transit_route():
     assert flow.as_path == ("AS1", "AS2", "AS4", "AS5")
 
 
+def test_retry_crossing_installed_rules_carries_the_token():
+    # AS1's rules stay installed after AS2 refuses the first attempt, so the
+    # retry reaches AS2 without AS1's controller; AS1's egress rule still
+    # tags it with the handle and the SL3+= token, which steer AS2 off AS3
+    syn = {"from": "h1", "to": "h5", "port": 80, "type": "HTTP"}
+    doc = transit_doc([{"at": 0, **syn}, {"at": 50_000, **syn}])
+    doc["domains"][1]["policies"] = ["q = <*,*,*,*,*,*,*,*,valid[10000,1000000000),*,*,*,*>:<Allow>"]
+    first, retry = run(parse_scenario(doc)).flows
+    assert (first.outcome, first.reason, first.drop_domain) == ("dropped", "POLICY", "AS2")
+    assert retry.outcome == "delivered"
+    assert retry.as_path == ("AS1", "AS2", "AS4", "AS5")
+
+
 def test_as_path_follows_switches_taken():
     # the reply rides the first flow's return rules and reaches no controller
     doc = transit_doc(

@@ -66,7 +66,6 @@ def test_probe_four_domain_chain():
     assert repo.entries["AS2"].hops == 1
     assert repo.entries["AS3"].hops == 2
     assert repo.entries["AS4"].hops == 3
-    assert repo.entries["AS4"].next_hop_gateway == "1SW2"
     assert repo.entries["AS3"].sec_label == SecurityLabel(2)
     assert "AS1" not in repo.entries
 
