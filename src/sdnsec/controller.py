@@ -4,13 +4,17 @@ A packet-in runs through a fixed pipeline: flood accounting, handle
 validation, token verification, context extraction, repository selection
 (or the fixed ``BASELINE`` allow with enforcement off), constraint merging,
 route resolution and finally rule synthesis.  The result is either a batch
-of flow rules (for a flow leaving the domain, the egress gateway's rule
-carries the extended handle and re-tagged transfer token) or a drop with a
-reason.  Every outcome appends one ``ControllerEvent`` naming the matched
+of flow rules or a drop with a reason.  For a flow leaving the domain, the
+egress gateway's forward rule is the hop: its port leads to the next
+domain's gateway, and it carries the extended handle and re-tagged transfer
+token.  Every outcome appends one ``ControllerEvent`` naming the matched
 policy and the ticks charged so far.
 
 Domain routes are searched on the world's domain graph; the caller names the
 node the packet came from (``entry_peer``), which the return rules lead to.
+A next domain that the flow's handle has already visited is a
+``NO_SATISFYING_PATH`` drop, with enforcement on or off, so no flow loops
+back into a domain.
 
 Deterministic service cost in ticks is charged per stage so latency and
 throughput experiments are reproducible: scanning the repository costs per
@@ -113,20 +117,16 @@ class FlowModBatch:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    verdict: str  # install | drop
-    reason: str = ""
-    batch: FlowModBatch | None = None
-    block_batch: FlowModBatch | None = None
-    next_as: str | None = None  # None: delivered inside this domain
-    egress_switch: str | None = None
-    handle_out: Handle | None = None
-    ptt_out: PolicyTransferToken | None = None
-    matched_pe: str | None = None
-    service_ticks: int = 0
+    """What one packet-in yields: the ticks it charged, and either the rules
+    that admit the flow (``batch``) or, when ``batch`` is None, the drop
+    ``reason``, possibly with a defense block rule (``block_batch``).  Where
+    the flow goes next, and with which credentials, is read off the batch's
+    egress rule."""
 
-    @property
-    def installed(self) -> bool:
-        return self.verdict == "install"
+    service_ticks: int
+    batch: FlowModBatch | None = None
+    reason: str = ""
+    block_batch: FlowModBatch | None = None
 
 
 @dataclass
@@ -367,7 +367,7 @@ class Controller:
 
         def drop(reason: str, detail: str = summary, block: FlowModBatch | None = None) -> PipelineResult:
             self.events.append(ControllerEvent(tick, flow_id, detail, "drop", reason, matched, 0, ticks))
-            return PipelineResult("drop", reason, block_batch=block, matched_pe=matched, service_ticks=ticks)
+            return PipelineResult(ticks, reason=reason, block_batch=block)
 
         if self.enforcement_enabled and defense and self.monitor is not None:
             ticks += self.costs.defense
@@ -439,7 +439,7 @@ class Controller:
                 entry = self.topo.entries.get(next_as)
                 if entry is None or (next_as != dst_domain and not window.satisfies(entry.sec_label)):
                     next_as = None
-            if next_as is None:
+            if next_as is None or (handle is not None and next_as in handle.visited):
                 return drop(DropReason.NO_SATISFYING_PATH)
             final_switch = gateway_name(self.as_id, next_as)
             final_peer = gateway_name(next_as, self.as_id)
@@ -486,13 +486,4 @@ class Controller:
         self.events.append(
             ControllerEvent(tick, flow_id, summary, "install", decision.reason, matched, len(batch), ticks)
         )
-        return PipelineResult(
-            verdict="install",
-            batch=batch,
-            next_as=next_as,
-            egress_switch=final_switch if next_as is not None else None,
-            handle_out=handle_out,
-            ptt_out=ptt_out,
-            matched_pe=matched,
-            service_ticks=ticks,
-        )
+        return PipelineResult(ticks, batch)

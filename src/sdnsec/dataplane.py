@@ -129,7 +129,6 @@ class ForwardOutcome:
     """Result of offering one packet to a switch."""
 
     kind: str  # forwarded | dropped | packet_in
-    out_port: int | None = None
     peer: str | None = None
     rule: FlowRule | None = None
 
@@ -227,9 +226,7 @@ class Switch:
             self.stats.packet_ins += 1
             return ForwardOutcome(kind="packet_in", rule=rule)
         self.stats.forwarded += 1
-        return ForwardOutcome(
-            kind="forwarded", out_port=rule.out_port, peer=self.ports[rule.out_port], rule=rule
-        )
+        return ForwardOutcome(kind="forwarded", peer=self.ports[rule.out_port], rule=rule)
 
 
 def flow_dump(switch: Switch) -> list[FlowRule]:

@@ -173,6 +173,8 @@ class PolicyExpression:
         if self.path is not None:
             if not self.path:
                 raise ValueError("path must be nonempty or wildcard")
+            if len(set(self.path)) != len(self.path):
+                raise ValueError(f"path repeats an element: {self.path}")
             _classify_path(self.path)
         if self.services is not None and not self.services:
             raise ValueError("services must be a nonempty port set or wildcard")

@@ -11,7 +11,9 @@ controller is free, is charged the pipeline's deterministic service ticks,
 and its flow-mod batch applies at the emission tick.  A packet leaving a
 domain, retries included, picks up its handle and transfer token from the
 egress gateway's forward rule, which is where augmentation happens on a real
-edge.
+edge.  Proactive pre-install follows the same rule: the next domain's
+ingress is the peer on that rule's port, and its packet-in carries that
+rule's credentials.
 """
 
 from __future__ import annotations
@@ -343,10 +345,9 @@ class Simulation:
     ) -> None:
         if result.block_batch is not None and self._install_batch(result.block_batch):
             self._record_install(result.block_batch, domain, tick, inflight.packet)
-        if not result.installed:
+        if result.batch is None:
             self._finish(inflight.record, result.reason, domain)
             return
-        assert result.batch is not None
         if not self._install_batch(result.batch):
             self._finish(inflight.record, "TABLE_FULL", domain)
             return
@@ -364,22 +365,22 @@ class Simulation:
             src = self.world.hosts[item.src_host]
             dst_ip = self._resolve_dst(item.dst)
             packet = self._make_packet(src, dst_ip, item, item.port, item.at)
-            domain = self.world.host_domain[item.src_host]
-            ingress = src.switch
-            entry_peer = src.id
+            ingress, entry_peer = src.switch, src.id
             handle = ptt = None
-            for _hop in range(len(self.scenario.domains) + 1):
-                ctrl = self.world.controllers[domain]
+            # each hop extends the handle by a domain it has not visited, so
+            # the walk ends within one hop per domain
+            while True:
+                ctrl = self.world.controllers[self.world.switch_domain[ingress]]
                 result = ctrl.handle_packet_in(packet, ingress, entry_peer, item.at, handle, ptt, defense=False)
-                if not result.installed or not self._install_batch(result.batch):
+                if result.batch is None or not self._install_batch(result.batch):
                     break
                 self._counters["proactive_installs"] += len(result.batch)
-                if result.next_as is None:
-                    break
-                entry_peer = result.egress_switch
-                ingress = gateway_name(result.next_as, domain)
-                handle, ptt = result.handle_out, result.ptt_out
-                domain = result.next_as
+                egress = next(((s, rule) for s, rule in result.batch.installs if rule.handle is not None), None)
+                if egress is None:
+                    break  # the flow ends in this domain
+                entry_peer, rule = egress
+                ingress = self.world.switches[entry_peer].ports[rule.out_port]
+                handle, ptt = rule.handle, rule.ptt
 
     # --- main loop -------------------------------------------------------------
 

@@ -141,7 +141,6 @@ class TopologyRepository:
     """What one controller knows about the rest of the world, plus its own
     switch fabric.  Rebuilt atomically by :func:`probe_topology`."""
 
-    owner_as: str
     entries: dict[str, TopologyEntry] = field(default_factory=dict)
     intra_graph: SwitchGraph = field(default_factory=SwitchGraph)
 
@@ -149,7 +148,7 @@ class TopologyRepository:
         return sorted(as_id for as_id, entry in self.entries.items() if entry.hops == 1)
 
     def domain_for_ip(self, ip) -> str | None:
-        """Domain whose advertised subnet contains ``ip`` (the owner included)."""
+        """Domain whose advertised subnet contains ``ip``; the owner is not an entry."""
         for as_id in sorted(self.entries):
             entry = self.entries[as_id]
             if entry.subnet is not None and ip in entry.subnet:
@@ -170,10 +169,7 @@ def probe_topology(
     """
     if max_ttl < 1:
         raise ValueError("max_ttl must be >= 1")
-    repo = TopologyRepository(
-        owner_as=owner_as,
-        intra_graph=intra_graph if intra_graph is not None else SwitchGraph(),
-    )
+    repo = TopologyRepository(intra_graph=intra_graph if intra_graph is not None else SwitchGraph())
     distances: dict[str, int] = {owner_as: 0}
     frontier = [owner_as]
     while frontier:

@@ -245,3 +245,10 @@ def dfs_all_paths(adjacency, src, dst, allowed):
 
     walk(src, [src])
     return sorted(out, key=lambda p: (len(p), p))
+
+
+def egress_hop(world, batch):
+    """Where a flow admitted by ``batch`` goes next, read off its one rule
+    that carries a handle: ``(gateway, peer gateway, rule)``."""
+    [(switch, rule)] = [(switch, rule) for switch, rule in batch.installs if rule.handle is not None]
+    return switch, world.switches[switch].ports[rule.out_port], rule

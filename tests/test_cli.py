@@ -40,6 +40,16 @@ def test_validate_rejects_duplicate_policy_id_with_field_path(tmp_path, capsys, 
     assert "$.domains[0].policies[2]: duplicate id 'p', first at position 0" in capsys.readouterr().err
 
 
+def test_validate_rejects_repeated_path_element_with_field_path(tmp_path, capsys):
+    doc = json.loads(bundled_scenario_path("intra_service_paths").read_text())
+    policies = doc["domains"][0]["policies"]
+    policies[0] = policies[0].replace("(SW1;SW5;SW4)", "(SW1;SW5;SW4;SW3;SW4)")
+    bad = tmp_path / "repeat.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert "$.domains[0].policies[0]: policy expression '3': path repeats an element" in capsys.readouterr().err
+
+
 def test_run_emits_table(capsys):
     assert main(["run", "minimal"]) == 0
     out = capsys.readouterr().out

@@ -8,6 +8,8 @@ from sdnsec.interdomain import mint_handle
 from sdnsec.scenario import bundled_scenario_path, load_scenario
 from sdnsec.simulation import build_world
 
+from helpers import egress_hop
+
 
 def make_packet(src="10.0.0.2", dst="192.168.52.72", port=443, ptype="HTTPS"):
     return Packet(
@@ -57,22 +59,19 @@ def test_empty_repository_is_default_deny(transit_world):
     ctrl = transit_world.controllers["AS1"]
     ctrl.policy_repo = []
     result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
-    assert not result.installed
+    assert result.batch is None
     assert result.reason == DropReason.POLICY
 
 
 def test_admitted_flow_installs_and_pins_exit(transit_world):
     ctrl = transit_world.controllers["AS1"]
     result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
-    assert result.installed
-    assert result.next_as is not None  # leaves the domain
-    assert result.next_as == "AS2"
-    assert result.egress_switch == "1SW2"
-    assert result.matched_pe == "1"
-    assert result.handle_out is not None
-    assert result.handle_out.visited == ("AS1",)
-    assert result.ptt_out is not None
-    assert [c.text() for c in result.ptt_out.constraints] == ["SL2+="]
+    assert ctrl.events[-1].matched_pe == "1"
+    # the pinned exit's forward rule leads into AS2 and carries the credentials
+    gateway, peer, rule = egress_hop(transit_world, result.batch)
+    assert (gateway, peer) == ("1SW2", "2SW1")
+    assert rule.handle.visited == ("AS1",)
+    assert [c.text() for c in rule.ptt.constraints] == ["SL2+="]
 
 
 def test_every_batch_names_its_decision(transit_world):
@@ -86,7 +85,7 @@ def test_no_flow_mod_for_denied_context(transit_world):
     ctrl = transit_world.controllers["AS1"]
     result = ctrl.handle_packet_in(make_packet(port=22, ptype="SSH"), "S1A", "X", 0)
     assert result.batch is None
-    assert not result.installed
+    assert result.reason == DropReason.POLICY
 
 
 def test_unknown_destination_is_dropped(transit_world):
@@ -100,7 +99,7 @@ def test_tampered_handle_dropped_in_pipeline(transit_world):
     packet = make_packet()
     forged = mint_handle(packet.flow_id, "AS1", b"wrong-key")
     result = ctrl.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=forged)
-    assert not result.installed
+    assert result.batch is None
     assert result.reason == DropReason.HANDLE_INVALID
 
 
@@ -108,8 +107,8 @@ def test_baseline_mode_allows_everything(transit_world):
     ctrl = transit_world.controllers["AS1"]
     ctrl.enforcement_enabled = False
     result = ctrl.handle_packet_in(make_packet(port=22, ptype="SSH"), "S1A", "X", 0)
-    assert result.installed
-    assert result.matched_pe == "baseline"
+    assert result.batch.provenance == "baseline"
+    assert ctrl.events[-1].matched_pe == "baseline"
 
 
 def test_enforcement_latency_exceeds_baseline(transit_world):

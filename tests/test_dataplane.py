@@ -53,7 +53,7 @@ def test_installed_rule_forwards():
     sw.install(forward(100, 2, packet_type="HTTP"))
     outcome = sw.process_packet(make_packet())
     assert outcome.kind == "forwarded"
-    assert outcome.out_port == 2
+    assert outcome.rule.out_port == 2
     assert outcome.peer == "peer-b"
 
 
@@ -81,7 +81,8 @@ def test_priority_wins_over_insertion_order():
     sw.install(forward(10, 1))
     sw.install(forward(50, 2, packet_type="HTTP"))
     outcome = sw.process_packet(make_packet())
-    assert outcome.out_port == 2
+    assert outcome.rule.out_port == 2
+    assert outcome.peer == "high"
 
 
 def test_reinstall_same_rule_is_idempotent():

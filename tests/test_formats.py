@@ -245,6 +245,8 @@ def test_leading_zero_addresses_normalize():
 
 
 # An empty set would match nothing, and both serializers print it as "*".
+# A path naming a switch twice would be cut short where the later rule on
+# that switch replaces the earlier one.
 @pytest.mark.parametrize(
     "column, position, text",
     [
@@ -252,8 +254,9 @@ def test_leading_zero_addresses_normalize():
         ("services", 10, "(80, 90-85)"),
         ("services", 10, "(;)"),
         ("secprof", 11, "(;)"),
+        ("seq", 12, "(SW1;SW5;SW4;SW3;SW4)"),
     ],
-    ids=["reversed-range", "reversed-range-in-list", "empty-services", "empty-secprof"],
+    ids=["reversed-range", "reversed-range-in-list", "empty-services", "empty-secprof", "repeated-path"],
 )
 def test_empty_or_reversed_sets_rejected(column, position, text):
     fields = ["*"] * 13

@@ -17,6 +17,8 @@ from sdnsec.interdomain import (
     verify_ptt,
 )
 
+from helpers import egress_hop
+
 KEYS = {"AS1": b"key-as1", "AS2": b"key-as2", "AS3": b"key-as3"}
 
 
@@ -183,14 +185,14 @@ def test_transit_packet_in_classifies_transit_and_drop():
     handle = mint_handle(packet.flow_id, "AS1", as1.handle_key)
     ptt = mint_ptt(packet.flow_id, "AS1", (label_geq(2),), as1.handle_key)
     result = as2.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle, ptt=ptt)
-    assert result.installed
-    assert result.next_as is not None  # leaves the domain
-    assert result.next_as == "AS3"
-    assert result.handle_out.visited == ("AS1", "AS2")
+    # transit: the egress rule leads on into AS3 with the extended handle
+    gateway, peer, rule = egress_hop(world, result.batch)
+    assert (gateway, peer) == ("2SW3", "3SW2")
+    assert rule.handle.visited == ("AS1", "AS2")
     # a handle tagged under a key other than AS1's is refused
     foreign = mint_handle(packet.flow_id, "AS1", KEYS["AS1"])
     refused = as2.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=foreign)
-    assert not refused.installed
+    assert refused.batch is None
     assert refused.reason == "HANDLE_INVALID"
 
 
