@@ -146,9 +146,13 @@ class ControllerEvent:
 BASELINE = Decision(Action.ALLOW, matched_pe="baseline")
 
 
+# a match is immutable, so every switch's ARP rule shares this one
+_ARP_MATCH = FlowMatch(packet_type="ARP")
+
+
 def arp_discovery_rule() -> FlowRule:
     """Default controller-installed entry for network discovery traffic."""
-    return FlowRule(FlowMatch(packet_type="ARP"), ActionKind.TO_CONTROLLER, ARP_RULE_PRIORITY)
+    return FlowRule(_ARP_MATCH, ActionKind.TO_CONTROLLER, ARP_RULE_PRIORITY)
 
 
 def synthesize_rules(

@@ -1,7 +1,13 @@
 """Simulated match-action switches: flow tables, lookup and table-miss events.
 
-A switch owns a priority-ordered flow table.  An arriving packet executes the
-highest-priority matching rule; a miss raises a packet-in for the controller.
+A switch keeps its flow table as a tuple space (Srinivasan, Suri & Varghese,
+SIGCOMM 1999; the megaflow classifier of Open vSwitch): one hash table per
+wildcard mask, the set of match fields a rule fixes.  A lookup probes each
+mask once with the packet's values for that mask's fields, so its cost grows
+with the number of masks (three in a simulated run: ARP, flow and block
+rules), not with the number of rules.  An arriving packet executes the
+highest-priority matching rule, and among equal priorities the one installed
+first; a miss raises a packet-in for the controller.
 The packet-in carries the packet, so the switch buffers nothing.  A forward
 rule at a domain's egress gateway also carries the flow's handle and
 transfer token, which the switch adds to the packet as it leaves.  All
@@ -10,9 +16,10 @@ mutation happens on the simulation loop's thread.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from ipaddress import IPv4Address
+from itertools import count
+from operator import attrgetter
 
 from .interdomain import Handle, PolicyTransferToken
 from .labels import SecurityLabel
@@ -22,6 +29,7 @@ __all__ = [
     "ActionKind",
     "FlowMatch",
     "FlowRule",
+    "FlowTable",
     "ForwardOutcome",
     "Packet",
     "Switch",
@@ -58,6 +66,13 @@ class Packet:
         return derive_flow_id(self.src_ip, self.dst_ip, self.ip_proto, self.service_port)
 
 
+# the match fields a Packet carries too, under the same names
+_HEADER_FIELDS = ("src_ip", "dst_ip", "src_mac", "dst_mac", "ip_proto", "service_port", "packet_type")
+
+# the header fields a match fixes, and whether it fixes in_port
+_Mask = tuple[tuple[str, ...], bool]
+
+
 @dataclass(frozen=True)
 class FlowMatch:
     """Wildcardable subset of packet header fields (None matches anything)."""
@@ -70,22 +85,16 @@ class FlowMatch:
     service_port: int | None = None
     packet_type: str | None = None
     in_port: int | None = None
+    # this match's table in a switch's tuple space, worked out once per match
+    mask: _Mask = field(init=False, repr=False, compare=False)
 
-    def matches(self, packet: Packet, in_port: int | None = None) -> bool:
-        return (
-            (self.src_ip is None or self.src_ip == packet.src_ip)
-            and (self.dst_ip is None or self.dst_ip == packet.dst_ip)
-            and (self.src_mac is None or self.src_mac == packet.src_mac)
-            and (self.dst_mac is None or self.dst_mac == packet.dst_mac)
-            and (self.ip_proto is None or self.ip_proto == packet.ip_proto)
-            and (self.service_port is None or self.service_port == packet.service_port)
-            and (self.packet_type is None or self.packet_type == packet.packet_type)
-            and (self.in_port is None or self.in_port == in_port)
-        )
+    def __post_init__(self) -> None:
+        fixed = tuple(name for name in _HEADER_FIELDS if getattr(self, name) is not None)
+        object.__setattr__(self, "mask", (fixed, self.in_port is not None))
 
     def text(self) -> str:
         parts = []
-        for name in ("src_ip", "dst_ip", "src_mac", "dst_mac", "ip_proto", "service_port", "packet_type", "in_port"):
+        for name in _HEADER_FIELDS + ("in_port",):
             value = getattr(self, name)
             parts.append(f"{name}={value if value is not None else '*'}")
         return " ".join(parts)
@@ -141,6 +150,43 @@ class SwitchStats:
     packet_ins: int = 0
 
 
+def _no_fields(_item: object) -> tuple[()]:
+    return ()
+
+
+class _MaskTable:
+    """The rules of one wildcard mask, keyed by their values for the fields
+    the mask fixes.  An entry is ``(-priority, install number, rule)``, so the
+    least entry is the one a scan in priority order would meet first."""
+
+    __slots__ = ("header", "fixes_port", "entries")
+
+    def __init__(self, mask: _Mask):
+        fields, self.fixes_port = mask
+        self.header = attrgetter(*fields) if fields else _no_fields
+        self.entries: dict[object, tuple[int, int, FlowRule]] = {}
+
+    def key(self, item: FlowMatch | Packet, in_port: int | None) -> object:
+        """The key of a rule's match, or the probe for a packet arriving on
+        ``in_port``; a port-less probe never meets a rule that fixes one."""
+        header = self.header(item)
+        return (header, in_port) if self.fixes_port else header
+
+
+class FlowTable:
+    """A switch's rules as a tuple space: one :class:`_MaskTable` per
+    wildcard mask in use.  ``len()`` is the number of rules."""
+
+    __slots__ = ("masks", "size")
+
+    def __init__(self) -> None:
+        self.masks: dict[_Mask, _MaskTable] = {}
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+
 class Switch:
     """One forwarding element; owned by a controller over a control channel."""
 
@@ -154,8 +200,8 @@ class Switch:
         self.sec_label = sec_label
         self.capacity = capacity
         self.ports: dict[int, str] = {}
-        self.table: list[FlowRule] = []
-        self._by_match: dict[FlowMatch, FlowRule] = {}
+        self.table = FlowTable()
+        self._install_numbers = count()
         self.stats = SwitchStats()
 
     def attach(self, peer: str) -> int:
@@ -173,42 +219,52 @@ class Switch:
         raise KeyError(f"{self.id} has no port toward {peer}")
 
     def install(self, rule: FlowRule) -> None:
-        """Insert in priority position; re-installing an identical match is
-        idempotent and an identical-match rule of lower priority is replaced.
-        A new match beyond capacity raises :class:`TableFullError`."""
-        existing = self._by_match.get(rule.match)
-        if existing is not None:
-            if rule.priority < existing.priority:
-                return
-            carried = replace(rule, packets=existing.packets, bytes=existing.bytes)
-            self._by_match[rule.match] = carried
-            if rule.priority == existing.priority:
-                self.table[self.table.index(existing)] = carried
-            else:
-                self.table.remove(existing)
-                self._insort(carried)
+        """File ``rule`` under its match's mask and values.  A rule for an
+        installed match replaces it and keeps its packet and byte counters,
+        unless its priority is lower, when it is ignored.  At equal priority
+        the replacement keeps the old rule's place among equal priorities,
+        so re-installing a rule is idempotent; at higher priority it counts
+        as newly installed.  A new match beyond capacity raises
+        :class:`TableFullError`."""
+        mask = rule.match.mask
+        table = self.table.masks.get(mask) or _MaskTable(mask)
+        key = table.key(rule.match, rule.match.in_port)
+        entry = (-rule.priority, next(self._install_numbers), rule)
+        # one hash of the key files a new match, the common case
+        existing = table.entries.setdefault(key, entry)
+        if existing is entry:
+            if self.table.size >= self.capacity:
+                del table.entries[key]
+                raise TableFullError(f"{self.id} flow table full ({self.capacity} entries)")
+            self.table.masks[mask] = table
+            self.table.size += 1
             return
-        if len(self.table) >= self.capacity:
-            raise TableFullError(f"{self.id} flow table full ({self.capacity} entries)")
-        self._by_match[rule.match] = rule
-        self._insort(rule)
+        _, number, old = existing
+        if rule.priority < old.priority:
+            return
+        if rule.priority > old.priority:
+            number = entry[1]
+        table.entries[key] = (-rule.priority, number, replace(rule, packets=old.packets, bytes=old.bytes))
 
     def room_for(self, matches: set[FlowMatch]) -> bool:
         """True iff installing rules with ``matches`` stays within capacity;
         a match already installed takes no new entry."""
-        new = sum(1 for match in matches if match not in self._by_match)
-        return len(self.table) + new <= self.capacity
-
-    def _insort(self, rule: FlowRule) -> None:
-        # insertion point after equal priorities keeps insertion order stable
-        index = bisect.bisect_right(self.table, -rule.priority, key=lambda r: -r.priority)
-        self.table.insert(index, rule)
+        new = 0
+        for match in matches:
+            table = self.table.masks.get(match.mask)
+            if table is None or table.key(match, match.in_port) not in table.entries:
+                new += 1
+        return self.table.size + new <= self.capacity
 
     def lookup(self, packet: Packet, in_port: int | None) -> FlowRule | None:
-        for rule in self.table:
-            if rule.match.matches(packet, in_port):
-                return rule
-        return None
+        """The highest-priority rule matching ``packet`` on ``in_port``, the
+        earliest installed among equal priorities: one probe per mask."""
+        best = None
+        for table in self.table.masks.values():
+            entry = table.entries.get(table.key(packet, in_port))
+            if entry is not None and (best is None or entry < best):
+                best = entry
+        return None if best is None else best[2]
 
     def process_packet(self, packet: Packet, in_port: int | None = None) -> ForwardOutcome:
         """Table lookup: execute the highest-priority match, else packet-in."""
@@ -230,8 +286,11 @@ class Switch:
 
 
 def flow_dump(switch: Switch) -> list[FlowRule]:
-    """Snapshot of the table in canonical order (priority desc, insertion)."""
-    return list(switch.table)
+    """Snapshot of the table in canonical order: priority descending, then
+    install order, which is also the order in which lookup breaks ties.
+    Sorted on each call; the switch keeps no ordered list."""
+    entries = [entry for table in switch.table.masks.values() for entry in table.entries.values()]
+    return [rule for _, _, rule in sorted(entries)]
 
 
 def format_flow_dump(switch: Switch) -> str:

@@ -86,7 +86,8 @@ def pad_switches(scenario: Scenario, total: int) -> Scenario:
 def chain_scenario(as_count: int, mode: str = "reactive", enforcement: bool = True) -> Scenario:
     """A source-to-destination world of ``as_count`` domains in a row, each
     with one transit switch between its gateways, used for the multi-domain
-    establishment-time experiment."""
+    establishment-time experiment.  The probe TTL is the chain's length, so
+    the source domain learns every domain's subnet."""
     from .formats import parse_ipv4, parse_network
 
     if as_count < 1:
@@ -135,6 +136,7 @@ def chain_scenario(as_count: int, mode: str = "reactive", enforcement: bool = Tr
         domains=tuple(domains),
         links=links,
         traffic=traffic,
+        max_ttl=as_count,
     )
 
 

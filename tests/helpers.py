@@ -7,10 +7,12 @@ so they stay independent of the implementation paths they check.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import replace
 from ipaddress import IPv4Address, IPv4Network
 
+from sdnsec.dataplane import FlowMatch, FlowRule, Packet, TableFullError
 from sdnsec.labels import ANY_LABEL, LabelConstraint, LabelRelation, SecurityLabel
 from sdnsec.policy import (
     Action,
@@ -252,3 +254,57 @@ def egress_hop(world, batch):
     that carries a handle: ``(gateway, peer gateway, rule)``."""
     [(switch, rule)] = [(switch, rule) for switch, rule in batch.installs if rule.handle is not None]
     return switch, world.switches[switch].ports[rule.out_port], rule
+
+
+def match_hits(match: FlowMatch, packet: Packet, in_port: int | None) -> bool:
+    """Field-by-field check: every field ``match`` fixes equals the packet's
+    (``in_port`` against the port it arrived on)."""
+    return (
+        (match.src_ip is None or match.src_ip == packet.src_ip)
+        and (match.dst_ip is None or match.dst_ip == packet.dst_ip)
+        and (match.src_mac is None or match.src_mac == packet.src_mac)
+        and (match.dst_mac is None or match.dst_mac == packet.dst_mac)
+        and (match.ip_proto is None or match.ip_proto == packet.ip_proto)
+        and (match.service_port is None or match.service_port == packet.service_port)
+        and (match.packet_type is None or match.packet_type == packet.packet_type)
+        and (match.in_port is None or match.in_port == in_port)
+    )
+
+
+def scan_lookup(rules: list[FlowRule], packet: Packet, in_port: int | None) -> FlowRule | None:
+    """The first rule of a priority-ordered table that matches: a linear
+    scan, so its cost grows with the table."""
+    for rule in rules:
+        if match_hits(rule.match, packet, in_port):
+            return rule
+    return None
+
+
+class ScanTable:
+    """Reference flow table: one list kept in priority order by a bisect
+    insort, equal priorities in install order.  Install rules follow the
+    switch's: an equal-priority re-install keeps its place, a higher-priority
+    one is removed and inserted again as the newest, a lower-priority one is
+    ignored, counters carry across a replacement, and a new match beyond
+    capacity raises :class:`TableFullError`."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.rules: list[FlowRule] = []
+
+    def install(self, rule: FlowRule) -> None:
+        existing = next((old for old in self.rules if old.match == rule.match), None)
+        if existing is not None:
+            if rule.priority < existing.priority:
+                return
+            carried = replace(rule, packets=existing.packets, bytes=existing.bytes)
+            if rule.priority == existing.priority:
+                self.rules[self.rules.index(existing)] = carried
+                return
+            self.rules.remove(existing)
+            rule = carried
+        elif len(self.rules) >= self.capacity:
+            raise TableFullError("reference table full")
+        # insertion point after equal priorities keeps install order stable
+        index = bisect.bisect_right(self.rules, -rule.priority, key=lambda r: -r.priority)
+        self.rules.insert(index, rule)

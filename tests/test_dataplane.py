@@ -3,7 +3,9 @@ from dataclasses import replace
 from ipaddress import IPv4Address
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import ScanTable, match_hits, scan_lookup
 from sdnsec.labels import SecurityLabel
 from sdnsec.dataplane import (
     ActionKind,
@@ -91,7 +93,7 @@ def test_reinstall_same_rule_is_idempotent():
     rule = forward(100, 1, packet_type="HTTP")
     sw.install(rule)
     sw.install(forward(100, 1, packet_type="HTTP"))
-    assert len(sw.table) == 1
+    assert len(flow_dump(sw)) == 1
 
 
 def test_higher_priority_replaces_identical_match():
@@ -100,10 +102,10 @@ def test_higher_priority_replaces_identical_match():
     sw.install(forward(100, 1, packet_type="HTTP"))
     sw.process_packet(make_packet())
     sw.install(forward(150, 1, packet_type="HTTP"))
-    assert len(sw.table) == 1
-    assert sw.table[0].priority == 150
+    assert len(flow_dump(sw)) == 1
+    assert flow_dump(sw)[0].priority == 150
     # counters survive the replacement so accounting stays exact
-    assert sw.table[0].packets == 1
+    assert flow_dump(sw)[0].packets == 1
 
 
 def test_table_capacity_surfaces_error():
@@ -168,7 +170,7 @@ def test_outcomes_match_linear_scan_oracle():
     def oracle(packet):
         best = None
         for rule in snapshot:  # snapshot is priority-desc, insertion-stable
-            if rule.match.matches(packet, None):
+            if match_hits(rule.match, packet, None):
                 if best is None or rule.priority > best.priority:
                     best = rule
         return best
@@ -185,10 +187,10 @@ def test_outcomes_match_linear_scan_oracle():
             assert outcome.kind == "packet_in"
         elif expected.action == ActionKind.DROP:
             assert outcome.kind == "dropped"
-            assert outcome.rule.priority == expected.priority
+            assert outcome.rule is expected
         else:
             assert outcome.kind == "forwarded"
-            assert outcome.rule.priority == expected.priority
+            assert outcome.rule is expected
 
 
 def test_counters_are_exact():
@@ -202,7 +204,95 @@ def test_counters_are_exact():
         packet = make_packet(packet_type=rng.choice(("HTTP", "SYN", "FTP")), service_port=rng.randrange(1, 500))
         sw.process_packet(packet)
         offered += 1
-    rule_hits = sum(rule.packets for rule in sw.table)
+    rule_hits = sum(rule.packets for rule in flow_dump(sw))
     # every offered packet either hit a rule or raised a packet-in
     assert rule_hits + sw.stats.packet_ins == offered
     assert sw.stats.offered == offered
+
+
+ADDRESSES = (IPv4Address("10.0.0.2"), IPv4Address("10.0.0.3"))
+MAC = "00:00:00:00:00:01"
+
+
+def maybe(values):
+    return st.one_of(st.none(), st.sampled_from(values))
+
+
+# a match fixes any subset of the fields, so the masks vary from the empty
+# one (matches everything) to all eight; MAC fields take one value, so they
+# change the mask without changing which packets match
+MATCHES = st.builds(
+    FlowMatch,
+    src_ip=maybe(ADDRESSES),
+    dst_ip=maybe(ADDRESSES),
+    src_mac=maybe((MAC,)),
+    dst_mac=maybe((MAC,)),
+    ip_proto=maybe(("tcp", "udp")),
+    service_port=maybe((80, 443)),
+    packet_type=maybe(("HTTP", "SYN")),
+    in_port=maybe((1, 2)),
+)
+PACKETS = st.builds(
+    Packet,
+    src_ip=st.sampled_from(ADDRESSES),
+    dst_ip=st.sampled_from(ADDRESSES),
+    src_mac=st.just(MAC),
+    dst_mac=st.just(MAC),
+    ip_proto=st.sampled_from(("tcp", "udp")),
+    service_port=st.sampled_from((80, 443)),
+    packet_type=st.sampled_from(("HTTP", "SYN")),
+    payload_size=st.sampled_from((64, 1500)),
+)
+
+
+@st.composite
+def table_programs(draw):
+    """A capacity and a sequence of installs and packets.  Installs draw
+    from a small pool of matches at three priorities, so re-installs at
+    equal, higher and lower priority and full tables all occur."""
+    pool = draw(st.lists(MATCHES, min_size=1, max_size=6))
+    installs = st.tuples(
+        st.just("install"),
+        st.sampled_from(pool),
+        st.sampled_from((10, 100, 200)),
+        st.sampled_from((ActionKind.FORWARD, ActionKind.DROP, ActionKind.TO_CONTROLLER)),
+    )
+    packets = st.tuples(st.just("packet"), PACKETS, st.sampled_from((None, 1, 2)))
+    return draw(st.integers(1, 6)), draw(st.lists(st.one_of(installs, packets), max_size=40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table_programs())
+def test_tuple_space_agrees_with_the_priority_scan(program):
+    capacity, ops = program
+    sw = make_switch(capacity=capacity)
+    sw.attach("peer")
+    reference = ScanTable(capacity)
+    for op in ops:
+        if op[0] == "install":
+            _, match, priority, action = op
+            rule = FlowRule(match, action, priority, out_port=1 if action == ActionKind.FORWARD else None)
+            before = {old.match: (old.packets, old.bytes) for old in flow_dump(sw)}
+            fits = sw.room_for({match})
+            for table in (sw, reference):
+                if fits:
+                    table.install(replace(rule))
+                else:
+                    with pytest.raises(TableFullError):
+                        table.install(replace(rule))
+            # the same rules in the same order, counters included
+            assert flow_dump(sw) == reference.rules
+            assert len(sw.table) == len(reference.rules)
+            if fits:
+                [installed] = [new for new in flow_dump(sw) if new.match == match]
+                assert (installed.packets, installed.bytes) == before.get(match, (0, 0))
+        else:
+            _, packet, in_port = op
+            expected = scan_lookup(reference.rules, packet, in_port)
+            found = sw.lookup(packet, in_port)
+            assert found is scan_lookup(flow_dump(sw), packet, in_port)
+            assert found == expected
+            sw.process_packet(packet, in_port)
+            if expected is not None:
+                expected.packets += 1
+                expected.bytes += packet.payload_size

@@ -59,6 +59,18 @@ def test_establishment_time_grows_with_domain_count():
         previous = flow.establishment_ticks
 
 
+@pytest.mark.parametrize("mode", ["reactive", "proactive"])
+def test_chains_longer_than_the_default_ttl_deliver(mode):
+    # past 7 domains the default probe TTL of 6 would leave AS1 without a route
+    ticks = []
+    for count, report in sweep(load("minimal").with_mode(mode), "as_count", [8, 12]):
+        flow = report.flows[0]
+        assert flow.outcome == "delivered", (count, flow.reason)
+        assert len(flow.as_path) == count
+        ticks.append(flow.establishment_ticks)
+    assert ticks[0] < ticks[1]
+
+
 def test_chain_scenario_shape():
     scenario = chain_scenario(3)
     assert [d.id for d in scenario.domains] == ["AS1", "AS2", "AS3"]
