@@ -19,7 +19,7 @@ world = ASGraph()
 labels = {"AS1": 2, "AS2": 3, "AS3": 2, "AS4": 4, "AS5": 1}
 for index, (as_id, rank) in enumerate(sorted(labels.items())):
     world.add_domain(
-        ASDescriptor(as_id, IPv4Network(f"10.{index}.0.0/16"), "EDU", SecurityLabel(rank), f"C-{as_id}")
+        ASDescriptor(as_id, IPv4Network(f"10.{index}.0.0/16"), "EDU", SecurityLabel(rank))
     )
 for a, b in [("AS1", "AS2"), ("AS2", "AS3"), ("AS3", "AS4"), ("AS1", "AS5"), ("AS5", "AS4")]:
     world.add_link(a, b)

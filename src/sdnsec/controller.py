@@ -289,9 +289,7 @@ class Controller:
             return self.as_id
         return self.topo.domain_for_ip(ip)
 
-    def build_context(
-        self, packet: Packet, ingress: str, handle: Handle | None, tick: int
-    ) -> FlowContext:
+    def build_context(self, packet: Packet, handle: Handle | None, tick: int) -> FlowContext:
         if handle is not None:
             src_domain = handle.origin_as
             traversed = handle.visited
@@ -312,7 +310,6 @@ class Controller:
             timestamp=tick,
             user=self.user_bindings.get(packet.src_mac.lower()),
             traversed_path=traversed,
-            ingress_switch=ingress,
         )
 
     # --- pipeline --------------------------------------------------------------
@@ -407,7 +404,7 @@ class Controller:
                     )
                 )
 
-        ctx = self.build_context(packet, ingress, handle, tick)
+        ctx = self.build_context(packet, handle, tick)
         decision = BASELINE
         if self.enforcement_enabled:
             ticks += self.costs.per_pe * len(self.policy_repo)

@@ -60,10 +60,13 @@ class Packet:
     packet_type: str
     payload_size: int = 64
     timestamp: int = 0
+    # derived from the 5-tuple once per packet; the controller reads it often
+    flow_id: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def flow_id(self) -> str:
-        return derive_flow_id(self.src_ip, self.dst_ip, self.ip_proto, self.service_port)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "flow_id", derive_flow_id(self.src_ip, self.dst_ip, self.ip_proto, self.service_port)
+        )
 
 
 # the match fields a Packet carries too, under the same names

@@ -84,7 +84,6 @@ class FloodMonitor:
     ):
         if window_ticks < 1:
             raise ValueError("window must be at least one tick")
-        self.cap = cap
         self.response = response
         self.window_ticks = window_ticks
         self.tsw, self.thost = compute_thresholds(cap)

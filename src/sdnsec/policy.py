@@ -235,7 +235,6 @@ class FlowContext:
     timestamp: int
     user: str | None = None
     traversed_path: tuple[str, ...] = ()
-    ingress_switch: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "src_mac", normalize_mac(self.src_mac))

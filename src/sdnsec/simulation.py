@@ -53,7 +53,6 @@ class World:
     switch_domain: dict[str, str]
     controllers: dict[str, Controller]
     hosts: dict[str, HostSpec]
-    host_domain: dict[str, str]
     hosts_by_ip: dict[IPv4Address, HostSpec]
 
 
@@ -66,7 +65,6 @@ def build_world(scenario: Scenario, costs: CostModel = CostModel()) -> World:
                 subnet=domain.subnet,
                 as_type=domain.as_type,
                 sec_label=domain.label,
-                controller_id=f"C-{domain.id}",
             )
         )
     for a, b in scenario.links:
@@ -96,13 +94,11 @@ def build_world(scenario: Scenario, costs: CostModel = CostModel()) -> World:
         switches[ab].attach(ba)
         switches[ba].attach(ab)
     hosts: dict[str, HostSpec] = {}
-    host_domain: dict[str, str] = {}
     hosts_by_ip: dict[IPv4Address, HostSpec] = {}
     for domain in scenario.domains:
         for host in domain.hosts:
             switches[host.switch].attach(host.id)
             hosts[host.id] = host
-            host_domain[host.id] = domain.id
             hosts_by_ip[host.ip] = host
 
     for switch in switches.values():
@@ -152,7 +148,6 @@ def build_world(scenario: Scenario, costs: CostModel = CostModel()) -> World:
         switch_domain=switch_domain,
         controllers=controllers,
         hosts=hosts,
-        host_domain=host_domain,
         hosts_by_ip=hosts_by_ip,
     )
 

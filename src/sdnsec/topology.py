@@ -6,8 +6,10 @@ security label and addressing, and the answers become the controller's
 topology repository.  Path search then runs over the domain graph, which is
 the union of every controller's hop-1 entries (domain level), or over a
 domain's own switch graph (intra level), filtering every element through a
-label constraint.  A domain route is one breadth-first search, linear in the
-size of the domain graph; it never enumerates alternative paths.
+label constraint.  Both levels share one breadth-first search, linear in
+the size of the graph, that checks each label at most once and never
+enumerates alternative paths.  Of the shortest satisfying paths it returns
+the least by (hand-off bits, names); domain routes have no hand-off bits.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class ASDescriptor:
     subnet: IPv4Network
     as_type: str
     sec_label: SecurityLabel
-    controller_id: str
 
 
 @dataclass(frozen=True)
@@ -105,20 +106,20 @@ class SwitchGraph:
 
     def __init__(self) -> None:
         self._labels: dict[str, SecurityLabel] = {}
-        self._adjacency: dict[str, set[str]] = {}
+        self._adjacency: dict[str, tuple[str, ...]] = {}  # sorted
 
     def add_switch(self, switch_id: str, label: SecurityLabel) -> None:
         if switch_id in self._labels:
             raise ValueError(f"duplicate switch {switch_id}")
         self._labels[switch_id] = label
-        self._adjacency[switch_id] = set()
+        self._adjacency[switch_id] = ()
 
     def add_link(self, a: str, b: str) -> None:
         for end in (a, b):
             if end not in self._labels:
                 raise KeyError(f"unknown switch {end}")
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
+        self._adjacency[a] = tuple(sorted({*self._adjacency[a], b}))
+        self._adjacency[b] = tuple(sorted({*self._adjacency[b], a}))
 
     def __contains__(self, switch_id: str) -> bool:
         return switch_id in self._labels
@@ -129,8 +130,8 @@ class SwitchGraph:
     def label(self, switch_id: str) -> SecurityLabel:
         return self._labels[switch_id]
 
-    def neighbors(self, switch_id: str) -> list[str]:
-        return sorted(self._adjacency[switch_id])
+    def neighbors(self, switch_id: str) -> tuple[str, ...]:
+        return self._adjacency[switch_id]
 
     def adjacent(self, a: str, b: str) -> bool:
         return b in self._adjacency.get(a, ())
@@ -195,16 +196,47 @@ def probe_topology(
     return repo
 
 
+def _least_shortest_path(neighbors, src: str, dst: str, accepts, handoff=None) -> tuple[str, ...] | None:
+    """The least shortest path src..dst whose transit nodes pass ``accepts``
+    (asked at most once per node, never of an endpoint), or None.
+
+    Paths compare by the bits ``handoff(a, b)`` gives each hop a->b, then by
+    names.  The search from ``dst`` keeps each node's least shortest suffix
+    toward ``dst``; that is exact because two shortest paths through one
+    node compare the way their suffixes from it do.
+    """
+    # node -> (hand-off bits, names) of its least suffix to dst
+    best: dict[str, tuple[tuple, tuple[str, ...]]] = {dst: ((), (dst,))}
+    refused: set[str] = set()
+    frontier = [dst]
+    # level by level; the search ends at the source's level, so the source
+    # is never expanded as a transit node
+    while frontier and src not in best:
+        level: dict[str, tuple[tuple, tuple[str, ...]]] = {}
+        for node in frontier:
+            bits, names = best[node]
+            for neighbor in neighbors(node):
+                if neighbor in best or neighbor in refused:
+                    continue
+                if neighbor not in level and neighbor != src and not accepts(neighbor):
+                    refused.add(neighbor)
+                    continue
+                key = ((handoff(neighbor, node), *bits) if handoff else bits, (neighbor, *names))
+                if neighbor not in level or key < level[neighbor]:
+                    level[neighbor] = key
+        best.update(level)
+        frontier = list(level)
+    return best[src][1] if src in best else None
+
+
 def find_as_paths(graph: ASGraph, src_as: str, dst_as: str, constraint=ANY_LABEL) -> list[tuple[str, ...]]:
     """The domain route src..dst in ``graph`` whose transit domains satisfy
     the constraint: ``[route]``, or ``[]`` when there is none.
 
-    The route is the shortest such path, ties broken by the smallest domain
-    id at each hop in string order, so it is the first of all satisfying
-    simple paths ordered by (length, lexicographic).  One breadth-first
-    search from ``dst_as`` over satisfying domains gives every domain's
-    distance, then a walk from ``src_as`` takes at each hop the first
-    neighbor one step closer: O(domains + links), each label checked once.
+    The route is the shortest such path, ties broken by domain ids in string
+    order, so it is the first of all satisfying simple paths ordered by
+    (length, lexicographic).  It is the search ``find_switch_path`` runs,
+    without hand-off bits: O(domains + links), each label checked once.
 
     ``graph`` is the world's domain graph, the union of what every
     controller's probes find at hop 1.  Endpoints are not filtered: the
@@ -215,69 +247,10 @@ def find_as_paths(graph: ASGraph, src_as: str, dst_as: str, constraint=ANY_LABEL
         raise ValueError("source and destination domain must differ")
     if src_as not in graph or dst_as not in graph:
         return []
-    distance = {dst_as: 0}
-    refused: set[str] = set()
-    frontier = [dst_as]
-    # level by level; the search ends at the source's level, so the source,
-    # an endpoint, is never expanded as a transit domain
-    while frontier and src_as not in distance:
-        next_frontier = []
-        for node in frontier:
-            for neighbor in graph.neighbors(node):
-                if neighbor in distance or neighbor in refused:
-                    continue
-                if neighbor != src_as and not constraint.satisfies(graph.descriptor(neighbor).sec_label):
-                    refused.add(neighbor)
-                    continue
-                distance[neighbor] = distance[node] + 1
-                next_frontier.append(neighbor)
-        frontier = next_frontier
-    if src_as not in distance:
-        return []
-    route = [src_as]
-    while route[-1] != dst_as:
-        closer = distance[route[-1]] - 1
-        route.append(next(n for n in graph.neighbors(route[-1]) if distance.get(n) == closer))
-    return [tuple(route)]
-
-
-def _shortest_valid_paths(graph: SwitchGraph, ingress: str, egress: str, constraint) -> list[tuple[str, ...]]:
-    if not constraint.satisfies(graph.label(ingress)) or not constraint.satisfies(graph.label(egress)):
-        return []
-    if ingress == egress:
-        return [(ingress,)]
-    best: dict[str, int] = {ingress: 0}
-    paths: list[tuple[str, ...]] = []
-    shortest: int | None = None
-    queue: list[tuple[str, tuple[str, ...]]] = [(ingress, (ingress,))]
-    while queue:
-        node, trail = queue.pop(0)
-        if shortest is not None and len(trail) > shortest:
-            break
-        for neighbor in graph.neighbors(node):
-            if neighbor in trail or not constraint.satisfies(graph.label(neighbor)):
-                continue
-            extended = trail + (neighbor,)
-            if neighbor == egress:
-                if shortest is None:
-                    shortest = len(extended)
-                if len(extended) == shortest:
-                    paths.append(extended)
-                continue
-            if best.get(neighbor, len(extended)) >= len(extended):
-                best[neighbor] = len(extended)
-                queue.append((neighbor, extended))
-    return paths
-
-
-def _handoff_key(graph: SwitchGraph, path: tuple[str, ...]) -> tuple[int, ...]:
-    # the preferred hand-off at each step is toward an equally or more
-    # trusted neighbor (label(S_i) <= label(S_i+1)); earlier steps dominate,
-    # mirroring a greedy neighbor choice
-    return tuple(
-        0 if graph.label(a).rank <= graph.label(b).rank else 1
-        for a, b in zip(path, path[1:])
+    route = _least_shortest_path(
+        graph.neighbors, src_as, dst_as, lambda as_id: constraint.satisfies(graph.descriptor(as_id).sec_label)
     )
+    return [route] if route else []
 
 
 def find_switch_path(
@@ -291,10 +264,12 @@ def find_switch_path(
 
     With ``required``, the explicit path is validated (hops exist, are
     adjacent, span ingress to egress, and every switch satisfies the
-    constraint) and returned verbatim.  Otherwise the shortest satisfying
-    path wins; among equals, paths with fewer violations of the
-    nondecreasing-label hand-off rule are preferred, then the
-    lexicographically smallest.
+    constraint) and returned verbatim.  Otherwise the shortest path whose
+    switches, ends included, satisfy the constraint wins.  Among equals the
+    least tuple of hand-off bits wins, one bit per hop, set when it hands off
+    to a less trusted switch (the rule is nondecreasing labels; earlier hops
+    dominate), then the lexicographically smallest.  It is the search
+    ``find_as_paths`` runs, so each label is checked at most once.
     """
     for end in (ingress, egress):
         if end not in graph:
@@ -313,8 +288,12 @@ def find_switch_path(
             if not graph.adjacent(a, b):
                 raise NoPathError(f"required path hop {a}-{b} is not a link")
         return tuple(required)
-    candidates = _shortest_valid_paths(graph, ingress, egress, constraint)
-    if not candidates:
+    satisfies = lambda switch: constraint.satisfies(graph.label(switch))
+    path = None
+    if satisfies(ingress) and satisfies(egress):
+        path = (ingress,) if ingress == egress else _least_shortest_path(
+            graph.neighbors, ingress, egress, satisfies, lambda a, b: graph.label(a).rank > graph.label(b).rank
+        )
+    if path is None:
         raise NoPathError(f"no path {ingress}..{egress} satisfies the constraint")
-    candidates.sort(key=lambda path: (_handoff_key(graph, path), path))
-    return candidates[0]
+    return path

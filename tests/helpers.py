@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from collections import deque
 from dataclasses import replace
 from ipaddress import IPv4Address, IPv4Network
 
@@ -247,6 +248,52 @@ def dfs_all_paths(adjacency, src, dst, allowed):
 
     walk(src, [src])
     return sorted(out, key=lambda p: (len(p), p))
+
+
+def shortest_switch_paths(graph, ingress, egress, constraint) -> list[tuple[str, ...]]:
+    """Every shortest path ingress..egress whose switches, ends included,
+    satisfy ``constraint``: breadth-first enumeration of whole paths, one
+    per queue entry, so its cost grows with the number of equal-length
+    paths.  This was the switch-path search before the shared route search."""
+    if not constraint.satisfies(graph.label(ingress)) or not constraint.satisfies(graph.label(egress)):
+        return []
+    if ingress == egress:
+        return [(ingress,)]
+    best = {ingress: 0}
+    paths = []
+    shortest = None
+    queue = deque([(ingress, (ingress,))])
+    while queue:
+        node, trail = queue.popleft()
+        if shortest is not None and len(trail) > shortest:
+            break
+        for neighbor in graph.neighbors(node):
+            if neighbor in trail or not constraint.satisfies(graph.label(neighbor)):
+                continue
+            extended = trail + (neighbor,)
+            if neighbor == egress:
+                if shortest is None:
+                    shortest = len(extended)
+                if len(extended) == shortest:
+                    paths.append(extended)
+                continue
+            if best.get(neighbor, len(extended)) >= len(extended):
+                best[neighbor] = len(extended)
+                queue.append((neighbor, extended))
+    return paths
+
+
+def handoff_bits(graph, path) -> tuple[int, ...]:
+    """One bit per hop, 1 when it hands off to a less trusted switch."""
+    return tuple(0 if graph.label(a).rank <= graph.label(b).rank else 1 for a, b in zip(path, path[1:]))
+
+
+def least_switch_path(graph, ingress, egress, constraint) -> tuple[str, ...] | None:
+    """The switch path the tie rule picks: the first of the shortest
+    satisfying paths sorted by (hand-off bits, path), or None."""
+    paths = shortest_switch_paths(graph, ingress, egress, constraint)
+    paths.sort(key=lambda path: (handoff_bits(graph, path), path))
+    return paths[0] if paths else None
 
 
 def egress_hop(world, batch):

@@ -17,7 +17,7 @@ from sdnsec.topology import (
     probe_topology,
 )
 
-from helpers import dfs_all_paths, link_adjacency
+from helpers import dfs_all_paths, least_switch_path, link_adjacency, shortest_switch_paths
 
 
 def make_world(links, labels=None, domains=()):
@@ -31,7 +31,6 @@ def make_world(links, labels=None, domains=()):
                 subnet=IPv4Network(f"10.{index}.0.0/16"),
                 as_type="EDU",
                 sec_label=SecurityLabel(labels.get(as_id, 2)),
-                controller_id=f"C-{as_id}",
             )
         )
     for a, b in links:
@@ -79,7 +78,7 @@ def test_probe_respects_ttl_horizon():
 def test_probe_single_domain_world():
     world = ASGraph()
     world.add_domain(
-        ASDescriptor("AS1", IPv4Network("10.0.0.0/16"), "EDU", SecurityLabel(2), "C-AS1")
+        ASDescriptor("AS1", IPv4Network("10.0.0.0/16"), "EDU", SecurityLabel(2))
     )
     repo = probe_topology(world, "AS1", max_ttl=4)
     assert repo.entries == {}
@@ -189,14 +188,16 @@ def test_route_is_first_of_all_satisfying_paths(data):
 
 
 class CountingConstraint:
-    """Refuses even ranks and counts the labels it is asked about."""
+    """Accepts the ranks ``accepts`` passes (odd ones by default) and counts
+    the labels it is asked about."""
 
-    def __init__(self):
+    def __init__(self, accepts=lambda rank: rank % 2 == 1):
+        self.accepts = accepts
         self.checked = Counter()
 
     def satisfies(self, label):
         self.checked[label.rank] += 1
-        return label.rank % 2 == 1
+        return self.accepts(label.rank)
 
 
 def test_full_mesh_route_checks_each_label_at_most_once():
@@ -326,16 +327,22 @@ def dijkstra_filtered_length(adjacency, labels, src, dst, allowed):
     return None
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_switch_path_matches_filtered_shortest_path_oracle(data):
-    n = 5
+    # seven switches of three ranks and at least nine links, so that a run
+    # draws many graphs with several shortest paths, equal hand-off bits
+    # among them, and paths the bits decide; a direct link between the ends
+    # leaves one shortest path, so only one graph in five has it
+    n = 7
     names = [f"SW{i}" for i in range(1, n + 1)]
     ranks = {name: data.draw(st.integers(1, 3), label=name) for name in names}
-    possible = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    possible = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if (a, b) != ("SW1", f"SW{n}")]
     links = data.draw(
-        st.lists(st.sampled_from(possible), min_size=n - 1, max_size=len(possible), unique=True)
+        st.lists(st.sampled_from(possible), min_size=n + 2, max_size=len(possible), unique=True)
     )
+    if data.draw(st.integers(0, 4), label="direct") == 0:
+        links.append(("SW1", f"SW{n}"))
     graph = switch_matrix(ranks)
     adjacency = {}
     for a, b in links:
@@ -346,12 +353,36 @@ def test_switch_path_matches_filtered_shortest_path_oracle(data):
     constraint = LabelConstraint(LabelRelation.GEQ, SecurityLabel(base))
     allowed = lambda s: ranks[s] >= base
     oracle_len = dijkstra_filtered_length(adjacency, ranks, "SW1", f"SW{n}", allowed)
+    expected = least_switch_path(graph, "SW1", f"SW{n}", constraint)
     try:
         path = find_switch_path(graph, "SW1", f"SW{n}", constraint=constraint)
     except NoPathError:
-        assert oracle_len is None
+        assert oracle_len is None and expected is None
         return
     assert oracle_len is not None
+    assert path == expected
     assert len(path) - 1 == oracle_len
     assert len(set(path)) == len(path)
     assert all(allowed(s) for s in path)
+
+
+def test_grid_switch_path_checks_each_label_at_most_once():
+    # an 8x8 grid has 3,432 shortest corner-to-corner paths; enumerating
+    # them checks a label once per path prefix
+    rng = random.Random(3)
+    ranks = rng.sample(range(1, 65), 64)
+    names = {(r, c): f"SW{r}{c}" for r in range(8) for c in range(8)}
+    graph = switch_matrix({names[cell]: ranks[8 * cell[0] + cell[1]] for cell in names})
+    for (r, c), name in names.items():
+        if r < 7:
+            graph.add_link(name, names[r + 1, c])
+        if c < 7:
+            graph.add_link(name, names[r, c + 1])
+    constraint = CountingConstraint(accepts=lambda rank: rank > 6)
+    path = find_switch_path(graph, "SW00", "SW77", constraint=constraint)
+    window = LabelConstraint(LabelRelation.GEQ, SecurityLabel(7))
+    assert path == least_switch_path(graph, "SW00", "SW77", window) and len(path) == 15
+    # the hand-off bits, not the names, chose among the shortest paths
+    assert path != min(shortest_switch_paths(graph, "SW00", "SW77", window))
+    assert max(constraint.checked.values()) == 1
+    assert sum(1 for rank in constraint.checked if rank <= 6) > 1  # some switches were refused
