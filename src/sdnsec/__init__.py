@@ -26,6 +26,7 @@ from .policy import (
     EndpointSelector,
     FlowContext,
     PolicyExpression,
+    PolicyIndex,
     derive_flow_id,
     match_pe,
     select_policy,
@@ -114,6 +115,7 @@ __all__ = [
     "NoPathError",
     "Packet",
     "PolicyExpression",
+    "PolicyIndex",
     "PolicyParseError",
     "PolicyTransferToken",
     "ResponseMode",

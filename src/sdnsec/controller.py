@@ -17,8 +17,11 @@ A next domain that the flow's handle has already visited is a
 back into a domain.
 
 Deterministic service cost in ticks is charged per stage so latency and
-throughput experiments are reproducible: scanning the repository costs per
-expression, path search costs per switch in the fabric, synthesis per rule.
+throughput experiments are reproducible: policy selection costs per
+expression in the repository, path search costs per switch in the fabric,
+synthesis per rule.  These ticks model the paper's controller; on the host,
+selection probes a :class:`~sdnsec.policy.PolicyIndex` and matches only
+the expressions filed under the context's values and the wildcard list.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .policy import (
     DomainInfo,
     FlowContext,
     PolicyExpression,
-    check_unique_ids,
+    PolicyIndex,
     predicates_hold,
     select_policy,
 )
@@ -251,10 +254,9 @@ class Controller:
     ):
         if not handle_key:
             raise ValueError("controller needs a nonempty handle key")
-        check_unique_ids(policy_repo)
         self.descriptor = descriptor
         self.as_id = descriptor.as_id
-        self.policy_repo = list(policy_repo)
+        self.policy_repo = PolicyIndex(policy_repo)
         self.topo = topo
         self.handle_key = handle_key
         self.as_graph = as_graph

@@ -75,12 +75,6 @@ class MetricsReport:
 
     # --- derived views -------------------------------------------------------
 
-    def delivered(self) -> list[FlowRecord]:
-        return [f for f in self.flows if f.outcome == "delivered"]
-
-    def dropped(self) -> list[FlowRecord]:
-        return [f for f in self.flows if f.outcome == "dropped"]
-
     def flow(self, src: str, dst: str) -> FlowRecord:
         for record in self.flows:
             if record.src == src and record.dst == dst:
@@ -95,17 +89,6 @@ class MetricsReport:
     def established_within(self, horizon_tick: int) -> int:
         """Flow-mod batches emitted up to the horizon (saturation measure)."""
         return sum(1 for record in self.installs if record.tick <= horizon_tick)
-
-    def installs_per_window(self, src_ip: str | None = None) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for record in self.installs:
-            if src_ip is not None and record.src_ip != src_ip:
-                continue
-            if record.provenance.startswith("defense:"):
-                continue
-            window = record.tick // self.window_ticks
-            out[window] = out.get(window, 0) + 1
-        return out
 
     def conservation_holds(self) -> bool:
         outcomes = {"delivered", "dropped"}

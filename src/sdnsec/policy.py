@@ -6,11 +6,19 @@ the path, a pinned exit switch).  Selection over a repository is
 default-deny, deny-overrides, then most-specific-allow with the smallest
 id as the final tie-break, so the outcome is a pure function of
 (repository, context).
+
+A repository is selected through a :class:`PolicyIndex`, which files each
+expression under its first exact flow id, source host, destination host or
+service port.  A selection probes those few buckets plus the wildcard list
+and runs the full match on the candidates only, so its host cost follows the
+expressions that could match, not the repository size.  The controller's
+modelled cost (``CostModel.per_pe`` ticks per expression) is unchanged.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -28,6 +36,7 @@ __all__ = [
     "EndpointSelector",
     "FlowContext",
     "PolicyExpression",
+    "PolicyIndex",
     "check_unique_ids",
     "derive_flow_id",
     "match_pe",
@@ -371,21 +380,10 @@ def check_unique_ids(pes: list[PolicyExpression]) -> None:
         first[pe.id] = position
 
 
-def select_policy(pes: list[PolicyExpression], ctx: FlowContext) -> Decision:
-    """Decide a context against one domain's repository.
-
-    No match is a deny (default deny); any matching deny wins over every
-    allow; otherwise the most specific allow is chosen, ties broken by the
-    lexicographically smallest id, and its obligations are emitted.
-    """
-    matches = [pe for pe in pes if match_pe(pe, ctx)]
-    if not matches:
-        return DENY_DEFAULT
-    denies = [pe for pe in matches if pe.action is Action.DENY]
-    if denies:
-        pe = min(denies, key=lambda p: p.id)
-        return Decision(Action.DENY, matched_pe=pe.id, reason=f"denied by {pe.id}")
-    winner = min(matches, key=lambda p: (-specificity(p), p.id))
+def _decide(winner: PolicyExpression) -> Decision:
+    """The decision a selection emits when ``winner`` is chosen."""
+    if winner.action is Action.DENY:
+        return Decision(Action.DENY, matched_pe=winner.id, reason=f"denied by {winner.id}")
     window = winner.label_window()
     if window.empty:
         return Decision(
@@ -404,3 +402,81 @@ def select_policy(pes: list[PolicyExpression], ctx: FlowContext) -> Decision:
         sec_profile=winner.sec_profile or frozenset(),
         reason=f"allowed by {winner.id}",
     )
+
+
+class PolicyIndex:
+    """One domain's repository, filed for selection.
+
+    Each expression sits in exactly one bucket family, chosen by its first
+    exact field: flow id, source host IP, destination host IP, then services
+    (one entry per port).  Expressions with none of these go to one wildcard
+    list.  A context has one value per family, so a probe sees each
+    expression at most once, and any expression that can match the context
+    is among the candidates.  Ids are unique, as in every repository.
+
+    ``len()`` is the expression count.  The winner's decision is cached per
+    id on first use.
+    """
+
+    def __init__(self, pes: Iterable[PolicyExpression]):
+        pes = list(pes)
+        check_unique_ids(pes)
+        self._count = len(pes)
+        self._by_flow: dict[str, list[PolicyExpression]] = {}
+        # host buckets are keyed by the address's integer, which hashes
+        # natively where an IPv4Address hashes in Python
+        self._by_src: dict[int, list[PolicyExpression]] = {}
+        self._by_dst: dict[int, list[PolicyExpression]] = {}
+        self._by_port: dict[int, list[PolicyExpression]] = {}
+        self._wild: list[PolicyExpression] = []
+        self._decisions: dict[str, Decision] = {}
+        for pe in pes:
+            if pe.flow_id is not None:
+                self._by_flow.setdefault(pe.flow_id, []).append(pe)
+            elif pe.source.host_ip is not None:
+                self._by_src.setdefault(int(pe.source.host_ip), []).append(pe)
+            elif pe.dest.host_ip is not None:
+                self._by_dst.setdefault(int(pe.dest.host_ip), []).append(pe)
+            elif pe.services is not None:
+                for port in pe.services:
+                    self._by_port.setdefault(port, []).append(pe)
+            else:
+                self._wild.append(pe)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def candidates(self, ctx: FlowContext) -> list[PolicyExpression]:
+        """Every expression that could match ``ctx``, each once."""
+        return [
+            *self._by_flow.get(ctx.flow_id, ()),
+            *self._by_src.get(int(ctx.src_ip), ()),
+            *self._by_dst.get(int(ctx.dst_ip), ()),
+            *self._by_port.get(ctx.service_port, ()),
+            *self._wild,
+        ]
+
+    def decision(self, winner: PolicyExpression) -> Decision:
+        """What selecting ``winner`` emits, built on its first win."""
+        decision = self._decisions.get(winner.id)
+        if decision is None:
+            decision = self._decisions[winner.id] = _decide(winner)
+        return decision
+
+
+def select_policy(repo: PolicyIndex | Iterable[PolicyExpression], ctx: FlowContext) -> Decision:
+    """Decide a context against one domain's repository.
+
+    No match is a deny (default deny); any matching deny wins over every
+    allow; otherwise the most specific allow is chosen, ties broken by the
+    lexicographically smallest id, and its obligations are emitted.  A plain
+    sequence of expressions is indexed first.
+    """
+    index = repo if isinstance(repo, PolicyIndex) else PolicyIndex(repo)
+    matches = [pe for pe in index.candidates(ctx) if match_pe(pe, ctx)]
+    if not matches:
+        return DENY_DEFAULT
+    denies = [pe for pe in matches if pe.action is Action.DENY]
+    if denies:
+        return index.decision(min(denies, key=lambda p: p.id))
+    return index.decision(min(matches, key=lambda p: (-specificity(p), p.id)))

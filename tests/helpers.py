@@ -11,19 +11,25 @@ import bisect
 import random
 from collections import deque
 from dataclasses import replace
+from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
 
 from sdnsec.dataplane import FlowMatch, FlowRule, Packet, TableFullError
 from sdnsec.labels import ANY_LABEL, LabelConstraint, LabelRelation, SecurityLabel
+from sdnsec.metrics import FlowRecord, MetricsReport
 from sdnsec.policy import (
+    DENY_DEFAULT,
     Action,
     Constraint,
     ConstraintKind,
+    Decision,
     DomainInfo,
     EndpointSelector,
     FlowContext,
     PolicyExpression,
     derive_flow_id,
+    match_pe,
+    specificity,
 )
 
 AS_IDS = ("AS1", "AS2", "AS3", "AS4")
@@ -143,6 +149,69 @@ def random_pe(rng: random.Random, pe_id: str, action: Action = Action.ALLOW) -> 
     )
 
 
+def matching_pe(rng: random.Random, ctx: FlowContext, pe_id: str) -> PolicyExpression:
+    """Random expression that matches ``ctx`` by construction: each condition
+    field is, with even odds, the wildcard or a value ``ctx`` satisfies.
+    ``user`` stays wild for a context without a user, and ``path`` is a
+    switch path (an obligation, not a condition) when nothing was traversed."""
+
+    def pick(value):
+        return value if rng.random() < 0.5 else None
+
+    def label_for(label: SecurityLabel) -> LabelConstraint:
+        relation = rng.choice((LabelRelation.GEQ, LabelRelation.LEQ, LabelRelation.EQ))
+        if relation is LabelRelation.GEQ:
+            base = rng.randrange(1, label.rank + 1)
+        elif relation is LabelRelation.LEQ:
+            base = rng.randrange(label.rank, 6)
+        else:
+            base = label.rank
+        return LabelConstraint(relation, SecurityLabel(base))
+
+    def selector(domain: DomainInfo, ip: IPv4Address, mac: str) -> EndpointSelector:
+        return EndpointSelector(
+            as_id=pick(domain.as_id),
+            subnet=pick(IPv4Network(f"{ip}/{rng.choice((8, 16, 24, 32))}", strict=False)),
+            as_type=pick(domain.as_type),
+            label_req=pick(label_for(domain.label)) or ANY_LABEL,
+            host_ip=pick(ip),
+            host_mac=pick(mac),
+        )
+
+    def constraints() -> tuple[Constraint, ...]:
+        options = (
+            Constraint(ConstraintKind.PACKET_ATTR, attr="type", value=ctx.packet_type),
+            Constraint(ConstraintKind.PACKET_ATTR, attr="port", value=str(ctx.service_port)),
+            Constraint(ConstraintKind.SIGNATURE, signature=ctx.packet_type),
+            Constraint(ConstraintKind.RATE_THRESHOLD, rate=Fraction(rng.randrange(1, 100))),
+            Constraint(ConstraintKind.LABEL_PATH, label=LabelConstraint(LabelRelation.GEQ, SecurityLabel(1))),
+        )
+        return tuple(rng.sample(options, rng.randrange(1, 3))) if rng.random() < 0.5 else ()
+
+    others = [port for port in PORTS if port != ctx.service_port]
+    start = rng.randrange(0, ctx.timestamp + 1)
+    path = ctx.traversed_path or ("SW1", "SW2")
+    return PolicyExpression(
+        id=pe_id,
+        action=Action.ALLOW,
+        flow_id=pick(ctx.flow_id),
+        source=selector(ctx.src_as, ctx.src_ip, ctx.src_mac),
+        dest=selector(ctx.dst_as, ctx.dst_ip, ctx.dst_mac),
+        user=pick(ctx.user),
+        flow_cons=constraints(),
+        dom_cons=constraints(),
+        services=pick(frozenset({ctx.service_port, *rng.sample(others, rng.randrange(0, 3))})),
+        sec_profile=pick(frozenset(rng.sample(("conf", "intg"), rng.randrange(1, 3)))),
+        path=pick(path),
+        validity=pick((start, ctx.timestamp + rng.randrange(1, 500))),
+    )
+
+
+def non_wildcard_fields(pe: PolicyExpression) -> set[str]:
+    """The ``CONDITION_FIELDS`` entries that ``pe`` does not leave wild."""
+    return {name for name in CONDITION_FIELDS if wildcarded(pe, name) != pe}
+
+
 def oracle_match(pe: PolicyExpression, ctx: FlowContext) -> bool:
     """Plain conjunction of per-field predicates, written independently."""
     checks = []
@@ -220,6 +289,56 @@ CONDITION_FIELDS = (
     "path",
     "validity",
 )
+
+
+def scan_select(pes: list[PolicyExpression], ctx: FlowContext) -> Decision:
+    """Selection by a scan of the whole repository: every expression is
+    matched, then default deny, deny-overrides with the smallest deny id,
+    otherwise the most specific allow with the smallest id.  This was
+    ``select_policy`` before the repository index."""
+    matches = [pe for pe in pes if match_pe(pe, ctx)]
+    if not matches:
+        return DENY_DEFAULT
+    denies = [pe for pe in matches if pe.action is Action.DENY]
+    if denies:
+        pe = min(denies, key=lambda p: p.id)
+        return Decision(Action.DENY, matched_pe=pe.id, reason=f"denied by {pe.id}")
+    winner = min(matches, key=lambda p: (-specificity(p), p.id))
+    window = winner.label_window()
+    if window.empty:
+        return Decision(
+            Action.DENY, matched_pe=winner.id, reason=f"unsatisfiable label constraints on {winner.id}"
+        )
+    return Decision(
+        Action.ALLOW,
+        matched_pe=winner.id,
+        path_obligation=winner.path if winner.path_is_switches else None,
+        label_window=window,
+        exit_obligation=winner.action_exit,
+        ptt_constraints=winner.delegable_constraints(),
+        rate_constraints=tuple(
+            c for c in winner.flow_cons + winner.dom_cons if c.kind is ConstraintKind.RATE_THRESHOLD
+        ),
+        sec_profile=winner.sec_profile or frozenset(),
+        reason=f"allowed by {winner.id}",
+    )
+
+
+def delivered(report: MetricsReport) -> list[FlowRecord]:
+    return [f for f in report.flows if f.outcome == "delivered"]
+
+
+def installs_per_window(report: MetricsReport, src_ip: str | None = None) -> dict[int, int]:
+    """Non-defense installs per rate window, optionally for one source."""
+    out: dict[int, int] = {}
+    for record in report.installs:
+        if src_ip is not None and record.src_ip != src_ip:
+            continue
+        if record.provenance.startswith("defense:"):
+            continue
+        window = record.tick // report.window_ticks
+        out[window] = out.get(window, 0) + 1
+    return out
 
 
 def link_adjacency(links) -> dict[str, set[str]]:

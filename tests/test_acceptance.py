@@ -6,6 +6,7 @@ pass/fail line so the suite is auditable when run headless:
 
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -23,7 +24,10 @@ from sdnsec.topology import find_as_paths
 from helpers import (
     CONDITION_FIELDS,
     dfs_all_paths,
+    installs_per_window,
     link_adjacency,
+    matching_pe,
+    non_wildcard_fields,
     oracle_match,
     random_ctx,
     random_pe,
@@ -135,11 +139,11 @@ def test_flooding_defense_shapes():
         assert all(a < b for a, b in zip(baseline, baseline[1:]))
         for rate in (150, 200, 250):
             report = run(scenario.with_defense(ResponseMode.THROTTLE).with_flood_rate(rate))
-            per_window = report.installs_per_window("10.9.0.66")
+            per_window = installs_per_window(report, "10.9.0.66")
             assert per_window == {0: threshold, 1: threshold}, (rate, per_window)
         for rate in (150, 200, 250):
             report = run(scenario.with_defense(ResponseMode.DROP_RULE).with_flood_rate(rate))
-            per_window = report.installs_per_window("10.9.0.66")
+            per_window = installs_per_window(report, "10.9.0.66")
             assert sum(per_window.values()) <= threshold + 1
             assert per_window.get(1, 0) == 0  # nothing after detection
             legit = [f for f in report.flows if f.src == "legit"]
@@ -193,15 +197,17 @@ def test_property_suites():
             ctx = random_ctx(rng)
             repo = [random_pe(rng, f"pe{i}") for i in range(5)]
             assert select_policy(repo + [PolicyExpression(id="zz", action=Action.DENY)], ctx).verdict is Action.DENY
-        # wildcard monotonicity
-        checked = 0
-        while checked < 200:
-            pe, ctx = random_pe(rng, "pe"), random_ctx(rng)
-            if not match_pe(pe, ctx):
-                continue
-            checked += 1
+        # wildcard monotonicity on matching pairs built field by field;
+        # every condition field is non-wild in at least a quarter of them
+        fixed = Counter()
+        for _ in range(200):
+            ctx = random_ctx(rng)
+            pe = matching_pe(rng, ctx, "pe")
+            assert match_pe(pe, ctx)
+            fixed.update(non_wildcard_fields(pe))
             for field_name in CONDITION_FIELDS:
                 assert match_pe(wildcarded(pe, field_name), ctx)
+        assert min(fixed[name] for name in CONDITION_FIELDS) >= 200 // 4, fixed
         # match vs independent conjunction oracle: 10^4 pairs, full agreement
         agree = sum(
             match_pe(pe, ctx) == oracle_match(pe, ctx)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
@@ -15,7 +16,16 @@ from sdnsec.policy import (
     specificity,
 )
 
-from helpers import CONDITION_FIELDS, make_ctx, oracle_match, random_ctx, random_pe, wildcarded
+from helpers import (
+    CONDITION_FIELDS,
+    make_ctx,
+    matching_pe,
+    non_wildcard_fields,
+    oracle_match,
+    random_ctx,
+    random_pe,
+    wildcarded,
+)
 
 SAMPLE_PE = PolicyExpression(
     id="21",
@@ -130,16 +140,19 @@ def test_field_toggles_against_oracle():
 
 
 def test_wildcard_monotonicity():
+    # matching pairs are built, not filtered out of random ones, so every
+    # condition field is exercised non-wild in a stated share of the pairs
     rng = random.Random(31)
-    checked = 0
-    while checked < 300:
-        pe = random_pe(rng, "pe")
+    pairs = 300
+    fixed = Counter()
+    for _ in range(pairs):
         ctx = random_ctx(rng)
-        if not match_pe(pe, ctx):
-            continue
-        checked += 1
+        pe = matching_pe(rng, ctx, "pe")
+        assert match_pe(pe, ctx) and oracle_match(pe, ctx)
+        fixed.update(non_wildcard_fields(pe))
         for field_name in CONDITION_FIELDS:
             assert match_pe(wildcarded(pe, field_name), ctx), field_name
+    assert min(fixed[name] for name in CONDITION_FIELDS) >= pairs // 4, fixed
 
 
 def test_specificity_counts_non_wildcards():

@@ -19,6 +19,8 @@ from sdnsec.scenario import (
 from sdnsec.simulation import Simulation, build_world, run
 from sdnsec.sweep import chain_scenario
 
+from helpers import delivered, installs_per_window
+
 ALLOW_ALL = "p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"
 
 
@@ -164,8 +166,8 @@ def test_baseline_establishes_superset():
         scenario = load(name)
         secured = run(scenario)
         baseline = run(scenario.with_enforcement(False))
-        secure_delivered = {f.flow_id for f in secured.delivered()}
-        baseline_delivered = {f.flow_id for f in baseline.delivered()}
+        secure_delivered = {f.flow_id for f in delivered(secured)}
+        baseline_delivered = {f.flow_id for f in delivered(baseline)}
         assert secure_delivered <= baseline_delivered, name
 
 
@@ -203,14 +205,14 @@ def test_chained_flows_rate_limited_per_source():
 def test_flood_throttle_caps_at_threshold():
     scenario = load("flood_single_domain").with_defense(ResponseMode.THROTTLE)
     report = run(scenario)
-    per_window = report.installs_per_window("10.9.0.66")
+    per_window = installs_per_window(report, "10.9.0.66")
     assert per_window == {0: 100, 1: 100}
 
 
 def test_flood_drop_rule_blocks_offender():
     scenario = load("flood_single_domain").with_defense(ResponseMode.DROP_RULE)
     report = run(scenario)
-    per_window = report.installs_per_window("10.9.0.66")
+    per_window = installs_per_window(report, "10.9.0.66")
     assert per_window == {0: 100}
     block_installs = [r for r in report.installs if r.provenance.startswith("defense:")]
     assert len(block_installs) == 1
