@@ -6,8 +6,8 @@ Run:  python demos/02_topology_discovery.py
 from ipaddress import IPv4Network
 
 from sdnsec import (
-    ASDescriptor,
-    ASGraph,
+    DomainInfo,
+    Graph,
     SecurityLabel,
     find_as_paths,
     parse_label_constraint,
@@ -15,20 +15,18 @@ from sdnsec import (
 )
 
 # Four domains in a row plus a shortcut through a low-trust domain.
-world = ASGraph()
+world = Graph()
 labels = {"AS1": 2, "AS2": 3, "AS3": 2, "AS4": 4, "AS5": 1}
 for index, (as_id, rank) in enumerate(sorted(labels.items())):
-    world.add_domain(
-        ASDescriptor(as_id, IPv4Network(f"10.{index}.0.0/16"), "EDU", SecurityLabel(rank))
-    )
+    world.add_node(as_id, DomainInfo(as_id, IPv4Network(f"10.{index}.0.0/16"), "EDU", SecurityLabel(rank)))
 for a, b in [("AS1", "AS2"), ("AS2", "AS3"), ("AS3", "AS4"), ("AS1", "AS5"), ("AS5", "AS4")]:
     world.add_link(a, b)
 
 # Each controller probes with rising TTL; answers carry identity + label.
-repos = [probe_topology(world, as_id, max_ttl=4) for as_id in world.domains()]
+repos = [probe_topology(world, as_id, max_ttl=4) for as_id in world.nodes()]
 print("topology repository of AS1:")
 for as_id, entry in sorted(repos[0].entries.items()):
-    print(f"  {as_id}: label={entry.sec_label} hops={entry.hops}")
+    print(f"  {as_id}: label={entry.domain.label} hops={entry.hops}")
 
 # Route search runs on the domain graph the probes' hop-1 answers make up.
 # Unconstrained, the shortest route wins: the shortcut through AS5.

@@ -7,7 +7,7 @@ from sdnsec import build_world, bundled_scenario_path, load_scenario, run
 from sdnsec.simulation import Simulation
 
 scenario = load_scenario(bundled_scenario_path("four_domain_transit"))
-world = build_world(scenario, scenario.costs)
+world = build_world(scenario)
 report = Simulation(world).run()
 flow = report.flows[0]
 

@@ -40,10 +40,8 @@ from .formats import (
     serialize_repository,
 )
 from .topology import (
-    ASDescriptor,
-    ASGraph,
+    Graph,
     NoPathError,
-    SwitchGraph,
     TopologyEntry,
     TopologyRepository,
     find_as_paths,
@@ -88,8 +86,6 @@ from .sweep import chain_scenario, flood_response_series, sweep
 
 __all__ = [
     "ANY_LABEL",
-    "ASDescriptor",
-    "ASGraph",
     "Action",
     "ActionKind",
     "CapacityModel",
@@ -106,6 +102,7 @@ __all__ = [
     "FlowMatch",
     "FlowModBatch",
     "FlowRule",
+    "Graph",
     "Handle",
     "LabelConstraint",
     "LabelParseError",
@@ -123,7 +120,6 @@ __all__ = [
     "ScenarioError",
     "SecurityLabel",
     "Switch",
-    "SwitchGraph",
     "TableFullError",
     "TopologyEntry",
     "TopologyRepository",

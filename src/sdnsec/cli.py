@@ -44,7 +44,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 def cmd_run(args) -> int:
     scenario = _apply_overrides(_load(args.scenario), args)
-    report = Simulation(build_world(scenario, scenario.costs)).run()
+    report = Simulation(build_world(scenario)).run()
     _write(emit(report, args.emit), args.out)
     return 0
 
@@ -66,7 +66,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_dump_flows(args) -> int:
     scenario = _apply_overrides(_load(args.scenario), args)
-    world = build_world(scenario, scenario.costs)
+    world = build_world(scenario)
     Simulation(world).run()
     if args.switch not in world.switches:
         print(f"error: no switch {args.switch!r} in scenario", file=sys.stderr)

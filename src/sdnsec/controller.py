@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from ipaddress import IPv4Address
+from typing import TYPE_CHECKING
 
 from .dataplane import (
     ARP_RULE_PRIORITY,
@@ -63,14 +64,16 @@ from .policy import (
     select_policy,
 )
 from .topology import (
-    ASDescriptor,
-    ASGraph,
+    Graph,
     NoPathError,
     TopologyRepository,
     find_as_paths,
     find_switch_path,
     gateway_name,
 )
+
+if TYPE_CHECKING:
+    from .scenario import HostSpec
 
 __all__ = [
     "BASELINE",
@@ -236,36 +239,34 @@ class Controller:
 
     def __init__(
         self,
-        descriptor: ASDescriptor,
+        domain: DomainInfo,
         policy_repo: list[PolicyExpression],
         topo: TopologyRepository,
         handle_key: bytes,
         *,
-        as_graph: ASGraph,
+        as_graph: Graph,
         port_of,
-        monitor: FloodMonitor | None = None,
-        key_ring: dict[str, bytes] | None = None,
-        user_bindings: dict[str, str] | None = None,
-        host_switch: dict[IPv4Address, str] | None = None,
-        host_names: dict[IPv4Address, str] | None = None,
-        enforcement_enabled: bool = True,
-        costs: CostModel = CostModel(),
-        window_ticks: int = 1_000_000,
+        monitor: FloodMonitor | None,
+        key_ring: dict[str, bytes],
+        user_bindings: dict[str, str],
+        hosts: dict[IPv4Address, HostSpec],
+        enforcement_enabled: bool,
+        costs: CostModel,
+        window_ticks: int,
     ):
         if not handle_key:
             raise ValueError("controller needs a nonempty handle key")
-        self.descriptor = descriptor
-        self.as_id = descriptor.as_id
+        self.domain = domain
+        self.as_id = domain.as_id
         self.policy_repo = PolicyIndex(policy_repo)
         self.topo = topo
         self.handle_key = handle_key
         self.as_graph = as_graph
         self._port_of = port_of
         self.monitor = monitor
-        self.key_ring = dict(key_ring or {})
-        self.user_bindings = {mac.lower(): user for mac, user in (user_bindings or {}).items()}
-        self.host_switch = dict(host_switch or {})
-        self.host_names = dict(host_names or {})
+        self.key_ring = key_ring
+        self.user_bindings = {mac.lower(): user for mac, user in user_bindings.items()}
+        self.hosts = hosts
         self.enforcement_enabled = enforcement_enabled
         self.costs = costs
         self.window_ticks = window_ticks
@@ -279,15 +280,12 @@ class Controller:
 
     def _domain_info(self, as_id: str) -> DomainInfo:
         if as_id == self.as_id:
-            d = self.descriptor
-            return DomainInfo(d.as_id, d.subnet, d.as_type, d.sec_label)
+            return self.domain
         entry = self.topo.entries.get(as_id)
-        if entry is None:
-            return DomainInfo(as_id)
-        return DomainInfo(as_id, entry.subnet, entry.as_type, entry.sec_label)
+        return entry.domain if entry is not None else DomainInfo(as_id)
 
     def domain_for_ip(self, ip: IPv4Address) -> str | None:
-        if ip in self.descriptor.subnet:
+        if ip in self.domain.subnet:
             return self.as_id
         return self.topo.domain_for_ip(ip)
 
@@ -424,12 +422,12 @@ class Controller:
             return drop(DropReason.RATE_LIMIT)
 
         dst_domain = ctx.dst_as.as_id  # "" when no domain advertises the address
-        if not dst_domain or (dst_domain == self.as_id and packet.dst_ip not in self.host_switch):
+        if not dst_domain or (dst_domain == self.as_id and packet.dst_ip not in self.hosts):
             return drop(DropReason.NO_ROUTE)
         next_as: str | None = None
         if dst_domain == self.as_id:
-            final_switch = self.host_switch[packet.dst_ip]
-            final_peer = self.host_names.get(packet.dst_ip, str(packet.dst_ip))
+            host = self.hosts[packet.dst_ip]
+            final_switch, final_peer = host.switch, host.id
         else:
             if decision.exit_obligation is None:
                 paths = find_as_paths(self.as_graph, self.as_id, dst_domain, window)
@@ -440,7 +438,7 @@ class Controller:
                 # merged label window
                 next_as = self._peer_for_gateway(decision.exit_obligation)
                 entry = self.topo.entries.get(next_as)
-                if entry is None or (next_as != dst_domain and not window.satisfies(entry.sec_label)):
+                if entry is None or (next_as != dst_domain and not window.satisfies(entry.domain.label)):
                     next_as = None
             if next_as is None or (handle is not None and next_as in handle.visited):
                 return drop(DropReason.NO_SATISFYING_PATH)
@@ -448,7 +446,7 @@ class Controller:
             final_peer = gateway_name(next_as, self.as_id)
 
         intra = self.topo.intra_graph
-        ticks += self.costs.per_switch * len(intra.switches())
+        ticks += self.costs.per_switch * len(intra.nodes())
         try:
             path = find_switch_path(
                 intra,

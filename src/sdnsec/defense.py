@@ -80,7 +80,8 @@ class FloodMonitor:
         self,
         cap: CapacityModel,
         response: ResponseMode = ResponseMode.THROTTLE,
-        window_ticks: int = 1_000_000,
+        *,
+        window_ticks: int,
     ):
         if window_ticks < 1:
             raise ValueError("window must be at least one tick")

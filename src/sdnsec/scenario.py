@@ -18,6 +18,7 @@ from ipaddress import IPv4Address, IPv4Network
 from pathlib import Path
 
 from .controller import CostModel
+from .dataplane import DEFAULT_TABLE_CAPACITY
 from .defense import CapacityModel, ResponseMode
 from .formats import PolicyParseError, parse_compact_pe, parse_ipv4, parse_network, parse_record
 from .labels import LabelParseError, SecurityLabel, parse_label
@@ -125,7 +126,7 @@ class Scenario:
     capacity: CapacityModel | None = None
     defense_response: ResponseMode = ResponseMode.NONE
     window_ticks: int = TICKS_PER_SECOND
-    table_capacity: int = 1024
+    table_capacity: int = DEFAULT_TABLE_CAPACITY
     max_ttl: int = 6
     costs: CostModel = CostModel()
 
@@ -325,7 +326,7 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
             _known(item, _FLOOD_FIELDS, item_path)
             rate = _int(item, "rate", item_path, 1)
             seconds = _int(item, "seconds", item_path, 1, default=1)
-            port_base = _int(item, "port_base", item_path, 1, 65535, default=20000)
+            port_base = _int(item, "port_base", item_path, 1, 65535, default=FloodSpec.port_base)
             last = port_base + rate * seconds - 1
             if last > 65535:
                 raise ScenarioError(
@@ -338,9 +339,9 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
                     dst=dst,
                     rate=rate,
                     seconds=seconds,
-                    packet_type=_want(item, "type", item_path, str, default="SYN"),
+                    packet_type=_want(item, "type", item_path, str, default=FloodSpec.packet_type),
                     port_base=port_base,
-                    proto=_want(item, "proto", item_path, str, default="tcp"),
+                    proto=_want(item, "proto", item_path, str, default=FloodSpec.proto),
                 )
             )
         else:
@@ -352,8 +353,8 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
                     dst=dst,
                     port=_int(item, "port", item_path, 1, 65535),
                     packet_type=_want(item, "type", item_path, str),
-                    proto=_want(item, "proto", item_path, str, default="tcp"),
-                    size=_int(item, "size", item_path, 1, default=64),
+                    proto=_want(item, "proto", item_path, str, default=FlowSpec.proto),
+                    size=_int(item, "size", item_path, 1, default=FlowSpec.size),
                 )
             )
     return tuple(out)
@@ -423,18 +424,18 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
             x=_int(cap, "switches_per_controller", "$.capacity", 1),
             y=_int(cap, "hosts_per_switch", "$.capacity", 1),
         )
-    response = ResponseMode.NONE
-    window_ticks = TICKS_PER_SECOND
+    response = Scenario.defense_response
+    window_ticks = Scenario.window_ticks
     if "defense" in document:
         defense = _known(_object(document["defense"], "$.defense"), _DEFENSE_FIELDS, "$.defense")
         try:
-            response = ResponseMode(defense.get("response", "none"))
+            response = ResponseMode(defense.get("response", Scenario.defense_response.value))
         except ValueError:
             raise ScenarioError("$.defense.response", f"unknown response {defense.get('response')!r}") from None
-        window_ticks = _int(defense, "window_ticks", "$.defense", 1, default=TICKS_PER_SECOND)
+        window_ticks = _int(defense, "window_ticks", "$.defense", 1, default=Scenario.window_ticks)
         if response is not ResponseMode.NONE and capacity is None:
             raise ScenarioError("$.defense", "a defense response requires a capacity model")
-    costs = CostModel()
+    costs = Scenario.costs
     if "costs" in document:
         raw = _known(_object(document["costs"], "$.costs"), _COST_FIELDS, "$.costs")
         costs = CostModel(**{key: _int(raw, key, "$.costs", 0) for key in raw})
@@ -448,8 +449,8 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
         capacity=capacity,
         defense_response=response,
         window_ticks=window_ticks,
-        table_capacity=_int(document, "table_capacity", "$", 1, default=1024),
-        max_ttl=_int(document, "max_ttl", "$", 1, default=6),
+        table_capacity=_int(document, "table_capacity", "$", 1, default=Scenario.table_capacity),
+        max_ttl=_int(document, "max_ttl", "$", 1, default=Scenario.max_ttl),
         costs=costs,
     )
 

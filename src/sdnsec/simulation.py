@@ -28,8 +28,9 @@ from .dataplane import BLOCK_RULE_PRIORITY, FlowMatch, Packet, Switch
 from .defense import FloodMonitor
 from .interdomain import Handle, PolicyTransferToken
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
+from .policy import DomainInfo
 from .scenario import FloodSpec, HostSpec, Scenario
-from .topology import ASDescriptor, ASGraph, SwitchGraph, gateway_name, probe_topology
+from .topology import Graph, gateway_name, probe_topology
 
 __all__ = ["World", "build_world", "run"]
 
@@ -48,7 +49,7 @@ class _InFlight:
 @dataclass
 class World:
     scenario: Scenario
-    as_graph: ASGraph
+    as_graph: Graph
     switches: dict[str, Switch]
     switch_domain: dict[str, str]
     controllers: dict[str, Controller]
@@ -56,29 +57,24 @@ class World:
     hosts_by_ip: dict[IPv4Address, HostSpec]
 
 
-def build_world(scenario: Scenario, costs: CostModel = CostModel()) -> World:
-    as_graph = ASGraph()
+def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
+    """Wire the scenario's world; ``costs`` defaults to the scenario's own."""
+    costs = costs or scenario.costs
+    as_graph = Graph()
     for domain in scenario.domains:
-        as_graph.add_domain(
-            ASDescriptor(
-                as_id=domain.id,
-                subnet=domain.subnet,
-                as_type=domain.as_type,
-                sec_label=domain.label,
-            )
-        )
+        as_graph.add_node(domain.id, DomainInfo(domain.id, domain.subnet, domain.as_type, domain.label))
     for a, b in scenario.links:
         as_graph.add_link(a, b)
 
     switches: dict[str, Switch] = {}
     switch_domain: dict[str, str] = {}
-    intra_graphs: dict[str, SwitchGraph] = {}
+    intra_graphs: dict[str, Graph] = {}
     for domain in scenario.domains:
-        graph = SwitchGraph()
+        graph = Graph()
         for spec in domain.switches:
             switches[spec.id] = Switch(spec.id, spec.label, capacity=scenario.table_capacity)
             switch_domain[spec.id] = domain.id
-            graph.add_switch(spec.id, spec.label)
+            graph.add_node(spec.id, spec.label)
         for a, b in domain.links:
             graph.add_link(a, b)
         intra_graphs[domain.id] = graph
@@ -126,7 +122,7 @@ def build_world(scenario: Scenario, costs: CostModel = CostModel()) -> World:
             for peer in as_graph.neighbors(domain.id)
         }
         controllers[domain.id] = Controller(
-            as_graph.descriptor(domain.id),
+            as_graph.node(domain.id),
             list(domain.policies),
             repos[domain.id],
             domain.handle_key.encode(),
@@ -135,8 +131,7 @@ def build_world(scenario: Scenario, costs: CostModel = CostModel()) -> World:
             monitor=monitor,
             key_ring=neighbor_keys,
             user_bindings=domain.users,
-            host_switch={host.ip: host.switch for host in domain.hosts},
-            host_names={host.ip: host.id for host in domain.hosts},
+            hosts={host.ip: host for host in domain.hosts},
             enforcement_enabled=scenario.enforcement,
             costs=costs,
             window_ticks=scenario.window_ticks,
@@ -400,7 +395,7 @@ class Simulation:
         return self.report
 
 
-def run(scenario: Scenario, costs: CostModel | None = None) -> MetricsReport:
+def run(scenario: Scenario) -> MetricsReport:
     """Build the world and execute the scenario to quiescence."""
-    return Simulation(build_world(scenario, costs or scenario.costs)).run()
+    return Simulation(build_world(scenario)).run()
 

@@ -3,9 +3,13 @@
 Each controller walks the domain graph with probes of increasing TTL; a
 probe whose TTL expires at a domain is answered with that domain's identity,
 security label and addressing, and the answers become the controller's
-topology repository.  Path search then runs over the domain graph, which is
-the union of every controller's hop-1 entries (domain level), or over a
-domain's own switch graph (intra level), filtering every element through a
+topology repository.  One :class:`Graph` class models both levels: the
+world's domain graph, whose nodes each carry the domain's
+:class:`~sdnsec.policy.DomainInfo`, and a domain's own switch graph, whose
+nodes each carry the switch's security label.  A probe answer is the world
+graph's record itself, so a domain's attributes live in one place.  Path
+search runs over the domain graph, which is the union of every controller's
+hop-1 entries, or over a switch graph, filtering every element through a
 label constraint.  Both levels share one breadth-first search, linear in
 the size of the graph, that checks each label at most once and never
 enumerates alternative paths.  Of the shortest satisfying paths it returns
@@ -15,15 +19,13 @@ the least by (hand-off bits, names); domain routes have no hand-off bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from ipaddress import IPv4Network
 
-from .labels import ANY_LABEL, SecurityLabel
+from .labels import ANY_LABEL
+from .policy import DomainInfo
 
 __all__ = [
-    "ASDescriptor",
-    "ASGraph",
+    "Graph",
     "NoPathError",
-    "SwitchGraph",
     "TopologyEntry",
     "TopologyRepository",
     "find_as_paths",
@@ -48,90 +50,50 @@ def gateway_name(owner_as: str, peer_as: str) -> str:
 
 
 @dataclass(frozen=True)
-class ASDescriptor:
-    as_id: str
-    subnet: IPv4Network
-    as_type: str
-    sec_label: SecurityLabel
-
-
-@dataclass(frozen=True)
 class TopologyEntry:
-    as_id: str
-    sec_label: SecurityLabel
+    """A probed domain: the world graph's record for it, and its distance."""
+
+    domain: DomainInfo
     hops: int
-    subnet: IPv4Network | None = None
-    as_type: str | None = None
 
     def __post_init__(self) -> None:
         if self.hops < 1:
             raise ValueError("foreign domain is at least one hop away")
 
 
-class ASGraph:
-    """Undirected domain-level adjacency with per-domain descriptors."""
+class Graph:
+    """Undirected adjacency whose nodes each carry one record: a domain's
+    :class:`~sdnsec.policy.DomainInfo` in the world graph, a switch's
+    :class:`~sdnsec.labels.SecurityLabel` in a domain's switch graph."""
 
     def __init__(self) -> None:
-        self._descriptors: dict[str, ASDescriptor] = {}
+        self._records: dict[str, object] = {}
         self._adjacency: dict[str, tuple[str, ...]] = {}  # sorted
 
-    def add_domain(self, descriptor: ASDescriptor) -> None:
-        if descriptor.as_id in self._descriptors:
-            raise ValueError(f"duplicate domain {descriptor.as_id}")
-        self._descriptors[descriptor.as_id] = descriptor
-        self._adjacency[descriptor.as_id] = ()
+    def add_node(self, name: str, record) -> None:
+        if name in self._records:
+            raise ValueError(f"duplicate node {name}")
+        self._records[name] = record
+        self._adjacency[name] = ()
 
     def add_link(self, a: str, b: str) -> None:
         for end in (a, b):
-            if end not in self._descriptors:
-                raise KeyError(f"unknown domain {end}")
+            if end not in self._records:
+                raise KeyError(f"unknown node {end}")
         self._adjacency[a] = tuple(sorted({*self._adjacency[a], b}))
         self._adjacency[b] = tuple(sorted({*self._adjacency[b], a}))
 
-    def __contains__(self, as_id: str) -> bool:
-        return as_id in self._descriptors
+    def __contains__(self, name: str) -> bool:
+        return name in self._records
 
-    def domains(self) -> list[str]:
-        return sorted(self._descriptors)
+    def nodes(self) -> list[str]:
+        return sorted(self._records)
 
-    def descriptor(self, as_id: str) -> ASDescriptor:
-        return self._descriptors[as_id]
+    def node(self, name: str):
+        return self._records[name]
 
-    def neighbors(self, as_id: str) -> tuple[str, ...]:
-        return self._adjacency[as_id]
-
-
-class SwitchGraph:
-    """One domain's switch adjacency with per-switch security labels."""
-
-    def __init__(self) -> None:
-        self._labels: dict[str, SecurityLabel] = {}
-        self._adjacency: dict[str, tuple[str, ...]] = {}  # sorted
-
-    def add_switch(self, switch_id: str, label: SecurityLabel) -> None:
-        if switch_id in self._labels:
-            raise ValueError(f"duplicate switch {switch_id}")
-        self._labels[switch_id] = label
-        self._adjacency[switch_id] = ()
-
-    def add_link(self, a: str, b: str) -> None:
-        for end in (a, b):
-            if end not in self._labels:
-                raise KeyError(f"unknown switch {end}")
-        self._adjacency[a] = tuple(sorted({*self._adjacency[a], b}))
-        self._adjacency[b] = tuple(sorted({*self._adjacency[b], a}))
-
-    def __contains__(self, switch_id: str) -> bool:
-        return switch_id in self._labels
-
-    def switches(self) -> list[str]:
-        return sorted(self._labels)
-
-    def label(self, switch_id: str) -> SecurityLabel:
-        return self._labels[switch_id]
-
-    def neighbors(self, switch_id: str) -> tuple[str, ...]:
-        return self._adjacency[switch_id]
+    def neighbors(self, name: str) -> tuple[str, ...]:
+        return self._adjacency[name]
 
     def adjacent(self, a: str, b: str) -> bool:
         return b in self._adjacency.get(a, ())
@@ -143,7 +105,7 @@ class TopologyRepository:
     switch fabric.  Rebuilt atomically by :func:`probe_topology`."""
 
     entries: dict[str, TopologyEntry] = field(default_factory=dict)
-    intra_graph: SwitchGraph = field(default_factory=SwitchGraph)
+    intra_graph: Graph = field(default_factory=Graph)
 
     def neighbors(self) -> list[str]:
         return sorted(as_id for as_id, entry in self.entries.items() if entry.hops == 1)
@@ -151,26 +113,26 @@ class TopologyRepository:
     def domain_for_ip(self, ip) -> str | None:
         """Domain whose advertised subnet contains ``ip``; the owner is not an entry."""
         for as_id in sorted(self.entries):
-            entry = self.entries[as_id]
-            if entry.subnet is not None and ip in entry.subnet:
+            subnet = self.entries[as_id].domain.subnet
+            if subnet is not None and ip in subnet:
                 return as_id
         return None
 
 
 def probe_topology(
-    world: ASGraph, owner_as: str, max_ttl: int, intra_graph: SwitchGraph | None = None
+    world: Graph, owner_as: str, max_ttl: int, intra_graph: Graph | None = None
 ) -> TopologyRepository:
     """Build (or rebuild) a controller's topology repository.
 
     Simulates probes at TTL 1..max_ttl: a domain at shortest-path distance d
-    answers the TTL-d probe with its identity, security label, subnet and
-    type, so hop counts come out as breadth-first distances and unreachable
-    domains are simply absent.
+    answers the TTL-d probe with its record in ``world`` (identity, security
+    label, subnet and type), so hop counts come out as breadth-first
+    distances and unreachable domains are simply absent.
     Re-running replaces the repository wholesale, so it is idempotent.
     """
     if max_ttl < 1:
         raise ValueError("max_ttl must be >= 1")
-    repo = TopologyRepository(intra_graph=intra_graph if intra_graph is not None else SwitchGraph())
+    repo = TopologyRepository(intra_graph=intra_graph if intra_graph is not None else Graph())
     distances: dict[str, int] = {owner_as: 0}
     frontier = [owner_as]
     while frontier:
@@ -185,14 +147,7 @@ def probe_topology(
     for as_id, distance in sorted(distances.items()):
         if as_id == owner_as or distance > max_ttl:
             continue
-        descriptor = world.descriptor(as_id)
-        repo.entries[as_id] = TopologyEntry(
-            as_id=as_id,
-            sec_label=descriptor.sec_label,
-            hops=distance,
-            subnet=descriptor.subnet,
-            as_type=descriptor.as_type,
-        )
+        repo.entries[as_id] = TopologyEntry(world.node(as_id), distance)
     return repo
 
 
@@ -229,7 +184,7 @@ def _least_shortest_path(neighbors, src: str, dst: str, accepts, handoff=None) -
     return best[src][1] if src in best else None
 
 
-def find_as_paths(graph: ASGraph, src_as: str, dst_as: str, constraint=ANY_LABEL) -> list[tuple[str, ...]]:
+def find_as_paths(graph: Graph, src_as: str, dst_as: str, constraint=ANY_LABEL) -> list[tuple[str, ...]]:
     """The domain route src..dst in ``graph`` whose transit domains satisfy
     the constraint: ``[route]``, or ``[]`` when there is none.
 
@@ -248,13 +203,13 @@ def find_as_paths(graph: ASGraph, src_as: str, dst_as: str, constraint=ANY_LABEL
     if src_as not in graph or dst_as not in graph:
         return []
     route = _least_shortest_path(
-        graph.neighbors, src_as, dst_as, lambda as_id: constraint.satisfies(graph.descriptor(as_id).sec_label)
+        graph.neighbors, src_as, dst_as, lambda as_id: constraint.satisfies(graph.node(as_id).label)
     )
     return [route] if route else []
 
 
 def find_switch_path(
-    graph: SwitchGraph,
+    graph: Graph,
     ingress: str,
     egress: str,
     required: tuple[str, ...] | None = None,
@@ -278,7 +233,7 @@ def find_switch_path(
         for switch in required:
             if switch not in graph:
                 raise NoPathError(f"required path names unknown switch {switch}")
-            if not constraint.satisfies(graph.label(switch)):
+            if not constraint.satisfies(graph.node(switch)):
                 raise NoPathError(f"switch {switch} violates label constraint")
         if required[0] != ingress or required[-1] != egress:
             raise NoPathError(
@@ -288,11 +243,11 @@ def find_switch_path(
             if not graph.adjacent(a, b):
                 raise NoPathError(f"required path hop {a}-{b} is not a link")
         return tuple(required)
-    satisfies = lambda switch: constraint.satisfies(graph.label(switch))
+    satisfies = lambda switch: constraint.satisfies(graph.node(switch))
     path = None
     if satisfies(ingress) and satisfies(egress):
         path = (ingress,) if ingress == egress else _least_shortest_path(
-            graph.neighbors, ingress, egress, satisfies, lambda a, b: graph.label(a).rank > graph.label(b).rank
+            graph.neighbors, ingress, egress, satisfies, lambda a, b: graph.node(a).rank > graph.node(b).rank
         )
     if path is None:
         raise NoPathError(f"no path {ingress}..{egress} satisfies the constraint")

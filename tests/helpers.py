@@ -374,7 +374,7 @@ def shortest_switch_paths(graph, ingress, egress, constraint) -> list[tuple[str,
     satisfy ``constraint``: breadth-first enumeration of whole paths, one
     per queue entry, so its cost grows with the number of equal-length
     paths.  This was the switch-path search before the shared route search."""
-    if not constraint.satisfies(graph.label(ingress)) or not constraint.satisfies(graph.label(egress)):
+    if not constraint.satisfies(graph.node(ingress)) or not constraint.satisfies(graph.node(egress)):
         return []
     if ingress == egress:
         return [(ingress,)]
@@ -387,7 +387,7 @@ def shortest_switch_paths(graph, ingress, egress, constraint) -> list[tuple[str,
         if shortest is not None and len(trail) > shortest:
             break
         for neighbor in graph.neighbors(node):
-            if neighbor in trail or not constraint.satisfies(graph.label(neighbor)):
+            if neighbor in trail or not constraint.satisfies(graph.node(neighbor)):
                 continue
             extended = trail + (neighbor,)
             if neighbor == egress:
@@ -404,7 +404,7 @@ def shortest_switch_paths(graph, ingress, egress, constraint) -> list[tuple[str,
 
 def handoff_bits(graph, path) -> tuple[int, ...]:
     """One bit per hop, 1 when it hands off to a less trusted switch."""
-    return tuple(0 if graph.label(a).rank <= graph.label(b).rank else 1 for a, b in zip(path, path[1:]))
+    return tuple(0 if graph.node(a).rank <= graph.node(b).rank else 1 for a, b in zip(path, path[1:]))
 
 
 def least_switch_path(graph, ingress, egress, constraint) -> tuple[str, ...] | None:

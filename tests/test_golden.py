@@ -30,7 +30,7 @@ CASES = [f"{name}/{mode}" for name in list_bundled_scenarios() for mode in MODES
 def _run(case: str):
     name, mode = case.split("/")
     scenario = load_scenario(bundled_scenario_path(name)).with_mode(mode)
-    world = build_world(scenario, scenario.costs)
+    world = build_world(scenario)
     return world, Simulation(world).run()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from ipaddress import IPv4Address
@@ -144,6 +145,17 @@ def test_determinism_byte_identical():
         first = emit(run(load(name)), "records")
         second = emit(run(load(name)), "records")
         assert first == second, name
+
+
+@pytest.mark.parametrize("name", list_bundled_scenarios())
+def test_built_world_charges_the_scenarios_costs(name):
+    # pe_saturation sets its own costs; a world built without them emits
+    # every install at other ticks.  Digests keep a failure's report short.
+    def digest(report):
+        return hashlib.sha256((emit(report, "records") + repr(report.latencies)).encode()).hexdigest()
+
+    scenario = load(name)
+    assert digest(Simulation(build_world(scenario)).run()) == digest(run(scenario))
 
 
 def test_proactive_mode_equivalence():

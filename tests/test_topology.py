@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnsec.labels import ANY_LABEL, LabelConstraint, LabelRelation, LabelWindow, SecurityLabel
+from sdnsec.policy import DomainInfo
 from sdnsec.topology import (
-    ASDescriptor,
-    ASGraph,
+    Graph,
     NoPathError,
-    SwitchGraph,
     find_as_paths,
     find_switch_path,
     gateway_name,
@@ -22,16 +21,11 @@ from helpers import dfs_all_paths, least_switch_path, link_adjacency, shortest_s
 
 def make_world(links, labels=None, domains=()):
     labels = labels or {}
-    world = ASGraph()
+    world = Graph()
     ids = sorted({*domains, *(a for link in links for a in link)})
     for index, as_id in enumerate(ids):
-        world.add_domain(
-            ASDescriptor(
-                as_id=as_id,
-                subnet=IPv4Network(f"10.{index}.0.0/16"),
-                as_type="EDU",
-                sec_label=SecurityLabel(labels.get(as_id, 2)),
-            )
+        world.add_node(
+            as_id, DomainInfo(as_id, IPv4Network(f"10.{index}.0.0/16"), "EDU", SecurityLabel(labels.get(as_id, 2)))
         )
     for a, b in links:
         world.add_link(a, b)
@@ -65,7 +59,7 @@ def test_probe_four_domain_chain():
     assert repo.entries["AS2"].hops == 1
     assert repo.entries["AS3"].hops == 2
     assert repo.entries["AS4"].hops == 3
-    assert repo.entries["AS3"].sec_label == SecurityLabel(2)
+    assert repo.entries["AS3"].domain.label == SecurityLabel(2)
     assert "AS1" not in repo.entries
 
 
@@ -76,12 +70,32 @@ def test_probe_respects_ttl_horizon():
 
 
 def test_probe_single_domain_world():
-    world = ASGraph()
-    world.add_domain(
-        ASDescriptor("AS1", IPv4Network("10.0.0.0/16"), "EDU", SecurityLabel(2))
-    )
+    world = Graph()
+    world.add_node("AS1", DomainInfo("AS1", IPv4Network("10.0.0.0/16"), "EDU", SecurityLabel(2)))
     repo = probe_topology(world, "AS1", max_ttl=4)
     assert repo.entries == {}
+
+
+def test_probe_answers_with_the_world_graphs_record():
+    world = make_world(CHAIN)
+    repo = probe_topology(world, "AS1", max_ttl=4)
+    assert all(entry.domain is world.node(as_id) for as_id, entry in repo.entries.items())
+
+
+def test_graph_rejects_duplicate_node():
+    graph = Graph()
+    graph.add_node("SW1", SecurityLabel(2))
+    with pytest.raises(ValueError, match="duplicate node SW1"):
+        graph.add_node("SW1", SecurityLabel(3))
+    assert graph.node("SW1") == SecurityLabel(2)
+
+
+def test_graph_rejects_link_to_unknown_node():
+    graph = Graph()
+    graph.add_node("SW1", SecurityLabel(2))
+    with pytest.raises(KeyError, match="unknown node SW2"):
+        graph.add_link("SW1", "SW2")
+    assert graph.neighbors("SW1") == ()
 
 
 def test_probe_is_idempotent():
@@ -239,9 +253,9 @@ def test_constraint_strengthening_is_antitone():
 
 
 def switch_matrix(labels):
-    graph = SwitchGraph()
+    graph = Graph()
     for switch, rank in labels.items():
-        graph.add_switch(switch, SecurityLabel(rank))
+        graph.add_node(switch, SecurityLabel(rank))
     return graph
 
 
