@@ -69,7 +69,6 @@ from .defense import (
     CapacityModel,
     FloodMonitor,
     ResponseMode,
-    Verdict,
     compute_thresholds,
 )
 from .controller import Controller, CostModel, DropReason, FlowModBatch, synthesize_rules
@@ -123,7 +122,6 @@ __all__ = [
     "TableFullError",
     "TopologyEntry",
     "TopologyRepository",
-    "Verdict",
     "build_world",
     "bundled_scenario_path",
     "chain_scenario",

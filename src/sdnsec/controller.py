@@ -26,7 +26,6 @@ the expressions filed under the context's values and the wildcard list.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from ipaddress import IPv4Address
 from typing import TYPE_CHECKING
@@ -40,7 +39,7 @@ from .dataplane import (
     FlowRule,
     Packet,
 )
-from .defense import FloodMonitor, Verdict
+from .defense import FloodMonitor, ResponseMode, WindowCounts
 from .interdomain import (
     Handle,
     PolicyTransferToken,
@@ -269,12 +268,10 @@ class Controller:
         self.hosts = hosts
         self.enforcement_enabled = enforcement_enabled
         self.costs = costs
-        self.window_ticks = window_ticks
         self.events: list[ControllerEvent] = []
-        self.blocked_hosts: set[str] = set()
         self.next_free_tick = 0
-        # admitted flows per (source, window) for PE rate constraints
-        self._rate_admitted: dict[str, tuple[int, int]] = {}
+        # admitted flows per source and window, for PE rate constraints
+        self._rate_counts = WindowCounts(window_ticks)
 
     # --- context -------------------------------------------------------------
 
@@ -323,7 +320,7 @@ class Controller:
         return FlowModBatch(((ingress, rule),), provenance=f"defense:{packet.src_ip}")
 
     def _peer_for_gateway(self, gateway: str) -> str | None:
-        for neighbor in self.topo.neighbors():
+        for neighbor in self.key_ring:
             if gateway_name(self.as_id, neighbor) == gateway:
                 return neighbor
         return None
@@ -334,14 +331,9 @@ class Controller:
         rates = [c.rate for c in constraints if c.kind is ConstraintKind.RATE_THRESHOLD]
         if not rates:
             return True
-        budget = math.floor(min(rates))
-        window = tick // self.window_ticks
-        seen_window, count = self._rate_admitted.get(src, (window, 0))
-        if seen_window != window:
-            count = 0
-        if count + 1 > budget:
+        if self._rate_counts.get(src, tick) + 1 > min(rates):
             return False
-        self._rate_admitted[src] = (window, count + 1)
+        self._rate_counts.add(src, tick)
         return True
 
     def handle_packet_in(
@@ -373,22 +365,20 @@ class Controller:
         if self.enforcement_enabled and defense and self.monitor is not None:
             ticks += self.costs.defense
             offender = str(packet.src_ip)
-            verdict = self.monitor.record_and_check(offender, ingress, tick)
-            if verdict is not Verdict.OK:
+            newly_blocked = offender not in self.monitor.blocked
+            response = self.monitor.record_and_check(offender, ingress, tick)
+            if response is not ResponseMode.NONE:
                 detail = (
                     f"{summary} [defense offender={offender}"
-                    f" window_count={self.monitor.weighted_count(offender)}"
+                    f" window_count={self.monitor.requests.get(offender, tick)}"
                     f" thost={self.monitor.thost} tsw={self.monitor.tsw}]"
                 )
-                if verdict is Verdict.THROTTLE:
+                if response is ResponseMode.THROTTLE:
                     return drop(DropReason.DEFENSE_THROTTLED, detail)
-                block = None
-                if offender not in self.blocked_hosts:
-                    self.blocked_hosts.add(offender)
-                    block = self._block_rule_batch(packet, ingress)
+                block = self._block_rule_batch(packet, ingress) if newly_blocked else None
                 return drop(DropReason.DEFENSE_BLOCKED, detail, block)
 
-        if handle is not None and self.enforcement_enabled and not validate_handle(self, handle):
+        if handle is not None and self.enforcement_enabled and not validate_handle(handle, self.key_ring):
             return drop(DropReason.HANDLE_INVALID)
 
         verified_ptt: PolicyTransferToken | None = None
@@ -437,8 +427,7 @@ class Controller:
                 # domain; a pinned transit domain must still satisfy the
                 # merged label window
                 next_as = self._peer_for_gateway(decision.exit_obligation)
-                entry = self.topo.entries.get(next_as)
-                if entry is None or (next_as != dst_domain and not window.satisfies(entry.domain.label)):
+                if next_as not in (None, dst_domain) and not window.satisfies(self.as_graph.node(next_as).label):
                     next_as = None
             if next_as is None or (handle is not None and next_as in handle.visited):
                 return drop(DropReason.NO_SATISFYING_PATH)

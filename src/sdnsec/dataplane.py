@@ -59,7 +59,6 @@ class Packet:
     service_port: int
     packet_type: str
     payload_size: int = 64
-    timestamp: int = 0
     # derived from the 5-tuple once per packet; the controller reads it often
     flow_id: str = field(init=False, repr=False, compare=False)
 

@@ -6,14 +6,17 @@ processing capacity: a controller serving X switches gives each switch
 ``Thost = TSw/Y``.  Arithmetic is exact (fractions), enforcement compares
 window counts against the floor.
 
-Requests are counted per fixed window of ticks and counters start from zero
-in each window, so a steady rate at exactly the budget is never flagged.
-Two responses are available once an offender crosses its budget: THROTTLE
-caps the offender's admitted packet-ins at the threshold in every window
-(excess is dropped, not queued), and DROP_RULE asks for a one-time block
-rule in the offender's switch so nothing further reaches the controller.
-Hosts below their own budget are never acted on, whichever switch the
-attacker sits behind.
+Requests and admissions are counted per host and per switch in fixed
+windows of ticks (:class:`WindowCounts`); each key's count starts from zero
+in every window, so a steady rate at exactly the budget is never flagged.
+A check answers with a :class:`ResponseMode`: NONE admits the request.  Two
+responses are available once an offender crosses its budget: THROTTLE caps
+the offender's admitted packet-ins at the threshold in every window (excess
+is dropped, not queued), and DROP_RULE puts the offender in the monitor's
+one blocked set, and the controller asks for a one-time block rule in the
+offender's switch so nothing further reaches the controller.  Hosts below
+their own budget are never blocked, whichever switch the attacker sits
+behind.  A scenario without a response builds no monitor at all.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ __all__ = [
     "CapacityModel",
     "FloodMonitor",
     "ResponseMode",
-    "Verdict",
+    "WindowCounts",
     "compute_thresholds",
 ]
 
@@ -55,22 +58,32 @@ def compute_thresholds(cap: CapacityModel) -> tuple[Fraction, Fraction]:
     return tsw, thost
 
 
-class Verdict(Enum):
-    OK = "ok"
-    THROTTLE = "throttle"
-    DROP_RULE = "drop_rule"
-
-
 class ResponseMode(Enum):
+    """What happens to a request: ``NONE`` admits it, ``THROTTLE`` drops it,
+    ``DROP_RULE`` drops it and blocks its source in its switch."""
+
     NONE = "none"
     THROTTLE = "throttle"
     DROP_RULE = "drop_rule"
 
 
-@dataclass
-class _WindowCounter:
-    current: int = 0
-    admitted: int = 0
+class WindowCounts:
+    """Per-key counts in fixed windows of ``window_ticks``: a key's count
+    starts from zero in every window.  Only a key's latest window is kept,
+    so the ticks given for one key must not decrease."""
+
+    def __init__(self, window_ticks: int):
+        if window_ticks < 1:
+            raise ValueError("window must be at least one tick")
+        self.window_ticks = window_ticks
+        self._counts: dict[str, tuple[int, int]] = {}  # key -> (window, count)
+
+    def get(self, key: str, tick: int) -> int:
+        window, count = self._counts.get(key, (None, 0))
+        return count if window == tick // self.window_ticks else 0
+
+    def add(self, key: str, tick: int) -> None:
+        self._counts[key] = (tick // self.window_ticks, self.get(key, tick) + 1)
 
 
 class FloodMonitor:
@@ -83,64 +96,34 @@ class FloodMonitor:
         *,
         window_ticks: int,
     ):
-        if window_ticks < 1:
-            raise ValueError("window must be at least one tick")
+        if response is ResponseMode.NONE:
+            raise ValueError("a flood monitor needs a response; without one, build no monitor")
         self.response = response
-        self.window_ticks = window_ticks
         self.tsw, self.thost = compute_thresholds(cap)
-        self._window_index = 0
-        self._hosts: dict[str, _WindowCounter] = {}
-        self._switches: dict[str, _WindowCounter] = {}
-        self.active_responses: dict[str, Verdict] = {}
+        self.requests = WindowCounts(window_ticks)  # per host
+        self._host_admits = WindowCounts(window_ticks)
+        self._switch_admits = WindowCounts(window_ticks)
+        self.blocked: set[str] = set()
 
-    def _roll(self, tick: int) -> None:
-        index = tick // self.window_ticks
-        if index > self._window_index:
-            for counter in (*self._hosts.values(), *self._switches.values()):
-                counter.current = 0
-                counter.admitted = 0
-            self._window_index = index
-
-    def _over_budget(self, counter: _WindowCounter, threshold: Fraction) -> bool:
-        """Would admitting the current request overshoot the budget?"""
-        return counter.admitted + 1 > math.floor(threshold)
-
-    def weighted_count(self, host: str) -> int:
-        """Requests from ``host`` in the current window."""
-        counter = self._hosts.get(host)
-        return 0 if counter is None else counter.current
-
-    def record_and_check(self, src_host: str, src_switch: str, tick: int) -> Verdict:
+    def record_and_check(self, src_host: str, src_switch: str, tick: int) -> ResponseMode:
         """Account one request and say how the pipeline should treat it.
 
-        OK admits; THROTTLE drops this request; DROP_RULE means the offender
-        must be blocked in its switch (emitted once, then remembered so the
-        install-latency gap cannot readmit the offender).
+        NONE admits; THROTTLE drops this request; DROP_RULE means the offender
+        is blocked (it stays in ``blocked``, so the install-latency gap cannot
+        readmit it).  Ticks must not decrease from call to call.
         """
-        self._roll(tick)
-        host = self._hosts.setdefault(src_host, _WindowCounter())
-        switch = self._switches.setdefault(src_switch, _WindowCounter())
-        host.current += 1
-        switch.current += 1
-        if self.response is ResponseMode.NONE:
-            host.admitted += 1
-            switch.admitted += 1
-            return Verdict.OK
-        if self.active_responses.get(src_host) is Verdict.DROP_RULE:
-            return Verdict.DROP_RULE
-        host_over = self._over_budget(host, self.thost)
-        switch_over = self._over_budget(switch, self.tsw)
+        self.requests.add(src_host, tick)
+        if src_host in self.blocked:
+            return ResponseMode.DROP_RULE
+        host_over = self._host_admits.get(src_host, tick) + 1 > math.floor(self.thost)
+        switch_over = self._switch_admits.get(src_switch, tick) + 1 > math.floor(self.tsw)
         if not host_over and not switch_over:
-            host.admitted += 1
-            switch.admitted += 1
-            return Verdict.OK
-        if not host_over:
-            # switch budget blown by someone else: only offenders above their
-            # own host budget are acted on, so this request is throttled at
-            # the switch level but the host is not marked
-            return Verdict.THROTTLE
-        if self.response is ResponseMode.DROP_RULE:
-            self.active_responses[src_host] = Verdict.DROP_RULE
-            return Verdict.DROP_RULE
-        self.active_responses[src_host] = Verdict.THROTTLE
-        return Verdict.THROTTLE
+            self._host_admits.add(src_host, tick)
+            self._switch_admits.add(src_switch, tick)
+            return ResponseMode.NONE
+        # a switch budget blown by someone else throttles the request, but
+        # only an offender above its own host budget is blocked
+        if host_over and self.response is ResponseMode.DROP_RULE:
+            self.blocked.add(src_host)
+            return ResponseMode.DROP_RULE
+        return ResponseMode.THROTTLE

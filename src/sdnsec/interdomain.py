@@ -9,10 +9,11 @@ so flipping any tag bit or payload field fails verification.
 
 Tagging follows a chain-of-keys model: each domain controller owns one key
 (``handle_key`` in the scenario) and holds the keys of its topology
-neighbors.  Every domain that forwards a credential re-tags it under its own
-key (a handle gains the domain's id, a token its delegable flow
-constraints), and the next domain verifies it under the key of the adjacent
-domain it came from, the last entry of the handle's visited list.
+neighbors and of no other domain (its *key ring*, which is therefore also
+its neighbor set).  Every domain that forwards a credential re-tags it
+under its own key (a handle gains the domain's id, a token its delegable
+flow constraints), and the next domain verifies it under the key of the
+adjacent domain it came from, the last entry of the handle's visited list.
 """
 
 from __future__ import annotations
@@ -129,15 +130,12 @@ def verify_ptt(ptt: PolicyTransferToken, key: bytes) -> bool:
     return hmac.compare_digest(expected, ptt.tag)
 
 
-def validate_handle(ctrl, handle: Handle) -> bool:
-    """A handle is acceptable at a domain iff its tag verifies under the key
-    of the domain it last visited and that last domain is a topology
-    neighbor.  Construction already refuses a visited list that repeats a
-    domain."""
-    last = handle.visited[-1]
-    if last not in ctrl.topo.neighbors():
-        return False
-    key = ctrl.key_ring.get(last)
+def validate_handle(handle: Handle, key_ring: dict[str, bytes]) -> bool:
+    """A handle is acceptable at a domain iff the domain it last visited is in
+    the domain's key ring, which holds exactly its topology neighbors, and
+    its tag verifies under that neighbor's key.  Construction already
+    refuses a visited list that repeats a domain."""
+    key = key_ring.get(handle.visited[-1])
     if key is None:
         return False
     expected = handle_tag(handle.flow_id, handle.origin_as, handle.visited, key)

@@ -130,18 +130,12 @@ class Constraint:
 
 @dataclass(frozen=True)
 class EndpointSelector:
-    """Wildcardable description of one end of a flow; ``None`` means any.
-
-    ``gateway`` names the entry (source side) or exit (destination side)
-    switch of the domain.  Gateways are carried for enforcement but are not
-    match conditions.
-    """
+    """Wildcardable description of one end of a flow; ``None`` means any."""
 
     as_id: str | None = None
     subnet: IPv4Network | None = None
     as_type: str | None = None
     label_req: LabelConstraint = ANY_LABEL
-    gateway: str | None = None
     host_ip: IPv4Address | None = None
     host_mac: str | None = None
 

@@ -25,7 +25,7 @@ from itertools import groupby
 
 from .controller import Controller, CostModel, FlowModBatch, PipelineResult, arp_discovery_rule
 from .dataplane import BLOCK_RULE_PRIORITY, FlowMatch, Packet, Switch
-from .defense import FloodMonitor
+from .defense import FloodMonitor, ResponseMode
 from .interdomain import Handle, PolicyTransferToken
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
 from .policy import DomainInfo
@@ -111,7 +111,7 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
     controllers: dict[str, Controller] = {}
     for domain in scenario.domains:
         monitor = None
-        if scenario.capacity is not None and scenario.defense_response.value != "none":
+        if scenario.capacity is not None and scenario.defense_response is not ResponseMode.NONE:
             monitor = FloodMonitor(
                 scenario.capacity,
                 response=scenario.defense_response,
@@ -184,7 +184,7 @@ class Simulation:
 
     # --- traffic expansion -----------------------------------------------------
 
-    def _make_packet(self, src: HostSpec, dst_ip: IPv4Address, spec, port: int, tick: int) -> Packet:
+    def _make_packet(self, src: HostSpec, dst_ip: IPv4Address, spec, port: int) -> Packet:
         dst_host = self.world.hosts_by_ip.get(dst_ip)
         return Packet(
             src_ip=src.ip,
@@ -195,7 +195,6 @@ class Simulation:
             service_port=port,
             packet_type=spec.packet_type,
             payload_size=getattr(spec, "size", 64),
-            timestamp=tick,
         )
 
     def _resolve_dst(self, dst: str) -> IPv4Address:
@@ -206,7 +205,7 @@ class Simulation:
     def _offer_flow(self, spec, port: int, tick: int, from_flood: bool) -> None:
         src = self.world.hosts[spec.src_host]
         dst_ip = self._resolve_dst(spec.dst)
-        packet = self._make_packet(src, dst_ip, spec, port, tick)
+        packet = self._make_packet(src, dst_ip, spec, port)
         record = FlowRecord(
             index=len(self.report.flows),
             flow_id=packet.flow_id,
@@ -354,7 +353,7 @@ class Simulation:
                 continue  # floods are reactive by nature
             src = self.world.hosts[item.src_host]
             dst_ip = self._resolve_dst(item.dst)
-            packet = self._make_packet(src, dst_ip, item, item.port, item.at)
+            packet = self._make_packet(src, dst_ip, item, item.port)
             ingress, entry_peer = src.switch, src.id
             handle = ptt = None
             # each hop extends the handle by a domain it has not visited, so

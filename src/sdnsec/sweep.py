@@ -24,7 +24,6 @@ from .scenario import (
     HostSpec,
     Scenario,
     SwitchSpec,
-    TICKS_PER_SECOND,
 )
 from .simulation import run
 
@@ -141,11 +140,12 @@ def chain_scenario(as_count: int, mode: str = "reactive", enforcement: bool = Tr
 
 
 def offer_horizon(scenario: Scenario) -> int:
-    """Last tick at which the traffic program is still offering requests."""
+    """Last tick at which the traffic program is still offering requests; a
+    flood second lasts one defense window, as in the simulation."""
     horizon = 0
     for item in scenario.traffic:
         if isinstance(item, FloodSpec):
-            horizon = max(horizon, item.at + item.seconds * TICKS_PER_SECOND)
+            horizon = max(horizon, item.at + item.seconds * scenario.window_ticks)
         else:
             horizon = max(horizon, item.at)
     return horizon

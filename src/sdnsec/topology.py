@@ -107,9 +107,6 @@ class TopologyRepository:
     entries: dict[str, TopologyEntry] = field(default_factory=dict)
     intra_graph: Graph = field(default_factory=Graph)
 
-    def neighbors(self) -> list[str]:
-        return sorted(as_id for as_id, entry in self.entries.items() if entry.hops == 1)
-
     def domain_for_ip(self, ip) -> str | None:
         """Domain whose advertised subnet contains ``ip``; the owner is not an entry."""
         for as_id in sorted(self.entries):

@@ -8,6 +8,8 @@ so they stay independent of the implementation paths they check.
 from __future__ import annotations
 
 import bisect
+import hashlib
+import math
 import random
 from collections import deque
 from dataclasses import replace
@@ -15,8 +17,9 @@ from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
 
 from sdnsec.dataplane import FlowMatch, FlowRule, Packet, TableFullError
+from sdnsec.defense import ResponseMode, compute_thresholds
 from sdnsec.labels import ANY_LABEL, LabelConstraint, LabelRelation, SecurityLabel
-from sdnsec.metrics import FlowRecord, MetricsReport
+from sdnsec.metrics import FlowRecord, MetricsReport, emit
 from sdnsec.policy import (
     DENY_DEFAULT,
     Action,
@@ -324,6 +327,12 @@ def scan_select(pes: list[PolicyExpression], ctx: FlowContext) -> Decision:
     )
 
 
+def records_digest(report: MetricsReport) -> str:
+    """SHA-256 of the report's ``records`` emission: comparing two is as
+    strict as comparing the texts, and a failure prints two short lines."""
+    return hashlib.sha256(emit(report, "records").encode()).hexdigest()
+
+
 def delivered(report: MetricsReport) -> list[FlowRecord]:
     return [f for f in report.flows if f.outcome == "delivered"]
 
@@ -474,3 +483,61 @@ class ScanTable:
         # insertion point after equal priorities keeps install order stable
         index = bisect.bisect_right(self.rules, -rule.priority, key=lambda r: -r.priority)
         self.rules.insert(index, rule)
+
+
+class _RollCounter:
+    def __init__(self) -> None:
+        self.current = 0
+        self.admitted = 0
+
+
+class RollingMonitor:
+    """Reference flood monitor: one global window index, and every host and
+    switch counter reset together when a request opens a later window.  A
+    host marked DROP_RULE stays blocked; a THROTTLE mark is kept but never
+    read.  This was the monitor before per-key windows; on non-decreasing
+    ticks the two must agree."""
+
+    def __init__(self, cap, response: ResponseMode, *, window_ticks: int):
+        self.response = response
+        self.window_ticks = window_ticks
+        self.tsw, self.thost = compute_thresholds(cap)
+        self._window_index = 0
+        self._hosts: dict[str, _RollCounter] = {}
+        self._switches: dict[str, _RollCounter] = {}
+        self.active_responses: dict[str, ResponseMode] = {}
+
+    def _roll(self, tick: int) -> None:
+        index = tick // self.window_ticks
+        if index > self._window_index:
+            for counter in (*self._hosts.values(), *self._switches.values()):
+                counter.current = 0
+                counter.admitted = 0
+            self._window_index = index
+
+    def requests(self, host: str) -> int:
+        """Requests from ``host`` in the current window."""
+        counter = self._hosts.get(host)
+        return 0 if counter is None else counter.current
+
+    def blocked(self) -> set[str]:
+        return {host for host, mark in self.active_responses.items() if mark is ResponseMode.DROP_RULE}
+
+    def record_and_check(self, src_host: str, src_switch: str, tick: int) -> ResponseMode:
+        self._roll(tick)
+        host = self._hosts.setdefault(src_host, _RollCounter())
+        switch = self._switches.setdefault(src_switch, _RollCounter())
+        host.current += 1
+        switch.current += 1
+        if self.active_responses.get(src_host) is ResponseMode.DROP_RULE:
+            return ResponseMode.DROP_RULE
+        host_over = host.admitted + 1 > math.floor(self.thost)
+        switch_over = switch.admitted + 1 > math.floor(self.tsw)
+        if not host_over and not switch_over:
+            host.admitted += 1
+            switch.admitted += 1
+            return ResponseMode.NONE
+        if not host_over:
+            return ResponseMode.THROTTLE
+        self.active_responses[src_host] = self.response
+        return self.response

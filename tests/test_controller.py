@@ -4,6 +4,7 @@ import pytest
 
 from sdnsec.controller import DropReason, synthesize_rules
 from sdnsec.dataplane import ActionKind, Packet
+from sdnsec.defense import ResponseMode
 from sdnsec.interdomain import mint_handle
 from sdnsec.scenario import bundled_scenario_path, load_scenario
 from sdnsec.simulation import build_world
@@ -128,3 +129,18 @@ def test_event_log_records_each_packet_in(transit_world):
     assert ctrl.events[0].matched_pe == "1"
     assert ctrl.events[1].verdict == "drop"
     assert ctrl.events[1].service_ticks > 0
+
+
+def test_block_rule_is_emitted_once_per_offender():
+    # Thost = 100: the 101st request blocks the attacker; the requests that
+    # reach the controller before the block rule is in place are dropped
+    # again without a second rule
+    scenario = load_scenario(bundled_scenario_path("flood_single_domain")).with_defense(ResponseMode.DROP_RULE)
+    ctrl = build_world(scenario).controllers["AS1"]
+    results = [
+        ctrl.handle_packet_in(make_packet("10.9.0.66", "10.9.0.80", 20000 + i, "SYN"), "S1", "attacker", i)
+        for i in range(103)
+    ]
+    blocked = [result for result in results if result.reason == DropReason.DEFENSE_BLOCKED]
+    assert [result.block_batch is not None for result in blocked] == [True, False, False]
+    assert ctrl.monitor.blocked == {"10.9.0.66"}

@@ -3,13 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from sdnsec.defense import (
     CapacityModel,
     FloodMonitor,
     ResponseMode,
-    Verdict,
+    WindowCounts,
     compute_thresholds,
 )
+
+from helpers import RollingMonitor
+
+RESPONSES = (ResponseMode.THROTTLE, ResponseMode.DROP_RULE)
 
 
 def test_worked_example():
@@ -53,15 +59,16 @@ def make_monitor(cc=400, x=2, y=2, response=ResponseMode.THROTTLE, window=1000):
 
 def test_at_threshold_is_ok():
     monitor = make_monitor()  # Thost = 100
-    verdicts = [monitor.record_and_check("h1", "s1", tick) for tick in range(100)]
-    assert all(v is Verdict.OK for v in verdicts)
+    responses = [monitor.record_and_check("h1", "s1", tick) for tick in range(100)]
+    assert all(r is ResponseMode.NONE for r in responses)
 
 
 def test_fires_exactly_on_threshold_plus_one():
     monitor = make_monitor()
     for tick in range(100):
-        assert monitor.record_and_check("h1", "s1", tick) is Verdict.OK
-    assert monitor.record_and_check("h1", "s1", 100) is Verdict.THROTTLE
+        assert monitor.record_and_check("h1", "s1", tick) is ResponseMode.NONE
+    assert monitor.record_and_check("h1", "s1", 100) is ResponseMode.THROTTLE
+    assert monitor.blocked == set()  # throttling blocks nobody
 
 
 def test_throttle_caps_admissions_per_window():
@@ -70,17 +77,17 @@ def test_throttle_caps_admissions_per_window():
     monitor = make_monitor(cc=16000, x=2, y=2, window=1000)  # Thost = 4000
     admitted = 0
     for i in range(5000):
-        if monitor.record_and_check("mal", "s1", i % 1000) is Verdict.OK:
+        if monitor.record_and_check("mal", "s1", i % 1000) is ResponseMode.NONE:
             admitted += 1
     assert admitted == 4000
 
 
 def test_drop_rule_fires_once_then_remembers():
     monitor = make_monitor(response=ResponseMode.DROP_RULE)
-    verdicts = [monitor.record_and_check("mal", "s1", tick) for tick in range(150)]
-    assert verdicts[:100] == [Verdict.OK] * 100
-    assert verdicts[100:] == [Verdict.DROP_RULE] * 50
-    assert monitor.active_responses["mal"] is Verdict.DROP_RULE
+    responses = [monitor.record_and_check("mal", "s1", tick) for tick in range(150)]
+    assert responses[:100] == [ResponseMode.NONE] * 100
+    assert responses[100:] == [ResponseMode.DROP_RULE] * 50
+    assert monitor.blocked == {"mal"}
 
 
 def test_legit_host_on_other_switch_untouched():
@@ -88,28 +95,30 @@ def test_legit_host_on_other_switch_untouched():
     for tick in range(0, 500):
         monitor.record_and_check("mal", "s1", tick)
     for tick in range(0, 50):
-        assert monitor.record_and_check("good", "s2", tick) is Verdict.OK
+        assert monitor.record_and_check("good", "s2", tick) is ResponseMode.NONE
 
 
 def test_switch_budget_throttles_without_marking_hosts():
     # more hosts behind one switch than the capacity model assumes: each
     # stays below its own budget yet together they blow the switch budget;
-    # the excess is throttled at the switch but nobody is marked
-    monitor = FloodMonitor(CapacityModel(cc=20, x=2, y=2), window_ticks=1000)
-    # TSw = 10, Thost = 5; four hosts send three requests each
-    verdicts = []
-    for round_ in range(3):
-        for host in ("a", "b", "c", "d"):
-            verdicts.append(monitor.record_and_check(host, "s1", round_))
-    throttled = [v for v in verdicts if v is Verdict.THROTTLE]
-    assert len(throttled) == 2  # requests 11..12 cross TSw = 10
-    assert monitor.active_responses == {}
+    # the excess is throttled at the switch but nobody is blocked, under
+    # either response
+    for response in RESPONSES:
+        monitor = FloodMonitor(CapacityModel(cc=20, x=2, y=2), response=response, window_ticks=1000)
+        # TSw = 10, Thost = 5; four hosts send three requests each
+        responses = []
+        for round_ in range(3):
+            for host in ("a", "b", "c", "d"):
+                responses.append(monitor.record_and_check(host, "s1", round_))
+        throttled = [r for r in responses if r is ResponseMode.THROTTLE]
+        assert len(throttled) == 2, response  # requests 11..12 cross TSw = 10
+        assert responses.count(ResponseMode.NONE) == 10, response
+        assert monitor.blocked == set(), response
 
 
-def test_response_none_admits_everything():
-    monitor = make_monitor(response=ResponseMode.NONE)
-    for tick in range(1000):
-        assert monitor.record_and_check("mal", "s1", 0) is Verdict.OK
+def test_response_none_builds_no_monitor():
+    with pytest.raises(ValueError):
+        make_monitor(response=ResponseMode.NONE)
 
 
 def test_window_rollover_resets_the_budget():
@@ -117,13 +126,57 @@ def test_window_rollover_resets_the_budget():
     # steady traffic at exactly the budget, window after window
     for window in range(8):
         for i in range(10):
-            assert monitor.record_and_check("h", "s", window * 10 + i) is Verdict.OK, (window, i)
-    assert monitor.weighted_count("h") == 10
+            assert monitor.record_and_check("h", "s", window * 10 + i) is ResponseMode.NONE, (window, i)
+    assert monitor.requests.get("h", 79) == 10
     # one request more in a window is throttled ...
     for i in range(10):
-        assert monitor.record_and_check("h", "s", 80 + i) is Verdict.OK
-    assert monitor.record_and_check("h", "s", 89) is Verdict.THROTTLE
-    assert monitor.weighted_count("h") == 11
+        assert monitor.record_and_check("h", "s", 80 + i) is ResponseMode.NONE
+    assert monitor.record_and_check("h", "s", 89) is ResponseMode.THROTTLE
+    assert monitor.requests.get("h", 89) == 11
     # ... and the next window admits again, counting from zero
-    assert monitor.record_and_check("h", "s", 90) is Verdict.OK
-    assert monitor.weighted_count("h") == 1
+    assert monitor.record_and_check("h", "s", 90) is ResponseMode.NONE
+    assert monitor.requests.get("h", 90) == 1
+
+
+def test_window_counts_are_per_key_and_per_window():
+    counts = WindowCounts(10)
+    for tick in (0, 3, 9):
+        counts.add("a", tick)
+    counts.add("b", 5)
+    assert (counts.get("a", 9), counts.get("b", 9), counts.get("c", 9)) == (3, 1, 0)
+    # a later window starts every key from zero, whether or not it was seen
+    counts.add("a", 10)
+    assert (counts.get("a", 10), counts.get("b", 10)) == (1, 0)
+    with pytest.raises(ValueError):
+        WindowCounts(0)
+
+
+@st.composite
+def request_programs(draw):
+    """Small budgets and a non-decreasing run of (host, switch, tick)
+    requests, as the controller's sequential server issues them."""
+    cc, x, y = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    window = draw(st.integers(1, 6))
+    steps = draw(
+        st.lists(
+            st.tuples(st.sampled_from("abcd"), st.sampled_from(("s1", "s2")), st.integers(0, 4)),
+            max_size=80,
+        )
+    )
+    requests, tick = [], 0
+    for host, switch, gap in steps:
+        tick += gap
+        requests.append((host, switch, tick))
+    return CapacityModel(cc=cc, x=x, y=y), window, requests
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(request_programs(), st.sampled_from(RESPONSES))
+def test_monitor_matches_rolling_window_oracle(program, response):
+    cap, window, requests = program
+    monitor = FloodMonitor(cap, response=response, window_ticks=window)
+    oracle = RollingMonitor(cap, response, window_ticks=window)
+    for host, switch, tick in requests:
+        assert monitor.record_and_check(host, switch, tick) is oracle.record_and_check(host, switch, tick)
+        assert monitor.requests.get(host, tick) == oracle.requests(host)
+        assert monitor.blocked == oracle.blocked()

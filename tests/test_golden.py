@@ -1,5 +1,9 @@
 """Outputs of every bundled scenario, pinned by SHA-256.
 
+No bundled scenario enables a defense response, so the flood scenario is
+pinned once more under each response (``flood_single_domain+throttle`` and
+``flood_single_domain+drop_rule``).
+
 ``records_sha256.json`` pins the ``records`` emission; ``events_sha256.json``
 pins every controller's event log and the report's latency records, which
 carry the drop ticks and matched policies that ``records`` does not.
@@ -20,16 +24,24 @@ from pathlib import Path
 import pytest
 
 from sdnsec import bundled_scenario_path, emit, list_bundled_scenarios, load_scenario
+from sdnsec.defense import ResponseMode
 from sdnsec.simulation import Simulation, build_world
 
 GOLDEN = Path(__file__).parent / "golden"
 MODES = ("reactive", "proactive")
-CASES = [f"{name}/{mode}" for name in list_bundled_scenarios() for mode in MODES]
+NAMES = [
+    *list_bundled_scenarios(),
+    *(f"flood_single_domain+{response.value}" for response in (ResponseMode.THROTTLE, ResponseMode.DROP_RULE)),
+]
+CASES = [f"{name}/{mode}" for name in NAMES for mode in MODES]
 
 
 def _run(case: str):
     name, mode = case.split("/")
+    name, _, response = name.partition("+")
     scenario = load_scenario(bundled_scenario_path(name)).with_mode(mode)
+    if response:
+        scenario = scenario.with_defense(ResponseMode(response))
     world = build_world(scenario)
     return world, Simulation(world).run()
 

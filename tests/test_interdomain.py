@@ -22,18 +22,9 @@ from helpers import egress_hop
 KEYS = {"AS1": b"key-as1", "AS2": b"key-as2", "AS3": b"key-as3"}
 
 
-class StubTopo:
-    def __init__(self, neighbors):
-        self._neighbors = neighbors
-
-    def neighbors(self):
-        return list(self._neighbors)
-
-
-class StubController:
-    def __init__(self, neighbors, key_ring):
-        self.topo = StubTopo(neighbors)
-        self.key_ring = key_ring
+def ring(*as_ids):
+    """The key ring of a domain whose neighbors are ``as_ids``."""
+    return {as_id: KEYS[as_id] for as_id in as_ids}
 
 
 def label_geq(rank):
@@ -52,38 +43,34 @@ def test_mint_and_extend_visited_chain():
 
 def test_validate_honest_handle_at_neighbor():
     handle = mint_handle("f1", "AS1", KEYS["AS1"])
-    ctrl = StubController(["AS1"], {"AS1": KEYS["AS1"]})
-    assert validate_handle(ctrl, handle)
+    assert validate_handle(handle, ring("AS1"))
 
 
 def test_validate_requires_neighbor_adjacency():
-    # a handle whose last visited domain is not adjacent is refused even if
-    # the tag would verify
+    # a handle whose last visited domain is not adjacent, so missing from
+    # the key ring, is refused although its tag is honest
     handle = mint_handle("f1", "AS1", KEYS["AS1"])
-    ctrl = StubController(["AS3"], {"AS1": KEYS["AS1"], "AS3": KEYS["AS3"]})
-    assert not validate_handle(ctrl, handle)
+    assert not validate_handle(handle, ring("AS3"))
 
 
 def test_validate_three_hop_arrival():
     handle = mint_handle("f1", "AS1", KEYS["AS1"])
     handle = extend_handle_record(handle, "AS2", KEYS["AS2"])
     handle = extend_handle_record(handle, "AS3", KEYS["AS3"])
-    at_as4 = StubController(["AS3"], {"AS3": KEYS["AS3"]})
-    assert validate_handle(at_as4, handle)
+    assert validate_handle(handle, ring("AS3"))
 
 
 def test_reordered_visited_list_rejected():
     handle = mint_handle("f1", "AS1", KEYS["AS1"])
     handle = extend_handle_record(handle, "AS2", KEYS["AS2"])
     forged = Handle(handle.flow_id, handle.origin_as, ("AS2", "AS1"), handle.tag)
-    ctrl = StubController(["AS1", "AS2"], dict(KEYS))
-    assert not validate_handle(ctrl, forged)
+    assert not validate_handle(forged, ring("AS1", "AS2"))
 
 
 def test_every_single_field_mutation_rejected():
     handle = extend_handle_record(mint_handle("f1", "AS1", KEYS["AS1"]), "AS2", KEYS["AS2"])
-    ctrl = StubController(["AS1", "AS2"], dict(KEYS))
-    assert validate_handle(ctrl, handle)
+    key_ring = ring("AS1", "AS2")
+    assert validate_handle(handle, key_ring)
     mutations = [
         replace(handle, flow_id="f2"),
         replace(handle, origin_as="AS9"),
@@ -92,17 +79,16 @@ def test_every_single_field_mutation_rejected():
         replace(handle, tag="0" * len(handle.tag)),
     ]
     for mutant in mutations:
-        assert not validate_handle(ctrl, mutant)
+        assert not validate_handle(mutant, key_ring)
 
 
 def test_single_bit_tag_flips_all_rejected():
     handle = mint_handle("f1", "AS1", KEYS["AS1"])
-    ctrl = StubController(["AS1"], {"AS1": KEYS["AS1"]})
     tag_bits = int(handle.tag, 16)
     width = len(handle.tag) * 4
     for bit in range(width):
         flipped = f"{tag_bits ^ (1 << bit):0{len(handle.tag)}x}"
-        assert not validate_handle(ctrl, replace(handle, tag=flipped))
+        assert not validate_handle(replace(handle, tag=flipped), ring("AS1"))
 
 
 def test_duplicate_visited_is_invalid_by_construction():
@@ -173,6 +159,8 @@ def test_transit_packet_in_classifies_transit_and_drop():
 
     world = build_world(load_scenario(bundled_scenario_path("four_domain_transit")))
     as1, as2 = world.controllers["AS1"], world.controllers["AS2"]
+    # a controller holds the keys of its neighbors and of no other domain
+    assert sorted(as2.key_ring) == list(world.as_graph.neighbors("AS2")) == ["AS1", "AS3"]
     packet = Packet(
         src_ip=IPv4Address("10.0.0.2"),
         dst_ip=IPv4Address("192.168.52.72"),
@@ -201,11 +189,10 @@ def test_wire_tampering_is_bit_precise():
     # verification
     handle = mint_handle("f1", "AS1", KEYS["AS1"])
     token = mint_ptt("f1", "AS1", (label_geq(2),), KEYS["AS1"])
-    ctrl = StubController(["AS1"], {"AS1": KEYS["AS1"]})
-    assert validate_handle(ctrl, handle)
+    assert validate_handle(handle, ring("AS1"))
     assert verify_ptt(token, KEYS["AS1"])
     for credential, verifies in (
-        (handle, lambda h: validate_handle(ctrl, h)),
+        (handle, lambda h: validate_handle(h, ring("AS1"))),
         (token, lambda t: verify_ptt(t, KEYS["AS1"])),
     ):
         tag = credential.tag

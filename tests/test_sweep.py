@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
-from sdnsec.metrics import emit, emit_series
-from sdnsec.scenario import bundled_scenario_path, load_scenario
+from sdnsec.metrics import emit_series
+from sdnsec.scenario import FloodSpec, bundled_scenario_path, load_scenario
 from sdnsec.simulation import run
 from sdnsec.sweep import (
     chain_scenario,
@@ -11,6 +13,8 @@ from sdnsec.sweep import (
     pad_switches,
     sweep,
 )
+
+from helpers import records_digest
 
 
 def load(name):
@@ -33,7 +37,17 @@ def test_single_point_sweep_equals_run():
     ((point, swept),) = sweep(scenario, "pe_count", [current])
     assert point == current
     direct = run(scenario)
-    assert emit(swept, "records") == emit(direct, "records")
+    assert records_digest(swept) == records_digest(direct)
+
+
+def test_offer_horizon_follows_the_defense_window():
+    # one flood second lasts one defense window, in the simulation that
+    # offers the flood and in the horizon that measures it
+    bundled = load("flood_single_domain")
+    flood = [item for item in bundled.traffic if isinstance(item, FloodSpec)]
+    scenario = replace(bundled, traffic=tuple(flood), window_ticks=250_000)
+    assert max(flow.request_tick for flow in run(scenario).flows) == 499_000
+    assert offer_horizon(scenario) == 500_000
 
 
 def test_latency_grows_with_fabric_and_exceeds_baseline():

@@ -1,0 +1,46 @@
+"""The benchmark workloads, pinned by the SHA-256 of their ``records`` output.
+
+Each document of ``benchmarks/workloads.py`` is built at seed 1 and run the
+way one benchmark repetition runs it: parse, build, simulate, emit.  A change
+that should not move behaviour must leave these digests alone, and every
+flow must end in an outcome the workload's generator allows.  After an
+intended behaviour change, regenerate the file with::
+
+    PYTHONPATH=src python tests/test_workloads.py > tests/golden/workloads_sha256.json
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from sdnsec.metrics import emit
+from sdnsec.scenario import parse_scenario
+from sdnsec.simulation import Simulation, build_world
+
+GOLDEN = Path(__file__).parent / "golden"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+SEED = 1
+
+
+def _run(name: str):
+    document, expectation = WORKLOADS[name](SEED)
+    parsed = parse_scenario(json.loads(json.dumps(document, sort_keys=True)))
+    report = Simulation(build_world(parsed, parsed.costs)).run()
+    return hashlib.sha256(emit(report, "records").encode()).hexdigest(), expectation.violations(report.flows)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_records_digest_unchanged(name):
+    digest, violations = _run(name)
+    assert violations == []
+    assert digest == json.loads((GOLDEN / "workloads_sha256.json").read_text())[name]
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: _run(name)[0] for name in sorted(WORKLOADS)}, indent=2, sort_keys=True))
