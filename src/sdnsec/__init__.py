@@ -9,10 +9,7 @@ scenario harness with deterministic metrics, sweeps and a CLI.
 """
 
 from .labels import (
-    ANY_LABEL,
-    LabelConstraint,
     LabelParseError,
-    LabelRelation,
     LabelWindow,
     SecurityLabel,
     parse_label_constraint,
@@ -84,7 +81,6 @@ from .simulation import build_world, run
 from .sweep import chain_scenario, flood_response_series, sweep
 
 __all__ = [
-    "ANY_LABEL",
     "Action",
     "ActionKind",
     "CapacityModel",
@@ -103,9 +99,7 @@ __all__ = [
     "FlowRule",
     "Graph",
     "Handle",
-    "LabelConstraint",
     "LabelParseError",
-    "LabelRelation",
     "LabelWindow",
     "MetricsReport",
     "NoPathError",

@@ -50,11 +50,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.compare_defenses and args.axis != "request_rate":
+        print("error: --compare-defenses sweeps flood rates; it needs --axis request_rate", file=sys.stderr)
+        return 2
+    if args.emit is not None and not args.compare_defenses:
+        print("error: --emit formats the --compare-defenses series only", file=sys.stderr)
+        return 2
     scenario = _apply_overrides(_load(args.scenario), args)
     points = [int(p) for p in args.points.split(",")]
     if args.compare_defenses:
         series = flood_response_series(scenario, points)
-        _write(emit_series(series, args.emit), args.out)
+        _write(emit_series(series, args.emit or "delimited"), args.out)
         return 0
     out_lines = []
     for point, report in sweep(scenario, args.axis, points):
@@ -116,7 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit baseline/threshold/drop-rule series over a request_rate axis",
     )
-    p_sweep.add_argument("--emit", choices=("table", "delimited", "records"), default="delimited")
+    p_sweep.add_argument(
+        "--emit",
+        choices=("table", "delimited", "records"),
+        help="format of the --compare-defenses series (default: delimited)",
+    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_dump = sub.add_parser("dump-flows", help="run a scenario, then dump one switch's flow table")

@@ -144,14 +144,6 @@ class ForwardOutcome:
     rule: FlowRule | None = None
 
 
-@dataclass
-class SwitchStats:
-    offered: int = 0
-    forwarded: int = 0
-    dropped: int = 0
-    packet_ins: int = 0
-
-
 def _no_fields(_item: object) -> tuple[()]:
     return ()
 
@@ -204,7 +196,6 @@ class Switch:
         self.ports: dict[int, str] = {}
         self.table = FlowTable()
         self._install_numbers = count()
-        self.stats = SwitchStats()
 
     def attach(self, peer: str) -> int:
         """Wire a peer (switch or host id) to the next free port; injective."""
@@ -270,20 +261,15 @@ class Switch:
 
     def process_packet(self, packet: Packet, in_port: int | None = None) -> ForwardOutcome:
         """Table lookup: execute the highest-priority match, else packet-in."""
-        self.stats.offered += 1
         rule = self.lookup(packet, in_port)
         if rule is None:
-            self.stats.packet_ins += 1
             return ForwardOutcome(kind="packet_in")
         rule.packets += 1
         rule.bytes += packet.payload_size
         if rule.action == ActionKind.DROP:
-            self.stats.dropped += 1
             return ForwardOutcome(kind="dropped", rule=rule)
         if rule.action == ActionKind.TO_CONTROLLER:
-            self.stats.packet_ins += 1
             return ForwardOutcome(kind="packet_in", rule=rule)
-        self.stats.forwarded += 1
         return ForwardOutcome(kind="forwarded", peer=self.ports[rule.out_port], rule=rule)
 
 

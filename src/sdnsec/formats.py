@@ -29,7 +29,7 @@ import re
 from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
 
-from .labels import ANY_LABEL, LabelParseError, parse_label_constraint
+from .labels import LabelParseError, parse_label_constraint
 from .policy import (
     Action,
     Constraint,
@@ -277,7 +277,7 @@ def _build_pe(record: dict[str, str], where: str) -> PolicyExpression:
             as_id=opt(f"{side}asid"),
             subnet=opt(f"{side}assub", parse_network),
             as_type=opt(f"{side}astype"),
-            label_req=opt(f"{side}astrulabel", parse_label_constraint) or ANY_LABEL,
+            label_req=opt(f"{side}astrulabel", parse_label_constraint),
             host_ip=opt(f"{side}ip", parse_ipv4),
             host_mac=opt(f"{side}mac", normalize_mac),
         )
@@ -320,7 +320,7 @@ def _encode(pe: PolicyExpression) -> dict[str, list[str]]:
         columns[f"{side}asid"] = one(sel.as_id)
         columns[f"{side}assub"] = one(sel.subnet)
         columns[f"{side}astype"] = one(sel.as_type)
-        columns[f"{side}astrulabel"] = [] if sel.label_req.is_wildcard else [sel.label_req.text()]
+        columns[f"{side}astrulabel"] = one(sel.label_req)
         columns[f"{side}ip"] = one(sel.host_ip)
         columns[f"{side}mac"] = one(sel.host_mac)
     validity = [f"valid[{pe.validity[0]},{pe.validity[1]})"] if pe.validity else []

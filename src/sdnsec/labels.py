@@ -1,23 +1,22 @@
-"""Ordered security labels and the relational constraints placed on them.
+"""Ordered security labels and the requirements placed on them.
 
 Labels form a total order ``SL1 < SL2 < ...`` with SL1 the least trusted.
-A :class:`LabelConstraint` is a single relational test against a base label;
-a :class:`LabelWindow` is the conjunction of several such tests collapsed
-into a (lower, upper) rank interval, which is what the path search and the
-constraint merger actually operate on.
+A :class:`LabelWindow` is the one label-requirement type: the closed rank
+interval a token such as ``SL2+=`` admits, and also the conjunction of
+several requirements, which is what the path search and the constraint
+merger operate on.  An endpoint selector that places no requirement on a
+domain's label holds ``None``, not a window: a requirement, even the full
+window, fails a domain whose label is unknown, while ``None`` passes it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
+from functools import reduce
 
 __all__ = [
-    "ANY_LABEL",
-    "LabelConstraint",
     "LabelParseError",
-    "LabelRelation",
     "LabelWindow",
     "SecurityLabel",
     "parse_label",
@@ -51,55 +50,6 @@ class SecurityLabel:
         return f"SL{self.rank}"
 
 
-class LabelRelation(Enum):
-    GEQ = ">="
-    LEQ = "<="
-    EQ = "=="
-    ANY = "*"
-
-
-@dataclass(frozen=True)
-class LabelConstraint:
-    """Relational test against a base label; ANY matches everything and has no base."""
-
-    relation: LabelRelation
-    base: SecurityLabel | None = None
-
-    def __post_init__(self) -> None:
-        if self.relation is LabelRelation.ANY:
-            if self.base is not None:
-                raise ValueError("ANY constraint carries no base label")
-        elif self.base is None:
-            raise ValueError(f"{self.relation.name} constraint requires a base label")
-
-    def satisfies(self, label: SecurityLabel) -> bool:
-        if self.relation is LabelRelation.ANY:
-            return True
-        assert self.base is not None
-        if self.relation is LabelRelation.GEQ:
-            return label.rank >= self.base.rank
-        if self.relation is LabelRelation.LEQ:
-            return label.rank <= self.base.rank
-        return label.rank == self.base.rank
-
-    @property
-    def is_wildcard(self) -> bool:
-        return self.relation is LabelRelation.ANY
-
-    def text(self) -> str:
-        """Canonical textual form: ``*``, ``SL2``, ``SL2+=`` or ``SL2-=``."""
-        if self.relation is LabelRelation.ANY:
-            return "*"
-        assert self.base is not None
-        suffix = {LabelRelation.GEQ: "+=", LabelRelation.LEQ: "-=", LabelRelation.EQ: ""}
-        return f"{self.base}{suffix[self.relation]}"
-
-    def __str__(self) -> str:
-        return self.text()
-
-
-ANY_LABEL = LabelConstraint(LabelRelation.ANY)
-
 _LABEL_RE = re.compile(r"^SL(\d+)$")
 
 
@@ -115,35 +65,33 @@ def parse_label(text: str) -> SecurityLabel:
     return SecurityLabel(rank)
 
 
-def parse_label_constraint(text: str) -> LabelConstraint:
-    """Parse a label-constraint token.
+def parse_label_constraint(text: str) -> LabelWindow:
+    """Parse a label-constraint token into the window of ranks it admits.
 
-    Grammar: ``*`` is the wildcard; a bare ``SL<n>`` means equality;
-    ``SL<n>+=`` means at-least; ``SL<n>-=`` means at-most.
+    Grammar: ``*`` is the wildcard, the full window; a bare ``SL<n>`` means
+    equality; ``SL<n>+=`` means at-least; ``SL<n>-=`` means at-most.
     """
     if not text or not text.strip():
         raise LabelParseError(text, 0, "empty constraint")
     token = text.strip()
     if token == "*":
-        return ANY_LABEL
-    relation = LabelRelation.EQ
-    if token.endswith("+="):
-        relation, token = LabelRelation.GEQ, token[:-2]
-    elif token.endswith("-="):
-        relation, token = LabelRelation.LEQ, token[:-2]
-    m = _LABEL_RE.match(token)
+        return LabelWindow()
+    body = token[:-2] if token.endswith(("+=", "-=")) else token
+    m = _LABEL_RE.match(body)
     if not m:
-        pos = next((i for i, (a, b) in enumerate(zip(token, "SL")) if a != b), min(len(token), 2))
+        pos = next((i for i, (a, b) in enumerate(zip(body, "SL")) if a != b), min(len(body), 2))
         raise LabelParseError(text, pos, "expected SL<n> with optional += or -= suffix")
     rank = int(m.group(1))
     if rank < 1:
         raise LabelParseError(text, 2, "rank must be >= 1")
-    return LabelConstraint(relation, SecurityLabel(rank))
+    # at-least leaves the window open above, at-most starts it at SL1
+    suffix = token[len(body) :]
+    return LabelWindow(1 if suffix == "-=" else rank, None if suffix == "+=" else rank)
 
 
 @dataclass(frozen=True)
 class LabelWindow:
-    """Conjunction of label constraints as a closed rank interval.
+    """The ranks a label requirement admits, as a closed interval.
 
     ``hi`` of ``None`` means unbounded above.  An empty window (lo > hi)
     represents an unsatisfiable conjunction.
@@ -153,23 +101,8 @@ class LabelWindow:
     hi: int | None = None
 
     @classmethod
-    def from_constraint(cls, constraint: LabelConstraint) -> LabelWindow:
-        rel, base = constraint.relation, constraint.base
-        if rel is LabelRelation.ANY:
-            return cls()
-        assert base is not None
-        if rel is LabelRelation.GEQ:
-            return cls(lo=base.rank)
-        if rel is LabelRelation.LEQ:
-            return cls(hi=base.rank)
-        return cls(lo=base.rank, hi=base.rank)
-
-    @classmethod
-    def conjoin(cls, constraints) -> LabelWindow:
-        window = cls()
-        for constraint in constraints:
-            window = window.intersect(cls.from_constraint(constraint))
-        return window
+    def conjoin(cls, windows) -> LabelWindow:
+        return reduce(cls.intersect, windows, cls())
 
     def intersect(self, other: LabelWindow) -> LabelWindow:
         lo = max(self.lo, other.lo)
@@ -186,8 +119,16 @@ class LabelWindow:
         return self.hi is not None and self.lo > self.hi
 
     def satisfies(self, label: SecurityLabel) -> bool:
-        if self.empty:
-            return False
-        if label.rank < self.lo:
-            return False
-        return self.hi is None or label.rank <= self.hi
+        return self.lo <= label.rank and (self.hi is None or label.rank <= self.hi)
+
+    def text(self) -> str:
+        """Canonical token of a window parsed from one token: ``SL2``,
+        ``SL2+=`` or ``SL2-=``; the full window prints as ``SL1+=``."""
+        if self.lo == self.hi:
+            return f"SL{self.lo}"
+        if self.hi is None:
+            return f"SL{self.lo}+="
+        return f"SL{self.hi}-="
+
+    def __str__(self) -> str:
+        return self.text()

@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
 
-from .labels import ANY_LABEL, LabelConstraint, LabelWindow, SecurityLabel
+from .labels import LabelWindow, SecurityLabel
 
 __all__ = [
     "Action",
@@ -93,7 +93,7 @@ class Constraint:
     """
 
     kind: ConstraintKind
-    label: LabelConstraint | None = None
+    label: LabelWindow | None = None
     rate: Fraction | None = None
     attr: str | None = None
     value: str | None = None
@@ -135,7 +135,7 @@ class EndpointSelector:
     as_id: str | None = None
     subnet: IPv4Network | None = None
     as_type: str | None = None
-    label_req: LabelConstraint = ANY_LABEL
+    label_req: LabelWindow | None = None
     host_ip: IPv4Address | None = None
     host_mac: str | None = None
 
@@ -284,7 +284,7 @@ def _selector_matches(sel: EndpointSelector, domain: DomainInfo, ip: IPv4Address
         return False
     if sel.as_type is not None and sel.as_type != domain.as_type:
         return False
-    if not sel.label_req.is_wildcard:
+    if sel.label_req is not None:
         if domain.label is None or not sel.label_req.satisfies(domain.label):
             return False
     if sel.host_ip is not None and sel.host_ip != ip:
@@ -342,7 +342,7 @@ def specificity(pe: PolicyExpression) -> int:
         count += sel.as_id is not None
         count += sel.subnet is not None
         count += sel.as_type is not None
-        count += not sel.label_req.is_wildcard
+        count += sel.label_req is not None
         count += sel.host_ip is not None
         count += sel.host_mac is not None
     count += pe.user is not None

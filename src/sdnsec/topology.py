@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .labels import ANY_LABEL
+from .labels import LabelWindow
 from .policy import DomainInfo
 
 __all__ = [
@@ -181,7 +181,9 @@ def _least_shortest_path(neighbors, src: str, dst: str, accepts, handoff=None) -
     return best[src][1] if src in best else None
 
 
-def find_as_paths(graph: Graph, src_as: str, dst_as: str, constraint=ANY_LABEL) -> list[tuple[str, ...]]:
+def find_as_paths(
+    graph: Graph, src_as: str, dst_as: str, constraint: LabelWindow = LabelWindow()
+) -> list[tuple[str, ...]]:
     """The domain route src..dst in ``graph`` whose transit domains satisfy
     the constraint: ``[route]``, or ``[]`` when there is none.
 
@@ -210,7 +212,7 @@ def find_switch_path(
     ingress: str,
     egress: str,
     required: tuple[str, ...] | None = None,
-    constraint=ANY_LABEL,
+    constraint: LabelWindow = LabelWindow(),
 ) -> tuple[str, ...]:
     """Resolve the switch path a flow must take inside one domain.
 

@@ -18,7 +18,7 @@ from ipaddress import IPv4Address, IPv4Network
 
 from sdnsec.dataplane import FlowMatch, FlowRule, Packet, TableFullError
 from sdnsec.defense import ResponseMode, compute_thresholds
-from sdnsec.labels import ANY_LABEL, LabelConstraint, LabelRelation, SecurityLabel
+from sdnsec.labels import LabelWindow, SecurityLabel, parse_label_constraint
 from sdnsec.metrics import FlowRecord, MetricsReport, emit
 from sdnsec.policy import (
     DENY_DEFAULT,
@@ -109,10 +109,10 @@ def random_pe(rng: random.Random, pe_id: str, action: Action = Action.ALLOW) -> 
         return value if rng.random() < 0.4 else None
 
     def selector() -> EndpointSelector:
-        label = ANY_LABEL
+        label = None
         if rng.random() < 0.3:
-            relation = rng.choice((LabelRelation.GEQ, LabelRelation.LEQ, LabelRelation.EQ))
-            label = LabelConstraint(relation, SecurityLabel(rng.randrange(1, 6)))
+            relation = rng.choice(("+=", "-=", ""))
+            label = parse_label_constraint(f"SL{rng.randrange(1, 6)}{relation}")
         return EndpointSelector(
             as_id=maybe(rng.choice(AS_IDS)),
             subnet=maybe(IPv4Network(f"10.{rng.randrange(4)}.0.0/16")),
@@ -161,22 +161,22 @@ def matching_pe(rng: random.Random, ctx: FlowContext, pe_id: str) -> PolicyExpre
     def pick(value):
         return value if rng.random() < 0.5 else None
 
-    def label_for(label: SecurityLabel) -> LabelConstraint:
-        relation = rng.choice((LabelRelation.GEQ, LabelRelation.LEQ, LabelRelation.EQ))
-        if relation is LabelRelation.GEQ:
+    def label_for(label: SecurityLabel) -> LabelWindow:
+        relation = rng.choice(("+=", "-=", ""))
+        if relation == "+=":
             base = rng.randrange(1, label.rank + 1)
-        elif relation is LabelRelation.LEQ:
+        elif relation == "-=":
             base = rng.randrange(label.rank, 6)
         else:
             base = label.rank
-        return LabelConstraint(relation, SecurityLabel(base))
+        return parse_label_constraint(f"SL{base}{relation}")
 
     def selector(domain: DomainInfo, ip: IPv4Address, mac: str) -> EndpointSelector:
         return EndpointSelector(
             as_id=pick(domain.as_id),
             subnet=pick(IPv4Network(f"{ip}/{rng.choice((8, 16, 24, 32))}", strict=False)),
             as_type=pick(domain.as_type),
-            label_req=pick(label_for(domain.label)) or ANY_LABEL,
+            label_req=pick(label_for(domain.label)),
             host_ip=pick(ip),
             host_mac=pick(mac),
         )
@@ -187,7 +187,7 @@ def matching_pe(rng: random.Random, ctx: FlowContext, pe_id: str) -> PolicyExpre
             Constraint(ConstraintKind.PACKET_ATTR, attr="port", value=str(ctx.service_port)),
             Constraint(ConstraintKind.SIGNATURE, signature=ctx.packet_type),
             Constraint(ConstraintKind.RATE_THRESHOLD, rate=Fraction(rng.randrange(1, 100))),
-            Constraint(ConstraintKind.LABEL_PATH, label=LabelConstraint(LabelRelation.GEQ, SecurityLabel(1))),
+            Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint("SL1+=")),
         )
         return tuple(rng.sample(options, rng.randrange(1, 3))) if rng.random() < 0.5 else ()
 
@@ -226,16 +226,19 @@ def oracle_match(pe: PolicyExpression, ctx: FlowContext) -> bool:
         checks.append(sel.as_id is None or sel.as_id == dom.as_id)
         checks.append(sel.subnet is None or ip in sel.subnet)
         checks.append(sel.as_type is None or sel.as_type == dom.as_type)
-        if sel.label_req.relation is LabelRelation.ANY:
+        if sel.label_req is None:
             checks.append(True)
         else:
-            base = sel.label_req.base.rank
+            # compare ranks from the selector's token text, not through the window
+            token = sel.label_req.text()
+            relation = token[-2:] if token.endswith(("+=", "-=")) else ""
+            base = int(token[2 : len(token) - len(relation)])
             rank = dom.label.rank if dom.label else None
             if rank is None:
                 checks.append(False)
-            elif sel.label_req.relation is LabelRelation.GEQ:
+            elif relation == "+=":
                 checks.append(rank >= base)
-            elif sel.label_req.relation is LabelRelation.LEQ:
+            elif relation == "-=":
                 checks.append(rank <= base)
             else:
                 checks.append(rank == base)
@@ -273,8 +276,7 @@ def wildcarded(pe: PolicyExpression, field_name: str) -> PolicyExpression:
     if "." in field_name:
         side, attr = field_name.split(".", 1)
         sel = getattr(pe, side)
-        value = ANY_LABEL if attr == "label_req" else None
-        return replace(pe, **{side: replace(sel, **{attr: value})})
+        return replace(pe, **{side: replace(sel, **{attr: None})})
     if field_name in ("flow_cons", "dom_cons"):
         return replace(pe, **{field_name: ()})
     return replace(pe, **{field_name: None})

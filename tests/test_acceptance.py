@@ -13,7 +13,7 @@ from fractions import Fraction
 from sdnsec.dataplane import format_flow_dump
 from sdnsec.defense import CapacityModel, ResponseMode, compute_thresholds
 from sdnsec.interdomain import mint_handle, extend_handle_record, validate_handle
-from sdnsec.labels import LabelConstraint, LabelRelation, SecurityLabel
+from sdnsec.labels import parse_label_constraint
 from sdnsec.policy import Action, PolicyExpression, match_pe, select_policy
 from sdnsec.scenario import bundled_scenario_path, load_scenario
 from sdnsec.simulation import Simulation, build_world, run
@@ -84,7 +84,7 @@ def test_four_domain_transit_handle_and_policy_removal():
         flow = report.flows[0]
         assert flow.outcome == "delivered"
         assert flow.as_path == ("AS1", "AS2", "AS3", "AS4")
-        geq2 = LabelConstraint(LabelRelation.GEQ, SecurityLabel(2))
+        geq2 = parse_label_constraint("SL2+=")
         for transit in ("AS2", "AS3"):
             assert geq2.satisfies(scenario.domain(transit).label)
         for as_id, pe_id in [("AS1", "1"), ("AS2", "4"), ("AS3", "2"), ("AS4", "2")]:
@@ -238,7 +238,7 @@ def test_property_suites():
             labels = {f"AS{i}": rng.randrange(1, 5) for i in range(1, 7)}
             graph = make_world(links, labels)
             base = rng.randrange(1, 5)
-            constraint = LabelConstraint(LabelRelation.GEQ, SecurityLabel(base))
+            constraint = parse_label_constraint(f"SL{base}+=")
             assert find_as_paths(graph, "AS1", "AS6", constraint) == dfs_all_paths(
                 link_adjacency(links), "AS1", "AS6", lambda n: labels[n] >= base
             )[:1]

@@ -120,3 +120,22 @@ def test_sweep_compare_defenses(capsys):
     )
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "x,baseline,threshold,drop_rule"
+
+
+def test_sweep_compare_defenses_requires_the_request_rate_axis(capsys):
+    # the defense series always sweeps flood rates, so any other axis would
+    # be silently read as rates
+    argv = ["sweep", "flood_single_domain", "--axis", "pe_count", "--points", "50,100", "--compare-defenses"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--axis request_rate" in captured.err
+
+
+def test_sweep_emit_requires_compare_defenses(capsys):
+    # a plain sweep prints key=value lines; --emit would be ignored
+    argv = ["sweep", "minimal", "--axis", "switch_count", "--points", "4,6", "--emit", "records"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--compare-defenses" in captured.err

@@ -6,7 +6,7 @@ from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 
-from sdnsec.labels import LabelConstraint, LabelRelation, SecurityLabel
+from sdnsec.labels import parse_label_constraint
 from sdnsec.policy import Action, Constraint, ConstraintKind, PolicyExpression, derive_flow_id, match_pe
 from sdnsec.formats import (
     PolicyParseError,
@@ -59,7 +59,7 @@ def test_db_sample_parses_to_expected_expression():
     assert pe.user is None
     assert len(pe.dom_cons) == 1
     assert pe.dom_cons[0].kind is ConstraintKind.LABEL_PATH
-    assert pe.dom_cons[0].label == LabelConstraint(LabelRelation.GEQ, SecurityLabel(2))
+    assert pe.dom_cons[0].label == parse_label_constraint("SL2+=")
     assert pe.path == ("AS1", "AS2")
     assert pe.services is None
     assert pe.sec_profile == frozenset({"conf"})
@@ -191,8 +191,8 @@ def test_domain_descriptor_populates_selector():
     pe = parse_compact_pe(TRANSIT_GUEST_PE)
     assert pe.source.subnet == IPv4Network("10.0.0.0/25")
     assert pe.source.as_type == "EDU"
-    assert pe.source.label_req == LabelConstraint(LabelRelation.EQ, SecurityLabel(1))
-    assert pe.dom_cons[0].label == LabelConstraint(LabelRelation.EQ, SecurityLabel(1))
+    assert pe.source.label_req == parse_label_constraint("SL1")
+    assert pe.dom_cons[0].label == parse_label_constraint("SL1")
     assert pe.path == ("AS1", "AS2")
 
 
@@ -292,8 +292,8 @@ def _varied_pe(rng: random.Random, index: int) -> PolicyExpression:
     constraints, rate tokens, exit switch and deny."""
     pe = random_pe(rng, f"pe{index}", rng.choice((Action.ALLOW, Action.DENY)))
     rate = Constraint(ConstraintKind.RATE_THRESHOLD, rate=Fraction(rng.randrange(1, 400), rng.choice((1, 2, 3))))
-    relation = rng.choice((LabelRelation.GEQ, LabelRelation.LEQ, LabelRelation.EQ))
-    label = Constraint(ConstraintKind.LABEL_PATH, label=LabelConstraint(relation, SecurityLabel(rng.randrange(1, 6))))
+    relation = rng.choice(("+=", "-=", ""))
+    label = Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint(f"SL{rng.randrange(1, 6)}{relation}"))
     flow_id = derive_flow_id(IPv4Address("10.0.0.2"), IPv4Address("192.168.52.72"), "tcp", rng.choice((22, 80)))
     return replace(
         pe,

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from sdnsec.labels import LabelConstraint, LabelRelation, LabelWindow, SecurityLabel
+from sdnsec.labels import LabelWindow, parse_label_constraint
 from sdnsec.policy import Constraint, ConstraintKind
 from sdnsec.interdomain import (
     Handle,
@@ -29,7 +29,7 @@ def ring(*as_ids):
 
 def label_geq(rank):
     return Constraint(
-        ConstraintKind.LABEL_PATH, label=LabelConstraint(LabelRelation.GEQ, SecurityLabel(rank))
+        ConstraintKind.LABEL_PATH, label=parse_label_constraint(f"SL{rank}+=")
     )
 
 

@@ -2,10 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdnsec.labels import (
-    ANY_LABEL,
-    LabelConstraint,
     LabelParseError,
-    LabelRelation,
     LabelWindow,
     SecurityLabel,
     parse_label_constraint,
@@ -25,16 +22,16 @@ def test_total_order():
 
 def test_parse_geq_sample():
     constraint = parse_label_constraint("SL2+=")
-    assert constraint == LabelConstraint(LabelRelation.GEQ, SecurityLabel(2))
+    assert constraint == LabelWindow(lo=2)
 
 
 def test_parse_wildcard():
-    assert parse_label_constraint("*") is ANY_LABEL
+    assert parse_label_constraint("*") == LabelWindow()
 
 
 def test_parse_bare_label_is_equality():
     constraint = parse_label_constraint("SL4")
-    assert constraint.relation is LabelRelation.EQ
+    assert constraint == LabelWindow(4, 4)
     # frozen against a hand table over SL1..SL5
     expected = {1: False, 2: False, 3: False, 4: True, 5: False}
     for rank, ok in expected.items():
@@ -43,7 +40,7 @@ def test_parse_bare_label_is_equality():
 
 def test_parse_leq():
     constraint = parse_label_constraint("SL3-=")
-    assert constraint.relation is LabelRelation.LEQ
+    assert constraint == LabelWindow(hi=3)
     assert constraint.satisfies(SecurityLabel(3))
     assert not constraint.satisfies(SecurityLabel(4))
 
@@ -57,42 +54,68 @@ def test_parse_errors_name_offender(bad):
 
 
 def test_round_trip_canonical_text():
-    for text in ["*", "SL1", "SL2+=", "SL7-="]:
+    for text in ["SL1", "SL2+=", "SL7-="]:
         assert parse_label_constraint(text).text() == text
+    # the wildcard and SL1+= admit every rank, so they are one window and
+    # print alike; SL1-= admits only SL1 and prints as the equality
+    assert parse_label_constraint("*") == parse_label_constraint("SL1+=")
+    assert parse_label_constraint("*").text() == "SL1+="
+    assert parse_label_constraint("SL1-=").text() == "SL1"
 
 
 def test_any_rejects_base():
-    with pytest.raises(ValueError):
-        LabelConstraint(LabelRelation.ANY, SecurityLabel(1))
-    with pytest.raises(ValueError):
-        LabelConstraint(LabelRelation.GEQ, None)
+    # the wildcard carries no base label, and a relation needs one
+    for bad in ("*SL1", "SL1*", "+=", "-="):
+        with pytest.raises(LabelParseError):
+            parse_label_constraint(bad)
+
+
+# token -> the ranks 1..7 it admits, written out by hand
+ADMITS = {
+    "*": "1234567",
+    "SL1": "1", "SL2": "2", "SL3": "3", "SL4": "4", "SL5": "5", "SL6": "6",
+    "SL1+=": "1234567", "SL2+=": "234567", "SL3+=": "34567",
+    "SL4+=": "4567", "SL5+=": "567", "SL6+=": "67",
+    "SL1-=": "1", "SL2-=": "12", "SL3-=": "123",
+    "SL4-=": "1234", "SL5-=": "12345", "SL6-=": "123456",
+}
+
+
+@pytest.mark.parametrize("token", sorted(ADMITS))
+def test_every_token_admits_its_table_row_and_reparses(token):
+    window = parse_label_constraint(token)
+    admitted = "".join(str(rank) for rank in range(1, 8) if window.satisfies(SecurityLabel(rank)))
+    assert admitted == ADMITS[token]
+    assert parse_label_constraint(window.text()) == window
+    assert str(window) == window.text()
 
 
 def test_algebra_exhaustive_ranks_1_to_10():
-    # GEQ/LEQ agree with integer comparison, EQ is reflexive.
+    # at-least/at-most agree with integer comparison, equality is reflexive.
     for base in range(1, 11):
         for rank in range(1, 11):
             label = SecurityLabel(rank)
-            assert LabelConstraint(LabelRelation.GEQ, SecurityLabel(base)).satisfies(label) == (rank >= base)
-            assert LabelConstraint(LabelRelation.LEQ, SecurityLabel(base)).satisfies(label) == (rank <= base)
-            assert LabelConstraint(LabelRelation.EQ, SecurityLabel(base)).satisfies(label) == (rank == base)
-        assert LabelConstraint(LabelRelation.EQ, SecurityLabel(base)).satisfies(SecurityLabel(base))
+            assert parse_label_constraint(f"SL{base}+=").satisfies(label) == (rank >= base)
+            assert parse_label_constraint(f"SL{base}-=").satisfies(label) == (rank <= base)
+            assert parse_label_constraint(f"SL{base}").satisfies(label) == (rank == base)
+        assert parse_label_constraint(f"SL{base}").satisfies(SecurityLabel(base))
 
 
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12))
 def test_window_intersection_matches_conjunction(base_a, base_b, rank):
-    ca = LabelConstraint(LabelRelation.GEQ, SecurityLabel(base_a))
-    cb = LabelConstraint(LabelRelation.LEQ, SecurityLabel(base_b))
+    ca = parse_label_constraint(f"SL{base_a}+=")
+    cb = parse_label_constraint(f"SL{base_b}-=")
     window = LabelWindow.conjoin([ca, cb])
     label = SecurityLabel(rank)
     assert window.satisfies(label) == (ca.satisfies(label) and cb.satisfies(label))
+    assert window.satisfies(label) == (base_a <= rank <= base_b)
 
 
 def test_window_empty_detection():
     window = LabelWindow.conjoin(
         [
-            LabelConstraint(LabelRelation.EQ, SecurityLabel(1)),
-            LabelConstraint(LabelRelation.GEQ, SecurityLabel(3)),
+            parse_label_constraint("SL1"),
+            parse_label_constraint("SL3+="),
         ]
     )
     assert window.empty

@@ -4,11 +4,13 @@ from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 
-from sdnsec.labels import LabelConstraint, LabelRelation, SecurityLabel
+from sdnsec.formats import REPOSITORY_FIELDS, parse_repository
+from sdnsec.labels import parse_label_constraint
 from sdnsec.policy import (
     Action,
     Constraint,
     ConstraintKind,
+    DomainInfo,
     EndpointSelector,
     FlowContext,
     PolicyExpression,
@@ -33,19 +35,19 @@ SAMPLE_PE = PolicyExpression(
     source=EndpointSelector(
         subnet=IPv4Network("10.0.0.0/25"),
         as_type="EDU",
-        label_req=LabelConstraint(LabelRelation.EQ, SecurityLabel(2)),
+        label_req=parse_label_constraint("SL2"),
         host_ip=IPv4Address("10.0.0.2"),
         host_mac="00:00:00:00:00:01",
     ),
     dest=EndpointSelector(
         subnet=IPv4Network("192.168.52.0/24"),
         as_type="EDU",
-        label_req=LabelConstraint(LabelRelation.EQ, SecurityLabel(4)),
+        label_req=parse_label_constraint("SL4"),
         host_ip=IPv4Address("192.168.52.72"),
         host_mac="00:00:00:00:01:01",
     ),
     dom_cons=(
-        Constraint(ConstraintKind.LABEL_PATH, label=LabelConstraint(LabelRelation.GEQ, SecurityLabel(2))),
+        Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint("SL2+=")),
     ),
     sec_profile=frozenset({"conf"}),
     path=("AS1", "AS2"),
@@ -73,6 +75,25 @@ def test_sample_record_matches_its_flow():
 )
 def test_single_field_mismatch_fails(override):
     assert not match_pe(SAMPLE_PE, sample_ctx(**override))
+
+
+@pytest.mark.parametrize("unknown", [DomainInfo("AS9"), DomainInfo("")], ids=["beyond-ttl", "unadvertised"])
+def test_full_label_window_is_a_requirement_not_the_wildcard(unknown):
+    # SL1+= admits every rank, the same window as a "*" constraint token, yet
+    # as a selector it still requires a known label: a domain beyond the
+    # probe horizon, or no domain at all, fails it while the wildcard passes
+    def parsed(label):
+        record = dict.fromkeys(REPOSITORY_FIELDS, "*")
+        record.update(id="p", action="allow", srcastrulabel=label, dstastrulabel=label)
+        (pe,) = parse_repository([record])
+        return pe
+
+    required, wild = parsed("SL1+="), parsed("*")
+    for ctx in (make_ctx(src_as=unknown), make_ctx(dst_as=unknown)):
+        assert not match_pe(required, ctx)
+        assert match_pe(wild, ctx)
+    assert match_pe(required, make_ctx())
+    assert specificity(required) == specificity(wild) + 2
 
 
 def test_transit_path_and_port_condition():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import sdnsec.policy
 from sdnsec.controller import CostModel
-from sdnsec.labels import LabelConstraint, LabelRelation, LabelWindow, SecurityLabel
+from sdnsec.labels import LabelWindow, parse_label_constraint
 from sdnsec.policy import (
     Action,
     Constraint,
@@ -111,17 +111,17 @@ def test_selection_agrees_with_sort_oracle():
 
 
 def test_label_window_from_path_constraints():
-    def label(relation, rank):
-        return Constraint(ConstraintKind.LABEL_PATH, label=LabelConstraint(relation, SecurityLabel(rank)))
+    def label(token):
+        return Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint(token))
 
-    pe = allow("1", flow_cons=(label(LabelRelation.LEQ, 4),), dom_cons=(label(LabelRelation.GEQ, 2),))
+    pe = allow("1", flow_cons=(label("SL4-="),), dom_cons=(label("SL2+="),))
     decision = select_policy([pe], make_ctx())
     assert decision.label_window == LabelWindow(lo=2, hi=4)
 
 
 def test_ptt_constraints_are_flow_scoped_only():
     label = Constraint(
-        ConstraintKind.LABEL_PATH, label=LabelConstraint(LabelRelation.GEQ, SecurityLabel(2))
+        ConstraintKind.LABEL_PATH, label=parse_label_constraint("SL2+=")
     )
     sig = Constraint(ConstraintKind.SIGNATURE, signature="HTTPS")
     pe = allow("1", flow_cons=(label, sig))
@@ -135,13 +135,13 @@ def test_unsatisfiable_own_constraints_deny():
         flow_cons=(
             Constraint(
                 ConstraintKind.LABEL_PATH,
-                label=LabelConstraint(LabelRelation.EQ, SecurityLabel(1)),
+                label=parse_label_constraint("SL1"),
             ),
         ),
         dom_cons=(
             Constraint(
                 ConstraintKind.LABEL_PATH,
-                label=LabelConstraint(LabelRelation.GEQ, SecurityLabel(3)),
+                label=parse_label_constraint("SL3+="),
             ),
         ),
     )
@@ -172,9 +172,9 @@ FLOW_CHOICES = CONTEXTS + 1  # the flow id of either context, or one neither has
 CONSTRAINT_POOL = (
     Constraint(ConstraintKind.PACKET_ATTR, attr="type", value="HTTP"),
     Constraint(ConstraintKind.RATE_THRESHOLD, rate=Fraction(5)),
-    Constraint(ConstraintKind.LABEL_PATH, label=LabelConstraint(LabelRelation.GEQ, SecurityLabel(3))),
+    Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint("SL3+=")),
     # with the GEQ 3 above, an empty window: the allow becomes a deny
-    Constraint(ConstraintKind.LABEL_PATH, label=LabelConstraint(LabelRelation.LEQ, SecurityLabel(2))),
+    Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint("SL2-=")),
 )
 CONTEXT = st.builds(
     make_ctx,

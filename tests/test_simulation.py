@@ -230,6 +230,24 @@ def test_flood_drop_rule_blocks_offender():
     assert all(f.outcome == "delivered" for f in legit)
 
 
+@pytest.mark.parametrize("mode", ["reactive", "proactive"])
+def test_blocked_host_reaching_the_controller_again_gets_no_second_block_rule(mode):
+    # a 1,000-tick window and a slow controller: the offender trips the
+    # defense long before its block rule lands, so later requests queued at
+    # the controller are refused as blocked without a second rule
+    doc = json.loads(bundled_scenario_path("flood_single_domain").read_text())
+    doc.update(mode=mode, defense={"response": "drop_rule", "window_ticks": 1000})
+    doc["capacity"]["controller_rps"] = 40
+    report = run(parse_scenario(doc))
+    block_installs = [r for r in report.installs if r.provenance.startswith("defense:")]
+    assert [r.provenance for r in block_installs] == ["defense:10.9.0.66"]
+    reasons = [f.reason for f in report.flows if f.outcome == "dropped"]
+    assert reasons.count("DEFENSE_BLOCKED") > 1
+    assert reasons.count("BLOCKED_AT_SWITCH") > 0
+    legit = [f for f in report.flows if f.src == "legit"]
+    assert len(legit) == 5 and all(f.outcome == "delivered" for f in legit)
+
+
 def test_emissions_stable_and_parseable():
     report = run(load("minimal"))
     delimited = emit(report, "delimited")

@@ -5,7 +5,7 @@ from ipaddress import IPv4Network
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnsec.labels import ANY_LABEL, LabelConstraint, LabelRelation, LabelWindow, SecurityLabel
+from sdnsec.labels import LabelWindow, SecurityLabel, parse_label_constraint
 from sdnsec.policy import DomainInfo
 from sdnsec.topology import (
     Graph,
@@ -131,10 +131,10 @@ def test_probe_distances_match_bfs_oracle():
 def test_transit_constrained_paths():
     labels = {"AS1": 2, "AS2": 3, "AS3": 2, "AS4": 4}
     graph = make_world(CHAIN, labels)
-    geq2 = LabelConstraint(LabelRelation.GEQ, SecurityLabel(2))
+    geq2 = parse_label_constraint("SL2+=")
     assert find_as_paths(graph, "AS1", "AS4", geq2) == [("AS1", "AS2", "AS3", "AS4")]
     # raising the bar above a transit label prunes the only route
-    geq3 = LabelConstraint(LabelRelation.GEQ, SecurityLabel(3))
+    geq3 = parse_label_constraint("SL3+=")
     assert find_as_paths(graph, "AS1", "AS4", geq3) == []
 
 
@@ -147,7 +147,7 @@ def test_unconstrained_returns_all_simple_paths():
         ("AS1", "AS3", "AS4"),
         ("AS1", "AS2", "AS3", "AS4"),
     ]
-    assert find_as_paths(graph, "AS1", "AS4", ANY_LABEL) == paths[:1]
+    assert find_as_paths(graph, "AS1", "AS4", parse_label_constraint("*")) == paths[:1]
 
 
 def test_same_domain_rejected():
@@ -163,7 +163,7 @@ def test_as_paths_match_dfs_oracle_on_random_graphs():
         labels = {f"AS{i}": rng.randrange(1, 5) for i in range(1, 7)}
         world = make_world(links, labels)
         base = rng.randrange(1, 5)
-        constraint = LabelConstraint(LabelRelation.GEQ, SecurityLabel(base))
+        constraint = parse_label_constraint(f"SL{base}+=")
         got = find_as_paths(world, "AS1", "AS6", constraint)
         expected = dfs_all_paths(
             link_adjacency(links), "AS1", "AS6", lambda n: labels[n] >= base
@@ -172,11 +172,11 @@ def test_as_paths_match_dfs_oracle_on_random_graphs():
 
 
 _LABEL_CONSTRAINTS = st.one_of(
-    st.just(ANY_LABEL),
+    st.just(parse_label_constraint("*")),
     st.builds(
-        LabelConstraint,
-        st.sampled_from([LabelRelation.GEQ, LabelRelation.LEQ, LabelRelation.EQ]),
-        st.builds(SecurityLabel, st.integers(1, 5)),
+        lambda relation, rank: parse_label_constraint(f"SL{rank}{relation}"),
+        st.sampled_from(["+=", "-=", ""]),
+        st.integers(1, 5),
     ),
     # both bounds; lo > hi is the empty window, which admits no transit
     st.builds(LabelWindow, st.integers(1, 5), st.integers(1, 5)),
@@ -237,7 +237,7 @@ def test_constraint_strengthening_is_antitone():
         graph = make_world(links, labels)
         previous = None
         for base in range(1, 6):
-            constraint = LabelConstraint(LabelRelation.GEQ, SecurityLabel(base))
+            constraint = parse_label_constraint(f"SL{base}+=")
             routes = find_as_paths(graph, "AS1", "AS6", constraint)
             if previous is not None:
                 if not previous:
@@ -287,7 +287,7 @@ def test_required_path_validation():
             "SW1",
             "SW4",
             required=("SW1", "SW5", "SW4"),
-            constraint=LabelConstraint(LabelRelation.GEQ, SecurityLabel(3)),
+            constraint=parse_label_constraint("SL3+="),
         )
 
 
@@ -302,11 +302,11 @@ def test_label_filter_reroutes():
     graph.add_link("SW1", "SWHI")
     graph.add_link("SWLO", "SW4")
     graph.add_link("SWHI", "SW4")
-    only_low = LabelConstraint(LabelRelation.EQ, SecurityLabel(1))
+    only_low = parse_label_constraint("SL1")
     assert find_switch_path(graph, "SW1", "SW4", constraint=only_low) == ("SW1", "SWLO", "SW4")
     with pytest.raises(NoPathError):
         find_switch_path(
-            graph, "SW1", "SW4", constraint=LabelConstraint(LabelRelation.GEQ, SecurityLabel(3))
+            graph, "SW1", "SW4", constraint=parse_label_constraint("SL3+=")
         )
 
 
@@ -364,7 +364,7 @@ def test_switch_path_matches_filtered_shortest_path_oracle(data):
         adjacency.setdefault(a, set()).add(b)
         adjacency.setdefault(b, set()).add(a)
     base = data.draw(st.integers(1, 3), label="base")
-    constraint = LabelConstraint(LabelRelation.GEQ, SecurityLabel(base))
+    constraint = parse_label_constraint(f"SL{base}+=")
     allowed = lambda s: ranks[s] >= base
     oracle_len = dijkstra_filtered_length(adjacency, ranks, "SW1", f"SW{n}", allowed)
     expected = least_switch_path(graph, "SW1", f"SW{n}", constraint)
@@ -394,7 +394,7 @@ def test_grid_switch_path_checks_each_label_at_most_once():
             graph.add_link(name, names[r, c + 1])
     constraint = CountingConstraint(accepts=lambda rank: rank > 6)
     path = find_switch_path(graph, "SW00", "SW77", constraint=constraint)
-    window = LabelConstraint(LabelRelation.GEQ, SecurityLabel(7))
+    window = parse_label_constraint("SL7+=")
     assert path == least_switch_path(graph, "SW00", "SW77", window) and len(path) == 15
     # the hand-off bits, not the names, chose among the shortest paths
     assert path != min(shortest_switch_paths(graph, "SW00", "SW77", window))
