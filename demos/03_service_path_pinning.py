@@ -6,6 +6,8 @@ web traffic through one spine switch and file transfer through another.
 Run:  python demos/03_service_path_pinning.py
 """
 
+from dataclasses import replace
+
 from sdnsec import bundled_scenario_path, build_world, format_flow_dump, load_scenario
 from sdnsec.simulation import Simulation
 
@@ -24,6 +26,6 @@ for record in report.latencies:
     print(f"  domain={record.domain} arrival={record.arrival_tick} latency={record.latency}")
 
 # Pre-installing the same policy outcome removes every packet-in.
-proactive = Simulation(build_world(scenario.with_mode("proactive"))).run()
+proactive = Simulation(build_world(replace(scenario, mode="proactive"))).run()
 print(f"\nproactive mode: packet_ins={proactive.counters['packet_ins']}, "
       f"delivered={proactive.counters['delivered']} (same paths, zero misses)")

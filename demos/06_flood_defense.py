@@ -8,6 +8,8 @@ block rule at the offender's switch (admissions collapse to zero).
 Run:  python demos/06_flood_defense.py
 """
 
+from dataclasses import replace
+
 from sdnsec import (
     CapacityModel,
     ResponseMode,
@@ -31,7 +33,7 @@ print(emit_series(series, "table"), end="")
 
 # Under the block-rule response the offender is cut off at its own switch;
 # a legitimate host in the same domain is untouched.
-report = run(scenario.with_defense(ResponseMode.DROP_RULE))
+report = run(replace(scenario, defense_response=ResponseMode.DROP_RULE))
 legit = [f for f in report.flows if f.src == "legit"]
 print(f"\nblock-rule run: legit host delivered {sum(f.outcome == 'delivered' for f in legit)}/5 flows")
 blocked = [f for f in report.flows if f.reason == "BLOCKED_AT_SWITCH"]

@@ -7,6 +7,8 @@ hardware and are not the point.
 Run:  python demos/07_performance_sweeps.py
 """
 
+from dataclasses import replace
+
 from sdnsec import bundled_scenario_path, load_scenario, run, sweep
 from sdnsec.sweep import offer_horizon, pad_switches
 
@@ -16,7 +18,7 @@ print("mean packet-in latency (ticks) vs switch count:")
 print("  switches  secured  baseline")
 for total in (5, 8, 11, 14):
     secured = run(pad_switches(intra, total)).mean_latency()
-    baseline = run(pad_switches(intra.with_enforcement(False), total)).mean_latency()
+    baseline = run(pad_switches(replace(intra, enforcement=False), total)).mean_latency()
     print(f"  {total:>8}  {secured:>7.1f}  {baseline:>8.1f}")
 
 # 2. Flow establishment under a saturating request stream vs repository size.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .dataplane import format_flow_dump
@@ -35,11 +36,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if getattr(args, "mode", None):
-        scenario = scenario.with_mode(args.mode)
-    if getattr(args, "baseline", False):
-        scenario = scenario.with_enforcement(False)
-    return scenario
+    enforcement = scenario.enforcement and not args.baseline
+    return replace(scenario, mode=args.mode or scenario.mode, enforcement=enforcement)
 
 
 def cmd_run(args) -> int:

@@ -67,7 +67,6 @@ class MetricsReport:
     scenario: str
     mode: str
     enforcement: bool
-    window_ticks: int
     flows: list[FlowRecord] = field(default_factory=list)
     latencies: list[LatencyRecord] = field(default_factory=list)
     installs: list[InstallRecord] = field(default_factory=list)

@@ -21,7 +21,7 @@ from .controller import CostModel
 from .dataplane import DEFAULT_TABLE_CAPACITY
 from .defense import CapacityModel, ResponseMode
 from .formats import PolicyParseError, parse_compact_pe, parse_ipv4, parse_network, parse_record
-from .labels import LabelParseError, SecurityLabel, parse_label
+from .labels import SecurityLabel, parse_label
 from .policy import DuplicatePolicyIdError, PolicyExpression, check_unique_ids, normalize_mac
 from .topology import gateway_name
 
@@ -48,6 +48,11 @@ _TOP_LEVEL_FIELDS = {
 _CAPACITY_FIELDS = {"controller_rps", "switches_per_controller", "hosts_per_switch"}
 _DEFENSE_FIELDS = {"response", "window_ticks"}
 _COST_FIELDS = {field.name for field in fields(CostModel)}
+_DOMAIN_FIELDS = {
+    "id", "subnet", "type", "label", "handle_key", "switches", "links", "hosts", "users", "policies",
+}
+_SWITCH_FIELDS = {"id", "label"}
+_HOST_FIELDS = {"id", "ip", "mac", "switch"}
 _FLOW_FIELDS = {"at", "from", "to", "port", "type", "proto", "size"}
 _FLOOD_FIELDS = {"kind", "at", "from", "to", "rate", "seconds", "type", "port_base", "proto"}
 
@@ -156,16 +161,9 @@ class Scenario:
             self, domains=tuple(updated if d.id == as_id else d for d in self.domains)
         )
 
-    def with_defense(self, response: ResponseMode) -> Scenario:
-        return replace(self, defense_response=response)
-
-    def with_enforcement(self, enabled: bool) -> Scenario:
-        return replace(self, enforcement=enabled)
-
-    def with_mode(self, mode: str) -> Scenario:
-        return replace(self, mode=mode)
-
     def with_flood_rate(self, rate: int) -> Scenario:
+        if not any(isinstance(item, FloodSpec) for item in self.traffic):
+            raise ValueError(f"scenario {self.name!r} has no flood to set a request rate on")
         traffic = tuple(
             replace(item, rate=rate) if isinstance(item, FloodSpec) else item
             for item in self.traffic
@@ -173,17 +171,14 @@ class Scenario:
         return replace(self, traffic=traffic)
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: str, known: set[str]) -> dict:
+    """``value`` as an object whose every field is in ``known``."""
     if not isinstance(value, dict):
         raise ScenarioError(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _known(obj: dict, known: set[str], path: str) -> dict:
-    for key in obj:
+    for key in value:
         if key not in known:
             raise ScenarioError(f"{path}.{key}", "unknown field")
-    return obj
+    return value
 
 
 _REQUIRED = object()
@@ -211,6 +206,45 @@ def _int(obj: dict, key: str, path: str, low: int, high: int | None = None, defa
     return value
 
 
+def _convert(obj: dict, key: str, path: str, convert):
+    """String field ``obj[key]`` passed through ``convert``, whose
+    ``ValueError`` becomes an error at ``path.key``."""
+    text = _want(obj, key, path, str)
+    try:
+        return convert(text)
+    except ValueError as exc:  # a LabelParseError's reason omits the token, which the path locates
+        raise ScenarioError(f"{path}.{key}", getattr(exc, "reason", str(exc))) from None
+
+
+def _pairs(obj: dict, path: str, ends, what: str) -> tuple[tuple[str, str], ...]:
+    """``obj["links"]``: ``[a, b]`` pairs of two different declared ``what``
+    ids, no pair repeated in either order."""
+    pairs: list[tuple[str, str]] = []
+    seen: set[tuple[str, str]] = set()
+    for index, pair in enumerate(_want(obj, "links", path, list, default=[])):
+        link_path = f"{path}.links[{index}]"
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ScenarioError(link_path, f"{what} link must be a [a, b] pair")
+        for end in pair:
+            if not isinstance(end, str) or end not in ends:
+                raise ScenarioError(link_path, f"undefined {what} {end!r}")
+        a, b = pair
+        if a == b:
+            raise ScenarioError(link_path, f"{what} {a!r} is linked to itself")
+        if (a, b) in seen:
+            raise ScenarioError(link_path, f"repeats the link between {a!r} and {b!r}")
+        seen.update(((a, b), (b, a)))
+        pairs.append((a, b))
+    return tuple(pairs)
+
+
+def _declare(declared: dict, value, path: str, key: str) -> None:
+    """Map ``value`` to the element at ``path`` that declares it; a repeat is an error at ``path.key``."""
+    if value in declared:
+        raise ScenarioError(f"{path}.{key}", f"duplicate {str(value)!r}, first declared at {declared[value]}")
+    declared[value] = path
+
+
 def _parse_policies(raw, path: str) -> tuple[PolicyExpression, ...]:
     """A domain's policies in document order, each a compact string or a
     repository record; errors name the position in ``policies``."""
@@ -229,56 +263,36 @@ def _parse_policies(raw, path: str) -> tuple[PolicyExpression, ...]:
     return tuple(policies)
 
 
-def _parse_domain(obj: dict, path: str) -> DomainSpec:
-    _object(obj, path)
+def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[IPv4Address, str]) -> DomainSpec:
+    """One domain; its switch and host ids join ``nodes``, its host addresses ``ips``."""
+    _object(obj, path, _DOMAIN_FIELDS)
     as_id = _want(obj, "id", path, str)
     if not as_id.startswith("AS"):
         raise ScenarioError(f"{path}.id", f"domain ids start with 'AS', got {as_id!r}")
-    try:
-        subnet = parse_network(_want(obj, "subnet", path, str))
-    except ValueError as exc:
-        raise ScenarioError(f"{path}.subnet", str(exc)) from None
-    try:
-        label = parse_label(_want(obj, "label", path, str))
-    except LabelParseError as exc:
-        raise ScenarioError(f"{path}.label", exc.reason) from None
+    subnet = _convert(obj, "subnet", path, parse_network)
+    label = _convert(obj, "label", path, parse_label)
     switches = []
     for index, sw in enumerate(_want(obj, "switches", path, list)):
         sw_path = f"{path}.switches[{index}]"
-        _object(sw, sw_path)
+        _object(sw, sw_path, _SWITCH_FIELDS)
         sw_id = _want(sw, "id", sw_path, str)
         if sw_id.startswith("AS"):
             raise ScenarioError(f"{sw_path}.id", "switch ids must not start with 'AS'")
-        try:
-            sw_label = parse_label(_want(sw, "label", sw_path, str))
-        except LabelParseError as exc:
-            raise ScenarioError(f"{sw_path}.label", exc.reason) from None
-        switches.append(SwitchSpec(sw_id, sw_label))
+        _declare(nodes, sw_id, sw_path, "id")
+        switches.append(SwitchSpec(sw_id, _convert(sw, "label", sw_path, parse_label)))
     switch_ids = {s.id for s in switches}
-    if len(switch_ids) != len(switches):
-        raise ScenarioError(f"{path}.switches", "duplicate switch ids")
-    links = []
-    for index, pair in enumerate(_want(obj, "links", path, list, default=[])):
-        link_path = f"{path}.links[{index}]"
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ScenarioError(link_path, "link must be a [a, b] pair")
-        for end in pair:
-            if end not in switch_ids:
-                raise ScenarioError(link_path, f"undefined switch {end!r}")
-        links.append((pair[0], pair[1]))
+    links = _pairs(obj, path, switch_ids, "switch")
     hosts = []
     for index, h in enumerate(_want(obj, "hosts", path, list, default=[])):
         host_path = f"{path}.hosts[{index}]"
-        _object(h, host_path)
+        _object(h, host_path, _HOST_FIELDS)
         host_id = _want(h, "id", host_path, str)
-        try:
-            ip = parse_ipv4(_want(h, "ip", host_path, str))
-        except ValueError as exc:
-            raise ScenarioError(f"{host_path}.ip", str(exc)) from None
-        try:
-            mac = normalize_mac(_want(h, "mac", host_path, str))
-        except ValueError as exc:
-            raise ScenarioError(f"{host_path}.mac", str(exc)) from None
+        _declare(nodes, host_id, host_path, "id")
+        ip = _convert(h, "ip", host_path, parse_ipv4)
+        if ip not in subnet:
+            raise ScenarioError(f"{host_path}.ip", f"{ip} lies outside the domain subnet {subnet}")
+        _declare(ips, ip, host_path, "ip")
+        mac = _convert(h, "mac", host_path, normalize_mac)
         attach = _want(h, "switch", host_path, str)
         if attach not in switch_ids:
             raise ScenarioError(f"{host_path}.switch", f"undefined switch {attach!r}")
@@ -291,14 +305,17 @@ def _parse_domain(obj: dict, path: str) -> DomainSpec:
             users[normalize_mac(mac)] = user
         except ValueError as exc:
             raise ScenarioError(f"{path}.users[{mac!r}]", str(exc)) from None
+    handle_key = _want(obj, "handle_key", path, str)
+    if not handle_key:
+        raise ScenarioError(f"{path}.handle_key", "must be a non-empty string")
     return DomainSpec(
         id=as_id,
         subnet=subnet,
         as_type=_want(obj, "type", path, str),
         label=label,
-        handle_key=_want(obj, "handle_key", path, str),
+        handle_key=handle_key,
         switches=tuple(switches),
-        links=tuple(links),
+        links=links,
         hosts=tuple(hosts),
         users=users,
         policies=_parse_policies(_want(obj, "policies", path, list, default=[]), f"{path}.policies"),
@@ -309,7 +326,8 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
     out: list[FlowSpec | FloodSpec] = []
     for index, item in enumerate(items):
         item_path = f"{path}[{index}]"
-        _object(item, item_path)
+        flood = isinstance(item, dict) and item.get("kind") == "flood"
+        _object(item, item_path, _FLOOD_FIELDS if flood else _FLOW_FIELDS)
         src = _want(item, "from", item_path, str)
         if src not in host_ids:
             raise ScenarioError(f"{item_path}.from", f"undefined host {src!r}")
@@ -322,8 +340,7 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
                     f"{item_path}.to", f"{dst!r} is neither a declared host nor an IPv4 address"
                 ) from None
         at = _int(item, "at", item_path, 0, default=0)
-        if item.get("kind") == "flood":
-            _known(item, _FLOOD_FIELDS, item_path)
+        if flood:
             rate = _int(item, "rate", item_path, 1)
             seconds = _int(item, "seconds", item_path, 1, default=1)
             port_base = _int(item, "port_base", item_path, 1, 65535, default=FloodSpec.port_base)
@@ -345,7 +362,6 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
                 )
             )
         else:
-            _known(item, _FLOW_FIELDS, item_path)
             out.append(
                 FlowSpec(
                     at=at,
@@ -362,58 +378,38 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
 
 def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
     """Validate a loaded scenario document and resolve every reference."""
-    if not isinstance(document, dict):
-        raise ScenarioError("$", "scenario document must be an object")
-    _known(document, _TOP_LEVEL_FIELDS, "$")
+    _object(document, "$", _TOP_LEVEL_FIELDS)
     name = _want(document, "name", "$", str, default=name_hint)
     mode = _want(document, "mode", "$", str, default="reactive")
     if mode not in ("reactive", "proactive"):
         raise ScenarioError("$.mode", f"mode must be reactive or proactive, got {mode!r}")
-    domains = tuple(
-        _parse_domain(obj, f"$.domains[{index}]")
-        for index, obj in enumerate(_want(document, "domains", "$", list))
-    )
-    domain_ids = [d.id for d in domains]
-    if len(set(domain_ids)) != len(domain_ids):
-        raise ScenarioError("$.domains", f"duplicate domain ids in {domain_ids}")
-    all_switches: dict[str, str] = {}
-    for domain in domains:
-        for sw in domain.switches:
-            if sw.id in all_switches:
-                raise ScenarioError(
-                    "$.domains", f"switch {sw.id!r} declared in both {all_switches[sw.id]} and {domain.id}"
-                )
-            all_switches[sw.id] = domain.id
-    links = []
-    for index, pair in enumerate(_want(document, "links", "$", list, default=[])):
-        link_path = f"$.links[{index}]"
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ScenarioError(link_path, "domain link must be a [a, b] pair")
-        a, b = pair
-        for end in (a, b):
-            if end not in domain_ids:
-                raise ScenarioError(link_path, f"undefined domain {end!r}")
+    domain_paths: dict[str, str] = {}
+    nodes: dict[str, str] = {}  # switch and host ids: both are peers on switch ports
+    ips: dict[IPv4Address, str] = {}
+    domains = []
+    for index, obj in enumerate(_want(document, "domains", "$", list)):
+        path = f"$.domains[{index}]"
+        domain = _parse_domain(obj, path, nodes, ips)
+        _declare(domain_paths, domain.id, path, "id")
+        domains.append(domain)
+    # CIDR blocks overlap only by nesting, so an overlap shows between neighbours in address order
+    by_address = sorted((domain.subnet, index) for index, domain in enumerate(domains))
+    for (low, i), (high, j) in zip(by_address, by_address[1:]):
+        if high.network_address <= low.broadcast_address:
+            message = f"{low} and {high} overlap; the other is at $.domains[{min(i, j)}]"
+            raise ScenarioError(f"$.domains[{max(i, j)}].subnet", message)
+    links = _pairs(document, "$", domain_paths, "domain")
+    for index, (a, b) in enumerate(links):
         for owner, peer in ((a, b), (b, a)):
             gateway = gateway_name(owner, peer)
-            if all_switches.get(gateway) != owner:
+            if not nodes.get(gateway, "").startswith(f"{domain_paths[owner]}.switches["):
                 raise ScenarioError(
-                    link_path,
-                    f"gateway switch {gateway!r} must be declared in domain {owner}",
+                    f"$.links[{index}]", f"gateway switch {gateway!r} must be declared in domain {owner}"
                 )
-        links.append((a, b))
-    host_ids: set[str] = set()
-    host_ips: dict[IPv4Address, str] = {}
-    for domain in domains:
-        for host in domain.hosts:
-            if host.id in host_ids:
-                raise ScenarioError("$.domains", f"duplicate host id {host.id!r}")
-            host_ids.add(host.id)
-            if host.ip in host_ips:
-                raise ScenarioError("$.domains", f"duplicate host ip {host.ip}")
-            host_ips[host.ip] = host.id
+    host_ids = {host.id for domain in domains for host in domain.hosts}
     capacity = None
     if "capacity" in document:
-        cap = _known(_object(document["capacity"], "$.capacity"), _CAPACITY_FIELDS, "$.capacity")
+        cap = _object(document["capacity"], "$.capacity", _CAPACITY_FIELDS)
         cc = _want(cap, "controller_rps", "$.capacity")
         if type(cc) not in (int, float):  # a bool is an int to Python, not to JSON
             raise ScenarioError("$.capacity.controller_rps", f"expected a number, got {type(cc).__name__}")
@@ -427,7 +423,7 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
     response = Scenario.defense_response
     window_ticks = Scenario.window_ticks
     if "defense" in document:
-        defense = _known(_object(document["defense"], "$.defense"), _DEFENSE_FIELDS, "$.defense")
+        defense = _object(document["defense"], "$.defense", _DEFENSE_FIELDS)
         try:
             response = ResponseMode(defense.get("response", Scenario.defense_response.value))
         except ValueError:
@@ -437,14 +433,14 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
             raise ScenarioError("$.defense", "a defense response requires a capacity model")
     costs = Scenario.costs
     if "costs" in document:
-        raw = _known(_object(document["costs"], "$.costs"), _COST_FIELDS, "$.costs")
+        raw = _object(document["costs"], "$.costs", _COST_FIELDS)
         costs = CostModel(**{key: _int(raw, key, "$.costs", 0) for key in raw})
     return Scenario(
         name=name,
         mode=mode,
         enforcement=_want(document, "enforcement", "$", bool, default=True),
-        domains=domains,
-        links=tuple(links),
+        domains=tuple(domains),
+        links=links,
         traffic=_parse_traffic(_want(document, "traffic", "$", list, default=[]), "$.traffic", host_ids),
         capacity=capacity,
         defense_response=response,

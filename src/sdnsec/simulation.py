@@ -160,7 +160,6 @@ class Simulation:
             scenario=self.scenario.name,
             mode=self.scenario.mode,
             enforcement=self.scenario.enforcement,
-            window_ticks=self.scenario.window_ticks,
         )
         self._heap: list[tuple[int, int, str, tuple]] = []
         self._seq = 0

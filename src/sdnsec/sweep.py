@@ -174,17 +174,14 @@ def flood_response_series(
 ) -> dict[str, list[tuple[int, float]]]:
     """Attacker flow installations per offered rate under the three response
     policies: no defense at all, threshold throttling, and a block rule."""
-    flood = next(item for item in scenario.traffic if isinstance(item, FloodSpec))
-    attacker_ip = None
-    for domain in scenario.domains:
-        for host in domain.hosts:
-            if host.id == flood.src_host:
-                attacker_ip = str(host.ip)
-    assert attacker_ip is not None
+    flood = next((item for item in scenario.traffic if isinstance(item, FloodSpec)), None)
+    if flood is None:
+        raise ValueError(f"scenario {scenario.name!r} has no flood to set a request rate on")
+    attacker_ip = next(str(h.ip) for domain in scenario.domains for h in domain.hosts if h.id == flood.src_host)
     variants = {
-        "baseline": scenario.with_enforcement(False),
-        "threshold": scenario.with_defense(ResponseMode.THROTTLE),
-        "drop_rule": scenario.with_defense(ResponseMode.DROP_RULE),
+        "baseline": replace(scenario, enforcement=False),
+        "threshold": replace(scenario, defense_response=ResponseMode.THROTTLE),
+        "drop_rule": replace(scenario, defense_response=ResponseMode.DROP_RULE),
     }
     series: dict[str, list[tuple[int, float]]] = {}
     for label, variant in variants.items():

@@ -339,15 +339,15 @@ def delivered(report: MetricsReport) -> list[FlowRecord]:
     return [f for f in report.flows if f.outcome == "delivered"]
 
 
-def installs_per_window(report: MetricsReport, src_ip: str | None = None) -> dict[int, int]:
-    """Non-defense installs per rate window, optionally for one source."""
+def installs_per_window(report: MetricsReport, window_ticks: int, src_ip: str | None = None) -> dict[int, int]:
+    """Non-defense installs per rate window of ``window_ticks``, optionally for one source."""
     out: dict[int, int] = {}
     for record in report.installs:
         if src_ip is not None and record.src_ip != src_ip:
             continue
         if record.provenance.startswith("defense:"):
             continue
-        window = record.tick // report.window_ticks
+        window = record.tick // window_ticks
         out[window] = out.get(window, 0) + 1
     return out
 

@@ -8,6 +8,7 @@ import random
 import time
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 from sdnsec.dataplane import format_flow_dump
@@ -138,21 +139,21 @@ def test_flooding_defense_shapes():
         baseline = [y for _, y in series["baseline"]]
         assert all(a < b for a, b in zip(baseline, baseline[1:]))
         for rate in (150, 200, 250):
-            report = run(scenario.with_defense(ResponseMode.THROTTLE).with_flood_rate(rate))
-            per_window = installs_per_window(report, "10.9.0.66")
+            report = run(replace(scenario, defense_response=ResponseMode.THROTTLE).with_flood_rate(rate))
+            per_window = installs_per_window(report, scenario.window_ticks, "10.9.0.66")
             assert per_window == {0: threshold, 1: threshold}, (rate, per_window)
         for rate in (150, 200, 250):
-            report = run(scenario.with_defense(ResponseMode.DROP_RULE).with_flood_rate(rate))
-            per_window = installs_per_window(report, "10.9.0.66")
+            report = run(replace(scenario, defense_response=ResponseMode.DROP_RULE).with_flood_rate(rate))
+            per_window = installs_per_window(report, scenario.window_ticks, "10.9.0.66")
             assert sum(per_window.values()) <= threshold + 1
             assert per_window.get(1, 0) == 0  # nothing after detection
             legit = [f for f in report.flows if f.src == "legit"]
             assert sum(f.outcome == "delivered" for f in legit) == 5
         # legitimate host delivery identical across all responses
         for variant in (
-            scenario.with_enforcement(False),
-            scenario.with_defense(ResponseMode.THROTTLE),
-            scenario.with_defense(ResponseMode.DROP_RULE),
+            replace(scenario, enforcement=False),
+            replace(scenario, defense_response=ResponseMode.THROTTLE),
+            replace(scenario, defense_response=ResponseMode.DROP_RULE),
         ):
             report = run(variant)
             legit = [f for f in report.flows if f.src == "legit"]
@@ -165,7 +166,7 @@ def test_sweep_trends():
         previous = None
         for total in (5, 8, 11, 14):
             secured = run(pad_switches(intra, total)).mean_latency()
-            baseline = run(pad_switches(intra.with_enforcement(False), total)).mean_latency()
+            baseline = run(pad_switches(replace(intra, enforcement=False), total)).mean_latency()
             assert secured > baseline
             if previous is not None:
                 assert secured >= previous

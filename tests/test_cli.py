@@ -139,3 +139,14 @@ def test_sweep_emit_requires_compare_defenses(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--compare-defenses" in captured.err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--points", "50,5000"], ["--points", "50", "--compare-defenses"]], ids=["rates", "compare-defenses"]
+)
+def test_sweep_request_rate_needs_a_flood(capsys, extra):
+    # a scenario without a flood has no request rate to sweep
+    assert main(["sweep", "minimal", "--axis", "request_rate", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scenario 'minimal' has no flood to set a request rate on\n"

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from ipaddress import IPv4Address
 
 import pytest
@@ -114,10 +115,10 @@ def test_baseline_mode_allows_everything(transit_world):
 
 def test_enforcement_latency_exceeds_baseline(transit_world):
     ctrl = transit_world.controllers["AS1"]
-    with_enforcement = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0).service_ticks
+    enforced = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0).service_ticks
     ctrl.enforcement_enabled = False
     without = ctrl.handle_packet_in(make_packet(port=80, ptype="HTTP"), "S1A", "X", 0).service_ticks
-    assert with_enforcement > without
+    assert enforced > without
 
 
 def test_event_log_records_each_packet_in(transit_world):
@@ -135,7 +136,7 @@ def test_block_rule_is_emitted_once_per_offender():
     # Thost = 100: the 101st request blocks the attacker; the requests that
     # reach the controller before the block rule is in place are dropped
     # again without a second rule
-    scenario = load_scenario(bundled_scenario_path("flood_single_domain")).with_defense(ResponseMode.DROP_RULE)
+    scenario = replace(load_scenario(bundled_scenario_path("flood_single_domain")), defense_response=ResponseMode.DROP_RULE)
     ctrl = build_world(scenario).controllers["AS1"]
     results = [
         ctrl.handle_packet_in(make_packet("10.9.0.66", "10.9.0.80", 20000 + i, "SYN"), "S1", "attacker", i)

@@ -18,7 +18,7 @@ After an intended behaviour change, regenerate a file with::
 import hashlib
 import json
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
@@ -39,9 +39,9 @@ CASES = [f"{name}/{mode}" for name in NAMES for mode in MODES]
 def _run(case: str):
     name, mode = case.split("/")
     name, _, response = name.partition("+")
-    scenario = load_scenario(bundled_scenario_path(name)).with_mode(mode)
+    scenario = replace(load_scenario(bundled_scenario_path(name)), mode=mode)
     if response:
-        scenario = scenario.with_defense(ResponseMode(response))
+        scenario = replace(scenario, defense_response=ResponseMode(response))
     world = build_world(scenario)
     return world, Simulation(world).run()
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -172,11 +173,13 @@ def test_without_policy_variant():
 def test_with_defense_and_rate_variants():
     scenario = load_scenario(bundled_scenario_path("flood_single_domain"))
     assert scenario.defense_response is ResponseMode.NONE
-    throttled = scenario.with_defense(ResponseMode.THROTTLE)
+    throttled = replace(scenario, defense_response=ResponseMode.THROTTLE)
     assert throttled.defense_response is ResponseMode.THROTTLE
     rated = scenario.with_flood_rate(75)
     flood = [t for t in rated.traffic if hasattr(t, "rate")]
     assert flood[0].rate == 75
+    with pytest.raises(ValueError, match="'minimal' has no flood"):
+        load_scenario(bundled_scenario_path("minimal")).with_flood_rate(75)
 
 
 def test_load_rejects_bad_json(tmp_path):
@@ -208,6 +211,50 @@ def _set(*keys, value):
         target[keys[-1]] = value
 
     return mutate
+
+
+def _append(*keys, value):
+    def mutate(doc):
+        target = doc
+        for key in keys:
+            target = target[key]
+        target.append(value)
+
+    return mutate
+
+
+def _fabric(*links):
+    """Switches S1 and S2 in the one domain, joined by these switch links."""
+
+    def mutate(doc):
+        doc["domains"][0]["switches"] = [{"id": "S1", "label": "SL1"}, {"id": "S2", "label": "SL1"}]
+        doc["domains"][0]["links"] = [list(pair) for pair in links]
+
+    return mutate
+
+
+def _second_domain(*links, **fields):
+    """Domain AS2 (10.1.0.0/24) with gateway 2SW1, gateway 1SW2 in AS1, and
+    these domain links."""
+
+    def mutate(doc):
+        doc["domains"][0]["switches"].append({"id": "1SW2", "label": "SL1"})
+        domain = {
+            "id": "AS2",
+            "subnet": "10.1.0.0/24",
+            "type": "EDU",
+            "label": "SL1",
+            "handle_key": "k2",
+            "switches": [{"id": "2SW1", "label": "SL1"}],
+        }
+        doc["domains"].append({**domain, **fields})
+        doc["links"] = [list(pair) for pair in links]
+
+    return mutate
+
+
+def _host(host_id, ip="10.0.0.3"):
+    return {"id": host_id, "ip": ip, "mac": "00:00:00:00:00:0c", "switch": "S1"}
 
 
 @pytest.mark.parametrize(
@@ -276,6 +323,29 @@ def _set(*keys, value):
         (_set("name", value=5), "$.name"),
         (_set("mode", value=["reactive"]), "$.mode"),
         (_set("domains", 0, "users", value={"00:00:00:00:00:0a": None}), "$.domains[0].users['00:00:00:00:00:0a']"),
+        (_fabric(("S1", "S2"), ("S2", "S1")), "$.domains[0].links[1]"),
+        (_fabric(("S1", "S2"), ("S1", "S2")), "$.domains[0].links[1]"),
+        (_fabric(("S1", "S1")), "$.domains[0].links[0]"),
+        (_set("domains", 0, "links", value=[[["S1"], "S1"]]), "$.domains[0].links[0]"),
+        (_second_domain(("AS1", "AS2"), ("AS1", "AS2")), "$.links[1]"),
+        (_second_domain(("AS1", "AS2"), ("AS2", "AS1")), "$.links[1]"),
+        (_append("domains", 0, "hosts", value=_host("S1")), "$.domains[0].hosts[2].id"),
+        (_set("domains", 0, "polices", value=[]), "$.domains[0].polices"),
+        (_set("domains", 0, "switches", 0, "ports", value=4), "$.domains[0].switches[0].ports"),
+        (_set("domains", 0, "hosts", 0, "vlan", value=10), "$.domains[0].hosts[0].vlan"),
+        (_set("domains", 0, "handle_key", value=""), "$.domains[0].handle_key"),
+        (_set("domains", 0, "hosts", 0, "ip", value="10.0.1.1"), "$.domains[0].hosts[0].ip"),
+        (_second_domain(subnet="10.0.0.0/16"), "$.domains[1].subnet"),
+        (_second_domain(subnet="10.0.0.128/25"), "$.domains[1].subnet"),
+        (_second_domain(subnet="10.0.0.0/24"), "$.domains[1].subnet"),
+        (_append("domains", 0, "switches", value={"id": "S1", "label": "SL1"}), "$.domains[0].switches[1].id"),
+        (
+            _second_domain(switches=[{"id": "2SW1", "label": "SL1"}, {"id": "S1", "label": "SL1"}]),
+            "$.domains[1].switches[1].id",
+        ),
+        (_append("domains", 0, "hosts", value=_host("a")), "$.domains[0].hosts[2].id"),
+        (_append("domains", 0, "hosts", value=_host("c", ip="10.0.0.1")), "$.domains[0].hosts[2].ip"),
+        (_second_domain(id="AS1"), "$.domains[1].id"),
     ],
     ids=[
         "undeclared-to",
@@ -341,6 +411,26 @@ def _set(*keys, value):
         "name-int",
         "mode-array",
         "user-null",
+        "switch-link-reversed",
+        "switch-link-repeated",
+        "switch-self-link",
+        "switch-link-end-array",
+        "domain-link-repeated",
+        "domain-link-reversed",
+        "host-id-is-a-switch",
+        "unknown-domain-field",
+        "unknown-switch-field",
+        "unknown-host-field",
+        "blank-handle-key",
+        "host-outside-subnet",
+        "subnet-contains-earlier",
+        "subnet-inside-earlier",
+        "subnet-repeated",
+        "switch-id-repeated-in-domain",
+        "switch-id-repeated-across-domains",
+        "host-id-repeated",
+        "host-ip-repeated",
+        "domain-id-repeated",
     ],
 )
 def test_run_time_failures_are_rejected_at_parse(mutate, path):

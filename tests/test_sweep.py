@@ -55,7 +55,7 @@ def test_latency_grows_with_fabric_and_exceeds_baseline():
     previous = None
     for total in (5, 8, 11, 14):
         secured = run(pad_switches(scenario, total)).mean_latency()
-        baseline = run(pad_switches(scenario.with_enforcement(False), total)).mean_latency()
+        baseline = run(pad_switches(replace(scenario, enforcement=False), total)).mean_latency()
         assert secured > baseline
         if previous is not None:
             assert secured >= previous
@@ -77,7 +77,7 @@ def test_establishment_time_grows_with_domain_count():
 def test_chains_longer_than_the_default_ttl_deliver(mode):
     # past 7 domains the default probe TTL of 6 would leave AS1 without a route
     ticks = []
-    for count, report in sweep(load("minimal").with_mode(mode), "as_count", [8, 12]):
+    for count, report in sweep(replace(load("minimal"), mode=mode), "as_count", [8, 12]):
         flow = report.flows[0]
         assert flow.outcome == "delivered", (count, flow.reason)
         assert len(flow.as_path) == count
