@@ -18,7 +18,7 @@ prefix supplies the expression id.  The full grammar lives in
 ``docs/policy-formats.md``.
 
 Both formats share the record layout: a compact expression is lowered onto
-a repository record (``COMPACT_COLUMNS``), so one builder makes every
+repository record columns (``COMPACT_COLUMNS``), so one builder makes every
 expression and one encoder feeds both serializers.
 """
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
 
@@ -85,6 +86,17 @@ COMPACT_COLUMNS = (
     "user", "flowcons", "domcons", "services", "secprof", "seq",
 )
 
+_DOTTED_QUAD = re.compile(r"(\d+)\.(\d+)\.(\d+)\.(\d+)", re.ASCII)
+_LIST_SEPARATORS = re.compile("[,;]")
+_BRACKETS = re.compile(r"[(){}\[\]]")
+# Text in which each opening bracket is closed by the next bracket, with no
+# separator between them, such as ``a, (80), b``: every separator in it sits
+# at depth zero, so a plain split is exact.
+_FLAT_GROUPS = re.compile(r"[^(){}\[\]]*(?:[({\[][^(){}\[\],;]*[)}\]][^(){}\[\]]*)*")
+_DEPTH = {"(": 1, "{": 1, "[": 1, ")": -1, "}": -1, "]": -1}
+_CONDITIONS_ACTION = re.compile(r">\s*:\s*<")
+_VERBS = {action.value: action for action in Action}
+
 
 class PolicyParseError(ValueError):
     """A policy document or expression could not be parsed."""
@@ -96,6 +108,13 @@ class PolicyParseError(ValueError):
 
 def parse_ipv4(text: str) -> IPv4Address:
     """Parse a dotted quad, tolerating leading zeros in octets (``.04`` == ``.4``)."""
+    quad = _DOTTED_QUAD.fullmatch(text.strip())
+    if quad:
+        a, b, c, d = map(int, quad.groups())
+        if a < 256 and b < 256 and c < 256 and d < 256:
+            return IPv4Address(a << 24 | b << 16 | c << 8 | d)
+    # any other shape, such as an octet over 255 or a non-ASCII digit, is
+    # parsed from text, and IPv4Address gives the error
     parts = text.strip().split(".")
     if len(parts) == 4 and all(p.isdigit() for p in parts):
         text = ".".join(str(int(p)) for p in parts)
@@ -116,48 +135,44 @@ def _is_wild(value: str) -> bool:
 
 def _strip_group(token: str) -> str:
     token = token.strip()
+    if token[:1] not in ("(", "{"):
+        return token
     while len(token) >= 2 and token[0] + token[-1] in ("()", "{}"):
         token = token[1:-1].strip()
     return token
 
 
 def _split_top(text: str, seps: str = ",") -> list[str]:
-    """Split on separators at bracket depth zero (round, curly or square)."""
+    """Split on ``seps`` (``","`` or ``",;"``) at bracket depth zero.
+
+    Brackets of any kind count toward the depth and are not matched by
+    kind, so ``valid[0,10)`` is one token.  A piece that ends inside
+    brackets is joined to the next with the separator between them.
+    """
+    pieces = text.split(seps) if seps == "," else _LIST_SEPARATORS.split(text)
+    if len(pieces) == 1 or _FLAT_GROUPS.fullmatch(text):
+        return pieces
     parts: list[str] = []
     depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch in "({[":
-            depth += 1
-        elif ch in ")}]":
-            depth -= 1
-        if ch in seps and depth == 0:
-            parts.append("".join(current))
-            current = []
+    end = -1  # index in ``text`` of the separator after the current piece
+    for piece in pieces:
+        if depth:
+            parts[-1] += text[end] + piece
         else:
-            current.append(ch)
-    parts.append("".join(current))
+            parts.append(piece)
+        end += len(piece) + 1
+        if _BRACKETS.search(piece):
+            for ch in piece:
+                depth += _DEPTH.get(ch, 0)
     return parts
 
 
-def _split_list(token: str) -> list[str]:
+def _split_list(token: str) -> list[str] | None:
+    """A list's non-empty tokens, or ``None`` for the wildcard."""
     inner = _strip_group(token)
     if _is_wild(inner):
-        return []
-    return [part.strip() for part in _split_top(inner, ",;") if part.strip()]
-
-
-def _list_column(record: dict[str, str], column: str, where: str) -> list[str] | None:
-    """A list column's tokens, or ``None`` for the wildcard.  A list with no
-    token, such as ``(;)``, would match nothing, and both serializers print
-    it as the wildcard, so it is an error."""
-    text = record.get(column, "")
-    if _is_wild(_strip_group(text)):
         return None
-    tokens = _split_list(text)
-    if not tokens:
-        raise PolicyParseError(f"empty {column} list {text!r}", where=where)
-    return tokens
+    return [part for part in map(str.strip, _split_top(inner, ",;")) if part]
 
 
 def _parse_constraint_token(token: str, where: str) -> Constraint | tuple[int, int]:
@@ -236,7 +251,18 @@ def _parse_services(tokens: list[str], where: str) -> frozenset[int]:
     return frozenset(ports)
 
 
+def _parse_profile(tokens: list[str], where: str) -> frozenset[str]:
+    return frozenset(token.lower() for token in tokens)
+
+
+def _parse_path(tokens: list[str], where: str) -> tuple[str, ...]:
+    return tuple(tokens)
+
+
 def _parse_action(text: str, where: str) -> tuple[Action, str | None]:
+    bare = _VERBS.get(text.lower())
+    if bare is not None:
+        return bare, None
     tokens = _split_list(text) or [_strip_group(text)]
     exit_switch: str | None = None
     verb: str | None = None
@@ -255,56 +281,78 @@ def _parse_action(text: str, where: str) -> tuple[Action, str | None]:
 
 # --- the record layout both formats share -------------------------------------
 
-
-def _build_pe(record: dict[str, str], where: str) -> PolicyExpression:
-    """Build one expression from record columns; an absent column is a wildcard.
-
-    Both formats end here: the repository parser passes its checked records,
-    the compact parser the record its fields were lowered onto.
-    """
-
-    def opt(name: str, convert=str):
-        raw = record.get(name)
-        if raw is None or _is_wild(raw):
-            return None
-        try:
-            return convert(raw.strip())
-        except ValueError as exc:
-            raise PolicyParseError(f"bad {name} value {raw!r}: {exc}", where=where) from None
-
-    def selector(side: str) -> EndpointSelector:
-        return EndpointSelector(
-            as_id=opt(f"{side}asid"),
-            subnet=opt(f"{side}assub", parse_network),
-            as_type=opt(f"{side}astype"),
-            label_req=opt(f"{side}astrulabel", parse_label_constraint),
-            host_ip=opt(f"{side}ip", parse_ipv4),
-            host_mac=opt(f"{side}mac", normalize_mac),
+# Scalar column -> (selector or None for the expression, field, converter).
+# A converter takes the stripped text and raises ValueError on a bad value.
+_SCALAR_COLUMNS = {
+    "flowid": (None, "flow_id", str),
+    **{
+        side + column: (selector, field, convert)
+        for side, selector in (("src", "source"), ("dst", "dest"))
+        for column, field, convert in (
+            ("asid", "as_id", str),
+            ("assub", "subnet", parse_network),
+            ("astype", "as_type", str),
+            ("astrulabel", "label_req", parse_label_constraint),
+            ("ip", "host_ip", parse_ipv4),
+            ("mac", "host_mac", normalize_mac),
         )
+    },
+    "user": (None, "user", str),
+}
 
-    flow_cons, validity_a = _parse_constraints(_list_column(record, "flowcons", where) or [], where)
-    dom_cons, validity_b = _parse_constraints(_list_column(record, "domcons", where) or [], where)
-    action, exit_switch = _parse_action(record["action"], where)
-    services = _list_column(record, "services", where)
-    sec_profile = _list_column(record, "secprof", where)
-    path = _list_column(record, "seq", where)
-    fields = dict(
-        id=record["id"],
-        action=action,
-        flow_id=opt("flowid"),
-        source=selector("src"),
-        dest=selector("dst"),
-        user=opt("user"),
-        flow_cons=flow_cons,
-        dom_cons=dom_cons,
-        services=None if services is None else _parse_services(services, where),
-        sec_profile=None if sec_profile is None else frozenset(token.lower() for token in sec_profile),
-        path=None if path is None else tuple(path),
-        action_exit=exit_switch,
-        validity=_intersect_validity(validity_a, validity_b),
-    )
+# List column -> (expression field, converter of its tokens).
+_LIST_COLUMNS = {
+    "flowcons": ("flow_cons", _parse_constraints),
+    "domcons": ("dom_cons", _parse_constraints),
+    "services": ("services", _parse_services),
+    "secprof": ("sec_profile", _parse_profile),
+    "seq": ("path", _parse_path),
+}
+
+
+def _build_pe(pe_id: str, action: str, columns: Iterable[tuple[str, str]], where: str) -> PolicyExpression:
+    """Build one expression from its id, action and record columns.
+
+    Both formats end here: the repository parser passes its checked
+    record's items, the compact parser the columns its fields were lowered
+    onto.  Only the columns given are read; an absent or wildcard column
+    leaves its field at the wildcard, and a column that is not a condition
+    (``id``, ``action``) is skipped.  A list with no token, such as ``(;)``,
+    would match nothing, and both serializers print it as the wildcard, so
+    it is an error.
+    """
+    fields: dict[str, object] = {}
+    selectors: dict[str, dict[str, object]] = {"source": {}, "dest": {}}
+    validity: tuple[int, int] | None = None
+    for column, raw in columns:
+        text = raw.strip()
+        if text == "" or text == WILDCARD:
+            continue
+        if column in _SCALAR_COLUMNS:
+            selector, name, convert = _SCALAR_COLUMNS[column]
+            try:
+                value = convert(text)
+            except ValueError as exc:
+                raise PolicyParseError(f"bad {column} value {raw!r}: {exc}", where=where) from None
+            (fields if selector is None else selectors[selector])[name] = value
+        elif column in _LIST_COLUMNS:
+            tokens = _split_list(text)
+            if tokens is None:
+                continue
+            if not tokens:
+                raise PolicyParseError(f"empty {column} list {raw!r}", where=where)
+            name, convert = _LIST_COLUMNS[column]
+            value = convert(tokens, where)
+            if convert is _parse_constraints:
+                value, window = value
+                validity = _intersect_validity(validity, window)
+            fields[name] = value
+    for name, selector in selectors.items():
+        if selector:
+            fields[name] = EndpointSelector(**selector)
+    verb, exit_switch = _parse_action(action, where)
     try:
-        return PolicyExpression(**fields)
+        return PolicyExpression(id=pe_id, action=verb, action_exit=exit_switch, validity=validity, **fields)
     except ValueError as exc:
         raise PolicyParseError(str(exc), where=where) from None
 
@@ -368,7 +416,7 @@ def parse_record(record: object, position: str) -> PolicyExpression:
     for required in ("id", "action"):
         if _is_wild(record.get(required, "")):
             raise PolicyParseError(f"missing required field {required!r}", where=where)
-    return _build_pe(record, where)
+    return _build_pe(record["id"], record["action"], record.items(), where)
 
 
 def parse_repository(document: str | list) -> list[PolicyExpression]:
@@ -437,8 +485,8 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon") -> PolicyExpression:
 
     A ``name =`` prefix, when present, overrides ``pe_id``.  The thirteen
     condition fields must all be present; a count mismatch is an error that
-    reports expected versus found.  The fields are lowered onto a repository
-    record through ``COMPACT_COLUMNS``.
+    reports expected versus found.  The fields are lowered onto repository
+    record columns through ``COMPACT_COLUMNS``.
     """
     body = text.strip()
     if "=" in body.split("<", 1)[0]:
@@ -448,7 +496,7 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon") -> PolicyExpression:
     where = f"policy expression {pe_id!r}"
     if not (body.startswith("<") and body.endswith(">")):
         raise PolicyParseError("expected <conditions>:<action>", where=where)
-    halves = re.split(r">\s*:\s*<", body)
+    halves = _CONDITIONS_ACTION.split(body)
     if len(halves) != 2:
         raise PolicyParseError("expected exactly one ':' between conditions and action", where=where)
     cond_text, action_text = halves[0][1:], halves[1][:-1]
@@ -457,15 +505,15 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon") -> PolicyExpression:
         raise PolicyParseError(
             f"expected {len(COMPACT_COLUMNS)} condition fields, found {len(fields)}", where=where
         )
-    record = {"id": pe_id, "action": action_text}
+    columns: list[tuple[str, str]] = []
     for column, field in zip(COMPACT_COLUMNS, fields):
         if field == WILDCARD:  # an absent column is the wildcard
             continue
         if column in ("src", "dst"):
-            record.update(_lower_domain(column, field))
+            columns += _lower_domain(column, field).items()
         else:
-            record[column] = _strip_group(field)
-    return _build_pe(record, where)
+            columns.append((column, _strip_group(field)))
+    return _build_pe(pe_id, action_text, columns, where)
 
 
 def format_compact_pe(pe: PolicyExpression) -> str:

@@ -238,10 +238,12 @@ def _pairs(obj: dict, path: str, ends, what: str) -> tuple[tuple[str, str], ...]
     return tuple(pairs)
 
 
-def _declare(declared: dict, value, path: str, key: str) -> None:
-    """Map ``value`` to the element at ``path`` that declares it; a repeat is an error at ``path.key``."""
+def _declare(declared: dict, value, path: str, key: str = "") -> None:
+    """Map ``value`` to the element at ``path`` that declares it; a repeat is
+    an error at ``path.key``, or at ``path`` when no key is given."""
     if value in declared:
-        raise ScenarioError(f"{path}.{key}", f"duplicate {str(value)!r}, first declared at {declared[value]}")
+        where = f"{path}.{key}" if key else path
+        raise ScenarioError(where, f"duplicate {str(value)!r}, first declared at {declared[value]}")
     declared[value] = path
 
 
@@ -298,13 +300,17 @@ def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[IPv4Address, 
             raise ScenarioError(f"{host_path}.switch", f"undefined switch {attach!r}")
         hosts.append(HostSpec(host_id, ip, mac, attach))
     users = {}
+    user_macs: dict[str, str] = {}
     for mac, user in _want(obj, "users", path, dict, default={}).items():
+        user_path = f"{path}.users[{mac!r}]"
         if not isinstance(user, str):
-            raise ScenarioError(f"{path}.users[{mac!r}]", f"expected str, got {type(user).__name__}")
+            raise ScenarioError(user_path, f"expected str, got {type(user).__name__}")
         try:
-            users[normalize_mac(mac)] = user
+            normalized = normalize_mac(mac)
         except ValueError as exc:
-            raise ScenarioError(f"{path}.users[{mac!r}]", str(exc)) from None
+            raise ScenarioError(user_path, str(exc)) from None
+        _declare(user_macs, normalized, user_path)
+        users[normalized] = user
     handle_key = _want(obj, "handle_key", path, str)
     if not handle_key:
         raise ScenarioError(f"{path}.handle_key", "must be a non-empty string")

@@ -329,6 +329,37 @@ def scan_select(pes: list[PolicyExpression], ctx: FlowContext) -> Decision:
     )
 
 
+def walk_split_top(text: str, seps: str = ",") -> list[str]:
+    """Split on ``seps`` at bracket depth zero by a walk over every
+    character.  Brackets of any kind count toward the depth and are not
+    matched by kind.  This was ``formats._split_top`` before it split with
+    ``str.split``."""
+    parts: list[str] = []
+    depth = 0
+    current: list[str] = []
+    for ch in text:
+        if ch in "({[":
+            depth += 1
+        elif ch in ")}]":
+            depth -= 1
+        if ch in seps and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    return parts
+
+
+def text_parse_ipv4(text: str) -> IPv4Address:
+    """A dotted quad with leading zeros dropped, parsed by ``IPv4Address``
+    from text.  This was ``formats.parse_ipv4`` before its integer path."""
+    parts = text.strip().split(".")
+    if len(parts) == 4 and all(p.isdigit() for p in parts):
+        text = ".".join(str(int(p)) for p in parts)
+    return IPv4Address(text)
+
+
 def records_digest(report: MetricsReport) -> str:
     """SHA-256 of the report's ``records`` emission: comparing two is as
     strict as comparing the texts, and a failure prints two short lines."""

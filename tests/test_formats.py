@@ -5,6 +5,7 @@ from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdnsec.labels import parse_label_constraint
 from sdnsec.policy import Action, Constraint, ConstraintKind, PolicyExpression, derive_flow_id, match_pe
@@ -16,9 +17,10 @@ from sdnsec.formats import (
     parse_network,
     parse_repository,
     serialize_repository,
+    _split_top,
 )
 
-from helpers import make_ctx, random_ctx, random_pe
+from helpers import make_ctx, random_ctx, random_pe, text_parse_ipv4, walk_split_top
 
 # Verbatim policy-database record as a restricted transit domain would store it.
 DB_SAMPLE = """
@@ -242,6 +244,44 @@ def test_leading_zero_addresses_normalize():
     assert parse_network("010.0.0.0/25") == IPv4Network("10.0.0.0/25")
     with pytest.raises(ValueError):
         parse_network("10.0.0.0")
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.text(alphabet="(){}[],; a*", max_size=20), st.sampled_from([",", ",;"]))
+def test_split_top_agrees_with_the_character_walk(text, seps):
+    assert _split_top(text, seps) == walk_split_top(text, seps)
+
+
+# dotted decimals, with leading zeros and octets over 255, and odd parts:
+# whitespace, signs, 0x prefixes, exponents and non-ASCII digits
+_DECIMAL = st.tuples(st.sampled_from([0, 255, 256]) | st.integers(0, 300), st.integers(1, 4)).map(
+    lambda number_width: f"{number_width[0]:0{number_width[1]}d}"
+)
+_ODD = st.sampled_from(["", " 7", "7 ", "-1", "+1", "0x1f", "1e2", "\u0663", "\uff11\uff12", "\u00b2"]) | st.text(
+    alphabet="0123456789 x", max_size=4
+)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.lists(_DECIMAL, min_size=4, max_size=4) | st.lists(_DECIMAL, min_size=3, max_size=5),
+    st.none() | st.tuples(st.integers(0, 4), _ODD),
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", " ", "\n"]),
+)
+def test_parse_ipv4_agrees_with_parsing_the_text(parts, odd, before, after):
+    if odd is not None:
+        index, token = odd
+        parts[min(index, len(parts) - 1)] = token
+    text = before + ".".join(parts) + after
+    assert _outcome(parse_ipv4, text) == _outcome(text_parse_ipv4, text)
 
 
 # An empty set would match nothing, and both serializers print it as "*".

@@ -323,6 +323,10 @@ def _host(host_id, ip="10.0.0.3"):
         (_set("name", value=5), "$.name"),
         (_set("mode", value=["reactive"]), "$.mode"),
         (_set("domains", 0, "users", value={"00:00:00:00:00:0a": None}), "$.domains[0].users['00:00:00:00:00:0a']"),
+        (
+            _set("domains", 0, "users", value={"00:00:00:00:00:0A": "Alice", "00:00:00:00:00:0a": "Mallory"}),
+            "$.domains[0].users['00:00:00:00:00:0a']",
+        ),
         (_fabric(("S1", "S2"), ("S2", "S1")), "$.domains[0].links[1]"),
         (_fabric(("S1", "S2"), ("S1", "S2")), "$.domains[0].links[1]"),
         (_fabric(("S1", "S1")), "$.domains[0].links[0]"),
@@ -411,6 +415,7 @@ def _host(host_id, ip="10.0.0.3"):
         "name-int",
         "mode-array",
         "user-null",
+        "user-mac-repeated",
         "switch-link-reversed",
         "switch-link-repeated",
         "switch-self-link",
