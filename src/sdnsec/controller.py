@@ -435,7 +435,7 @@ class Controller:
             final_peer = gateway_name(next_as, self.as_id)
 
         intra = self.topo.intra_graph
-        ticks += self.costs.per_switch * len(intra.nodes())
+        ticks += self.costs.per_switch * len(intra)
         try:
             path = find_switch_path(
                 intra,

@@ -1,22 +1,21 @@
-"""Simulated match-action switches: flow tables, lookup and table-miss events.
+"""Simulated match-action switches: flow tables and lookup.
 
 A switch keeps its flow table as a tuple space (Srinivasan, Suri & Varghese,
 SIGCOMM 1999; the megaflow classifier of Open vSwitch): one hash table per
 wildcard mask, the set of match fields a rule fixes.  A lookup probes each
 mask once with the packet's values for that mask's fields, so its cost grows
 with the number of masks (three in a simulated run: ARP, flow and block
-rules), not with the number of rules.  An arriving packet executes the
-highest-priority matching rule, and among equal priorities the one installed
-first; a miss raises a packet-in for the controller.
-The packet-in carries the packet, so the switch buffers nothing.  A forward
-rule at a domain's egress gateway also carries the flow's handle and
-transfer token, which the switch adds to the packet as it leaves.  All
-mutation happens on the simulation loop's thread.
+rules), not with the number of rules.  A lookup returns the highest-priority
+matching rule, and among equal priorities the one installed first; the
+simulation executes it (forward, drop or punt to the controller) and raises
+a packet-in on a miss.  A forward rule at a domain's egress gateway also
+carries the flow's handle and transfer token, which the switch adds to the
+packet as it leaves.  All mutation happens on the simulation loop's thread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 from itertools import count
 from operator import attrgetter
@@ -30,7 +29,6 @@ __all__ = [
     "FlowMatch",
     "FlowRule",
     "FlowTable",
-    "ForwardOutcome",
     "Packet",
     "Switch",
     "TableFullError",
@@ -58,7 +56,6 @@ class Packet:
     ip_proto: str
     service_port: int
     packet_type: str
-    payload_size: int = 64
     # derived from the 5-tuple once per packet; the controller reads it often
     flow_id: str = field(init=False, repr=False, compare=False)
 
@@ -118,8 +115,6 @@ class FlowRule:
     # credentials added to packets leaving the domain through this rule
     handle: Handle | None = None
     ptt: PolicyTransferToken | None = None
-    packets: int = 0
-    bytes: int = 0
 
     def __post_init__(self) -> None:
         if self.priority < 0:
@@ -133,15 +128,6 @@ class FlowRule:
         action = f"{self.action}:{self.out_port}" if self.action == ActionKind.FORWARD else self.action
         tags = ",".join(sorted(self.sec_profile_tags)) if self.sec_profile_tags else "-"
         return f"priority={self.priority} {self.match.text()} tags={tags} action={action}"
-
-
-@dataclass(frozen=True)
-class ForwardOutcome:
-    """Result of offering one packet to a switch."""
-
-    kind: str  # forwarded | dropped | packet_in
-    peer: str | None = None
-    rule: FlowRule | None = None
 
 
 def _no_fields(_item: object) -> tuple[()]:
@@ -213,12 +199,11 @@ class Switch:
 
     def install(self, rule: FlowRule) -> None:
         """File ``rule`` under its match's mask and values.  A rule for an
-        installed match replaces it and keeps its packet and byte counters,
-        unless its priority is lower, when it is ignored.  At equal priority
-        the replacement keeps the old rule's place among equal priorities,
-        so re-installing a rule is idempotent; at higher priority it counts
-        as newly installed.  A new match beyond capacity raises
-        :class:`TableFullError`."""
+        installed match replaces it, unless its priority is lower, when it
+        is ignored.  At equal priority the replacement keeps the old rule's
+        place among equal priorities, so re-installing a rule is idempotent;
+        at higher priority it counts as newly installed.  A new match beyond
+        capacity raises :class:`TableFullError`."""
         mask = rule.match.mask
         table = self.table.masks.get(mask) or _MaskTable(mask)
         key = table.key(rule.match, rule.match.in_port)
@@ -237,7 +222,7 @@ class Switch:
             return
         if rule.priority > old.priority:
             number = entry[1]
-        table.entries[key] = (-rule.priority, number, replace(rule, packets=old.packets, bytes=old.bytes))
+        table.entries[key] = (-rule.priority, number, rule)
 
     def room_for(self, matches: set[FlowMatch]) -> bool:
         """True iff installing rules with ``matches`` stays within capacity;
@@ -258,19 +243,6 @@ class Switch:
             if entry is not None and (best is None or entry < best):
                 best = entry
         return None if best is None else best[2]
-
-    def process_packet(self, packet: Packet, in_port: int | None = None) -> ForwardOutcome:
-        """Table lookup: execute the highest-priority match, else packet-in."""
-        rule = self.lookup(packet, in_port)
-        if rule is None:
-            return ForwardOutcome(kind="packet_in")
-        rule.packets += 1
-        rule.bytes += packet.payload_size
-        if rule.action == ActionKind.DROP:
-            return ForwardOutcome(kind="dropped", rule=rule)
-        if rule.action == ActionKind.TO_CONTROLLER:
-            return ForwardOutcome(kind="packet_in", rule=rule)
-        return ForwardOutcome(kind="forwarded", peer=self.ports[rule.out_port], rule=rule)
 
 
 def flow_dump(switch: Switch) -> list[FlowRule]:

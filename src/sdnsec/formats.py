@@ -103,7 +103,6 @@ class PolicyParseError(ValueError):
 
     def __init__(self, message: str, *, where: str = ""):
         super().__init__(f"{where}: {message}" if where else message)
-        self.where = where
 
 
 def parse_ipv4(text: str) -> IPv4Address:
@@ -269,6 +268,8 @@ def _parse_action(text: str, where: str) -> tuple[Action, str | None]:
     for token in tokens:
         lowered = token.lower()
         if lowered in ("allow", "deny"):
+            if verb is not None:
+                raise PolicyParseError(f"action names more than one verb in {text!r}", where=where)
             verb = lowered
         elif exit_switch is None:
             exit_switch = token
@@ -458,13 +459,14 @@ def serialize_repository(pes: list[PolicyExpression]) -> str:
 
 # --- compact format ----------------------------------------------------------
 
-def _lower_domain(side: str, text: str) -> dict[str, str]:
+def _lower_domain(side: str, text: str, where: str) -> dict[str, str]:
     """Sort a domain descriptor's elements by shape into ``side``'s columns.
 
     ``a.b.c.d/len`` is the subnet, ``AS...`` the identity, ``SL...`` the label
-    requirement, anything else the type; a later element of a shape wins.
+    requirement, anything else the type; a second element of one shape is
+    an error.
     """
-    columns = {}
+    columns: dict[str, str] = {}
     for token in _split_list(text) or [_strip_group(text)]:
         if _is_wild(token):
             continue
@@ -476,6 +478,8 @@ def _lower_domain(side: str, text: str) -> dict[str, str]:
             column = "astrulabel"
         else:
             column = "astype"
+        if side + column in columns:
+            raise PolicyParseError(f"two {side + column} elements in domain descriptor {text!r}", where=where)
         columns[side + column] = token
     return columns
 
@@ -510,7 +514,7 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon") -> PolicyExpression:
         if field == WILDCARD:  # an absent column is the wildcard
             continue
         if column in ("src", "dst"):
-            columns += _lower_domain(column, field).items()
+            columns += _lower_domain(column, field, where).items()
         else:
             columns.append((column, _strip_group(field)))
     return _build_pe(pe_id, action_text, columns, where)

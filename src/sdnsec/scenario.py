@@ -53,7 +53,7 @@ _DOMAIN_FIELDS = {
 }
 _SWITCH_FIELDS = {"id", "label"}
 _HOST_FIELDS = {"id", "ip", "mac", "switch"}
-_FLOW_FIELDS = {"at", "from", "to", "port", "type", "proto", "size"}
+_FLOW_FIELDS = {"at", "from", "to", "port", "type", "proto"}
 _FLOOD_FIELDS = {"kind", "at", "from", "to", "rate", "seconds", "type", "port_base", "proto"}
 
 
@@ -103,7 +103,6 @@ class FlowSpec:
     port: int
     packet_type: str
     proto: str = "tcp"
-    size: int = 64
 
 
 @dataclass(frozen=True)
@@ -376,7 +375,6 @@ def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec
                     port=_int(item, "port", item_path, 1, 65535),
                     packet_type=_want(item, "type", item_path, str),
                     proto=_want(item, "proto", item_path, str, default=FlowSpec.proto),
-                    size=_int(item, "size", item_path, 1, default=FlowSpec.size),
                 )
             )
     return tuple(out)

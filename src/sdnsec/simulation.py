@@ -6,6 +6,10 @@ topology repository, and per-domain policy repositories.  The event loop is
 a single tick-ordered heap; ties resolve in insertion order, so equal
 scenarios produce byte-identical reports.
 
+A packet arriving at a switch executes the rule the switch's lookup
+returns: a forward rule passes it to the peer on the rule's port, a drop
+rule ends its flow, and a miss or a to-controller rule raises a packet-in.
+
 Controllers are modeled as sequential servers: a packet-in waits until the
 controller is free, is charged the pipeline's deterministic service ticks,
 and its flow-mod batch applies at the emission tick.  A packet leaving a
@@ -24,7 +28,7 @@ from ipaddress import IPv4Address
 from itertools import groupby
 
 from .controller import Controller, CostModel, FlowModBatch, PipelineResult, arp_discovery_rule
-from .dataplane import BLOCK_RULE_PRIORITY, FlowMatch, Packet, Switch
+from .dataplane import BLOCK_RULE_PRIORITY, ActionKind, FlowMatch, Packet, Switch
 from .defense import FloodMonitor, ResponseMode
 from .interdomain import Handle, PolicyTransferToken
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
@@ -193,7 +197,6 @@ class Simulation:
             ip_proto=spec.proto,
             service_port=port,
             packet_type=spec.packet_type,
-            payload_size=getattr(spec, "size", 64),
         )
 
     def _resolve_dst(self, dst: str) -> IPv4Address:
@@ -260,25 +263,21 @@ class Simulation:
 
     def _on_switch_rx(self, tick: int, switch_id: str, inflight: _InFlight, in_port: int) -> None:
         switch = self.world.switches[switch_id]
-        outcome = switch.process_packet(inflight.packet, in_port)
-        if outcome.kind == "packet_in":
+        rule = switch.lookup(inflight.packet, in_port)
+        if rule is None or rule.action == ActionKind.TO_CONTROLLER:
             domain = self.world.switch_domain[switch_id]
             self._counters["packet_ins"] += 1
             self._schedule(tick + LINK_TICK, "ctrl_job", (domain, inflight, switch_id, in_port))
             return
-        if outcome.kind == "dropped":
-            reason = (
-                "BLOCKED_AT_SWITCH"
-                if outcome.rule is not None and outcome.rule.priority == BLOCK_RULE_PRIORITY
-                else "SWITCH_DROP"
-            )
+        if rule.action == ActionKind.DROP:
+            reason = "BLOCKED_AT_SWITCH" if rule.priority == BLOCK_RULE_PRIORITY else "SWITCH_DROP"
             self._finish(inflight.record, reason, self.world.switch_domain[switch_id])
             return
-        if outcome.rule.handle is not None:
-            inflight.handle = outcome.rule.handle
-            inflight.ptt = outcome.rule.ptt
+        if rule.handle is not None:
+            inflight.handle = rule.handle
+            inflight.ptt = rule.ptt
         inflight.trace.append(switch_id)
-        peer = outcome.peer
+        peer = switch.ports[rule.out_port]
         if peer in self.world.hosts:
             if self.world.hosts[peer].ip == inflight.packet.dst_ip:
                 self._deliver(inflight, tick + LINK_TICK)

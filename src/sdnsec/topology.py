@@ -86,6 +86,9 @@ class Graph:
     def __contains__(self, name: str) -> bool:
         return name in self._records
 
+    def __len__(self) -> int:
+        return len(self._records)
+
     def nodes(self) -> list[str]:
         return sorted(self._records)
 

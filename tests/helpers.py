@@ -493,8 +493,7 @@ class ScanTable:
     insort, equal priorities in install order.  Install rules follow the
     switch's: an equal-priority re-install keeps its place, a higher-priority
     one is removed and inserted again as the newest, a lower-priority one is
-    ignored, counters carry across a replacement, and a new match beyond
-    capacity raises :class:`TableFullError`."""
+    ignored, and a new match beyond capacity raises :class:`TableFullError`."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -505,12 +504,10 @@ class ScanTable:
         if existing is not None:
             if rule.priority < existing.priority:
                 return
-            carried = replace(rule, packets=existing.packets, bytes=existing.bytes)
             if rule.priority == existing.priority:
-                self.rules[self.rules.index(existing)] = carried
+                self.rules[self.rules.index(existing)] = rule
                 return
             self.rules.remove(existing)
-            rule = carried
         elif len(self.rules) >= self.capacity:
             raise TableFullError("reference table full")
         # insertion point after equal priorities keeps install order stable

@@ -1,0 +1,69 @@
+"""The examples in the format documents parse as the documents say."""
+
+import json
+import re
+from pathlib import Path
+
+from sdnsec.formats import parse_compact_pe, parse_record
+from sdnsec.scenario import bundled_scenario_path, parse_scenario
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+# the host ids of the traffic examples, and minimal's hosts in their place
+EXAMPLE_HOSTS = {"X": "a", "Y": "b", "attacker": "a"}
+
+
+def code_blocks(name: str, language: str) -> list[str]:
+    """The fenced blocks of a document whose fence names ``language``."""
+    blocks, current, fence = [], [], None
+    for line in (DOCS / name).read_text().splitlines():
+        if fence is None and line.startswith("```"):
+            fence, current = line[3:].strip(), []
+        elif fence is not None and line.strip() == "```":
+            if fence == language:
+                blocks.append("\n".join(current))
+            fence = None
+        elif fence is not None:
+            current.append(line)
+    return blocks
+
+
+def json_examples(name: str) -> list[object]:
+    """The ``json`` blocks of a document that are complete JSON; a block
+    that elides fields with ``...`` is skipped."""
+    examples = []
+    for block in code_blocks(name, "json"):
+        try:
+            examples.append(json.loads(block))
+        except json.JSONDecodeError:
+            continue
+    return examples
+
+
+def test_scenario_format_examples_validate():
+    examples = json_examples("scenario-format.md")
+    assert examples, "no complete JSON example in docs/scenario-format.md"
+    for example in examples:
+        if "from" in example:
+            doc = json.loads(bundled_scenario_path("minimal").read_text())
+            to = example["to"]  # a host id or a literal address
+            doc["traffic"] = [{**example, "from": EXAMPLE_HOSTS[example["from"]], "to": EXAMPLE_HOSTS.get(to, to)}]
+        else:
+            doc = example
+        parse_scenario(doc)
+
+
+def test_policy_format_examples_parse():
+    compact = [
+        line
+        for block in code_blocks("policy-formats.md", "")
+        for line in block.splitlines()
+        if re.fullmatch(r"([^<=]+=\s*)?<.*>:<.*>", line)
+    ]
+    assert compact, "no compact example in docs/policy-formats.md"
+    for line in compact:
+        parse_compact_pe(line)
+    records = json_examples("policy-formats.md")
+    assert records, "no complete JSON example in docs/policy-formats.md"
+    for index, record in enumerate(records):
+        parse_record(record, f"example {index}")

@@ -212,6 +212,38 @@ def test_field_count_mismatch_reports_expected_vs_found():
         parse_compact_pe("<*,*,*,*>:<Allow>")
 
 
+@pytest.mark.parametrize(
+    "compact, action",
+    [(True, "(Allow, Deny)"), (True, "(Deny; allow)"), (False, "allow, deny")],
+    ids=["compact-allow-deny", "compact-deny-allow", "record-allow-deny"],
+)
+def test_action_naming_both_verbs_rejected(compact, action):
+    # once parsed to the later verb, so a reader could not tell which applied
+    with pytest.raises(PolicyParseError, match="action names more than one verb"):
+        if compact:
+            parse_compact_pe(f"t = <{', '.join(['*'] * 13)}>:<{action}>")
+        else:
+            parse_repository([{"id": "t", "action": action}])
+
+
+@pytest.mark.parametrize(
+    "position, descriptor, column",
+    [
+        (1, "(AS1, AS2)", "srcasid"),
+        (1, "(10.0.0.0/24, 10.1.0.0/24)", "srcassub"),
+        (1, "(EDU, ISP)", "srcastype"),
+        (2, "(SL1, *, SL2+=)", "dstastrulabel"),
+    ],
+    ids=["two-ids", "two-subnets", "two-types", "two-labels"],
+)
+def test_domain_descriptor_rejects_a_second_element_of_one_shape(position, descriptor, column):
+    # once the later element silently replaced the earlier one
+    fields = ["*"] * 13
+    fields[position] = descriptor
+    with pytest.raises(PolicyParseError, match=f"two {column} elements in domain descriptor"):
+        parse_compact_pe(f"t = <{', '.join(fields)}>:<Allow>")
+
+
 def test_compact_round_trip():
     for text in [HTTP_PATH_PE, FTP_PATH_PE, BYOD_PE, TRANSIT_GUEST_PE]:
         pe = parse_compact_pe(text)

@@ -292,8 +292,7 @@ def _host(host_id, ip="10.0.0.3"):
         (_set("traffic", 0, "port", value="abc"), "$.traffic[0].port"),
         (_set("traffic", 0, "at", value=-50), "$.traffic[0].at"),
         (_set("traffic", 0, "at", value="x"), "$.traffic[0].at"),
-        (_set("traffic", 0, "size", value=0), "$.traffic[0].size"),
-        (_set("traffic", 0, "size", value=64.5), "$.traffic[0].size"),
+        (_set("traffic", 0, "size", value=64), "$.traffic[0].size"),
         (_set("traffic", value=_flood(rate=10.5)), "$.traffic[0].rate"),
         (_set("traffic", value=_flood(seconds=True)), "$.traffic[0].seconds"),
         (_set("traffic", value=_flood(port_base="20000")), "$.traffic[0].port_base"),
@@ -384,8 +383,7 @@ def _host(host_id, ip="10.0.0.3"):
         "port-string",
         "at-negative",
         "at-string",
-        "size-0",
-        "size-float",
+        "removed-size",
         "flood-rate-float",
         "flood-seconds-bool",
         "flood-port-base-string",

@@ -37,6 +37,20 @@ def test_minimal_intra_delivery():
     assert report.flows[0].as_path == ("AS1",)
 
 
+@pytest.mark.parametrize("mode, packet_ins, delivered_tick", [("reactive", 1, 15), ("proactive", 0, 2)])
+def test_arp_flow_meets_the_discovery_rule(mode, packet_ins, delivered_tick):
+    # every switch starts with the ARP rule, which sends ARP packets to the
+    # controller; the flow rule the controller installs then outranks it
+    doc = json.loads(bundled_scenario_path("minimal").read_text())
+    doc["mode"] = mode
+    doc["traffic"][0]["type"] = "ARP"
+    report = run(parse_scenario(doc))
+    [flow] = report.flows
+    assert flow.outcome == "delivered"
+    assert flow.delivered_tick == delivered_tick
+    assert report.counters["packet_ins"] == packet_ins
+
+
 def test_empty_traffic_program():
     scenario = replace(load("minimal"), traffic=())
     report = run(scenario)
