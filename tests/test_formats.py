@@ -218,7 +218,7 @@ def test_field_count_mismatch_reports_expected_vs_found():
     ids=["compact-allow-deny", "compact-deny-allow", "record-allow-deny"],
 )
 def test_action_naming_both_verbs_rejected(compact, action):
-    # once parsed to the later verb, so a reader could not tell which applied
+    # keeping either verb would guess which one the author meant
     with pytest.raises(PolicyParseError, match="action names more than one verb"):
         if compact:
             parse_compact_pe(f"t = <{', '.join(['*'] * 13)}>:<{action}>")
@@ -237,7 +237,7 @@ def test_action_naming_both_verbs_rejected(compact, action):
     ids=["two-ids", "two-subnets", "two-types", "two-labels"],
 )
 def test_domain_descriptor_rejects_a_second_element_of_one_shape(position, descriptor, column):
-    # once the later element silently replaced the earlier one
+    # keeping either element would silently narrow the selector
     fields = ["*"] * 13
     fields[position] = descriptor
     with pytest.raises(PolicyParseError, match=f"two {column} elements in domain descriptor"):
