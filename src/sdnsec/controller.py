@@ -52,6 +52,7 @@ from .interdomain import (
     verify_ptt,
 )
 from .policy import (
+    BLOCK_PROVENANCE_PREFIX,
     Action,
     ConstraintKind,
     Decision,
@@ -76,6 +77,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BASELINE",
+    "BLOCK_PROVENANCE_PREFIX",
     "Controller",
     "ControllerEvent",
     "CostModel",
@@ -88,6 +90,9 @@ __all__ = [
 
 
 class DropReason:
+    """Every reason a dropped flow's record can carry; the simulation, not
+    the pipeline, sets the last four."""
+
     POLICY = "POLICY"
     NO_SATISFYING_PATH = "NO_SATISFYING_PATH"
     NO_ROUTE = "NO_ROUTE"
@@ -96,6 +101,10 @@ class DropReason:
     DEFENSE_THROTTLED = "DEFENSE_THROTTLED"
     DEFENSE_BLOCKED = "DEFENSE_BLOCKED"
     RATE_LIMIT = "RATE_LIMIT"
+    BLOCKED_AT_SWITCH = "BLOCKED_AT_SWITCH"
+    MISDELIVERED = "MISDELIVERED"
+    TABLE_FULL = "TABLE_FULL"
+    STALLED = "STALLED"
 
 
 @dataclass(frozen=True)
@@ -317,7 +326,7 @@ class Controller:
             ActionKind.DROP,
             BLOCK_RULE_PRIORITY,
         )
-        return FlowModBatch(((ingress, rule),), provenance=f"defense:{packet.src_ip}")
+        return FlowModBatch(((ingress, rule),), provenance=f"{BLOCK_PROVENANCE_PREFIX}{packet.src_ip}")
 
     def _peer_for_gateway(self, gateway: str) -> str | None:
         for neighbor in self.key_ring:

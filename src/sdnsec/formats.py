@@ -359,29 +359,18 @@ def _build_pe(pe_id: str, action: str, columns: Iterable[tuple[str, str]], where
 
 
 def _encode(pe: PolicyExpression) -> dict[str, list[str]]:
-    """The record columns of ``pe`` as token lists; no token is the wildcard."""
-
-    def one(value) -> list[str]:
-        return [str(value)] if value else []
-
-    columns = {"id": [pe.id], "flowid": one(pe.flow_id)}
-    for side, sel in (("src", pe.source), ("dst", pe.dest)):
-        columns[f"{side}asid"] = one(sel.as_id)
-        columns[f"{side}assub"] = one(sel.subnet)
-        columns[f"{side}astype"] = one(sel.as_type)
-        columns[f"{side}astrulabel"] = one(sel.label_req)
-        columns[f"{side}ip"] = one(sel.host_ip)
-        columns[f"{side}mac"] = one(sel.host_mac)
-    validity = [f"valid[{pe.validity[0]},{pe.validity[1]})"] if pe.validity else []
-    columns.update(
-        user=one(pe.user),
-        flowcons=[c.text() for c in pe.flow_cons] + validity,
-        domcons=[c.text() for c in pe.dom_cons],
-        services=[str(port) for port in sorted(pe.services or ())],
-        secprof=sorted(pe.sec_profile or ()),
-        seq=list(pe.path or ()),
-        action=[pe.action_exit, pe.action.value] if pe.action_exit else [pe.action.value],
-    )
+    """The record columns of ``pe`` as token lists, read through the parser's
+    column tables; no token is the wildcard, and a set prints sorted."""
+    columns = {"id": [pe.id]}
+    for column, (selector, name, _) in _SCALAR_COLUMNS.items():
+        value = getattr(pe if selector is None else getattr(pe, selector), name)
+        columns[column] = [str(value)] if value else []
+    for column, (name, _) in _LIST_COLUMNS.items():
+        value = getattr(pe, name) or ()
+        columns[column] = [str(token) for token in (sorted(value) if isinstance(value, frozenset) else value)]
+    if pe.validity:
+        columns["flowcons"].append(f"valid[{pe.validity[0]},{pe.validity[1]})")
+    columns["action"] = [pe.action_exit, pe.action.value] if pe.action_exit else [pe.action.value]
     return columns
 
 

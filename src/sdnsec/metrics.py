@@ -1,9 +1,10 @@
 """Run results and their stable textual emissions.
 
 One simulation run produces one report: per-flow outcomes with the exact
-path taken, per-packet-in latency in ticks and a time series of rule
-installations.  Emissions are byte-stable: equal runs serialize identically,
-and the delimited form loads straight into standard plotting tools.
+path taken, per-packet-in latency in ticks, a time series of rule
+installations and the counters counted from those records.  Emissions are
+byte-stable: equal runs serialize identically, and the delimited form loads
+straight into standard plotting tools.
 """
 
 from __future__ import annotations
@@ -111,20 +112,21 @@ _FLOW_COLUMNS = (
 
 
 def _flow_row(record: FlowRecord) -> list[str]:
-    return [
-        str(record.index),
-        record.flow_id,
-        record.src,
-        record.dst,
-        record.outcome,
-        record.reason,
-        record.drop_domain,
-        str(record.request_tick),
-        str(record.delivered_tick),
-        str(record.establishment_ticks),
-        ">".join(record.as_path),
-        ">".join(record.switch_path),
-    ]
+    cells = (getattr(record, column) for column in _FLOW_COLUMNS)
+    return [">".join(cell) if isinstance(cell, tuple) else str(cell) for cell in cells]
+
+
+def _aligned(header: tuple[str, ...], rows: list[list[str]]) -> list[str]:
+    """The header and each row, every column padded to its widest cell."""
+    widths = [len(name) for name in header]
+    for row in rows:
+        widths = [max(width, len(cell)) for width, cell in zip(widths, row)]
+    return ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)) for row in [header, *rows]]
+
+
+def _delimited(header: tuple[str, ...], rows: list[list[str]]) -> list[str]:
+    """The header and each row as comma-joined lines."""
+    return [",".join(row) for row in [header, *rows]]
 
 
 def emit(report: MetricsReport, fmt: str = "table") -> str:
@@ -146,28 +148,19 @@ def emit(report: MetricsReport, fmt: str = "table") -> str:
         lines += [json.dumps(asdict(rec), sort_keys=True) for rec in report.installs]
         return "\n".join(lines) + "\n"
     rows = [_flow_row(flow) for flow in report.flows]
+    counters = sorted(report.counters.items())
     if fmt == "delimited":
-        out = [",".join(_FLOW_COLUMNS)]
-        out += [",".join(row) for row in rows]
+        out = _delimited(_FLOW_COLUMNS, rows)
         out.append("")
-        counter_items = sorted(report.counters.items())
-        out.append("counter,value")
-        out += [f"{name},{value}" for name, value in counter_items]
+        out += _delimited(("counter", "value"), [[name, str(value)] for name, value in counters])
         return "\n".join(out) + "\n"
     if fmt != "table":
         raise ValueError(f"unknown emission format {fmt!r}")
-    widths = [len(c) for c in _FLOW_COLUMNS]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    header = "  ".join(c.ljust(w) for c, w in zip(_FLOW_COLUMNS, widths))
-    lines = [f"scenario: {report.scenario}  mode={report.mode} enforcement={report.enforcement}"]
-    lines.append(header)
-    lines.append("-" * len(header))
-    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows]
-    lines.append("")
-    for name, value in sorted(report.counters.items()):
-        lines.append(f"{name}: {value}")
-    return "\n".join(lines) + "\n"
+    header, *lines = _aligned(_FLOW_COLUMNS, rows)
+    out = [f"scenario: {report.scenario}  mode={report.mode} enforcement={report.enforcement}"]
+    out += [header, "-" * len(header), *lines, ""]
+    out += [f"{name}: {value}" for name, value in counters]
+    return "\n".join(out) + "\n"
 
 
 def emit_series(series: dict[str, list[tuple[int, float]]], fmt: str = "delimited") -> str:
@@ -179,15 +172,12 @@ def emit_series(series: dict[str, list[tuple[int, float]]], fmt: str = "delimite
     labels = list(series)
     xs = sorted({x for points in series.values() for x, _ in points})
     by_label = {label: dict(points) for label, points in series.items()}
-    header = ["x"] + labels
+    header = ("x", *labels)
     rows = [[str(x)] + [str(by_label[label].get(x, "")) for label in labels] for x in xs]
     if fmt == "delimited":
-        return "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+        return "\n".join(_delimited(header, rows)) + "\n"
     if fmt == "table":
-        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
-        out = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-        out += ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows]
-        return "\n".join(out) + "\n"
+        return "\n".join(_aligned(header, rows)) + "\n"
     if fmt == "records":
         out = [json.dumps({"x": x, **{label: by_label[label].get(x) for label in labels}}, sort_keys=True) for x in xs]
         return "\n".join(out) + "\n"

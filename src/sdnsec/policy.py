@@ -48,6 +48,10 @@ __all__ = [
 
 _MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
 
+# A defense block rule's provenance: this prefix and the offender's address.
+# An admitted flow's rules carry their policy's id, so no id may start with it.
+BLOCK_PROVENANCE_PREFIX = "defense:"
+
 
 def normalize_mac(text: str) -> str:
     """Validate and lowercase a six-octet colon-separated MAC address."""
@@ -173,6 +177,8 @@ class PolicyExpression:
     validity: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        if self.id.startswith(BLOCK_PROVENANCE_PREFIX):
+            raise ValueError(f"policy id {self.id!r} starts with the reserved prefix {BLOCK_PROVENANCE_PREFIX!r}")
         if self.path is not None:
             if not self.path:
                 raise ValueError("path must be nonempty or wildcard")

@@ -3,8 +3,8 @@
 The world is rebuilt from the scenario for every run: switches wired port by
 port in declaration order, one controller per domain with a freshly probed
 topology repository, and per-domain policy repositories.  The event loop is
-a single tick-ordered heap; ties resolve in insertion order, so equal
-scenarios produce byte-identical reports.
+a single tick-ordered heap of handler calls; ties resolve in insertion
+order, so equal scenarios produce byte-identical reports.
 
 A packet arriving at a switch executes the rule the switch's lookup
 returns: a forward rule passes it to the peer on the rule's port, a drop
@@ -18,17 +18,30 @@ egress gateway's forward rule, which is where augmentation happens on a real
 edge.  Proactive pre-install follows the same rule: the next domain's
 ingress is the peer on that rule's port, and its packet-in carries that
 rule's credentials.
+
+At the end of a run the report's counters are counted from its records,
+except the two events no record carries; ``_DROP_COUNTERS`` files each
+``DropReason`` under one ``dropped_*`` counter.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 from itertools import groupby
 
-from .controller import Controller, CostModel, FlowModBatch, PipelineResult, arp_discovery_rule
-from .dataplane import BLOCK_RULE_PRIORITY, ActionKind, FlowMatch, Packet, Switch
+from .controller import (
+    BLOCK_PROVENANCE_PREFIX,
+    Controller,
+    CostModel,
+    DropReason,
+    FlowModBatch,
+    PipelineResult,
+    arp_discovery_rule,
+)
+from .dataplane import ActionKind, FlowMatch, Packet, Switch
 from .defense import FloodMonitor, ResponseMode
 from .interdomain import Handle, PolicyTransferToken
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
@@ -151,9 +164,21 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
     )
 
 
-_POLICY_REASONS = {"POLICY", "HANDLE_INVALID", "UNSATISFIABLE_CONSTRAINTS"}
-_DEFENSE_REASONS = {"DEFENSE_THROTTLED", "DEFENSE_BLOCKED", "BLOCKED_AT_SWITCH", "RATE_LIMIT"}
-_NOPATH_REASONS = {"NO_SATISFYING_PATH", "NO_ROUTE"}
+# drop reason -> the report counter its flows are counted under
+_DROP_COUNTERS = {
+    DropReason.POLICY: "dropped_policy",
+    DropReason.HANDLE_INVALID: "dropped_policy",
+    DropReason.UNSATISFIABLE: "dropped_policy",
+    DropReason.DEFENSE_THROTTLED: "dropped_defense",
+    DropReason.DEFENSE_BLOCKED: "dropped_defense",
+    DropReason.BLOCKED_AT_SWITCH: "dropped_defense",
+    DropReason.RATE_LIMIT: "dropped_defense",
+    DropReason.NO_SATISFYING_PATH: "dropped_nopath",
+    DropReason.NO_ROUTE: "dropped_nopath",
+    DropReason.TABLE_FULL: "dropped_other",
+    DropReason.MISDELIVERED: "dropped_other",
+    DropReason.STALLED: "dropped_other",
+}
 
 
 class Simulation:
@@ -165,24 +190,13 @@ class Simulation:
             mode=self.scenario.mode,
             enforcement=self.scenario.enforcement,
         )
-        self._heap: list[tuple[int, int, str, tuple]] = []
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
-        self._counters = {
-            "offered": 0,
-            "delivered": 0,
-            "dropped_policy": 0,
-            "dropped_defense": 0,
-            "dropped_nopath": 0,
-            "dropped_other": 0,
-            "packet_ins": 0,
-            "flow_mods": 0,
-            "rules_installed": 0,
-            "proactive_installs": 0,
-            "table_full_events": 0,
-        }
+        # the two counts no record carries
+        self._counters = {"proactive_installs": 0, "table_full_events": 0}
 
-    def _schedule(self, tick: int, action: str, payload: tuple) -> None:
-        heapq.heappush(self._heap, (tick, self._seq, action, payload))
+    def _schedule(self, tick: int, handler: Callable[..., None], *args) -> None:
+        heapq.heappush(self._heap, (tick, self._seq, handler, args))
         self._seq += 1
 
     # --- traffic expansion -----------------------------------------------------
@@ -217,10 +231,9 @@ class Simulation:
             from_flood=from_flood,
         )
         self.report.flows.append(record)
-        self._counters["offered"] += 1
         inflight = _InFlight(packet=packet, record=record)
         attach = self.world.switches[src.switch]
-        self._schedule(tick + LINK_TICK, "switch_rx", (src.switch, inflight, attach.port_to(src.id)))
+        self._schedule(tick + LINK_TICK, self._on_switch_rx, src.switch, inflight, attach.port_to(src.id))
 
     def _expand_traffic(self) -> None:
         ticks_per_second = self.scenario.window_ticks
@@ -241,14 +254,6 @@ class Simulation:
         record.outcome = "dropped"
         record.reason = reason
         record.drop_domain = domain
-        if reason in _POLICY_REASONS:
-            self._counters["dropped_policy"] += 1
-        elif reason in _DEFENSE_REASONS:
-            self._counters["dropped_defense"] += 1
-        elif reason in _NOPATH_REASONS:
-            self._counters["dropped_nopath"] += 1
-        else:
-            self._counters["dropped_other"] += 1
 
     def _deliver(self, inflight: _InFlight, tick: int) -> None:
         record = inflight.record
@@ -259,19 +264,16 @@ class Simulation:
         record.switch_path = tuple(inflight.trace)
         domains = (self.world.switch_domain[switch_id] for switch_id in inflight.trace)
         record.as_path = tuple(domain for domain, _ in groupby(domains))
-        self._counters["delivered"] += 1
 
     def _on_switch_rx(self, tick: int, switch_id: str, inflight: _InFlight, in_port: int) -> None:
         switch = self.world.switches[switch_id]
         rule = switch.lookup(inflight.packet, in_port)
         if rule is None or rule.action == ActionKind.TO_CONTROLLER:
             domain = self.world.switch_domain[switch_id]
-            self._counters["packet_ins"] += 1
-            self._schedule(tick + LINK_TICK, "ctrl_job", (domain, inflight, switch_id, in_port))
+            self._schedule(tick + LINK_TICK, self._on_ctrl_job, domain, inflight, switch_id, in_port)
             return
-        if rule.action == ActionKind.DROP:
-            reason = "BLOCKED_AT_SWITCH" if rule.priority == BLOCK_RULE_PRIORITY else "SWITCH_DROP"
-            self._finish(inflight.record, reason, self.world.switch_domain[switch_id])
+        if rule.action == ActionKind.DROP:  # every drop rule is a defense block rule
+            self._finish(inflight.record, DropReason.BLOCKED_AT_SWITCH, self.world.switch_domain[switch_id])
             return
         if rule.handle is not None:
             inflight.handle = rule.handle
@@ -282,10 +284,10 @@ class Simulation:
             if self.world.hosts[peer].ip == inflight.packet.dst_ip:
                 self._deliver(inflight, tick + LINK_TICK)
             else:
-                self._finish(inflight.record, "MISDELIVERED", self.world.switch_domain[switch_id])
+                self._finish(inflight.record, DropReason.MISDELIVERED, self.world.switch_domain[switch_id])
             return
         peer_port = self.world.switches[peer].port_to(switch_id)
-        self._schedule(tick + LINK_TICK, "switch_rx", (peer, inflight, peer_port))
+        self._schedule(tick + LINK_TICK, self._on_switch_rx, peer, inflight, peer_port)
 
     def _on_ctrl_job(
         self, tick: int, domain: str, inflight: _InFlight, ingress: str, in_port: int
@@ -300,7 +302,7 @@ class Simulation:
         emission = start + result.service_ticks
         ctrl.next_free_tick = emission
         self.report.latencies.append(LatencyRecord(domain, arrival, start, emission))
-        self._schedule(emission, "apply_result", (domain, inflight, ingress, in_port, result))
+        self._schedule(emission, self._on_apply_result, domain, inflight, ingress, in_port, result)
 
     def _install_batch(self, batch: FlowModBatch) -> bool:
         """Install every rule of ``batch``, or none of them when some switch
@@ -316,7 +318,6 @@ class Simulation:
         return True
 
     def _record_install(self, batch: FlowModBatch, domain: str, tick: int, packet: Packet) -> None:
-        self._counters["rules_installed"] += len(batch)
         self.report.installs.append(
             InstallRecord(tick, domain, str(packet.src_ip), packet.flow_id, len(batch), batch.provenance)
         )
@@ -336,12 +337,11 @@ class Simulation:
             self._finish(inflight.record, result.reason, domain)
             return
         if not self._install_batch(result.batch):
-            self._finish(inflight.record, "TABLE_FULL", domain)
+            self._finish(inflight.record, DropReason.TABLE_FULL, domain)
             return
         self._record_install(result.batch, domain, tick, inflight.packet)
-        self._counters["flow_mods"] += 1
         # the packet that missed is re-offered where it missed
-        self._schedule(tick + LINK_TICK, "switch_rx", (ingress, inflight, in_port))
+        self._schedule(tick + LINK_TICK, self._on_switch_rx, ingress, inflight, in_port)
 
     # --- proactive pre-install ---------------------------------------------------
 
@@ -375,21 +375,24 @@ class Simulation:
         if self.scenario.mode == "proactive":
             self._preinstall()
         self._expand_traffic()
-        handlers = {
-            "switch_rx": self._on_switch_rx,
-            "ctrl_job": self._on_ctrl_job,
-            "apply_result": self._on_apply_result,
-        }
         while self._heap:
-            tick, _seq, action, payload = heapq.heappop(self._heap)
-            handlers[action](tick, *payload)
-        for record in self.report.flows:
-            if record.outcome == "pending":
-                record.outcome = "dropped"
-                record.reason = "STALLED"
-                self._counters["dropped_other"] += 1
-        self.report.counters = dict(self._counters)
-        return self.report
+            tick, _seq, handler, args = heapq.heappop(self._heap)
+            handler(tick, *args)
+        report = self.report
+        outcomes = {"delivered": 0, **dict.fromkeys(_DROP_COUNTERS.values(), 0)}
+        for record in report.flows:
+            self._finish(record, DropReason.STALLED, "")  # acts only on a flow still pending
+            outcomes["delivered" if record.outcome == "delivered" else _DROP_COUNTERS[record.reason]] += 1
+        report.counters = {
+            "offered": len(report.flows),
+            **outcomes,
+            # every packet-in is one controller job, and each job one latency record
+            "packet_ins": len(report.latencies),
+            "flow_mods": sum(1 for r in report.installs if not r.provenance.startswith(BLOCK_PROVENANCE_PREFIX)),
+            "rules_installed": sum(r.rules for r in report.installs),
+            **self._counters,
+        }
+        return report
 
 
 def run(scenario: Scenario) -> MetricsReport:

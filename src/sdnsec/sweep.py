@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from .controller import BLOCK_PROVENANCE_PREFIX
 from .defense import ResponseMode
 from .labels import SecurityLabel
 from .metrics import MetricsReport
@@ -190,7 +191,7 @@ def flood_response_series(
             installs = sum(
                 1
                 for record in report.installs
-                if record.src_ip == attacker_ip and not record.provenance.startswith("defense:")
+                if record.src_ip == attacker_ip and not record.provenance.startswith(BLOCK_PROVENANCE_PREFIX)
             )
             points.append((rate, float(installs)))
         series[label] = points

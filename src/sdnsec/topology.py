@@ -111,9 +111,9 @@ class TopologyRepository:
     intra_graph: Graph = field(default_factory=Graph)
 
     def domain_for_ip(self, ip) -> str | None:
-        """Domain whose advertised subnet contains ``ip``; the owner is not an entry."""
-        for as_id in sorted(self.entries):
-            subnet = self.entries[as_id].domain.subnet
+        """The one domain whose advertised subnet contains ``ip`` (subnets are disjoint); the owner is not an entry."""
+        for as_id, entry in self.entries.items():
+            subnet = entry.domain.subnet
             if subnet is not None and ip in subnet:
                 return as_id
         return None

@@ -383,6 +383,41 @@ def installs_per_window(report: MetricsReport, window_ticks: int, src_ip: str | 
     return out
 
 
+# drop reason -> report counter, written out apart from the simulation's table
+REASON_COUNTERS = {
+    "POLICY": "dropped_policy",
+    "HANDLE_INVALID": "dropped_policy",
+    "UNSATISFIABLE_CONSTRAINTS": "dropped_policy",
+    "DEFENSE_THROTTLED": "dropped_defense",
+    "DEFENSE_BLOCKED": "dropped_defense",
+    "BLOCKED_AT_SWITCH": "dropped_defense",
+    "RATE_LIMIT": "dropped_defense",
+    "NO_SATISFYING_PATH": "dropped_nopath",
+    "NO_ROUTE": "dropped_nopath",
+    "TABLE_FULL": "dropped_other",
+    "MISDELIVERED": "dropped_other",
+    "STALLED": "dropped_other",
+}
+
+
+def tally_counters(report: MetricsReport) -> dict[str, int]:
+    """The report counters that its records determine, counted one record
+    at a time."""
+    tally = dict.fromkeys(
+        ["offered", "delivered", "dropped_policy", "dropped_defense", "dropped_nopath", "dropped_other"], 0
+    )
+    for flow in report.flows:
+        tally["offered"] += 1
+        tally["delivered" if flow.outcome == "delivered" else REASON_COUNTERS[flow.reason]] += 1
+    tally["packet_ins"] = len(report.latencies)
+    tally["flow_mods"] = tally["rules_installed"] = 0
+    for record in report.installs:
+        if not record.provenance.startswith("defense:"):
+            tally["flow_mods"] += 1
+        tally["rules_installed"] += record.rules
+    return tally
+
+
 def link_adjacency(links) -> dict[str, set[str]]:
     """Undirected adjacency sets of a domain link list."""
     adjacency: dict[str, set[str]] = {}

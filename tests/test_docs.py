@@ -1,13 +1,19 @@
-"""The examples in the format documents parse as the documents say."""
+"""The examples in the format documents parse as the documents say, and
+the README's report tables name every counter and drop reason."""
 
 import json
 import re
 from pathlib import Path
 
+from helpers import REASON_COUNTERS
+from test_report import REASONS
+
 from sdnsec.formats import parse_compact_pe, parse_record
-from sdnsec.scenario import bundled_scenario_path, parse_scenario
+from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
+from sdnsec.simulation import run
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+README = DOCS.parent / "README.md"
 
 # the host ids of the traffic examples, and minimal's hosts in their place
 EXAMPLE_HOSTS = {"X": "a", "Y": "b", "attacker": "a"}
@@ -67,3 +73,28 @@ def test_policy_format_examples_parse():
     assert records, "no complete JSON example in docs/policy-formats.md"
     for index, record in enumerate(records):
         parse_record(record, f"example {index}")
+
+
+def table_rows(text: str, first: str) -> list[list[str]]:
+    """The body rows of the Markdown table whose header starts with the
+    cell ``first``, each cell stripped of spaces and backticks."""
+    rows: list[list[str]] = []
+    inside = False
+    for line in text.splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            inside = False
+        elif cells[0] == first:
+            inside = True
+        elif inside and set(cells[0]) != {"-"}:
+            rows.append(cells)
+    return rows
+
+
+def test_report_tables_name_every_counter_and_drop_reason():
+    text = README.read_text()
+    reasons = {row[0]: row[2] for row in table_rows(text, "reason")}
+    assert set(reasons) == REASONS
+    assert reasons == REASON_COUNTERS
+    counters = [row[0] for row in table_rows(text, "counter")]
+    assert sorted(counters) == sorted(run(load_scenario(bundled_scenario_path("minimal"))).counters)

@@ -244,6 +244,17 @@ def test_domain_descriptor_rejects_a_second_element_of_one_shape(position, descr
         parse_compact_pe(f"t = <{', '.join(fields)}>:<Allow>")
 
 
+@pytest.mark.parametrize("compact", [True, False], ids=["compact", "record"])
+def test_policy_id_with_the_block_provenance_prefix_rejected(compact):
+    # a defense block rule's installs carry this prefix, and a policy's
+    # installs carry its id; the report must tell the two apart
+    with pytest.raises(PolicyParseError, match="reserved prefix 'defense:'"):
+        if compact:
+            parse_compact_pe(f"defense:m1 = <{', '.join(['*'] * 13)}>:<Allow>")
+        else:
+            parse_repository([{"id": "defense:m1", "action": "allow"}])
+
+
 def test_compact_round_trip():
     for text in [HTTP_PATH_PE, FTP_PATH_PE, BYOD_PE, TRANSIT_GUEST_PE]:
         pe = parse_compact_pe(text)

@@ -309,6 +309,10 @@ def _host(host_id, ip="10.0.0.3"):
         (_set("traffic", value={"at": 0}), "$.traffic"),
         (_set("domains", 0, "policies", value=7), "$.domains[0].policies"),
         (_set("domains", 0, "policies", value="p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"), "$.domains[0].policies"),
+        (
+            _set("domains", 0, "policies", value=["defense:p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"]),
+            "$.domains[0].policies[0]",
+        ),
         (_set("domains", 0, "users", value=["00:00:00:00:00:0a"]), "$.domains[0].users"),
         (_set("domains", 0, "links", value=5), "$.domains[0].links"),
         (_set("domains", 0, "hosts", value=5), "$.domains[0].hosts"),
@@ -400,6 +404,7 @@ def _host(host_id, ip="10.0.0.3"):
         "traffic-object",
         "policies-int",
         "policies-string",
+        "policy-id-reserved-prefix",
         "users-array",
         "domain-links-int",
         "hosts-int",

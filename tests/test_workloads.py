@@ -28,10 +28,15 @@ from workloads import WORKLOADS  # noqa: E402
 SEED = 1
 
 
-def _run(name: str):
+def run_workload(name: str):
+    """The workload's report and its generator's expectation."""
     document, expectation = WORKLOADS[name](SEED)
     parsed = parse_scenario(json.loads(json.dumps(document, sort_keys=True)))
-    report = Simulation(build_world(parsed, parsed.costs)).run()
+    return Simulation(build_world(parsed, parsed.costs)).run(), expectation
+
+
+def _run(name: str):
+    report, expectation = run_workload(name)
     return hashlib.sha256(emit(report, "records").encode()).hexdigest(), expectation.violations(report.flows)
 
 
