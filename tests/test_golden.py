@@ -46,18 +46,24 @@ def _run(case: str):
     return world, Simulation(world).run()
 
 
-def records_digest(case: str) -> str:
-    _, report = _run(case)
+def records_digest_of(report) -> str:
     return hashlib.sha256(emit(report, "records").encode()).hexdigest()
 
 
-def events_digest(case: str) -> str:
-    world, report = _run(case)
+def events_trail_digest(world, report) -> str:
     trail = {
         "events": {domain: [astuple(e) for e in ctrl.events] for domain, ctrl in world.controllers.items()},
         "latencies": [astuple(record) for record in report.latencies],
     }
     return hashlib.sha256(json.dumps(trail, sort_keys=True).encode()).hexdigest()
+
+
+def records_digest(case: str) -> str:
+    return records_digest_of(_run(case)[1])
+
+
+def events_digest(case: str) -> str:
+    return events_trail_digest(*_run(case))
 
 
 DIGESTS = {"records": records_digest, "events": events_digest}
