@@ -22,11 +22,12 @@ for index, (as_id, rank) in enumerate(sorted(labels.items())):
 for a, b in [("AS1", "AS2"), ("AS2", "AS3"), ("AS3", "AS4"), ("AS1", "AS5"), ("AS5", "AS4")]:
     world.add_link(a, b)
 
-# Each controller probes with rising TTL; answers carry identity + label.
+# Each controller probes with rising TTL; the answers are the domains in
+# reach and their hop counts.  A domain's label is read from the world graph.
 repos = [probe_topology(world, as_id, max_ttl=4) for as_id in world.nodes()]
 print("topology repository of AS1:")
-for as_id, entry in sorted(repos[0].entries.items()):
-    print(f"  {as_id}: label={entry.domain.label} hops={entry.hops}")
+for as_id, hops in repos[0].items():
+    print(f"  {as_id}: label={world.node(as_id).label} hops={hops}")
 
 # Route search runs on the domain graph the probes' hop-1 answers make up.
 # Unconstrained, the shortest route wins: the shortcut through AS5.

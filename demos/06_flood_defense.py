@@ -12,6 +12,7 @@ from dataclasses import replace
 
 from sdnsec import (
     CapacityModel,
+    DropReason,
     ResponseMode,
     bundled_scenario_path,
     compute_thresholds,
@@ -36,5 +37,5 @@ print(emit_series(series, "table"), end="")
 report = run(replace(scenario, defense_response=ResponseMode.DROP_RULE))
 legit = [f for f in report.flows if f.src == "legit"]
 print(f"\nblock-rule run: legit host delivered {sum(f.outcome == 'delivered' for f in legit)}/5 flows")
-blocked = [f for f in report.flows if f.reason == "BLOCKED_AT_SWITCH"]
+blocked = [f for f in report.flows if f.reason == DropReason.BLOCKED_AT_SWITCH]
 print(f"flood packets stopped at the switch without reaching the controller: {len(blocked)}")

@@ -39,8 +39,6 @@ from .formats import (
 from .topology import (
     Graph,
     NoPathError,
-    TopologyEntry,
-    TopologyRepository,
     find_as_paths,
     find_switch_path,
     gateway_name,
@@ -114,8 +112,6 @@ __all__ = [
     "SecurityLabel",
     "Switch",
     "TableFullError",
-    "TopologyEntry",
-    "TopologyRepository",
     "build_world",
     "bundled_scenario_path",
     "chain_scenario",

@@ -58,7 +58,6 @@ from .policy import (
     Decision,
     DomainInfo,
     FlowContext,
-    PolicyExpression,
     PolicyIndex,
     predicates_hold,
     select_policy,
@@ -66,14 +65,13 @@ from .policy import (
 from .topology import (
     Graph,
     NoPathError,
-    TopologyRepository,
     find_as_paths,
     find_switch_path,
     gateway_name,
 )
 
 if TYPE_CHECKING:
-    from .scenario import HostSpec
+    from .scenario import DomainSpec
 
 __all__ = [
     "BASELINE",
@@ -247,34 +245,35 @@ class Controller:
 
     def __init__(
         self,
-        domain: DomainInfo,
-        policy_repo: list[PolicyExpression],
-        topo: TopologyRepository,
-        handle_key: bytes,
+        spec: DomainSpec,
         *,
         as_graph: Graph,
+        intra: Graph,
+        known: dict[str, int],
         port_of,
         monitor: FloodMonitor | None,
         key_ring: dict[str, bytes],
-        user_bindings: dict[str, str],
-        hosts: dict[IPv4Address, HostSpec],
         enforcement_enabled: bool,
         costs: CostModel,
         window_ticks: int,
     ):
-        if not handle_key:
+        """``intra`` is the domain's switch graph, ``known`` the foreign
+        domains its probes found (see :func:`~sdnsec.topology.probe_topology`);
+        a domain's attributes are read from ``as_graph``."""
+        if not spec.handle_key:
             raise ValueError("controller needs a nonempty handle key")
-        self.domain = domain
-        self.as_id = domain.as_id
-        self.policy_repo = PolicyIndex(policy_repo)
-        self.topo = topo
-        self.handle_key = handle_key
+        self.domain = as_graph.node(spec.id)
+        self.as_id = spec.id
+        self.policy_repo = PolicyIndex(spec.policies)
+        self.handle_key = spec.handle_key.encode()
         self.as_graph = as_graph
+        self.intra = intra
+        self.known = known
         self._port_of = port_of
         self.monitor = monitor
         self.key_ring = key_ring
-        self.user_bindings = {mac.lower(): user for mac, user in user_bindings.items()}
-        self.hosts = hosts
+        self.user_bindings = spec.users  # MACs normalized by the scenario parser
+        self.hosts = {host.ip: host for host in spec.hosts}
         self.enforcement_enabled = enforcement_enabled
         self.costs = costs
         self.events: list[ControllerEvent] = []
@@ -285,15 +284,19 @@ class Controller:
     # --- context -------------------------------------------------------------
 
     def _domain_info(self, as_id: str) -> DomainInfo:
-        if as_id == self.as_id:
-            return self.domain
-        entry = self.topo.entries.get(as_id)
-        return entry.domain if entry is not None else DomainInfo(as_id)
+        if as_id == self.as_id or as_id in self.known:
+            return self.as_graph.node(as_id)
+        return DomainInfo(as_id)
 
     def domain_for_ip(self, ip: IPv4Address) -> str | None:
+        """The one domain, this or a known one, whose subnet contains ``ip``
+        (subnets are disjoint)."""
         if ip in self.domain.subnet:
             return self.as_id
-        return self.topo.domain_for_ip(ip)
+        for as_id in self.known:
+            if ip in self.as_graph.node(as_id).subnet:
+                return as_id
+        return None
 
     def build_context(self, packet: Packet, handle: Handle | None, tick: int) -> FlowContext:
         if handle is not None:
@@ -314,7 +317,7 @@ class Controller:
             service_port=packet.service_port,
             packet_type=packet.packet_type,
             timestamp=tick,
-            user=self.user_bindings.get(packet.src_mac.lower()),
+            user=self.user_bindings.get(packet.src_mac),
             traversed_path=traversed,
         )
 
@@ -443,11 +446,10 @@ class Controller:
             final_switch = gateway_name(self.as_id, next_as)
             final_peer = gateway_name(next_as, self.as_id)
 
-        intra = self.topo.intra_graph
-        ticks += self.costs.per_switch * len(intra)
+        ticks += self.costs.per_switch * len(self.intra)
         try:
             path = find_switch_path(
-                intra,
+                self.intra,
                 ingress,
                 final_switch,
                 required=decision.path_obligation,

@@ -48,10 +48,6 @@ class LatencyRecord:
     def latency(self) -> int:
         return self.emission_tick - self.arrival_tick
 
-    @property
-    def service_ticks(self) -> int:
-        return self.emission_tick - self.start_tick
-
 
 @dataclass(frozen=True)
 class InstallRecord:

@@ -99,7 +99,7 @@ class FlowSpec:
 
     at: int
     src_host: str
-    dst: str  # host id or literal IP
+    dst: IPv4Address  # the declared host's address, or the literal
     port: int
     packet_type: str
     proto: str = "tcp"
@@ -111,7 +111,7 @@ class FloodSpec:
 
     at: int
     src_host: str
-    dst: str
+    dst: IPv4Address
     rate: int  # requests per second
     seconds: int
     packet_type: str = "SYN"
@@ -327,22 +327,25 @@ def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[IPv4Address, 
     )
 
 
-def _parse_traffic(items: list, path: str, host_ids: set[str]) -> tuple[FlowSpec | FloodSpec, ...]:
+def _parse_traffic(items: list, path: str, host_ips: dict[str, IPv4Address]) -> tuple[FlowSpec | FloodSpec, ...]:
+    """The traffic program, each ``to`` resolved to an address: a declared
+    host's, or else the literal's."""
     out: list[FlowSpec | FloodSpec] = []
     for index, item in enumerate(items):
         item_path = f"{path}[{index}]"
         flood = isinstance(item, dict) and item.get("kind") == "flood"
         _object(item, item_path, _FLOOD_FIELDS if flood else _FLOW_FIELDS)
         src = _want(item, "from", item_path, str)
-        if src not in host_ids:
+        if src not in host_ips:
             raise ScenarioError(f"{item_path}.from", f"undefined host {src!r}")
-        dst = _want(item, "to", item_path, str)
-        if dst not in host_ids:
+        to = _want(item, "to", item_path, str)
+        dst = host_ips.get(to)
+        if dst is None:
             try:
-                IPv4Address(dst)
+                dst = parse_ipv4(to)
             except ValueError:
                 raise ScenarioError(
-                    f"{item_path}.to", f"{dst!r} is neither a declared host nor an IPv4 address"
+                    f"{item_path}.to", f"{to!r} is neither a declared host nor an IPv4 address"
                 ) from None
         at = _int(item, "at", item_path, 0, default=0)
         if flood:
@@ -410,7 +413,7 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
                 raise ScenarioError(
                     f"$.links[{index}]", f"gateway switch {gateway!r} must be declared in domain {owner}"
                 )
-    host_ids = {host.id for domain in domains for host in domain.hosts}
+    host_ips = {host.id: host.ip for domain in domains for host in domain.hosts}
     capacity = None
     if "capacity" in document:
         cap = _object(document["capacity"], "$.capacity", _CAPACITY_FIELDS)
@@ -445,7 +448,7 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
         enforcement=_want(document, "enforcement", "$", bool, default=True),
         domains=tuple(domains),
         links=links,
-        traffic=_parse_traffic(_want(document, "traffic", "$", list, default=[]), "$.traffic", host_ids),
+        traffic=_parse_traffic(_want(document, "traffic", "$", list, default=[]), "$.traffic", host_ips),
         capacity=capacity,
         defense_response=response,
         window_ticks=window_ticks,

@@ -1,10 +1,10 @@
 """Deterministic event-driven execution of one scenario.
 
 The world is rebuilt from the scenario for every run: switches wired port by
-port in declaration order, one controller per domain with a freshly probed
-topology repository, and per-domain policy repositories.  The event loop is
-a single tick-ordered heap of handler calls; ties resolve in insertion
-order, so equal scenarios produce byte-identical reports.
+port in declaration order, and one controller per domain, built from the
+domain's spec, its switch graph and a fresh probe of the domain graph.  The
+event loop is a single tick-ordered heap of handler calls; ties resolve in
+insertion order, so equal scenarios produce byte-identical reports.
 
 A packet arriving at a switch executes the rule the switch's lookup
 returns: a forward rule passes it to the peer on the rule's port, a drop
@@ -85,7 +85,7 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
 
     switches: dict[str, Switch] = {}
     switch_domain: dict[str, str] = {}
-    intra_graphs: dict[str, Graph] = {}
+    switch_graphs: dict[str, Graph] = {}
     for domain in scenario.domains:
         graph = Graph()
         for spec in domain.switches:
@@ -94,7 +94,7 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
             graph.add_node(spec.id, spec.label)
         for a, b in domain.links:
             graph.add_link(a, b)
-        intra_graphs[domain.id] = graph
+        switch_graphs[domain.id] = graph
 
     # port wiring: intra links first (declaration order), then domain links,
     # then hosts, so port numbers are a pure function of the scenario
@@ -117,11 +117,6 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
     for switch in switches.values():
         switch.install(arp_discovery_rule())
 
-    repos = {
-        domain.id: probe_topology(as_graph, domain.id, scenario.max_ttl, intra_graphs[domain.id])
-        for domain in scenario.domains
-    }
-
     def port_lookup(switch_id: str, peer: str) -> int:
         return switches[switch_id].port_to(peer)
 
@@ -139,16 +134,13 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
             for peer in as_graph.neighbors(domain.id)
         }
         controllers[domain.id] = Controller(
-            as_graph.node(domain.id),
-            list(domain.policies),
-            repos[domain.id],
-            domain.handle_key.encode(),
+            domain,
             as_graph=as_graph,
+            intra=switch_graphs[domain.id],
+            known=probe_topology(as_graph, domain.id, scenario.max_ttl),
             port_of=port_lookup,
             monitor=monitor,
             key_ring=neighbor_keys,
-            user_bindings=domain.users,
-            hosts={host.ip: host for host in domain.hosts},
             enforcement_enabled=scenario.enforcement,
             costs=costs,
             window_ticks=scenario.window_ticks,
@@ -213,20 +205,14 @@ class Simulation:
             packet_type=spec.packet_type,
         )
 
-    def _resolve_dst(self, dst: str) -> IPv4Address:
-        if dst in self.world.hosts:
-            return self.world.hosts[dst].ip
-        return IPv4Address(dst)
-
     def _offer_flow(self, spec, port: int, tick: int, from_flood: bool) -> None:
         src = self.world.hosts[spec.src_host]
-        dst_ip = self._resolve_dst(spec.dst)
-        packet = self._make_packet(src, dst_ip, spec, port)
+        packet = self._make_packet(src, spec.dst, spec, port)
         record = FlowRecord(
             index=len(self.report.flows),
             flow_id=packet.flow_id,
             src=spec.src_host,
-            dst=str(dst_ip),
+            dst=str(spec.dst),
             request_tick=tick,
             from_flood=from_flood,
         )
@@ -350,8 +336,7 @@ class Simulation:
             if isinstance(item, FloodSpec):
                 continue  # floods are reactive by nature
             src = self.world.hosts[item.src_host]
-            dst_ip = self._resolve_dst(item.dst)
-            packet = self._make_packet(src, dst_ip, item, item.port)
+            packet = self._make_packet(src, item.dst, item, item.port)
             ingress, entry_peer = src.switch, src.id
             handle = ptt = None
             # each hop extends the handle by a domain it has not visited, so

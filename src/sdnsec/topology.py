@@ -1,33 +1,29 @@
 """Topology discovery by TTL probing and label-constrained path search.
 
 Each controller walks the domain graph with probes of increasing TTL; a
-probe whose TTL expires at a domain is answered with that domain's identity,
-security label and addressing, and the answers become the controller's
-topology repository.  One :class:`Graph` class models both levels: the
-world's domain graph, whose nodes each carry the domain's
-:class:`~sdnsec.policy.DomainInfo`, and a domain's own switch graph, whose
-nodes each carry the switch's security label.  A probe answer is the world
-graph's record itself, so a domain's attributes live in one place.  Path
-search runs over the domain graph, which is the union of every controller's
-hop-1 entries, or over a switch graph, filtering every element through a
-label constraint.  Both levels share one breadth-first search, linear in
-the size of the graph, that checks each label at most once and never
-enumerates alternative paths.  Of the shortest satisfying paths it returns
-the least by (hand-off bits, names); domain routes have no hand-off bits.
+probe whose TTL expires at a domain is answered by that domain, and the
+answers become the controller's topology repository: the foreign domains
+within the probe horizon, each with its hop count.  One :class:`Graph` class
+models both levels: the world's domain graph, whose nodes each carry the
+domain's :class:`~sdnsec.policy.DomainInfo`, and a domain's own switch
+graph, whose nodes each carry the switch's security label.  A controller
+reads a known domain's identity, label and addressing from the world graph,
+so a domain's attributes live in one place.  Path search runs over the
+domain graph, which is the union of every controller's hop-1 answers, or
+over a switch graph, filtering every element through a label constraint.
+Both levels share one breadth-first search, linear in the size of the
+graph, that checks each label at most once and never enumerates alternative
+paths.  Of the shortest satisfying paths it returns the least by (hand-off
+bits, names); domain routes have no hand-off bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .labels import LabelWindow
-from .policy import DomainInfo
 
 __all__ = [
     "Graph",
     "NoPathError",
-    "TopologyEntry",
-    "TopologyRepository",
     "find_as_paths",
     "find_switch_path",
     "gateway_name",
@@ -47,18 +43,6 @@ def gateway_name(owner_as: str, peer_as: str) -> str:
     """Edge-switch naming convention: the gateway that connects domain a
     toward domain b is ``aSWb``."""
     return f"{_as_number(owner_as)}SW{_as_number(peer_as)}"
-
-
-@dataclass(frozen=True)
-class TopologyEntry:
-    """A probed domain: the world graph's record for it, and its distance."""
-
-    domain: DomainInfo
-    hops: int
-
-    def __post_init__(self) -> None:
-        if self.hops < 1:
-            raise ValueError("foreign domain is at least one hop away")
 
 
 class Graph:
@@ -102,37 +86,17 @@ class Graph:
         return b in self._adjacency.get(a, ())
 
 
-@dataclass
-class TopologyRepository:
-    """What one controller knows about the rest of the world, plus its own
-    switch fabric.  Rebuilt atomically by :func:`probe_topology`."""
-
-    entries: dict[str, TopologyEntry] = field(default_factory=dict)
-    intra_graph: Graph = field(default_factory=Graph)
-
-    def domain_for_ip(self, ip) -> str | None:
-        """The one domain whose advertised subnet contains ``ip`` (subnets are disjoint); the owner is not an entry."""
-        for as_id, entry in self.entries.items():
-            subnet = entry.domain.subnet
-            if subnet is not None and ip in subnet:
-                return as_id
-        return None
-
-
-def probe_topology(
-    world: Graph, owner_as: str, max_ttl: int, intra_graph: Graph | None = None
-) -> TopologyRepository:
-    """Build (or rebuild) a controller's topology repository.
+def probe_topology(world: Graph, owner_as: str, max_ttl: int) -> dict[str, int]:
+    """A controller's topology repository: each foreign domain within
+    ``max_ttl`` hops of ``owner_as``, mapped to its hop count, in id order.
 
     Simulates probes at TTL 1..max_ttl: a domain at shortest-path distance d
-    answers the TTL-d probe with its record in ``world`` (identity, security
-    label, subnet and type), so hop counts come out as breadth-first
-    distances and unreachable domains are simply absent.
-    Re-running replaces the repository wholesale, so it is idempotent.
+    answers the TTL-d probe, so hop counts come out as breadth-first
+    distances and unreachable domains are simply absent.  The answer is a
+    new dict each time, so re-probing is idempotent.
     """
     if max_ttl < 1:
         raise ValueError("max_ttl must be >= 1")
-    repo = TopologyRepository(intra_graph=intra_graph if intra_graph is not None else Graph())
     distances: dict[str, int] = {owner_as: 0}
     frontier = [owner_as]
     while frontier:
@@ -144,11 +108,11 @@ def probe_topology(
                 distances[neighbor] = distances[node] + 1
                 next_frontier.append(neighbor)
         frontier = next_frontier
-    for as_id, distance in sorted(distances.items()):
-        if as_id == owner_as or distance > max_ttl:
-            continue
-        repo.entries[as_id] = TopologyEntry(world.node(as_id), distance)
-    return repo
+    return {
+        as_id: distance
+        for as_id, distance in sorted(distances.items())
+        if as_id != owner_as and distance <= max_ttl
+    }
 
 
 def _least_shortest_path(neighbors, src: str, dst: str, accepts, handoff=None) -> tuple[str, ...] | None:

@@ -1,13 +1,15 @@
 """The examples in the format documents parse as the documents say, and
-the README's report tables name every counter and drop reason."""
+the README's tables name every module, counter and drop reason."""
 
 import json
+import pkgutil
 import re
 from pathlib import Path
 
 from helpers import REASON_COUNTERS
 from test_report import REASONS
 
+import sdnsec
 from sdnsec.formats import parse_compact_pe, parse_record
 from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from sdnsec.simulation import run
@@ -98,3 +100,9 @@ def test_report_tables_name_every_counter_and_drop_reason():
     assert reasons == REASON_COUNTERS
     counters = [row[0] for row in table_rows(text, "counter")]
     assert sorted(counters) == sorted(run(load_scenario(bundled_scenario_path("minimal"))).counters)
+
+
+def test_layout_table_has_one_row_per_module():
+    rows = [row[0] for row in table_rows(README.read_text(), "module")]
+    modules = [f"sdnsec.{info.name}" for info in pkgutil.iter_modules(sdnsec.__path__)]
+    assert sorted(rows) == sorted(modules)

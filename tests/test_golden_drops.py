@@ -25,7 +25,6 @@ Regenerate after an intended behaviour change with::
 """
 
 import json
-import sys
 from dataclasses import replace
 
 import pytest

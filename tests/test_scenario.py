@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from ipaddress import IPv4Address
 
 import pytest
 
@@ -11,6 +12,7 @@ from sdnsec.scenario import (
     load_scenario,
     parse_scenario,
 )
+from sdnsec.simulation import run
 
 
 def minimal_doc():
@@ -42,6 +44,21 @@ def test_minimal_scenario_loads():
     assert scenario.name == "t"
     assert len(scenario.domains) == 1
     assert scenario.domains[0].hosts[0].id == "a"
+
+
+def test_traffic_is_resolved_to_addresses_at_parse():
+    doc = minimal_doc()
+    doc["traffic"].append({"at": 1, "from": "a", "to": "10.0.0.9", "port": 80, "type": "HTTP"})
+    assert [item.dst for item in parse_scenario(doc).traffic] == [IPv4Address("10.0.0.2"), IPv4Address("10.0.0.9")]
+
+
+def test_traffic_literal_tolerates_leading_zeros_as_a_host_ip_does():
+    doc = minimal_doc()
+    doc["domains"][0]["hosts"][1]["ip"] = "10.0.0.02"
+    doc["traffic"][0]["to"] = "10.0.0.02"
+    scenario = parse_scenario(doc)
+    assert scenario.domains[0].hosts[1].ip == scenario.traffic[0].dst == IPv4Address("10.0.0.2")
+    assert run(scenario).flows[0].outcome == "delivered"
 
 
 def test_bundled_transit_scenario_has_four_domains_and_policies():

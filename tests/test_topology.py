@@ -1,5 +1,6 @@
 import random
 from collections import Counter, deque
+from dataclasses import replace
 from ipaddress import IPv4Network
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from sdnsec.labels import LabelWindow, SecurityLabel, parse_label_constraint
 from sdnsec.policy import DomainInfo
+from sdnsec.scenario import bundled_scenario_path, load_scenario
+from sdnsec.simulation import build_world
+from sdnsec.sweep import chain_scenario
 from sdnsec.topology import (
     Graph,
     NoPathError,
@@ -55,31 +59,41 @@ def test_gateway_naming_convention():
 def test_probe_four_domain_chain():
     world = make_world(CHAIN, labels={"AS1": 2, "AS2": 3, "AS3": 2, "AS4": 4})
     repo = probe_topology(world, "AS1", max_ttl=4)
-    assert sorted(repo.entries) == ["AS2", "AS3", "AS4"]
-    assert repo.entries["AS2"].hops == 1
-    assert repo.entries["AS3"].hops == 2
-    assert repo.entries["AS4"].hops == 3
-    assert repo.entries["AS3"].domain.label == SecurityLabel(2)
-    assert "AS1" not in repo.entries
+    assert list(repo.items()) == [("AS2", 1), ("AS3", 2), ("AS4", 3)]
 
 
 def test_probe_respects_ttl_horizon():
     world = make_world(CHAIN)
     repo = probe_topology(world, "AS1", max_ttl=2)
-    assert sorted(repo.entries) == ["AS2", "AS3"]
+    assert repo == {"AS2": 1, "AS3": 2}
 
 
 def test_probe_single_domain_world():
     world = Graph()
     world.add_node("AS1", DomainInfo("AS1", IPv4Network("10.0.0.0/16"), "EDU", SecurityLabel(2)))
     repo = probe_topology(world, "AS1", max_ttl=4)
-    assert repo.entries == {}
+    assert repo == {}
 
 
-def test_probe_answers_with_the_world_graphs_record():
-    world = make_world(CHAIN)
-    repo = probe_topology(world, "AS1", max_ttl=4)
-    assert all(entry.domain is world.node(as_id) for as_id, entry in repo.entries.items())
+def test_controller_reads_known_domains_from_the_world_graph():
+    # a domain within the probe horizon is the world graph's own record; one
+    # beyond it is known by id only, and its addresses by no domain
+    for scenario in (load_scenario(bundled_scenario_path("four_domain_transit")), chain_scenario(6)):
+        adjacency = link_adjacency(scenario.links)
+        for max_ttl in range(1, len(scenario.domains) + 1):
+            world = build_world(replace(scenario, max_ttl=max_ttl))
+            for owner, ctrl in world.controllers.items():
+                hops = bfs_distances(adjacency, owner)
+                for domain in scenario.domains:
+                    if domain.id == owner:
+                        continue
+                    address = next(domain.subnet.hosts())
+                    if hops.get(domain.id, max_ttl + 1) <= max_ttl:
+                        assert ctrl._domain_info(domain.id) is world.as_graph.node(domain.id)
+                        assert ctrl.domain_for_ip(address) == domain.id
+                    else:
+                        assert ctrl._domain_info(domain.id) == DomainInfo(domain.id)
+                        assert ctrl.domain_for_ip(address) is None
 
 
 def test_graph_rejects_duplicate_node():
@@ -102,7 +116,7 @@ def test_probe_is_idempotent():
     world = make_world(CHAIN)
     first = probe_topology(world, "AS2", max_ttl=4)
     second = probe_topology(world, "AS2", max_ttl=4)
-    assert first.entries == second.entries
+    assert first == second
 
 
 def random_as_links(rng, count):
@@ -123,7 +137,7 @@ def test_probe_distances_match_bfs_oracle():
         origin = rng.choice(sorted(adjacency))
         repo = probe_topology(world, origin, max_ttl=10)
         oracle = bfs_distances(adjacency, origin)
-        assert {as_id: e.hops for as_id, e in repo.entries.items()} == {
+        assert repo == {
             k: v for k, v in oracle.items() if k != origin
         }
 
