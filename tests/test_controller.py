@@ -6,7 +6,9 @@ import pytest
 from sdnsec.controller import DropReason, synthesize_rules
 from sdnsec.dataplane import ActionKind, Packet
 from sdnsec.defense import ResponseMode
-from sdnsec.interdomain import mint_handle
+from sdnsec.interdomain import mint_handle, mint_ptt
+from sdnsec.labels import parse_label_constraint
+from sdnsec.policy import Constraint, ConstraintKind
 from sdnsec.scenario import bundled_scenario_path, load_scenario
 from sdnsec.simulation import build_world
 
@@ -145,3 +147,59 @@ def test_block_rule_is_emitted_once_per_offender():
     blocked = [result for result in results if result.reason == DropReason.DEFENSE_BLOCKED]
     assert [result.block_batch is not None for result in blocked] == [True, False, False]
     assert ctrl.monitor.blocked == {"10.9.0.66"}
+
+
+def _label_path(token: str) -> Constraint:
+    return Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint(token))
+
+
+def _from_as1(world, packet, ptt_key: bytes, *constraints):
+    """A packet-in at AS2 carrying a valid AS1 handle and a token over
+    ``constraints`` tagged under ``ptt_key``."""
+    handle = mint_handle(packet.flow_id, "AS1", world.controllers["AS1"].handle_key)
+    ptt = mint_ptt(packet.flow_id, "AS1", constraints, ptt_key)
+    return world.controllers["AS2"].handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle, ptt=ptt)
+
+
+def test_forged_token_is_logged_and_its_constraints_are_not_passed_on(transit_world):
+    ctrl = transit_world.controllers["AS2"]
+    result = _from_as1(transit_world, make_packet(), b"wrong-key", _label_path("SL2+="))
+    assert [(e.verdict, e.reason, e.matched_pe) for e in ctrl.events] == [
+        ("security", "PTT_TAG_INVALID", None),
+        ("install", "allowed by 4", "4"),
+    ]
+    _, _, rule = egress_hop(transit_world, result.batch)
+    assert rule.handle.visited == ("AS1", "AS2")
+    assert rule.ptt is None
+
+
+def test_delegated_packet_predicate_that_fails_drops_policy(transit_world):
+    ctrl = transit_world.controllers["AS2"]
+    as1_key = transit_world.controllers["AS1"].handle_key
+    http_only = Constraint(ConstraintKind.PACKET_ATTR, attr="type", value="HTTP")
+    result = _from_as1(transit_world, make_packet(), as1_key, http_only)
+    assert result.batch is None
+    assert result.reason == DropReason.POLICY
+    assert ctrl.events[-1].matched_pe == "4"
+
+
+def _as1_with_policy_1(world, **changes):
+    ctrl = world.controllers["AS1"]
+    [pe] = world.scenario.domain("AS1").policies
+    ctrl.policy_repo = [replace(pe, **changes)]
+    return ctrl
+
+
+def test_pinned_exit_into_a_domain_outside_the_window_has_no_path(transit_world):
+    # SL2 exactly, with the SL2+= domain constraint: AS2 behind 1SW2 is SL3
+    ctrl = _as1_with_policy_1(transit_world, flow_cons=(_label_path("SL2"),))
+    result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
+    assert result.reason == DropReason.NO_SATISFYING_PATH
+    assert ctrl.events[-1].matched_pe == "1"
+
+
+def test_pinned_exit_that_is_not_a_gateway_has_no_path(transit_world):
+    ctrl = _as1_with_policy_1(transit_world, action_exit="S1A")
+    result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
+    assert result.reason == DropReason.NO_SATISFYING_PATH
+    assert ctrl.events[-1].matched_pe == "1"

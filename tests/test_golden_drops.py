@@ -16,8 +16,11 @@ outcome of a flow:
 ``HANDLE_INVALID``, ``MISDELIVERED`` and ``STALLED`` cannot come from a
 valid document: every handle is minted and checked with keys that one
 scenario declares, every rule toward a host is synthesized for that host's
-address, and every packet-in ends in an install or a drop.  Their unit
-tests construct them directly.
+address, and every packet-in ends in an install or a drop.
+``test_controller.py`` hands a controller a forged handle for the first.
+The last two are reached here by altering a ``minimal`` run: a rule
+installed before the run sends ``b``'s address to host ``a``, or the
+controllers never answer a packet-in.  Neither has a digest.
 
 Regenerate after an intended behaviour change with::
 
@@ -32,6 +35,7 @@ import pytest
 from test_golden import GOLDEN, MODES, events_trail_digest, records_digest_of
 
 from sdnsec import bundled_scenario_path, load_scenario
+from sdnsec.dataplane import FLOW_RULE_PRIORITY, ActionKind, FlowMatch, FlowRule
 from sdnsec.scenario import parse_scenario
 from sdnsec.simulation import Simulation, build_world
 
@@ -112,6 +116,27 @@ def test_the_case_drops_for_its_reason(case):
 @pytest.mark.parametrize("case", CASES)
 def test_drop_case_digests_unchanged(case):
     assert digests(case) == json.loads((GOLDEN / "drops_sha256.json").read_text())[case]
+
+
+def _minimal_world():
+    return build_world(load_scenario(bundled_scenario_path("minimal")))
+
+
+def test_a_rule_toward_the_wrong_host_misdelivers():
+    world = _minimal_world()
+    switch = world.switches["S1"]
+    to_b = FlowMatch(dst_ip=world.hosts["b"].ip)
+    switch.install(FlowRule(to_b, ActionKind.FORWARD, FLOW_RULE_PRIORITY, out_port=switch.port_to("a")))
+    report = Simulation(world).run()
+    assert [(f.reason, f.drop_domain) for f in report.flows] == [("MISDELIVERED", "AS1")]
+    assert report.counters["dropped_other"] == 1
+
+
+def test_a_packet_in_never_answered_stalls(monkeypatch):
+    monkeypatch.setattr(Simulation, "_on_ctrl_job", lambda self, *args: None)
+    report = Simulation(_minimal_world()).run()
+    assert [(f.reason, f.drop_domain) for f in report.flows] == [("STALLED", "")]
+    assert report.counters["dropped_other"] == 1
 
 
 if __name__ == "__main__":
