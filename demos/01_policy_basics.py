@@ -59,9 +59,10 @@ print("\nmatch against the arriving flow:", match_pe(pe, ctx))
 
 # Overlap resolution: default deny, deny overrides, most specific allow.
 broad_allow = parse_compact_pe("<*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>", pe_id="broad")
-decision = select_policy([broad_allow, pe], ctx)
-print("winner among overlapping allows:", decision.matched_pe, "->", decision.verdict.value)
+# Selection returns the winning expression, or None for the default deny.
+winner = select_policy([broad_allow, pe], ctx)
+print("winner among overlapping allows:", winner.id, "->", winner.action.value)
 deny = parse_compact_pe("<*,*,*,*,*,*,*,*,*,*,*,*,*>:<Deny>", pe_id="lockdown")
-decision = select_policy([broad_allow, pe, deny], ctx)
-print("with a matching deny present:  ", decision.matched_pe, "->", decision.verdict.value)
-print("empty repository:              ", select_policy([], ctx).verdict.value, "(default deny)")
+winner = select_policy([broad_allow, pe, deny], ctx)
+print("with a matching deny present:  ", winner.id, "->", winner.action.value)
+print("empty repository:              ", "deny" if select_policy([], ctx) is None else "allow", "(default deny)")

@@ -18,7 +18,6 @@ from .policy import (
     Action,
     Constraint,
     ConstraintKind,
-    Decision,
     DomainInfo,
     EndpointSelector,
     FlowContext,
@@ -86,7 +85,6 @@ __all__ = [
     "ConstraintKind",
     "Controller",
     "CostModel",
-    "Decision",
     "DomainInfo",
     "DropReason",
     "EndpointSelector",

@@ -3,11 +3,13 @@
 A packet-in runs through a fixed pipeline: flood accounting, handle
 validation, token verification, context extraction, repository selection
 (or the fixed ``BASELINE`` allow with enforcement off), constraint merging,
-route resolution and finally rule synthesis.  The result is either a batch
-of flow rules or a drop with a reason.  For a flow leaving the domain, the
-egress gateway's forward rule is the hop: its port leads to the next
-domain's gateway, and it carries the extended handle and re-tagged transfer
-token.  Every outcome appends one ``ControllerEvent`` naming the matched
+route resolution and finally rule synthesis.  Selection returns the winning
+expression, and every later stage reads its obligations off it; no winner,
+a deny, or an allow whose own label window is empty drops as ``POLICY``.
+The result is either a batch of flow rules or a drop with a reason.  For a
+flow leaving the domain, the egress gateway's forward rule is the hop: its
+port leads to the next domain's gateway, and it carries the extended handle
+and re-tagged transfer token.  Every outcome appends one ``ControllerEvent`` naming the matched
 policy and the ticks charged so far.
 
 Domain routes are searched on the world's domain graph; the caller names the
@@ -43,11 +45,9 @@ from .defense import FloodMonitor, ResponseMode, WindowCounts
 from .interdomain import (
     Handle,
     PolicyTransferToken,
-    extend_handle_record,
+    extend_handle,
+    forward_ptt,
     merge_constraints,
-    mint_handle,
-    mint_ptt,
-    retag_ptt,
     validate_handle,
     verify_ptt,
 )
@@ -55,9 +55,9 @@ from .policy import (
     BLOCK_PROVENANCE_PREFIX,
     Action,
     ConstraintKind,
-    Decision,
     DomainInfo,
     FlowContext,
+    PolicyExpression,
     PolicyIndex,
     predicates_hold,
     select_policy,
@@ -153,9 +153,9 @@ class ControllerEvent:
     service_ticks: int
 
 
-# the decision every packet-in gets when enforcement is off: allow, with no
+# the winner of every packet-in when enforcement is off: allow, with no
 # obligation and no constraint
-BASELINE = Decision(Action.ALLOW, matched_pe="baseline")
+BASELINE = PolicyExpression(id="baseline", action=Action.ALLOW)
 
 
 # a match is immutable, so every switch's ARP rule shares this one
@@ -407,20 +407,23 @@ class Controller:
                 )
 
         ctx = self.build_context(packet, handle, tick)
-        decision = BASELINE
+        winner: PolicyExpression | None = BASELINE
         if self.enforcement_enabled:
             ticks += self.costs.per_pe * len(self.policy_repo)
-            decision = select_policy(self.policy_repo, ctx)
-        matched = decision.matched_pe
-        if decision.verdict is Action.DENY:
+            winner = select_policy(self.policy_repo, ctx)
+        if winner is None:  # default deny
+            return drop(DropReason.POLICY)
+        matched = winner.id
+        # an allow whose own label constraints admit no label denies too
+        if winner.action is Action.DENY or winner.label_window.empty:
             return drop(DropReason.POLICY)
 
-        window, delegated = merge_constraints(decision.label_window, verified_ptt)
+        window, delegated = merge_constraints(winner.label_window, verified_ptt)
         if window.empty:
             return drop(DropReason.UNSATISFIABLE)
         if not predicates_hold(delegated, ctx):
             return drop(DropReason.POLICY)
-        if not self._rate_admits(str(packet.src_ip), delegated + decision.rate_constraints, tick):
+        if not self._rate_admits(str(packet.src_ip), delegated + winner.rate_constraints, tick):
             return drop(DropReason.RATE_LIMIT)
 
         dst_domain = ctx.dst_as.as_id  # "" when no domain advertises the address
@@ -431,14 +434,14 @@ class Controller:
             host = self.hosts[packet.dst_ip]
             final_switch, final_peer = host.switch, host.id
         else:
-            if decision.exit_obligation is None:
+            if winner.action_exit is None:
                 paths = find_as_paths(self.as_graph, self.as_id, dst_domain, window)
                 next_as = paths[0][1] if paths else None
             else:
                 # hard egress pin: the action's exit switch decides the next
                 # domain; a pinned transit domain must still satisfy the
                 # merged label window
-                next_as = self._peer_for_gateway(decision.exit_obligation)
+                next_as = self._peer_for_gateway(winner.action_exit)
                 if next_as not in (None, dst_domain) and not window.satisfies(self.as_graph.node(next_as).label):
                     next_as = None
             if next_as is None or (handle is not None and next_as in handle.visited):
@@ -452,7 +455,7 @@ class Controller:
                 self.intra,
                 ingress,
                 final_switch,
-                required=decision.path_obligation,
+                required=winner.switch_path,
                 constraint=window,
             )
         except NoPathError:
@@ -462,14 +465,8 @@ class Controller:
         handle_out: Handle | None = None
         ptt_out: PolicyTransferToken | None = None
         if next_as is not None:
-            if handle is not None:
-                handle_out = extend_handle_record(handle, self.as_id, self.handle_key)
-            else:
-                handle_out = mint_handle(flow_id, self.as_id, self.handle_key)
-            if verified_ptt is not None:
-                ptt_out = retag_ptt(verified_ptt, decision.ptt_constraints, self.handle_key)
-            else:
-                ptt_out = mint_ptt(flow_id, self.as_id, decision.ptt_constraints, self.handle_key)
+            handle_out = extend_handle(handle, flow_id, self.as_id, self.handle_key)
+            ptt_out = forward_ptt(verified_ptt, flow_id, self.as_id, winner.delegable_constraints, self.handle_key)
 
         batch = synthesize_rules(
             path,
@@ -478,13 +475,12 @@ class Controller:
             final_peer=final_peer,
             entry_peer=entry_peer,
             port_of=self._port_of,
-            sec_profile=decision.sec_profile,
+            sec_profile=winner.sec_profile or frozenset(),
             handle_out=handle_out,
             ptt_out=ptt_out,
         )
         ticks += self.costs.per_rule * len(batch)
 
-        self.events.append(
-            ControllerEvent(tick, flow_id, summary, "install", decision.reason, matched, len(batch), ticks)
-        )
+        reason = f"allowed by {matched}" if self.enforcement_enabled else ""
+        self.events.append(ControllerEvent(tick, flow_id, summary, "install", reason, matched, len(batch), ticks))
         return PipelineResult(ticks, batch)

@@ -14,6 +14,8 @@ its neighbor set).  Every domain that forwards a credential re-tags it
 under its own key (a handle gains the domain's id, a token its delegable
 flow constraints), and the next domain verifies it under the key of the
 adjacent domain it came from, the last entry of the handle's visited list.
+:func:`extend_handle` and :func:`forward_ptt` build each credential, the
+origin's first one and every re-tagged one alike.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from .policy import Constraint, ConstraintKind, DELEGABLE_KINDS
 __all__ = [
     "Handle",
     "PolicyTransferToken",
+    "extend_handle",
+    "forward_ptt",
     "handle_tag",
     "merge_constraints",
-    "mint_handle",
-    "mint_ptt",
     "ptt_tag",
     "validate_handle",
     "verify_ptt",
@@ -67,20 +69,19 @@ def handle_tag(flow_id: str, origin_as: str, visited: tuple[str, ...], key: byte
     return hmac.new(key, _handle_payload(flow_id, origin_as, visited), hashlib.sha256).hexdigest()
 
 
-def mint_handle(flow_id: str, origin_as: str, key: bytes) -> Handle:
-    tag = handle_tag(flow_id, origin_as, (origin_as,), key)
-    return Handle(flow_id, origin_as, (origin_as,), tag)
-
-
-def extend_handle_record(handle: Handle, as_id: str, key: bytes) -> Handle:
-    """Append ``as_id`` and re-tag under the extending domain's key.
+def extend_handle(handle: Handle | None, flow_id: str, as_id: str, key: bytes) -> Handle:
+    """The handle a flow leaves ``as_id`` with, tagged under ``key``: ``handle``
+    with ``as_id`` appended, keeping its flow id and origin, or with no
+    handle a new one for ``flow_id`` that ``as_id`` originates.
 
     Callers must have validated the incoming handle first (see
     :func:`validate_handle`); this function does not check it.
     """
-    visited = handle.visited + (as_id,)
-    tag = handle_tag(handle.flow_id, handle.origin_as, visited, key)
-    return Handle(handle.flow_id, handle.origin_as, visited, tag)
+    if handle is None:
+        origin, visited = as_id, (as_id,)
+    else:
+        flow_id, origin, visited = handle.flow_id, handle.origin_as, handle.visited + (as_id,)
+    return Handle(flow_id, origin, visited, handle_tag(flow_id, origin, visited, key))
 
 
 @dataclass(frozen=True)
@@ -102,27 +103,28 @@ def ptt_tag(flow_id: str, origin_as: str, constraints: tuple[Constraint, ...], k
     return hmac.new(key, _ptt_payload(flow_id, origin_as, constraints), hashlib.sha256).hexdigest()
 
 
-def mint_ptt(
-    flow_id: str, origin_as: str, constraints: tuple[Constraint, ...], key: bytes
+def forward_ptt(
+    ptt: PolicyTransferToken | None,
+    flow_id: str,
+    as_id: str,
+    constraints: tuple[Constraint, ...],
+    key: bytes,
 ) -> PolicyTransferToken | None:
-    """Token carrying only delegable flow constraints; none means no token."""
-    delegable = tuple(c for c in constraints if c.kind in DELEGABLE_KINDS)
-    if not delegable:
+    """The token a flow leaves ``as_id`` with, tagged under ``key``.
+
+    ``ptt`` keeps its flow id, origin and constraints and gains the
+    delegable ones of ``constraints`` it lacks.  With no token, a new one
+    for ``flow_id`` that ``as_id`` originates carries the delegable ones;
+    when there are none, there is no token.
+    """
+    if ptt is None:
+        origin, carried = as_id, ()
+    else:
+        flow_id, origin, carried = ptt.flow_id, ptt.origin_as, ptt.constraints
+    merged = carried + tuple(c for c in constraints if c.kind in DELEGABLE_KINDS and c not in carried)
+    if ptt is None and not merged:
         return None
-    return PolicyTransferToken(flow_id, origin_as, delegable, ptt_tag(flow_id, origin_as, delegable, key))
-
-
-def retag_ptt(
-    ptt: PolicyTransferToken, extra: tuple[Constraint, ...], key: bytes
-) -> PolicyTransferToken:
-    """Transit re-emission: append the transit domain's own delegable flow
-    constraints, keep origin attribution, re-tag under the forwarder's key."""
-    merged = ptt.constraints + tuple(
-        c for c in extra if c.kind in DELEGABLE_KINDS and c not in ptt.constraints
-    )
-    return PolicyTransferToken(
-        ptt.flow_id, ptt.origin_as, merged, ptt_tag(ptt.flow_id, ptt.origin_as, merged, key)
-    )
+    return PolicyTransferToken(flow_id, origin, merged, ptt_tag(flow_id, origin, merged, key))
 
 
 def verify_ptt(ptt: PolicyTransferToken, key: bytes) -> bool:

@@ -1,11 +1,13 @@
-"""Policy expressions, flow contexts and the match/decide semantics.
+"""Policy expressions, flow contexts and the match/select semantics.
 
 A policy expression pairs a set of wildcardable condition fields with an
-allow/deny action plus obligations (an explicit path, a label requirement on
-the path, a pinned exit switch).  Selection over a repository is
-default-deny, deny-overrides, then most-specific-allow with the smallest
-id as the final tie-break, so the outcome is a pure function of
-(repository, context).
+allow/deny action plus obligations (a switch path, a label requirement on
+the path, a pinned exit switch, rate budgets, constraints to delegate and
+a security profile), which the controller reads off the winner.
+Selection over a repository is default-deny, deny-overrides, then
+most-specific-allow with the smallest id as the final tie-break, so the
+winner is a pure function of (repository, context); no winner is the
+default deny.
 
 A repository is selected through a :class:`PolicyIndex`, which files each
 expression under its first exact flow id, source host, destination host or
@@ -22,6 +24,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from ipaddress import IPv4Address, IPv4Network
 
 from .labels import LabelWindow, SecurityLabel
@@ -30,7 +33,6 @@ __all__ = [
     "Action",
     "Constraint",
     "ConstraintKind",
-    "Decision",
     "DomainInfo",
     "DuplicatePolicyIdError",
     "EndpointSelector",
@@ -160,7 +162,11 @@ def _classify_path(entries: tuple[str, ...]) -> str:
 
 @dataclass(frozen=True)
 class PolicyExpression:
-    """One policy rule: condition fields, constraints and an action."""
+    """One policy rule: condition fields, constraints and an action.
+
+    The obligations an allow puts on its flow are derived from the fields
+    on first read and kept on the instance.
+    """
 
     id: str
     action: Action
@@ -198,22 +204,32 @@ class PolicyExpression:
             if start > end:
                 raise ValueError(f"validity window start {start} after end {end}")
 
-    @property
-    def path_is_switches(self) -> bool:
-        return self.path is not None and _classify_path(self.path) == "switch"
+    @cached_property
+    def switch_path(self) -> tuple[str, ...] | None:
+        """A switch-typed path: the switches the flow must cross, in order."""
+        return self.path if self.path is not None and _classify_path(self.path) == "switch" else None
 
-    @property
-    def path_is_domains(self) -> bool:
-        return self.path is not None and _classify_path(self.path) == "as"
+    @cached_property
+    def domain_path(self) -> tuple[str, ...] | None:
+        """A domain-typed path: a condition on the domains already traversed."""
+        return self.path if self.path is not None and _classify_path(self.path) == "as" else None
 
+    @cached_property
     def label_window(self) -> LabelWindow:
-        """All LABEL_PATH constraints of this expression collapsed to one window."""
+        """All LABEL_PATH constraints of this expression collapsed to one
+        window; an empty one admits no label."""
         labels = [c.label for c in self.flow_cons + self.dom_cons if c.kind is ConstraintKind.LABEL_PATH]
         return LabelWindow.conjoin(labels)
 
+    @cached_property
     def delegable_constraints(self) -> tuple[Constraint, ...]:
         """Flow constraints eligible for transfer to downstream domains."""
         return tuple(c for c in self.flow_cons if c.kind in DELEGABLE_KINDS)
+
+    @cached_property
+    def rate_constraints(self) -> tuple[Constraint, ...]:
+        """The requests-per-window budgets of this expression."""
+        return tuple(c for c in self.flow_cons + self.dom_cons if c.kind is ConstraintKind.RATE_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -250,37 +266,6 @@ class FlowContext:
         object.__setattr__(self, "dst_mac", normalize_mac(self.dst_mac))
         if len(set(self.traversed_path)) != len(self.traversed_path):
             raise ValueError(f"traversed path repeats a domain: {self.traversed_path}")
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of policy selection plus the obligations of the winning rule."""
-
-    verdict: Action
-    matched_pe: str | None = None
-    path_obligation: tuple[str, ...] | None = None
-    label_window: LabelWindow = LabelWindow()
-    exit_obligation: str | None = None
-    ptt_constraints: tuple[Constraint, ...] = ()
-    rate_constraints: tuple[Constraint, ...] = ()
-    sec_profile: frozenset[str] = frozenset()
-    reason: str = ""
-
-    def __post_init__(self) -> None:
-        if self.verdict is Action.DENY:
-            if (
-                self.path_obligation is not None
-                or self.label_window != LabelWindow()
-                or self.exit_obligation is not None
-                or self.ptt_constraints
-                or self.rate_constraints
-            ):
-                raise ValueError("deny decision must carry no obligations")
-        elif self.matched_pe is None:
-            raise ValueError("allow decision must name the matched policy expression")
-
-
-DENY_DEFAULT = Decision(Action.DENY, reason="no matching policy expression")
 
 
 def _selector_matches(sel: EndpointSelector, domain: DomainInfo, ip: IPv4Address, mac: str) -> bool:
@@ -331,7 +316,7 @@ def match_pe(pe: PolicyExpression, ctx: FlowContext) -> bool:
         return False
     if pe.services is not None and ctx.service_port not in pe.services:
         return False
-    if pe.path_is_domains and ctx.traversed_path != pe.path:
+    if pe.domain_path is not None and ctx.traversed_path != pe.domain_path:
         return False
     if pe.validity is not None:
         start, end = pe.validity
@@ -380,30 +365,6 @@ def check_unique_ids(pes: list[PolicyExpression]) -> None:
         first[pe.id] = position
 
 
-def _decide(winner: PolicyExpression) -> Decision:
-    """The decision a selection emits when ``winner`` is chosen."""
-    if winner.action is Action.DENY:
-        return Decision(Action.DENY, matched_pe=winner.id, reason=f"denied by {winner.id}")
-    window = winner.label_window()
-    if window.empty:
-        return Decision(
-            Action.DENY, matched_pe=winner.id, reason=f"unsatisfiable label constraints on {winner.id}"
-        )
-    return Decision(
-        Action.ALLOW,
-        matched_pe=winner.id,
-        path_obligation=winner.path if winner.path_is_switches else None,
-        label_window=window,
-        exit_obligation=winner.action_exit,
-        ptt_constraints=winner.delegable_constraints(),
-        rate_constraints=tuple(
-            c for c in winner.flow_cons + winner.dom_cons if c.kind is ConstraintKind.RATE_THRESHOLD
-        ),
-        sec_profile=winner.sec_profile or frozenset(),
-        reason=f"allowed by {winner.id}",
-    )
-
-
 class PolicyIndex:
     """One domain's repository, filed for selection.
 
@@ -414,8 +375,7 @@ class PolicyIndex:
     expression at most once, and any expression that can match the context
     is among the candidates.  Ids are unique, as in every repository.
 
-    ``len()`` is the expression count.  The winner's decision is cached per
-    id on first use.
+    ``len()`` is the expression count.
     """
 
     def __init__(self, pes: Iterable[PolicyExpression]):
@@ -429,7 +389,6 @@ class PolicyIndex:
         self._by_dst: dict[int, list[PolicyExpression]] = {}
         self._by_port: dict[int, list[PolicyExpression]] = {}
         self._wild: list[PolicyExpression] = []
-        self._decisions: dict[str, Decision] = {}
         for pe in pes:
             if pe.flow_id is not None:
                 self._by_flow.setdefault(pe.flow_id, []).append(pe)
@@ -456,27 +415,22 @@ class PolicyIndex:
             *self._wild,
         ]
 
-    def decision(self, winner: PolicyExpression) -> Decision:
-        """What selecting ``winner`` emits, built on its first win."""
-        decision = self._decisions.get(winner.id)
-        if decision is None:
-            decision = self._decisions[winner.id] = _decide(winner)
-        return decision
 
+def select_policy(
+    repo: PolicyIndex | Iterable[PolicyExpression], ctx: FlowContext
+) -> PolicyExpression | None:
+    """The expression of one domain's repository that decides ``ctx``.
 
-def select_policy(repo: PolicyIndex | Iterable[PolicyExpression], ctx: FlowContext) -> Decision:
-    """Decide a context against one domain's repository.
-
-    No match is a deny (default deny); any matching deny wins over every
-    allow; otherwise the most specific allow is chosen, ties broken by the
-    lexicographically smallest id, and its obligations are emitted.  A plain
-    sequence of expressions is indexed first.
+    No match returns None (default deny); any matching deny wins over every
+    allow; otherwise the most specific allow wins, ties broken by the
+    lexicographically smallest id.  A plain sequence of expressions is
+    indexed first.
     """
     index = repo if isinstance(repo, PolicyIndex) else PolicyIndex(repo)
     matches = [pe for pe in index.candidates(ctx) if match_pe(pe, ctx)]
     if not matches:
-        return DENY_DEFAULT
+        return None
     denies = [pe for pe in matches if pe.action is Action.DENY]
     if denies:
-        return index.decision(min(denies, key=lambda p: p.id))
-    return index.decision(min(matches, key=lambda p: (-specificity(p), p.id)))
+        return min(denies, key=lambda p: p.id)
+    return min(matches, key=lambda p: (-specificity(p), p.id))

@@ -21,11 +21,9 @@ from sdnsec.defense import ResponseMode, compute_thresholds
 from sdnsec.labels import LabelWindow, SecurityLabel, parse_label_constraint
 from sdnsec.metrics import FlowRecord, MetricsReport, emit
 from sdnsec.policy import (
-    DENY_DEFAULT,
     Action,
     Constraint,
     ConstraintKind,
-    Decision,
     DomainInfo,
     EndpointSelector,
     FlowContext,
@@ -296,37 +294,18 @@ CONDITION_FIELDS = (
 )
 
 
-def scan_select(pes: list[PolicyExpression], ctx: FlowContext) -> Decision:
+def scan_select(pes: list[PolicyExpression], ctx: FlowContext) -> PolicyExpression | None:
     """Selection by a scan of the whole repository: every expression is
-    matched, then default deny, deny-overrides with the smallest deny id,
-    otherwise the most specific allow with the smallest id.  This was
+    matched, then default deny (None), deny-overrides with the smallest deny
+    id, otherwise the most specific allow with the smallest id.  This was
     ``select_policy`` before the repository index."""
     matches = [pe for pe in pes if match_pe(pe, ctx)]
     if not matches:
-        return DENY_DEFAULT
+        return None
     denies = [pe for pe in matches if pe.action is Action.DENY]
     if denies:
-        pe = min(denies, key=lambda p: p.id)
-        return Decision(Action.DENY, matched_pe=pe.id, reason=f"denied by {pe.id}")
-    winner = min(matches, key=lambda p: (-specificity(p), p.id))
-    window = winner.label_window()
-    if window.empty:
-        return Decision(
-            Action.DENY, matched_pe=winner.id, reason=f"unsatisfiable label constraints on {winner.id}"
-        )
-    return Decision(
-        Action.ALLOW,
-        matched_pe=winner.id,
-        path_obligation=winner.path if winner.path_is_switches else None,
-        label_window=window,
-        exit_obligation=winner.action_exit,
-        ptt_constraints=winner.delegable_constraints(),
-        rate_constraints=tuple(
-            c for c in winner.flow_cons + winner.dom_cons if c.kind is ConstraintKind.RATE_THRESHOLD
-        ),
-        sec_profile=winner.sec_profile or frozenset(),
-        reason=f"allowed by {winner.id}",
-    )
+        return min(denies, key=lambda p: p.id)
+    return min(matches, key=lambda p: (-specificity(p), p.id))
 
 
 def walk_split_top(text: str, seps: str = ",") -> list[str]:

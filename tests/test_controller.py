@@ -6,7 +6,7 @@ import pytest
 from sdnsec.controller import DropReason, synthesize_rules
 from sdnsec.dataplane import ActionKind, Packet
 from sdnsec.defense import ResponseMode
-from sdnsec.interdomain import mint_handle, mint_ptt
+from sdnsec.interdomain import extend_handle, forward_ptt
 from sdnsec.labels import parse_label_constraint
 from sdnsec.policy import Constraint, ConstraintKind
 from sdnsec.scenario import bundled_scenario_path, load_scenario
@@ -101,7 +101,7 @@ def test_unknown_destination_is_dropped(transit_world):
 def test_tampered_handle_dropped_in_pipeline(transit_world):
     ctrl = transit_world.controllers["AS2"]
     packet = make_packet()
-    forged = mint_handle(packet.flow_id, "AS1", b"wrong-key")
+    forged = extend_handle(None, packet.flow_id, "AS1", b"wrong-key")
     result = ctrl.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=forged)
     assert result.batch is None
     assert result.reason == DropReason.HANDLE_INVALID
@@ -156,8 +156,8 @@ def _label_path(token: str) -> Constraint:
 def _from_as1(world, packet, ptt_key: bytes, *constraints):
     """A packet-in at AS2 carrying a valid AS1 handle and a token over
     ``constraints`` tagged under ``ptt_key``."""
-    handle = mint_handle(packet.flow_id, "AS1", world.controllers["AS1"].handle_key)
-    ptt = mint_ptt(packet.flow_id, "AS1", constraints, ptt_key)
+    handle = extend_handle(None, packet.flow_id, "AS1", world.controllers["AS1"].handle_key)
+    ptt = forward_ptt(None, packet.flow_id, "AS1", constraints, ptt_key)
     return world.controllers["AS2"].handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle, ptt=ptt)
 
 
@@ -188,6 +188,17 @@ def _as1_with_policy_1(world, **changes):
     [pe] = world.scenario.domain("AS1").policies
     ctrl.policy_repo = [replace(pe, **changes)]
     return ctrl
+
+
+def test_unsatisfiable_own_constraints_deny(transit_world):
+    # SL1 exactly, with the SL2+= domain constraint: the allow wins selection,
+    # and its own empty window is a policy drop that names it
+    ctrl = _as1_with_policy_1(transit_world, flow_cons=(_label_path("SL1"),))
+    result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
+    assert result.batch is None
+    assert result.reason == DropReason.POLICY
+    events = [(e.verdict, e.reason, e.matched_pe) for e in ctrl.events]
+    assert events == [("drop", DropReason.POLICY, "1")]
 
 
 def test_pinned_exit_into_a_domain_outside_the_window_has_no_path(transit_world):

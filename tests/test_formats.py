@@ -155,7 +155,8 @@ def test_http_path_expression():
     assert pe.services == frozenset({80})
     assert pe.sec_profile == frozenset({"conf", "intg"})
     assert pe.path == ("SW1", "SW5", "SW4")
-    assert pe.path_is_switches
+    assert pe.switch_path == pe.path
+    assert pe.domain_path is None
     assert pe.source.host_ip == IPv4Address("172.56.16.4")
     assert pe.dest.host_ip == IPv4Address("172.56.16.6")
     assert pe.source.host_mac == "48:2c:6a:1e:60:ff"

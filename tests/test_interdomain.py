@@ -7,12 +7,11 @@ from sdnsec.labels import LabelWindow, parse_label_constraint
 from sdnsec.policy import Constraint, ConstraintKind
 from sdnsec.interdomain import (
     Handle,
-    extend_handle_record,
+    extend_handle,
+    forward_ptt,
     handle_tag,
     merge_constraints,
-    mint_handle,
-    mint_ptt,
-    retag_ptt,
+    ptt_tag,
     validate_handle,
     verify_ptt,
 )
@@ -34,41 +33,49 @@ def label_geq(rank):
 
 
 def test_mint_and_extend_visited_chain():
-    handle = mint_handle("f1", "AS1", KEYS["AS1"])
+    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
     assert handle.visited == ("AS1",)
-    extended = extend_handle_record(handle, "AS2", KEYS["AS2"])
-    extended = extend_handle_record(extended, "AS3", KEYS["AS3"])
+    extended = extend_handle(handle, "f1", "AS2", KEYS["AS2"])
+    extended = extend_handle(extended, "f1", "AS3", KEYS["AS3"])
     assert extended.visited == ("AS1", "AS2", "AS3")
 
 
+def test_extended_handle_keeps_its_flow_and_origin():
+    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
+    assert handle.tag == handle_tag("f1", "AS1", ("AS1",), KEYS["AS1"])
+    extended = extend_handle(handle, "f2", "AS2", KEYS["AS2"])
+    assert (extended.flow_id, extended.origin_as) == ("f1", "AS1")
+    assert extended.tag == handle_tag("f1", "AS1", ("AS1", "AS2"), KEYS["AS2"])
+
+
 def test_validate_honest_handle_at_neighbor():
-    handle = mint_handle("f1", "AS1", KEYS["AS1"])
+    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
     assert validate_handle(handle, ring("AS1"))
 
 
 def test_validate_requires_neighbor_adjacency():
     # a handle whose last visited domain is not adjacent, so missing from
     # the key ring, is refused although its tag is honest
-    handle = mint_handle("f1", "AS1", KEYS["AS1"])
+    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
     assert not validate_handle(handle, ring("AS3"))
 
 
 def test_validate_three_hop_arrival():
-    handle = mint_handle("f1", "AS1", KEYS["AS1"])
-    handle = extend_handle_record(handle, "AS2", KEYS["AS2"])
-    handle = extend_handle_record(handle, "AS3", KEYS["AS3"])
+    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
+    handle = extend_handle(handle, "f1", "AS2", KEYS["AS2"])
+    handle = extend_handle(handle, "f1", "AS3", KEYS["AS3"])
     assert validate_handle(handle, ring("AS3"))
 
 
 def test_reordered_visited_list_rejected():
-    handle = mint_handle("f1", "AS1", KEYS["AS1"])
-    handle = extend_handle_record(handle, "AS2", KEYS["AS2"])
+    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
+    handle = extend_handle(handle, "f1", "AS2", KEYS["AS2"])
     forged = Handle(handle.flow_id, handle.origin_as, ("AS2", "AS1"), handle.tag)
     assert not validate_handle(forged, ring("AS1", "AS2"))
 
 
 def test_every_single_field_mutation_rejected():
-    handle = extend_handle_record(mint_handle("f1", "AS1", KEYS["AS1"]), "AS2", KEYS["AS2"])
+    handle = extend_handle(extend_handle(None, "f1", "AS1", KEYS["AS1"]), "f1", "AS2", KEYS["AS2"])
     key_ring = ring("AS1", "AS2")
     assert validate_handle(handle, key_ring)
     mutations = [
@@ -83,7 +90,7 @@ def test_every_single_field_mutation_rejected():
 
 
 def test_single_bit_tag_flips_all_rejected():
-    handle = mint_handle("f1", "AS1", KEYS["AS1"])
+    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
     tag_bits = int(handle.tag, 16)
     width = len(handle.tag) * 4
     for bit in range(width):
@@ -98,33 +105,35 @@ def test_duplicate_visited_is_invalid_by_construction():
 
 def test_ptt_only_carries_flow_scoped_kinds():
     sig = Constraint(ConstraintKind.SIGNATURE, signature="SYN")
-    token = mint_ptt("f1", "AS1", (label_geq(2), sig), KEYS["AS1"])
+    token = forward_ptt(None, "f1", "AS1", (label_geq(2), sig), KEYS["AS1"])
     assert token.constraints == (label_geq(2),)
     assert verify_ptt(token, KEYS["AS1"])
 
 
 def test_empty_constraints_mint_no_token():
-    assert mint_ptt("f1", "AS1", (), KEYS["AS1"]) is None
+    assert forward_ptt(None, "f1", "AS1", (), KEYS["AS1"]) is None
     sig_only = (Constraint(ConstraintKind.SIGNATURE, signature="SYN"),)
-    assert mint_ptt("f1", "AS1", sig_only, KEYS["AS1"]) is None
+    assert forward_ptt(None, "f1", "AS1", sig_only, KEYS["AS1"]) is None
 
 
 def test_retag_preserves_origin_attribution():
-    token = mint_ptt("f1", "AS1", (label_geq(2),), KEYS["AS1"])
-    retagged = retag_ptt(token, (label_geq(3),), KEYS["AS2"])
-    assert retagged.origin_as == "AS1"
+    token = forward_ptt(None, "f1", "AS1", (label_geq(2),), KEYS["AS1"])
+    # a carried constraint is not appended twice; flow id and origin stay
+    retagged = forward_ptt(token, "f2", "AS2", (label_geq(2), label_geq(3)), KEYS["AS2"])
+    assert (retagged.flow_id, retagged.origin_as) == ("f1", "AS1")
     assert retagged.constraints == (label_geq(2), label_geq(3))
+    assert retagged.tag == ptt_tag("f1", "AS1", retagged.constraints, KEYS["AS2"])
     assert verify_ptt(retagged, KEYS["AS2"])
     assert not verify_ptt(retagged, KEYS["AS1"])
 
 
 def test_merge_dominant_lower_bound():
-    token = mint_ptt("f1", "AS1", (label_geq(2),), KEYS["AS1"])
+    token = forward_ptt(None, "f1", "AS1", (label_geq(2),), KEYS["AS1"])
     assert merge_constraints(LabelWindow(lo=1), token) == (LabelWindow(lo=2), ())
 
 
 def test_merge_contradiction_is_unsatisfiable():
-    token = mint_ptt("f1", "AS1", (label_geq(3),), KEYS["AS1"])
+    token = forward_ptt(None, "f1", "AS1", (label_geq(3),), KEYS["AS1"])
     window, _ = merge_constraints(LabelWindow(lo=1, hi=1), token)
     assert window.empty
 
@@ -132,7 +141,7 @@ def test_merge_contradiction_is_unsatisfiable():
 def test_merge_satisfiability_over_small_ranks():
     # exhaustive satisfiability check: window [a, c] vs GEQ b over ranks 1..5
     for a, b, c in itertools.product(range(1, 6), repeat=3):
-        token = mint_ptt("f1", "AS1", (label_geq(b),), KEYS["AS1"])
+        token = forward_ptt(None, "f1", "AS1", (label_geq(b),), KEYS["AS1"])
         window, _ = merge_constraints(LabelWindow(lo=a, hi=c), token)
         if max(a, b) <= c:
             assert window == LabelWindow(lo=max(a, b), hi=c)
@@ -142,7 +151,7 @@ def test_merge_satisfiability_over_small_ranks():
 
 def test_merge_unions_other_kinds():
     attr = Constraint(ConstraintKind.PACKET_ATTR, attr="type", value="HTTP")
-    token = mint_ptt("f1", "AS1", (label_geq(2), attr), KEYS["AS1"])
+    token = forward_ptt(None, "f1", "AS1", (label_geq(2), attr), KEYS["AS1"])
     assert merge_constraints(LabelWindow(hi=4), token) == (LabelWindow(lo=2, hi=4), (attr,))
 
 
@@ -170,15 +179,15 @@ def test_transit_packet_in_classifies_transit_and_drop():
         service_port=443,
         packet_type="HTTPS",
     )
-    handle = mint_handle(packet.flow_id, "AS1", as1.handle_key)
-    ptt = mint_ptt(packet.flow_id, "AS1", (label_geq(2),), as1.handle_key)
+    handle = extend_handle(None, packet.flow_id, "AS1", as1.handle_key)
+    ptt = forward_ptt(None, packet.flow_id, "AS1", (label_geq(2),), as1.handle_key)
     result = as2.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle, ptt=ptt)
     # transit: the egress rule leads on into AS3 with the extended handle
     gateway, peer, rule = egress_hop(world, result.batch)
     assert (gateway, peer) == ("2SW3", "3SW2")
     assert rule.handle.visited == ("AS1", "AS2")
     # a handle tagged under a key other than AS1's is refused
-    foreign = mint_handle(packet.flow_id, "AS1", KEYS["AS1"])
+    foreign = extend_handle(None, packet.flow_id, "AS1", KEYS["AS1"])
     refused = as2.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=foreign)
     assert refused.batch is None
     assert refused.reason == "HANDLE_INVALID"
@@ -187,8 +196,8 @@ def test_transit_packet_in_classifies_transit_and_drop():
 def test_wire_tampering_is_bit_precise():
     # flipping any single hex digit of either credential's tag breaks
     # verification
-    handle = mint_handle("f1", "AS1", KEYS["AS1"])
-    token = mint_ptt("f1", "AS1", (label_geq(2),), KEYS["AS1"])
+    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
+    token = forward_ptt(None, "f1", "AS1", (label_geq(2),), KEYS["AS1"])
     assert validate_handle(handle, ring("AS1"))
     assert verify_ptt(token, KEYS["AS1"])
     for credential, verifies in (

@@ -33,15 +33,12 @@ def allow(pe_id, **kwargs):
 
 
 def test_empty_repository_is_default_deny():
-    decision = select_policy([], make_ctx())
-    assert decision.verdict is Action.DENY
-    assert decision.matched_pe is None
+    assert select_policy([], make_ctx()) is None
 
 
 def test_no_match_is_deny():
     pe = allow("1", services=frozenset({22}))
-    decision = select_policy([pe], make_ctx(service_port=443))
-    assert decision.verdict is Action.DENY
+    assert select_policy([pe], make_ctx(service_port=443)) is None
 
 
 def test_exit_obligation_emitted():
@@ -51,10 +48,9 @@ def test_exit_obligation_emitted():
         services=frozenset({80, 443}),
         action_exit="1SW2",
     )
-    decision = select_policy([pe], make_ctx(service_port=443))
-    assert decision.verdict is Action.ALLOW
-    assert decision.matched_pe == "1"
-    assert decision.exit_obligation == "1SW2"
+    winner = select_policy([pe], make_ctx(service_port=443))
+    assert winner is pe
+    assert winner.action_exit == "1SW2"
 
 
 def test_deny_overrides_any_allow():
@@ -65,9 +61,9 @@ def test_deny_overrides_any_allow():
         baseline = select_policy(repo, ctx)
         blanket_deny = PolicyExpression(id="zz-deny", action=Action.DENY)
         flipped = select_policy(repo + [blanket_deny], ctx)
-        assert flipped.verdict is Action.DENY
-        if baseline.verdict is Action.DENY and baseline.matched_pe is None:
-            assert flipped.matched_pe == "zz-deny"
+        assert flipped.action is Action.DENY
+        if baseline is None:
+            assert flipped.id == "zz-deny"
 
 
 def test_most_specific_allow_wins():
@@ -84,15 +80,13 @@ def test_most_specific_allow_wins():
     )
     assert specificity(broad) == 0
     assert specificity(narrow) == 5
-    decision = select_policy([broad, narrow], make_ctx())
-    assert decision.matched_pe == "n"
+    assert select_policy([broad, narrow], make_ctx()).id == "n"
 
 
 def test_specificity_tie_breaks_on_smallest_id():
     a = allow("20", services=frozenset({443}))
     b = allow("10", services=frozenset({443}))
-    decision = select_policy([a, b], make_ctx())
-    assert decision.matched_pe == "10"
+    assert select_policy([a, b], make_ctx()).id == "10"
 
 
 def test_selection_agrees_with_sort_oracle():
@@ -100,14 +94,14 @@ def test_selection_agrees_with_sort_oracle():
     for trial in range(500):
         ctx = random_ctx(rng)
         repo = [random_pe(rng, f"pe{i:02d}") for i in range(8)]
-        decision = select_policy(repo, ctx)
+        winner = select_policy(repo, ctx)
         matching = [pe for pe in repo if oracle_match(pe, ctx)]
         if not matching:
-            assert decision.verdict is Action.DENY
+            assert winner is None
             continue
         ranked = sorted(matching, key=lambda pe: (-specificity(pe), pe.id))
-        assert decision.verdict is Action.ALLOW
-        assert decision.matched_pe == ranked[0].id
+        assert winner is ranked[0]
+        assert winner.action is Action.ALLOW
 
 
 def test_label_window_from_path_constraints():
@@ -115,8 +109,7 @@ def test_label_window_from_path_constraints():
         return Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint(token))
 
     pe = allow("1", flow_cons=(label("SL4-="),), dom_cons=(label("SL2+="),))
-    decision = select_policy([pe], make_ctx())
-    assert decision.label_window == LabelWindow(lo=2, hi=4)
+    assert select_policy([pe], make_ctx()).label_window == LabelWindow(lo=2, hi=4)
 
 
 def test_ptt_constraints_are_flow_scoped_only():
@@ -125,28 +118,7 @@ def test_ptt_constraints_are_flow_scoped_only():
     )
     sig = Constraint(ConstraintKind.SIGNATURE, signature="HTTPS")
     pe = allow("1", flow_cons=(label, sig))
-    decision = select_policy([pe], make_ctx(packet_type="HTTPS"))
-    assert decision.ptt_constraints == (label,)
-
-
-def test_unsatisfiable_own_constraints_deny():
-    pe = allow(
-        "1",
-        flow_cons=(
-            Constraint(
-                ConstraintKind.LABEL_PATH,
-                label=parse_label_constraint("SL1"),
-            ),
-        ),
-        dom_cons=(
-            Constraint(
-                ConstraintKind.LABEL_PATH,
-                label=parse_label_constraint("SL3+="),
-            ),
-        ),
-    )
-    decision = select_policy([pe], make_ctx())
-    assert decision.verdict is Action.DENY
+    assert select_policy([pe], make_ctx(packet_type="HTTPS")).delegable_constraints == (label,)
 
 
 def test_selection_is_deterministic():
@@ -159,7 +131,7 @@ def test_selection_is_deterministic():
 def test_default_deny_over_many_random_contexts():
     rng = random.Random(41)
     for _ in range(2000):
-        assert select_policy([], random_ctx(rng)).verdict is Action.DENY
+        assert select_policy([], random_ctx(rng)) is None
 
 
 # Small address pools shared by contexts and expressions, so every bucket
@@ -173,7 +145,7 @@ CONSTRAINT_POOL = (
     Constraint(ConstraintKind.PACKET_ATTR, attr="type", value="HTTP"),
     Constraint(ConstraintKind.RATE_THRESHOLD, rate=Fraction(5)),
     Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint("SL3+=")),
-    # with the GEQ 3 above, an empty window: the allow becomes a deny
+    # with the GEQ 3 above, an empty window, which the controller denies
     Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint("SL2-=")),
 )
 CONTEXT = st.builds(
@@ -256,10 +228,10 @@ def test_indexed_selection_agrees_with_the_scan(ctxs, rows, twins, rng):
     repo = [expression(pe_id, flow_ids, row) for pe_id, row in zip(ids, rows)]
     index = PolicyIndex(repo)
     assert len(index) == len(repo)
-    for ctx in ctxs:  # one index, several contexts: cached decisions are reused
+    for ctx in ctxs:  # one index, several contexts
         expected = scan_select(repo, ctx)
-        assert select_policy(index, ctx) == expected
-        assert select_policy(repo, ctx) == expected
+        assert select_policy(index, ctx) is expected
+        assert select_policy(repo, ctx) is expected
 
 
 def test_index_rejects_a_repeated_id():
@@ -281,7 +253,7 @@ def test_filler_does_not_grow_the_matching_work(monkeypatch):
         assert len(ctrl.policy_repo) == total
         ctx = ctrl.build_context(make_packet(), None, 0)
         calls.clear()
-        assert select_policy(ctrl.policy_repo, ctx).matched_pe == "1"
+        assert select_policy(ctrl.policy_repo, ctx).id == "1"
         counts[total] = len(calls)
         ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
         ticks[total] = ctrl.events[-1].service_ticks

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdnsec.dataplane import ARP_RULE_PRIORITY, FLOW_RULE_PRIORITY, Packet, flow_dump, format_flow_dump
 from sdnsec.defense import ResponseMode
-from sdnsec.interdomain import mint_handle
+from sdnsec.interdomain import extend_handle
 from sdnsec.metrics import emit
 from sdnsec.scenario import (
     ScenarioError,
@@ -451,7 +451,7 @@ def test_flow_never_reenters_a_visited_domain(pin_back, baseline_path):
         service_port=80,
         packet_type="HTTP",
     )
-    handle = mint_handle(packet.flow_id, "AS1", world.controllers["AS1"].handle_key)
+    handle = extend_handle(None, packet.flow_id, "AS1", world.controllers["AS1"].handle_key)
     result = world.controllers["AS2"].handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle)
     assert (result.batch, result.reason) == (None, "NO_SATISFYING_PATH")
     for mode in ("reactive", "proactive"):
