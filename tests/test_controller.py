@@ -4,7 +4,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from sdnsec.controller import DropReason, synthesize_rules
-from sdnsec.dataplane import ActionKind, Packet
+from sdnsec.dataplane import FLOW_RULE_PRIORITY, ActionKind, Packet
 from sdnsec.defense import ResponseMode
 from sdnsec.interdomain import extend_handle, forward_ptt
 from sdnsec.labels import parse_label_constraint
@@ -57,6 +57,53 @@ def test_synthesized_rules_match_flow_tuple_and_reverse():
     for rule in forward + reverse:
         assert rule.action == ActionKind.FORWARD
         assert rule.match.service_port == packet.service_port
+
+
+def test_synthesized_batch_is_pinned_rule_by_rule():
+    # forward rules in path order, then return rules in path order: install
+    # numbers break lookup ties and order a switch's flow dump
+    packet = make_packet()
+    ports = {
+        ("S1", "S2"): 1,
+        ("S2", "S3"): 2,
+        ("S3", "dst"): 3,
+        ("S1", "src"): 4,
+        ("S2", "S1"): 5,
+        ("S3", "S2"): 6,
+    }
+    handle = extend_handle(None, packet.flow_id, "AS1", b"k")
+    ptt = forward_ptt(None, packet.flow_id, "AS1", (Constraint(ConstraintKind.RATE_THRESHOLD, rate=3),), b"k")
+    profile = frozenset({"ids", "fw"})
+    batch = synthesize_rules(
+        ("S1", "S2", "S3"),
+        packet,
+        "pe",
+        final_peer="dst",
+        entry_peer="src",
+        port_of=lambda switch, peer: ports[switch, peer],
+        sec_profile=profile,
+        handle_out=handle,
+        ptt_out=ptt,
+    )
+    forward = (packet.src_ip, packet.dst_ip)
+    reverse = (packet.dst_ip, packet.src_ip)
+    assert [(s, (r.match.src_ip, r.match.dst_ip), r.out_port) for s, r in batch.installs] == [
+        ("S1", forward, 1),
+        ("S2", forward, 2),
+        ("S3", forward, 3),
+        ("S1", reverse, 4),
+        ("S2", reverse, 5),
+        ("S3", reverse, 6),
+    ]
+    assert [(r.handle, r.ptt) for _, r in batch.installs] == [(None, None)] * 2 + [(handle, ptt)] + [(None, None)] * 3
+    for _, rule in batch.installs:
+        assert (rule.action, rule.priority) == (ActionKind.FORWARD, FLOW_RULE_PRIORITY)
+        assert rule.sec_profile_tags == profile
+        assert (rule.match.ip_proto, rule.match.service_port, rule.match.packet_type) == ("tcp", 443, "HTTPS")
+        assert (rule.match.src_mac, rule.match.dst_mac, rule.match.in_port) == (None, None, None)
+    assert batch.provenance == "pe"
+    with pytest.raises(ValueError):
+        synthesize_rules((), packet, "pe", final_peer="dst", entry_peer="src", port_of=lambda s, p: 1)
 
 
 def test_empty_repository_is_default_deny(transit_world):
