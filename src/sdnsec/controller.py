@@ -181,63 +181,48 @@ def synthesize_rules(
 ) -> FlowModBatch:
     """One forward rule per path switch plus the symmetric return set.
 
-    Rules match the flow's (addresses, protocol, port, type) tuple.
-    ``final_peer`` is what the last switch forwards to (a host or the peer
-    domain's gateway); ``entry_peer`` is what the first switch's return rule
-    forwards to.  ``port_of(switch, peer)`` resolves port numbers.  The last
-    switch's forward rule carries ``handle_out`` and ``ptt_out``, the
-    credentials of a flow that leaves the domain there.
+    Rules match the flow's (addresses, protocol, port, type) tuple, the
+    return rules with the addresses swapped.  ``final_peer`` is what the
+    last switch forwards to (a host or the peer domain's gateway);
+    ``entry_peer`` is what the first switch's return rule forwards to.
+    ``port_of(switch, peer)`` resolves port numbers.  The last switch's
+    forward rule carries ``handle_out`` and ``ptt_out``, the credentials of
+    a flow that leaves the domain there.  The batch lists the forward rules
+    in path order, then the return rules in path order; the install order
+    breaks lookup ties and orders a switch's flow dump.
     """
     if not path:
         raise ValueError("cannot synthesize rules for an empty path")
-    forward_match = FlowMatch(
-        src_ip=packet.src_ip,
-        dst_ip=packet.dst_ip,
-        ip_proto=packet.ip_proto,
-        service_port=packet.service_port,
-        packet_type=packet.packet_type,
-    )
-    reverse_match = FlowMatch(
-        src_ip=packet.dst_ip,
-        dst_ip=packet.src_ip,
-        ip_proto=packet.ip_proto,
-        service_port=packet.service_port,
-        packet_type=packet.packet_type,
-    )
-    installs: list[tuple[str, FlowRule]] = []
-    hops = list(path)
-    for index, switch in enumerate(hops):
-        last = index + 1 == len(hops)
-        peer = final_peer if last else hops[index + 1]
-        installs.append(
-            (
-                switch,
-                FlowRule(
-                    forward_match,
-                    ActionKind.FORWARD,
-                    FLOW_RULE_PRIORITY,
-                    out_port=port_of(switch, peer),
-                    sec_profile_tags=sec_profile,
-                    handle=handle_out if last else None,
-                    ptt=ptt_out if last else None,
-                ),
-            )
+    forward_match, reverse_match = [
+        FlowMatch(
+            src_ip=src,
+            dst_ip=dst,
+            ip_proto=packet.ip_proto,
+            service_port=packet.service_port,
+            packet_type=packet.packet_type,
         )
-    for index, switch in enumerate(hops):
-        peer = hops[index - 1] if index > 0 else entry_peer
-        installs.append(
-            (
-                switch,
-                FlowRule(
-                    reverse_match,
-                    ActionKind.FORWARD,
-                    FLOW_RULE_PRIORITY,
-                    out_port=port_of(switch, peer),
-                    sec_profile_tags=sec_profile,
-                ),
-            )
+        for src, dst in ((packet.src_ip, packet.dst_ip), (packet.dst_ip, packet.src_ip))
+    ]
+
+    def rule(match: FlowMatch, switch: str, peer: str, handle=None, ptt=None) -> tuple[str, FlowRule]:
+        return switch, FlowRule(
+            match,
+            ActionKind.FORWARD,
+            FLOW_RULE_PRIORITY,
+            out_port=port_of(switch, peer),
+            sec_profile_tags=sec_profile,
+            handle=handle,
+            ptt=ptt,
         )
-    return FlowModBatch(tuple(installs), provenance=pe_id)
+
+    return FlowModBatch(
+        (
+            *[rule(forward_match, switch, peer) for switch, peer in zip(path, path[1:])],
+            rule(forward_match, path[-1], final_peer, handle_out, ptt_out),
+            *[rule(reverse_match, switch, peer) for switch, peer in zip(path, (entry_peer, *path))],
+        ),
+        provenance=pe_id,
+    )
 
 
 class Controller:

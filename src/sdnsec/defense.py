@@ -8,7 +8,8 @@ window counts against the floor.
 
 Requests and admissions are counted per host and per switch in fixed
 windows of ticks (:class:`WindowCounts`); each key's count starts from zero
-in every window, so a steady rate at exactly the budget is never flagged.
+in every window, so a steady rate at exactly the budget is never flagged,
+and a request counts in its own tick's window whatever was counted before.
 A check answers with a :class:`ResponseMode`: NONE admits the request.  Two
 responses are available once an offender crosses its budget: THROTTLE caps
 the offender's admitted packet-ins at the threshold in every window (excess
@@ -69,21 +70,21 @@ class ResponseMode(Enum):
 
 class WindowCounts:
     """Per-key counts in fixed windows of ``window_ticks``: a key's count
-    starts from zero in every window.  Only a key's latest window is kept,
-    so the ticks given for one key must not decrease."""
+    starts from zero in every window, and each window keeps its own count
+    whatever order the ticks come in."""
 
     def __init__(self, window_ticks: int):
         if window_ticks < 1:
             raise ValueError("window must be at least one tick")
         self.window_ticks = window_ticks
-        self._counts: dict[str, tuple[int, int]] = {}  # key -> (window, count)
+        self._counts: dict[tuple[str, int], int] = {}  # (key, window) -> count
 
     def get(self, key: str, tick: int) -> int:
-        window, count = self._counts.get(key, (None, 0))
-        return count if window == tick // self.window_ticks else 0
+        return self._counts.get((key, tick // self.window_ticks), 0)
 
     def add(self, key: str, tick: int) -> None:
-        self._counts[key] = (tick // self.window_ticks, self.get(key, tick) + 1)
+        slot = (key, tick // self.window_ticks)
+        self._counts[slot] = self._counts.get(slot, 0) + 1
 
 
 class FloodMonitor:
@@ -110,7 +111,7 @@ class FloodMonitor:
 
         NONE admits; THROTTLE drops this request; DROP_RULE means the offender
         is blocked (it stays in ``blocked``, so the install-latency gap cannot
-        readmit it).  Ticks must not decrease from call to call.
+        readmit it).
         """
         self.requests.add(src_host, tick)
         if src_host in self.blocked:

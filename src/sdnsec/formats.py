@@ -87,6 +87,7 @@ COMPACT_COLUMNS = (
 )
 
 _DOTTED_QUAD = re.compile(r"(\d+)\.(\d+)\.(\d+)\.(\d+)", re.ASCII)
+_DECIMAL = re.compile(r"[0-9]+")
 _LIST_SEPARATORS = re.compile("[,;]")
 _BRACKETS = re.compile(r"[(){}\[\]]")
 # Text in which each opening bracket is closed by the next bracket, with no
@@ -115,7 +116,7 @@ def parse_ipv4(text: str) -> IPv4Address:
     # any other shape, such as an octet over 255 or a non-ASCII digit, is
     # parsed from text, and IPv4Address gives the error
     parts = text.strip().split(".")
-    if len(parts) == 4 and all(p.isdigit() for p in parts):
+    if len(parts) == 4 and all(p.isascii() and p.isdigit() for p in parts):
         text = ".".join(str(int(p)) for p in parts)
     return IPv4Address(text)
 
@@ -126,6 +127,15 @@ def parse_network(text: str) -> IPv4Network:
     if not sep:
         raise ValueError(f"bad CIDR {text!r}: missing prefix length")
     return IPv4Network(f"{parse_ipv4(addr)}/{length}")
+
+
+def _decimal(text: str) -> int:
+    """An unsigned ASCII decimal, surrounding whitespace allowed; ``int``
+    alone would also take signs, underscores and non-ASCII digits."""
+    text = text.strip()
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return int(text)
 
 
 def _is_wild(value: str) -> bool:
@@ -181,12 +191,14 @@ def _parse_constraint_token(token: str, where: str) -> Constraint | tuple[int, i
         inner = token[len("valid[") : -1]
         try:
             start_text, end_text = inner.split(",")
-            start, end = int(start_text), int(end_text)
+            start, end = _decimal(start_text), _decimal(end_text)
         except ValueError:
             raise PolicyParseError(f"bad validity token {token!r}", where=where) from None
         return (start, end)
     if token.startswith("rate<="):
         try:
+            if not token.isascii():
+                raise ValueError(token)
             rate = Fraction(token[len("rate<=") :])
         except (ValueError, ZeroDivisionError):
             raise PolicyParseError(f"bad rate token {token!r}", where=where) from None
@@ -239,7 +251,7 @@ def _parse_services(tokens: list[str], where: str) -> frozenset[int]:
     for token in tokens:
         lo, sep, hi = token.partition("-")
         try:
-            low, high = (int(lo), int(hi)) if sep else (int(token), int(token))
+            low, high = (_decimal(lo), _decimal(hi)) if sep else (_decimal(token), _decimal(token))
         except ValueError:
             raise PolicyParseError(f"bad service port {token!r}", where=where) from None
         if low > high:

@@ -50,7 +50,7 @@ class SecurityLabel:
         return f"SL{self.rank}"
 
 
-_LABEL_RE = re.compile(r"^SL(\d+)$")
+_LABEL_RE = re.compile(r"^SL([0-9]+)$")
 
 
 def parse_label(text: str) -> SecurityLabel:

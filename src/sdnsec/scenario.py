@@ -118,6 +118,11 @@ class FloodSpec:
     port_base: int = 20000
     proto: str = "tcp"
 
+    def __post_init__(self) -> None:
+        last = self.port_base + self.rate * self.seconds - 1
+        if last > 65535:
+            raise ValueError(f"flood ports {self.port_base}..{last} leave 1..65535")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -349,26 +354,17 @@ def _parse_traffic(items: list, path: str, host_ips: dict[str, IPv4Address]) -> 
                 ) from None
         at = _int(item, "at", item_path, 0, default=0)
         if flood:
-            rate = _int(item, "rate", item_path, 1)
-            seconds = _int(item, "seconds", item_path, 1, default=1)
-            port_base = _int(item, "port_base", item_path, 1, 65535, default=FloodSpec.port_base)
-            last = port_base + rate * seconds - 1
-            if last > 65535:
-                raise ScenarioError(
-                    f"{item_path}.port_base", f"flood ports {port_base}..{last} leave 1..65535"
-                )
-            out.append(
-                FloodSpec(
-                    at=at,
-                    src_host=src,
-                    dst=dst,
-                    rate=rate,
-                    seconds=seconds,
-                    packet_type=_want(item, "type", item_path, str, default=FloodSpec.packet_type),
-                    port_base=port_base,
-                    proto=_want(item, "proto", item_path, str, default=FloodSpec.proto),
-                )
+            fields = dict(
+                rate=_int(item, "rate", item_path, 1),
+                seconds=_int(item, "seconds", item_path, 1, default=1),
+                port_base=_int(item, "port_base", item_path, 1, 65535, default=FloodSpec.port_base),
+                packet_type=_want(item, "type", item_path, str, default=FloodSpec.packet_type),
+                proto=_want(item, "proto", item_path, str, default=FloodSpec.proto),
             )
+            try:
+                out.append(FloodSpec(at=at, src_host=src, dst=dst, **fields))
+            except ValueError as exc:  # the port bound
+                raise ScenarioError(f"{item_path}.port_base", str(exc)) from None
         else:
             out.append(
                 FlowSpec(

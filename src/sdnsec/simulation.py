@@ -15,9 +15,11 @@ controller is free, is charged the pipeline's deterministic service ticks,
 and its flow-mod batch applies at the emission tick.  A packet leaving a
 domain, retries included, picks up its handle and transfer token from the
 egress gateway's forward rule, which is where augmentation happens on a real
-edge.  Proactive pre-install follows the same rule: the next domain's
-ingress is the peer on that rule's port, and its packet-in carries that
-rule's credentials.
+edge.  Proactive pre-install runs each flow's packet-ins before the event
+loop starts, in the order the loop would offer the flows (by tick, equal
+ticks in document order).  It takes the hop the same way: the next
+domain's ingress is the peer on that rule's port, and its packet-in
+carries that rule's credentials.
 
 At the end of a run the report's counters are counted from its records,
 except the two events no record carries; ``_DROP_COUNTERS`` files each
@@ -332,9 +334,10 @@ class Simulation:
     # --- proactive pre-install ---------------------------------------------------
 
     def _preinstall(self) -> None:
-        for item in self.scenario.traffic:
-            if isinstance(item, FloodSpec):
-                continue  # floods are reactive by nature
+        # in tick order, as the event loop would offer them; floods are
+        # reactive by nature
+        flows = [item for item in self.scenario.traffic if not isinstance(item, FloodSpec)]
+        for item in sorted(flows, key=lambda item: item.at):
             src = self.world.hosts[item.src_host]
             packet = self._make_packet(src, item.dst, item, item.port)
             ingress, entry_peer = src.switch, src.id

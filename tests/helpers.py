@@ -334,7 +334,7 @@ def text_parse_ipv4(text: str) -> IPv4Address:
     """A dotted quad with leading zeros dropped, parsed by ``IPv4Address``
     from text.  This was ``formats.parse_ipv4`` before its integer path."""
     parts = text.strip().split(".")
-    if len(parts) == 4 and all(p.isdigit() for p in parts):
+    if len(parts) == 4 and all(p.isascii() and p.isdigit() for p in parts):
         text = ".".join(str(int(p)) for p in parts)
     return IPv4Address(text)
 

@@ -150,3 +150,10 @@ def test_sweep_request_rate_needs_a_flood(capsys, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: scenario 'minimal' has no flood to set a request rate on\n"
+
+
+def test_sweep_request_rate_keeps_the_flood_ports_in_range(capsys):
+    assert main(["sweep", "flood_single_domain", "--axis", "request_rate", "--points", "50000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: flood ports 20000..119999 leave 1..65535\n"

@@ -8,7 +8,7 @@ from sdnsec.dataplane import FLOW_RULE_PRIORITY, ActionKind, Packet
 from sdnsec.defense import ResponseMode
 from sdnsec.interdomain import extend_handle, forward_ptt
 from sdnsec.labels import parse_label_constraint
-from sdnsec.policy import Constraint, ConstraintKind
+from sdnsec.policy import Action, Constraint, ConstraintKind, PolicyExpression, PolicyIndex
 from sdnsec.scenario import bundled_scenario_path, load_scenario
 from sdnsec.simulation import build_world
 
@@ -140,9 +140,12 @@ def test_no_flow_mod_for_denied_context(transit_world):
 
 
 def test_unknown_destination_is_dropped(transit_world):
+    # an allow that matches any flow, so the drop is the route check's
     ctrl = transit_world.controllers["AS1"]
+    ctrl.policy_repo = PolicyIndex([PolicyExpression(id="any", action=Action.ALLOW)])
     result = ctrl.handle_packet_in(make_packet(dst="198.18.0.1"), "S1A", "X", 0)
-    assert result.reason in (DropReason.NO_ROUTE, DropReason.POLICY)
+    assert result.batch is None
+    assert result.reason == DropReason.NO_ROUTE
 
 
 def test_tampered_handle_dropped_in_pipeline(transit_world):

@@ -7,7 +7,7 @@ from ipaddress import IPv4Address, IPv4Network
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnsec.labels import parse_label_constraint
+from sdnsec.labels import parse_label, parse_label_constraint
 from sdnsec.policy import Action, Constraint, ConstraintKind, PolicyExpression, derive_flow_id, match_pe
 from sdnsec.formats import (
     PolicyParseError,
@@ -349,6 +349,46 @@ def test_empty_or_reversed_sets_rejected(column, position, text):
         parse_compact_pe(f"t = <{', '.join(fields)}>:<Allow>")
     with pytest.raises(PolicyParseError):
         parse_repository([{"id": "t", "action": "allow", column: text}])
+
+
+def _compact(position: int, text: str) -> str:
+    fields = ["*"] * 13
+    fields[position] = text
+    return f"t = <{', '.join(fields)}>:<Allow>"
+
+
+# every number in policy text is ASCII 0-9: int() and Fraction() alone also
+# take other scripts' digits, and int() signs and underscores
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_ipv4, "\u0661\u0660.0.0.1"),
+        (parse_label, "SL\u0663"),
+        (parse_label_constraint, "SL\u0663+="),
+        (parse_compact_pe, _compact(10, "(\u0668\u0660)")),
+        (parse_compact_pe, _compact(10, "(+80)")),
+        (parse_compact_pe, _compact(10, "(8_0)")),
+        (parse_compact_pe, _compact(10, "(80-\u0669\u0660)")),
+        (parse_compact_pe, _compact(8, "(valid[\u0660,\u0661\u0660))")),
+        (parse_compact_pe, _compact(8, "(valid[+0,1_0))")),
+        (parse_compact_pe, _compact(8, "(rate<=\u0663)")),
+    ],
+    ids=[
+        "ipv4-octet",
+        "label-rank",
+        "label-constraint-rank",
+        "port-arabic-indic",
+        "port-sign",
+        "port-underscore",
+        "port-range-end",
+        "validity-arabic-indic",
+        "validity-sign-underscore",
+        "rate-arabic-indic",
+    ],
+)
+def test_numbers_are_ascii_digits(parse, text):
+    with pytest.raises(ValueError):
+        parse(text)
 
 
 @pytest.mark.parametrize("compact", [True, False], ids=["compact", "repository"])

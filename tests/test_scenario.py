@@ -359,6 +359,8 @@ def _host(host_id, ip="10.0.0.3"):
         (_set("domains", 0, "hosts", 0, "vlan", value=10), "$.domains[0].hosts[0].vlan"),
         (_set("domains", 0, "handle_key", value=""), "$.domains[0].handle_key"),
         (_set("domains", 0, "hosts", 0, "ip", value="10.0.1.1"), "$.domains[0].hosts[0].ip"),
+        # Arabic-Indic "10": int() reads it, IPv4Address does not
+        (_set("domains", 0, "hosts", 0, "ip", value="\u0661\u0660.0.0.1"), "$.domains[0].hosts[0].ip"),
         (_second_domain(subnet="10.0.0.0/16"), "$.domains[1].subnet"),
         (_second_domain(subnet="10.0.0.128/25"), "$.domains[1].subnet"),
         (_second_domain(subnet="10.0.0.0/24"), "$.domains[1].subnet"),
@@ -448,6 +450,7 @@ def _host(host_id, ip="10.0.0.3"):
         "unknown-host-field",
         "blank-handle-key",
         "host-outside-subnet",
+        "host-ip-non-ascii-digits",
         "subnet-contains-earlier",
         "subnet-inside-earlier",
         "subnet-repeated",

@@ -341,6 +341,77 @@ def test_flow_mod_batch_is_all_or_nothing(mode):
         assert [rule.priority for rule in flow_dump(switch)] == [ARP_RULE_PRIORITY]
 
 
+RATE_ONE = "p1 = <*, *, *, *, *, *, *, *, (rate<=1), *, *, *, *>:<Allow>"
+
+
+def minimal_doc(traffic, policy=ALLOW_ALL, **fields):
+    """The bundled ``minimal`` scenario (hosts a and b on S1) with ``traffic``."""
+    doc = json.loads(bundled_scenario_path("minimal").read_text())
+    doc["domains"][0]["policies"] = [policy]
+    doc.update(traffic=traffic, **fields)
+    return doc
+
+
+def test_preinstalled_flow_counts_against_its_own_rate_window():
+    # the 80/tcp flow is admitted in window 1 before the loop runs; the flood
+    # request of window 0 must not wipe that count, so window 1's flood
+    # request is over the budget
+    traffic = [
+        {"at": 1_500_000, "from": "a", "to": "b", "port": 80, "type": "HTTP"},
+        {"kind": "flood", "from": "a", "to": "b", "rate": 1, "seconds": 3, "port_base": 20000},
+    ]
+    report = run(parse_scenario(minimal_doc(traffic, RATE_ONE, mode="proactive")))
+    assert [(f.flow_id.split(":")[1], f.outcome, f.reason) for f in report.flows] == [
+        ("80/tcp", "delivered", ""),
+        ("20000/tcp", "delivered", ""),
+        ("20001/tcp", "dropped", "RATE_LIMIT"),
+        ("20002/tcp", "delivered", ""),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["reactive", "proactive"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_earlier_flow_takes_the_last_table_slot_in_either_mode(mode, reverse):
+    # room for one flow's two rules next to the ARP rule
+    traffic = [
+        {"at": 1000, "from": "a", "to": "b", "port": 80, "type": "HTTP"},
+        {"at": 0, "from": "a", "to": "b", "port": 81, "type": "HTTP"},
+    ]
+    doc = minimal_doc(traffic[::-1] if reverse else traffic, mode=mode, table_capacity=3)
+    outcomes = {f.flow_id.split(":")[1]: (f.outcome, f.reason) for f in run(parse_scenario(doc)).flows}
+    assert outcomes == {"81/tcp": ("delivered", ""), "80/tcp": ("dropped", "TABLE_FULL")}
+
+
+@st.composite
+def rate_limited_flows(draw):
+    """2-5 flows a->b on distinct ports at distinct ticks across three
+    one-second windows, each well before its window's end, and one ordering
+    of them."""
+    tick = st.builds(lambda window, offset: window * 1_000_000 + offset, st.integers(0, 2), st.integers(0, 899_999))
+    ticks = draw(st.lists(tick, min_size=2, max_size=5, unique=True))
+    ports = draw(st.lists(st.integers(1, 65535), min_size=len(ticks), max_size=len(ticks), unique=True))
+    flows = [{"at": t, "from": "a", "to": "b", "port": p, "type": "HTTP"} for t, p in zip(ticks, ports)]
+    return flows, draw(st.permutations(flows))
+
+
+@settings(derandomize=True, deadline=None)
+@given(rate_limited_flows())
+def test_proactive_outcomes_do_not_depend_on_traffic_order(case):
+    # rate<=1 admits at most one flow from a in each window (a flow is
+    # delivered, or dropped as TABLE_FULL, only once admitted), and the order
+    # the traffic is written in changes no flow's outcome
+    def run_proactive(traffic):
+        return run(parse_scenario(minimal_doc(traffic, RATE_ONE, mode="proactive", table_capacity=5))).flows
+
+    flows, shuffled = case
+    records = run_proactive(flows)
+    admitted = [f for f in records if f.outcome == "delivered" or f.reason == "TABLE_FULL"]
+    windows = [f.request_tick // 1_000_000 for f in admitted]
+    assert len(windows) == len(set(windows))
+    outcomes = {f.flow_id: (f.outcome, f.reason) for f in records}
+    assert {f.flow_id: (f.outcome, f.reason) for f in run_proactive(shuffled)} == outcomes
+
+
 def transit_doc(traffic):
     """AS1-AS2, then AS2-AS3-AS5 and AS2-AS4-AS5.  AS3 and its switches are
     SL2, everything else SL3.  AS1 allows with the flow constraint SL3+=,

@@ -108,6 +108,13 @@ def test_unknown_axis_rejected():
         sweep(load("minimal"), "hosts", [1])
 
 
+def test_flood_rate_keeps_the_flood_ports_in_range():
+    # 50,000 rps for two seconds from port 20000 would reach port 119,999
+    scenario = load("flood_single_domain")
+    with pytest.raises(ValueError, match=r"flood ports 20000\.\.119999 leave 1\.\.65535"):
+        scenario.with_flood_rate(50_000)
+
+
 def test_flood_series_has_three_labels_and_shapes():
     series = flood_response_series(load("flood_single_domain"), [50, 150, 250])
     assert set(series) == {"baseline", "threshold", "drop_rule"}
