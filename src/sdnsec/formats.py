@@ -87,7 +87,6 @@ COMPACT_COLUMNS = (
 )
 
 _DOTTED_QUAD = re.compile(r"(\d+)\.(\d+)\.(\d+)\.(\d+)", re.ASCII)
-_DECIMAL = re.compile(r"[0-9]+")
 _LIST_SEPARATORS = re.compile("[,;]")
 _BRACKETS = re.compile(r"[(){}\[\]]")
 # Text in which each opening bracket is closed by the next bracket, with no
@@ -133,7 +132,7 @@ def _decimal(text: str) -> int:
     """An unsigned ASCII decimal, surrounding whitespace allowed; ``int``
     alone would also take signs, underscores and non-ASCII digits."""
     text = text.strip()
-    if not _DECIMAL.fullmatch(text):
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a decimal number: {text!r}")
     return int(text)
 
@@ -251,7 +250,7 @@ def _parse_services(tokens: list[str], where: str) -> frozenset[int]:
     for token in tokens:
         lo, sep, hi = token.partition("-")
         try:
-            low, high = (_decimal(lo), _decimal(hi)) if sep else (_decimal(token), _decimal(token))
+            low, high = (_decimal(lo), _decimal(hi)) if sep else (_decimal(token),) * 2
         except ValueError:
             raise PolicyParseError(f"bad service port {token!r}", where=where) from None
         if low > high:
