@@ -3,7 +3,7 @@
 Run:  python demos/01_policy_basics.py
 """
 
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import IPv4Network
 
 from sdnsec import (
     DomainInfo,
@@ -13,6 +13,7 @@ from sdnsec import (
     format_compact_pe,
     match_pe,
     parse_compact_pe,
+    parse_ipv4,
     parse_label_constraint,
     parse_repository,
     select_policy,
@@ -41,7 +42,7 @@ print("\nrepository record 21 round-trips to compact form:")
 print(" ", format_compact_pe(pe))
 
 # The same rule evaluated against a flow arriving at a transit domain.
-src_ip, dst_ip = IPv4Address("10.0.0.2"), IPv4Address("192.168.52.72")
+src_ip, dst_ip = parse_ipv4("10.0.0.2"), parse_ipv4("192.168.52.72")
 ctx = FlowContext(
     flow_id=derive_flow_id(src_ip, dst_ip, "tcp", 443),
     src_as=DomainInfo("AS1", IPv4Network("10.0.0.0/24"), "EDU", SecurityLabel(2)),

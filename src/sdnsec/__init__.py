@@ -24,6 +24,7 @@ from .policy import (
     PolicyExpression,
     PolicyIndex,
     derive_flow_id,
+    format_ipv4,
     match_pe,
     select_policy,
     specificity,
@@ -32,6 +33,7 @@ from .formats import (
     PolicyParseError,
     format_compact_pe,
     parse_compact_pe,
+    parse_ipv4,
     parse_repository,
     serialize_repository,
 )
@@ -123,12 +125,14 @@ __all__ = [
     "flow_dump",
     "format_compact_pe",
     "format_flow_dump",
+    "format_ipv4",
     "gateway_name",
     "list_bundled_scenarios",
     "load_scenario",
     "match_pe",
     "merge_constraints",
     "parse_compact_pe",
+    "parse_ipv4",
     "parse_label_constraint",
     "parse_repository",
     "probe_topology",

@@ -24,12 +24,16 @@ expression in the repository, path search costs per switch in the fabric,
 synthesis per rule.  These ticks model the paper's controller; on the host,
 selection probes a :class:`~sdnsec.policy.PolicyIndex` and matches only
 the expressions filed under the context's values and the wildcard list.
+
+Addresses are plain ``int`` values throughout: the host table, the rate
+windows and the flood monitor are keyed by them, and a domain's subnet is
+matched on its integer network and mask.  Only the event summaries and a
+block rule's provenance print them, as dotted text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ipaddress import IPv4Address
 from typing import TYPE_CHECKING
 
 from .dataplane import (
@@ -59,8 +63,10 @@ from .policy import (
     FlowContext,
     PolicyExpression,
     PolicyIndex,
+    format_ipv4,
     predicates_hold,
     select_policy,
+    subnet_bits,
 )
 from .topology import (
     Graph,
@@ -247,7 +253,6 @@ class Controller:
         a domain's attributes are read from ``as_graph``."""
         if not spec.handle_key:
             raise ValueError("controller needs a nonempty handle key")
-        self.domain = as_graph.node(spec.id)
         self.as_id = spec.id
         self.policy_repo = PolicyIndex(spec.policies)
         self.handle_key = spec.handle_key.encode()
@@ -259,6 +264,10 @@ class Controller:
         self.key_ring = key_ring
         self.user_bindings = spec.users  # MACs normalized by the scenario parser
         self.hosts = {host.ip: host for host in spec.hosts}
+        # (domain, network, mask) for this domain, then each known domain
+        self._subnets = [
+            (as_id, *subnet_bits(as_graph.node(as_id).subnet)) for as_id in (self.as_id, *known)
+        ]
         self.enforcement_enabled = enforcement_enabled
         self.costs = costs
         self.events: list[ControllerEvent] = []
@@ -273,13 +282,11 @@ class Controller:
             return self.as_graph.node(as_id)
         return DomainInfo(as_id)
 
-    def domain_for_ip(self, ip: IPv4Address) -> str | None:
+    def domain_for_ip(self, ip: int) -> str | None:
         """The one domain, this or a known one, whose subnet contains ``ip``
         (subnets are disjoint)."""
-        if ip in self.domain.subnet:
-            return self.as_id
-        for as_id in self.known:
-            if ip in self.as_graph.node(as_id).subnet:
+        for as_id, network, mask in self._subnets:
+            if (ip & mask) == network:
                 return as_id
         return None
 
@@ -314,7 +321,7 @@ class Controller:
             ActionKind.DROP,
             BLOCK_RULE_PRIORITY,
         )
-        return FlowModBatch(((ingress, rule),), provenance=f"{BLOCK_PROVENANCE_PREFIX}{packet.src_ip}")
+        return FlowModBatch(((ingress, rule),), provenance=f"{BLOCK_PROVENANCE_PREFIX}{format_ipv4(packet.src_ip)}")
 
     def _peer_for_gateway(self, gateway: str) -> str | None:
         for neighbor in self.key_ring:
@@ -322,7 +329,7 @@ class Controller:
                 return neighbor
         return None
 
-    def _rate_admits(self, src: str, constraints, tick: int) -> bool:
+    def _rate_admits(self, src: int, constraints, tick: int) -> bool:
         """Per-source admission against the tightest rate constraint in play
         (requests per window)."""
         rates = [c.rate for c in constraints if c.kind is ConstraintKind.RATE_THRESHOLD]
@@ -352,7 +359,10 @@ class Controller:
         """
         ticks = self.costs.base
         flow_id = packet.flow_id
-        summary = f"{packet.src_ip}->{packet.dst_ip}:{packet.service_port}/{packet.packet_type} via {ingress}"
+        summary = (
+            f"{format_ipv4(packet.src_ip)}->{format_ipv4(packet.dst_ip)}:{packet.service_port}/{packet.packet_type}"
+            f" via {ingress}"
+        )
         matched: str | None = None
 
         def drop(reason: str, detail: str = summary, block: FlowModBatch | None = None) -> PipelineResult:
@@ -361,12 +371,12 @@ class Controller:
 
         if self.enforcement_enabled and defense and self.monitor is not None:
             ticks += self.costs.defense
-            offender = str(packet.src_ip)
+            offender = packet.src_ip
             newly_blocked = offender not in self.monitor.blocked
             response = self.monitor.record_and_check(offender, ingress, tick)
             if response is not ResponseMode.NONE:
                 detail = (
-                    f"{summary} [defense offender={offender}"
+                    f"{summary} [defense offender={format_ipv4(offender)}"
                     f" window_count={self.monitor.requests.get(offender, tick)}"
                     f" thost={self.monitor.thost} tsw={self.monitor.tsw}]"
                 )
@@ -408,7 +418,7 @@ class Controller:
             return drop(DropReason.UNSATISFIABLE)
         if not predicates_hold(delegated, ctx):
             return drop(DropReason.POLICY)
-        if not self._rate_admits(str(packet.src_ip), delegated + winner.rate_constraints, tick):
+        if not self._rate_admits(packet.src_ip, delegated + winner.rate_constraints, tick):
             return drop(DropReason.RATE_LIMIT)
 
         dst_domain = ctx.dst_as.as_id  # "" when no domain advertises the address

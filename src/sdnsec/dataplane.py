@@ -11,18 +11,20 @@ simulation executes it (forward, drop or punt to the controller) and raises
 a packet-in on a miss.  A forward rule at a domain's egress gateway also
 carries the flow's handle and transfer token, which the switch adds to the
 packet as it leaves.  All mutation happens on the simulation loop's thread.
+
+Packet and match addresses are plain ``int`` values, so a probe key hashes
+natively; a flow dump prints them as dotted text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address
 from itertools import count
 from operator import attrgetter
 
 from .interdomain import Handle, PolicyTransferToken
 from .labels import SecurityLabel
-from .policy import derive_flow_id
+from .policy import derive_flow_id, format_ipv4
 
 __all__ = [
     "ActionKind",
@@ -49,8 +51,8 @@ class TableFullError(Exception):
 
 @dataclass(frozen=True)
 class Packet:
-    src_ip: IPv4Address
-    dst_ip: IPv4Address
+    src_ip: int
+    dst_ip: int
     src_mac: str
     dst_mac: str
     ip_proto: str
@@ -68,6 +70,8 @@ class Packet:
 # the match fields a Packet carries too, under the same names
 _HEADER_FIELDS = ("src_ip", "dst_ip", "src_mac", "dst_mac", "ip_proto", "service_port", "packet_type")
 
+_ADDRESS_FIELDS = ("src_ip", "dst_ip")
+
 # the header fields a match fixes, and whether it fixes in_port
 _Mask = tuple[tuple[str, ...], bool]
 
@@ -76,8 +80,8 @@ _Mask = tuple[tuple[str, ...], bool]
 class FlowMatch:
     """Wildcardable subset of packet header fields (None matches anything)."""
 
-    src_ip: IPv4Address | None = None
-    dst_ip: IPv4Address | None = None
+    src_ip: int | None = None
+    dst_ip: int | None = None
     src_mac: str | None = None
     dst_mac: str | None = None
     ip_proto: str | None = None
@@ -95,7 +99,11 @@ class FlowMatch:
         parts = []
         for name in _HEADER_FIELDS + ("in_port",):
             value = getattr(self, name)
-            parts.append(f"{name}={value if value is not None else '*'}")
+            if value is None:
+                value = "*"
+            elif name in _ADDRESS_FIELDS:
+                value = format_ipv4(value)
+            parts.append(f"{name}={value}")
         return " ".join(parts)
 
 

@@ -23,6 +23,7 @@ behind.  A scenario without a response builds no monitor at all.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -77,12 +78,12 @@ class WindowCounts:
         if window_ticks < 1:
             raise ValueError("window must be at least one tick")
         self.window_ticks = window_ticks
-        self._counts: dict[tuple[str, int], int] = {}  # (key, window) -> count
+        self._counts: dict[tuple[Hashable, int], int] = {}  # (key, window) -> count
 
-    def get(self, key: str, tick: int) -> int:
+    def get(self, key: Hashable, tick: int) -> int:
         return self._counts.get((key, tick // self.window_ticks), 0)
 
-    def add(self, key: str, tick: int) -> None:
+    def add(self, key: Hashable, tick: int) -> None:
         slot = (key, tick // self.window_ticks)
         self._counts[slot] = self._counts.get(slot, 0) + 1
 
@@ -104,10 +105,12 @@ class FloodMonitor:
         self.requests = WindowCounts(window_ticks)  # per host
         self._host_admits = WindowCounts(window_ticks)
         self._switch_admits = WindowCounts(window_ticks)
-        self.blocked: set[str] = set()
+        self.blocked: set[Hashable] = set()
 
-    def record_and_check(self, src_host: str, src_switch: str, tick: int) -> ResponseMode:
-        """Account one request and say how the pipeline should treat it.
+    def record_and_check(self, src_host: Hashable, src_switch: str, tick: int) -> ResponseMode:
+        """Account one request from host ``src_host`` (any hashable key; the
+        controller passes the integer address) and say how the pipeline
+        should treat it.
 
         NONE admits; THROTTLE drops this request; DROP_RULE means the offender
         is blocked (it stays in ``blocked``, so the install-latency gap cannot

@@ -20,6 +20,9 @@ prefix supplies the expression id.  The full grammar lives in
 Both formats share the record layout: a compact expression is lowered onto
 repository record columns (``COMPACT_COLUMNS``), so one builder makes every
 expression and one encoder feeds both serializers.
+
+A host address parses to a plain ``int`` and prints as dotted text again
+through :func:`~sdnsec.policy.format_ipv4`; a subnet stays an ``IPv4Network``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .policy import (
     EndpointSelector,
     PolicyExpression,
     check_unique_ids,
+    format_ipv4,
     normalize_mac,
 )
 
@@ -105,19 +109,20 @@ class PolicyParseError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
-def parse_ipv4(text: str) -> IPv4Address:
-    """Parse a dotted quad, tolerating leading zeros in octets (``.04`` == ``.4``)."""
+def parse_ipv4(text: str) -> int:
+    """Parse a dotted quad to its integer, tolerating leading zeros in
+    octets (``.04`` == ``.4``)."""
     quad = _DOTTED_QUAD.fullmatch(text.strip())
     if quad:
         a, b, c, d = map(int, quad.groups())
         if a < 256 and b < 256 and c < 256 and d < 256:
-            return IPv4Address(a << 24 | b << 16 | c << 8 | d)
+            return a << 24 | b << 16 | c << 8 | d
     # any other shape, such as an octet over 255 or a non-ASCII digit, is
     # parsed from text, and IPv4Address gives the error
     parts = text.strip().split(".")
     if len(parts) == 4 and all(p.isascii() and p.isdigit() for p in parts):
         text = ".".join(str(int(p)) for p in parts)
-    return IPv4Address(text)
+    return int(IPv4Address(text))
 
 
 def parse_network(text: str) -> IPv4Network:
@@ -125,7 +130,7 @@ def parse_network(text: str) -> IPv4Network:
     addr, sep, length = text.strip().partition("/")
     if not sep:
         raise ValueError(f"bad CIDR {text!r}: missing prefix length")
-    return IPv4Network(f"{parse_ipv4(addr)}/{length}")
+    return IPv4Network(f"{format_ipv4(parse_ipv4(addr))}/{length}")
 
 
 def _decimal(text: str) -> int:
@@ -135,6 +140,18 @@ def _decimal(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a decimal number: {text!r}")
     return int(text)
+
+
+def _rate(text: str) -> Fraction:
+    """An ASCII ``digits``, ``digits.digits`` or ``digits/digits``, surrounding
+    whitespace allowed; ``Fraction`` alone would also take signs,
+    underscores, exponents and bare points (``.5``)."""
+    text = text.strip()
+    head, sep, tail = text.partition("/" if "/" in text else ".")
+    _decimal(head)
+    if sep:
+        _decimal(tail)
+    return Fraction(text)
 
 
 def _is_wild(value: str) -> bool:
@@ -196,9 +213,7 @@ def _parse_constraint_token(token: str, where: str) -> Constraint | tuple[int, i
         return (start, end)
     if token.startswith("rate<="):
         try:
-            if not token.isascii():
-                raise ValueError(token)
-            rate = Fraction(token[len("rate<=") :])
+            rate = _rate(token[len("rate<=") :])
         except (ValueError, ZeroDivisionError):
             raise PolicyParseError(f"bad rate token {token!r}", where=where) from None
         if rate <= 0:
@@ -293,23 +308,24 @@ def _parse_action(text: str, where: str) -> tuple[Action, str | None]:
 
 # --- the record layout both formats share -------------------------------------
 
-# Scalar column -> (selector or None for the expression, field, converter).
-# A converter takes the stripped text and raises ValueError on a bad value.
+# Scalar column -> (selector or None for the expression, field, converter,
+# printer).  A converter takes the stripped text and raises ValueError on a
+# bad value; the printer turns the field's value back into that text.
 _SCALAR_COLUMNS = {
-    "flowid": (None, "flow_id", str),
+    "flowid": (None, "flow_id", str, str),
     **{
-        side + column: (selector, field, convert)
+        side + column: (selector, field, convert, show)
         for side, selector in (("src", "source"), ("dst", "dest"))
-        for column, field, convert in (
-            ("asid", "as_id", str),
-            ("assub", "subnet", parse_network),
-            ("astype", "as_type", str),
-            ("astrulabel", "label_req", parse_label_constraint),
-            ("ip", "host_ip", parse_ipv4),
-            ("mac", "host_mac", normalize_mac),
+        for column, field, convert, show in (
+            ("asid", "as_id", str, str),
+            ("assub", "subnet", parse_network, str),
+            ("astype", "as_type", str, str),
+            ("astrulabel", "label_req", parse_label_constraint, str),
+            ("ip", "host_ip", parse_ipv4, format_ipv4),
+            ("mac", "host_mac", normalize_mac, str),
         )
     },
-    "user": (None, "user", str),
+    "user": (None, "user", str, str),
 }
 
 # List column -> (expression field, converter of its tokens).
@@ -341,7 +357,7 @@ def _build_pe(pe_id: str, action: str, columns: Iterable[tuple[str, str]], where
         if text == "" or text == WILDCARD:
             continue
         if column in _SCALAR_COLUMNS:
-            selector, name, convert = _SCALAR_COLUMNS[column]
+            selector, name, convert, _ = _SCALAR_COLUMNS[column]
             try:
                 value = convert(text)
             except ValueError as exc:
@@ -373,9 +389,9 @@ def _encode(pe: PolicyExpression) -> dict[str, list[str]]:
     """The record columns of ``pe`` as token lists, read through the parser's
     column tables; no token is the wildcard, and a set prints sorted."""
     columns = {"id": [pe.id]}
-    for column, (selector, name, _) in _SCALAR_COLUMNS.items():
+    for column, (selector, name, _, show) in _SCALAR_COLUMNS.items():
         value = getattr(pe if selector is None else getattr(pe, selector), name)
-        columns[column] = [str(value)] if value else []
+        columns[column] = [] if value is None else [show(value)]
     for column, (name, _) in _LIST_COLUMNS.items():
         value = getattr(pe, name) or ()
         columns[column] = [str(token) for token in (sorted(value) if isinstance(value, frozenset) else value)]

@@ -5,12 +5,18 @@ path taken, per-packet-in latency in ticks, a time series of rule
 installations and the counters counted from those records.  Emissions are
 byte-stable: equal runs serialize identically, and the delimited form loads
 straight into standard plotting tools.
+
+A ``records`` line is built straight from its record's fields, read with
+``getattr`` in the order of their sorted names, which are worked out once
+per record class; every field is a JSON string, number, boolean or tuple of
+strings, so a value of any other type is an error, not a guess.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 
 __all__ = ["FlowRecord", "InstallRecord", "LatencyRecord", "MetricsReport", "emit", "emit_series"]
 
@@ -125,6 +131,17 @@ def _delimited(header: tuple[str, ...], rows: list[list[str]]) -> list[str]:
     return [",".join(row) for row in [header, *rows]]
 
 
+@cache
+def _sorted_fields(record_class: type) -> tuple[str, ...]:
+    return tuple(sorted(f.name for f in fields(record_class)))
+
+
+def _record_line(record: FlowRecord | InstallRecord) -> str:
+    """One ``records`` line: the record's fields as a JSON object with its
+    keys in sorted order."""
+    return json.dumps({name: getattr(record, name) for name in _sorted_fields(type(record))})
+
+
 def emit(report: MetricsReport, fmt: str = "table") -> str:
     """Render a report as ``table`` (aligned), ``delimited`` (CSV with a
     header row) or ``records`` (JSON lines)."""
@@ -140,8 +157,8 @@ def emit(report: MetricsReport, fmt: str = "table") -> str:
                 sort_keys=True,
             )
         ]
-        lines += [json.dumps(asdict(flow), sort_keys=True, default=str) for flow in report.flows]
-        lines += [json.dumps(asdict(rec), sort_keys=True) for rec in report.installs]
+        lines += [_record_line(flow) for flow in report.flows]
+        lines += [_record_line(rec) for rec in report.installs]
         return "\n".join(lines) + "\n"
     rows = [_flow_row(flow) for flow in report.flows]
     counters = sorted(report.counters.items())

@@ -15,17 +15,23 @@ service port.  A selection probes those few buckets plus the wildcard list
 and runs the full match on the candidates only, so its host cost follows the
 expressions that could match, not the repository size.  The controller's
 modelled cost (``CostModel.per_pe`` ticks per expression) is unchanged.
+
+Addresses are plain ``int`` values, which hash and compare natively; dotted
+text appears only where a document is parsed and where output is printed
+(:func:`format_ipv4`).  A subnet stays an ``IPv4Network``, and membership is
+tested as ``address & mask == network`` on integers worked out once per
+subnet (:func:`subnet_bits`).
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import IPv4Network
 
 from .labels import LabelWindow, SecurityLabel
 
@@ -41,11 +47,13 @@ __all__ = [
     "PolicyIndex",
     "check_unique_ids",
     "derive_flow_id",
+    "format_ipv4",
     "match_pe",
     "normalize_mac",
     "predicates_hold",
     "select_policy",
     "specificity",
+    "subnet_bits",
 ]
 
 _MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
@@ -63,9 +71,20 @@ def normalize_mac(text: str) -> str:
     return mac
 
 
-def derive_flow_id(src_ip: IPv4Address, dst_ip: IPv4Address, ip_proto: str, service_port: int) -> str:
+def format_ipv4(address: int) -> str:
+    """The dotted-quad text of an integer IPv4 address."""
+    return f"{address >> 24}.{address >> 16 & 255}.{address >> 8 & 255}.{address & 255}"
+
+
+def subnet_bits(subnet: IPv4Network) -> tuple[int, int]:
+    """``(network, mask)`` of ``subnet`` as integers: an address is in the
+    subnet iff ``address & mask == network``."""
+    return int(subnet.network_address), int(subnet.netmask)
+
+
+def derive_flow_id(src_ip: int, dst_ip: int, ip_proto: str, service_port: int) -> str:
     """Canonical flow key used to tie packets, handles and tokens together."""
-    return f"{src_ip}>{dst_ip}:{service_port}/{ip_proto}"
+    return f"{format_ipv4(src_ip)}>{format_ipv4(dst_ip)}:{service_port}/{ip_proto}"
 
 
 class Action(Enum):
@@ -142,12 +161,17 @@ class EndpointSelector:
     subnet: IPv4Network | None = None
     as_type: str | None = None
     label_req: LabelWindow | None = None
-    host_ip: IPv4Address | None = None
+    host_ip: int | None = None
     host_mac: str | None = None
 
     def __post_init__(self) -> None:
         if self.host_mac is not None:
             object.__setattr__(self, "host_mac", normalize_mac(self.host_mac))
+
+    @cached_property
+    def _subnet_bits(self) -> tuple[int, int]:
+        """The set subnet's ``(network, mask)``, worked out on first read."""
+        return subnet_bits(self.subnet)
 
 
 ANY_ENDPOINT = EndpointSelector()
@@ -251,8 +275,8 @@ class FlowContext:
     flow_id: str
     src_as: DomainInfo
     dst_as: DomainInfo
-    src_ip: IPv4Address
-    dst_ip: IPv4Address
+    src_ip: int
+    dst_ip: int
     src_mac: str
     dst_mac: str
     service_port: int
@@ -268,11 +292,13 @@ class FlowContext:
             raise ValueError(f"traversed path repeats a domain: {self.traversed_path}")
 
 
-def _selector_matches(sel: EndpointSelector, domain: DomainInfo, ip: IPv4Address, mac: str) -> bool:
+def _selector_matches(sel: EndpointSelector, domain: DomainInfo, ip: int, mac: str) -> bool:
     if sel.as_id is not None and sel.as_id != domain.as_id:
         return False
-    if sel.subnet is not None and ip not in sel.subnet:
-        return False
+    if sel.subnet is not None:
+        network, mask = sel._subnet_bits
+        if (ip & mask) != network:
+            return False
     if sel.as_type is not None and sel.as_type != domain.as_type:
         return False
     if sel.label_req is not None:
@@ -383,8 +409,6 @@ class PolicyIndex:
         check_unique_ids(pes)
         self._count = len(pes)
         self._by_flow: dict[str, list[PolicyExpression]] = {}
-        # host buckets are keyed by the address's integer, which hashes
-        # natively where an IPv4Address hashes in Python
         self._by_src: dict[int, list[PolicyExpression]] = {}
         self._by_dst: dict[int, list[PolicyExpression]] = {}
         self._by_port: dict[int, list[PolicyExpression]] = {}
@@ -393,9 +417,9 @@ class PolicyIndex:
             if pe.flow_id is not None:
                 self._by_flow.setdefault(pe.flow_id, []).append(pe)
             elif pe.source.host_ip is not None:
-                self._by_src.setdefault(int(pe.source.host_ip), []).append(pe)
+                self._by_src.setdefault(pe.source.host_ip, []).append(pe)
             elif pe.dest.host_ip is not None:
-                self._by_dst.setdefault(int(pe.dest.host_ip), []).append(pe)
+                self._by_dst.setdefault(pe.dest.host_ip, []).append(pe)
             elif pe.services is not None:
                 for port in pe.services:
                     self._by_port.setdefault(port, []).append(pe)
@@ -409,8 +433,8 @@ class PolicyIndex:
         """Every expression that could match ``ctx``, each once."""
         return [
             *self._by_flow.get(ctx.flow_id, ()),
-            *self._by_src.get(int(ctx.src_ip), ()),
-            *self._by_dst.get(int(ctx.dst_ip), ()),
+            *self._by_src.get(ctx.src_ip, ()),
+            *self._by_dst.get(ctx.dst_ip, ()),
             *self._by_port.get(ctx.service_port, ()),
             *self._wild,
         ]

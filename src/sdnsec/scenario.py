@@ -6,6 +6,10 @@ policy repositories (inline, in either policy format), static MAC-to-user
 bindings, a capacity model with a defense response, and a timed traffic
 program.  ``docs/scenario-format.md`` documents the schema; bundled
 scenarios live in ``sdnsec/scenarios/``.
+
+Host and traffic addresses are parsed to plain ``int`` values; a subnet
+stays an ``IPv4Network``, checked for overlap here.  Dotted text comes back
+only in error messages.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from importlib import resources
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import IPv4Network
 from pathlib import Path
 
 from .controller import CostModel
@@ -22,7 +26,14 @@ from .dataplane import DEFAULT_TABLE_CAPACITY
 from .defense import CapacityModel, ResponseMode
 from .formats import PolicyParseError, parse_compact_pe, parse_ipv4, parse_network, parse_record
 from .labels import SecurityLabel, parse_label
-from .policy import DuplicatePolicyIdError, PolicyExpression, check_unique_ids, normalize_mac
+from .policy import (
+    DuplicatePolicyIdError,
+    PolicyExpression,
+    check_unique_ids,
+    format_ipv4,
+    normalize_mac,
+    subnet_bits,
+)
 from .topology import gateway_name
 
 __all__ = [
@@ -74,7 +85,7 @@ class SwitchSpec:
 @dataclass(frozen=True)
 class HostSpec:
     id: str
-    ip: IPv4Address
+    ip: int
     mac: str
     switch: str
 
@@ -99,7 +110,7 @@ class FlowSpec:
 
     at: int
     src_host: str
-    dst: IPv4Address  # the declared host's address, or the literal
+    dst: int  # the declared host's address, or the literal
     port: int
     packet_type: str
     proto: str = "tcp"
@@ -111,7 +122,7 @@ class FloodSpec:
 
     at: int
     src_host: str
-    dst: IPv4Address
+    dst: int
     rate: int  # requests per second
     seconds: int
     packet_type: str = "SYN"
@@ -269,13 +280,15 @@ def _parse_policies(raw, path: str) -> tuple[PolicyExpression, ...]:
     return tuple(policies)
 
 
-def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[IPv4Address, str]) -> DomainSpec:
-    """One domain; its switch and host ids join ``nodes``, its host addresses ``ips``."""
+def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[str, str]) -> DomainSpec:
+    """One domain; its switch and host ids join ``nodes``, its host addresses
+    ``ips`` as dotted text."""
     _object(obj, path, _DOMAIN_FIELDS)
     as_id = _want(obj, "id", path, str)
     if not as_id.startswith("AS"):
         raise ScenarioError(f"{path}.id", f"domain ids start with 'AS', got {as_id!r}")
     subnet = _convert(obj, "subnet", path, parse_network)
+    network, mask = subnet_bits(subnet)
     label = _convert(obj, "label", path, parse_label)
     switches = []
     for index, sw in enumerate(_want(obj, "switches", path, list)):
@@ -295,9 +308,9 @@ def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[IPv4Address, 
         host_id = _want(h, "id", host_path, str)
         _declare(nodes, host_id, host_path, "id")
         ip = _convert(h, "ip", host_path, parse_ipv4)
-        if ip not in subnet:
-            raise ScenarioError(f"{host_path}.ip", f"{ip} lies outside the domain subnet {subnet}")
-        _declare(ips, ip, host_path, "ip")
+        if (ip & mask) != network:
+            raise ScenarioError(f"{host_path}.ip", f"{format_ipv4(ip)} lies outside the domain subnet {subnet}")
+        _declare(ips, format_ipv4(ip), host_path, "ip")
         mac = _convert(h, "mac", host_path, normalize_mac)
         attach = _want(h, "switch", host_path, str)
         if attach not in switch_ids:
@@ -332,7 +345,7 @@ def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[IPv4Address, 
     )
 
 
-def _parse_traffic(items: list, path: str, host_ips: dict[str, IPv4Address]) -> tuple[FlowSpec | FloodSpec, ...]:
+def _parse_traffic(items: list, path: str, host_ips: dict[str, int]) -> tuple[FlowSpec | FloodSpec, ...]:
     """The traffic program, each ``to`` resolved to an address: a declared
     host's, or else the literal's."""
     out: list[FlowSpec | FloodSpec] = []
@@ -388,7 +401,7 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
         raise ScenarioError("$.mode", f"mode must be reactive or proactive, got {mode!r}")
     domain_paths: dict[str, str] = {}
     nodes: dict[str, str] = {}  # switch and host ids: both are peers on switch ports
-    ips: dict[IPv4Address, str] = {}
+    ips: dict[str, str] = {}
     domains = []
     for index, obj in enumerate(_want(document, "domains", "$", list)):
         path = f"$.domains[{index}]"

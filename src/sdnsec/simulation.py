@@ -31,7 +31,6 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address
 from itertools import groupby
 
 from .controller import (
@@ -47,7 +46,7 @@ from .dataplane import ActionKind, FlowMatch, Packet, Switch
 from .defense import FloodMonitor, ResponseMode
 from .interdomain import Handle, PolicyTransferToken
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
-from .policy import DomainInfo
+from .policy import DomainInfo, format_ipv4
 from .scenario import FloodSpec, HostSpec, Scenario
 from .topology import Graph, gateway_name, probe_topology
 
@@ -73,7 +72,7 @@ class World:
     switch_domain: dict[str, str]
     controllers: dict[str, Controller]
     hosts: dict[str, HostSpec]
-    hosts_by_ip: dict[IPv4Address, HostSpec]
+    hosts_by_ip: dict[int, HostSpec]
 
 
 def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
@@ -109,7 +108,7 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
         switches[ab].attach(ba)
         switches[ba].attach(ab)
     hosts: dict[str, HostSpec] = {}
-    hosts_by_ip: dict[IPv4Address, HostSpec] = {}
+    hosts_by_ip: dict[int, HostSpec] = {}
     for domain in scenario.domains:
         for host in domain.hosts:
             switches[host.switch].attach(host.id)
@@ -195,7 +194,7 @@ class Simulation:
 
     # --- traffic expansion -----------------------------------------------------
 
-    def _make_packet(self, src: HostSpec, dst_ip: IPv4Address, spec, port: int) -> Packet:
+    def _make_packet(self, src: HostSpec, dst_ip: int, spec, port: int) -> Packet:
         dst_host = self.world.hosts_by_ip.get(dst_ip)
         return Packet(
             src_ip=src.ip,
@@ -214,7 +213,7 @@ class Simulation:
             index=len(self.report.flows),
             flow_id=packet.flow_id,
             src=spec.src_host,
-            dst=str(spec.dst),
+            dst=format_ipv4(spec.dst),
             request_tick=tick,
             from_flood=from_flood,
         )
@@ -307,7 +306,7 @@ class Simulation:
 
     def _record_install(self, batch: FlowModBatch, domain: str, tick: int, packet: Packet) -> None:
         self.report.installs.append(
-            InstallRecord(tick, domain, str(packet.src_ip), packet.flow_id, len(batch), batch.provenance)
+            InstallRecord(tick, domain, format_ipv4(packet.src_ip), packet.flow_id, len(batch), batch.provenance)
         )
 
     def _on_apply_result(

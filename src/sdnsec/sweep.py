@@ -17,7 +17,7 @@ from .controller import BLOCK_PROVENANCE_PREFIX
 from .defense import ResponseMode
 from .labels import SecurityLabel
 from .metrics import MetricsReport
-from .policy import Action, PolicyExpression
+from .policy import Action, PolicyExpression, format_ipv4
 from .scenario import (
     DomainSpec,
     FloodSpec,
@@ -178,7 +178,9 @@ def flood_response_series(
     flood = next((item for item in scenario.traffic if isinstance(item, FloodSpec)), None)
     if flood is None:
         raise ValueError(f"scenario {scenario.name!r} has no flood to set a request rate on")
-    attacker_ip = next(str(h.ip) for domain in scenario.domains for h in domain.hosts if h.id == flood.src_host)
+    attacker_ip = format_ipv4(
+        next(h.ip for domain in scenario.domains for h in domain.hosts if h.id == flood.src_host)
+    )
     variants = {
         "baseline": replace(scenario, enforcement=False),
         "threshold": replace(scenario, defense_response=ResponseMode.THROTTLE),

@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import json
 import math
 import random
 from collections import deque
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
 
 from sdnsec.dataplane import FlowMatch, FlowRule, Packet, TableFullError
 from sdnsec.defense import ResponseMode, compute_thresholds
 from sdnsec.labels import LabelWindow, SecurityLabel, parse_label_constraint
-from sdnsec.metrics import FlowRecord, MetricsReport, emit
+from sdnsec.metrics import FlowRecord, InstallRecord, MetricsReport, emit
 from sdnsec.policy import (
     Action,
     Constraint,
@@ -45,8 +46,8 @@ def make_domain(as_id="AS1", subnet="10.0.0.0/24", as_type="EDU", rank=2) -> Dom
 
 
 def make_ctx(**overrides) -> FlowContext:
-    src_ip = overrides.pop("src_ip", IPv4Address("10.0.0.2"))
-    dst_ip = overrides.pop("dst_ip", IPv4Address("192.168.52.72"))
+    src_ip = overrides.pop("src_ip", ip("10.0.0.2"))
+    dst_ip = overrides.pop("dst_ip", ip("192.168.52.72"))
     port = overrides.pop("service_port", 443)
     proto = overrides.pop("ip_proto", "tcp")
     defaults = dict(
@@ -80,8 +81,8 @@ def random_ctx(rng: random.Random) -> FlowContext:
         rng.choice(AS_TYPES),
         SecurityLabel(rng.randrange(1, 6)),
     )
-    src_ip = IPv4Address(f"10.{rng.randrange(4)}.{rng.randrange(4)}.{rng.randrange(1, 9)}")
-    dst_ip = IPv4Address(f"192.168.{rng.randrange(4)}.{rng.randrange(1, 9)}")
+    src_ip = ip(f"10.{rng.randrange(4)}.{rng.randrange(4)}.{rng.randrange(1, 9)}")
+    dst_ip = ip(f"192.168.{rng.randrange(4)}.{rng.randrange(1, 9)}")
     port = rng.choice(PORTS)
     traversed = tuple(AS_IDS[: rng.randrange(0, 4)])
     return FlowContext(
@@ -116,7 +117,7 @@ def random_pe(rng: random.Random, pe_id: str, action: Action = Action.ALLOW) -> 
             subnet=maybe(IPv4Network(f"10.{rng.randrange(4)}.0.0/16")),
             as_type=maybe(rng.choice(AS_TYPES)),
             label_req=label,
-            host_ip=maybe(IPv4Address(f"10.{rng.randrange(4)}.{rng.randrange(4)}.{rng.randrange(1, 9)}")),
+            host_ip=maybe(ip(f"10.{rng.randrange(4)}.{rng.randrange(4)}.{rng.randrange(1, 9)}")),
             host_mac=maybe(rng.choice(MACS)),
         )
 
@@ -169,13 +170,13 @@ def matching_pe(rng: random.Random, ctx: FlowContext, pe_id: str) -> PolicyExpre
             base = label.rank
         return parse_label_constraint(f"SL{base}{relation}")
 
-    def selector(domain: DomainInfo, ip: IPv4Address, mac: str) -> EndpointSelector:
+    def selector(domain: DomainInfo, address: int, mac: str) -> EndpointSelector:
         return EndpointSelector(
             as_id=pick(domain.as_id),
-            subnet=pick(IPv4Network(f"{ip}/{rng.choice((8, 16, 24, 32))}", strict=False)),
+            subnet=pick(IPv4Network((address, rng.choice((8, 16, 24, 32))), strict=False)),
             as_type=pick(domain.as_type),
             label_req=pick(label_for(domain.label)),
-            host_ip=pick(ip),
+            host_ip=pick(address),
             host_mac=pick(mac),
         )
 
@@ -217,12 +218,12 @@ def oracle_match(pe: PolicyExpression, ctx: FlowContext) -> bool:
     """Plain conjunction of per-field predicates, written independently."""
     checks = []
     checks.append(pe.flow_id is None or pe.flow_id == ctx.flow_id)
-    for sel, dom, ip, mac in (
+    for sel, dom, address, mac in (
         (pe.source, ctx.src_as, ctx.src_ip, ctx.src_mac),
         (pe.dest, ctx.dst_as, ctx.dst_ip, ctx.dst_mac),
     ):
         checks.append(sel.as_id is None or sel.as_id == dom.as_id)
-        checks.append(sel.subnet is None or ip in sel.subnet)
+        checks.append(sel.subnet is None or IPv4Address(address) in sel.subnet)
         checks.append(sel.as_type is None or sel.as_type == dom.as_type)
         if sel.label_req is None:
             checks.append(True)
@@ -240,7 +241,7 @@ def oracle_match(pe: PolicyExpression, ctx: FlowContext) -> bool:
                 checks.append(rank <= base)
             else:
                 checks.append(rank == base)
-        checks.append(sel.host_ip is None or sel.host_ip == ip)
+        checks.append(sel.host_ip is None or sel.host_ip == address)
         checks.append(sel.host_mac is None or sel.host_mac == mac)
     checks.append(pe.user is None or pe.user == ctx.user)
     checks.append(pe.services is None or ctx.service_port in pe.services)
@@ -330,13 +331,25 @@ def walk_split_top(text: str, seps: str = ",") -> list[str]:
     return parts
 
 
-def text_parse_ipv4(text: str) -> IPv4Address:
+def ip(text: str) -> int:
+    """The integer address of canonical dotted text, parsed by ``IPv4Address``."""
+    return int(IPv4Address(text))
+
+
+def text_parse_ipv4(text: str) -> int:
     """A dotted quad with leading zeros dropped, parsed by ``IPv4Address``
     from text.  This was ``formats.parse_ipv4`` before its integer path."""
     parts = text.strip().split(".")
     if len(parts) == 4 and all(p.isascii() and p.isdigit() for p in parts):
         text = ".".join(str(int(p)) for p in parts)
-    return IPv4Address(text)
+    return int(IPv4Address(text))
+
+
+def asdict_line(record: FlowRecord | InstallRecord) -> str:
+    """A ``records`` line as ``emit`` wrote it before its direct encoder:
+    ``dataclasses.asdict`` copies the record, and ``json.dumps`` sorts the
+    keys."""
+    return json.dumps(asdict(record), sort_keys=True)
 
 
 def records_digest(report: MetricsReport) -> str:

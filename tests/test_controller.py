@@ -1,5 +1,4 @@
 from dataclasses import replace
-from ipaddress import IPv4Address
 
 import pytest
 
@@ -12,13 +11,13 @@ from sdnsec.policy import Action, Constraint, ConstraintKind, PolicyExpression, 
 from sdnsec.scenario import bundled_scenario_path, load_scenario
 from sdnsec.simulation import build_world
 
-from helpers import egress_hop
+from helpers import egress_hop, ip
 
 
 def make_packet(src="10.0.0.2", dst="192.168.52.72", port=443, ptype="HTTPS"):
     return Packet(
-        src_ip=IPv4Address(src),
-        dst_ip=IPv4Address(dst),
+        src_ip=ip(src),
+        dst_ip=ip(dst),
         src_mac="00:00:00:00:00:01",
         dst_mac="00:00:00:00:01:01",
         ip_proto="tcp",
@@ -196,7 +195,7 @@ def test_block_rule_is_emitted_once_per_offender():
     ]
     blocked = [result for result in results if result.reason == DropReason.DEFENSE_BLOCKED]
     assert [result.block_batch is not None for result in blocked] == [True, False, False]
-    assert ctrl.monitor.blocked == {"10.9.0.66"}
+    assert ctrl.monitor.blocked == {ip("10.9.0.66")}
 
 
 def _label_path(token: str) -> Constraint:

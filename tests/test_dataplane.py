@@ -1,10 +1,9 @@
 import random
-from ipaddress import IPv4Address
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ScanTable, match_hits, scan_lookup
+from helpers import ScanTable, ip, match_hits, scan_lookup
 from sdnsec.labels import SecurityLabel
 from sdnsec.dataplane import (
     ActionKind,
@@ -20,8 +19,8 @@ from sdnsec.dataplane import (
 
 def make_packet(**overrides):
     defaults = dict(
-        src_ip=IPv4Address("10.0.0.2"),
-        dst_ip=IPv4Address("10.0.0.9"),
+        src_ip=ip("10.0.0.2"),
+        dst_ip=ip("10.0.0.9"),
         src_mac="00:00:00:00:00:01",
         dst_mac="00:00:00:00:00:09",
         ip_proto="tcp",
@@ -56,14 +55,14 @@ def test_installed_rule_forwards():
 
 def test_drop_consumes_silently():
     sw = make_switch()
-    block = FlowRule(FlowMatch(src_ip=IPv4Address("10.0.0.2")), ActionKind.DROP, 200)
+    block = FlowRule(FlowMatch(src_ip=ip("10.0.0.2")), ActionKind.DROP, 200)
     sw.install(block)
     assert sw.lookup(make_packet(), None) is block
 
 
 def test_block_rule_stops_packet_ins():
     sw = make_switch()
-    block = FlowRule(FlowMatch(src_ip=IPv4Address("10.0.0.2")), ActionKind.DROP, 200)
+    block = FlowRule(FlowMatch(src_ip=ip("10.0.0.2")), ActionKind.DROP, 200)
     sw.install(block)
     for port in range(2000, 2050):
         assert sw.lookup(make_packet(service_port=port), None) is block
@@ -149,7 +148,7 @@ def test_outcomes_match_linear_scan_oracle():
         match = FlowMatch(
             service_port=rng.choice((None, 80, 443, 21)),
             packet_type=rng.choice((None, "HTTP", "FTP", "SYN")),
-            src_ip=rng.choice((None, IPv4Address("10.0.0.2"), IPv4Address("10.0.0.3"))),
+            src_ip=rng.choice((None, ip("10.0.0.2"), ip("10.0.0.3"))),
         )
         action = rng.choice((ActionKind.FORWARD, ActionKind.DROP))
         rule = FlowRule(match, action, rng.randrange(0, 300), out_port=1 if action == ActionKind.FORWARD else None)
@@ -171,12 +170,12 @@ def test_outcomes_match_linear_scan_oracle():
         packet = make_packet(
             service_port=rng.choice((80, 443, 21, 9999)),
             packet_type=rng.choice(("HTTP", "FTP", "SYN", "HTTPS")),
-            src_ip=rng.choice((IPv4Address("10.0.0.2"), IPv4Address("10.0.0.3"))),
+            src_ip=rng.choice((ip("10.0.0.2"), ip("10.0.0.3"))),
         )
         assert sw.lookup(packet, None) is oracle(packet)
 
 
-ADDRESSES = (IPv4Address("10.0.0.2"), IPv4Address("10.0.0.3"))
+ADDRESSES = (ip("10.0.0.2"), ip("10.0.0.3"))
 MAC = "00:00:00:00:00:01"
 
 

@@ -2,7 +2,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import IPv4Network
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,7 @@ from sdnsec.formats import (
     _split_top,
 )
 
-from helpers import make_ctx, random_ctx, random_pe, text_parse_ipv4, walk_split_top
+from helpers import ip, make_ctx, random_ctx, random_pe, text_parse_ipv4, walk_split_top
 
 # Verbatim policy-database record as a restricted transit domain would store it.
 DB_SAMPLE = """
@@ -56,8 +56,8 @@ def test_db_sample_parses_to_expected_expression():
     assert pe.action is Action.ALLOW
     assert pe.flow_id is None
     assert pe.source.subnet == IPv4Network("10.0.0.0/25")
-    assert pe.source.host_ip == IPv4Address("10.0.0.2")
-    assert pe.dest.host_ip == IPv4Address("192.168.52.72")
+    assert pe.source.host_ip == ip("10.0.0.2")
+    assert pe.dest.host_ip == ip("192.168.52.72")
     assert pe.user is None
     assert len(pe.dom_cons) == 1
     assert pe.dom_cons[0].kind is ConstraintKind.LABEL_PATH
@@ -157,8 +157,8 @@ def test_http_path_expression():
     assert pe.path == ("SW1", "SW5", "SW4")
     assert pe.switch_path == pe.path
     assert pe.domain_path is None
-    assert pe.source.host_ip == IPv4Address("172.56.16.4")
-    assert pe.dest.host_ip == IPv4Address("172.56.16.6")
+    assert pe.source.host_ip == ip("172.56.16.4")
+    assert pe.dest.host_ip == ip("172.56.16.6")
     assert pe.source.host_mac == "48:2c:6a:1e:60:ff"
     assert pe.action is Action.ALLOW
 
@@ -184,7 +184,7 @@ def test_byod_expression_field_placement():
     pe = parse_compact_pe(BYOD_PE)
     assert pe.user == "Alice"
     assert pe.dest.as_id == "AS2"
-    assert pe.dest.host_ip == IPv4Address("172.16.10.66")
+    assert pe.dest.host_ip == ip("172.16.10.66")
     assert pe.source.host_mac == "79:c8:82:b2:7b:1a"
     assert pe.dest.host_mac is None
     assert pe.services == frozenset({80, 443})
@@ -284,7 +284,7 @@ def test_rate_and_signature_tokens():
 
 
 def test_leading_zero_addresses_normalize():
-    assert parse_ipv4("172.56.16.04") == IPv4Address("172.56.16.4")
+    assert parse_ipv4("172.56.16.04") == ip("172.56.16.4")
     assert parse_network("010.0.0.0/25") == IPv4Network("10.0.0.0/25")
     with pytest.raises(ValueError):
         parse_network("10.0.0.0")
@@ -372,6 +372,9 @@ def _compact(position: int, text: str) -> str:
         (parse_compact_pe, _compact(8, "(valid[\u0660,\u0661\u0660))")),
         (parse_compact_pe, _compact(8, "(valid[+0,1_0))")),
         (parse_compact_pe, _compact(8, "(rate<=\u0663)")),
+        (parse_compact_pe, _compact(8, "(rate<=1_0)")),
+        (parse_compact_pe, _compact(8, "(rate<=1e1)")),
+        (parse_compact_pe, _compact(8, "(rate<=+3)")),
     ],
     ids=[
         "ipv4-octet",
@@ -384,11 +387,29 @@ def _compact(position: int, text: str) -> str:
         "validity-arabic-indic",
         "validity-sign-underscore",
         "rate-arabic-indic",
+        "rate-underscore",
+        "rate-exponent",
+        "rate-sign",
     ],
 )
 def test_numbers_are_ascii_digits(parse, text):
     with pytest.raises(ValueError):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "token, rate",
+    [("3", Fraction(3)), ("1.5", Fraction(3, 2)), ("3/2", Fraction(3, 2)), (" 04 ", Fraction(4))],
+)
+def test_rate_token_reads_digits_a_decimal_or_a_ratio(token, rate):
+    (constraint,) = parse_compact_pe(_compact(8, f"(rate<={token})")).flow_cons
+    assert constraint.rate == rate
+
+
+@pytest.mark.parametrize("token", [".5", "5.", "1/2/3", "1.5/2", "3 /2", "0", "0/4", "1/0", ""])
+def test_rate_token_rejects_other_shapes(token):
+    with pytest.raises(PolicyParseError, match="rate"):
+        parse_compact_pe(_compact(8, f"(rate<={token})"))
 
 
 @pytest.mark.parametrize("compact", [True, False], ids=["compact", "repository"])
@@ -418,7 +439,7 @@ def _varied_pe(rng: random.Random, index: int) -> PolicyExpression:
     rate = Constraint(ConstraintKind.RATE_THRESHOLD, rate=Fraction(rng.randrange(1, 400), rng.choice((1, 2, 3))))
     relation = rng.choice(("+=", "-=", ""))
     label = Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint(f"SL{rng.randrange(1, 6)}{relation}"))
-    flow_id = derive_flow_id(IPv4Address("10.0.0.2"), IPv4Address("192.168.52.72"), "tcp", rng.choice((22, 80)))
+    flow_id = derive_flow_id(ip("10.0.0.2"), ip("192.168.52.72"), "tcp", rng.choice((22, 80)))
     return replace(
         pe,
         flow_id=flow_id if rng.random() < 0.3 else None,

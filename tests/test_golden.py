@@ -36,13 +36,18 @@ NAMES = [
 CASES = [f"{name}/{mode}" for name in NAMES for mode in MODES]
 
 
-def _run(case: str):
+def build_case(case: str):
+    """The world of one golden case, built and not yet run."""
     name, mode = case.split("/")
     name, _, response = name.partition("+")
     scenario = replace(load_scenario(bundled_scenario_path(name)), mode=mode)
     if response:
         scenario = replace(scenario, defense_response=ResponseMode(response))
-    world = build_world(scenario)
+    return build_world(scenario)
+
+
+def _run(case: str):
+    world = build_case(case)
     return world, Simulation(world).run()
 
 

@@ -16,7 +16,7 @@ from sdnsec.interdomain import (
     verify_ptt,
 )
 
-from helpers import egress_hop
+from helpers import egress_hop, ip
 
 KEYS = {"AS1": b"key-as1", "AS2": b"key-as2", "AS3": b"key-as3"}
 
@@ -160,7 +160,6 @@ def test_merge_without_token_keeps_local():
 
 
 def test_transit_packet_in_classifies_transit_and_drop():
-    from ipaddress import IPv4Address
 
     from sdnsec.dataplane import Packet
     from sdnsec.scenario import bundled_scenario_path, load_scenario
@@ -171,8 +170,8 @@ def test_transit_packet_in_classifies_transit_and_drop():
     # a controller holds the keys of its neighbors and of no other domain
     assert sorted(as2.key_ring) == list(world.as_graph.neighbors("AS2")) == ["AS1", "AS3"]
     packet = Packet(
-        src_ip=IPv4Address("10.0.0.2"),
-        dst_ip=IPv4Address("192.168.52.72"),
+        src_ip=ip("10.0.0.2"),
+        dst_ip=ip("192.168.52.72"),
         src_mac="00:00:00:00:00:01",
         dst_mac="00:00:00:00:01:01",
         ip_proto="tcp",

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import IPv4Network
 
 import pytest
 
@@ -20,6 +20,7 @@ from sdnsec.policy import (
 
 from helpers import (
     CONDITION_FIELDS,
+    ip,
     make_ctx,
     matching_pe,
     non_wildcard_fields,
@@ -36,14 +37,14 @@ SAMPLE_PE = PolicyExpression(
         subnet=IPv4Network("10.0.0.0/25"),
         as_type="EDU",
         label_req=parse_label_constraint("SL2"),
-        host_ip=IPv4Address("10.0.0.2"),
+        host_ip=ip("10.0.0.2"),
         host_mac="00:00:00:00:00:01",
     ),
     dest=EndpointSelector(
         subnet=IPv4Network("192.168.52.0/24"),
         as_type="EDU",
         label_req=parse_label_constraint("SL4"),
-        host_ip=IPv4Address("192.168.52.72"),
+        host_ip=ip("192.168.52.72"),
         host_mac="00:00:00:00:01:01",
     ),
     dom_cons=(
@@ -66,8 +67,8 @@ def test_sample_record_matches_its_flow():
 @pytest.mark.parametrize(
     "override",
     [
-        {"src_ip": IPv4Address("10.0.0.3")},
-        {"dst_ip": IPv4Address("192.168.52.73")},
+        {"src_ip": ip("10.0.0.3")},
+        {"dst_ip": ip("192.168.52.73")},
         {"src_mac": "00:00:00:00:00:02"},
         {"traversed_path": ("AS1",)},
         {"traversed_path": ("AS2", "AS1")},

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import IPv4Network
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +24,7 @@ from sdnsec.scenario import bundled_scenario_path, load_scenario
 from sdnsec.simulation import build_world
 from sdnsec.sweep import pad_policies
 
-from helpers import PORTS, make_ctx, oracle_match, random_ctx, random_pe, scan_select
+from helpers import PORTS, ip, make_ctx, oracle_match, random_ctx, random_pe, scan_select
 from test_controller import make_packet
 
 
@@ -44,7 +44,7 @@ def test_no_match_is_deny():
 def test_exit_obligation_emitted():
     pe = allow(
         "1",
-        source=EndpointSelector(subnet=IPv4Network("10.0.0.0/24"), host_ip=IPv4Address("10.0.0.2")),
+        source=EndpointSelector(subnet=IPv4Network("10.0.0.0/24"), host_ip=ip("10.0.0.2")),
         services=frozenset({80, 443}),
         action_exit="1SW2",
     )
@@ -73,7 +73,7 @@ def test_most_specific_allow_wins():
         source=EndpointSelector(
             subnet=IPv4Network("10.0.0.0/24"),
             as_type="EDU",
-            host_ip=IPv4Address("10.0.0.2"),
+            host_ip=ip("10.0.0.2"),
             host_mac="00:00:00:00:00:01",
         ),
         services=frozenset({443}),
@@ -136,8 +136,8 @@ def test_default_deny_over_many_random_contexts():
 
 # Small address pools shared by contexts and expressions, so every bucket
 # family of the index is hit as well as missed.
-SRC_POOL = tuple(IPv4Address(f"10.0.0.{i}") for i in range(1, 4))
-DST_POOL = tuple(IPv4Address(f"192.168.52.{i}") for i in range(1, 4))
+SRC_POOL = tuple(ip(f"10.0.0.{i}") for i in range(1, 4))
+DST_POOL = tuple(ip(f"192.168.52.{i}") for i in range(1, 4))
 DST_SUBNETS = (IPv4Network("192.168.52.0/24"), IPv4Network("192.168.52.0/31"))
 CONTEXTS = 2
 FLOW_CHOICES = CONTEXTS + 1  # the flow id of either context, or one neither has

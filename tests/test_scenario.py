@@ -1,6 +1,5 @@
 import json
 from dataclasses import replace
-from ipaddress import IPv4Address
 
 import pytest
 
@@ -13,6 +12,8 @@ from sdnsec.scenario import (
     parse_scenario,
 )
 from sdnsec.simulation import run
+
+from helpers import ip
 
 
 def minimal_doc():
@@ -49,7 +50,7 @@ def test_minimal_scenario_loads():
 def test_traffic_is_resolved_to_addresses_at_parse():
     doc = minimal_doc()
     doc["traffic"].append({"at": 1, "from": "a", "to": "10.0.0.9", "port": 80, "type": "HTTP"})
-    assert [item.dst for item in parse_scenario(doc).traffic] == [IPv4Address("10.0.0.2"), IPv4Address("10.0.0.9")]
+    assert [item.dst for item in parse_scenario(doc).traffic] == [ip("10.0.0.2"), ip("10.0.0.9")]
 
 
 def test_traffic_literal_tolerates_leading_zeros_as_a_host_ip_does():
@@ -57,7 +58,7 @@ def test_traffic_literal_tolerates_leading_zeros_as_a_host_ip_does():
     doc["domains"][0]["hosts"][1]["ip"] = "10.0.0.02"
     doc["traffic"][0]["to"] = "10.0.0.02"
     scenario = parse_scenario(doc)
-    assert scenario.domains[0].hosts[1].ip == scenario.traffic[0].dst == IPv4Address("10.0.0.2")
+    assert scenario.domains[0].hosts[1].ip == scenario.traffic[0].dst == ip("10.0.0.2")
     assert run(scenario).flows[0].outcome == "delivered"
 
 

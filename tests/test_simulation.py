@@ -1,7 +1,6 @@
 import hashlib
 import json
 from dataclasses import replace
-from ipaddress import IPv4Address
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +19,7 @@ from sdnsec.scenario import (
 from sdnsec.simulation import Simulation, build_world, run
 from sdnsec.sweep import chain_scenario
 
-from helpers import delivered, installs_per_window, records_digest
+from helpers import delivered, installs_per_window, ip, records_digest
 
 ALLOW_ALL = "p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"
 
@@ -514,8 +513,8 @@ def test_flow_never_reenters_a_visited_domain(pin_back, baseline_path):
     # here rather than bouncing between two domains in the runs below
     world = build_world(scenario)
     packet = Packet(
-        src_ip=IPv4Address("10.0.1.2"),
-        dst_ip=IPv4Address("10.0.3.2"),
+        src_ip=ip("10.0.1.2"),
+        dst_ip=ip("10.0.3.2"),
         src_mac="00:00:00:00:00:0a",
         dst_mac="00:00:00:00:00:0b",
         ip_proto="tcp",

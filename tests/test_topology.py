@@ -87,7 +87,7 @@ def test_controller_reads_known_domains_from_the_world_graph():
                 for domain in scenario.domains:
                     if domain.id == owner:
                         continue
-                    address = next(domain.subnet.hosts())
+                    address = int(next(domain.subnet.hosts()))
                     if hops.get(domain.id, max_ttl + 1) <= max_ttl:
                         assert ctrl._domain_info(domain.id) is world.as_graph.node(domain.id)
                         assert ctrl.domain_for_ip(address) == domain.id
