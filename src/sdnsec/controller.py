@@ -8,7 +8,7 @@ expression, and every later stage reads its obligations off it; no winner,
 a deny, or an allow whose own label window is empty drops as ``POLICY``.
 The result is either a batch of flow rules or a drop with a reason.  For a
 flow leaving the domain, the egress gateway's forward rule is the hop: its
-port leads to the next domain's gateway, and it carries the extended handle
+next hop is the next domain's gateway, and it carries the extended handle
 and re-tagged transfer token.  Every outcome appends one ``ControllerEvent`` naming the matched
 policy and the ticks charged so far.
 
@@ -180,7 +180,6 @@ def synthesize_rules(
     *,
     final_peer: str,
     entry_peer: str,
-    port_of,
     sec_profile: frozenset[str] = frozenset(),
     handle_out: Handle | None = None,
     ptt_out: PolicyTransferToken | None = None,
@@ -188,10 +187,10 @@ def synthesize_rules(
     """One forward rule per path switch plus the symmetric return set.
 
     Rules match the flow's (addresses, protocol, port, type) tuple, the
-    return rules with the addresses swapped.  ``final_peer`` is what the
-    last switch forwards to (a host or the peer domain's gateway);
-    ``entry_peer`` is what the first switch's return rule forwards to.
-    ``port_of(switch, peer)`` resolves port numbers.  The last switch's
+    return rules with the addresses swapped.  Each rule names its next hop:
+    the following switch on the path, ``final_peer`` for the last switch's
+    forward rule (a host or the peer domain's gateway) and ``entry_peer``
+    for the first switch's return rule.  The last switch's
     forward rule carries ``handle_out`` and ``ptt_out``, the credentials of
     a flow that leaves the domain there.  The batch lists the forward rules
     in path order, then the return rules in path order; the install order
@@ -215,7 +214,7 @@ def synthesize_rules(
             match,
             ActionKind.FORWARD,
             FLOW_RULE_PRIORITY,
-            out_port=port_of(switch, peer),
+            next_hop=peer,
             sec_profile_tags=sec_profile,
             handle=handle,
             ptt=ptt,
@@ -241,7 +240,6 @@ class Controller:
         as_graph: Graph,
         intra: Graph,
         known: dict[str, int],
-        port_of,
         monitor: FloodMonitor | None,
         key_ring: dict[str, bytes],
         enforcement_enabled: bool,
@@ -259,7 +257,6 @@ class Controller:
         self.as_graph = as_graph
         self.intra = intra
         self.known = known
-        self._port_of = port_of
         self.monitor = monitor
         self.key_ring = key_ring
         self.user_bindings = spec.users  # MACs normalized by the scenario parser
@@ -469,7 +466,6 @@ class Controller:
             matched,
             final_peer=final_peer,
             entry_peer=entry_peer,
-            port_of=self._port_of,
             sec_profile=winner.sec_profile or frozenset(),
             handle_out=handle_out,
             ptt_out=ptt_out,

@@ -8,9 +8,12 @@ with the number of masks (three in a simulated run: ARP, flow and block
 rules), not with the number of rules.  A lookup returns the highest-priority
 matching rule, and among equal priorities the one installed first; the
 simulation executes it (forward, drop or punt to the controller) and raises
-a packet-in on a miss.  A forward rule at a domain's egress gateway also
-carries the flow's handle and transfer token, which the switch adds to the
-packet as it leaves.  All mutation happens on the simulation loop's thread.
+a packet-in on a miss.  A forward rule names its next hop, the attached peer
+(switch or host) the packet goes to; port numbers exist only in a switch's
+wiring (``Switch.ports``) and in its flow dump.  A forward rule at a
+domain's egress gateway also carries the flow's handle and transfer token,
+which the switch adds to the packet as it leaves.  All mutation happens on
+the simulation loop's thread.
 
 Packet and match addresses are plain ``int`` values, so a probe key hashes
 natively; a flow dump prints them as dotted text.
@@ -72,8 +75,8 @@ _HEADER_FIELDS = ("src_ip", "dst_ip", "src_mac", "dst_mac", "ip_proto", "service
 
 _ADDRESS_FIELDS = ("src_ip", "dst_ip")
 
-# the header fields a match fixes, and whether it fixes in_port
-_Mask = tuple[tuple[str, ...], bool]
+# the header fields a match fixes
+_Mask = tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -87,17 +90,15 @@ class FlowMatch:
     ip_proto: str | None = None
     service_port: int | None = None
     packet_type: str | None = None
-    in_port: int | None = None
     # this match's table in a switch's tuple space, worked out once per match
     mask: _Mask = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        fixed = tuple(name for name in _HEADER_FIELDS if getattr(self, name) is not None)
-        object.__setattr__(self, "mask", (fixed, self.in_port is not None))
+        object.__setattr__(self, "mask", tuple(name for name in _HEADER_FIELDS if getattr(self, name) is not None))
 
     def text(self) -> str:
         parts = []
-        for name in _HEADER_FIELDS + ("in_port",):
+        for name in _HEADER_FIELDS:
             value = getattr(self, name)
             if value is None:
                 value = "*"
@@ -118,7 +119,7 @@ class FlowRule:
     match: FlowMatch
     action: str
     priority: int
-    out_port: int | None = None
+    next_hop: str | None = None
     sec_profile_tags: frozenset[str] = frozenset()
     # credentials added to packets leaving the domain through this rule
     handle: Handle | None = None
@@ -127,15 +128,10 @@ class FlowRule:
     def __post_init__(self) -> None:
         if self.priority < 0:
             raise ValueError("priority must be >= 0")
-        if self.action == ActionKind.FORWARD and self.out_port is None:
-            raise ValueError("forward rule needs an output port")
-        if self.action != ActionKind.FORWARD and self.out_port is not None:
-            raise ValueError("only forward rules carry an output port")
-
-    def text(self) -> str:
-        action = f"{self.action}:{self.out_port}" if self.action == ActionKind.FORWARD else self.action
-        tags = ",".join(sorted(self.sec_profile_tags)) if self.sec_profile_tags else "-"
-        return f"priority={self.priority} {self.match.text()} tags={tags} action={action}"
+        if self.action == ActionKind.FORWARD and self.next_hop is None:
+            raise ValueError("forward rule needs a next hop")
+        if self.action != ActionKind.FORWARD and self.next_hop is not None:
+            raise ValueError("only forward rules carry a next hop")
 
 
 def _no_fields(_item: object) -> tuple[()]:
@@ -144,21 +140,15 @@ def _no_fields(_item: object) -> tuple[()]:
 
 class _MaskTable:
     """The rules of one wildcard mask, keyed by their values for the fields
-    the mask fixes.  An entry is ``(-priority, install number, rule)``, so the
+    the mask fixes: ``key(item)`` is a rule's key for its match, or the probe
+    for a packet.  An entry is ``(-priority, install number, rule)``, so the
     least entry is the one a scan in priority order would meet first."""
 
-    __slots__ = ("header", "fixes_port", "entries")
+    __slots__ = ("key", "entries")
 
     def __init__(self, mask: _Mask):
-        fields, self.fixes_port = mask
-        self.header = attrgetter(*fields) if fields else _no_fields
+        self.key = attrgetter(*mask) if mask else _no_fields
         self.entries: dict[object, tuple[int, int, FlowRule]] = {}
-
-    def key(self, item: FlowMatch | Packet, in_port: int | None) -> object:
-        """The key of a rule's match, or the probe for a packet arriving on
-        ``in_port``; a port-less probe never meets a rule that fixes one."""
-        header = self.header(item)
-        return (header, in_port) if self.fixes_port else header
 
 
 class FlowTable:
@@ -187,34 +177,31 @@ class Switch:
         self.id = switch_id
         self.sec_label = sec_label
         self.capacity = capacity
-        self.ports: dict[int, str] = {}
+        # attached peer (switch or host id) -> its port number
+        self.ports: dict[str, int] = {}
         self.table = FlowTable()
         self._install_numbers = count()
 
-    def attach(self, peer: str) -> int:
+    def attach(self, peer: str) -> None:
         """Wire a peer (switch or host id) to the next free port; injective."""
-        if peer in self.ports.values():
+        if peer in self.ports:
             raise ValueError(f"{peer} already attached to {self.id}")
-        port = len(self.ports) + 1
-        self.ports[port] = peer
-        return port
-
-    def port_to(self, peer: str) -> int:
-        for port, attached in self.ports.items():
-            if attached == peer:
-                return port
-        raise KeyError(f"{self.id} has no port toward {peer}")
+        self.ports[peer] = len(self.ports) + 1
 
     def install(self, rule: FlowRule) -> None:
         """File ``rule`` under its match's mask and values.  A rule for an
         installed match replaces it, unless its priority is lower, when it
         is ignored.  At equal priority the replacement keeps the old rule's
         place among equal priorities, so re-installing a rule is idempotent;
-        at higher priority it counts as newly installed.  A new match beyond
-        capacity raises :class:`TableFullError`."""
+        at higher priority it counts as newly installed.  A forward rule
+        whose next hop is not attached raises ``ValueError``, and a new
+        match beyond capacity :class:`TableFullError`; either leaves the
+        table as it was."""
+        if rule.next_hop is not None and rule.next_hop not in self.ports:
+            raise ValueError(f"{self.id} has no port toward {rule.next_hop}")
         mask = rule.match.mask
         table = self.table.masks.get(mask) or _MaskTable(mask)
-        key = table.key(rule.match, rule.match.in_port)
+        key = table.key(rule.match)
         entry = (-rule.priority, next(self._install_numbers), rule)
         # one hash of the key files a new match, the common case
         existing = table.entries.setdefault(key, entry)
@@ -238,16 +225,16 @@ class Switch:
         new = 0
         for match in matches:
             table = self.table.masks.get(match.mask)
-            if table is None or table.key(match, match.in_port) not in table.entries:
+            if table is None or table.key(match) not in table.entries:
                 new += 1
         return self.table.size + new <= self.capacity
 
-    def lookup(self, packet: Packet, in_port: int | None) -> FlowRule | None:
-        """The highest-priority rule matching ``packet`` on ``in_port``, the
-        earliest installed among equal priorities: one probe per mask."""
+    def lookup(self, packet: Packet) -> FlowRule | None:
+        """The highest-priority rule matching ``packet``, the earliest
+        installed among equal priorities: one probe per mask."""
         best = None
         for table in self.table.masks.values():
-            entry = table.entries.get(table.key(packet, in_port))
+            entry = table.entries.get(table.key(packet))
             if entry is not None and (best is None or entry < best):
                 best = entry
         return None if best is None else best[2]
@@ -262,5 +249,11 @@ def flow_dump(switch: Switch) -> list[FlowRule]:
 
 
 def format_flow_dump(switch: Switch) -> str:
-    lines = [rule.text() for rule in flow_dump(switch)]
+    """One line per rule of :func:`flow_dump`; a forward rule prints the
+    port its next hop is attached to."""
+    lines = []
+    for rule in flow_dump(switch):
+        action = rule.action if rule.next_hop is None else f"{rule.action}:{switch.ports[rule.next_hop]}"
+        tags = ",".join(sorted(rule.sec_profile_tags)) if rule.sec_profile_tags else "-"
+        lines.append(f"priority={rule.priority} {rule.match.text()} tags={tags} action={action}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -7,8 +7,10 @@ event loop is a single tick-ordered heap of handler calls; ties resolve in
 insertion order, so equal scenarios produce byte-identical reports.
 
 A packet arriving at a switch executes the rule the switch's lookup
-returns: a forward rule passes it to the peer on the rule's port, a drop
-rule ends its flow, and a miss or a to-controller rule raises a packet-in.
+returns: a forward rule passes it to the rule's next hop, a drop rule ends
+its flow, and a miss or a to-controller rule raises a packet-in.  A packet
+moves by node id; each hop carries the node it came from, which a packet-in
+names as its entry peer.
 
 Controllers are modeled as sequential servers: a packet-in waits until the
 controller is free, is charged the pipeline's deterministic service ticks,
@@ -18,8 +20,8 @@ egress gateway's forward rule, which is where augmentation happens on a real
 edge.  Proactive pre-install runs each flow's packet-ins before the event
 loop starts, in the order the loop would offer the flows (by tick, equal
 ticks in document order).  It takes the hop the same way: the next
-domain's ingress is the peer on that rule's port, and its packet-in
-carries that rule's credentials.
+domain's ingress is that rule's next hop, and its packet-in carries that
+rule's credentials.
 
 At the end of a run the report's counters are counted from its records,
 except the two events no record carries; ``_DROP_COUNTERS`` files each
@@ -118,9 +120,6 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
     for switch in switches.values():
         switch.install(arp_discovery_rule())
 
-    def port_lookup(switch_id: str, peer: str) -> int:
-        return switches[switch_id].port_to(peer)
-
     controllers: dict[str, Controller] = {}
     for domain in scenario.domains:
         monitor = None
@@ -139,7 +138,6 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
             as_graph=as_graph,
             intra=switch_graphs[domain.id],
             known=probe_topology(as_graph, domain.id, scenario.max_ttl),
-            port_of=port_lookup,
             monitor=monitor,
             key_ring=neighbor_keys,
             enforcement_enabled=scenario.enforcement,
@@ -219,8 +217,7 @@ class Simulation:
         )
         self.report.flows.append(record)
         inflight = _InFlight(packet=packet, record=record)
-        attach = self.world.switches[src.switch]
-        self._schedule(tick + LINK_TICK, self._on_switch_rx, src.switch, inflight, attach.port_to(src.id))
+        self._schedule(tick + LINK_TICK, self._on_switch_rx, src.switch, inflight, src.id)
 
     def _expand_traffic(self) -> None:
         ticks_per_second = self.scenario.window_ticks
@@ -252,12 +249,11 @@ class Simulation:
         domains = (self.world.switch_domain[switch_id] for switch_id in inflight.trace)
         record.as_path = tuple(domain for domain, _ in groupby(domains))
 
-    def _on_switch_rx(self, tick: int, switch_id: str, inflight: _InFlight, in_port: int) -> None:
-        switch = self.world.switches[switch_id]
-        rule = switch.lookup(inflight.packet, in_port)
+    def _on_switch_rx(self, tick: int, switch_id: str, inflight: _InFlight, from_peer: str) -> None:
+        rule = self.world.switches[switch_id].lookup(inflight.packet)
         if rule is None or rule.action == ActionKind.TO_CONTROLLER:
             domain = self.world.switch_domain[switch_id]
-            self._schedule(tick + LINK_TICK, self._on_ctrl_job, domain, inflight, switch_id, in_port)
+            self._schedule(tick + LINK_TICK, self._on_ctrl_job, domain, inflight, switch_id, from_peer)
             return
         if rule.action == ActionKind.DROP:  # every drop rule is a defense block rule
             self._finish(inflight.record, DropReason.BLOCKED_AT_SWITCH, self.world.switch_domain[switch_id])
@@ -266,30 +262,28 @@ class Simulation:
             inflight.handle = rule.handle
             inflight.ptt = rule.ptt
         inflight.trace.append(switch_id)
-        peer = switch.ports[rule.out_port]
+        peer = rule.next_hop
         if peer in self.world.hosts:
             if self.world.hosts[peer].ip == inflight.packet.dst_ip:
                 self._deliver(inflight, tick + LINK_TICK)
             else:
                 self._finish(inflight.record, DropReason.MISDELIVERED, self.world.switch_domain[switch_id])
             return
-        peer_port = self.world.switches[peer].port_to(switch_id)
-        self._schedule(tick + LINK_TICK, self._on_switch_rx, peer, inflight, peer_port)
+        self._schedule(tick + LINK_TICK, self._on_switch_rx, peer, inflight, switch_id)
 
     def _on_ctrl_job(
-        self, tick: int, domain: str, inflight: _InFlight, ingress: str, in_port: int
+        self, tick: int, domain: str, inflight: _InFlight, ingress: str, entry_peer: str
     ) -> None:
         ctrl = self.world.controllers[domain]
         arrival = tick
         start = max(arrival, ctrl.next_free_tick)
-        entry_peer = self.world.switches[ingress].ports[in_port]
         result = ctrl.handle_packet_in(
             inflight.packet, ingress, entry_peer, start, inflight.handle, inflight.ptt
         )
         emission = start + result.service_ticks
         ctrl.next_free_tick = emission
         self.report.latencies.append(LatencyRecord(domain, arrival, start, emission))
-        self._schedule(emission, self._on_apply_result, domain, inflight, ingress, in_port, result)
+        self._schedule(emission, self._on_apply_result, domain, inflight, ingress, entry_peer, result)
 
     def _install_batch(self, batch: FlowModBatch) -> bool:
         """Install every rule of ``batch``, or none of them when some switch
@@ -315,7 +309,7 @@ class Simulation:
         domain: str,
         inflight: _InFlight,
         ingress: str,
-        in_port: int,
+        entry_peer: str,
         result: PipelineResult,
     ) -> None:
         if result.block_batch is not None and self._install_batch(result.block_batch):
@@ -328,7 +322,7 @@ class Simulation:
             return
         self._record_install(result.batch, domain, tick, inflight.packet)
         # the packet that missed is re-offered where it missed
-        self._schedule(tick + LINK_TICK, self._on_switch_rx, ingress, inflight, in_port)
+        self._schedule(tick + LINK_TICK, self._on_switch_rx, ingress, inflight, entry_peer)
 
     # --- proactive pre-install ---------------------------------------------------
 
@@ -353,8 +347,7 @@ class Simulation:
                 if egress is None:
                     break  # the flow ends in this domain
                 entry_peer, rule = egress
-                ingress = self.world.switches[entry_peer].ports[rule.out_port]
-                handle, ptt = rule.handle, rule.ptt
+                ingress, handle, ptt = rule.next_hop, rule.handle, rule.ptt
 
     # --- main loop -------------------------------------------------------------
 

@@ -488,12 +488,11 @@ def egress_hop(world, batch):
     """Where a flow admitted by ``batch`` goes next, read off its one rule
     that carries a handle: ``(gateway, peer gateway, rule)``."""
     [(switch, rule)] = [(switch, rule) for switch, rule in batch.installs if rule.handle is not None]
-    return switch, world.switches[switch].ports[rule.out_port], rule
+    return switch, rule.next_hop, rule
 
 
-def match_hits(match: FlowMatch, packet: Packet, in_port: int | None) -> bool:
-    """Field-by-field check: every field ``match`` fixes equals the packet's
-    (``in_port`` against the port it arrived on)."""
+def match_hits(match: FlowMatch, packet: Packet) -> bool:
+    """Field-by-field check: every field ``match`` fixes equals the packet's."""
     return (
         (match.src_ip is None or match.src_ip == packet.src_ip)
         and (match.dst_ip is None or match.dst_ip == packet.dst_ip)
@@ -502,15 +501,14 @@ def match_hits(match: FlowMatch, packet: Packet, in_port: int | None) -> bool:
         and (match.ip_proto is None or match.ip_proto == packet.ip_proto)
         and (match.service_port is None or match.service_port == packet.service_port)
         and (match.packet_type is None or match.packet_type == packet.packet_type)
-        and (match.in_port is None or match.in_port == in_port)
     )
 
 
-def scan_lookup(rules: list[FlowRule], packet: Packet, in_port: int | None) -> FlowRule | None:
+def scan_lookup(rules: list[FlowRule], packet: Packet) -> FlowRule | None:
     """The first rule of a priority-ordered table that matches: a linear
     scan, so its cost grows with the table."""
     for rule in rules:
-        if match_hits(rule.match, packet, in_port):
+        if match_hits(rule.match, packet):
             return rule
     return None
 

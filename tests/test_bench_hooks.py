@@ -1,13 +1,20 @@
-"""The benchmark's per-layer hooks name functions that exist.
+"""The benchmark's per-layer hooks name functions that exist, and their
+observers can read what they measure.
 
 ``benchmarks/tracing.py`` patches each ``HOOKS`` target by module and
 name, and a target that is gone only turns its metrics to null, so a
-rename in ``sdnsec`` would otherwise pass every test here.
+rename in ``sdnsec`` would otherwise pass every test here.  An observer
+that can no longer read its counter (a switch's ``table`` and its ``len``,
+a repository's ``len``) files it under ``LayerStats.unknown``, which also
+turns a metric to null.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+from sdnsec.scenario import bundled_scenario_path, load_scenario
+from sdnsec.simulation import run
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
@@ -26,3 +33,16 @@ def test_every_hook_target_resolves():
         pass
     assert tracer.warnings == []
     assert tracer.missing == set()
+
+
+def test_every_observer_reads_its_counters_in_a_run():
+    tracing = _load_tracing()
+    with tracing.Tracer() as tracer:
+        run(load_scenario(bundled_scenario_path("four_domain_transit")))
+    assert {name: stats.unknown for name, stats in tracer.stats.items() if stats.unknown} == {}
+    # the two observers that read the program's objects ran
+    assert tracer.stats["dataplane.lookup"].calls > 0
+    assert tracer.stats["policy.select_policy"].calls > 0
+    metrics = tracer.metrics()
+    assert metrics["dataplane.lookup.table_len_mean"] > 0
+    assert metrics["policy.select_policy.repo_len_mean"] > 0

@@ -32,24 +32,17 @@ def transit_world():
 
 
 def test_synthesize_batch_is_twice_path_length():
-    def port_of(switch, peer):
-        return 1
-
     packet = make_packet()
     for k in range(1, 7):
         path = tuple(f"SW{i}" for i in range(k))
-        batch = synthesize_rules(
-            path, packet, "pe", final_peer="dst", entry_peer="src", port_of=port_of
-        )
+        batch = synthesize_rules(path, packet, "pe", final_peer="dst", entry_peer="src")
         assert len(batch) == 2 * k
         assert batch.provenance == "pe"
 
 
 def test_synthesized_rules_match_flow_tuple_and_reverse():
     packet = make_packet()
-    batch = synthesize_rules(
-        ("SW1", "SW2"), packet, "pe", final_peer="dst", entry_peer="src", port_of=lambda s, p: 7
-    )
+    batch = synthesize_rules(("SW1", "SW2"), packet, "pe", final_peer="dst", entry_peer="src")
     forward = [rule for _, rule in batch.installs if rule.match.src_ip == packet.src_ip]
     reverse = [rule for _, rule in batch.installs if rule.match.src_ip == packet.dst_ip]
     assert len(forward) == len(reverse) == 2
@@ -62,14 +55,6 @@ def test_synthesized_batch_is_pinned_rule_by_rule():
     # forward rules in path order, then return rules in path order: install
     # numbers break lookup ties and order a switch's flow dump
     packet = make_packet()
-    ports = {
-        ("S1", "S2"): 1,
-        ("S2", "S3"): 2,
-        ("S3", "dst"): 3,
-        ("S1", "src"): 4,
-        ("S2", "S1"): 5,
-        ("S3", "S2"): 6,
-    }
     handle = extend_handle(None, packet.flow_id, "AS1", b"k")
     ptt = forward_ptt(None, packet.flow_id, "AS1", (Constraint(ConstraintKind.RATE_THRESHOLD, rate=3),), b"k")
     profile = frozenset({"ids", "fw"})
@@ -79,30 +64,29 @@ def test_synthesized_batch_is_pinned_rule_by_rule():
         "pe",
         final_peer="dst",
         entry_peer="src",
-        port_of=lambda switch, peer: ports[switch, peer],
         sec_profile=profile,
         handle_out=handle,
         ptt_out=ptt,
     )
     forward = (packet.src_ip, packet.dst_ip)
     reverse = (packet.dst_ip, packet.src_ip)
-    assert [(s, (r.match.src_ip, r.match.dst_ip), r.out_port) for s, r in batch.installs] == [
-        ("S1", forward, 1),
-        ("S2", forward, 2),
-        ("S3", forward, 3),
-        ("S1", reverse, 4),
-        ("S2", reverse, 5),
-        ("S3", reverse, 6),
+    assert [(s, (r.match.src_ip, r.match.dst_ip), r.next_hop) for s, r in batch.installs] == [
+        ("S1", forward, "S2"),
+        ("S2", forward, "S3"),
+        ("S3", forward, "dst"),
+        ("S1", reverse, "src"),
+        ("S2", reverse, "S1"),
+        ("S3", reverse, "S2"),
     ]
     assert [(r.handle, r.ptt) for _, r in batch.installs] == [(None, None)] * 2 + [(handle, ptt)] + [(None, None)] * 3
     for _, rule in batch.installs:
         assert (rule.action, rule.priority) == (ActionKind.FORWARD, FLOW_RULE_PRIORITY)
         assert rule.sec_profile_tags == profile
         assert (rule.match.ip_proto, rule.match.service_port, rule.match.packet_type) == ("tcp", 443, "HTTPS")
-        assert (rule.match.src_mac, rule.match.dst_mac, rule.match.in_port) == (None, None, None)
+        assert (rule.match.src_mac, rule.match.dst_mac) == (None, None)
     assert batch.provenance == "pe"
     with pytest.raises(ValueError):
-        synthesize_rules((), packet, "pe", final_peer="dst", entry_peer="src", port_of=lambda s, p: 1)
+        synthesize_rules((), packet, "pe", final_peer="dst", entry_peer="src")
 
 
 def test_empty_repository_is_default_deny(transit_world):

@@ -35,29 +35,43 @@ def make_switch(**kwargs):
     return Switch("SW1", SecurityLabel(2), **kwargs)
 
 
-def forward(priority, port, **match):
-    return FlowRule(FlowMatch(**match), ActionKind.FORWARD, priority, out_port=port)
+def forward(priority, next_hop, **match):
+    return FlowRule(FlowMatch(**match), ActionKind.FORWARD, priority, next_hop=next_hop)
 
 
 def test_empty_table_is_packet_in():
-    assert make_switch().lookup(make_packet(), None) is None
+    assert make_switch().lookup(make_packet()) is None
 
 
 def test_installed_rule_forwards():
     sw = make_switch()
     sw.attach("peer-a")
     sw.attach("peer-b")
-    rule = forward(100, 2, packet_type="HTTP")
+    rule = forward(100, "peer-b", packet_type="HTTP")
     sw.install(rule)
-    assert sw.lookup(make_packet(), None) is rule
-    assert sw.ports[rule.out_port] == "peer-b"
+    assert sw.lookup(make_packet()) is rule
+    assert sw.ports[rule.next_hop] == 2
+    assert format_flow_dump(sw).endswith(" action=FORWARD:2\n")
+
+
+def test_forward_rule_toward_an_unattached_node_is_refused():
+    sw = make_switch()
+    sw.attach("peer")
+    sw.install(forward(100, "peer", service_port=80))
+    before = format_flow_dump(sw)
+    with pytest.raises(ValueError, match="SW1 has no port toward stranger"):
+        sw.install(forward(200, "stranger", service_port=80))
+    with pytest.raises(ValueError, match="SW1 has no port toward stranger"):
+        sw.install(forward(100, "stranger", service_port=443))
+    assert format_flow_dump(sw) == before
+    assert len(sw.table) == 1
 
 
 def test_drop_consumes_silently():
     sw = make_switch()
     block = FlowRule(FlowMatch(src_ip=ip("10.0.0.2")), ActionKind.DROP, 200)
     sw.install(block)
-    assert sw.lookup(make_packet(), None) is block
+    assert sw.lookup(make_packet()) is block
 
 
 def test_block_rule_stops_packet_ins():
@@ -65,7 +79,7 @@ def test_block_rule_stops_packet_ins():
     block = FlowRule(FlowMatch(src_ip=ip("10.0.0.2")), ActionKind.DROP, 200)
     sw.install(block)
     for port in range(2000, 2050):
-        assert sw.lookup(make_packet(service_port=port), None) is block
+        assert sw.lookup(make_packet(service_port=port)) is block
     assert flow_dump(sw) == [block]
 
 
@@ -73,49 +87,49 @@ def test_priority_wins_over_insertion_order():
     sw = make_switch()
     sw.attach("low")
     sw.attach("high")
-    sw.install(forward(10, 1))
-    high = forward(50, 2, packet_type="HTTP")
+    sw.install(forward(10, "low"))
+    high = forward(50, "high", packet_type="HTTP")
     sw.install(high)
-    assert sw.lookup(make_packet(), None) is high
-    assert sw.ports[high.out_port] == "high"
+    assert sw.lookup(make_packet()) is high
+    assert sw.ports[high.next_hop] == 2
 
 
 def test_reinstall_same_rule_is_idempotent():
     sw = make_switch()
     sw.attach("peer")
-    rule = forward(100, 1, packet_type="HTTP")
+    rule = forward(100, "peer", packet_type="HTTP")
     sw.install(rule)
-    sw.install(forward(100, 1, packet_type="HTTP"))
+    sw.install(forward(100, "peer", packet_type="HTTP"))
     assert len(flow_dump(sw)) == 1
 
 
 def test_higher_priority_replaces_identical_match():
     sw = make_switch()
     sw.attach("peer")
-    sw.install(forward(100, 1, packet_type="HTTP"))
-    replacement = forward(150, 1, packet_type="HTTP")
+    sw.install(forward(100, "peer", packet_type="HTTP"))
+    replacement = forward(150, "peer", packet_type="HTTP")
     sw.install(replacement)
     assert flow_dump(sw) == [replacement]
-    assert sw.lookup(make_packet(), None) is replacement
+    assert sw.lookup(make_packet()) is replacement
 
 
 def test_table_capacity_surfaces_error():
     sw = make_switch(capacity=2)
     sw.attach("peer")
-    sw.install(forward(1, 1, service_port=1))
-    sw.install(forward(1, 1, service_port=2))
+    sw.install(forward(1, "peer", service_port=1))
+    sw.install(forward(1, "peer", service_port=2))
     # a match already installed takes no new entry
     assert sw.room_for({FlowMatch(service_port=1), FlowMatch(service_port=2)})
     assert not sw.room_for({FlowMatch(service_port=1), FlowMatch(service_port=3)})
     with pytest.raises(TableFullError):
-        sw.install(forward(1, 1, service_port=3))
+        sw.install(forward(1, "peer", service_port=3))
 
 
 def test_dump_is_priority_then_insertion_ordered():
     sw = make_switch()
     sw.attach("peer")
-    a = forward(100, 1, packet_type="HTTP")
-    b = forward(100, 1, packet_type="FTP")
+    a = forward(100, "peer", packet_type="HTTP")
+    b = forward(100, "peer", packet_type="FTP")
     c = FlowRule(FlowMatch(packet_type="ARP"), ActionKind.TO_CONTROLLER, 10)
     sw.install(a)
     sw.install(b)
@@ -135,7 +149,7 @@ def test_dump_counts_distinct_installs():
     sw = make_switch()
     sw.attach("peer")
     for port in range(1, 26):
-        sw.install(forward(100, 1, service_port=port))
+        sw.install(forward(100, "peer", service_port=port))
     assert len(flow_dump(sw)) == 25
 
 
@@ -151,7 +165,7 @@ def test_outcomes_match_linear_scan_oracle():
             src_ip=rng.choice((None, ip("10.0.0.2"), ip("10.0.0.3"))),
         )
         action = rng.choice((ActionKind.FORWARD, ActionKind.DROP))
-        rule = FlowRule(match, action, rng.randrange(0, 300), out_port=1 if action == ActionKind.FORWARD else None)
+        rule = FlowRule(match, action, rng.randrange(0, 300), next_hop="peer" if action == ActionKind.FORWARD else None)
         try:
             sw.install(rule)
         except TableFullError:
@@ -161,7 +175,7 @@ def test_outcomes_match_linear_scan_oracle():
     def oracle(packet):
         best = None
         for rule in snapshot:  # snapshot is priority-desc, insertion-stable
-            if match_hits(rule.match, packet, None):
+            if match_hits(rule.match, packet):
                 if best is None or rule.priority > best.priority:
                     best = rule
         return best
@@ -172,7 +186,7 @@ def test_outcomes_match_linear_scan_oracle():
             packet_type=rng.choice(("HTTP", "FTP", "SYN", "HTTPS")),
             src_ip=rng.choice((ip("10.0.0.2"), ip("10.0.0.3"))),
         )
-        assert sw.lookup(packet, None) is oracle(packet)
+        assert sw.lookup(packet) is oracle(packet)
 
 
 ADDRESSES = (ip("10.0.0.2"), ip("10.0.0.3"))
@@ -184,7 +198,7 @@ def maybe(values):
 
 
 # a match fixes any subset of the fields, so the masks vary from the empty
-# one (matches everything) to all eight; MAC fields take one value, so they
+# one (matches everything) to all seven; MAC fields take one value, so they
 # change the mask without changing which packets match
 MATCHES = st.builds(
     FlowMatch,
@@ -195,7 +209,6 @@ MATCHES = st.builds(
     ip_proto=maybe(("tcp", "udp")),
     service_port=maybe((80, 443)),
     packet_type=maybe(("HTTP", "SYN")),
-    in_port=maybe((1, 2)),
 )
 PACKETS = st.builds(
     Packet,
@@ -221,7 +234,7 @@ def table_programs(draw):
         st.sampled_from((10, 100, 200)),
         st.sampled_from((ActionKind.FORWARD, ActionKind.DROP, ActionKind.TO_CONTROLLER)),
     )
-    packets = st.tuples(st.just("packet"), PACKETS, st.sampled_from((None, 1, 2)))
+    packets = st.tuples(st.just("packet"), PACKETS)
     return draw(st.integers(1, 6)), draw(st.lists(st.one_of(installs, packets), max_size=40))
 
 
@@ -235,7 +248,7 @@ def test_tuple_space_agrees_with_the_priority_scan(program):
     for op in ops:
         if op[0] == "install":
             _, match, priority, action = op
-            rule = FlowRule(match, action, priority, out_port=1 if action == ActionKind.FORWARD else None)
+            rule = FlowRule(match, action, priority, next_hop="peer" if action == ActionKind.FORWARD else None)
             fits = sw.room_for({match})
             for table in (sw, reference):
                 if fits:
@@ -247,8 +260,8 @@ def test_tuple_space_agrees_with_the_priority_scan(program):
             assert flow_dump(sw) == reference.rules
             assert len(sw.table) == len(reference.rules)
         else:
-            _, packet, in_port = op
-            expected = scan_lookup(reference.rules, packet, in_port)
-            found = sw.lookup(packet, in_port)
-            assert found is scan_lookup(flow_dump(sw), packet, in_port)
+            _, packet = op
+            expected = scan_lookup(reference.rules, packet)
+            found = sw.lookup(packet)
+            assert found is scan_lookup(flow_dump(sw), packet)
             assert found is expected

@@ -126,7 +126,7 @@ def test_a_rule_toward_the_wrong_host_misdelivers():
     world = _minimal_world()
     switch = world.switches["S1"]
     to_b = FlowMatch(dst_ip=world.hosts["b"].ip)
-    switch.install(FlowRule(to_b, ActionKind.FORWARD, FLOW_RULE_PRIORITY, out_port=switch.port_to("a")))
+    switch.install(FlowRule(to_b, ActionKind.FORWARD, FLOW_RULE_PRIORITY, next_hop="a"))
     report = Simulation(world).run()
     assert [(f.reason, f.drop_domain) for f in report.flows] == [("MISDELIVERED", "AS1")]
     assert report.counters["dropped_other"] == 1

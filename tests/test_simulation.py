@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnsec.dataplane import ARP_RULE_PRIORITY, FLOW_RULE_PRIORITY, Packet, flow_dump, format_flow_dump
+from sdnsec.dataplane import ARP_RULE_PRIORITY, FLOW_RULE_PRIORITY, ActionKind, Packet, flow_dump, format_flow_dump
 from sdnsec.defense import ResponseMode
 from sdnsec.interdomain import extend_handle
 from sdnsec.metrics import emit
@@ -600,6 +600,8 @@ def test_mutated_bundled_scenarios_are_rejected_or_run_clean(doc):
         # short leaves a forward rule without its return rule
         installed = {rule.match for rule in flow_dump(switch)}
         for rule in flow_dump(switch):
+            if rule.action == ActionKind.FORWARD:
+                assert rule.next_hop in switch.ports
             if rule.priority == FLOW_RULE_PRIORITY:
                 match = rule.match
                 assert replace(match, src_ip=match.dst_ip, dst_ip=match.src_ip) in installed

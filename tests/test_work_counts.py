@@ -1,13 +1,20 @@
-"""No ``ipaddress`` object and no ``dataclasses.asdict`` on the per-flow path.
+"""Deterministic work counts on the per-flow path.
 
-Addresses are plain integers from the parser on, and a ``records`` line is
-encoded from its record's fields.  This test counts the calls that either
-regression would bring back: building, hashing, comparing or formatting an
-``IPv4Address`` or ``IPv4Network``, and ``dataclasses.asdict``.  It runs
-every golden case and the benchmark workloads at seed 1, building each world
-first, and asserts that ``Simulation.run()`` and ``emit`` in every format
-make none of these calls.  The counts are deterministic, so a lost
-optimisation fails here at once, whatever the machine's speed.
+No ``ipaddress`` object and no ``dataclasses.asdict``: addresses are plain
+integers from the parser on, and a ``records`` line is encoded from its
+record's fields.  These tests count the calls that either regression would
+bring back: building, hashing, comparing or formatting an ``IPv4Address``
+or ``IPv4Network``, and ``dataclasses.asdict``.  They run every golden case
+and the benchmark workloads at seed 1, building each world first, and
+assert that ``Simulation.run()`` and ``emit`` in every format make none of
+these calls.
+
+Dataplane calls that grow with the offered flows: the bundled flood at
+three request rates makes ``Switch.lookup`` and ``Switch.install`` calls
+in proportion to its flows, within :data:`GROWTH_FACTOR`.
+
+The counts are deterministic, so a lost optimisation fails here at once,
+whatever the machine's speed.
 """
 
 import dataclasses
@@ -20,8 +27,9 @@ import pytest
 from test_golden import CASES, build_case
 from test_workloads import WORKLOADS
 
+from sdnsec.dataplane import Switch
 from sdnsec.metrics import emit
-from sdnsec.scenario import parse_scenario
+from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from sdnsec.simulation import Simulation, build_world
 
 COUNTED = (
@@ -120,3 +128,33 @@ def test_run_and_emit_build_no_address_object_and_call_no_asdict(case):
     with CallCounter() as counter:
         calls = counter.counting(lambda: _run_and_emit(world))
     assert calls == Counter()
+
+
+FLOOD_RATES = (250, 1_000, 4_000)
+# Calls per offered flow at any two rates differ by at most this factor.
+# Where the tables have room each flow makes 3 lookups and 4 installs; at
+# 4,000 rps the tables fill and about half the flows stop at the
+# controller, which lowers both.  A count that grew with the table or with
+# the load would multiply by about 4 from one rate to the next.
+GROWTH_FACTOR = 2.5
+
+
+def test_dataplane_calls_grow_no_faster_than_the_offered_flows(monkeypatch):
+    calls: Counter[str] = Counter()
+    for name in ("lookup", "install"):
+
+        def counted(*args, _original=getattr(Switch, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Switch, name, counted)
+    flood = load_scenario(bundled_scenario_path("flood_single_domain"))
+    per_flow = {}
+    for rate in FLOOD_RATES:
+        world = build_world(flood.with_flood_rate(rate))
+        calls.clear()
+        report = Simulation(world).run()
+        per_flow[rate] = {name: count / report.counters["offered"] for name, count in calls.items()}
+    for name in ("lookup", "install"):
+        ratios = [per_flow[rate].get(name, 0) for rate in FLOOD_RATES]
+        assert 0 < max(ratios) <= GROWTH_FACTOR * min(ratios), (name, per_flow)
