@@ -8,8 +8,8 @@ from ipaddress import IPv4Network
 from sdnsec import (
     DomainInfo,
     FlowContext,
+    Packet,
     SecurityLabel,
-    derive_flow_id,
     format_compact_pe,
     match_pe,
     parse_compact_pe,
@@ -42,17 +42,19 @@ print("\nrepository record 21 round-trips to compact form:")
 print(" ", format_compact_pe(pe))
 
 # The same rule evaluated against a flow arriving at a transit domain.
-src_ip, dst_ip = parse_ipv4("10.0.0.2"), parse_ipv4("192.168.52.72")
-ctx = FlowContext(
-    flow_id=derive_flow_id(src_ip, dst_ip, "tcp", 443),
-    src_as=DomainInfo("AS1", IPv4Network("10.0.0.0/24"), "EDU", SecurityLabel(2)),
-    dst_as=DomainInfo("AS4", IPv4Network("192.168.52.0/24"), "EDU", SecurityLabel(4)),
-    src_ip=src_ip,
-    dst_ip=dst_ip,
+packet = Packet(
+    src_ip=parse_ipv4("10.0.0.2"),
+    dst_ip=parse_ipv4("192.168.52.72"),
     src_mac="00:00:00:00:00:01",
     dst_mac="00:00:00:00:01:01",
+    ip_proto="tcp",
     service_port=443,
     packet_type="HTTPS",
+)
+ctx = FlowContext(
+    packet=packet,
+    src_as=DomainInfo("AS1", IPv4Network("10.0.0.0/24"), "EDU", SecurityLabel(2)),
+    dst_as=DomainInfo("AS4", IPv4Network("192.168.52.0/24"), "EDU", SecurityLabel(4)),
     timestamp=0,
     traversed_path=("AS1", "AS2"),
 )

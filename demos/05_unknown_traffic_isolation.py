@@ -16,8 +16,11 @@ report = Simulation(world).run()
 guest = report.flow("guest", "192.168.52.80")
 trusted = report.flow("trusted", "192.168.52.90")
 
+def label(switch):
+    return world.controllers[world.switch_domain[switch]].intra.node(switch)
+
 def describe(name, flow):
-    labels = [f"{s}({world.switches[s].sec_label})" for s in flow.switch_path]
+    labels = [f"{s}({label(s)})" for s in flow.switch_path]
     print(f"{name}: {flow.outcome} over {' -> '.join(labels)}")
     print(f"        domains: {' -> '.join(flow.as_path)}")
 
@@ -26,5 +29,5 @@ describe("trusted", trusted)
 
 shared = set(guest.switch_path) & set(trusted.switch_path)
 print(f"\nswitches shared by the two flows: {shared or 'none'}")
-guest_ranks = {world.switches[s].sec_label.rank for s in guest.switch_path}
+guest_ranks = {label(s).rank for s in guest.switch_path}
 print(f"labels on the guest route: {sorted(guest_ranks)} (lowest only)")

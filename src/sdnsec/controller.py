@@ -152,7 +152,7 @@ class ControllerEvent:
     tick: int
     flow_id: str
     summary: str
-    verdict: str
+    verdict: str  # install | drop
     reason: str
     matched_pe: str | None
     rules_installed: int
@@ -296,15 +296,9 @@ class Controller:
             traversed = ()
         dst_domain = self.domain_for_ip(packet.dst_ip)
         return FlowContext(
-            flow_id=packet.flow_id,
+            packet=packet,
             src_as=self._domain_info(src_domain),
             dst_as=self._domain_info(dst_domain) if dst_domain else DomainInfo(""),
-            src_ip=packet.src_ip,
-            dst_ip=packet.dst_ip,
-            src_mac=packet.src_mac,
-            dst_mac=packet.dst_mac,
-            service_port=packet.service_port,
-            packet_type=packet.packet_type,
             timestamp=tick,
             user=self.user_bindings.get(packet.src_mac),
             traversed_path=traversed,
@@ -389,14 +383,9 @@ class Controller:
         if ptt is not None and self.enforcement_enabled:
             sender = handle.visited[-1] if handle is not None else ptt.origin_as
             key = self.key_ring.get(sender)
-            if key is not None and verify_ptt(ptt, key):
-                verified_ptt = ptt
-            else:
-                self.events.append(
-                    ControllerEvent(
-                        tick, flow_id, summary, "security", "PTT_TAG_INVALID", None, 0, 0
-                    )
-                )
+            if key is None or not verify_ptt(ptt, key):
+                return drop(DropReason.HANDLE_INVALID)
+            verified_ptt = ptt
 
         ctx = self.build_context(packet, handle, tick)
         winner: PolicyExpression | None = BASELINE

@@ -26,7 +26,6 @@ from itertools import count
 from operator import attrgetter
 
 from .interdomain import Handle, PolicyTransferToken
-from .labels import SecurityLabel
 from .policy import derive_flow_id, format_ipv4
 
 __all__ = [
@@ -171,11 +170,9 @@ class Switch:
     def __init__(
         self,
         switch_id: str,
-        sec_label: SecurityLabel,
         capacity: int = DEFAULT_TABLE_CAPACITY,
     ):
         self.id = switch_id
-        self.sec_label = sec_label
         self.capacity = capacity
         # attached peer (switch or host id) -> its port number
         self.ports: dict[str, int] = {}

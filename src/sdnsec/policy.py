@@ -9,6 +9,10 @@ most-specific-allow with the smallest id as the final tie-break, so the
 winner is a pure function of (repository, context); no winner is the
 default deny.
 
+A flow context is the packet itself plus what the controller knows about the
+flow.  Host MACs, in a packet or a selector, arrive normalized from the
+reader (:func:`normalize_mac`), so matching compares them as they are.
+
 A repository is selected through a :class:`PolicyIndex`, which files each
 expression under its first exact flow id, source host, destination host or
 service port.  A selection probes those few buckets plus the wildcard list
@@ -32,8 +36,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from ipaddress import IPv4Network
+from typing import TYPE_CHECKING
 
 from .labels import LabelWindow, SecurityLabel
+
+if TYPE_CHECKING:
+    from .dataplane import Packet
 
 __all__ = [
     "Action",
@@ -270,24 +278,19 @@ class DomainInfo:
 
 @dataclass(frozen=True)
 class FlowContext:
-    """Everything extracted from a packet (and its handle) that policies see."""
+    """What policies see of one flow: its packet, plus what the controller
+    knows about it (the two domains, the tick, the bound user and the
+    domains traversed so far).  The packet's MACs arrive normalized from the
+    scenario reader."""
 
-    flow_id: str
+    packet: Packet
     src_as: DomainInfo
     dst_as: DomainInfo
-    src_ip: int
-    dst_ip: int
-    src_mac: str
-    dst_mac: str
-    service_port: int
-    packet_type: str
     timestamp: int
     user: str | None = None
     traversed_path: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "src_mac", normalize_mac(self.src_mac))
-        object.__setattr__(self, "dst_mac", normalize_mac(self.dst_mac))
         if len(set(self.traversed_path)) != len(self.traversed_path):
             raise ValueError(f"traversed path repeats a domain: {self.traversed_path}")
 
@@ -314,13 +317,14 @@ def _selector_matches(sel: EndpointSelector, domain: DomainInfo, ip: int, mac: s
 def predicates_hold(constraints: tuple[Constraint, ...], ctx: FlowContext) -> bool:
     """True iff every PACKET_ATTR and SIGNATURE constraint holds for ``ctx``;
     other kinds are not predicates on the packet and are skipped."""
+    packet = ctx.packet
     for constraint in constraints:
         if constraint.kind is ConstraintKind.PACKET_ATTR:
-            actual = {"type": ctx.packet_type, "port": str(ctx.service_port)}.get(constraint.attr or "")
+            actual = {"type": packet.packet_type, "port": str(packet.service_port)}.get(constraint.attr or "")
             if actual != constraint.value:
                 return False
         elif constraint.kind is ConstraintKind.SIGNATURE:
-            if ctx.packet_type != constraint.signature:
+            if packet.packet_type != constraint.signature:
                 return False
     return True
 
@@ -332,15 +336,16 @@ def match_pe(pe: PolicyExpression, ctx: FlowContext) -> bool:
     condition requires the context's traversed domains to equal it exactly;
     a switch-typed path is an obligation, never a condition.
     """
-    if pe.flow_id is not None and pe.flow_id != ctx.flow_id:
+    packet = ctx.packet
+    if pe.flow_id is not None and pe.flow_id != packet.flow_id:
         return False
-    if not _selector_matches(pe.source, ctx.src_as, ctx.src_ip, ctx.src_mac):
+    if not _selector_matches(pe.source, ctx.src_as, packet.src_ip, packet.src_mac):
         return False
-    if not _selector_matches(pe.dest, ctx.dst_as, ctx.dst_ip, ctx.dst_mac):
+    if not _selector_matches(pe.dest, ctx.dst_as, packet.dst_ip, packet.dst_mac):
         return False
     if pe.user is not None and pe.user != ctx.user:
         return False
-    if pe.services is not None and ctx.service_port not in pe.services:
+    if pe.services is not None and packet.service_port not in pe.services:
         return False
     if pe.domain_path is not None and ctx.traversed_path != pe.domain_path:
         return False
@@ -431,11 +436,12 @@ class PolicyIndex:
 
     def candidates(self, ctx: FlowContext) -> list[PolicyExpression]:
         """Every expression that could match ``ctx``, each once."""
+        packet = ctx.packet
         return [
-            *self._by_flow.get(ctx.flow_id, ()),
-            *self._by_src.get(ctx.src_ip, ()),
-            *self._by_dst.get(ctx.dst_ip, ()),
-            *self._by_port.get(ctx.service_port, ()),
+            *self._by_flow.get(packet.flow_id, ()),
+            *self._by_src.get(packet.src_ip, ()),
+            *self._by_dst.get(packet.dst_ip, ()),
+            *self._by_port.get(packet.service_port, ()),
             *self._wild,
         ]
 

@@ -92,7 +92,7 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
     for domain in scenario.domains:
         graph = Graph()
         for spec in domain.switches:
-            switches[spec.id] = Switch(spec.id, spec.label, capacity=scenario.table_capacity)
+            switches[spec.id] = Switch(spec.id, capacity=scenario.table_capacity)
             switch_domain[spec.id] = domain.id
             graph.add_node(spec.id, spec.label)
         for a, b in domain.links:

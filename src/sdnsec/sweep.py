@@ -27,6 +27,7 @@ from .scenario import (
     SwitchSpec,
 )
 from .simulation import run
+from .topology import gateway_name
 
 __all__ = [
     "SWEEP_AXES",
@@ -99,11 +100,11 @@ def chain_scenario(as_count: int, mode: str = "reactive", enforcement: bool = Tr
         switches = [SwitchSpec(transit, SecurityLabel(2))]
         links: list[tuple[str, str]] = []
         if i > 1:
-            gateway = f"{i}SW{i - 1}"
+            gateway = gateway_name(f"AS{i}", f"AS{i - 1}")
             switches.append(SwitchSpec(gateway, SecurityLabel(2)))
             links.append((gateway, transit))
         if i < as_count:
-            gateway = f"{i}SW{i + 1}"
+            gateway = gateway_name(f"AS{i}", f"AS{i + 1}")
             switches.append(SwitchSpec(gateway, SecurityLabel(2)))
             links.append((transit, gateway))
         hosts = []

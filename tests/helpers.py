@@ -29,7 +29,6 @@ from sdnsec.policy import (
     EndpointSelector,
     FlowContext,
     PolicyExpression,
-    derive_flow_id,
     match_pe,
     specificity,
 )
@@ -46,26 +45,25 @@ def make_domain(as_id="AS1", subnet="10.0.0.0/24", as_type="EDU", rank=2) -> Dom
 
 
 def make_ctx(**overrides) -> FlowContext:
-    src_ip = overrides.pop("src_ip", ip("10.0.0.2"))
-    dst_ip = overrides.pop("dst_ip", ip("192.168.52.72"))
-    port = overrides.pop("service_port", 443)
-    proto = overrides.pop("ip_proto", "tcp")
-    defaults = dict(
-        flow_id=derive_flow_id(src_ip, dst_ip, proto, port),
-        src_as=make_domain("AS1", "10.0.0.0/24", "EDU", 2),
-        dst_as=make_domain("AS4", "192.168.52.0/24", "EDU", 4),
-        src_ip=src_ip,
-        dst_ip=dst_ip,
+    """A context whose packet and controller facts take ``overrides``; a
+    :class:`Packet` field name sets that header field."""
+    header = dict(
+        src_ip=ip("10.0.0.2"),
+        dst_ip=ip("192.168.52.72"),
         src_mac="00:00:00:00:00:01",
         dst_mac="00:00:00:00:01:01",
-        service_port=port,
+        ip_proto="tcp",
+        service_port=443,
         packet_type="HTTPS",
+    )
+    header.update({name: overrides.pop(name) for name in list(header) if name in overrides})
+    defaults = dict(
+        src_as=make_domain("AS1", "10.0.0.0/24", "EDU", 2),
+        dst_as=make_domain("AS4", "192.168.52.0/24", "EDU", 4),
         timestamp=0,
-        user=None,
-        traversed_path=(),
     )
     defaults.update(overrides)
-    return FlowContext(**defaults)
+    return FlowContext(Packet(**header), **defaults)
 
 
 def random_ctx(rng: random.Random) -> FlowContext:
@@ -85,16 +83,13 @@ def random_ctx(rng: random.Random) -> FlowContext:
     dst_ip = ip(f"192.168.{rng.randrange(4)}.{rng.randrange(1, 9)}")
     port = rng.choice(PORTS)
     traversed = tuple(AS_IDS[: rng.randrange(0, 4)])
+    packet = Packet(
+        src_ip, dst_ip, rng.choice(MACS), rng.choice(MACS), "tcp", port, rng.choice(PACKET_TYPES)
+    )
     return FlowContext(
-        flow_id=derive_flow_id(src_ip, dst_ip, "tcp", port),
+        packet=packet,
         src_as=src_as,
         dst_as=dst_as,
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_mac=rng.choice(MACS),
-        dst_mac=rng.choice(MACS),
-        service_port=port,
-        packet_type=rng.choice(PACKET_TYPES),
         timestamp=rng.randrange(0, 1000),
         user=rng.choice((None, "alice", "bob")),
         traversed_path=traversed,
@@ -182,27 +177,27 @@ def matching_pe(rng: random.Random, ctx: FlowContext, pe_id: str) -> PolicyExpre
 
     def constraints() -> tuple[Constraint, ...]:
         options = (
-            Constraint(ConstraintKind.PACKET_ATTR, attr="type", value=ctx.packet_type),
-            Constraint(ConstraintKind.PACKET_ATTR, attr="port", value=str(ctx.service_port)),
-            Constraint(ConstraintKind.SIGNATURE, signature=ctx.packet_type),
+            Constraint(ConstraintKind.PACKET_ATTR, attr="type", value=ctx.packet.packet_type),
+            Constraint(ConstraintKind.PACKET_ATTR, attr="port", value=str(ctx.packet.service_port)),
+            Constraint(ConstraintKind.SIGNATURE, signature=ctx.packet.packet_type),
             Constraint(ConstraintKind.RATE_THRESHOLD, rate=Fraction(rng.randrange(1, 100))),
             Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint("SL1+=")),
         )
         return tuple(rng.sample(options, rng.randrange(1, 3))) if rng.random() < 0.5 else ()
 
-    others = [port for port in PORTS if port != ctx.service_port]
+    others = [port for port in PORTS if port != ctx.packet.service_port]
     start = rng.randrange(0, ctx.timestamp + 1)
     path = ctx.traversed_path or ("SW1", "SW2")
     return PolicyExpression(
         id=pe_id,
         action=Action.ALLOW,
-        flow_id=pick(ctx.flow_id),
-        source=selector(ctx.src_as, ctx.src_ip, ctx.src_mac),
-        dest=selector(ctx.dst_as, ctx.dst_ip, ctx.dst_mac),
+        flow_id=pick(ctx.packet.flow_id),
+        source=selector(ctx.src_as, ctx.packet.src_ip, ctx.packet.src_mac),
+        dest=selector(ctx.dst_as, ctx.packet.dst_ip, ctx.packet.dst_mac),
         user=pick(ctx.user),
         flow_cons=constraints(),
         dom_cons=constraints(),
-        services=pick(frozenset({ctx.service_port, *rng.sample(others, rng.randrange(0, 3))})),
+        services=pick(frozenset({ctx.packet.service_port, *rng.sample(others, rng.randrange(0, 3))})),
         sec_profile=pick(frozenset(rng.sample(("conf", "intg"), rng.randrange(1, 3)))),
         path=pick(path),
         validity=pick((start, ctx.timestamp + rng.randrange(1, 500))),
@@ -217,10 +212,10 @@ def non_wildcard_fields(pe: PolicyExpression) -> set[str]:
 def oracle_match(pe: PolicyExpression, ctx: FlowContext) -> bool:
     """Plain conjunction of per-field predicates, written independently."""
     checks = []
-    checks.append(pe.flow_id is None or pe.flow_id == ctx.flow_id)
+    checks.append(pe.flow_id is None or pe.flow_id == ctx.packet.flow_id)
     for sel, dom, address, mac in (
-        (pe.source, ctx.src_as, ctx.src_ip, ctx.src_mac),
-        (pe.dest, ctx.dst_as, ctx.dst_ip, ctx.dst_mac),
+        (pe.source, ctx.src_as, ctx.packet.src_ip, ctx.packet.src_mac),
+        (pe.dest, ctx.dst_as, ctx.packet.dst_ip, ctx.packet.dst_mac),
     ):
         checks.append(sel.as_id is None or sel.as_id == dom.as_id)
         checks.append(sel.subnet is None or IPv4Address(address) in sel.subnet)
@@ -244,7 +239,7 @@ def oracle_match(pe: PolicyExpression, ctx: FlowContext) -> bool:
         checks.append(sel.host_ip is None or sel.host_ip == address)
         checks.append(sel.host_mac is None or sel.host_mac == mac)
     checks.append(pe.user is None or pe.user == ctx.user)
-    checks.append(pe.services is None or ctx.service_port in pe.services)
+    checks.append(pe.services is None or ctx.packet.service_port in pe.services)
     if pe.path is not None and pe.path[0].startswith("AS"):
         checks.append(tuple(ctx.traversed_path) == tuple(pe.path))
     if pe.validity is not None:
@@ -252,13 +247,13 @@ def oracle_match(pe: PolicyExpression, ctx: FlowContext) -> bool:
     for constraint in pe.flow_cons + pe.dom_cons:
         if constraint.kind is ConstraintKind.PACKET_ATTR:
             if constraint.attr == "type":
-                checks.append(ctx.packet_type == constraint.value)
+                checks.append(ctx.packet.packet_type == constraint.value)
             elif constraint.attr == "port":
-                checks.append(str(ctx.service_port) == constraint.value)
+                checks.append(str(ctx.packet.service_port) == constraint.value)
             else:
                 checks.append(False)
         elif constraint.kind is ConstraintKind.SIGNATURE:
-            checks.append(ctx.packet_type == constraint.signature)
+            checks.append(ctx.packet.packet_type == constraint.signature)
     return all(checks)
 
 

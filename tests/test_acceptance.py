@@ -114,7 +114,7 @@ def test_unknown_transit_isolation():
         trusted = report.flow("trusted", "192.168.52.90")
         assert guest.outcome == "delivered"
         assert trusted.outcome == "delivered"
-        assert {world.switches[s].sec_label.rank for s in guest.switch_path} == {1}
+        assert {world.controllers[world.switch_domain[s]].intra.node(s).rank for s in guest.switch_path} == {1}
         assert set(guest.switch_path) & set(trusted.switch_path) == set()
 
 

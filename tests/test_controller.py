@@ -194,16 +194,13 @@ def _from_as1(world, packet, ptt_key: bytes, *constraints):
     return world.controllers["AS2"].handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle, ptt=ptt)
 
 
-def test_forged_token_is_logged_and_its_constraints_are_not_passed_on(transit_world):
+def test_forged_token_drops_the_flow(transit_world):
     ctrl = transit_world.controllers["AS2"]
     result = _from_as1(transit_world, make_packet(), b"wrong-key", _label_path("SL2+="))
     assert [(e.verdict, e.reason, e.matched_pe) for e in ctrl.events] == [
-        ("security", "PTT_TAG_INVALID", None),
-        ("install", "allowed by 4", "4"),
+        ("drop", "HANDLE_INVALID", None),
     ]
-    _, _, rule = egress_hop(transit_world, result.batch)
-    assert rule.handle.visited == ("AS1", "AS2")
-    assert rule.ptt is None
+    assert result.batch is None
 
 
 def test_delegated_packet_predicate_that_fails_drops_policy(transit_world):

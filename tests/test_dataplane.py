@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import ScanTable, ip, match_hits, scan_lookup
-from sdnsec.labels import SecurityLabel
 from sdnsec.dataplane import (
     ActionKind,
     FlowMatch,
@@ -32,7 +31,7 @@ def make_packet(**overrides):
 
 
 def make_switch(**kwargs):
-    return Switch("SW1", SecurityLabel(2), **kwargs)
+    return Switch("SW1", **kwargs)
 
 
 def forward(priority, next_hop, **match):

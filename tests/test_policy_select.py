@@ -219,7 +219,7 @@ CHOICES = st.tuples(
     st.randoms(use_true_random=False),
 )
 def test_indexed_selection_agrees_with_the_scan(ctxs, rows, twins, rng):
-    flow_ids = [ctx.flow_id for ctx in ctxs] + ["10.9.9.9>192.168.9.9:1/tcp"]
+    flow_ids = [ctx.packet.flow_id for ctx in ctxs] + ["10.9.9.9>192.168.9.9:1/tcp"]
     # twins repeat a row's conditions under another id, and ids are shuffled
     # against list order, so the id tie-break decides equal allows
     rows = rows + rows[:twins]

@@ -123,7 +123,7 @@ def test_unknown_traffic_isolated_on_low_label_switches():
     guest = report.flow("guest", "192.168.52.80")
     trusted = report.flow("trusted", "192.168.52.90")
     assert guest.outcome == trusted.outcome == "delivered"
-    guest_labels = {world.switches[s].sec_label.rank for s in guest.switch_path}
+    guest_labels = {world.controllers[world.switch_domain[s]].intra.node(s).rank for s in guest.switch_path}
     assert guest_labels == {1}
     assert set(guest.switch_path).isdisjoint(trusted.switch_path)
 

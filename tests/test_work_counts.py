@@ -7,11 +7,17 @@ bring back: building, hashing, comparing or formatting an ``IPv4Address``
 or ``IPv4Network``, and ``dataclasses.asdict``.  They run every golden case
 and the benchmark workloads at seed 1, building each world first, and
 assert that ``Simulation.run()`` and ``emit`` in every format make none of
-these calls.
+these calls.  Nor do they call ``normalize_mac``: the scenario reader
+normalizes every MAC, and a packet-in's flow context holds the packet itself.
 
 Dataplane calls that grow with the offered flows: the bundled flood at
 three request rates makes ``Switch.lookup`` and ``Switch.install`` calls
 in proportion to its flows, within :data:`GROWTH_FACTOR`.
+
+Control-plane calls with upper bounds that hold at every size: a padded
+repository matches at most one expression per offered flow, whatever its
+size; a chain of n domains makes at most 2n-1 switch path searches and n
+matches.
 
 The counts are deterministic, so a lost optimisation fails here at once,
 whatever the machine's speed.
@@ -29,8 +35,11 @@ from test_workloads import WORKLOADS
 
 from sdnsec.dataplane import Switch
 from sdnsec.metrics import emit
+from sdnsec.policy import match_pe, normalize_mac
 from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from sdnsec.simulation import Simulation, build_world
+from sdnsec.sweep import chain_scenario, pad_policies
+from sdnsec.topology import _least_shortest_path
 
 COUNTED = (
     *((IPv4Address, name) for name in ("__init__", "__hash__", "__eq__", "__str__", "__format__")),
@@ -40,13 +49,15 @@ FORMATS = ("records", "table", "delimited")
 
 
 class CallCounter:
-    """Wraps every :data:`COUNTED` method and ``dataclasses.asdict`` (where
+    """Wraps every :data:`COUNTED` method and each of ``functions`` (where
     it is defined and wherever an ``sdnsec`` module imported it by name);
-    calls count only inside :meth:`counting`."""
+    calls count only inside :meth:`counting`, under the function's
+    ``module.name``."""
 
-    def __init__(self) -> None:
+    def __init__(self, functions=(dataclasses.asdict,)) -> None:
         self.calls: Counter[str] = Counter()
         self.active = False
+        self.functions = functions
         self._undo: list = []
 
     def _wrap(self, label: str, original):
@@ -62,12 +73,14 @@ class CallCounter:
             own = cls.__dict__.get(name)
             setattr(cls, name, self._wrap(f"{cls.__name__}.{name}", getattr(cls, name)))
             self._undo.append((cls, name, own))
-        original = dataclasses.asdict
-        wrapper = self._wrap("dataclasses.asdict", original)
-        for module in [dataclasses, *(m for n, m in sys.modules.items() if n.split(".")[0] == "sdnsec")]:
-            if getattr(module, "asdict", None) is original:
-                module.asdict = wrapper
-                self._undo.append((module, "asdict", original))
+        sdnsec_modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "sdnsec"]
+        for original in self.functions:
+            name = original.__name__
+            wrapper = self._wrap(f"{original.__module__}.{name}", original)
+            for module in [sys.modules[original.__module__], *sdnsec_modules]:
+                if getattr(module, name, None) is original:
+                    setattr(module, name, wrapper)
+                    self._undo.append((module, name, original))
         return self
 
     def __exit__(self, *exc) -> None:
@@ -125,7 +138,7 @@ def test_the_counters_see_each_counted_call():
 @pytest.mark.parametrize("case", [*CASES, *(f"workload:{name}" for name in sorted(WORKLOADS))])
 def test_run_and_emit_build_no_address_object_and_call_no_asdict(case):
     world = _world(case)
-    with CallCounter() as counter:
+    with CallCounter((dataclasses.asdict, normalize_mac)) as counter:
         calls = counter.counting(lambda: _run_and_emit(world))
     assert calls == Counter()
 
@@ -158,3 +171,27 @@ def test_dataplane_calls_grow_no_faster_than_the_offered_flows(monkeypatch):
     for name in ("lookup", "install"):
         ratios = [per_flow[rate].get(name, 0) for rate in FLOOD_RATES]
         assert 0 < max(ratios) <= GROWTH_FACTOR * min(ratios), (name, per_flow)
+
+
+def _run_counts(world, *functions) -> tuple[Counter, int]:
+    """The calls to ``functions`` that ``Simulation(world).run()`` makes, and
+    the flows it offered."""
+    reports = []
+    with CallCounter(functions) as counter:
+        calls = counter.counting(lambda: reports.append(Simulation(world).run()))
+    return calls, reports[0].counters["offered"]
+
+
+@pytest.mark.parametrize("total", [500, 2_000, 8_000])
+def test_padded_selection_matches_at_most_one_expression_per_flow(total):
+    saturation = load_scenario(bundled_scenario_path("pe_saturation"))
+    calls, offered = _run_counts(build_world(pad_policies(saturation, total)), match_pe)
+    assert 0 < calls["sdnsec.policy.match_pe"] <= offered, calls
+
+
+@pytest.mark.parametrize("mode", ["reactive", "proactive"])
+@pytest.mark.parametrize("domains", [4, 16, 64])
+def test_chain_path_searches_and_matches_grow_linearly(domains, mode):
+    calls, _ = _run_counts(build_world(chain_scenario(domains, mode)), match_pe, _least_shortest_path)
+    assert 0 < calls["sdnsec.topology._least_shortest_path"] <= 2 * domains - 1, calls
+    assert 0 < calls["sdnsec.policy.match_pe"] <= domains, calls
