@@ -1,9 +1,9 @@
 """Per-domain controller pipeline: admission, rule synthesis, credentials.
 
-A packet-in runs through a fixed pipeline: flood accounting, handle
-validation, token verification, context extraction, repository selection
-(or the fixed ``BASELINE`` allow with enforcement off), constraint merging,
-route resolution and finally rule synthesis.  Selection returns the winning
+A packet-in runs through a fixed pipeline: flood accounting, credential
+checks, context extraction, repository selection (or the fixed
+``BASELINE`` allow with enforcement off), constraint merging, route
+resolution and finally rule synthesis.  Selection returns the winning
 expression, and every later stage reads its obligations off it; no winner,
 a deny, or an allow whose own label window is empty drops as ``POLICY``.
 The result is either a batch of flow rules or a drop with a reason.  For a
@@ -289,7 +289,7 @@ class Controller:
 
     def build_context(self, packet: Packet, handle: Handle | None, tick: int) -> FlowContext:
         if handle is not None:
-            src_domain = handle.origin_as
+            src_domain = handle.visited[0]
             traversed = handle.visited
         else:
             src_domain = self.domain_for_ip(packet.src_ip) or self.as_id
@@ -376,14 +376,16 @@ class Controller:
                 block = self._block_rule_batch(packet, ingress) if newly_blocked else None
                 return drop(DropReason.DEFENSE_BLOCKED, detail, block)
 
-        if handle is not None and self.enforcement_enabled and not validate_handle(handle, self.key_ring):
-            return drop(DropReason.HANDLE_INVALID)
-
+        # credentials: a token comes with the handle that binds it, through
+        # the gateway of the domain the handle last visited, and both verify
         verified_ptt: PolicyTransferToken | None = None
-        if ptt is not None and self.enforcement_enabled:
-            sender = handle.visited[-1] if handle is not None else ptt.origin_as
-            key = self.key_ring.get(sender)
-            if key is None or not verify_ptt(ptt, key):
+        if self.enforcement_enabled and (handle is not None or ptt is not None):
+            if (
+                handle is None
+                or entry_peer != gateway_name(handle.visited[-1], self.as_id)
+                or not validate_handle(handle, flow_id, ptt, self.key_ring)
+                or (ptt is not None and not verify_ptt(ptt, flow_id, self.key_ring[handle.visited[-1]]))
+            ):
                 return drop(DropReason.HANDLE_INVALID)
             verified_ptt = ptt
 
@@ -446,8 +448,8 @@ class Controller:
         handle_out: Handle | None = None
         ptt_out: PolicyTransferToken | None = None
         if next_as is not None:
-            handle_out = extend_handle(handle, flow_id, self.as_id, self.handle_key)
-            ptt_out = forward_ptt(verified_ptt, flow_id, self.as_id, winner.delegable_constraints, self.handle_key)
+            ptt_out = forward_ptt(verified_ptt, flow_id, winner.delegable_constraints, self.handle_key)
+            handle_out = extend_handle(handle, flow_id, self.as_id, ptt_out, self.handle_key)
 
         batch = synthesize_rules(
             path,

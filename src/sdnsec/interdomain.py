@@ -3,9 +3,15 @@
 Every flow that leaves its origin domain travels with a *handle* (the ordered
 list of domains it has visited, integrity-tagged) and optionally a *policy
 transfer token* (flow-scoped constraints the origin delegates to transit
-domains).  Tags are HMAC-SHA256 over a canonical pipe-delimited payload
-(``handle|v1|flow|origin|visited,...`` and ``ptt|v1|flow|origin|constraint;...``),
-so flipping any tag bit or payload field fails verification.
+domains).  A credential keeps only what the packet does not carry: the flow
+id is the packet's own, and a handle's origin is its first visited domain.
+Tags are HMAC-SHA256 over a canonical pipe-delimited payload that takes the
+flow id from its caller (``handle|v1|flow|visited,...|token-tag`` and
+``ptt|v1|flow|constraint;...``), so flipping any tag bit or payload field,
+or presenting the credential on another flow, fails verification.  A
+handle's payload ends in its token's tag (``-`` for no token), so the
+handle's tag binds the token: stripping or swapping it fails the handle
+check, and a domain mints its token before its handle.
 
 Tagging follows a chain-of-keys model: each domain controller owns one key
 (``handle_key`` in the scenario) and holds the keys of its topology
@@ -40,21 +46,11 @@ __all__ = [
 ]
 
 
-def _handle_payload(flow_id: str, origin_as: str, visited: tuple[str, ...]) -> bytes:
-    return f"handle|v1|{flow_id}|{origin_as}|{','.join(visited)}".encode()
-
-
-def _ptt_payload(flow_id: str, origin_as: str, constraints: tuple[Constraint, ...]) -> bytes:
-    body = ";".join(c.text() for c in constraints)
-    return f"ptt|v1|{flow_id}|{origin_as}|{body}".encode()
-
-
 @dataclass(frozen=True)
 class Handle:
-    """Integrity-tagged record of the domains a flow has visited, in order."""
+    """Integrity-tagged record of the domains a flow has visited, in order;
+    the first is the flow's origin."""
 
-    flow_id: str
-    origin_as: str
     visited: tuple[str, ...]
     tag: str
 
@@ -65,31 +61,31 @@ class Handle:
             raise ValueError(f"handle repeats a domain: {self.visited}")
 
 
-def handle_tag(flow_id: str, origin_as: str, visited: tuple[str, ...], key: bytes) -> str:
-    return hmac.new(key, _handle_payload(flow_id, origin_as, visited), hashlib.sha256).hexdigest()
+def handle_tag(flow_id: str, visited: tuple[str, ...], ptt: PolicyTransferToken | None, key: bytes) -> str:
+    token = ptt.tag if ptt is not None else "-"
+    payload = f"handle|v1|{flow_id}|{','.join(visited)}|{token}".encode()
+    return hmac.new(key, payload, hashlib.sha256).hexdigest()
 
 
-def extend_handle(handle: Handle | None, flow_id: str, as_id: str, key: bytes) -> Handle:
-    """The handle a flow leaves ``as_id`` with, tagged under ``key``: ``handle``
-    with ``as_id`` appended, keeping its flow id and origin, or with no
-    handle a new one for ``flow_id`` that ``as_id`` originates.
+def extend_handle(
+    handle: Handle | None, flow_id: str, as_id: str, ptt: PolicyTransferToken | None, key: bytes
+) -> Handle:
+    """The handle flow ``flow_id`` leaves ``as_id`` with, bound to the token
+    ``ptt`` it leaves with and tagged under ``key``: ``handle`` with
+    ``as_id`` appended, or with no handle a new one that ``as_id``
+    originates.
 
     Callers must have validated the incoming handle first (see
     :func:`validate_handle`); this function does not check it.
     """
-    if handle is None:
-        origin, visited = as_id, (as_id,)
-    else:
-        flow_id, origin, visited = handle.flow_id, handle.origin_as, handle.visited + (as_id,)
-    return Handle(flow_id, origin, visited, handle_tag(flow_id, origin, visited, key))
+    visited = (as_id,) if handle is None else handle.visited + (as_id,)
+    return Handle(visited, handle_tag(flow_id, visited, ptt, key))
 
 
 @dataclass(frozen=True)
 class PolicyTransferToken:
     """Flow-scoped constraints delegated from the origin to transit domains."""
 
-    flow_id: str
-    origin_as: str
     constraints: tuple[Constraint, ...]
     tag: str
 
@@ -99,49 +95,46 @@ class PolicyTransferToken:
             raise ValueError(f"token carries non-flow-scoped constraints: {foreign}")
 
 
-def ptt_tag(flow_id: str, origin_as: str, constraints: tuple[Constraint, ...], key: bytes) -> str:
-    return hmac.new(key, _ptt_payload(flow_id, origin_as, constraints), hashlib.sha256).hexdigest()
+def ptt_tag(flow_id: str, constraints: tuple[Constraint, ...], key: bytes) -> str:
+    body = ";".join(c.text() for c in constraints)
+    return hmac.new(key, f"ptt|v1|{flow_id}|{body}".encode(), hashlib.sha256).hexdigest()
 
 
 def forward_ptt(
     ptt: PolicyTransferToken | None,
     flow_id: str,
-    as_id: str,
     constraints: tuple[Constraint, ...],
     key: bytes,
 ) -> PolicyTransferToken | None:
-    """The token a flow leaves ``as_id`` with, tagged under ``key``.
+    """The token flow ``flow_id`` leaves a domain with, tagged under ``key``.
 
-    ``ptt`` keeps its flow id, origin and constraints and gains the
-    delegable ones of ``constraints`` it lacks.  With no token, a new one
-    for ``flow_id`` that ``as_id`` originates carries the delegable ones;
-    when there are none, there is no token.
+    ``ptt`` keeps its constraints and gains the delegable ones of
+    ``constraints`` it lacks.  With no token, a new one carries the
+    delegable ones; when there are none, there is no token.
     """
-    if ptt is None:
-        origin, carried = as_id, ()
-    else:
-        flow_id, origin, carried = ptt.flow_id, ptt.origin_as, ptt.constraints
+    carried = ptt.constraints if ptt is not None else ()
     merged = carried + tuple(c for c in constraints if c.kind in DELEGABLE_KINDS and c not in carried)
     if ptt is None and not merged:
         return None
-    return PolicyTransferToken(flow_id, origin, merged, ptt_tag(flow_id, origin, merged, key))
+    return PolicyTransferToken(merged, ptt_tag(flow_id, merged, key))
 
 
-def verify_ptt(ptt: PolicyTransferToken, key: bytes) -> bool:
-    expected = ptt_tag(ptt.flow_id, ptt.origin_as, ptt.constraints, key)
-    return hmac.compare_digest(expected, ptt.tag)
+def verify_ptt(ptt: PolicyTransferToken, flow_id: str, key: bytes) -> bool:
+    return hmac.compare_digest(ptt_tag(flow_id, ptt.constraints, key), ptt.tag)
 
 
-def validate_handle(handle: Handle, key_ring: dict[str, bytes]) -> bool:
-    """A handle is acceptable at a domain iff the domain it last visited is in
-    the domain's key ring, which holds exactly its topology neighbors, and
-    its tag verifies under that neighbor's key.  Construction already
-    refuses a visited list that repeats a domain."""
+def validate_handle(
+    handle: Handle, flow_id: str, ptt: PolicyTransferToken | None, key_ring: dict[str, bytes]
+) -> bool:
+    """A handle is acceptable at a domain for flow ``flow_id`` arriving with
+    token ``ptt`` iff the domain it last visited is in the domain's key
+    ring, which holds exactly its topology neighbors, and its tag verifies
+    under that neighbor's key.  Construction already refuses a visited
+    list that repeats a domain."""
     key = key_ring.get(handle.visited[-1])
     if key is None:
         return False
-    expected = handle_tag(handle.flow_id, handle.origin_as, handle.visited, key)
-    return hmac.compare_digest(expected, handle.tag)
+    return hmac.compare_digest(handle_tag(flow_id, handle.visited, ptt, key), handle.tag)
 
 
 def merge_constraints(

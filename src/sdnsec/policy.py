@@ -172,10 +172,6 @@ class EndpointSelector:
     host_ip: int | None = None
     host_mac: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.host_mac is not None:
-            object.__setattr__(self, "host_mac", normalize_mac(self.host_mac))
-
     @cached_property
     def _subnet_bits(self) -> tuple[int, int]:
         """The set subnet's ``(network, mask)``, worked out on first read."""

@@ -219,19 +219,21 @@ def test_property_suites():
         assert agree == 10_000
         # handle tamper suite: every single-field mutation is rejected
         keys = {"AS1": b"k1", "AS2": b"k2"}
-        handle = extend_handle(extend_handle(None, "f", "AS1", keys["AS1"]), "f", "AS2", keys["AS2"])
+        handle = extend_handle(extend_handle(None, "f", "AS1", None, keys["AS1"]), "f", "AS2", None, keys["AS2"])
 
-        assert validate_handle(handle, keys)
+        assert validate_handle(handle, "f", None, keys)
         from dataclasses import replace as _replace
 
+        # the flow id is the packet's and the origin is visited[0], so
+        # another flow and another origin are mutants of the handle's inputs
         mutants = [
-            _replace(handle, flow_id="g"),
-            _replace(handle, origin_as="AS3"),
-            _replace(handle, visited=("AS2", "AS1")),
-            _replace(handle, visited=("AS1",)),
-            _replace(handle, tag="0" * 64),
+            (handle, "g"),
+            (_replace(handle, visited=("AS3", "AS2")), "f"),
+            (_replace(handle, visited=("AS2", "AS1")), "f"),
+            (_replace(handle, visited=("AS1",)), "f"),
+            (_replace(handle, tag="0" * 64), "f"),
         ]
-        assert all(not validate_handle(m, keys) for m in mutants)
+        assert all(not validate_handle(m, flow, None, keys) for m, flow in mutants)
         # the domain route is the first path of a brute-force DFS oracle on
         # random 6-domain graphs
         for trial in range(60):

@@ -55,8 +55,8 @@ def test_synthesized_batch_is_pinned_rule_by_rule():
     # forward rules in path order, then return rules in path order: install
     # numbers break lookup ties and order a switch's flow dump
     packet = make_packet()
-    handle = extend_handle(None, packet.flow_id, "AS1", b"k")
-    ptt = forward_ptt(None, packet.flow_id, "AS1", (Constraint(ConstraintKind.RATE_THRESHOLD, rate=3),), b"k")
+    ptt = forward_ptt(None, packet.flow_id, (Constraint(ConstraintKind.RATE_THRESHOLD, rate=3),), b"k")
+    handle = extend_handle(None, packet.flow_id, "AS1", ptt, b"k")
     profile = frozenset({"ids", "fw"})
     batch = synthesize_rules(
         ("S1", "S2", "S3"),
@@ -134,7 +134,7 @@ def test_unknown_destination_is_dropped(transit_world):
 def test_tampered_handle_dropped_in_pipeline(transit_world):
     ctrl = transit_world.controllers["AS2"]
     packet = make_packet()
-    forged = extend_handle(None, packet.flow_id, "AS1", b"wrong-key")
+    forged = extend_handle(None, packet.flow_id, "AS1", None, b"wrong-key")
     result = ctrl.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=forged)
     assert result.batch is None
     assert result.reason == DropReason.HANDLE_INVALID
@@ -189,8 +189,8 @@ def _label_path(token: str) -> Constraint:
 def _from_as1(world, packet, ptt_key: bytes, *constraints):
     """A packet-in at AS2 carrying a valid AS1 handle and a token over
     ``constraints`` tagged under ``ptt_key``."""
-    handle = extend_handle(None, packet.flow_id, "AS1", world.controllers["AS1"].handle_key)
-    ptt = forward_ptt(None, packet.flow_id, "AS1", constraints, ptt_key)
+    ptt = forward_ptt(None, packet.flow_id, constraints, ptt_key)
+    handle = extend_handle(None, packet.flow_id, "AS1", ptt, world.controllers["AS1"].handle_key)
     return world.controllers["AS2"].handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle, ptt=ptt)
 
 

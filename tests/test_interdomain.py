@@ -33,107 +33,127 @@ def label_geq(rank):
 
 
 def test_mint_and_extend_visited_chain():
-    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
+    handle = extend_handle(None, "f1", "AS1", None, KEYS["AS1"])
     assert handle.visited == ("AS1",)
-    extended = extend_handle(handle, "f1", "AS2", KEYS["AS2"])
-    extended = extend_handle(extended, "f1", "AS3", KEYS["AS3"])
+    extended = extend_handle(handle, "f1", "AS2", None, KEYS["AS2"])
+    extended = extend_handle(extended, "f1", "AS3", None, KEYS["AS3"])
     assert extended.visited == ("AS1", "AS2", "AS3")
 
 
-def test_extended_handle_keeps_its_flow_and_origin():
-    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
-    assert handle.tag == handle_tag("f1", "AS1", ("AS1",), KEYS["AS1"])
-    extended = extend_handle(handle, "f2", "AS2", KEYS["AS2"])
-    assert (extended.flow_id, extended.origin_as) == ("f1", "AS1")
-    assert extended.tag == handle_tag("f1", "AS1", ("AS1", "AS2"), KEYS["AS2"])
+def test_extended_handle_is_refused_on_another_flow_or_origin():
+    handle = extend_handle(None, "f1", "AS1", None, KEYS["AS1"])
+    assert handle.tag == handle_tag("f1", ("AS1",), None, KEYS["AS1"])
+    extended = extend_handle(handle, "f1", "AS2", None, KEYS["AS2"])
+    assert extended.visited[0] == "AS1"
+    assert extended.tag == handle_tag("f1", ("AS1", "AS2"), None, KEYS["AS2"])
+    # the flow id is the packet's and the origin is visited[0]: the tag
+    # commits to both
+    assert validate_handle(extended, "f1", None, ring("AS2"))
+    assert not validate_handle(extended, "f2", None, ring("AS2"))
+    assert not validate_handle(replace(extended, visited=("AS3", "AS2")), "f1", None, ring("AS2"))
+
+
+def test_handle_tag_binds_its_token():
+    token = forward_ptt(None, "f1", (label_geq(2),), KEYS["AS1"])
+    other = forward_ptt(None, "f1", (label_geq(1),), KEYS["AS1"])
+    handle = extend_handle(None, "f1", "AS1", token, KEYS["AS1"])
+    assert validate_handle(handle, "f1", token, ring("AS1"))
+    assert not validate_handle(handle, "f1", None, ring("AS1"))
+    assert not validate_handle(handle, "f1", other, ring("AS1"))
+    tokenless = extend_handle(None, "f1", "AS1", None, KEYS["AS1"])
+    assert not validate_handle(tokenless, "f1", token, ring("AS1"))
 
 
 def test_validate_honest_handle_at_neighbor():
-    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
-    assert validate_handle(handle, ring("AS1"))
+    handle = extend_handle(None, "f1", "AS1", None, KEYS["AS1"])
+    assert validate_handle(handle, "f1", None, ring("AS1"))
 
 
 def test_validate_requires_neighbor_adjacency():
     # a handle whose last visited domain is not adjacent, so missing from
     # the key ring, is refused although its tag is honest
-    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
-    assert not validate_handle(handle, ring("AS3"))
+    handle = extend_handle(None, "f1", "AS1", None, KEYS["AS1"])
+    assert not validate_handle(handle, "f1", None, ring("AS3"))
 
 
 def test_validate_three_hop_arrival():
-    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
-    handle = extend_handle(handle, "f1", "AS2", KEYS["AS2"])
-    handle = extend_handle(handle, "f1", "AS3", KEYS["AS3"])
-    assert validate_handle(handle, ring("AS3"))
+    handle = extend_handle(None, "f1", "AS1", None, KEYS["AS1"])
+    handle = extend_handle(handle, "f1", "AS2", None, KEYS["AS2"])
+    handle = extend_handle(handle, "f1", "AS3", None, KEYS["AS3"])
+    assert validate_handle(handle, "f1", None, ring("AS3"))
 
 
 def test_reordered_visited_list_rejected():
-    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
-    handle = extend_handle(handle, "f1", "AS2", KEYS["AS2"])
-    forged = Handle(handle.flow_id, handle.origin_as, ("AS2", "AS1"), handle.tag)
-    assert not validate_handle(forged, ring("AS1", "AS2"))
+    handle = extend_handle(None, "f1", "AS1", None, KEYS["AS1"])
+    handle = extend_handle(handle, "f1", "AS2", None, KEYS["AS2"])
+    forged = Handle(("AS2", "AS1"), handle.tag)
+    assert not validate_handle(forged, "f1", None, ring("AS1", "AS2"))
 
 
 def test_every_single_field_mutation_rejected():
-    handle = extend_handle(extend_handle(None, "f1", "AS1", KEYS["AS1"]), "f1", "AS2", KEYS["AS2"])
+    handle = extend_handle(extend_handle(None, "f1", "AS1", None, KEYS["AS1"]), "f1", "AS2", None, KEYS["AS2"])
     key_ring = ring("AS1", "AS2")
-    assert validate_handle(handle, key_ring)
+    assert validate_handle(handle, "f1", None, key_ring)
+    # another flow id and another origin (visited[0]) are the mutants of
+    # the inputs the handle does not store
     mutations = [
-        replace(handle, flow_id="f2"),
-        replace(handle, origin_as="AS9"),
-        replace(handle, visited=("AS1",)),
-        replace(handle, visited=("AS1", "AS2", "AS3")),
-        replace(handle, tag="0" * len(handle.tag)),
+        (handle, "f2"),
+        (replace(handle, visited=("AS9", "AS2")), "f1"),
+        (replace(handle, visited=("AS1",)), "f1"),
+        (replace(handle, visited=("AS1", "AS2", "AS3")), "f1"),
+        (replace(handle, tag="0" * len(handle.tag)), "f1"),
     ]
-    for mutant in mutations:
-        assert not validate_handle(mutant, key_ring)
+    for mutant, flow_id in mutations:
+        assert not validate_handle(mutant, flow_id, None, key_ring)
 
 
 def test_single_bit_tag_flips_all_rejected():
-    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
+    handle = extend_handle(None, "f1", "AS1", None, KEYS["AS1"])
     tag_bits = int(handle.tag, 16)
     width = len(handle.tag) * 4
     for bit in range(width):
         flipped = f"{tag_bits ^ (1 << bit):0{len(handle.tag)}x}"
-        assert not validate_handle(replace(handle, tag=flipped), ring("AS1"))
+        assert not validate_handle(replace(handle, tag=flipped), "f1", None, ring("AS1"))
 
 
 def test_duplicate_visited_is_invalid_by_construction():
     with pytest.raises(ValueError):
-        Handle("f1", "AS1", ("AS1", "AS1"), "00")
+        Handle(("AS1", "AS1"), "00")
 
 
 def test_ptt_only_carries_flow_scoped_kinds():
     sig = Constraint(ConstraintKind.SIGNATURE, signature="SYN")
-    token = forward_ptt(None, "f1", "AS1", (label_geq(2), sig), KEYS["AS1"])
+    token = forward_ptt(None, "f1", (label_geq(2), sig), KEYS["AS1"])
     assert token.constraints == (label_geq(2),)
-    assert verify_ptt(token, KEYS["AS1"])
+    assert verify_ptt(token, "f1", KEYS["AS1"])
 
 
 def test_empty_constraints_mint_no_token():
-    assert forward_ptt(None, "f1", "AS1", (), KEYS["AS1"]) is None
+    assert forward_ptt(None, "f1", (), KEYS["AS1"]) is None
     sig_only = (Constraint(ConstraintKind.SIGNATURE, signature="SYN"),)
-    assert forward_ptt(None, "f1", "AS1", sig_only, KEYS["AS1"]) is None
+    assert forward_ptt(None, "f1", sig_only, KEYS["AS1"]) is None
 
 
-def test_retag_preserves_origin_attribution():
-    token = forward_ptt(None, "f1", "AS1", (label_geq(2),), KEYS["AS1"])
-    # a carried constraint is not appended twice; flow id and origin stay
-    retagged = forward_ptt(token, "f2", "AS2", (label_geq(2), label_geq(3)), KEYS["AS2"])
-    assert (retagged.flow_id, retagged.origin_as) == ("f1", "AS1")
+def test_retagged_token_is_refused_on_another_flow():
+    token = forward_ptt(None, "f1", (label_geq(2),), KEYS["AS1"])
+    # a carried constraint is not appended twice
+    retagged = forward_ptt(token, "f1", (label_geq(2), label_geq(3)), KEYS["AS2"])
     assert retagged.constraints == (label_geq(2), label_geq(3))
-    assert retagged.tag == ptt_tag("f1", "AS1", retagged.constraints, KEYS["AS2"])
-    assert verify_ptt(retagged, KEYS["AS2"])
-    assert not verify_ptt(retagged, KEYS["AS1"])
+    assert retagged.tag == ptt_tag("f1", retagged.constraints, KEYS["AS2"])
+    assert verify_ptt(retagged, "f1", KEYS["AS2"])
+    assert not verify_ptt(retagged, "f1", KEYS["AS1"])
+    # the flow id is the packet's; the origin is the binding handle's
+    # visited[0] (see test_extended_handle_is_refused_on_another_flow_or_origin)
+    assert not verify_ptt(retagged, "f2", KEYS["AS2"])
 
 
 def test_merge_dominant_lower_bound():
-    token = forward_ptt(None, "f1", "AS1", (label_geq(2),), KEYS["AS1"])
+    token = forward_ptt(None, "f1", (label_geq(2),), KEYS["AS1"])
     assert merge_constraints(LabelWindow(lo=1), token) == (LabelWindow(lo=2), ())
 
 
 def test_merge_contradiction_is_unsatisfiable():
-    token = forward_ptt(None, "f1", "AS1", (label_geq(3),), KEYS["AS1"])
+    token = forward_ptt(None, "f1", (label_geq(3),), KEYS["AS1"])
     window, _ = merge_constraints(LabelWindow(lo=1, hi=1), token)
     assert window.empty
 
@@ -141,7 +161,7 @@ def test_merge_contradiction_is_unsatisfiable():
 def test_merge_satisfiability_over_small_ranks():
     # exhaustive satisfiability check: window [a, c] vs GEQ b over ranks 1..5
     for a, b, c in itertools.product(range(1, 6), repeat=3):
-        token = forward_ptt(None, "f1", "AS1", (label_geq(b),), KEYS["AS1"])
+        token = forward_ptt(None, "f1", (label_geq(b),), KEYS["AS1"])
         window, _ = merge_constraints(LabelWindow(lo=a, hi=c), token)
         if max(a, b) <= c:
             assert window == LabelWindow(lo=max(a, b), hi=c)
@@ -151,7 +171,7 @@ def test_merge_satisfiability_over_small_ranks():
 
 def test_merge_unions_other_kinds():
     attr = Constraint(ConstraintKind.PACKET_ATTR, attr="type", value="HTTP")
-    token = forward_ptt(None, "f1", "AS1", (label_geq(2), attr), KEYS["AS1"])
+    token = forward_ptt(None, "f1", (label_geq(2), attr), KEYS["AS1"])
     assert merge_constraints(LabelWindow(hi=4), token) == (LabelWindow(lo=2, hi=4), (attr,))
 
 
@@ -178,15 +198,15 @@ def test_transit_packet_in_classifies_transit_and_drop():
         service_port=443,
         packet_type="HTTPS",
     )
-    handle = extend_handle(None, packet.flow_id, "AS1", as1.handle_key)
-    ptt = forward_ptt(None, packet.flow_id, "AS1", (label_geq(2),), as1.handle_key)
+    ptt = forward_ptt(None, packet.flow_id, (label_geq(2),), as1.handle_key)
+    handle = extend_handle(None, packet.flow_id, "AS1", ptt, as1.handle_key)
     result = as2.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle, ptt=ptt)
     # transit: the egress rule leads on into AS3 with the extended handle
     gateway, peer, rule = egress_hop(world, result.batch)
     assert (gateway, peer) == ("2SW3", "3SW2")
     assert rule.handle.visited == ("AS1", "AS2")
     # a handle tagged under a key other than AS1's is refused
-    foreign = extend_handle(None, packet.flow_id, "AS1", KEYS["AS1"])
+    foreign = extend_handle(None, packet.flow_id, "AS1", None, KEYS["AS1"])
     refused = as2.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=foreign)
     assert refused.batch is None
     assert refused.reason == "HANDLE_INVALID"
@@ -195,13 +215,13 @@ def test_transit_packet_in_classifies_transit_and_drop():
 def test_wire_tampering_is_bit_precise():
     # flipping any single hex digit of either credential's tag breaks
     # verification
-    handle = extend_handle(None, "f1", "AS1", KEYS["AS1"])
-    token = forward_ptt(None, "f1", "AS1", (label_geq(2),), KEYS["AS1"])
-    assert validate_handle(handle, ring("AS1"))
-    assert verify_ptt(token, KEYS["AS1"])
+    token = forward_ptt(None, "f1", (label_geq(2),), KEYS["AS1"])
+    handle = extend_handle(None, "f1", "AS1", token, KEYS["AS1"])
+    assert validate_handle(handle, "f1", token, ring("AS1"))
+    assert verify_ptt(token, "f1", KEYS["AS1"])
     for credential, verifies in (
-        (handle, lambda h: validate_handle(h, ring("AS1"))),
-        (token, lambda t: verify_ptt(t, KEYS["AS1"])),
+        (handle, lambda h: validate_handle(h, "f1", token, ring("AS1"))),
+        (token, lambda t: verify_ptt(t, "f1", KEYS["AS1"])),
     ):
         tag = credential.tag
         for index in range(len(tag)):

@@ -521,7 +521,7 @@ def test_flow_never_reenters_a_visited_domain(pin_back, baseline_path):
         service_port=80,
         packet_type="HTTP",
     )
-    handle = extend_handle(None, packet.flow_id, "AS1", world.controllers["AS1"].handle_key)
+    handle = extend_handle(None, packet.flow_id, "AS1", None, world.controllers["AS1"].handle_key)
     result = world.controllers["AS2"].handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle)
     assert (result.batch, result.reason) == (None, "NO_SATISFYING_PATH")
     for mode in ("reactive", "proactive"):

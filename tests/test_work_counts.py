@@ -17,7 +17,10 @@ in proportion to its flows, within :data:`GROWTH_FACTOR`.
 Control-plane calls with upper bounds that hold at every size: a padded
 repository matches at most one expression per offered flow, whatever its
 size; a chain of n domains makes at most 2n-1 switch path searches and n
-matches.
+matches.  Credentials cost no more HMACs than the packet-ins need: a chain
+of n domains, whose policies delegate nothing, tags at most two handles
+per domain link and no token, and the transit mesh has fixed bounds at
+seed 1.  A handle's tag binds its token without a tag of its own.
 
 The counts are deterministic, so a lost optimisation fails here at once,
 whatever the machine's speed.
@@ -34,6 +37,7 @@ from test_golden import CASES, build_case
 from test_workloads import WORKLOADS
 
 from sdnsec.dataplane import Switch
+from sdnsec.interdomain import handle_tag, ptt_tag
 from sdnsec.metrics import emit
 from sdnsec.policy import match_pe, normalize_mac
 from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
@@ -173,20 +177,20 @@ def test_dataplane_calls_grow_no_faster_than_the_offered_flows(monkeypatch):
         assert 0 < max(ratios) <= GROWTH_FACTOR * min(ratios), (name, per_flow)
 
 
-def _run_counts(world, *functions) -> tuple[Counter, int]:
+def _run_counts(world, *functions) -> tuple[Counter, dict[str, int]]:
     """The calls to ``functions`` that ``Simulation(world).run()`` makes, and
-    the flows it offered."""
+    the run's report counters."""
     reports = []
     with CallCounter(functions) as counter:
         calls = counter.counting(lambda: reports.append(Simulation(world).run()))
-    return calls, reports[0].counters["offered"]
+    return calls, reports[0].counters
 
 
 @pytest.mark.parametrize("total", [500, 2_000, 8_000])
 def test_padded_selection_matches_at_most_one_expression_per_flow(total):
     saturation = load_scenario(bundled_scenario_path("pe_saturation"))
-    calls, offered = _run_counts(build_world(pad_policies(saturation, total)), match_pe)
-    assert 0 < calls["sdnsec.policy.match_pe"] <= offered, calls
+    calls, counters = _run_counts(build_world(pad_policies(saturation, total)), match_pe)
+    assert 0 < calls["sdnsec.policy.match_pe"] <= counters["offered"], calls
 
 
 @pytest.mark.parametrize("mode", ["reactive", "proactive"])
@@ -195,3 +199,18 @@ def test_chain_path_searches_and_matches_grow_linearly(domains, mode):
     calls, _ = _run_counts(build_world(chain_scenario(domains, mode)), match_pe, _least_shortest_path)
     assert 0 < calls["sdnsec.topology._least_shortest_path"] <= 2 * domains - 1, calls
     assert 0 < calls["sdnsec.policy.match_pe"] <= domains, calls
+
+
+@pytest.mark.parametrize("mode", ["reactive", "proactive"])
+@pytest.mark.parametrize("domains", [4, 16, 64])
+def test_chain_credentials_tag_two_handles_per_domain_link(domains, mode):
+    calls, _ = _run_counts(build_world(chain_scenario(domains, mode)), handle_tag, ptt_tag)
+    assert 0 < calls["sdnsec.interdomain.handle_tag"] <= 2 * (domains - 1), calls
+    assert calls["sdnsec.interdomain.ptt_tag"] == 0, calls
+
+
+def test_mesh_transit_credential_tags_are_bounded():
+    calls, counters = _run_counts(_world("workload:mesh_transit"), handle_tag, ptt_tag)
+    assert counters["packet_ins"] == 656
+    assert 0 < calls["sdnsec.interdomain.handle_tag"] <= 868, calls
+    assert 0 < calls["sdnsec.interdomain.ptt_tag"] <= 364, calls
