@@ -51,7 +51,6 @@ from .dataplane import (
     FlowRule,
     Packet,
     Switch,
-    TableFullError,
     flow_dump,
     format_flow_dump,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "ScenarioError",
     "SecurityLabel",
     "Switch",
-    "TableFullError",
     "build_world",
     "bundled_scenario_path",
     "chain_scenario",

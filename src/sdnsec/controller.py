@@ -187,27 +187,19 @@ def synthesize_rules(
     """One forward rule per path switch plus the symmetric return set.
 
     Rules match the flow's (addresses, protocol, port, type) tuple, the
-    return rules with the addresses swapped.  Each rule names its next hop:
-    the following switch on the path, ``final_peer`` for the last switch's
-    forward rule (a host or the peer domain's gateway) and ``entry_peer``
-    for the first switch's return rule.  The last switch's
-    forward rule carries ``handle_out`` and ``ptt_out``, the credentials of
-    a flow that leaves the domain there.  The batch lists the forward rules
-    in path order, then the return rules in path order; the install order
-    breaks lookup ties and orders a switch's flow dump.
+    return rules with the addresses swapped (``packet.matches``).  Each
+    rule names its next hop: the following switch on the path,
+    ``final_peer`` for the last switch's forward rule (a host or the peer
+    domain's gateway) and ``entry_peer`` for the first switch's return
+    rule.  The last switch's forward rule carries ``handle_out`` and
+    ``ptt_out``, the credentials of a flow that leaves the domain there.
+    The batch lists the forward rules in path order, then the return rules
+    in path order; the install order breaks lookup ties and orders a
+    switch's flow dump.
     """
     if not path:
         raise ValueError("cannot synthesize rules for an empty path")
-    forward_match, reverse_match = [
-        FlowMatch(
-            src_ip=src,
-            dst_ip=dst,
-            ip_proto=packet.ip_proto,
-            service_port=packet.service_port,
-            packet_type=packet.packet_type,
-        )
-        for src, dst in ((packet.src_ip, packet.dst_ip), (packet.dst_ip, packet.src_ip))
-    ]
+    forward_match, reverse_match = packet.matches
 
     def rule(match: FlowMatch, switch: str, peer: str, handle=None, ptt=None) -> tuple[str, FlowRule]:
         return switch, FlowRule(
@@ -380,13 +372,15 @@ class Controller:
         # the gateway of the domain the handle last visited, and both verify
         verified_ptt: PolicyTransferToken | None = None
         if self.enforcement_enabled and (handle is not None or ptt is not None):
-            if (
-                handle is None
-                or entry_peer != gateway_name(handle.visited[-1], self.as_id)
-                or not validate_handle(handle, flow_id, ptt, self.key_ring)
-                or (ptt is not None and not verify_ptt(ptt, flow_id, self.key_ring[handle.visited[-1]]))
-            ):
-                return drop(DropReason.HANDLE_INVALID)
+            failed = (
+                "no-handle" if handle is None
+                else "entry" if entry_peer != gateway_name(handle.visited[-1], self.as_id)
+                else "handle-tag" if not validate_handle(handle, flow_id, ptt, self.key_ring)
+                else "token-tag" if ptt is not None and not verify_ptt(ptt, flow_id, self.key_ring[handle.visited[-1]])
+                else None
+            )
+            if failed is not None:
+                return drop(DropReason.HANDLE_INVALID, f"{summary} [credentials check={failed}]")
             verified_ptt = ptt
 
         ctx = self.build_context(packet, handle, tick)

@@ -12,8 +12,9 @@ a packet-in on a miss.  A forward rule names its next hop, the attached peer
 (switch or host) the packet goes to; port numbers exist only in a switch's
 wiring (``Switch.ports``) and in its flow dump.  A forward rule at a
 domain's egress gateway also carries the flow's handle and transfer token,
-which the switch adds to the packet as it leaves.  All mutation happens on
-the simulation loop's thread.
+which the switch adds to the packet as it leaves.  :func:`install_batch`
+writes a flow-mod batch all or nothing, like an OpenFlow 1.4 bundle, and is
+the one capacity check.  All mutation happens on the simulation loop's thread.
 
 Packet and match addresses are plain ``int`` values, so a probe key hashes
 natively; a flow dump prints them as dotted text.
@@ -21,7 +22,9 @@ natively; a flow dump prints them as dotted text.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import count
 from operator import attrgetter
 
@@ -35,9 +38,9 @@ __all__ = [
     "FlowTable",
     "Packet",
     "Switch",
-    "TableFullError",
     "flow_dump",
     "format_flow_dump",
+    "install_batch",
 ]
 
 DEFAULT_TABLE_CAPACITY = 1024
@@ -45,10 +48,6 @@ DEFAULT_TABLE_CAPACITY = 1024
 ARP_RULE_PRIORITY = 10
 FLOW_RULE_PRIORITY = 100
 BLOCK_RULE_PRIORITY = 200
-
-
-class TableFullError(Exception):
-    """A new match does not fit the flow table (see :meth:`Switch.room_for`)."""
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,13 @@ class Packet:
             self, "flow_id", derive_flow_id(self.src_ip, self.dst_ip, self.ip_proto, self.service_port)
         )
 
+    @cached_property
+    def matches(self) -> tuple[FlowMatch, FlowMatch]:
+        """The flow's forward match and its return match, the addresses
+        swapped; built once per packet and read by every domain it crosses."""
+        fields = dict(ip_proto=self.ip_proto, service_port=self.service_port, packet_type=self.packet_type)
+        return FlowMatch(self.src_ip, self.dst_ip, **fields), FlowMatch(self.dst_ip, self.src_ip, **fields)
+
 
 # the match fields a Packet carries too, under the same names
 _HEADER_FIELDS = ("src_ip", "dst_ip", "src_mac", "dst_mac", "ip_proto", "service_port", "packet_type")
@@ -76,6 +82,12 @@ _ADDRESS_FIELDS = ("src_ip", "dst_ip")
 
 # the header fields a match fixes
 _Mask = tuple[str, ...]
+
+
+@cache
+def _probe(mask: _Mask) -> Callable[[object], object]:
+    """Reads the fields ``mask`` fixes: a match's key, or a packet's probe."""
+    return attrgetter(*mask) if mask else lambda _item: ()
 
 
 @dataclass(frozen=True)
@@ -89,11 +101,14 @@ class FlowMatch:
     ip_proto: str | None = None
     service_port: int | None = None
     packet_type: str | None = None
-    # this match's table in a switch's tuple space, worked out once per match
+    # its table in a switch's tuple space and its key there, worked out once
     mask: _Mask = field(init=False, repr=False, compare=False)
+    key: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mask", tuple(name for name in _HEADER_FIELDS if getattr(self, name) is not None))
+        mask = tuple(name for name in _HEADER_FIELDS if getattr(self, name) is not None)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "key", _probe(mask)(self))
 
     def text(self) -> str:
         parts = []
@@ -133,20 +148,16 @@ class FlowRule:
             raise ValueError("only forward rules carry a next hop")
 
 
-def _no_fields(_item: object) -> tuple[()]:
-    return ()
-
-
 class _MaskTable:
-    """The rules of one wildcard mask, keyed by their values for the fields
-    the mask fixes: ``key(item)`` is a rule's key for its match, or the probe
-    for a packet.  An entry is ``(-priority, install number, rule)``, so the
-    least entry is the one a scan in priority order would meet first."""
+    """The rules of one wildcard mask, keyed by their match's ``key``:
+    ``probe(packet)`` is the key a matching packet yields.  An entry is
+    ``(-priority, install number, rule)``, so the least entry is the one a
+    scan in priority order would meet first."""
 
-    __slots__ = ("key", "entries")
+    __slots__ = ("probe", "entries")
 
     def __init__(self, mask: _Mask):
-        self.key = attrgetter(*mask) if mask else _no_fields
+        self.probe = _probe(mask)
         self.entries: dict[object, tuple[int, int, FlowRule]] = {}
 
 
@@ -186,27 +197,21 @@ class Switch:
         self.ports[peer] = len(self.ports) + 1
 
     def install(self, rule: FlowRule) -> None:
-        """File ``rule`` under its match's mask and values.  A rule for an
+        """File ``rule`` under its match's mask and key.  A rule for an
         installed match replaces it, unless its priority is lower, when it
         is ignored.  At equal priority the replacement keeps the old rule's
         place among equal priorities, so re-installing a rule is idempotent;
         at higher priority it counts as newly installed.  A forward rule
-        whose next hop is not attached raises ``ValueError``, and a new
-        match beyond capacity :class:`TableFullError`; either leaves the
-        table as it was."""
+        whose next hop is not attached raises ``ValueError`` and leaves the
+        table as it was.  :func:`install_batch` checks capacity first."""
         if rule.next_hop is not None and rule.next_hop not in self.ports:
             raise ValueError(f"{self.id} has no port toward {rule.next_hop}")
         mask = rule.match.mask
-        table = self.table.masks.get(mask) or _MaskTable(mask)
-        key = table.key(rule.match)
+        table = self.table.masks.get(mask) or self.table.masks.setdefault(mask, _MaskTable(mask))
         entry = (-rule.priority, next(self._install_numbers), rule)
         # one hash of the key files a new match, the common case
-        existing = table.entries.setdefault(key, entry)
+        existing = table.entries.setdefault(rule.match.key, entry)
         if existing is entry:
-            if self.table.size >= self.capacity:
-                del table.entries[key]
-                raise TableFullError(f"{self.id} flow table full ({self.capacity} entries)")
-            self.table.masks[mask] = table
             self.table.size += 1
             return
         _, number, old = existing
@@ -214,27 +219,34 @@ class Switch:
             return
         if rule.priority > old.priority:
             number = entry[1]
-        table.entries[key] = (-rule.priority, number, rule)
-
-    def room_for(self, matches: set[FlowMatch]) -> bool:
-        """True iff installing rules with ``matches`` stays within capacity;
-        a match already installed takes no new entry."""
-        new = 0
-        for match in matches:
-            table = self.table.masks.get(match.mask)
-            if table is None or table.key(match) not in table.entries:
-                new += 1
-        return self.table.size + new <= self.capacity
+        table.entries[rule.match.key] = (-rule.priority, number, rule)
 
     def lookup(self, packet: Packet) -> FlowRule | None:
         """The highest-priority rule matching ``packet``, the earliest
         installed among equal priorities: one probe per mask."""
         best = None
         for table in self.table.masks.values():
-            entry = table.entries.get(table.key(packet))
+            entry = table.entries.get(table.probe(packet))
             if entry is not None and (best is None or entry < best):
                 best = entry
         return None if best is None else best[2]
+
+
+def install_batch(switches: dict[str, Switch], installs: Sequence[tuple[str, FlowRule]]) -> bool:
+    """Write every ``(switch id, rule)`` of ``installs`` through
+    :meth:`Switch.install`, or none of them: when some switch lacks room
+    for the matches new to it, a match named twice counted once, the batch
+    is refused and False returned."""
+    new: dict[str, set[FlowMatch]] = {}
+    for switch_id, rule in installs:
+        table = switches[switch_id].table.masks.get(rule.match.mask)
+        if table is None or rule.match.key not in table.entries:
+            new.setdefault(switch_id, set()).add(rule.match)
+    if any(switches[s].table.size + len(matches) > switches[s].capacity for s, matches in new.items()):
+        return False
+    for switch_id, rule in installs:
+        switches[switch_id].install(rule)
+    return True
 
 
 def flow_dump(switch: Switch) -> list[FlowRule]:

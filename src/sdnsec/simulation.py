@@ -44,7 +44,7 @@ from .controller import (
     PipelineResult,
     arp_discovery_rule,
 )
-from .dataplane import ActionKind, FlowMatch, Packet, Switch
+from .dataplane import ActionKind, Packet, Switch, install_batch
 from .defense import FloodMonitor, ResponseMode
 from .interdomain import Handle, PolicyTransferToken
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
@@ -286,17 +286,10 @@ class Simulation:
         self._schedule(emission, self._on_apply_result, domain, inflight, ingress, entry_peer, result)
 
     def _install_batch(self, batch: FlowModBatch) -> bool:
-        """Install every rule of ``batch``, or none of them when some switch
-        lacks room for the matches new to it (an all-or-nothing bundle)."""
-        matches: dict[str, set[FlowMatch]] = {}
-        for switch_id, rule in batch.installs:
-            matches.setdefault(switch_id, set()).add(rule.match)
-        if not all(self.world.switches[s].room_for(m) for s, m in matches.items()):
-            self._counters["table_full_events"] += 1
-            return False
-        for switch_id, rule in batch.installs:
-            self.world.switches[switch_id].install(rule)
-        return True
+        if install_batch(self.world.switches, batch.installs):
+            return True
+        self._counters["table_full_events"] += 1
+        return False
 
     def _record_install(self, batch: FlowModBatch, domain: str, tick: int, packet: Packet) -> None:
         self.report.installs.append(

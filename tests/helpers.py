@@ -17,7 +17,7 @@ from dataclasses import asdict, replace
 from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
 
-from sdnsec.dataplane import FlowMatch, FlowRule, Packet, TableFullError
+from sdnsec.dataplane import FlowMatch, FlowRule, Packet
 from sdnsec.defense import ResponseMode, compute_thresholds
 from sdnsec.labels import LabelWindow, SecurityLabel, parse_label_constraint
 from sdnsec.metrics import FlowRecord, InstallRecord, MetricsReport, emit
@@ -513,26 +513,28 @@ class ScanTable:
     insort, equal priorities in install order.  Install rules follow the
     switch's: an equal-priority re-install keeps its place, a higher-priority
     one is removed and inserted again as the newest, a lower-priority one is
-    ignored, and a new match beyond capacity raises :class:`TableFullError`."""
+    ignored, and a new match beyond capacity is refused: ``install`` returns
+    False and the table is unchanged."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.rules: list[FlowRule] = []
 
-    def install(self, rule: FlowRule) -> None:
+    def install(self, rule: FlowRule) -> bool:
         existing = next((old for old in self.rules if old.match == rule.match), None)
         if existing is not None:
             if rule.priority < existing.priority:
-                return
+                return True
             if rule.priority == existing.priority:
                 self.rules[self.rules.index(existing)] = rule
-                return
+                return True
             self.rules.remove(existing)
         elif len(self.rules) >= self.capacity:
-            raise TableFullError("reference table full")
+            return False
         # insertion point after equal priorities keeps install order stable
         index = bisect.bisect_right(self.rules, -rule.priority, key=lambda r: -r.priority)
         self.rules.insert(index, rule)
+        return True
 
 
 class _RollCounter:

@@ -8,12 +8,18 @@ packet.  Each attack changes the credentials or the entry and offers the
 packet again to a fresh AS2.  The oracle is the one rule an attack may not
 break: the outcome stays the honest one (the same rule batch, credentials
 for the next domain included) or becomes a drop, never a weaker admission.
-Each test also asserts that the drop names the credential check,
-``HANDLE_INVALID``.
+Each test also asserts that the drop is ``HANDLE_INVALID`` and that its
+event names the check that failed: ``no-handle``, ``entry``, ``handle-tag``
+or ``token-tag``.
 
 Credentials are only ever taken from AS1's own pipeline and changed with
 ``dataclasses.replace``, so every attack here is built from what a domain
 really issues.
+
+Trust is hop by hop: a domain verifies credentials under the key of the
+neighbour they came from, and only that key.  A transit domain that holds
+its own key can therefore re-mint them.  The last two tests pin what that
+does at AS3 today; they state a known limit, not a guarantee.
 """
 
 from dataclasses import replace
@@ -23,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from sdnsec.controller import DropReason
 from sdnsec.dataplane import Packet
 from sdnsec.formats import parse_compact_pe
+from sdnsec.interdomain import Handle, handle_tag
 from sdnsec.labels import parse_label_constraint
 from sdnsec.policy import Constraint, ConstraintKind, PolicyIndex
 from sdnsec.scenario import bundled_scenario_path, load_scenario
@@ -62,21 +69,32 @@ def issued(pkt, as1_policy=None):
     return rule.handle, rule.ptt
 
 
+def offer(as_id, pkt, handle, ptt, ingress, entry_peer):
+    """A fresh ``as_id``'s result for the packet-in, and the one event it logs."""
+    controller = build_world(SCENARIO).controllers[as_id]
+    result = controller.handle_packet_in(pkt, ingress, entry_peer, 0, handle=handle, ptt=ptt)
+    [event] = controller.events
+    return result, event
+
+
 def at_as2(pkt, handle, ptt, ingress="2SW1", entry_peer="1SW2"):
-    return build_world(SCENARIO).controllers["AS2"].handle_packet_in(pkt, ingress, entry_peer, 0, handle=handle, ptt=ptt)
+    return offer("AS2", pkt, handle, ptt, ingress, entry_peer)
 
 
 HANDLE, TOKEN = issued(packet())
-HONEST = at_as2(packet(), HANDLE, TOKEN)
+HONEST, _ = at_as2(packet(), HANDLE, TOKEN)
 
 
 def assert_no_weaker_admission(attacked):
-    assert attacked.batch is None or attacked.batch == HONEST.batch, attacked
+    result, _ = attacked
+    assert result.batch is None or result.batch == HONEST.batch, result
 
 
-def assert_fails_closed(attacked):
+def assert_fails_closed(attacked, check):
     assert_no_weaker_admission(attacked)
-    assert attacked.reason == DropReason.HANDLE_INVALID
+    result, event = attacked
+    assert result.reason == event.reason == DropReason.HANDLE_INVALID
+    assert event.summary.endswith(f" [credentials check={check}]"), event.summary
 
 
 def test_the_honest_packet_in_is_admitted_with_its_credentials_extended():
@@ -92,38 +110,75 @@ def _flip_digit(tag: str, index: int, mask: int = 1) -> str:
 
 
 def test_tampered_tags_fail_closed():
-    assert_fails_closed(at_as2(packet(), replace(HANDLE, tag=_flip_digit(HANDLE.tag, 0)), TOKEN))
-    assert_fails_closed(at_as2(packet(), HANDLE, replace(TOKEN, tag=_flip_digit(TOKEN.tag, 0))))
+    assert_fails_closed(at_as2(packet(), replace(HANDLE, tag=_flip_digit(HANDLE.tag, 0)), TOKEN), "handle-tag")
+    # the handle's tag covers the token's tag, so a changed token tag fails the handle
+    assert_fails_closed(at_as2(packet(), HANDLE, replace(TOKEN, tag=_flip_digit(TOKEN.tag, 0))), "handle-tag")
+    # constraints changed under the tag AS1 gave them fail the token itself
+    assert_fails_closed(at_as2(packet(), HANDLE, replace(TOKEN, constraints=())), "token-tag")
 
 
 def test_credentials_replayed_on_another_flow_fail_closed():
     # a valid pair that AS1 issued for the :80 flow of the same hosts
     handle, token = issued(packet(80, "HTTP"))
-    assert_fails_closed(at_as2(packet(), handle, token))
+    assert_fails_closed(at_as2(packet(), handle, token), "handle-tag")
 
 
 def test_a_looser_token_of_the_same_flow_fails_closed():
     _, looser = issued(packet(), LOOSER_AS1_POLICY)
     assert looser.constraints != TOKEN.constraints
-    assert_fails_closed(at_as2(packet(), HANDLE, looser))
+    assert_fails_closed(at_as2(packet(), HANDLE, looser), "handle-tag")
 
 
 def test_a_token_of_another_flow_fails_closed():
     _, foreign = issued(packet(80, "HTTP"))
-    assert_fails_closed(at_as2(packet(), HANDLE, foreign))
+    assert_fails_closed(at_as2(packet(), HANDLE, foreign), "handle-tag")
 
 
 def test_a_stripped_token_fails_closed():
-    assert_fails_closed(at_as2(packet(), HANDLE, None))
+    assert_fails_closed(at_as2(packet(), HANDLE, None), "handle-tag")
 
 
 def test_a_token_without_a_handle_fails_closed():
-    assert_fails_closed(at_as2(packet(), None, TOKEN))
+    assert_fails_closed(at_as2(packet(), None, TOKEN), "no-handle")
 
 
 def test_credentials_entering_from_another_neighbor_fail_closed():
     # AS1's valid pair, offered at AS2's gateway toward AS3
-    assert_fails_closed(at_as2(packet(), HANDLE, TOKEN, ingress="2SW3", entry_peer="3SW2"))
+    assert_fails_closed(at_as2(packet(), HANDLE, TOKEN, ingress="2SW3", entry_peer="3SW2"), "entry")
+
+
+# what AS2 honestly sends on to AS3: the handle ('AS1', 'AS2') and AS1's SL2+= token
+_, _, AS2_EGRESS = egress_hop(WORLD, HONEST.batch)
+AS2_KEY = SCENARIO.domain("AS2").handle_key.encode()
+
+
+def at_as3(handle, ptt):
+    return offer("AS3", packet(), handle, ptt, "3SW2", "2SW3")
+
+
+def as2_reminted(visited, ptt):
+    """A handle AS2 tags under its own key, as a misbehaving AS2 could."""
+    return Handle(visited, handle_tag(packet().flow_id, visited, ptt, AS2_KEY))
+
+
+def test_limit_a_transit_domain_can_strip_the_origins_token_undetected():
+    honest, _ = at_as3(AS2_EGRESS.handle, AS2_EGRESS.ptt)
+    _, _, honest_egress = egress_hop(WORLD, honest.batch)
+    assert honest_egress.ptt.constraints == TOKEN.constraints
+    # AS2 re-mints the handle with no token: AS3 cannot tell and installs,
+    # and the origin's SL2+= constraint is gone from the rest of the path
+    stripped, event = at_as3(as2_reminted(("AS1", "AS2"), None), None)
+    assert event.verdict == "install"
+    _, _, stripped_egress = egress_hop(WORLD, stripped.batch)
+    assert stripped_egress.ptt is None
+
+
+def test_limit_a_transit_domain_can_launder_the_origin_undetected():
+    # AS2 re-mints the handle as if the flow began at AS2: the credentials
+    # verify, and AS3 decides on the laundered origin, which here drops
+    laundered, event = at_as3(as2_reminted(("AS2",), AS2_EGRESS.ptt), AS2_EGRESS.ptt)
+    assert laundered.batch is None
+    assert laundered.reason == event.reason == DropReason.POLICY
 
 
 def _label(text):

@@ -10,9 +10,9 @@ from sdnsec.dataplane import (
     FlowRule,
     Packet,
     Switch,
-    TableFullError,
     flow_dump,
     format_flow_dump,
+    install_batch,
 )
 
 
@@ -115,13 +115,45 @@ def test_higher_priority_replaces_identical_match():
 def test_table_capacity_surfaces_error():
     sw = make_switch(capacity=2)
     sw.attach("peer")
-    sw.install(forward(1, "peer", service_port=1))
-    sw.install(forward(1, "peer", service_port=2))
+    switches = {"SW1": sw}
+    for port in (1, 2):
+        assert install_batch(switches, [("SW1", forward(1, "peer", service_port=port))])
     # a match already installed takes no new entry
-    assert sw.room_for({FlowMatch(service_port=1), FlowMatch(service_port=2)})
-    assert not sw.room_for({FlowMatch(service_port=1), FlowMatch(service_port=3)})
-    with pytest.raises(TableFullError):
-        sw.install(forward(1, "peer", service_port=3))
+    assert install_batch(switches, [("SW1", forward(1, "peer", service_port=port)) for port in (1, 2)])
+    before = flow_dump(sw)
+    assert not install_batch(switches, [("SW1", forward(1, "peer", service_port=port)) for port in (1, 3)])
+    assert not install_batch(switches, [("SW1", forward(1, "peer", service_port=3))])
+    assert flow_dump(sw) == before
+    assert len(sw.table) == 2
+
+
+def test_a_batch_that_overflows_one_switch_writes_on_no_switch():
+    first, second = Switch("SW1"), Switch("SW2", capacity=1)
+    for sw in (first, second):
+        sw.attach("peer")
+        sw.install(forward(100, "peer", service_port=1))
+    before = flow_dump(first)
+    batch = [
+        # a new match and a replacement on the switch with room, then a
+        # new match on the full one
+        ("SW1", forward(100, "peer", service_port=2)),
+        ("SW1", forward(200, "peer", service_port=1)),
+        ("SW2", forward(100, "peer", service_port=2)),
+    ]
+    assert not install_batch({"SW1": first, "SW2": second}, batch)
+    assert flow_dump(first) == before
+    assert len(first.table) == 1
+    assert len(second.table) == 1
+
+
+def test_a_match_named_twice_on_one_switch_takes_one_entry():
+    sw = make_switch(capacity=2)
+    sw.attach("peer")
+    sw.install(forward(100, "peer", service_port=1))
+    twice = [("SW1", forward(priority, "peer", service_port=2)) for priority in (100, 200)]
+    assert install_batch({"SW1": sw}, twice)
+    assert len(sw.table) == len(flow_dump(sw)) == 2
+    assert sw.lookup(make_packet(service_port=2)) is twice[1][1]
 
 
 def test_dump_is_priority_then_insertion_ordered():
@@ -165,10 +197,7 @@ def test_outcomes_match_linear_scan_oracle():
         )
         action = rng.choice((ActionKind.FORWARD, ActionKind.DROP))
         rule = FlowRule(match, action, rng.randrange(0, 300), next_hop="peer" if action == ActionKind.FORWARD else None)
-        try:
-            sw.install(rule)
-        except TableFullError:
-            break
+        sw.install(rule)
     snapshot = flow_dump(sw)
 
     def oracle(packet):
@@ -248,13 +277,8 @@ def test_tuple_space_agrees_with_the_priority_scan(program):
         if op[0] == "install":
             _, match, priority, action = op
             rule = FlowRule(match, action, priority, next_hop="peer" if action == ActionKind.FORWARD else None)
-            fits = sw.room_for({match})
-            for table in (sw, reference):
-                if fits:
-                    table.install(rule)
-                else:
-                    with pytest.raises(TableFullError):
-                        table.install(rule)
+            # the switch refuses a new match beyond capacity as the reference does
+            assert install_batch({"SW1": sw}, [("SW1", rule)]) is reference.install(rule)
             # the same rules in the same order
             assert flow_dump(sw) == reference.rules
             assert len(sw.table) == len(reference.rules)

@@ -596,6 +596,9 @@ def test_mutated_bundled_scenarios_are_rejected_or_run_clean(doc):
     assert counters["delivered"] + dropped == counters["offered"] == len(report.flows)
     for switch in world.switches.values():
         assert len(flow_dump(switch)) <= switch.capacity
+        # install checks no capacity, so a table within it shows that every
+        # write went through install_batch; the table's count is its rules
+        assert len(switch.table) == len(flow_dump(switch))
         # synthesis writes forward rules before return rules, so a batch cut
         # short leaves a forward rule without its return rule
         installed = {rule.match for rule in flow_dump(switch)}

@@ -22,6 +22,11 @@ of n domains, whose policies delegate nothing, tags at most two handles
 per domain link and no token, and the transit mesh has fixed bounds at
 seed 1.  A handle's tag binds its token without a tag of its own.
 
+The rule path builds a flow's two matches once per packet, not once per
+domain it crosses, and files each written rule with one ``Switch.install``
+call: the workloads at seed 1 have fixed bounds on ``FlowMatch``
+constructions, and their install calls equal the rules the report counts.
+
 The counts are deterministic, so a lost optimisation fails here at once,
 whatever the machine's speed.
 """
@@ -36,7 +41,7 @@ import pytest
 from test_golden import CASES, build_case
 from test_workloads import WORKLOADS
 
-from sdnsec.dataplane import Switch
+from sdnsec.dataplane import FlowMatch, Switch
 from sdnsec.interdomain import handle_tag, ptt_tag
 from sdnsec.metrics import emit
 from sdnsec.policy import match_pe, normalize_mac
@@ -53,15 +58,17 @@ FORMATS = ("records", "table", "delimited")
 
 
 class CallCounter:
-    """Wraps every :data:`COUNTED` method and each of ``functions`` (where
-    it is defined and wherever an ``sdnsec`` module imported it by name);
-    calls count only inside :meth:`counting`, under the function's
+    """Wraps every :data:`COUNTED` method, each ``(class, name)`` of
+    ``methods`` and each of ``functions`` (where it is defined and wherever
+    an ``sdnsec`` module imported it by name); calls count only inside
+    :meth:`counting`, under ``Class.name`` for a method and the function's
     ``module.name``."""
 
-    def __init__(self, functions=(dataclasses.asdict,)) -> None:
+    def __init__(self, functions=(dataclasses.asdict,), methods=()) -> None:
         self.calls: Counter[str] = Counter()
         self.active = False
         self.functions = functions
+        self.methods = methods
         self._undo: list = []
 
     def _wrap(self, label: str, original):
@@ -73,7 +80,7 @@ class CallCounter:
         return counted
 
     def __enter__(self) -> "CallCounter":
-        for cls, name in COUNTED:
+        for cls, name in (*COUNTED, *self.methods):
             own = cls.__dict__.get(name)
             setattr(cls, name, self._wrap(f"{cls.__name__}.{name}", getattr(cls, name)))
             self._undo.append((cls, name, own))
@@ -177,11 +184,11 @@ def test_dataplane_calls_grow_no_faster_than_the_offered_flows(monkeypatch):
         assert 0 < max(ratios) <= GROWTH_FACTOR * min(ratios), (name, per_flow)
 
 
-def _run_counts(world, *functions) -> tuple[Counter, dict[str, int]]:
-    """The calls to ``functions`` that ``Simulation(world).run()`` makes, and
-    the run's report counters."""
+def _run_counts(world, *functions, methods=()) -> tuple[Counter, dict[str, int]]:
+    """The calls to ``functions`` and ``methods`` that
+    ``Simulation(world).run()`` makes, and the run's report counters."""
     reports = []
-    with CallCounter(functions) as counter:
+    with CallCounter(functions, methods) as counter:
         calls = counter.counting(lambda: reports.append(Simulation(world).run()))
     return calls, reports[0].counters
 
@@ -214,3 +221,17 @@ def test_mesh_transit_credential_tags_are_bounded():
     assert counters["packet_ins"] == 656
     assert 0 < calls["sdnsec.interdomain.handle_tag"] <= 868, calls
     assert 0 < calls["sdnsec.interdomain.ptt_tag"] <= 364, calls
+
+
+# seed 1; a flow's two matches are built once per packet, so mesh_transit,
+# whose flows cross several domains, builds far fewer than two per packet-in
+FLOW_MATCH_BOUNDS = {"flood_table": 1_742, "acl_proactive": 720, "mesh_transit": 444}
+
+
+@pytest.mark.parametrize("workload", sorted(FLOW_MATCH_BOUNDS))
+def test_rule_path_builds_each_flows_matches_once_and_files_each_rule_once(workload):
+    methods = ((FlowMatch, "__post_init__"), (Switch, "install"))
+    calls, counters = _run_counts(_world(f"workload:{workload}"), methods=methods)
+    assert 0 < calls["FlowMatch.__post_init__"] <= FLOW_MATCH_BOUNDS[workload], calls
+    # build_world wrote the ARP rules before the run
+    assert calls["Switch.install"] == counters["rules_installed"] + counters["proactive_installs"] > 0, (calls, counters)
