@@ -8,9 +8,9 @@ expression, and every later stage reads its obligations off it; no winner,
 a deny, or an allow whose own label window is empty drops as ``POLICY``.
 The result is either a batch of flow rules or a drop with a reason.  For a
 flow leaving the domain, the egress gateway's forward rule is the hop: its
-next hop is the next domain's gateway, and it carries the extended handle
-and re-tagged transfer token.  Every outcome appends one ``ControllerEvent`` naming the matched
-policy and the ticks charged so far.
+next hop is the next domain's gateway, and it carries the extended handle,
+which holds the re-tagged transfer token.  Every outcome appends one
+``ControllerEvent`` naming the matched policy and the ticks charged so far.
 
 Domain routes are searched on the world's domain graph; the caller names the
 node the packet came from (``entry_peer``), which the return rules lead to.
@@ -182,7 +182,6 @@ def synthesize_rules(
     entry_peer: str,
     sec_profile: frozenset[str] = frozenset(),
     handle_out: Handle | None = None,
-    ptt_out: PolicyTransferToken | None = None,
 ) -> FlowModBatch:
     """One forward rule per path switch plus the symmetric return set.
 
@@ -191,8 +190,8 @@ def synthesize_rules(
     rule names its next hop: the following switch on the path,
     ``final_peer`` for the last switch's forward rule (a host or the peer
     domain's gateway) and ``entry_peer`` for the first switch's return
-    rule.  The last switch's forward rule carries ``handle_out`` and
-    ``ptt_out``, the credentials of a flow that leaves the domain there.
+    rule.  The last switch's forward rule carries ``handle_out``, the
+    credential of a flow that leaves the domain there.
     The batch lists the forward rules in path order, then the return rules
     in path order; the install order breaks lookup ties and orders a
     switch's flow dump.
@@ -201,7 +200,7 @@ def synthesize_rules(
         raise ValueError("cannot synthesize rules for an empty path")
     forward_match, reverse_match = packet.matches
 
-    def rule(match: FlowMatch, switch: str, peer: str, handle=None, ptt=None) -> tuple[str, FlowRule]:
+    def rule(match: FlowMatch, switch: str, peer: str, handle=None) -> tuple[str, FlowRule]:
         return switch, FlowRule(
             match,
             ActionKind.FORWARD,
@@ -209,13 +208,12 @@ def synthesize_rules(
             next_hop=peer,
             sec_profile_tags=sec_profile,
             handle=handle,
-            ptt=ptt,
         )
 
     return FlowModBatch(
         (
             *[rule(forward_match, switch, peer) for switch, peer in zip(path, path[1:])],
-            rule(forward_match, path[-1], final_peer, handle_out, ptt_out),
+            rule(forward_match, path[-1], final_peer, handle_out),
             *[rule(reverse_match, switch, peer) for switch, peer in zip(path, (entry_peer, *path))],
         ),
         provenance=pe_id,
@@ -251,6 +249,8 @@ class Controller:
         self.known = known
         self.monitor = monitor
         self.key_ring = key_ring
+        # egress gateway -> the neighbor it leads to, for pinned exits
+        self._gateway_peers = {gateway_name(self.as_id, neighbor): neighbor for neighbor in key_ring}
         self.user_bindings = spec.users  # MACs normalized by the scenario parser
         self.hosts = {host.ip: host for host in spec.hosts}
         # (domain, network, mask) for this domain, then each known domain
@@ -306,12 +306,6 @@ class Controller:
         )
         return FlowModBatch(((ingress, rule),), provenance=f"{BLOCK_PROVENANCE_PREFIX}{format_ipv4(packet.src_ip)}")
 
-    def _peer_for_gateway(self, gateway: str) -> str | None:
-        for neighbor in self.key_ring:
-            if gateway_name(self.as_id, neighbor) == gateway:
-                return neighbor
-        return None
-
     def _rate_admits(self, src: int, constraints, tick: int) -> bool:
         """Per-source admission against the tightest rate constraint in play
         (requests per window)."""
@@ -330,7 +324,6 @@ class Controller:
         entry_peer: str,
         tick: int,
         handle: Handle | None = None,
-        ptt: PolicyTransferToken | None = None,
         *,
         defense: bool = True,
     ) -> PipelineResult:
@@ -368,14 +361,14 @@ class Controller:
                 block = self._block_rule_batch(packet, ingress) if newly_blocked else None
                 return drop(DropReason.DEFENSE_BLOCKED, detail, block)
 
-        # credentials: a token comes with the handle that binds it, through
-        # the gateway of the domain the handle last visited, and both verify
+        # credentials: a handle comes through the gateway of the domain it
+        # last visited, and it and its token verify
         verified_ptt: PolicyTransferToken | None = None
-        if self.enforcement_enabled and (handle is not None or ptt is not None):
+        if self.enforcement_enabled and handle is not None:
+            ptt = handle.ptt
             failed = (
-                "no-handle" if handle is None
-                else "entry" if entry_peer != gateway_name(handle.visited[-1], self.as_id)
-                else "handle-tag" if not validate_handle(handle, flow_id, ptt, self.key_ring)
+                "entry" if entry_peer != gateway_name(handle.visited[-1], self.as_id)
+                else "handle-tag" if not validate_handle(handle, flow_id, self.key_ring)
                 else "token-tag" if ptt is not None and not verify_ptt(ptt, flow_id, self.key_ring[handle.visited[-1]])
                 else None
             )
@@ -418,7 +411,7 @@ class Controller:
                 # hard egress pin: the action's exit switch decides the next
                 # domain; a pinned transit domain must still satisfy the
                 # merged label window
-                next_as = self._peer_for_gateway(winner.action_exit)
+                next_as = self._gateway_peers.get(winner.action_exit)
                 if next_as not in (None, dst_domain) and not window.satisfies(self.as_graph.node(next_as).label):
                     next_as = None
             if next_as is None or (handle is not None and next_as in handle.visited):
@@ -438,9 +431,8 @@ class Controller:
         except NoPathError:
             return drop(DropReason.NO_SATISFYING_PATH)
 
-        # credentials for the next domain; tagging charges no ticks
+        # the credential for the next domain; tagging charges no ticks
         handle_out: Handle | None = None
-        ptt_out: PolicyTransferToken | None = None
         if next_as is not None:
             ptt_out = forward_ptt(verified_ptt, flow_id, winner.delegable_constraints, self.handle_key)
             handle_out = extend_handle(handle, flow_id, self.as_id, ptt_out, self.handle_key)
@@ -453,7 +445,6 @@ class Controller:
             entry_peer=entry_peer,
             sec_profile=winner.sec_profile or frozenset(),
             handle_out=handle_out,
-            ptt_out=ptt_out,
         )
         ticks += self.costs.per_rule * len(batch)
 

@@ -11,10 +11,11 @@ simulation executes it (forward, drop or punt to the controller) and raises
 a packet-in on a miss.  A forward rule names its next hop, the attached peer
 (switch or host) the packet goes to; port numbers exist only in a switch's
 wiring (``Switch.ports``) and in its flow dump.  A forward rule at a
-domain's egress gateway also carries the flow's handle and transfer token,
-which the switch adds to the packet as it leaves.  :func:`install_batch`
-writes a flow-mod batch all or nothing, like an OpenFlow 1.4 bundle, and is
-the one capacity check.  All mutation happens on the simulation loop's thread.
+domain's egress gateway also carries the flow's handle, which holds its
+transfer token, and the switch adds it to the packet as it leaves.
+:func:`install_batch` writes a flow-mod batch all or nothing, like an
+OpenFlow 1.4 bundle, and is the one capacity and next-hop check.  All
+mutation happens on the simulation loop's thread.
 
 Packet and match addresses are plain ``int`` values, so a probe key hashes
 natively; a flow dump prints them as dotted text.
@@ -28,7 +29,7 @@ from functools import cache, cached_property
 from itertools import count
 from operator import attrgetter
 
-from .interdomain import Handle, PolicyTransferToken
+from .interdomain import Handle
 from .policy import derive_flow_id, format_ipv4
 
 __all__ = [
@@ -135,9 +136,8 @@ class FlowRule:
     priority: int
     next_hop: str | None = None
     sec_profile_tags: frozenset[str] = frozenset()
-    # credentials added to packets leaving the domain through this rule
+    # the credential added to packets leaving the domain through this rule
     handle: Handle | None = None
-    ptt: PolicyTransferToken | None = None
 
     def __post_init__(self) -> None:
         if self.priority < 0:
@@ -201,11 +201,8 @@ class Switch:
         installed match replaces it, unless its priority is lower, when it
         is ignored.  At equal priority the replacement keeps the old rule's
         place among equal priorities, so re-installing a rule is idempotent;
-        at higher priority it counts as newly installed.  A forward rule
-        whose next hop is not attached raises ``ValueError`` and leaves the
-        table as it was.  :func:`install_batch` checks capacity first."""
-        if rule.next_hop is not None and rule.next_hop not in self.ports:
-            raise ValueError(f"{self.id} has no port toward {rule.next_hop}")
+        at higher priority it counts as newly installed.
+        :func:`install_batch` checks next hops and capacity first."""
         mask = rule.match.mask
         table = self.table.masks.get(mask) or self.table.masks.setdefault(mask, _MaskTable(mask))
         entry = (-rule.priority, next(self._install_numbers), rule)
@@ -234,12 +231,16 @@ class Switch:
 
 def install_batch(switches: dict[str, Switch], installs: Sequence[tuple[str, FlowRule]]) -> bool:
     """Write every ``(switch id, rule)`` of ``installs`` through
-    :meth:`Switch.install`, or none of them: when some switch lacks room
-    for the matches new to it, a match named twice counted once, the batch
-    is refused and False returned."""
+    :meth:`Switch.install`, or none of them.  A forward rule whose next hop
+    is not attached to its switch raises ``ValueError``; when some switch
+    lacks room for the matches new to it, a match named twice counted once,
+    the batch is refused and False returned."""
     new: dict[str, set[FlowMatch]] = {}
     for switch_id, rule in installs:
-        table = switches[switch_id].table.masks.get(rule.match.mask)
+        switch = switches[switch_id]
+        if rule.next_hop is not None and rule.next_hop not in switch.ports:
+            raise ValueError(f"{switch_id} has no port toward {rule.next_hop}")
+        table = switch.table.masks.get(rule.match.mask)
         if table is None or rule.match.key not in table.entries:
             new.setdefault(switch_id, set()).add(rule.match)
     if any(switches[s].table.size + len(matches) > switches[s].capacity for s, matches in new.items()):

@@ -1,17 +1,18 @@
 """Cross-domain flow credentials: visited-path handles and transfer tokens.
 
-Every flow that leaves its origin domain travels with a *handle* (the ordered
-list of domains it has visited, integrity-tagged) and optionally a *policy
-transfer token* (flow-scoped constraints the origin delegates to transit
-domains).  A credential keeps only what the packet does not carry: the flow
-id is the packet's own, and a handle's origin is its first visited domain.
-Tags are HMAC-SHA256 over a canonical pipe-delimited payload that takes the
-flow id from its caller (``handle|v1|flow|visited,...|token-tag`` and
-``ptt|v1|flow|constraint;...``), so flipping any tag bit or payload field,
-or presenting the credential on another flow, fails verification.  A
-handle's payload ends in its token's tag (``-`` for no token), so the
-handle's tag binds the token: stripping or swapping it fails the handle
-check, and a domain mints its token before its handle.
+Every flow that leaves its origin domain travels with one credential, a
+*handle*: the ordered list of domains it has visited, integrity-tagged, and
+optionally the *policy transfer token* it carries (flow-scoped constraints
+the origin delegates to transit domains).  A credential keeps only what the
+packet does not carry: the flow id is the packet's own, and a handle's
+origin is its first visited domain.  Tags are HMAC-SHA256 over a canonical
+pipe-delimited payload that takes the flow id from its caller
+(``handle|v1|flow|visited,...|token-tag`` and ``ptt|v1|flow|constraint;...``),
+so flipping any tag bit or payload field, or presenting the credential on
+another flow, fails verification.  A handle's payload ends in its token's
+tag (``-`` for no token), so the handle's tag binds the token: stripping or
+swapping it fails the handle check, and a domain mints its token before its
+handle.
 
 Tagging follows a chain-of-keys model: each domain controller owns one key
 (``handle_key`` in the scenario) and holds the keys of its topology
@@ -48,11 +49,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Handle:
-    """Integrity-tagged record of the domains a flow has visited, in order;
-    the first is the flow's origin."""
+    """Integrity-tagged record of the domains a flow has visited, in order
+    (the first is its origin), and of the transfer token it carries."""
 
     visited: tuple[str, ...]
     tag: str
+    ptt: PolicyTransferToken | None = None
 
     def __post_init__(self) -> None:
         if not self.visited:
@@ -70,16 +72,16 @@ def handle_tag(flow_id: str, visited: tuple[str, ...], ptt: PolicyTransferToken 
 def extend_handle(
     handle: Handle | None, flow_id: str, as_id: str, ptt: PolicyTransferToken | None, key: bytes
 ) -> Handle:
-    """The handle flow ``flow_id`` leaves ``as_id`` with, bound to the token
-    ``ptt`` it leaves with and tagged under ``key``: ``handle`` with
-    ``as_id`` appended, or with no handle a new one that ``as_id``
-    originates.
+    """The handle flow ``flow_id`` leaves ``as_id`` with, holding the token
+    ``ptt`` it leaves with and tagged under ``key``: ``handle``'s visited
+    list with ``as_id`` appended, or with no handle a new one that
+    ``as_id`` originates.
 
     Callers must have validated the incoming handle first (see
     :func:`validate_handle`); this function does not check it.
     """
     visited = (as_id,) if handle is None else handle.visited + (as_id,)
-    return Handle(visited, handle_tag(flow_id, visited, ptt, key))
+    return Handle(visited, handle_tag(flow_id, visited, ptt, key), ptt)
 
 
 @dataclass(frozen=True)
@@ -123,18 +125,17 @@ def verify_ptt(ptt: PolicyTransferToken, flow_id: str, key: bytes) -> bool:
     return hmac.compare_digest(ptt_tag(flow_id, ptt.constraints, key), ptt.tag)
 
 
-def validate_handle(
-    handle: Handle, flow_id: str, ptt: PolicyTransferToken | None, key_ring: dict[str, bytes]
-) -> bool:
-    """A handle is acceptable at a domain for flow ``flow_id`` arriving with
-    token ``ptt`` iff the domain it last visited is in the domain's key
-    ring, which holds exactly its topology neighbors, and its tag verifies
-    under that neighbor's key.  Construction already refuses a visited
+def validate_handle(handle: Handle, flow_id: str, key_ring: dict[str, bytes]) -> bool:
+    """A handle is acceptable at a domain for flow ``flow_id`` iff the
+    domain it last visited is in the domain's key ring, which holds exactly
+    its topology neighbors, and its tag, which covers its token's tag,
+    verifies under that neighbor's key.  The token's own tag is checked
+    apart (:func:`verify_ptt`).  Construction already refuses a visited
     list that repeats a domain."""
     key = key_ring.get(handle.visited[-1])
     if key is None:
         return False
-    return hmac.compare_digest(handle_tag(flow_id, handle.visited, ptt, key), handle.tag)
+    return hmac.compare_digest(handle_tag(flow_id, handle.visited, handle.ptt, key), handle.tag)
 
 
 def merge_constraints(

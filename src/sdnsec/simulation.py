@@ -15,13 +15,13 @@ names as its entry peer.
 Controllers are modeled as sequential servers: a packet-in waits until the
 controller is free, is charged the pipeline's deterministic service ticks,
 and its flow-mod batch applies at the emission tick.  A packet leaving a
-domain, retries included, picks up its handle and transfer token from the
-egress gateway's forward rule, which is where augmentation happens on a real
-edge.  Proactive pre-install runs each flow's packet-ins before the event
-loop starts, in the order the loop would offer the flows (by tick, equal
-ticks in document order).  It takes the hop the same way: the next
-domain's ingress is that rule's next hop, and its packet-in carries that
-rule's credentials.
+domain, retries included, picks up its handle, which holds its transfer
+token, from the egress gateway's forward rule, which is where augmentation
+happens on a real edge.  Proactive pre-install runs each flow's packet-ins
+before the event loop starts, in the order the loop would offer the flows
+(by tick, equal ticks in document order).  It takes the hop the same way:
+the next domain's ingress is that rule's next hop, and its packet-in
+carries that rule's handle.
 
 At the end of a run the report's counters are counted from its records,
 except the two events no record carries; ``_DROP_COUNTERS`` files each
@@ -46,7 +46,7 @@ from .controller import (
 )
 from .dataplane import ActionKind, Packet, Switch, install_batch
 from .defense import FloodMonitor, ResponseMode
-from .interdomain import Handle, PolicyTransferToken
+from .interdomain import Handle
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
 from .policy import DomainInfo, format_ipv4
 from .scenario import FloodSpec, HostSpec, Scenario
@@ -62,7 +62,6 @@ class _InFlight:
     packet: Packet
     record: FlowRecord
     handle: Handle | None = None
-    ptt: PolicyTransferToken | None = None
     trace: list[str] = field(default_factory=list)
 
 
@@ -260,7 +259,6 @@ class Simulation:
             return
         if rule.handle is not None:
             inflight.handle = rule.handle
-            inflight.ptt = rule.ptt
         inflight.trace.append(switch_id)
         peer = rule.next_hop
         if peer in self.world.hosts:
@@ -277,9 +275,7 @@ class Simulation:
         ctrl = self.world.controllers[domain]
         arrival = tick
         start = max(arrival, ctrl.next_free_tick)
-        result = ctrl.handle_packet_in(
-            inflight.packet, ingress, entry_peer, start, inflight.handle, inflight.ptt
-        )
+        result = ctrl.handle_packet_in(inflight.packet, ingress, entry_peer, start, inflight.handle)
         emission = start + result.service_ticks
         ctrl.next_free_tick = emission
         self.report.latencies.append(LatencyRecord(domain, arrival, start, emission))
@@ -327,12 +323,12 @@ class Simulation:
             src = self.world.hosts[item.src_host]
             packet = self._make_packet(src, item.dst, item, item.port)
             ingress, entry_peer = src.switch, src.id
-            handle = ptt = None
+            handle = None
             # each hop extends the handle by a domain it has not visited, so
             # the walk ends within one hop per domain
             while True:
                 ctrl = self.world.controllers[self.world.switch_domain[ingress]]
-                result = ctrl.handle_packet_in(packet, ingress, entry_peer, item.at, handle, ptt, defense=False)
+                result = ctrl.handle_packet_in(packet, ingress, entry_peer, item.at, handle, defense=False)
                 if result.batch is None or not self._install_batch(result.batch):
                     break
                 self._counters["proactive_installs"] += len(result.batch)
@@ -340,7 +336,7 @@ class Simulation:
                 if egress is None:
                     break  # the flow ends in this domain
                 entry_peer, rule = egress
-                ingress, handle, ptt = rule.next_hop, rule.handle, rule.ptt
+                ingress, handle = rule.next_hop, rule.handle
 
     # --- main loop -------------------------------------------------------------
 

@@ -221,7 +221,7 @@ def test_property_suites():
         keys = {"AS1": b"k1", "AS2": b"k2"}
         handle = extend_handle(extend_handle(None, "f", "AS1", None, keys["AS1"]), "f", "AS2", None, keys["AS2"])
 
-        assert validate_handle(handle, "f", None, keys)
+        assert validate_handle(handle, "f", keys)
         from dataclasses import replace as _replace
 
         # the flow id is the packet's and the origin is visited[0], so
@@ -233,7 +233,7 @@ def test_property_suites():
             (_replace(handle, visited=("AS1",)), "f"),
             (_replace(handle, tag="0" * 64), "f"),
         ]
-        assert all(not validate_handle(m, flow, None, keys) for m, flow in mutants)
+        assert all(not validate_handle(m, flow, keys) for m, flow in mutants)
         # the domain route is the first path of a brute-force DFS oracle on
         # random 6-domain graphs
         for trial in range(60):

@@ -66,7 +66,6 @@ def test_synthesized_batch_is_pinned_rule_by_rule():
         entry_peer="src",
         sec_profile=profile,
         handle_out=handle,
-        ptt_out=ptt,
     )
     forward = (packet.src_ip, packet.dst_ip)
     reverse = (packet.dst_ip, packet.src_ip)
@@ -78,7 +77,8 @@ def test_synthesized_batch_is_pinned_rule_by_rule():
         ("S2", reverse, "S1"),
         ("S3", reverse, "S2"),
     ]
-    assert [(r.handle, r.ptt) for _, r in batch.installs] == [(None, None)] * 2 + [(handle, ptt)] + [(None, None)] * 3
+    assert [r.handle for _, r in batch.installs] == [None] * 2 + [handle] + [None] * 3
+    assert handle.ptt == ptt
     for _, rule in batch.installs:
         assert (rule.action, rule.priority) == (ActionKind.FORWARD, FLOW_RULE_PRIORITY)
         assert rule.sec_profile_tags == profile
@@ -101,11 +101,11 @@ def test_admitted_flow_installs_and_pins_exit(transit_world):
     ctrl = transit_world.controllers["AS1"]
     result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
     assert ctrl.events[-1].matched_pe == "1"
-    # the pinned exit's forward rule leads into AS2 and carries the credentials
+    # the pinned exit's forward rule leads into AS2 and carries the credential
     gateway, peer, rule = egress_hop(transit_world, result.batch)
     assert (gateway, peer) == ("1SW2", "2SW1")
     assert rule.handle.visited == ("AS1",)
-    assert [c.text() for c in rule.ptt.constraints] == ["SL2+="]
+    assert [c.text() for c in rule.handle.ptt.constraints] == ["SL2+="]
 
 
 def test_every_batch_names_its_decision(transit_world):
@@ -191,7 +191,7 @@ def _from_as1(world, packet, ptt_key: bytes, *constraints):
     ``constraints`` tagged under ``ptt_key``."""
     ptt = forward_ptt(None, packet.flow_id, constraints, ptt_key)
     handle = extend_handle(None, packet.flow_id, "AS1", ptt, world.controllers["AS1"].handle_key)
-    return world.controllers["AS2"].handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle, ptt=ptt)
+    return world.controllers["AS2"].handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle)
 
 
 def test_forged_token_drops_the_flow(transit_world):

@@ -59,11 +59,22 @@ def test_forward_rule_toward_an_unattached_node_is_refused():
     sw.install(forward(100, "peer", service_port=80))
     before = format_flow_dump(sw)
     with pytest.raises(ValueError, match="SW1 has no port toward stranger"):
-        sw.install(forward(200, "stranger", service_port=80))
+        install_batch({"SW1": sw}, [("SW1", forward(200, "stranger", service_port=80))])
     with pytest.raises(ValueError, match="SW1 has no port toward stranger"):
-        sw.install(forward(100, "stranger", service_port=443))
+        install_batch({"SW1": sw}, [("SW1", forward(100, "stranger", service_port=443))])
     assert format_flow_dump(sw) == before
     assert len(sw.table) == 1
+
+
+def test_a_batch_with_a_rule_toward_an_unattached_node_writes_nothing():
+    sw = make_switch()
+    sw.attach("peer")
+    before = format_flow_dump(sw)
+    batch = [("SW1", forward(100, "peer", service_port=80)), ("SW1", forward(100, "stranger", service_port=443))]
+    with pytest.raises(ValueError, match="SW1 has no port toward stranger"):
+        install_batch({"SW1": sw}, batch)
+    assert len(sw.table) == 0
+    assert format_flow_dump(sw) == before
 
 
 def test_drop_consumes_silently():

@@ -48,52 +48,54 @@ def test_extended_handle_is_refused_on_another_flow_or_origin():
     assert extended.tag == handle_tag("f1", ("AS1", "AS2"), None, KEYS["AS2"])
     # the flow id is the packet's and the origin is visited[0]: the tag
     # commits to both
-    assert validate_handle(extended, "f1", None, ring("AS2"))
-    assert not validate_handle(extended, "f2", None, ring("AS2"))
-    assert not validate_handle(replace(extended, visited=("AS3", "AS2")), "f1", None, ring("AS2"))
+    assert validate_handle(extended, "f1", ring("AS2"))
+    assert not validate_handle(extended, "f2", ring("AS2"))
+    assert not validate_handle(replace(extended, visited=("AS3", "AS2")), "f1", ring("AS2"))
 
 
 def test_handle_tag_binds_its_token():
     token = forward_ptt(None, "f1", (label_geq(2),), KEYS["AS1"])
     other = forward_ptt(None, "f1", (label_geq(1),), KEYS["AS1"])
     handle = extend_handle(None, "f1", "AS1", token, KEYS["AS1"])
-    assert validate_handle(handle, "f1", token, ring("AS1"))
-    assert not validate_handle(handle, "f1", None, ring("AS1"))
-    assert not validate_handle(handle, "f1", other, ring("AS1"))
+    assert handle.ptt == token
+    assert validate_handle(handle, "f1", ring("AS1"))
+    assert not validate_handle(replace(handle, ptt=None), "f1", ring("AS1"))
+    assert not validate_handle(replace(handle, ptt=other), "f1", ring("AS1"))
     tokenless = extend_handle(None, "f1", "AS1", None, KEYS["AS1"])
-    assert not validate_handle(tokenless, "f1", token, ring("AS1"))
+    assert tokenless.ptt is None
+    assert not validate_handle(replace(tokenless, ptt=token), "f1", ring("AS1"))
 
 
 def test_validate_honest_handle_at_neighbor():
     handle = extend_handle(None, "f1", "AS1", None, KEYS["AS1"])
-    assert validate_handle(handle, "f1", None, ring("AS1"))
+    assert validate_handle(handle, "f1", ring("AS1"))
 
 
 def test_validate_requires_neighbor_adjacency():
     # a handle whose last visited domain is not adjacent, so missing from
     # the key ring, is refused although its tag is honest
     handle = extend_handle(None, "f1", "AS1", None, KEYS["AS1"])
-    assert not validate_handle(handle, "f1", None, ring("AS3"))
+    assert not validate_handle(handle, "f1", ring("AS3"))
 
 
 def test_validate_three_hop_arrival():
     handle = extend_handle(None, "f1", "AS1", None, KEYS["AS1"])
     handle = extend_handle(handle, "f1", "AS2", None, KEYS["AS2"])
     handle = extend_handle(handle, "f1", "AS3", None, KEYS["AS3"])
-    assert validate_handle(handle, "f1", None, ring("AS3"))
+    assert validate_handle(handle, "f1", ring("AS3"))
 
 
 def test_reordered_visited_list_rejected():
     handle = extend_handle(None, "f1", "AS1", None, KEYS["AS1"])
     handle = extend_handle(handle, "f1", "AS2", None, KEYS["AS2"])
     forged = Handle(("AS2", "AS1"), handle.tag)
-    assert not validate_handle(forged, "f1", None, ring("AS1", "AS2"))
+    assert not validate_handle(forged, "f1", ring("AS1", "AS2"))
 
 
 def test_every_single_field_mutation_rejected():
     handle = extend_handle(extend_handle(None, "f1", "AS1", None, KEYS["AS1"]), "f1", "AS2", None, KEYS["AS2"])
     key_ring = ring("AS1", "AS2")
-    assert validate_handle(handle, "f1", None, key_ring)
+    assert validate_handle(handle, "f1", key_ring)
     # another flow id and another origin (visited[0]) are the mutants of
     # the inputs the handle does not store
     mutations = [
@@ -104,7 +106,7 @@ def test_every_single_field_mutation_rejected():
         (replace(handle, tag="0" * len(handle.tag)), "f1"),
     ]
     for mutant, flow_id in mutations:
-        assert not validate_handle(mutant, flow_id, None, key_ring)
+        assert not validate_handle(mutant, flow_id, key_ring)
 
 
 def test_single_bit_tag_flips_all_rejected():
@@ -113,7 +115,7 @@ def test_single_bit_tag_flips_all_rejected():
     width = len(handle.tag) * 4
     for bit in range(width):
         flipped = f"{tag_bits ^ (1 << bit):0{len(handle.tag)}x}"
-        assert not validate_handle(replace(handle, tag=flipped), "f1", None, ring("AS1"))
+        assert not validate_handle(replace(handle, tag=flipped), "f1", ring("AS1"))
 
 
 def test_duplicate_visited_is_invalid_by_construction():
@@ -200,7 +202,7 @@ def test_transit_packet_in_classifies_transit_and_drop():
     )
     ptt = forward_ptt(None, packet.flow_id, (label_geq(2),), as1.handle_key)
     handle = extend_handle(None, packet.flow_id, "AS1", ptt, as1.handle_key)
-    result = as2.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle, ptt=ptt)
+    result = as2.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle)
     # transit: the egress rule leads on into AS3 with the extended handle
     gateway, peer, rule = egress_hop(world, result.batch)
     assert (gateway, peer) == ("2SW3", "3SW2")
@@ -217,10 +219,10 @@ def test_wire_tampering_is_bit_precise():
     # verification
     token = forward_ptt(None, "f1", (label_geq(2),), KEYS["AS1"])
     handle = extend_handle(None, "f1", "AS1", token, KEYS["AS1"])
-    assert validate_handle(handle, "f1", token, ring("AS1"))
+    assert validate_handle(handle, "f1", ring("AS1"))
     assert verify_ptt(token, "f1", KEYS["AS1"])
     for credential, verifies in (
-        (handle, lambda h: validate_handle(h, "f1", token, ring("AS1"))),
+        (handle, lambda h: validate_handle(h, "f1", ring("AS1"))),
         (token, lambda t: verify_ptt(t, "f1", KEYS["AS1"])),
     ):
         tag = credential.tag
