@@ -23,7 +23,12 @@ throughput experiments are reproducible: policy selection costs per
 expression in the repository, path search costs per switch in the fabric,
 synthesis per rule.  These ticks model the paper's controller; on the host,
 selection probes a :class:`~sdnsec.policy.PolicyIndex` and matches only
-the expressions filed under the context's values and the wildcard list.
+the expressions filed under the context's values and the wildcard list, and
+each controller searches a route once: it keeps the next domain per
+(destination domain, label window) and the switch path per (ingress,
+egress, required path, label window), since neither graph changes once the
+world is built.  A packet-in served from that memo is still charged the
+search's ticks.
 
 Addresses are plain ``int`` values throughout: the host table, the rate
 windows and the flood monitor are keyed by them, and a domain's subnet is
@@ -263,6 +268,11 @@ class Controller:
         self.next_free_tick = 0
         # admitted flows per source and window, for PE rate constraints
         self._rate_counts = WindowCounts(window_ticks)
+        # each route searched once, as both graphs are fixed once built:
+        # (destination domain, window) -> next domain, and (ingress, egress,
+        # required path, window) -> switch path; None where there is none
+        self._next_domains: dict[tuple, str | None] = {}
+        self._switch_paths: dict[tuple, tuple[str, ...] | None] = {}
 
     # --- context -------------------------------------------------------------
 
@@ -405,8 +415,11 @@ class Controller:
             final_switch, final_peer = host.switch, host.id
         else:
             if winner.action_exit is None:
-                paths = find_as_paths(self.as_graph, self.as_id, dst_domain, window)
-                next_as = paths[0][1] if paths else None
+                route = (dst_domain, window)
+                if route not in self._next_domains:
+                    paths = find_as_paths(self.as_graph, self.as_id, dst_domain, window)
+                    self._next_domains[route] = paths[0][1] if paths else None
+                next_as = self._next_domains[route]
             else:
                 # hard egress pin: the action's exit switch decides the next
                 # domain; a pinned transit domain must still satisfy the
@@ -419,16 +432,18 @@ class Controller:
             final_switch = gateway_name(self.as_id, next_as)
             final_peer = gateway_name(next_as, self.as_id)
 
+        # the modelled search cost is charged whether or not the memo holds it
         ticks += self.costs.per_switch * len(self.intra)
-        try:
-            path = find_switch_path(
-                self.intra,
-                ingress,
-                final_switch,
-                required=winner.switch_path,
-                constraint=window,
-            )
-        except NoPathError:
+        route = (ingress, final_switch, winner.switch_path, window)
+        if route not in self._switch_paths:
+            try:
+                self._switch_paths[route] = find_switch_path(
+                    self.intra, ingress, final_switch, required=winner.switch_path, constraint=window
+                )
+            except NoPathError:
+                self._switch_paths[route] = None
+        path = self._switch_paths[route]
+        if path is None:
             return drop(DropReason.NO_SATISFYING_PATH)
 
         # the credential for the next domain; tagging charges no ticks

@@ -148,7 +148,8 @@ def merge_constraints(
     token's other constraints are returned for the packet-predicate and rate
     checks.
     """
-    delegated = ptt.constraints if ptt is not None else ()
-    labels = [c.label for c in delegated if c.kind is ConstraintKind.LABEL_PATH]
-    others = tuple(c for c in delegated if c.kind is not ConstraintKind.LABEL_PATH)
+    if ptt is None:
+        return window, ()
+    labels = [c.label for c in ptt.constraints if c.kind is ConstraintKind.LABEL_PATH]
+    others = tuple(c for c in ptt.constraints if c.kind is not ConstraintKind.LABEL_PATH)
     return window.intersect(LabelWindow.conjoin(labels)), others

@@ -13,8 +13,10 @@ domain graph, which is the union of every controller's hop-1 answers, or
 over a switch graph, filtering every element through a label constraint.
 Both levels share one breadth-first search, linear in the size of the
 graph, that checks each label at most once and never enumerates alternative
-paths.  Of the shortest satisfying paths it returns the least by (hand-off
-bits, names); domain routes have no hand-off bits.
+paths.  It runs from the destination and stops at the source's level, where
+it works out the source's key alone.  Of the shortest satisfying paths it
+returns the least by (hand-off bits, names); domain routes have no hand-off
+bits.
 """
 
 from __future__ import annotations
@@ -122,30 +124,39 @@ def _least_shortest_path(neighbors, src: str, dst: str, accepts, handoff=None) -
     Paths compare by the bits ``handoff(a, b)`` gives each hop a->b, then by
     names.  The search from ``dst`` keeps each node's least shortest suffix
     toward ``dst``; that is exact because two shortest paths through one
-    node compare the way their suffixes from it do.
+    node compare the way their suffixes from it do.  Once the source is
+    next to the frontier, only the source's key is worked out: the other
+    nodes of its level are never read, nor asked of ``accepts``.
     """
     # node -> (hand-off bits, names) of its least suffix to dst
     best: dict[str, tuple[tuple, tuple[str, ...]]] = {dst: ((), (dst,))}
     refused: set[str] = set()
+
+    def key(node: str, via: str) -> tuple[tuple, tuple[str, ...]]:
+        bits, names = best[via]
+        return ((handoff(node, via), *bits) if handoff else bits, (node, *names))
+
     frontier = [dst]
-    # level by level; the search ends at the source's level, so the source
-    # is never expanded as a transit node
-    while frontier and src not in best:
+    while frontier:
+        # a neighbor of the source already settled lies on the last level,
+        # or the search would have ended a level earlier
+        ends = [node for node in neighbors(src) if node in best]
+        if ends:
+            return min(key(src, node) for node in ends)[1]
         level: dict[str, tuple[tuple, tuple[str, ...]]] = {}
         for node in frontier:
-            bits, names = best[node]
             for neighbor in neighbors(node):
                 if neighbor in best or neighbor in refused:
                     continue
-                if neighbor not in level and neighbor != src and not accepts(neighbor):
+                if neighbor not in level and not accepts(neighbor):
                     refused.add(neighbor)
                     continue
-                key = ((handoff(neighbor, node), *bits) if handoff else bits, (neighbor, *names))
-                if neighbor not in level or key < level[neighbor]:
-                    level[neighbor] = key
+                offer = key(neighbor, node)
+                if neighbor not in level or offer < level[neighbor]:
+                    level[neighbor] = offer
         best.update(level)
         frontier = list(level)
-    return best[src][1] if src in best else None
+    return None
 
 
 def find_as_paths(

@@ -1,17 +1,24 @@
+import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from sdnsec import controller
 from sdnsec.controller import DropReason, synthesize_rules
 from sdnsec.dataplane import FLOW_RULE_PRIORITY, ActionKind, Packet
 from sdnsec.defense import ResponseMode
 from sdnsec.interdomain import extend_handle, forward_ptt
 from sdnsec.labels import parse_label_constraint
 from sdnsec.policy import Action, Constraint, ConstraintKind, PolicyExpression, PolicyIndex
-from sdnsec.scenario import bundled_scenario_path, load_scenario
-from sdnsec.simulation import build_world
+from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
+from sdnsec.simulation import Simulation, build_world
+from sdnsec.topology import NoPathError, find_as_paths, find_switch_path
 
 from helpers import egress_hop, ip
+from test_golden import CASES as GOLDEN_CASES, MODES, _run as run_golden_case
+from test_golden_drops import CASES as DROP_CASES, _run as run_drop_case
+from test_workloads import WORKLOADS
 
 
 def make_packet(src="10.0.0.2", dst="192.168.52.72", port=443, ptype="HTTPS"):
@@ -244,3 +251,64 @@ def test_pinned_exit_that_is_not_a_gateway_has_no_path(transit_world):
     result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
     assert result.reason == DropReason.NO_SATISFYING_PATH
     assert ctrl.events[-1].matched_pe == "1"
+
+
+def test_a_route_is_searched_once_and_charged_on_every_packet_in(transit_world, monkeypatch):
+    searches = Counter()
+    for name in ("find_as_paths", "find_switch_path"):
+
+        def counted(*args, _original=getattr(controller, name), _name=name, **kwargs):
+            searches[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(controller, name, counted)
+    # with no pinned exit the domain route is searched as well
+    ctrl = _as1_with_policy_1(transit_world, action_exit=None)
+    first, again = (ctrl.handle_packet_in(make_packet(), "S1A", "X", tick) for tick in (0, 1))
+    assert first.batch == again.batch and first.batch is not None
+    assert first.service_ticks == again.service_ticks
+    assert searches == {"find_as_paths": 1, "find_switch_path": 1}
+    # AS3 is SL2, so no domain route satisfies SL3+=; the miss is kept too
+    ctrl = _as1_with_policy_1(transit_world, action_exit=None, flow_cons=(_label_path("SL3+="),))
+    reasons = [ctrl.handle_packet_in(make_packet(), "S1A", "X", tick).reason for tick in (2, 3)]
+    assert reasons == [DropReason.NO_SATISFYING_PATH] * 2
+    assert searches == {"find_as_paths": 2, "find_switch_path": 1}
+    assert ctrl._next_domains[("AS4", parse_label_constraint("SL3+="))] is None
+
+
+def _workload_run(case: str):
+    name, mode = case.split("/")
+    document, _ = WORKLOADS[name](1)
+    parsed = parse_scenario(json.loads(json.dumps(document, sort_keys=True)))
+    world = build_world(replace(parsed, mode=mode), parsed.costs)
+    return world, Simulation(world).run()
+
+
+RUNS = {"golden": run_golden_case, "drops": run_drop_case, "workload": _workload_run}
+MEMO_CASES = [
+    *(f"golden:{case}" for case in GOLDEN_CASES),
+    *(f"drops:{case}" for case in DROP_CASES),
+    *(f"workload:{name}/{mode}" for name in sorted(WORKLOADS) for mode in MODES),
+]
+
+
+def _fresh_switch_path(ctrl, ingress, egress, required, window):
+    try:
+        return find_switch_path(ctrl.intra, ingress, egress, required=required, constraint=window)
+    except NoPathError:
+        return None
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_every_memoized_route_is_what_a_fresh_search_returns(case):
+    source, _, name = case.partition(":")
+    world, _ = RUNS[source](name)
+    for ctrl in world.controllers.values():
+        for (dst_domain, window), next_as in ctrl._next_domains.items():
+            paths = find_as_paths(ctrl.as_graph, ctrl.as_id, dst_domain, window)
+            assert next_as == (paths[0][1] if paths else None), (ctrl.as_id, dst_domain, window)
+        for key, path in ctrl._switch_paths.items():
+            assert path == _fresh_switch_path(ctrl, *key), (ctrl.as_id, key)
+        # an installed flow took its switch path from the memo
+        if any(event.verdict == "install" for event in ctrl.events):
+            assert ctrl._switch_paths

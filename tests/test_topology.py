@@ -414,3 +414,20 @@ def test_grid_switch_path_checks_each_label_at_most_once():
     assert path != min(shortest_switch_paths(graph, "SW00", "SW77", window))
     assert max(constraint.checked.values()) == 1
     assert sum(1 for rank in constraint.checked if rank <= 6) > 1  # some switches were refused
+
+
+def test_leaf_to_leaf_search_asks_only_the_spines():
+    # 4 spines over 12 leaves, each leaf linked to every spine: the source
+    # leaf is next to the spine level, so the other leaves beyond it are
+    # never asked; each switch's rank names it
+    leaves = [f"LEAF{i:02}" for i in range(12)]
+    spines = [f"SPINE{i}" for i in range(4)]
+    graph = switch_matrix({name: rank for rank, name in enumerate([*leaves, *spines], start=1)})
+    for leaf in leaves:
+        for spine in spines:
+            graph.add_link(leaf, spine)
+    constraint = CountingConstraint(accepts=lambda rank: True)
+    path = find_switch_path(graph, "LEAF00", "LEAF11", constraint=constraint)
+    assert path == least_switch_path(graph, "LEAF00", "LEAF11", LabelWindow())
+    # the two ends, checked before the search, and the four spines
+    assert constraint.checked == Counter({1: 1, 12: 1, 13: 1, 14: 1, 15: 1, 16: 1})

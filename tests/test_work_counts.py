@@ -17,10 +17,13 @@ in proportion to its flows, within :data:`GROWTH_FACTOR`.
 Control-plane calls with upper bounds that hold at every size: a padded
 repository matches at most one expression per offered flow, whatever its
 size; a chain of n domains makes at most 2n-1 switch path searches and n
-matches.  Credentials cost no more HMACs than the packet-ins need: a chain
-of n domains, whose policies delegate nothing, tags at most two handles
-per domain link and no token, and the transit mesh has fixed bounds at
-seed 1.  A handle's tag binds its token without a tag of its own.
+matches.  Each controller searches a route once: the bundled flood makes
+one path search at every rate, and the workloads at seed 1 have fixed
+bounds on path searches and label checks.  Credentials cost no more HMACs
+than the packet-ins need: a chain of n domains, whose policies delegate
+nothing, tags at most two handles per domain link and no token, and the
+transit mesh has fixed bounds at seed 1.  A handle's tag binds its token
+without a tag of its own.
 
 The rule path builds a flow's two matches once per packet, not once per
 domain it crosses, and files each written rule with one ``Switch.install``
@@ -43,6 +46,7 @@ from test_workloads import WORKLOADS
 
 from sdnsec.dataplane import FlowMatch, Switch
 from sdnsec.interdomain import handle_tag, ptt_tag
+from sdnsec.labels import LabelWindow
 from sdnsec.metrics import emit
 from sdnsec.policy import match_pe, normalize_mac
 from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
@@ -221,6 +225,32 @@ def test_mesh_transit_credential_tags_are_bounded():
     assert counters["packet_ins"] == 656
     assert 0 < calls["sdnsec.interdomain.handle_tag"] <= 868, calls
     assert 0 < calls["sdnsec.interdomain.ptt_tag"] <= 364, calls
+
+
+# seed 1: (path searches, label checks).  Each controller searches a route
+# once per (ends, required path, window), so flood_table, whose flows share
+# one source switch, destination and window, searches once; and a search
+# stops at the source's level, so it asks no label beyond it.
+SEARCH_BOUNDS = {"flood_table": (1, 3), "acl_proactive": (103, 636), "mesh_transit": (458, 1_536)}
+
+
+@pytest.mark.parametrize("workload", sorted(SEARCH_BOUNDS))
+def test_each_controller_searches_a_route_once(workload):
+    calls, _ = _run_counts(_world(f"workload:{workload}"), _least_shortest_path, methods=((LabelWindow, "satisfies"),))
+    searches, checks = SEARCH_BOUNDS[workload]
+    assert 0 < calls["sdnsec.topology._least_shortest_path"] <= searches, calls
+    assert 0 < calls["LabelWindow.satisfies"] <= checks, calls
+
+
+def test_flood_path_searches_do_not_grow_with_the_rate():
+    flood = load_scenario(bundled_scenario_path("flood_single_domain"))
+    searches = [
+        _run_counts(build_world(flood.with_flood_rate(rate)), _least_shortest_path)[0][
+            "sdnsec.topology._least_shortest_path"
+        ]
+        for rate in FLOOD_RATES
+    ]
+    assert searches == [1] * len(FLOOD_RATES), dict(zip(FLOOD_RATES, searches))
 
 
 # seed 1; a flow's two matches are built once per packet, so mesh_transit,
