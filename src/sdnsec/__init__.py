@@ -39,7 +39,6 @@ from .formats import (
 )
 from .topology import (
     Graph,
-    NoPathError,
     find_as_paths,
     find_switch_path,
     gateway_name,
@@ -99,7 +98,6 @@ __all__ = [
     "LabelParseError",
     "LabelWindow",
     "MetricsReport",
-    "NoPathError",
     "Packet",
     "PolicyExpression",
     "PolicyIndex",

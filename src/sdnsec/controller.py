@@ -2,15 +2,16 @@
 
 A packet-in runs through a fixed pipeline: flood accounting, credential
 checks, context extraction, repository selection (or the fixed
-``BASELINE`` allow with enforcement off), constraint merging, route
-resolution and finally rule synthesis.  Selection returns the winning
-expression, and every later stage reads its obligations off it; no winner,
-a deny, or an allow whose own label window is empty drops as ``POLICY``.
-The result is either a batch of flow rules or a drop with a reason.  For a
-flow leaving the domain, the egress gateway's forward rule is the hop: its
-next hop is the next domain's gateway, and it carries the extended handle,
-which holds the re-tagged transfer token.  Every outcome appends one
-``ControllerEvent`` naming the matched policy and the ticks charged so far.
+``BASELINE`` allow with enforcement off), constraint merging, the rate
+check, route resolution and finally rule synthesis.  Selection returns the
+winning expression, and every later stage reads its obligations off it; no
+winner, a deny, or an allow whose own label window is empty drops as
+``POLICY``.  The result is either a batch of flow rules or a drop with a
+reason.  For a flow leaving the domain, the egress gateway's forward rule
+is the hop: its next hop is the next domain's gateway, and it carries the
+extended handle, which holds the re-tagged transfer token.  Every outcome
+appends one ``ControllerEvent`` naming the matched policy and the ticks
+charged so far.
 
 Domain routes are searched on the world's domain graph; the caller names the
 node the packet came from (``entry_peer``), which the return rules lead to.
@@ -75,7 +76,6 @@ from .policy import (
 )
 from .topology import (
     Graph,
-    NoPathError,
     find_as_paths,
     find_switch_path,
     gateway_name,
@@ -436,12 +436,9 @@ class Controller:
         ticks += self.costs.per_switch * len(self.intra)
         route = (ingress, final_switch, winner.switch_path, window)
         if route not in self._switch_paths:
-            try:
-                self._switch_paths[route] = find_switch_path(
-                    self.intra, ingress, final_switch, required=winner.switch_path, constraint=window
-                )
-            except NoPathError:
-                self._switch_paths[route] = None
+            self._switch_paths[route] = find_switch_path(
+                self.intra, ingress, final_switch, required=winner.switch_path, constraint=window
+            )
         path = self._switch_paths[route]
         if path is None:
             return drop(DropReason.NO_SATISFYING_PATH)

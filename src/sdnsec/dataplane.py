@@ -14,8 +14,8 @@ wiring (``Switch.ports``) and in its flow dump.  A forward rule at a
 domain's egress gateway also carries the flow's handle, which holds its
 transfer token, and the switch adds it to the packet as it leaves.
 :func:`install_batch` writes a flow-mod batch all or nothing, like an
-OpenFlow 1.4 bundle, and is the one capacity and next-hop check.  All
-mutation happens on the simulation loop's thread.
+OpenFlow 1.4 bundle; it is the one write path and the one capacity and
+next-hop check.  All mutation happens on the simulation loop's thread.
 
 Packet and match addresses are plain ``int`` values, so a probe key hashes
 natively; a flow dump prints them as dotted text.

@@ -238,12 +238,14 @@ def _parse_constraint_token(token: str, where: str) -> Constraint | tuple[int, i
 def _intersect_validity(
     a: tuple[int, int] | None, b: tuple[int, int] | None
 ) -> tuple[int, int] | None:
-    """Overlap of two ``[start, end)`` windows; ``None`` is unbounded."""
+    """Overlap of two ``[start, end)`` windows; ``None`` is unbounded.
+    Disjoint windows overlap in the empty window at the later start."""
     if a is None:
         return b
     if b is None:
         return a
-    return (max(a[0], b[0]), min(a[1], b[1]))
+    start = max(a[0], b[0])
+    return (start, max(start, min(a[1], b[1])))
 
 
 def _parse_constraints(

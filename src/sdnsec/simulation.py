@@ -8,9 +8,9 @@ insertion order, so equal scenarios produce byte-identical reports.
 
 A packet arriving at a switch executes the rule the switch's lookup
 returns: a forward rule passes it to the rule's next hop, a drop rule ends
-its flow, and a miss or a to-controller rule raises a packet-in.  A packet
-moves by node id; each hop carries the node it came from, which a packet-in
-names as its entry peer.
+its flow, and a miss or a to-controller rule raises a packet-in.  A packet's
+in-flight record holds the switch it is at and the node it came from, which
+a packet-in names as its ingress and entry peer.
 
 Controllers are modeled as sequential servers: a packet-in waits until the
 controller is free, is charged the pipeline's deterministic service ticks,
@@ -61,6 +61,8 @@ LINK_TICK = 1
 class _InFlight:
     packet: Packet
     record: FlowRecord
+    at: str  # the switch the packet is at
+    came_from: str  # the node it reached that switch from
     handle: Handle | None = None
     trace: list[str] = field(default_factory=list)
 
@@ -85,6 +87,8 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
     for a, b in scenario.links:
         as_graph.add_link(a, b)
 
+    # port wiring: intra links first (declaration order), then domain links,
+    # then hosts, so port numbers are a pure function of the scenario
     switches: dict[str, Switch] = {}
     switch_domain: dict[str, str] = {}
     switch_graphs: dict[str, Graph] = {}
@@ -96,14 +100,9 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
             graph.add_node(spec.id, spec.label)
         for a, b in domain.links:
             graph.add_link(a, b)
-        switch_graphs[domain.id] = graph
-
-    # port wiring: intra links first (declaration order), then domain links,
-    # then hosts, so port numbers are a pure function of the scenario
-    for domain in scenario.domains:
-        for a, b in domain.links:
             switches[a].attach(b)
             switches[b].attach(a)
+        switch_graphs[domain.id] = graph
     for a, b in scenario.links:
         ab, ba = gateway_name(a, b), gateway_name(b, a)
         switches[ab].attach(ba)
@@ -116,8 +115,7 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
             hosts[host.id] = host
             hosts_by_ip[host.ip] = host
 
-    for switch in switches.values():
-        switch.install(arp_discovery_rule())
+    install_batch(switches, [(switch_id, arp_discovery_rule()) for switch_id in switches])
 
     controllers: dict[str, Controller] = {}
     for domain in scenario.domains:
@@ -215,8 +213,8 @@ class Simulation:
             from_flood=from_flood,
         )
         self.report.flows.append(record)
-        inflight = _InFlight(packet=packet, record=record)
-        self._schedule(tick + LINK_TICK, self._on_switch_rx, src.switch, inflight, src.id)
+        inflight = _InFlight(packet=packet, record=record, at=src.switch, came_from=src.id)
+        self._schedule(tick + LINK_TICK, self._on_switch_rx, inflight)
 
     def _expand_traffic(self) -> None:
         ticks_per_second = self.scenario.window_ticks
@@ -240,19 +238,17 @@ class Simulation:
 
     def _deliver(self, inflight: _InFlight, tick: int) -> None:
         record = inflight.record
-        if record.outcome != "pending":
-            return
         record.outcome = "delivered"
         record.delivered_tick = tick
         record.switch_path = tuple(inflight.trace)
         domains = (self.world.switch_domain[switch_id] for switch_id in inflight.trace)
         record.as_path = tuple(domain for domain, _ in groupby(domains))
 
-    def _on_switch_rx(self, tick: int, switch_id: str, inflight: _InFlight, from_peer: str) -> None:
+    def _on_switch_rx(self, tick: int, inflight: _InFlight) -> None:
+        switch_id = inflight.at
         rule = self.world.switches[switch_id].lookup(inflight.packet)
         if rule is None or rule.action == ActionKind.TO_CONTROLLER:
-            domain = self.world.switch_domain[switch_id]
-            self._schedule(tick + LINK_TICK, self._on_ctrl_job, domain, inflight, switch_id, from_peer)
+            self._schedule(tick + LINK_TICK, self._on_ctrl_job, inflight)
             return
         if rule.action == ActionKind.DROP:  # every drop rule is a defense block rule
             self._finish(inflight.record, DropReason.BLOCKED_AT_SWITCH, self.world.switch_domain[switch_id])
@@ -267,19 +263,19 @@ class Simulation:
             else:
                 self._finish(inflight.record, DropReason.MISDELIVERED, self.world.switch_domain[switch_id])
             return
-        self._schedule(tick + LINK_TICK, self._on_switch_rx, peer, inflight, switch_id)
+        inflight.at, inflight.came_from = peer, switch_id
+        self._schedule(tick + LINK_TICK, self._on_switch_rx, inflight)
 
-    def _on_ctrl_job(
-        self, tick: int, domain: str, inflight: _InFlight, ingress: str, entry_peer: str
-    ) -> None:
+    def _on_ctrl_job(self, tick: int, inflight: _InFlight) -> None:
+        domain = self.world.switch_domain[inflight.at]
         ctrl = self.world.controllers[domain]
         arrival = tick
         start = max(arrival, ctrl.next_free_tick)
-        result = ctrl.handle_packet_in(inflight.packet, ingress, entry_peer, start, inflight.handle)
+        result = ctrl.handle_packet_in(inflight.packet, inflight.at, inflight.came_from, start, inflight.handle)
         emission = start + result.service_ticks
         ctrl.next_free_tick = emission
         self.report.latencies.append(LatencyRecord(domain, arrival, start, emission))
-        self._schedule(emission, self._on_apply_result, domain, inflight, ingress, entry_peer, result)
+        self._schedule(emission, self._on_apply_result, inflight, result)
 
     def _install_batch(self, batch: FlowModBatch) -> bool:
         if install_batch(self.world.switches, batch.installs):
@@ -292,15 +288,8 @@ class Simulation:
             InstallRecord(tick, domain, format_ipv4(packet.src_ip), packet.flow_id, len(batch), batch.provenance)
         )
 
-    def _on_apply_result(
-        self,
-        tick: int,
-        domain: str,
-        inflight: _InFlight,
-        ingress: str,
-        entry_peer: str,
-        result: PipelineResult,
-    ) -> None:
+    def _on_apply_result(self, tick: int, inflight: _InFlight, result: PipelineResult) -> None:
+        domain = self.world.switch_domain[inflight.at]
         if result.block_batch is not None and self._install_batch(result.block_batch):
             self._record_install(result.block_batch, domain, tick, inflight.packet)
         if result.batch is None:
@@ -311,7 +300,7 @@ class Simulation:
             return
         self._record_install(result.batch, domain, tick, inflight.packet)
         # the packet that missed is re-offered where it missed
-        self._schedule(tick + LINK_TICK, self._on_switch_rx, ingress, inflight, entry_peer)
+        self._schedule(tick + LINK_TICK, self._on_switch_rx, inflight)
 
     # --- proactive pre-install ---------------------------------------------------
 

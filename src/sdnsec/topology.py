@@ -25,16 +25,11 @@ from .labels import LabelWindow
 
 __all__ = [
     "Graph",
-    "NoPathError",
     "find_as_paths",
     "find_switch_path",
     "gateway_name",
     "probe_topology",
 ]
-
-
-class NoPathError(Exception):
-    """No path satisfies the constraint; callers map this to a deny."""
 
 
 def _as_number(as_id: str) -> str:
@@ -191,8 +186,10 @@ def find_switch_path(
     egress: str,
     required: tuple[str, ...] | None = None,
     constraint: LabelWindow = LabelWindow(),
-) -> tuple[str, ...]:
-    """Resolve the switch path a flow must take inside one domain.
+) -> tuple[str, ...] | None:
+    """Resolve the switch path a flow must take inside one domain, or
+    ``None`` when no path satisfies the constraint; callers map that to a
+    deny.
 
     With ``required``, the explicit path is validated (hops exist, are
     adjacent, span ingress to egress, and every switch satisfies the
@@ -203,29 +200,21 @@ def find_switch_path(
     dominate), then the lexicographically smallest.  It is the search
     ``find_as_paths`` runs, so each label is checked at most once.
     """
-    for end in (ingress, egress):
-        if end not in graph:
-            raise NoPathError(f"switch {end} not in graph")
-    if required is not None:
-        for switch in required:
-            if switch not in graph:
-                raise NoPathError(f"required path names unknown switch {switch}")
-            if not constraint.satisfies(graph.node(switch)):
-                raise NoPathError(f"switch {switch} violates label constraint")
-        if required[0] != ingress or required[-1] != egress:
-            raise NoPathError(
-                f"required path {required} does not span {ingress}..{egress}"
-            )
-        for a, b in zip(required, required[1:]):
-            if not graph.adjacent(a, b):
-                raise NoPathError(f"required path hop {a}-{b} is not a link")
-        return tuple(required)
+    if ingress not in graph or egress not in graph:
+        return None
     satisfies = lambda switch: constraint.satisfies(graph.node(switch))
-    path = None
-    if satisfies(ingress) and satisfies(egress):
-        path = (ingress,) if ingress == egress else _least_shortest_path(
-            graph.neighbors, ingress, egress, satisfies, lambda a, b: graph.node(a).rank > graph.node(b).rank
+    if required is not None:
+        valid = (
+            all(switch in graph and satisfies(switch) for switch in required)
+            and required[0] == ingress
+            and required[-1] == egress
+            and all(graph.adjacent(a, b) for a, b in zip(required, required[1:]))
         )
-    if path is None:
-        raise NoPathError(f"no path {ingress}..{egress} satisfies the constraint")
-    return path
+        return tuple(required) if valid else None
+    if not (satisfies(ingress) and satisfies(egress)):
+        return None
+    if ingress == egress:
+        return (ingress,)
+    return _least_shortest_path(
+        graph.neighbors, ingress, egress, satisfies, lambda a, b: graph.node(a).rank > graph.node(b).rank
+    )

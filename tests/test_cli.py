@@ -3,9 +3,9 @@ import json
 import pytest
 
 from sdnsec.cli import main
-from sdnsec.scenario import bundled_scenario_path
+from sdnsec.scenario import ScenarioError, bundled_scenario_path, parse_scenario
 
-from test_scenario import minimal_doc
+from test_scenario import _set, minimal_doc
 
 
 def test_validate_bundled_scenario(capsys):
@@ -48,6 +48,30 @@ def test_validate_rejects_repeated_path_element_with_field_path(tmp_path, capsys
     bad.write_text(json.dumps(doc))
     assert main(["validate", str(bad)]) == 2
     assert "$.domains[0].policies[0]: policy expression '3': path repeats an element" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (lambda doc: doc["domains"][0].pop("subnet"), "$.domains[0].subnet"),
+        (_set("links", value=[["AS1"]]), "$.links[0]"),
+        (_set("domains", 0, "policies", value=[5]), "$.domains[0].policies[0]"),
+        (_set("domains", 0, "switches", 0, "id", value="AS9"), "$.domains[0].switches[0].id"),
+        (_set("domains", 0, "users", value={"zz": "alice"}), "$.domains[0].users['zz']"),
+        (_set("defense", value={"response": "explode"}), "$.defense.response"),
+    ],
+    ids=["missing-subnet", "link-not-a-pair", "policy-int", "switch-id-as", "user-mac-malformed", "unknown-response"],
+)
+def test_validate_rejects_naming_the_field_path(tmp_path, capsys, mutate, path):
+    doc = minimal_doc()
+    mutate(doc)
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(doc)
+    assert caught.value.path == path
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_run_emits_table(capsys):

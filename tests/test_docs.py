@@ -1,15 +1,18 @@
-"""The examples in the format documents parse as the documents say, and
-the README's tables name every module, counter and drop reason."""
+"""The examples in the format documents parse as the documents say, the
+README's commands and library example run as it says, and its tables name
+every module, counter and drop reason."""
 
 import json
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 from helpers import REASON_COUNTERS
 from test_report import REASONS
 
 import sdnsec
+from sdnsec.cli import main
 from sdnsec.formats import parse_compact_pe, parse_record
 from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from sdnsec.simulation import run
@@ -21,10 +24,10 @@ README = DOCS.parent / "README.md"
 EXAMPLE_HOSTS = {"X": "a", "Y": "b", "attacker": "a"}
 
 
-def code_blocks(name: str, language: str) -> list[str]:
+def code_blocks(path: Path, language: str) -> list[str]:
     """The fenced blocks of a document whose fence names ``language``."""
     blocks, current, fence = [], [], None
-    for line in (DOCS / name).read_text().splitlines():
+    for line in path.read_text().splitlines():
         if fence is None and line.startswith("```"):
             fence, current = line[3:].strip(), []
         elif fence is not None and line.strip() == "```":
@@ -40,7 +43,7 @@ def json_examples(name: str) -> list[object]:
     """The ``json`` blocks of a document that are complete JSON; a block
     that elides fields with ``...`` is skipped."""
     examples = []
-    for block in code_blocks(name, "json"):
+    for block in code_blocks(DOCS / name, "json"):
         try:
             examples.append(json.loads(block))
         except json.JSONDecodeError:
@@ -64,7 +67,7 @@ def test_scenario_format_examples_validate():
 def test_policy_format_examples_parse():
     compact = [
         line
-        for block in code_blocks("policy-formats.md", "")
+        for block in code_blocks(DOCS / "policy-formats.md", "")
         for line in block.splitlines()
         if re.fullmatch(r"([^<=]+=\s*)?<.*>:<.*>", line)
     ]
@@ -75,6 +78,22 @@ def test_policy_format_examples_parse():
     assert records, "no complete JSON example in docs/policy-formats.md"
     for index, record in enumerate(records):
         parse_record(record, f"example {index}")
+
+
+def test_readme_commands_and_library_example_run(tmp_path, capsys):
+    lines = [line for block in code_blocks(README, "sh") for line in block.splitlines() if line.startswith("sdnsec ")]
+    assert lines, "no sdnsec command in README.md"
+    for line in lines:
+        # an output file goes under the test's directory
+        assert main(shlex.split(line.replace("--out ", f"--out {tmp_path}/"))[1:]) == 0, line
+    written = list(tmp_path.iterdir())
+    assert len(written) == sum(line.count("--out ") for line in lines)
+    assert all(path.read_text() for path in written)
+    capsys.readouterr()
+    (library,) = code_blocks(README, "python")
+    exec(library, {})
+    # the example's last line prints what its comment says
+    assert capsys.readouterr().out == library.splitlines()[-1].partition("# ")[2] + "\n"
 
 
 def table_rows(text: str, first: str) -> list[list[str]]:

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from ipaddress import IPv4Network
@@ -114,8 +115,10 @@ def test_duplicate_id_rejected():
         ("[1]", "record 0: record is not an object"),
         ('[{"id": "a", "action": "allow", "user": null}]', "record 0 (id 'a'): field 'user' must be a string"),
         ('[{"id": 5, "action": "allow"}]', "record 0 (id 5): field 'id' must be a string"),
+        ('[{"id": "a"', "repository is not valid JSON"),
+        ('{"id": "a", "action": "allow"}', "repository must be a JSON array of records"),
     ],
-    ids=["not-object", "null-user", "int-id"],
+    ids=["not-object", "null-user", "int-id", "not-json", "not-array"],
 )
 def test_malformed_record_rejected(document, message):
     with pytest.raises(PolicyParseError) as caught:
@@ -276,6 +279,21 @@ def test_validity_token_round_trips():
     assert again == [pe]
 
 
+@pytest.mark.parametrize("compact", [True, False], ids=["compact", "repository"])
+def test_disjoint_validity_tokens_give_an_empty_window(compact):
+    # the two windows share no tick; an empty window is a legal expression
+    # that is valid at no tick, not an inverted window nobody wrote
+    tokens = "valid[0,5); valid[10,20)"
+    if compact:
+        pe = parse_compact_pe(f"t = <*,*,*,*,*,*,*,*, ({tokens}), *,*,*,*>:<Allow>")
+    else:
+        (pe,) = parse_repository([{"id": "t", "action": "allow", "flowcons": tokens}])
+    assert pe.validity == (10, 10)
+    assert not any(match_pe(pe, make_ctx(timestamp=tick)) for tick in range(25))
+    assert parse_compact_pe(format_compact_pe(pe)) == pe
+    assert parse_repository(serialize_repository([pe])) == [pe]
+
+
 def test_rate_and_signature_tokens():
     pe = parse_compact_pe("t = <*,*,*,*,*,*,*,*, (rate<=100; sig.SYN), *,*,*,*>:<Deny>")
     kinds = {c.kind for c in pe.flow_cons}
@@ -410,6 +428,43 @@ def test_rate_token_reads_digits_a_decimal_or_a_ratio(token, rate):
 def test_rate_token_rejects_other_shapes(token):
     with pytest.raises(PolicyParseError, match="rate"):
         parse_compact_pe(_compact(8, f"(rate<={token})"))
+
+
+WILD_CONDITIONS = ", ".join(["*"] * 13)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_compact(8, "(pkt.type)"), "bad packet-attribute token 'pkt.type'"),
+        (_compact(8, "(sig.)"), "bad signature token 'sig.'"),
+        (_compact(8, "(SLx)"), "bad constraint token 'SLx'"),
+        (_compact(10, "(70000)"), "service port '70000' out of range 1..65535"),
+        (_compact(11, "(conf; avail)"), "unknown security-profile tokens: ['avail']"),
+        (_compact(8, "(valid[10,5))"), "validity window start 10 after end 5"),
+        (f"t = <{WILD_CONDITIONS}>:<(1SW2, 2SW3, Allow)>", "unrecognized action token '2SW3'"),
+        (f"t = <{WILD_CONDITIONS}>:<(1SW2)>", "action must be allow or deny"),
+        ("t = Allow", "expected <conditions>:<action>"),
+        (f"t = <{WILD_CONDITIONS}>", "expected exactly one ':' between conditions and action"),
+        (f"t = <{WILD_CONDITIONS}>:<Allow>:<Deny>", "expected exactly one ':' between conditions and action"),
+    ],
+    ids=[
+        "packet-attribute",
+        "signature",
+        "label",
+        "port-70000",
+        "security-profile",
+        "reversed-validity",
+        "action-extra-token",
+        "action-no-verb",
+        "no-template",
+        "no-colon",
+        "two-colons",
+    ],
+)
+def test_compact_rejection_names_its_fault(text, message):
+    with pytest.raises(PolicyParseError, match=re.escape(message)):
+        parse_compact_pe(text)
 
 
 @pytest.mark.parametrize("compact", [True, False], ids=["compact", "repository"])

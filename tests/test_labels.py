@@ -5,6 +5,7 @@ from sdnsec.labels import (
     LabelParseError,
     LabelWindow,
     SecurityLabel,
+    parse_label,
     parse_label_constraint,
 )
 
@@ -14,6 +15,11 @@ def test_rank_must_be_positive():
         SecurityLabel(0)
     with pytest.raises(ValueError):
         SecurityLabel(-3)
+
+
+def test_bare_label_rank_must_be_positive():
+    with pytest.raises(LabelParseError, match="rank must be >= 1"):
+        parse_label("SL0")
 
 
 def test_total_order():

@@ -17,7 +17,7 @@ from test_workloads import WORKLOADS, run_workload
 from sdnsec.controller import DropReason
 from sdnsec.metrics import FlowRecord
 from sdnsec.scenario import bundled_scenario_path, load_scenario
-from sdnsec.simulation import Simulation, build_world
+from sdnsec.simulation import Simulation, build_world, run
 
 REASONS = {value for name, value in vars(DropReason).items() if not name.startswith("_")}
 
@@ -50,3 +50,9 @@ def test_every_reason_is_counted_under_its_class():
     ]
     report = simulation.run()
     assert report.counters == {**tally_counters(report), **dict.fromkeys(EVENT_COUNTERS, 0)}
+
+
+def test_a_run_without_packet_ins_has_mean_latency_zero():
+    report = run(replace(load_scenario(bundled_scenario_path("minimal")), traffic=()))
+    assert report.latencies == []
+    assert report.mean_latency() == 0.0

@@ -50,6 +50,20 @@ def test_offer_horizon_follows_the_defense_window():
     assert offer_horizon(scenario) == 500_000
 
 
+def test_offer_horizon_of_plain_flows_is_the_last_request():
+    scenario = load("minimal")
+    first = scenario.traffic[0]
+    assert offer_horizon(replace(scenario, traffic=(replace(first, at=7), replace(first, at=3)))) == 7
+
+
+def test_switch_count_sweep_runs_each_padded_fabric():
+    scenario = load("intra_service_paths")
+    results = sweep(scenario, "switch_count", [5, 8])
+    assert [point for point, _ in results] == [5, 8]
+    for total, report in results:
+        assert records_digest(report) == records_digest(run(pad_switches(scenario, total)))
+
+
 def test_latency_grows_with_fabric_and_exceeds_baseline():
     scenario = load("intra_service_paths")
     previous = None

@@ -13,7 +13,6 @@ from sdnsec.simulation import build_world
 from sdnsec.sweep import chain_scenario
 from sdnsec.topology import (
     Graph,
-    NoPathError,
     find_as_paths,
     find_switch_path,
     gateway_name,
@@ -164,6 +163,12 @@ def test_unconstrained_returns_all_simple_paths():
     assert find_as_paths(graph, "AS1", "AS4", parse_label_constraint("*")) == paths[:1]
 
 
+def test_an_endpoint_outside_the_graph_has_no_route():
+    graph = make_world(CHAIN)
+    assert find_as_paths(graph, "AS1", "AS9") == []
+    assert find_as_paths(graph, "AS9", "AS1") == []
+
+
 def test_same_domain_rejected():
     graph = make_world(CHAIN)
     with pytest.raises(ValueError):
@@ -291,11 +296,9 @@ def test_required_path_returned_verbatim():
 
 def test_required_path_validation():
     graph = five_switch_graph()
-    with pytest.raises(NoPathError):
-        find_switch_path(graph, "SW1", "SW4", required=("SW1", "SW4"))  # not a link
-    with pytest.raises(NoPathError):
-        find_switch_path(graph, "SW1", "SW4", required=("SW5", "SW4"))  # wrong span
-    with pytest.raises(NoPathError):
+    assert find_switch_path(graph, "SW1", "SW4", required=("SW1", "SW4")) is None  # not a link
+    assert find_switch_path(graph, "SW1", "SW4", required=("SW5", "SW4")) is None  # wrong span
+    assert (
         find_switch_path(
             graph,
             "SW1",
@@ -303,6 +306,8 @@ def test_required_path_validation():
             required=("SW1", "SW5", "SW4"),
             constraint=parse_label_constraint("SL3+="),
         )
+        is None
+    )
 
 
 def test_single_node_path():
@@ -318,10 +323,7 @@ def test_label_filter_reroutes():
     graph.add_link("SWHI", "SW4")
     only_low = parse_label_constraint("SL1")
     assert find_switch_path(graph, "SW1", "SW4", constraint=only_low) == ("SW1", "SWLO", "SW4")
-    with pytest.raises(NoPathError):
-        find_switch_path(
-            graph, "SW1", "SW4", constraint=parse_label_constraint("SL3+=")
-        )
+    assert find_switch_path(graph, "SW1", "SW4", constraint=parse_label_constraint("SL3+=")) is None
 
 
 def test_tie_break_prefers_nondecreasing_labels():
@@ -382,9 +384,8 @@ def test_switch_path_matches_filtered_shortest_path_oracle(data):
     allowed = lambda s: ranks[s] >= base
     oracle_len = dijkstra_filtered_length(adjacency, ranks, "SW1", f"SW{n}", allowed)
     expected = least_switch_path(graph, "SW1", f"SW{n}", constraint)
-    try:
-        path = find_switch_path(graph, "SW1", f"SW{n}", constraint=constraint)
-    except NoPathError:
+    path = find_switch_path(graph, "SW1", f"SW{n}", constraint=constraint)
+    if path is None:
         assert oracle_len is None and expected is None
         return
     assert oracle_len is not None
