@@ -71,10 +71,10 @@ def cmd_sweep(args) -> int:
 def cmd_dump_flows(args) -> int:
     scenario = _apply_overrides(_load(args.scenario), args)
     world = build_world(scenario)
-    Simulation(world).run()
     if args.switch not in world.switches:
         print(f"error: no switch {args.switch!r} in scenario", file=sys.stderr)
         return 2
+    Simulation(world).run()
     _write(format_flow_dump(world.switches[args.switch]), args.out)
     return 0
 

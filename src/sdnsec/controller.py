@@ -7,11 +7,11 @@ check, route resolution and finally rule synthesis.  Selection returns the
 winning expression, and every later stage reads its obligations off it; no
 winner, a deny, or an allow whose own label window is empty drops as
 ``POLICY``.  The result is either a batch of flow rules or a drop with a
-reason.  For a flow leaving the domain, the egress gateway's forward rule
-is the hop: its next hop is the next domain's gateway, and it carries the
-extended handle, which holds the re-tagged transfer token.  Every outcome
-appends one ``ControllerEvent`` naming the matched policy and the ticks
-charged so far.
+reason; a drop may carry a defense block rule as its batch.  For a flow
+leaving the domain, the egress gateway's forward rule is the hop: its next
+hop is the next domain's gateway, and it carries the extended handle, which
+holds the re-tagged transfer token.  Every outcome appends one
+``ControllerEvent`` naming the matched policy and the ticks charged so far.
 
 Domain routes are searched on the world's domain graph; the caller names the
 node the packet came from (``entry_peer``), which the return rules lead to.
@@ -140,16 +140,15 @@ class FlowModBatch:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """What one packet-in yields: the ticks it charged, and either the rules
-    that admit the flow (``batch``) or, when ``batch`` is None, the drop
-    ``reason``, possibly with a defense block rule (``block_batch``).  Where
-    the flow goes next, and with which credentials, is read off the batch's
-    egress rule."""
+    """What one packet-in yields: the ticks it charged, the rules to write
+    (``batch``) and, for a drop, its ``reason``.  An empty ``reason`` means
+    the flow was admitted and ``batch`` holds its rules; where the flow goes
+    next, and with which credentials, is read off the batch's egress rule.
+    A drop may carry a defense block rule as its batch."""
 
     service_ticks: int
     batch: FlowModBatch | None = None
     reason: str = ""
-    block_batch: FlowModBatch | None = None
 
 
 @dataclass
@@ -196,10 +195,10 @@ def synthesize_rules(
     ``final_peer`` for the last switch's forward rule (a host or the peer
     domain's gateway) and ``entry_peer`` for the first switch's return
     rule.  The last switch's forward rule carries ``handle_out``, the
-    credential of a flow that leaves the domain there.
-    The batch lists the forward rules in path order, then the return rules
-    in path order; the install order breaks lookup ties and orders a
-    switch's flow dump.
+    credential of a flow that leaves the domain there.  The batch, an
+    admitted flow's ``PipelineResult.batch``, lists the forward rules in
+    path order, then the return rules in path order; the install order
+    breaks lookup ties and orders a switch's flow dump.
     """
     if not path:
         raise ValueError("cannot synthesize rules for an empty path")
@@ -317,8 +316,8 @@ class Controller:
         return FlowModBatch(((ingress, rule),), provenance=f"{BLOCK_PROVENANCE_PREFIX}{format_ipv4(packet.src_ip)}")
 
     def _rate_admits(self, src: int, constraints, tick: int) -> bool:
-        """Per-source admission against the tightest rate constraint in play
-        (requests per window)."""
+        """Per-source admission against the tightest RATE_THRESHOLD among
+        ``constraints``: a window admits the budget's whole part of flows."""
         rates = [c.rate for c in constraints if c.kind is ConstraintKind.RATE_THRESHOLD]
         if not rates:
             return True
@@ -353,7 +352,7 @@ class Controller:
 
         def drop(reason: str, detail: str = summary, block: FlowModBatch | None = None) -> PipelineResult:
             self.events.append(ControllerEvent(tick, flow_id, detail, "drop", reason, matched, 0, ticks))
-            return PipelineResult(ticks, reason=reason, block_batch=block)
+            return PipelineResult(ticks, block, reason)
 
         if self.enforcement_enabled and defense and self.monitor is not None:
             ticks += self.costs.defense
@@ -403,7 +402,7 @@ class Controller:
             return drop(DropReason.UNSATISFIABLE)
         if not predicates_hold(delegated, ctx):
             return drop(DropReason.POLICY)
-        if not self._rate_admits(packet.src_ip, delegated + winner.rate_constraints, tick):
+        if not self._rate_admits(packet.src_ip, delegated + winner.flow_cons + winner.dom_cons, tick):
             return drop(DropReason.RATE_LIMIT)
 
         dst_domain = ctx.dst_as.as_id  # "" when no domain advertises the address
@@ -446,7 +445,7 @@ class Controller:
         # the credential for the next domain; tagging charges no ticks
         handle_out: Handle | None = None
         if next_as is not None:
-            ptt_out = forward_ptt(verified_ptt, flow_id, winner.delegable_constraints, self.handle_key)
+            ptt_out = forward_ptt(verified_ptt, flow_id, winner.flow_cons, self.handle_key)
             handle_out = extend_handle(handle, flow_id, self.as_id, ptt_out, self.handle_key)
 
         batch = synthesize_rules(

@@ -35,6 +35,7 @@ from ipaddress import IPv4Address, IPv4Network
 
 from .labels import LabelParseError, parse_label_constraint
 from .policy import (
+    PACKET_ATTRS,
     Action,
     Constraint,
     ConstraintKind,
@@ -220,10 +221,12 @@ def _parse_constraint_token(token: str, where: str) -> Constraint | tuple[int, i
             raise PolicyParseError(f"rate must be positive in {token!r}", where=where)
         return Constraint(ConstraintKind.RATE_THRESHOLD, rate=rate)
     if token.startswith("pkt."):
-        attr, sep, value = token[len("pkt.") :].partition("=")
-        if not sep or not attr or not value:
-            raise PolicyParseError(f"bad packet-attribute token {token!r}", where=where)
-        return Constraint(ConstraintKind.PACKET_ATTR, attr=attr.strip(), value=value.strip())
+        attr, sep, value = (part.strip() for part in token[len("pkt.") :].partition("="))
+        if not sep or not value or attr not in PACKET_ATTRS:
+            attrs = ", ".join(PACKET_ATTRS)
+            raise PolicyParseError(f"bad packet-attribute token {token!r} (attr: {attrs})", where=where)
+        value = str(_port(value, token, where)) if attr == "port" else value
+        return Constraint(ConstraintKind.PACKET_ATTR, attr=attr, value=value)
     if token.startswith("sig."):
         name = token[len("sig.") :].strip()
         if not name:
@@ -262,18 +265,24 @@ def _parse_constraints(
     return tuple(constraints), validity
 
 
+def _port(text: str, token: str, where: str) -> int:
+    """A service port of ``token``: ASCII digits in 1..65535."""
+    try:
+        port = _decimal(text)
+    except ValueError:
+        raise PolicyParseError(f"bad service port {token!r}", where=where) from None
+    if not 1 <= port <= 65535:
+        raise PolicyParseError(f"service port {token!r} out of range 1..65535", where=where)
+    return port
+
+
 def _parse_services(tokens: list[str], where: str) -> frozenset[int]:
     ports: set[int] = set()
     for token in tokens:
         lo, sep, hi = token.partition("-")
-        try:
-            low, high = (_decimal(lo), _decimal(hi)) if sep else (_decimal(token),) * 2
-        except ValueError:
-            raise PolicyParseError(f"bad service port {token!r}", where=where) from None
+        low, high = (_port(lo, token, where), _port(hi, token, where)) if sep else (_port(token, token, where),) * 2
         if low > high:
             raise PolicyParseError(f"reversed service port range {token!r}", where=where)
-        if low < 1 or high > 65535:
-            raise PolicyParseError(f"service port {token!r} out of range 1..65535", where=where)
         ports.update(range(low, high + 1))
     return frozenset(ports)
 

@@ -32,7 +32,7 @@ import hmac
 from dataclasses import dataclass
 
 from .labels import LabelWindow
-from .policy import Constraint, ConstraintKind, DELEGABLE_KINDS
+from .policy import Constraint, ConstraintKind
 
 __all__ = [
     "Handle",
@@ -45,6 +45,10 @@ __all__ = [
     "validate_handle",
     "verify_ptt",
 ]
+
+# Flow-scoped constraint kinds that may be delegated downstream in a
+# policy transfer token; SIGNATURE stays local to the defining domain.
+DELEGABLE_KINDS = frozenset({ConstraintKind.LABEL_PATH, ConstraintKind.PACKET_ATTR, ConstraintKind.RATE_THRESHOLD})
 
 
 @dataclass(frozen=True)

@@ -107,11 +107,8 @@ class ConstraintKind(Enum):
     SIGNATURE = "signature"
 
 
-# Flow-scoped constraint kinds that may be delegated downstream in a
-# policy transfer token; SIGNATURE stays local to the defining domain.
-DELEGABLE_KINDS = frozenset(
-    {ConstraintKind.LABEL_PATH, ConstraintKind.PACKET_ATTR, ConstraintKind.RATE_THRESHOLD}
-)
+# a PACKET_ATTR constraint's attribute -> the packet's value as it spells it
+PACKET_ATTRS = {"type": lambda packet: packet.packet_type, "port": lambda packet: str(packet.service_port)}
 
 
 @dataclass(frozen=True)
@@ -120,8 +117,8 @@ class Constraint:
 
     LABEL_PATH applies its label constraint to every element of the path
     (domains across domains, switches within one).  RATE_THRESHOLD carries a
-    requests-per-window budget.  PACKET_ATTR is an equality predicate on a
-    packet attribute.  SIGNATURE names an attack-signature token compared
+    requests-per-window budget.  PACKET_ATTR is an equality predicate on one
+    of ``PACKET_ATTRS``.  SIGNATURE names an attack-signature token compared
     against the packet type.
     """
 
@@ -140,8 +137,8 @@ class Constraint:
             if self.rate is None or self.rate <= 0:
                 raise ValueError("RATE_THRESHOLD constraint requires a positive rate")
         elif self.kind is ConstraintKind.PACKET_ATTR:
-            if not self.attr or self.value is None:
-                raise ValueError("PACKET_ATTR constraint requires attr and value")
+            if self.attr not in PACKET_ATTRS or self.value is None:
+                raise ValueError(f"PACKET_ATTR constraint requires attr ({', '.join(PACKET_ATTRS)}) and value")
         elif not self.signature:
             raise ValueError("SIGNATURE constraint requires a signature token")
 
@@ -249,16 +246,6 @@ class PolicyExpression:
         labels = [c.label for c in self.flow_cons + self.dom_cons if c.kind is ConstraintKind.LABEL_PATH]
         return LabelWindow.conjoin(labels)
 
-    @cached_property
-    def delegable_constraints(self) -> tuple[Constraint, ...]:
-        """Flow constraints eligible for transfer to downstream domains."""
-        return tuple(c for c in self.flow_cons if c.kind in DELEGABLE_KINDS)
-
-    @cached_property
-    def rate_constraints(self) -> tuple[Constraint, ...]:
-        """The requests-per-window budgets of this expression."""
-        return tuple(c for c in self.flow_cons + self.dom_cons if c.kind is ConstraintKind.RATE_THRESHOLD)
-
 
 @dataclass(frozen=True)
 class DomainInfo:
@@ -316,8 +303,7 @@ def predicates_hold(constraints: tuple[Constraint, ...], ctx: FlowContext) -> bo
     packet = ctx.packet
     for constraint in constraints:
         if constraint.kind is ConstraintKind.PACKET_ATTR:
-            actual = {"type": packet.packet_type, "port": str(packet.service_port)}.get(constraint.attr or "")
-            if actual != constraint.value:
+            if PACKET_ATTRS[constraint.attr](packet) != constraint.value:
                 return False
         elif constraint.kind is ConstraintKind.SIGNATURE:
             if packet.packet_type != constraint.signature:

@@ -230,8 +230,6 @@ class Simulation:
     # --- event handlers -----------------------------------------------------
 
     def _finish(self, record: FlowRecord, reason: str, domain: str) -> None:
-        if record.outcome != "pending":
-            return
         record.outcome = "dropped"
         record.reason = reason
         record.drop_domain = domain
@@ -283,24 +281,19 @@ class Simulation:
         self._counters["table_full_events"] += 1
         return False
 
-    def _record_install(self, batch: FlowModBatch, domain: str, tick: int, packet: Packet) -> None:
-        self.report.installs.append(
-            InstallRecord(tick, domain, format_ipv4(packet.src_ip), packet.flow_id, len(batch), batch.provenance)
-        )
-
     def _on_apply_result(self, tick: int, inflight: _InFlight, result: PipelineResult) -> None:
         domain = self.world.switch_domain[inflight.at]
-        if result.block_batch is not None and self._install_batch(result.block_batch):
-            self._record_install(result.block_batch, domain, tick, inflight.packet)
-        if result.batch is None:
-            self._finish(inflight.record, result.reason, domain)
-            return
-        if not self._install_batch(result.batch):
-            self._finish(inflight.record, DropReason.TABLE_FULL, domain)
-            return
-        self._record_install(result.batch, domain, tick, inflight.packet)
-        # the packet that missed is re-offered where it missed
-        self._schedule(tick + LINK_TICK, self._on_switch_rx, inflight)
+        batch, packet = result.batch, inflight.packet
+        written = batch is not None and self._install_batch(batch)
+        if written:
+            self.report.installs.append(
+                InstallRecord(tick, domain, format_ipv4(packet.src_ip), packet.flow_id, len(batch), batch.provenance)
+            )
+        if result.reason or not written:
+            self._finish(inflight.record, result.reason or DropReason.TABLE_FULL, domain)
+        else:
+            # the packet that missed is re-offered where it missed
+            self._schedule(tick + LINK_TICK, self._on_switch_rx, inflight)
 
     # --- proactive pre-install ---------------------------------------------------
 
@@ -318,7 +311,7 @@ class Simulation:
             while True:
                 ctrl = self.world.controllers[self.world.switch_domain[ingress]]
                 result = ctrl.handle_packet_in(packet, ingress, entry_peer, item.at, handle, defense=False)
-                if result.batch is None or not self._install_batch(result.batch):
+                if result.reason or not self._install_batch(result.batch):
                     break
                 self._counters["proactive_installs"] += len(result.batch)
                 egress = next(((s, rule) for s, rule in result.batch.installs if rule.handle is not None), None)
@@ -339,7 +332,8 @@ class Simulation:
         report = self.report
         outcomes = {"delivered": 0, **dict.fromkeys(_DROP_COUNTERS.values(), 0)}
         for record in report.flows:
-            self._finish(record, DropReason.STALLED, "")  # acts only on a flow still pending
+            if record.outcome == "pending":
+                self._finish(record, DropReason.STALLED, "")
             outcomes["delivered" if record.outcome == "delivered" else _DROP_COUNTERS[record.reason]] += 1
         report.counters = {
             "offered": len(report.flows),

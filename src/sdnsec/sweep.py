@@ -39,9 +39,6 @@ __all__ = [
     "sweep",
 ]
 
-SWEEP_AXES = ("pe_count", "switch_count", "as_count", "request_rate")
-
-
 def pad_policies(scenario: Scenario, total: int) -> Scenario:
     """Grow the first domain's repository to ``total`` expressions with
     never-matching filler (each pinned to a flow id no packet can have)."""
@@ -153,22 +150,21 @@ def offer_horizon(scenario: Scenario) -> int:
     return horizon
 
 
+# each sweep axis -> the variant of a scenario at one point on it
+_VARIANTS = {
+    "pe_count": pad_policies,
+    "switch_count": pad_switches,
+    "as_count": lambda scenario, point: chain_scenario(point, mode=scenario.mode, enforcement=scenario.enforcement),
+    "request_rate": Scenario.with_flood_rate,
+}
+SWEEP_AXES = tuple(_VARIANTS)
+
+
 def sweep(scenario: Scenario, axis: str, points: list[int]) -> list[tuple[int, MetricsReport]]:
     """One run per point, reports keyed by the axis value."""
-    if axis not in SWEEP_AXES:
+    if axis not in _VARIANTS:
         raise ValueError(f"unknown sweep axis {axis!r} (have {SWEEP_AXES})")
-    results = []
-    for point in points:
-        if axis == "request_rate":
-            variant = scenario.with_flood_rate(point)
-        elif axis == "pe_count":
-            variant = pad_policies(scenario, point)
-        elif axis == "switch_count":
-            variant = pad_switches(scenario, point)
-        else:
-            variant = chain_scenario(point, mode=scenario.mode, enforcement=scenario.enforcement)
-        results.append((point, run(variant)))
-    return results
+    return [(point, run(_VARIANTS[axis](scenario, point))) for point in points]
 
 
 def flood_response_series(

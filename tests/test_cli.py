@@ -4,6 +4,7 @@ import pytest
 
 from sdnsec.cli import main
 from sdnsec.scenario import ScenarioError, bundled_scenario_path, parse_scenario
+from sdnsec.simulation import Simulation
 
 from test_scenario import _set, minimal_doc
 
@@ -74,6 +75,18 @@ def test_validate_rejects_naming_the_field_path(tmp_path, capsys, mutate, path):
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("token", ["pkt.port=080x", "pkt.proto=tcp", "pkt.Type=HTTP", "pkt.port=http", "pkt.port=0"])
+def test_validate_rejects_a_packet_attribute_that_can_never_hold(tmp_path, capsys, token):
+    doc = minimal_doc()
+    doc["domains"][0]["policies"].append(f"q = <*,*,*,*,*,*,*,*,({token}),*,*,*,*>:<Allow>")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.domains[0].policies[1]: ")
+    assert repr(token) in err
+
+
 def test_run_emits_table(capsys):
     assert main(["run", "minimal"]) == 0
     out = capsys.readouterr().out
@@ -104,8 +117,14 @@ def test_dump_flows(capsys):
     assert "action=FORWARD:2" in out
 
 
-def test_dump_flows_unknown_switch(capsys):
+def test_dump_flows_unknown_switch(capsys, monkeypatch):
+    # the switch is checked before the scenario runs
+    def fail(self):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(Simulation, "run", fail)
     assert main(["dump-flows", "intra_service_paths", "--switch", "SW99"]) == 2
+    assert capsys.readouterr().err == "error: no switch 'SW99' in scenario\n"
 
 
 def test_sweep_request_rate(capsys):

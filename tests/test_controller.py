@@ -185,7 +185,7 @@ def test_block_rule_is_emitted_once_per_offender():
         for i in range(103)
     ]
     blocked = [result for result in results if result.reason == DropReason.DEFENSE_BLOCKED]
-    assert [result.block_batch is not None for result in blocked] == [True, False, False]
+    assert [result.batch is not None for result in blocked] == [True, False, False]
     assert ctrl.monitor.blocked == {ip("10.9.0.66")}
 
 

@@ -468,6 +468,57 @@ def test_compact_rejection_names_its_fault(text, message):
 
 
 @pytest.mark.parametrize("compact", [True, False], ids=["compact", "repository"])
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("pkt.proto=tcp", "bad packet-attribute token 'pkt.proto=tcp' (attr: type, port)"),
+        ("pkt.Type=HTTP", "bad packet-attribute token 'pkt.Type=HTTP'"),
+        ("pkt.port=http", "bad service port 'pkt.port=http'"),
+        ("pkt.port=+80", "bad service port 'pkt.port=+80'"),
+        ("pkt.port=\u0668\u0660", "bad service port"),
+        ("pkt.port=0", "service port 'pkt.port=0' out of range 1..65535"),
+        ("pkt.port=65536", "service port 'pkt.port=65536' out of range 1..65535"),
+    ],
+    ids=["unknown-attr", "attr-case", "port-name", "port-sign", "port-arabic-indic", "port-0", "port-65536"],
+)
+def test_packet_attribute_that_can_never_hold_is_rejected(token, message, compact):
+    # a packet has a type and a port only, and its port is a number
+    with pytest.raises(PolicyParseError, match=re.escape(message)):
+        if compact:
+            parse_compact_pe(_compact(8, f"({token})"))
+        else:
+            parse_repository([{"id": "t", "action": "allow", "flowcons": token}])
+
+
+def test_packet_attribute_constraint_names_a_packet_field():
+    with pytest.raises(ValueError, match="PACKET_ATTR constraint requires attr"):
+        Constraint(ConstraintKind.PACKET_ATTR, attr="proto", value="tcp")
+
+
+@pytest.mark.parametrize("compact", [True, False], ids=["compact", "repository"])
+def test_packet_port_reads_as_a_port(compact):
+    # leading zeros are tolerated, as in services, and stored canonically
+    if compact:
+        pe = parse_compact_pe(_compact(8, "(pkt.port=080)"))
+    else:
+        (pe,) = parse_repository([{"id": "t", "action": "allow", "flowcons": " pkt.port = 0080 "}])
+    assert pe.flow_cons == (Constraint(ConstraintKind.PACKET_ATTR, attr="port", value="80"),)
+    assert "pkt.port=80" in format_compact_pe(pe).split(", ")
+    assert json.loads(serialize_repository([pe]))[0]["flowcons"] == "pkt.port=80"
+
+
+@pytest.mark.parametrize("text", ["(*)", "{*}", "( * )", "((*))"])
+@pytest.mark.parametrize("column, position", [("flowcons", 8), ("domcons", 9), ("services", 10), ("secprof", 11), ("seq", 12)])
+def test_parenthesised_wildcard_list_is_the_wildcard(column, position, text):
+    wild = PolicyExpression(id="t", action=Action.ALLOW)
+    from_compact = parse_compact_pe(_compact(position, text))
+    (from_repository,) = parse_repository([{"id": "t", "action": "allow", column: text}])
+    assert from_compact == from_repository == wild
+    assert format_compact_pe(from_repository) == f"t = <{WILD_CONDITIONS}>:<Allow>"
+    assert json.loads(serialize_repository([from_compact]))[0][column] == "*"
+
+
+@pytest.mark.parametrize("compact", [True, False], ids=["compact", "repository"])
 @pytest.mark.parametrize("column, position", [("flowcons", 8), ("domcons", 9), ("seq", 12)])
 def test_empty_list_rejected_naming_the_column(column, position, compact):
     # "(;)" once parsed to the wildcard, so an empty path or constraint list

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import sdnsec.policy
 from sdnsec.controller import CostModel
+from sdnsec.interdomain import forward_ptt
 from sdnsec.labels import LabelWindow, parse_label_constraint
 from sdnsec.policy import (
     Action,
@@ -118,7 +119,8 @@ def test_ptt_constraints_are_flow_scoped_only():
     )
     sig = Constraint(ConstraintKind.SIGNATURE, signature="HTTPS")
     pe = allow("1", flow_cons=(label, sig))
-    assert select_policy([pe], make_ctx(packet_type="HTTPS")).delegable_constraints == (label,)
+    winner = select_policy([pe], make_ctx(packet_type="HTTPS"))
+    assert forward_ptt(None, "flow", winner.flow_cons, b"k").constraints == (label,)
 
 
 def test_selection_is_deterministic():

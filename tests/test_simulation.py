@@ -369,6 +369,35 @@ def test_preinstalled_flow_counts_against_its_own_rate_window():
 
 
 @pytest.mark.parametrize("mode", ["reactive", "proactive"])
+@pytest.mark.parametrize("rate, admitted", [("1/2", 0), ("1", 1), ("3/2", 1), ("2", 2)])
+def test_a_window_admits_the_whole_part_of_a_fractional_rate(mode, rate, admitted):
+    # three flows from a in one window: admitting a flow must keep the
+    # window's count within the budget, so a fraction of a flow admits none
+    traffic = [{"at": i * 1000, "from": "a", "to": "b", "port": 80 + i, "type": "HTTP"} for i in range(3)]
+    policy = f"p1 = <*, *, *, *, *, *, *, *, (rate<={rate}), *, *, *, *>:<Allow>"
+    report = run(parse_scenario(minimal_doc(traffic, policy, mode=mode)))
+    expected = [("delivered", "")] * admitted + [("dropped", "RATE_LIMIT")] * (3 - admitted)
+    assert [(f.outcome, f.reason) for f in report.flows] == expected
+
+
+@pytest.mark.parametrize(
+    "token, outcome",
+    [
+        ("pkt.port=80", ("delivered", "")),
+        ("pkt.port=080", ("delivered", "")),
+        ("pkt.type=HTTP", ("delivered", "")),
+        ("pkt.port=81", ("dropped", "POLICY")),
+    ],
+)
+def test_packet_attribute_policy_decides_its_flow(token, outcome):
+    # the a->b flow is 80/HTTP; a port token is read as a port
+    traffic = [{"at": 0, "from": "a", "to": "b", "port": 80, "type": "HTTP"}]
+    policy = f"p1 = <*, *, *, *, *, *, *, *, ({token}), *, *, *, *>:<Allow>"
+    (flow,) = run(parse_scenario(minimal_doc(traffic, policy))).flows
+    assert (flow.outcome, flow.reason) == outcome
+
+
+@pytest.mark.parametrize("mode", ["reactive", "proactive"])
 @pytest.mark.parametrize("reverse", [False, True])
 def test_earlier_flow_takes_the_last_table_slot_in_either_mode(mode, reverse):
     # room for one flow's two rules next to the ARP rule

@@ -310,6 +310,12 @@ def test_required_path_validation():
     )
 
 
+@pytest.mark.parametrize("ingress, egress", [("SW1", "SW9"), ("SW9", "SW4"), ("SW9", "SW9")])
+@pytest.mark.parametrize("required", [None, ("SW1", "SW5", "SW4")])
+def test_a_switch_outside_the_graph_has_no_path(ingress, egress, required):
+    assert find_switch_path(five_switch_graph(), ingress, egress, required=required) is None
+
+
 def test_single_node_path():
     graph = five_switch_graph()
     assert find_switch_path(graph, "SW3", "SW3") == ("SW3",)
