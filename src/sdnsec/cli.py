@@ -15,8 +15,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .dataplane import format_flow_dump
-from .metrics import emit, emit_series
-from .scenario import Scenario, ScenarioError, bundled_scenario_path, list_bundled_scenarios, load_scenario
+from .metrics import FORMATS, emit, emit_series
+from .scenario import MODES, Scenario, ScenarioError, bundled_scenario_path, list_bundled_scenarios, load_scenario
 from .simulation import Simulation, build_world
 from .sweep import SWEEP_AXES, flood_response_series, sweep
 
@@ -102,13 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("scenario", help="scenario file path or bundled scenario name")
-        p.add_argument("--mode", choices=("reactive", "proactive"))
+        p.add_argument("--mode", choices=MODES)
         p.add_argument("--baseline", action="store_true", help="disable policy processing")
         p.add_argument("--out", help="write output to a file instead of stdout")
 
     p_run = sub.add_parser("run", help="execute one scenario and emit its report")
     common(p_run)
-    p_run.add_argument("--emit", choices=("table", "delimited", "records"), default="table")
+    p_run.add_argument("--emit", choices=FORMATS, default="table")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a scenario once per axis point")
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--emit",
-        choices=("table", "delimited", "records"),
+        choices=FORMATS,
         help="format of the --compare-defenses series (default: delimited)",
     )
     p_sweep.set_defaults(func=cmd_sweep)

@@ -1,10 +1,10 @@
 """The two textual policy formats and their round-trip serializers.
 
 Repository format: a JSON array of flat string-field records, one record per
-policy expression, with the fixed field set ``id, flowid, srcasid, srcassub,
-srcastype, srcastrulabel, dstasid, dstassub, dstastype, dstastrulabel,
-srcip, dstip, srcmac, dstmac, user, flowcons, domcons, services, secprof,
-seq, action``.  An empty string and ``*`` both mean wildcard.
+policy expression.  The column tables below (``_SCALAR_COLUMNS`` and
+``_LIST_COLUMNS``) are the record layout: a record's fields are ``id``, their
+columns in order, then ``action`` (``REPOSITORY_FIELDS``).  An empty string
+and ``*`` both mean wildcard.
 
 Compact format: ``<f1, f2, ..., f13>:<action>`` with the thirteen condition
 fields ordered flow id, source domain, destination domain, source host IP,
@@ -59,30 +59,6 @@ __all__ = [
 ]
 
 WILDCARD = "*"
-
-REPOSITORY_FIELDS = (
-    "id",
-    "flowid",
-    "srcasid",
-    "srcassub",
-    "srcastype",
-    "srcastrulabel",
-    "dstasid",
-    "dstassub",
-    "dstastype",
-    "dstastrulabel",
-    "srcip",
-    "dstip",
-    "srcmac",
-    "dstmac",
-    "user",
-    "flowcons",
-    "domcons",
-    "services",
-    "secprof",
-    "seq",
-    "action",
-)
 
 # Compact position -> record column.  ``src`` and ``dst`` stand for a domain
 # descriptor, whose elements fill that side's four ``as...`` columns.
@@ -301,41 +277,43 @@ def _parse_action(text: str, where: str) -> tuple[Action, str | None]:
         return bare, None
     tokens = _split_list(text) or [_strip_group(text)]
     exit_switch: str | None = None
-    verb: str | None = None
+    verb: Action | None = None
     for token in tokens:
         lowered = token.lower()
-        if lowered in ("allow", "deny"):
+        if lowered in _VERBS:
             if verb is not None:
                 raise PolicyParseError(f"action names more than one verb in {text!r}", where=where)
-            verb = lowered
+            verb = _VERBS[lowered]
         elif exit_switch is None:
             exit_switch = token
         else:
             raise PolicyParseError(f"unrecognized action token {token!r}", where=where)
     if verb is None:
         raise PolicyParseError(f"action must be allow or deny, got {text!r}", where=where)
-    return Action(verb), exit_switch
+    return verb, exit_switch
 
 
 # --- the record layout both formats share -------------------------------------
 
 # Scalar column -> (selector or None for the expression, field, converter,
-# printer).  A converter takes the stripped text and raises ValueError on a
-# bad value; the printer turns the field's value back into that text.
+# printer), in record order.  A converter takes the stripped text and raises
+# ValueError on a bad value; the printer turns the field's value back into
+# that text.
+_SIDES = (("src", "source"), ("dst", "dest"))
 _SCALAR_COLUMNS = {
     "flowid": (None, "flow_id", str, str),
     **{
-        side + column: (selector, field, convert, show)
-        for side, selector in (("src", "source"), ("dst", "dest"))
-        for column, field, convert, show in (
+        side + column: (selector, *spec)
+        for side, selector in _SIDES
+        for column, *spec in (
             ("asid", "as_id", str, str),
             ("assub", "subnet", parse_network, str),
             ("astype", "as_type", str, str),
             ("astrulabel", "label_req", parse_label_constraint, str),
-            ("ip", "host_ip", parse_ipv4, format_ipv4),
-            ("mac", "host_mac", normalize_mac, str),
         )
     },
+    **{side + "ip": (selector, "host_ip", parse_ipv4, format_ipv4) for side, selector in _SIDES},
+    **{side + "mac": (selector, "host_mac", normalize_mac, str) for side, selector in _SIDES},
     "user": (None, "user", str, str),
 }
 
@@ -347,6 +325,9 @@ _LIST_COLUMNS = {
     "secprof": ("sec_profile", _parse_profile),
     "seq": ("path", _parse_path),
 }
+
+# A repository record's fields, in the order the serializer writes them.
+REPOSITORY_FIELDS = ("id", *_SCALAR_COLUMNS, *_LIST_COLUMNS, "action")
 
 
 def _build_pe(pe_id: str, action: str, columns: Iterable[tuple[str, str]], where: str) -> PolicyExpression:

@@ -102,7 +102,7 @@ class PolicyTransferToken:
 
 
 def ptt_tag(flow_id: str, constraints: tuple[Constraint, ...], key: bytes) -> str:
-    body = ";".join(c.text() for c in constraints)
+    body = ";".join(map(str, constraints))
     return hmac.new(key, f"ptt|v1|{flow_id}|{body}".encode(), hashlib.sha256).hexdigest()
 
 

@@ -7,6 +7,7 @@ several requirements, which is what the path search and the constraint
 merger operate on.  An endpoint selector that places no requirement on a
 domain's label holds ``None``, not a window: a requirement, even the full
 window, fails a domain whose label is unknown, while ``None`` passes it.
+A window prints as its canonical token through ``str()``.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class LabelWindow:
     def satisfies(self, label: SecurityLabel) -> bool:
         return self.lo <= label.rank and (self.hi is None or label.rank <= self.hi)
 
-    def text(self) -> str:
+    def __str__(self) -> str:
         """Canonical token of a window parsed from one token: ``SL2``,
         ``SL2+=`` or ``SL2-=``; the full window prints as ``SL1+=``."""
         if self.lo == self.hi:
@@ -129,6 +130,3 @@ class LabelWindow:
         if self.hi is None:
             return f"SL{self.lo}+="
         return f"SL{self.hi}-="
-
-    def __str__(self) -> str:
-        return self.text()

@@ -18,7 +18,10 @@ import json
 from dataclasses import dataclass, field, fields
 from functools import cache
 
-__all__ = ["FlowRecord", "InstallRecord", "LatencyRecord", "MetricsReport", "emit", "emit_series"]
+__all__ = ["FORMATS", "FlowRecord", "InstallRecord", "LatencyRecord", "MetricsReport", "emit", "emit_series"]
+
+# the emission formats of a report and of a series
+FORMATS = ("table", "delimited", "records")
 
 
 @dataclass

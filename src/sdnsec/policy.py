@@ -7,7 +7,8 @@ a security profile), which the controller reads off the winner.
 Selection over a repository is default-deny, deny-overrides, then
 most-specific-allow with the smallest id as the final tie-break, so the
 winner is a pure function of (repository, context); no winner is the
-default deny.
+default deny.  A constraint prints as its policy-format token through
+``str()``.
 
 A flow context is the packet itself plus what the controller knows about the
 flow.  Host MACs, in a packet or a selector, arrive normalized from the
@@ -142,10 +143,10 @@ class Constraint:
         elif not self.signature:
             raise ValueError("SIGNATURE constraint requires a signature token")
 
-    def text(self) -> str:
+    def __str__(self) -> str:
         if self.kind is ConstraintKind.LABEL_PATH:
             assert self.label is not None
-            return self.label.text()
+            return str(self.label)
         if self.kind is ConstraintKind.RATE_THRESHOLD:
             assert self.rate is not None
             value = int(self.rate) if self.rate.denominator == 1 else self.rate
@@ -153,9 +154,6 @@ class Constraint:
         if self.kind is ConstraintKind.PACKET_ATTR:
             return f"pkt.{self.attr}={self.value}"
         return f"sig.{self.signature}"
-
-    def __str__(self) -> str:
-        return self.text()
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ __all__ = [
     "FloodSpec",
     "FlowSpec",
     "HostSpec",
+    "MODES",
     "Scenario",
     "ScenarioError",
     "SwitchSpec",
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 TICKS_PER_SECOND = 1_000_000
+MODES = ("reactive", "proactive")
 
 _TOP_LEVEL_FIELDS = {
     "name", "mode", "enforcement", "max_ttl", "table_capacity", "costs",
@@ -130,6 +132,9 @@ class FloodSpec:
     proto: str = "tcp"
 
     def __post_init__(self) -> None:
+        for name in ("rate", "seconds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"flood {name} must be at least 1, got {getattr(self, name)}")
         last = self.port_base + self.rate * self.seconds - 1
         if last > 65535:
             raise ValueError(f"flood ports {self.port_base}..{last} leave 1..65535")
@@ -138,7 +143,7 @@ class FloodSpec:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    mode: str  # reactive | proactive
+    mode: str  # one of MODES
     enforcement: bool
     domains: tuple[DomainSpec, ...]
     links: tuple[tuple[str, str], ...]
@@ -263,16 +268,21 @@ def _declare(declared: dict, value, path: str, key: str = "") -> None:
 
 
 def _parse_policies(raw, path: str) -> tuple[PolicyExpression, ...]:
-    """A domain's policies in document order, each a compact string or a
-    repository record; errors name the position in ``policies``."""
+    """A domain's policies in document order, each a named compact string or
+    a repository record; errors name the position in ``policies``."""
     policies: list[PolicyExpression] = []
     for index, item in enumerate(raw):
         if not isinstance(item, (str, dict)):
             raise ScenarioError(f"{path}[{index}]", "policy must be a compact string or a record object")
         try:
-            policies.append(parse_compact_pe(item) if isinstance(item, str) else parse_record(item, "record"))
+            pe = parse_compact_pe(item, pe_id="") if isinstance(item, str) else parse_record(item, "record")
         except PolicyParseError as exc:
             raise ScenarioError(f"{path}[{index}]", str(exc)) from None
+        if not pe.id:
+            raise ScenarioError(
+                f"{path}[{index}]", "a compact policy needs a 'name =' prefix: its id names it in every decision"
+            )
+        policies.append(pe)
     try:
         check_unique_ids(policies)
     except DuplicatePolicyIdError as exc:
@@ -397,8 +407,8 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
     _object(document, "$", _TOP_LEVEL_FIELDS)
     name = _want(document, "name", "$", str, default=name_hint)
     mode = _want(document, "mode", "$", str, default="reactive")
-    if mode not in ("reactive", "proactive"):
-        raise ScenarioError("$.mode", f"mode must be reactive or proactive, got {mode!r}")
+    if mode not in MODES:
+        raise ScenarioError("$.mode", f"mode must be {' or '.join(MODES)}, got {mode!r}")
     domain_paths: dict[str, str] = {}
     nodes: dict[str, str] = {}  # switch and host ids: both are peers on switch ports
     ips: dict[str, str] = {}

@@ -224,7 +224,7 @@ def oracle_match(pe: PolicyExpression, ctx: FlowContext) -> bool:
             checks.append(True)
         else:
             # compare ranks from the selector's token text, not through the window
-            token = sel.label_req.text()
+            token = str(sel.label_req)
             relation = token[-2:] if token.endswith(("+=", "-=")) else ""
             base = int(token[2 : len(token) - len(relation)])
             rank = dom.label.rank if dom.label else None

@@ -195,6 +195,16 @@ def test_sweep_request_rate_needs_a_flood(capsys, extra):
     assert captured.err == "error: scenario 'minimal' has no flood to set a request rate on\n"
 
 
+@pytest.mark.parametrize(
+    "extra", [["--points", "0,-3,50"], ["--points", "0", "--compare-defenses"]], ids=["rates", "compare-defenses"]
+)
+def test_sweep_request_rate_must_be_positive(capsys, extra):
+    assert main(["sweep", "flood_single_domain", "--axis", "request_rate", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: flood rate must be at least 1, got 0\n"
+
+
 def test_sweep_request_rate_keeps_the_flood_ports_in_range(capsys):
     assert main(["sweep", "flood_single_domain", "--axis", "request_rate", "--points", "50000"]) == 1
     captured = capsys.readouterr()

@@ -112,7 +112,7 @@ def test_admitted_flow_installs_and_pins_exit(transit_world):
     gateway, peer, rule = egress_hop(transit_world, result.batch)
     assert (gateway, peer) == ("1SW2", "2SW1")
     assert rule.handle.visited == ("AS1",)
-    assert [c.text() for c in rule.handle.ptt.constraints] == ["SL2+="]
+    assert [str(c) for c in rule.handle.ptt.constraints] == ["SL2+="]
 
 
 def test_every_batch_names_its_decision(transit_world):

@@ -10,10 +10,11 @@ from pathlib import Path
 
 from helpers import REASON_COUNTERS
 from test_report import REASONS
+from test_scenario import reader_field_sets
 
 import sdnsec
 from sdnsec.cli import main
-from sdnsec.formats import parse_compact_pe, parse_record
+from sdnsec.formats import REPOSITORY_FIELDS, parse_compact_pe, parse_record
 from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from sdnsec.simulation import run
 
@@ -78,6 +79,17 @@ def test_policy_format_examples_parse():
     assert records, "no complete JSON example in docs/policy-formats.md"
     for index, record in enumerate(records):
         parse_record(record, f"example {index}")
+
+
+def test_scenario_format_names_every_field_the_reader_accepts():
+    text = (DOCS / "scenario-format.md").read_text()
+    names = set().union(*reader_field_sets().values())
+    assert sorted(name for name in names if not re.search(f'[`"]{name}[`"]', text)) == []
+
+
+def test_policy_format_lists_the_record_fields_in_order():
+    (fields,) = [block.split() for block in code_blocks(DOCS / "policy-formats.md", "") if block.startswith("id ")]
+    assert tuple(fields) == REPOSITORY_FIELDS
 
 
 def test_readme_commands_and_library_example_run(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
 
+from sdnsec import scenario as scenario_module
 from sdnsec.defense import ResponseMode
 from sdnsec.scenario import (
+    FloodSpec,
     ScenarioError,
     bundled_scenario_path,
     list_bundled_scenarios,
@@ -128,6 +131,17 @@ def test_duplicate_policy_id_is_an_error():
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("unnamed", ["<*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>", " = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"])
+def test_compact_policy_without_a_name_is_an_error(unnamed):
+    # an unnamed policy would be reported as a made-up id in every decision
+    doc = minimal_doc()
+    doc["domains"][0]["policies"] = ["p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Deny>", unnamed]
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(doc)
+    assert caught.value.path == "$.domains[0].policies[1]"
+    assert "needs a 'name =' prefix" in str(caught.value)
+
+
 def test_record_error_names_its_position_in_policies():
     doc = minimal_doc()
     doc["domains"][0]["policies"] = [
@@ -198,6 +212,15 @@ def test_with_defense_and_rate_variants():
     assert flood[0].rate == 75
     with pytest.raises(ValueError, match="'minimal' has no flood"):
         load_scenario(bundled_scenario_path("minimal")).with_flood_rate(75)
+
+
+@pytest.mark.parametrize("rate", [0, -3])
+def test_flood_rate_variant_must_offer_a_request(rate):
+    scenario = load_scenario(bundled_scenario_path("flood_single_domain"))
+    with pytest.raises(ValueError, match=rf"^flood rate must be at least 1, got {rate}$"):
+        scenario.with_flood_rate(rate)
+    with pytest.raises(ValueError, match=r"^flood seconds must be at least 1, got 0$"):
+        FloodSpec(at=0, src_host="attacker", dst=1, rate=1, seconds=0)
 
 
 def test_load_rejects_bad_json(tmp_path):
@@ -468,3 +491,59 @@ def test_run_time_failures_are_rejected_at_parse(mutate, path):
     with pytest.raises(ScenarioError) as caught:
         parse_scenario(doc)
     assert caught.value.path == path
+
+
+def filled_minimal():
+    """``minimal`` with every optional object present, and a flood."""
+    doc = json.loads(bundled_scenario_path("minimal").read_text())
+    doc.update(
+        capacity={"controller_rps": 400, "switches_per_controller": 1, "hosts_per_switch": 2},
+        defense={"response": "throttle", "window_ticks": 1000},
+        costs={"base": 1},
+    )
+    doc["domains"][0]["users"] = {"00:00:00:00:00:0a": "alice"}
+    doc["traffic"].append({"kind": "flood", "at": 5, "from": "a", "to": "b", "rate": 2})
+    return doc
+
+
+# each field set of the reader -> the path of one object it checks in filled_minimal()
+FIELD_SETS = {
+    "_TOP_LEVEL_FIELDS": "$",
+    "_CAPACITY_FIELDS": "$.capacity",
+    "_DEFENSE_FIELDS": "$.defense",
+    "_COST_FIELDS": "$.costs",
+    "_DOMAIN_FIELDS": "$.domains[0]",
+    "_SWITCH_FIELDS": "$.domains[0].switches[0]",
+    "_HOST_FIELDS": "$.domains[0].hosts[0]",
+    "_FLOW_FIELDS": "$.traffic[0]",
+    "_FLOOD_FIELDS": "$.traffic[1]",
+}
+
+
+def reader_field_sets() -> dict[str, set[str]]:
+    return {name: value for name, value in vars(scenario_module).items() if re.fullmatch(r"_[A-Z_]+_FIELDS", name)}
+
+
+def test_every_field_set_is_checked_below():
+    assert set(reader_field_sets()) == set(FIELD_SETS)
+    parse_scenario(filled_minimal())
+
+
+def object_at(doc: dict, path: str) -> dict:
+    """The object of ``doc`` at a ``$.key[index]...`` path."""
+    for key, index in re.findall(r"\.(\w+)(?:\[(\d+)\])?", path):
+        doc = doc[key] if not index else doc[key][int(index)]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, field", [(path, field) for name, path in FIELD_SETS.items() for field in sorted(reader_field_sets()[name])]
+)
+def test_every_accepted_field_is_read(path, field):
+    # a field the reader accepts but never reads would take null silently
+    doc = filled_minimal()
+    object_at(doc, path)[field] = None
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(doc)
+    assert caught.value.path == f"{path}.{field}"
+
