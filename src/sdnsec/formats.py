@@ -23,6 +23,13 @@ expression and one encoder feeds both serializers.
 
 A host address parses to a plain ``int`` and prints as dotted text again
 through :func:`~sdnsec.policy.format_ipv4`; a subnet stays an ``IPv4Network``.
+
+One document is read with one value table: a dict from ``(column, field
+text)`` to that column's converted entry, and from each distinct set of
+selector fields to one shared ``EndpointSelector``.  Equal field texts are
+converted once per document; every value is immutable, so expressions may
+share it.  Only successful conversions enter the table, so a bad text raises
+at each occurrence.  A table lives for one document read and no longer.
 """
 
 from __future__ import annotations
@@ -295,26 +302,35 @@ def _parse_action(text: str, where: str) -> tuple[Action, str | None]:
 
 # --- the record layout both formats share -------------------------------------
 
+
+def _token(text: str) -> str:
+    """The one token of a one-value column; a list in it would print bare
+    and read back as several fields."""
+    if _LIST_SEPARATORS.search(text):
+        raise ValueError("a one-value column holds no ',' or ';'")
+    return text
+
+
 # Scalar column -> (selector or None for the expression, field, converter,
 # printer), in record order.  A converter takes the stripped text and raises
 # ValueError on a bad value; the printer turns the field's value back into
 # that text.
 _SIDES = (("src", "source"), ("dst", "dest"))
 _SCALAR_COLUMNS = {
-    "flowid": (None, "flow_id", str, str),
+    "flowid": (None, "flow_id", _token, str),
     **{
         side + column: (selector, *spec)
         for side, selector in _SIDES
         for column, *spec in (
-            ("asid", "as_id", str, str),
+            ("asid", "as_id", _token, str),
             ("assub", "subnet", parse_network, str),
-            ("astype", "as_type", str, str),
+            ("astype", "as_type", _token, str),
             ("astrulabel", "label_req", parse_label_constraint, str),
         )
     },
     **{side + "ip": (selector, "host_ip", parse_ipv4, format_ipv4) for side, selector in _SIDES},
     **{side + "mac": (selector, "host_mac", normalize_mac, str) for side, selector in _SIDES},
-    "user": (None, "user", str, str),
+    "user": (None, "user", _token, str),
 }
 
 # List column -> (expression field, converter of its tokens).
@@ -330,46 +346,66 @@ _LIST_COLUMNS = {
 REPOSITORY_FIELDS = ("id", *_SCALAR_COLUMNS, *_LIST_COLUMNS, "action")
 
 
-def _build_pe(pe_id: str, action: str, columns: Iterable[tuple[str, str]], where: str) -> PolicyExpression:
-    """Build one expression from its id, action and record columns.
+def _column_entry(column: str, raw: str, where: str) -> tuple | None:
+    """The converted entry of one condition column's text: ``(selector or
+    None, field, value, validity window or None)``, or ``None`` for the
+    wildcard.  A list with no token, such as ``(;)``, would match nothing,
+    and both serializers print it as the wildcard, so it is an error.
+    """
+    text = raw.strip()
+    if text == "" or text == WILDCARD:
+        return None
+    if column in _SCALAR_COLUMNS:
+        selector, name, convert, _ = _SCALAR_COLUMNS[column]
+        try:
+            return selector, name, convert(text), None
+        except ValueError as exc:
+            raise PolicyParseError(f"bad {column} value {raw!r}: {exc}", where=where) from None
+    tokens = _split_list(text)
+    if tokens is None:
+        return None
+    if not tokens:
+        raise PolicyParseError(f"empty {column} list {raw!r}", where=where)
+    name, convert = _LIST_COLUMNS[column]
+    if convert is _parse_constraints:
+        return None, name, *convert(tokens, where)
+    return None, name, convert(tokens, where), None
+
+
+def _build_pe(
+    pe_id: str, action: str, columns: Iterable[tuple[str, str]], where: str, table: dict | None
+) -> PolicyExpression:
+    """Build one expression from its id, action and condition columns.
 
     Both formats end here: the repository parser passes its checked
-    record's items, the compact parser the columns its fields were lowered
-    onto.  Only the columns given are read; an absent or wildcard column
-    leaves its field at the wildcard, and a column that is not a condition
-    (``id``, ``action``) is skipped.  A list with no token, such as ``(;)``,
-    would match nothing, and both serializers print it as the wildcard, so
-    it is an error.
+    record's condition items, the compact parser the columns its fields
+    were lowered onto.  Only the columns given are read; an absent or
+    wildcard column leaves its field at the wildcard.  Each ``(column,
+    text)`` is converted once per ``table`` and each distinct selector built
+    once per ``table`` (see the module docstring); ``None`` is a fresh table.
     """
+    if table is None:
+        table = {}
     fields: dict[str, object] = {}
     selectors: dict[str, dict[str, object]] = {"source": {}, "dest": {}}
     validity: tuple[int, int] | None = None
-    for column, raw in columns:
-        text = raw.strip()
-        if text == "" or text == WILDCARD:
+    for key in columns:
+        if key in table:
+            entry = table[key]
+        else:
+            entry = table[key] = _column_entry(*key, where)
+        if entry is None:
             continue
-        if column in _SCALAR_COLUMNS:
-            selector, name, convert, _ = _SCALAR_COLUMNS[column]
-            try:
-                value = convert(text)
-            except ValueError as exc:
-                raise PolicyParseError(f"bad {column} value {raw!r}: {exc}", where=where) from None
-            (fields if selector is None else selectors[selector])[name] = value
-        elif column in _LIST_COLUMNS:
-            tokens = _split_list(text)
-            if tokens is None:
-                continue
-            if not tokens:
-                raise PolicyParseError(f"empty {column} list {raw!r}", where=where)
-            name, convert = _LIST_COLUMNS[column]
-            value = convert(tokens, where)
-            if convert is _parse_constraints:
-                value, window = value
-                validity = _intersect_validity(validity, window)
-            fields[name] = value
+        selector, name, value, window = entry
+        (fields if selector is None else selectors[selector])[name] = value
+        if window is not None:
+            validity = _intersect_validity(validity, window)
     for name, selector in selectors.items():
         if selector:
-            fields[name] = EndpointSelector(**selector)
+            key = frozenset(selector.items())
+            if key not in table:
+                table[key] = EndpointSelector(**selector)
+            fields[name] = table[key]
     verb, exit_switch = _parse_action(action, where)
     try:
         return PolicyExpression(id=pe_id, action=verb, action_exit=exit_switch, validity=validity, **fields)
@@ -405,11 +441,12 @@ def _group(tokens: list[str]) -> str:
 # --- repository format -----------------------------------------------------
 
 
-def parse_record(record: object, position: str) -> PolicyExpression:
+def parse_record(record: object, position: str, *, table: dict | None = None) -> PolicyExpression:
     """Parse one repository record; errors name ``position`` and the id.
 
     Strict: a non-object record, unknown or non-string fields and a missing
-    id or action are errors.
+    id or action are errors.  ``table`` is the document's value table; a
+    fresh one is used when none is given, with the same result.
     """
     if not isinstance(record, dict):
         raise PolicyParseError("record is not an object", where=position)
@@ -425,13 +462,15 @@ def parse_record(record: object, position: str) -> PolicyExpression:
     for required in ("id", "action"):
         if _is_wild(record.get(required, "")):
             raise PolicyParseError(f"missing required field {required!r}", where=where)
-    return _build_pe(record["id"], record["action"], record.items(), where)
+    conditions = [item for item in record.items() if item[0] not in ("id", "action")]
+    return _build_pe(record["id"], record["action"], conditions, where, table)
 
 
 def parse_repository(document: str | list) -> list[PolicyExpression]:
     """Parse a repository document (JSON text or already-loaded array).
 
-    Strict: every record as :func:`parse_record`, and ids are unique.
+    Strict: every record as :func:`parse_record`, and ids are unique.  The
+    records share one value table.
     """
     if isinstance(document, str):
         try:
@@ -442,7 +481,8 @@ def parse_repository(document: str | list) -> list[PolicyExpression]:
         loaded = document
     if not isinstance(loaded, list):
         raise PolicyParseError("repository must be a JSON array of records")
-    pes = [parse_record(record, f"record {index}") for index, record in enumerate(loaded)]
+    table: dict = {}
+    pes = [parse_record(record, f"record {index}", table=table) for index, record in enumerate(loaded)]
     try:
         check_unique_ids(pes)
     except DuplicatePolicyIdError as exc:
@@ -492,13 +532,15 @@ def _lower_domain(side: str, text: str, where: str) -> dict[str, str]:
     return columns
 
 
-def parse_compact_pe(text: str, *, pe_id: str = "anon") -> PolicyExpression:
+def parse_compact_pe(text: str, *, pe_id: str = "anon", table: dict | None = None) -> PolicyExpression:
     """Parse one compact ``<conditions>:<action>`` policy expression.
 
     A ``name =`` prefix, when present, overrides ``pe_id``.  The thirteen
     condition fields must all be present; a count mismatch is an error that
     reports expected versus found.  The fields are lowered onto repository
-    record columns through ``COMPACT_COLUMNS``.
+    record columns through ``COMPACT_COLUMNS``.  ``table`` is the document's
+    value table; a fresh one is used when none is given, with the same
+    result.
     """
     body = text.strip()
     if "=" in body.split("<", 1)[0]:
@@ -524,8 +566,8 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon") -> PolicyExpression:
         if column in ("src", "dst"):
             columns += _lower_domain(column, field, where).items()
         else:
-            columns.append((column, _strip_group(field)))
-    return _build_pe(pe_id, action_text, columns, where)
+            columns.append((column, _strip_group(field) if field[:1] in ("(", "{") else field))
+    return _build_pe(pe_id, action_text, columns, where, table)
 
 
 def format_compact_pe(pe: PolicyExpression) -> str:

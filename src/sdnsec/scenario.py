@@ -271,11 +271,15 @@ def _parse_policies(raw, path: str) -> tuple[PolicyExpression, ...]:
     """A domain's policies in document order, each a named compact string or
     a repository record; errors name the position in ``policies``."""
     policies: list[PolicyExpression] = []
+    table: dict = {}
     for index, item in enumerate(raw):
         if not isinstance(item, (str, dict)):
             raise ScenarioError(f"{path}[{index}]", "policy must be a compact string or a record object")
         try:
-            pe = parse_compact_pe(item, pe_id="") if isinstance(item, str) else parse_record(item, "record")
+            if isinstance(item, str):
+                pe = parse_compact_pe(item, pe_id="", table=table)
+            else:
+                pe = parse_record(item, "record", table=table)
         except PolicyParseError as exc:
             raise ScenarioError(f"{path}[{index}]", str(exc)) from None
         if not pe.id:

@@ -565,3 +565,24 @@ def test_random_expressions_round_trip_through_both_formats():
         assert from_compact == pe
         assert parse_compact_pe(format_compact_pe(from_repository[0])) == pe
         assert parse_repository(serialize_repository([from_compact])) == [pe]
+
+
+# (column, compact position, compact field, record text): a list in a
+# one-value column once read as one value with separators in it, which the
+# compact serializer prints bare and its reader then splits into extra fields
+ONE_VALUE_LISTS = [
+    ("flowid", 0, "(f1, f2)", "f1, f2"),
+    ("user", 7, "(u1; u2)", "u1; u2"),
+    ("srcasid", 1, "(10.0.0.0/8, AS1{a, b})", "AS1, AS2"),
+    ("dstastype", 2, "(10.0.0.0/8, {edu; lab})", "edu; lab"),
+]
+
+
+@pytest.mark.parametrize("compact", [True, False], ids=["compact", "repository"])
+@pytest.mark.parametrize("column, position, field, text", ONE_VALUE_LISTS, ids=[case[0] for case in ONE_VALUE_LISTS])
+def test_a_one_value_column_holds_no_list(column, position, field, text, compact):
+    with pytest.raises(PolicyParseError, match=rf"bad {column} value .*: a one-value column holds no ',' or ';'"):
+        if compact:
+            parse_compact_pe(_compact(position, field))
+        else:
+            parse_repository([{"id": "t", "action": "allow", column: text}])

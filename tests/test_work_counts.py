@@ -30,6 +30,13 @@ domain it crosses, and files each written rule with one ``Switch.install``
 call: the workloads at seed 1 have fixed bounds on ``FlowMatch``
 constructions, and their install calls equal the rules the report counts.
 
+The policy reader converts each field text once per document: reading the
+``acl_proactive`` repository at seed 1 parses each distinct (column,
+address text) once, each distinct services text once and builds each
+distinct endpoint selector once, bounds taken from the document itself.  A
+second read of the same document makes the same calls, so no cache outlives
+one read.
+
 The counts are deterministic, so a lost optimisation fails here at once,
 whatever the machine's speed.
 """
@@ -44,11 +51,12 @@ import pytest
 from test_golden import CASES, build_case
 from test_workloads import WORKLOADS
 
+from sdnsec import formats
 from sdnsec.dataplane import FlowMatch, Switch
 from sdnsec.interdomain import handle_tag, ptt_tag
 from sdnsec.labels import LabelWindow
 from sdnsec.metrics import emit
-from sdnsec.policy import match_pe, normalize_mac
+from sdnsec.policy import EndpointSelector, match_pe, normalize_mac
 from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from sdnsec.simulation import Simulation, build_world
 from sdnsec.sweep import chain_scenario, pad_policies
@@ -265,3 +273,60 @@ def test_rule_path_builds_each_flows_matches_once_and_files_each_rule_once(workl
     assert 0 < calls["FlowMatch.__post_init__"] <= FLOW_MATCH_BOUNDS[workload], calls
     # build_world wrote the ARP rules before the run
     assert calls["Switch.install"] == counters["rules_installed"] + counters["proactive_installs"] > 0, (calls, counters)
+
+
+def _code_calls(work, *functions) -> Counter:
+    """The calls of each of ``functions`` that ``work()`` makes, under its
+    ``__qualname__``; seen by code object, so a call through a table that
+    holds the function counts too."""
+    names = {function.__code__: function.__qualname__ for function in functions}
+    calls: Counter[str] = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _compact_fields(text: str) -> tuple[str, ...]:
+    """The thirteen condition fields of a compact policy with no nested
+    list, each stripped of its outer brackets."""
+    conditions = text.partition("<")[2].rpartition(">:<")[0]
+    fields = tuple(field.strip().strip("(){}").strip() for field in conditions.split(","))
+    assert len(fields) == 13, text
+    return fields
+
+
+def test_the_policy_reader_converts_each_field_text_once_per_document():
+    document, _ = WORKLOADS["acl_proactive"](1)
+    text = json.dumps(document, sort_keys=True)
+    counted = (formats.parse_ipv4, formats._parse_services, EndpointSelector.__init__)
+    reads = [_code_calls(lambda: parse_scenario(json.loads(text)), *counted) for _ in range(2)]
+    # the bounds, from the document: the addresses parsed outside the
+    # policies (host and subnet fields), then each distinct text once
+    bare = json.loads(text)
+    for domain in bare["domains"]:
+        domain["policies"] = []
+    outside = _code_calls(lambda: parse_scenario(bare), formats.parse_ipv4)["parse_ipv4"]
+    policies = [_compact_fields(policy) for domain in document["domains"] for policy in domain.get("policies", [])]
+    addresses = {(column, fields[column]) for fields in policies for column in (3, 4) if fields[column] != "*"}
+    services = {fields[10] for fields in policies if fields[10] != "*"}
+    # a selector is its domain, host address and MAC fields, on either side
+    selectors = {
+        selector
+        for fields in policies
+        for selector in (fields[1:6:2], fields[2:7:2])
+        if selector != ("*", "*", "*")
+    }
+    assert len(policies) == 1_700 and (len(addresses), len(services), len(selectors)) == (1_560, 6, 1_500)
+    first = reads[0]
+    assert 0 < first["parse_ipv4"] <= outside + len(addresses), first
+    assert 0 < first["_parse_services"] <= len(services), first
+    assert 0 < first["EndpointSelector.__init__"] <= len(selectors), first
+    assert reads[1] == first
