@@ -35,6 +35,14 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _points(text: str) -> list[int]:
+    """The ``--points`` list: comma-separated integers."""
+    try:
+        return [int(point) for point in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     enforcement = scenario.enforcement and not args.baseline
     return replace(scenario, mode=args.mode or scenario.mode, enforcement=enforcement)
@@ -55,13 +63,12 @@ def cmd_sweep(args) -> int:
         print("error: --emit formats the --compare-defenses series only", file=sys.stderr)
         return 2
     scenario = _apply_overrides(_load(args.scenario), args)
-    points = [int(p) for p in args.points.split(",")]
     if args.compare_defenses:
-        series = flood_response_series(scenario, points)
+        series = flood_response_series(scenario, args.points)
         _write(emit_series(series, args.emit or "delimited"), args.out)
         return 0
     out_lines = []
-    for point, report in sweep(scenario, args.axis, points):
+    for point, report in sweep(scenario, args.axis, args.points):
         counters = " ".join(f"{k}={v}" for k, v in sorted(report.counters.items()))
         out_lines.append(f"{args.axis}={point} mean_latency={report.mean_latency()} {counters}")
     _write("\n".join(out_lines) + "\n", args.out)
@@ -114,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a scenario once per axis point")
     common(p_sweep)
     p_sweep.add_argument("--axis", choices=SWEEP_AXES, required=True)
-    p_sweep.add_argument("--points", required=True, help="comma-separated axis values")
+    p_sweep.add_argument("--points", type=_points, required=True, help="comma-separated axis values")
     p_sweep.add_argument(
         "--compare-defenses",
         action="store_true",

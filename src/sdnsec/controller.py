@@ -34,7 +34,8 @@ search's ticks.
 Addresses are plain ``int`` values throughout: the host table, the rate
 windows and the flood monitor are keyed by them, and a domain's subnet is
 matched on its integer network and mask.  Only the event summaries and a
-block rule's provenance print them, as dotted text.
+block rule's provenance print them, as dotted text, and they read that text
+off the packet, which prints its addresses once.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .policy import (
     FlowContext,
     PolicyExpression,
     PolicyIndex,
-    format_ipv4,
     predicates_hold,
     select_policy,
     subnet_bits,
@@ -203,25 +203,15 @@ def synthesize_rules(
     if not path:
         raise ValueError("cannot synthesize rules for an empty path")
     forward_match, reverse_match = packet.matches
-
-    def rule(match: FlowMatch, switch: str, peer: str, handle=None) -> tuple[str, FlowRule]:
-        return switch, FlowRule(
-            match,
-            ActionKind.FORWARD,
-            FLOW_RULE_PRIORITY,
-            next_hop=peer,
-            sec_profile_tags=sec_profile,
-            handle=handle,
-        )
-
-    return FlowModBatch(
-        (
-            *[rule(forward_match, switch, peer) for switch, peer in zip(path, path[1:])],
-            rule(forward_match, path[-1], final_peer, handle_out),
-            *[rule(reverse_match, switch, peer) for switch, peer in zip(path, (entry_peer, *path))],
-        ),
-        provenance=pe_id,
-    )
+    forward: list[tuple[str, FlowRule]] = []
+    reverse: list[tuple[str, FlowRule]] = []
+    action, last = ActionKind.FORWARD, len(path) - 1
+    for i, switch in enumerate(path):
+        ahead, handle = (path[i + 1], None) if i < last else (final_peer, handle_out)
+        back = path[i - 1] if i else entry_peer
+        forward.append((switch, FlowRule(forward_match, action, FLOW_RULE_PRIORITY, ahead, sec_profile, handle)))
+        reverse.append((switch, FlowRule(reverse_match, action, FLOW_RULE_PRIORITY, back, sec_profile)))
+    return FlowModBatch(tuple(forward + reverse), pe_id)
 
 
 class Controller:
@@ -313,7 +303,7 @@ class Controller:
             ActionKind.DROP,
             BLOCK_RULE_PRIORITY,
         )
-        return FlowModBatch(((ingress, rule),), provenance=f"{BLOCK_PROVENANCE_PREFIX}{format_ipv4(packet.src_ip)}")
+        return FlowModBatch(((ingress, rule),), provenance=f"{BLOCK_PROVENANCE_PREFIX}{packet.src_text}")
 
     def _rate_admits(self, src: int, constraints, tick: int) -> bool:
         """Per-source admission against the tightest RATE_THRESHOLD among
@@ -344,10 +334,7 @@ class Controller:
         """
         ticks = self.costs.base
         flow_id = packet.flow_id
-        summary = (
-            f"{format_ipv4(packet.src_ip)}->{format_ipv4(packet.dst_ip)}:{packet.service_port}/{packet.packet_type}"
-            f" via {ingress}"
-        )
+        summary = f"{packet.src_text}->{packet.dst_text}:{packet.service_port}/{packet.packet_type} via {ingress}"
         matched: str | None = None
 
         def drop(reason: str, detail: str = summary, block: FlowModBatch | None = None) -> PipelineResult:
@@ -361,7 +348,7 @@ class Controller:
             response = self.monitor.record_and_check(offender, ingress, tick)
             if response is not ResponseMode.NONE:
                 detail = (
-                    f"{summary} [defense offender={format_ipv4(offender)}"
+                    f"{summary} [defense offender={packet.src_text}"
                     f" window_count={self.monitor.requests.get(offender, tick)}"
                     f" thost={self.monitor.thost} tsw={self.monitor.tsw}]"
                 )

@@ -15,10 +15,13 @@ domain's egress gateway also carries the flow's handle, which holds its
 transfer token, and the switch adds it to the packet as it leaves.
 :func:`install_batch` writes a flow-mod batch all or nothing, like an
 OpenFlow 1.4 bundle; it is the one write path and the one capacity and
-next-hop check.  All mutation happens on the simulation loop's thread.
+next-hop check.  It counts the rules each switch is named in first, and
+counts the matches new to a switch only where that count could overflow
+its table.  All mutation happens on the simulation loop's thread.
 
 Packet and match addresses are plain ``int`` values, so a probe key hashes
-natively; a flow dump prints them as dotted text.
+natively.  A packet prints its two addresses once, for its flow id and the
+records; a flow dump prints a match's as dotted text.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ BLOCK_RULE_PRIORITY = 200
 
 @dataclass(frozen=True)
 class Packet:
+    """One packet's header fields.  It carries its two addresses' dotted
+    text, printed once when it is built, and its flow id, which
+    :func:`~sdnsec.policy.derive_flow_id` spells from that text; records,
+    event summaries and block rules read the text off the packet."""
+
     src_ip: int
     dst_ip: int
     src_mac: str
@@ -60,20 +68,26 @@ class Packet:
     ip_proto: str
     service_port: int
     packet_type: str
-    # derived from the 5-tuple once per packet; the controller reads it often
+    # derived once per packet; the controller and the records read them often
+    src_text: str = field(init=False, repr=False, compare=False)
+    dst_text: str = field(init=False, repr=False, compare=False)
     flow_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "flow_id", derive_flow_id(self.src_ip, self.dst_ip, self.ip_proto, self.service_port)
-        )
+        src_text, dst_text = format_ipv4(self.src_ip), format_ipv4(self.dst_ip)
+        object.__setattr__(self, "src_text", src_text)
+        object.__setattr__(self, "dst_text", dst_text)
+        object.__setattr__(self, "flow_id", derive_flow_id(src_text, dst_text, self.ip_proto, self.service_port))
 
     @cached_property
     def matches(self) -> tuple[FlowMatch, FlowMatch]:
         """The flow's forward match and its return match, the addresses
         swapped; built once per packet and read by every domain it crosses."""
-        fields = dict(ip_proto=self.ip_proto, service_port=self.service_port, packet_type=self.packet_type)
-        return FlowMatch(self.src_ip, self.dst_ip, **fields), FlowMatch(self.dst_ip, self.src_ip, **fields)
+        proto, port, kind = self.ip_proto, self.service_port, self.packet_type
+        return (
+            FlowMatch(self.src_ip, self.dst_ip, None, None, proto, port, kind),
+            FlowMatch(self.dst_ip, self.src_ip, None, None, proto, port, kind),
+        )
 
 
 # the match fields a Packet carries too, under the same names
@@ -83,6 +97,12 @@ _ADDRESS_FIELDS = ("src_ip", "dst_ip")
 
 # the header fields a match fixes
 _Mask = tuple[str, ...]
+
+
+@cache
+def _mask(nones: tuple[bool, ...]) -> _Mask:
+    """The header fields a match fixes, from which of its fields are None."""
+    return tuple(name for name, none in zip(_HEADER_FIELDS, nones) if not none)
 
 
 @cache
@@ -107,7 +127,17 @@ class FlowMatch:
     key: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mask = tuple(name for name in _HEADER_FIELDS if getattr(self, name) is not None)
+        mask = _mask(
+            (
+                self.src_ip is None,
+                self.dst_ip is None,
+                self.src_mac is None,
+                self.dst_mac is None,
+                self.ip_proto is None,
+                self.service_port is None,
+                self.packet_type is None,
+            )
+        )
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "key", _probe(mask)(self))
 
@@ -129,7 +159,7 @@ class ActionKind:
     TO_CONTROLLER = "TO_CONTROLLER"
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRule:
     match: FlowMatch
     action: str
@@ -232,22 +262,37 @@ class Switch:
 def install_batch(switches: dict[str, Switch], installs: Sequence[tuple[str, FlowRule]]) -> bool:
     """Write every ``(switch id, rule)`` of ``installs`` through
     :meth:`Switch.install`, or none of them.  A forward rule whose next hop
-    is not attached to its switch raises ``ValueError``; when some switch
-    lacks room for the matches new to it, a match named twice counted once,
-    the batch is refused and False returned."""
-    new: dict[str, set[FlowMatch]] = {}
+    is not attached to its switch raises ``ValueError`` before anything is
+    written.  The capacity check counts the rules each switch is named in
+    first; only where that count could overflow the switch's table does it
+    count the matches new to the switch, a match named twice counted once.
+    When some switch lacks room for those, the batch is refused and False
+    returned."""
+    named: dict[str, int] = {}
     for switch_id, rule in installs:
-        switch = switches[switch_id]
-        if rule.next_hop is not None and rule.next_hop not in switch.ports:
+        if rule.next_hop is not None and rule.next_hop not in switches[switch_id].ports:
             raise ValueError(f"{switch_id} has no port toward {rule.next_hop}")
-        table = switch.table.masks.get(rule.match.mask)
-        if table is None or rule.match.key not in table.entries:
-            new.setdefault(switch_id, set()).add(rule.match)
-    if any(switches[s].table.size + len(matches) > switches[s].capacity for s, matches in new.items()):
-        return False
+        named[switch_id] = named.get(switch_id, 0) + 1
+    for switch_id, count in named.items():
+        switch = switches[switch_id]
+        room = switch.capacity - switch.table.size
+        if count > room and _new_matches(switch, [rule for s, rule in installs if s == switch_id]) > room:
+            return False
     for switch_id, rule in installs:
         switches[switch_id].install(rule)
     return True
+
+
+def _new_matches(switch: Switch, rules: list[FlowRule]) -> int:
+    """How many distinct matches of ``rules`` ``switch``'s table lacks; a
+    match counts by its ``(mask, key)``, as the table files it."""
+    new = set()
+    for rule in rules:
+        match = rule.match
+        table = switch.table.masks.get(match.mask)
+        if table is None or match.key not in table.entries:
+            new.add((match.mask, match.key))
+    return len(new)
 
 
 def flow_dump(switch: Switch) -> list[FlowRule]:

@@ -91,9 +91,11 @@ def subnet_bits(subnet: IPv4Network) -> tuple[int, int]:
     return int(subnet.network_address), int(subnet.netmask)
 
 
-def derive_flow_id(src_ip: int, dst_ip: int, ip_proto: str, service_port: int) -> str:
-    """Canonical flow key used to tie packets, handles and tokens together."""
-    return f"{format_ipv4(src_ip)}>{format_ipv4(dst_ip)}:{service_port}/{ip_proto}"
+def derive_flow_id(src_text: str, dst_text: str, ip_proto: str, service_port: int) -> str:
+    """Canonical flow key used to tie packets, handles and tokens together;
+    the addresses come as dotted text (:func:`format_ipv4`), which a packet
+    prints once."""
+    return f"{src_text}>{dst_text}:{service_port}/{ip_proto}"
 
 
 class Action(Enum):

@@ -48,7 +48,7 @@ from .dataplane import ActionKind, Packet, Switch, install_batch
 from .defense import FloodMonitor, ResponseMode
 from .interdomain import Handle
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
-from .policy import DomainInfo, format_ipv4
+from .policy import DomainInfo
 from .scenario import FloodSpec, HostSpec, Scenario
 from .topology import Graph, gateway_name, probe_topology
 
@@ -208,7 +208,7 @@ class Simulation:
             index=len(self.report.flows),
             flow_id=packet.flow_id,
             src=spec.src_host,
-            dst=format_ipv4(spec.dst),
+            dst=packet.dst_text,
             request_tick=tick,
             from_flood=from_flood,
         )
@@ -287,7 +287,7 @@ class Simulation:
         written = batch is not None and self._install_batch(batch)
         if written:
             self.report.installs.append(
-                InstallRecord(tick, domain, format_ipv4(packet.src_ip), packet.flow_id, len(batch), batch.provenance)
+                InstallRecord(tick, domain, packet.src_text, packet.flow_id, len(batch), batch.provenance)
             )
         if result.reason or not written:
             self._finish(inflight.record, result.reason or DropReason.TABLE_FULL, domain)

@@ -205,6 +205,17 @@ def test_sweep_request_rate_must_be_positive(capsys, extra):
     assert captured.err == "error: flood rate must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize("points", ["1,x", ""], ids=["letter", "empty"])
+def test_sweep_points_must_be_integers(capsys, points):
+    # a usage error, named after the option, like the sweep's other misuses
+    with pytest.raises(SystemExit) as exited:
+        main(["sweep", "flood_single_domain", "--axis", "request_rate", "--points", points])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --points: expected comma-separated integers, got {points!r}" in captured.err
+
+
 def test_sweep_request_rate_keeps_the_flood_ports_in_range(capsys):
     assert main(["sweep", "flood_single_domain", "--axis", "request_rate", "--points", "50000"]) == 1
     captured = capsys.readouterr()

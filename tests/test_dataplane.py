@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import ScanTable, ip, match_hits, scan_lookup
 from sdnsec.dataplane import (
@@ -299,3 +299,71 @@ def test_tuple_space_agrees_with_the_priority_scan(program):
             found = sw.lookup(packet)
             assert found is scan_lookup(flow_dump(sw), packet)
             assert found is expected
+
+
+SWITCH_IDS = ("SW1", "SW2")
+
+
+@st.composite
+def batch_programs(draw):
+    """Both switches' capacities and a sequence of batches, each of 1-6
+    rules over the two switches.  The rules draw from a pool of at most
+    four matches at three priorities, so batches name installed matches,
+    name one match twice and fill the tables."""
+    pool = draw(st.lists(MATCHES, min_size=1, max_size=4))
+    rules = st.tuples(
+        st.sampled_from(SWITCH_IDS),
+        st.sampled_from(pool),
+        st.sampled_from((10, 100, 200)),
+        st.sampled_from((ActionKind.FORWARD, ActionKind.DROP)),
+    )
+    capacities = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    return capacities, draw(st.lists(st.lists(rules, min_size=1, max_size=6), min_size=1, max_size=8))
+
+
+def reference_batch(tables: dict[str, ScanTable], batch: list[tuple[str, FlowRule]]) -> bool:
+    """The batch applied all or nothing: only if, on every switch, the
+    distinct matches the table lacks fit in the room it has left."""
+    for switch_id, table in tables.items():
+        installed = [rule.match for rule in table.rules]
+        new = {rule.match for s, rule in batch if s == switch_id and rule.match not in installed}
+        if len(table.rules) + len(new) > table.capacity:
+            return False
+    for switch_id, rule in batch:
+        assert tables[switch_id].install(rule)
+    return True
+
+
+_PORT_80, _PORT_443, _SYN = FlowMatch(service_port=80), FlowMatch(service_port=443), FlowMatch(packet_type="SYN")
+
+
+def _rules(*names):
+    return [(switch_id, match, 100, ActionKind.FORWARD) for switch_id, match in names]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(batch_programs())
+# a batch that lands exactly at capacity fits, and one past it does not
+@example(((2, 6), [_rules(("SW1", _PORT_80), ("SW1", _PORT_443))]))
+@example(((2, 6), [_rules(("SW1", _PORT_80), ("SW1", _PORT_443), ("SW1", _SYN))]))
+# one past capacity by its rule count, but naming an installed match
+@example(((2, 6), [_rules(("SW1", _PORT_80)), _rules(("SW1", _PORT_80), ("SW1", _PORT_443))]))
+# one past capacity by its rule count, but naming one match twice
+@example(((1, 6), [[("SW1", _PORT_80, 100, ActionKind.FORWARD), ("SW1", _PORT_80, 200, ActionKind.DROP)]]))
+# room on one switch and none on the other writes on neither
+@example(((6, 1), [_rules(("SW1", _PORT_80), ("SW2", _PORT_80), ("SW2", _SYN))]))
+def test_a_batch_is_written_whole_exactly_when_its_new_matches_fit(program):
+    capacities, batches = program
+    switches = {switch_id: Switch(switch_id, capacity) for switch_id, capacity in zip(SWITCH_IDS, capacities)}
+    references = {switch_id: ScanTable(capacity) for switch_id, capacity in zip(SWITCH_IDS, capacities)}
+    for sw in switches.values():
+        sw.attach("peer")
+    for drawn in batches:
+        batch = [
+            (switch_id, FlowRule(match, action, priority, "peer" if action == ActionKind.FORWARD else None))
+            for switch_id, match, priority, action in drawn
+        ]
+        assert install_batch(switches, batch) is reference_batch(references, batch)
+        for switch_id, sw in switches.items():
+            assert flow_dump(sw) == references[switch_id].rules
+            assert len(sw.table) == len(references[switch_id].rules)

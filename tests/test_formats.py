@@ -545,7 +545,7 @@ def _varied_pe(rng: random.Random, index: int) -> PolicyExpression:
     rate = Constraint(ConstraintKind.RATE_THRESHOLD, rate=Fraction(rng.randrange(1, 400), rng.choice((1, 2, 3))))
     relation = rng.choice(("+=", "-=", ""))
     label = Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint(f"SL{rng.randrange(1, 6)}{relation}"))
-    flow_id = derive_flow_id(ip("10.0.0.2"), ip("192.168.52.72"), "tcp", rng.choice((22, 80)))
+    flow_id = derive_flow_id("10.0.0.2", "192.168.52.72", "tcp", rng.choice((22, 80)))
     return replace(
         pe,
         flow_id=flow_id if rng.random() < 0.3 else None,

@@ -29,6 +29,12 @@ The rule path builds a flow's two matches once per packet, not once per
 domain it crosses, and files each written rule with one ``Switch.install``
 call: the workloads at seed 1 have fixed bounds on ``FlowMatch``
 constructions, and their install calls equal the rules the report counts.
+A packet prints its two addresses once, and every record, summary and
+flow id reads that text: the workloads at seed 1 have fixed bounds on
+``format_ipv4`` calls.  The batch check counts a switch's rules before it
+counts new matches, and counts those by mask and key, so a run hashes no
+``FlowMatch``; and every ``FlowRule`` a run builds is a rule
+``synthesize_rules`` returns.
 
 The policy reader converts each field text once per document: reading the
 ``acl_proactive`` repository at seed 1 parses each distinct (column,
@@ -51,12 +57,12 @@ import pytest
 from test_golden import CASES, build_case
 from test_workloads import WORKLOADS
 
-from sdnsec import formats
-from sdnsec.dataplane import FlowMatch, Switch
+from sdnsec import controller, formats
+from sdnsec.dataplane import FlowMatch, FlowRule, Switch
 from sdnsec.interdomain import handle_tag, ptt_tag
 from sdnsec.labels import LabelWindow
 from sdnsec.metrics import emit
-from sdnsec.policy import EndpointSelector, match_pe, normalize_mac
+from sdnsec.policy import EndpointSelector, format_ipv4, match_pe, normalize_mac
 from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from sdnsec.simulation import Simulation, build_world
 from sdnsec.sweep import chain_scenario, pad_policies
@@ -273,6 +279,27 @@ def test_rule_path_builds_each_flows_matches_once_and_files_each_rule_once(workl
     assert 0 < calls["FlowMatch.__post_init__"] <= FLOW_MATCH_BOUNDS[workload], calls
     # build_world wrote the ARP rules before the run
     assert calls["Switch.install"] == counters["rules_installed"] + counters["proactive_installs"] > 0, (calls, counters)
+
+
+# seed 1: two addresses printed per packet built; acl_proactive builds a
+# packet for each pre-installed flow and again when the flow is offered
+FORMAT_IPV4_BOUNDS = {"flood_table": 1_840, "acl_proactive": 3_600, "mesh_transit": 492}
+
+
+@pytest.mark.parametrize("workload", sorted(FORMAT_IPV4_BOUNDS))
+def test_rule_path_prints_each_address_once_and_hashes_no_match(workload, monkeypatch):
+    synthesized = []
+
+    def counted(*args, _original=controller.synthesize_rules, **kwargs):
+        synthesized.append(_original(*args, **kwargs))
+        return synthesized[-1]
+
+    monkeypatch.setattr(controller, "synthesize_rules", counted)
+    methods = ((FlowMatch, "__hash__"), (FlowRule, "__init__"))
+    calls, _ = _run_counts(_world(f"workload:{workload}"), format_ipv4, methods=methods)
+    assert 0 < calls["sdnsec.policy.format_ipv4"] <= FORMAT_IPV4_BOUNDS[workload], calls
+    assert calls["FlowMatch.__hash__"] == 0, calls
+    assert calls["FlowRule.__init__"] == sum(len(batch) for batch in synthesized) > 0, calls
 
 
 def _code_calls(work, *functions) -> Counter:
