@@ -29,7 +29,11 @@ each controller searches a route once: it keeps the next domain per
 (destination domain, label window) and the switch path per (ingress,
 egress, required path, label window), since neither graph changes once the
 world is built.  A packet-in served from that memo is still charged the
-search's ticks.
+search's ticks.  The other facts a packet-in reads that never change are
+worked out once as well: a controller names, for each neighbour, its own
+gateway toward it and the neighbour's gateway toward it when it is built
+(the entry check reads the one, a flow leaving for that neighbour both),
+and the text a defense drop's detail prints of its flood monitor's budgets.
 
 Addresses are plain ``int`` values throughout: the host table, the rate
 windows and the flood monitor are keyed by them, and a domain's subnet is
@@ -127,7 +131,7 @@ class CostModel:
     per_rule: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowModBatch:
     """Rules to install, attributed to the decision that produced them."""
 
@@ -138,7 +142,7 @@ class FlowModBatch:
         return len(self.installs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineResult:
     """What one packet-in yields: the ticks it charged, the rules to write
     (``batch``) and, for a drop, its ``reason``.  An empty ``reason`` means
@@ -151,7 +155,7 @@ class PipelineResult:
     reason: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class ControllerEvent:
     tick: int
     flow_id: str
@@ -242,9 +246,15 @@ class Controller:
         self.intra = intra
         self.known = known
         self.monitor = monitor
+        # the monitor's budgets as a defense drop's detail prints them
+        self._thresholds_text = f"thost={monitor.thost} tsw={monitor.tsw}" if monitor is not None else ""
         self.key_ring = key_ring
-        # egress gateway -> the neighbor it leads to, for pinned exits
-        self._gateway_peers = {gateway_name(self.as_id, neighbor): neighbor for neighbor in key_ring}
+        # neighbor -> (this domain's gateway toward it, its gateway toward
+        # this domain), and egress gateway -> the neighbor it leads to
+        self._gateways = {
+            neighbor: (gateway_name(self.as_id, neighbor), gateway_name(neighbor, self.as_id)) for neighbor in key_ring
+        }
+        self._gateway_peers = {egress: neighbor for neighbor, (egress, _) in self._gateways.items()}
         self.user_bindings = spec.users  # MACs normalized by the scenario parser
         self.hosts = {host.ip: host for host in spec.hosts}
         # (domain, network, mask) for this domain, then each known domain
@@ -350,7 +360,7 @@ class Controller:
                 detail = (
                     f"{summary} [defense offender={packet.src_text}"
                     f" window_count={self.monitor.requests.get(offender, tick)}"
-                    f" thost={self.monitor.thost} tsw={self.monitor.tsw}]"
+                    f" {self._thresholds_text}]"
                 )
                 if response is ResponseMode.THROTTLE:
                     return drop(DropReason.DEFENSE_THROTTLED, detail)
@@ -358,14 +368,14 @@ class Controller:
                 return drop(DropReason.DEFENSE_BLOCKED, detail, block)
 
         # credentials: a handle comes through the gateway of the domain it
-        # last visited, and it and its token verify
+        # last visited, a neighbor, and it and its token verify
         verified_ptt: PolicyTransferToken | None = None
         if self.enforcement_enabled and handle is not None:
-            ptt = handle.ptt
+            ptt, last = handle.ptt, handle.visited[-1]
             failed = (
-                "entry" if entry_peer != gateway_name(handle.visited[-1], self.as_id)
+                "entry" if last not in self._gateways or entry_peer != self._gateways[last][1]
                 else "handle-tag" if not validate_handle(handle, flow_id, self.key_ring)
-                else "token-tag" if ptt is not None and not verify_ptt(ptt, flow_id, self.key_ring[handle.visited[-1]])
+                else "token-tag" if ptt is not None and not verify_ptt(ptt, flow_id, self.key_ring[last])
                 else None
             )
             if failed is not None:
@@ -389,7 +399,7 @@ class Controller:
             return drop(DropReason.UNSATISFIABLE)
         if not predicates_hold(delegated, ctx):
             return drop(DropReason.POLICY)
-        if not self._rate_admits(packet.src_ip, delegated + winner.flow_cons + winner.dom_cons, tick):
+        if not self._rate_admits(packet.src_ip, delegated + winner.constraints, tick):
             return drop(DropReason.RATE_LIMIT)
 
         dst_domain = ctx.dst_as.as_id  # "" when no domain advertises the address
@@ -415,8 +425,7 @@ class Controller:
                     next_as = None
             if next_as is None or (handle is not None and next_as in handle.visited):
                 return drop(DropReason.NO_SATISFYING_PATH)
-            final_switch = gateway_name(self.as_id, next_as)
-            final_peer = gateway_name(next_as, self.as_id)
+            final_switch, final_peer = self._gateways[next_as]
 
         # the modelled search cost is charged whether or not the memo holds it
         ticks += self.costs.per_switch * len(self.intra)

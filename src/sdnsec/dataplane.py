@@ -111,7 +111,7 @@ def _probe(mask: _Mask) -> Callable[[object], object]:
     return attrgetter(*mask) if mask else lambda _item: ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowMatch:
     """Wildcardable subset of packet header fields (None matches anything)."""
 

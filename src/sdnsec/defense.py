@@ -4,7 +4,8 @@ Per-switch and per-host request budgets are derived from the controller's
 processing capacity: a controller serving X switches gives each switch
 ``TSw = CC/X``, and a switch serving Y hosts gives each host
 ``Thost = TSw/Y``.  Arithmetic is exact (fractions), enforcement compares
-window counts against the floor.
+window counts against the floor.  A monitor works out both floors once,
+when it is built.
 
 Requests and admissions are counted per host and per switch in fixed
 windows of ticks (:class:`WindowCounts`); each key's count starts from zero
@@ -102,6 +103,8 @@ class FloodMonitor:
             raise ValueError("a flood monitor needs a response; without one, build no monitor")
         self.response = response
         self.tsw, self.thost = compute_thresholds(cap)
+        # the budgets as whole requests per window
+        self._host_budget, self._switch_budget = math.floor(self.thost), math.floor(self.tsw)
         self.requests = WindowCounts(window_ticks)  # per host
         self._host_admits = WindowCounts(window_ticks)
         self._switch_admits = WindowCounts(window_ticks)
@@ -119,8 +122,8 @@ class FloodMonitor:
         self.requests.add(src_host, tick)
         if src_host in self.blocked:
             return ResponseMode.DROP_RULE
-        host_over = self._host_admits.get(src_host, tick) + 1 > math.floor(self.thost)
-        switch_over = self._switch_admits.get(src_switch, tick) + 1 > math.floor(self.tsw)
+        host_over = self._host_admits.get(src_host, tick) + 1 > self._host_budget
+        switch_over = self._switch_admits.get(src_switch, tick) + 1 > self._switch_budget
         if not host_over and not switch_over:
             self._host_admits.add(src_host, tick)
             self._switch_admits.add(src_switch, tick)

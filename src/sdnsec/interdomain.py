@@ -51,7 +51,7 @@ __all__ = [
 DELEGABLE_KINDS = frozenset({ConstraintKind.LABEL_PATH, ConstraintKind.PACKET_ATTR, ConstraintKind.RATE_THRESHOLD})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Handle:
     """Integrity-tagged record of the domains a flow has visited, in order
     (the first is its origin), and of the transfer token it carries."""
@@ -88,7 +88,7 @@ def extend_handle(
     return Handle(visited, handle_tag(flow_id, visited, ptt, key), ptt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyTransferToken:
     """Flow-scoped constraints delegated from the origin to transit domains."""
 

@@ -24,7 +24,7 @@ __all__ = ["FORMATS", "FlowRecord", "InstallRecord", "LatencyRecord", "MetricsRe
 FORMATS = ("table", "delimited", "records")
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     index: int
     flow_id: str
@@ -46,7 +46,7 @@ class FlowRecord:
         return self.delivered_tick - self.request_tick
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatencyRecord:
     domain: str
     arrival_tick: int
@@ -58,7 +58,7 @@ class LatencyRecord:
         return self.emission_tick - self.arrival_tick
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstallRecord:
     tick: int
     domain: str

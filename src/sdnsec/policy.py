@@ -20,6 +20,9 @@ service port.  A selection probes those few buckets plus the wildcard list
 and runs the full match on the candidates only, so its host cost follows the
 expressions that could match, not the repository size.  The controller's
 modelled cost (``CostModel.per_pe`` ticks per expression) is unchanged.
+Two facts that selection reads of an expression are worked out on first
+read and kept on it: its flow and domain constraints as one tuple
+(``constraints``) and its rank among allows (``selection_key``).
 
 Addresses are plain ``int`` values, which hash and compare natively; dotted
 text appears only where a document is parsed and where output is printed
@@ -37,6 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from ipaddress import IPv4Network
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .labels import LabelWindow, SecurityLabel
@@ -240,6 +244,17 @@ class PolicyExpression:
         return self.path if self.path is not None and _classify_path(self.path) == "as" else None
 
     @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The flow constraints, then the domain constraints."""
+        return self.flow_cons + self.dom_cons
+
+    @cached_property
+    def selection_key(self) -> tuple[int, str]:
+        """Its rank among matching allows: the more specific first, then the
+        smaller id."""
+        return -specificity(self), self.id
+
+    @cached_property
     def label_window(self) -> LabelWindow:
         """All LABEL_PATH constraints of this expression collapsed to one
         window; an empty one admits no label."""
@@ -247,7 +262,7 @@ class PolicyExpression:
         return LabelWindow.conjoin(labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomainInfo:
     """What a controller knows about an AS when matching: identity, address
     space, administrative type and security label.  Unknown pieces are None
@@ -259,7 +274,7 @@ class DomainInfo:
     label: SecurityLabel | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowContext:
     """What policies see of one flow: its packet, plus what the controller
     knows about it (the two domains, the tick, the bound user and the
@@ -335,7 +350,7 @@ def match_pe(pe: PolicyExpression, ctx: FlowContext) -> bool:
         start, end = pe.validity
         if not start <= ctx.timestamp < end:
             return False
-    return predicates_hold(pe.flow_cons + pe.dom_cons, ctx)
+    return predicates_hold(pe.constraints, ctx)
 
 
 def specificity(pe: PolicyExpression) -> int:
@@ -445,4 +460,4 @@ def select_policy(
     denies = [pe for pe in matches if pe.action is Action.DENY]
     if denies:
         return min(denies, key=lambda p: p.id)
-    return min(matches, key=lambda p: (-specificity(p), p.id))
+    return min(matches, key=attrgetter("selection_key"))

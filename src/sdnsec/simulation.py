@@ -3,8 +3,12 @@
 The world is rebuilt from the scenario for every run: switches wired port by
 port in declaration order, and one controller per domain, built from the
 domain's spec, its switch graph and a fresh probe of the domain graph.  The
-event loop is a single tick-ordered heap of handler calls; ties resolve in
-insertion order, so equal scenarios produce byte-identical reports.
+event loop runs handler calls in (tick, insertion) order, so equal scenarios
+produce byte-identical reports.  They wait in a heap, except one: an event
+scheduled strictly earlier than the heap's head while no other is kept aside
+is kept aside, and the loop runs the lesser of it and the heap's head.  A
+packet's next step usually comes before every other flow's, so it usually
+runs with no push and no pop.
 
 A packet arriving at a switch executes the rule the switch's lookup
 returns: a forward rule passes it to the rule's next hop, a drop rule ends
@@ -19,7 +23,8 @@ domain, retries included, picks up its handle, which holds its transfer
 token, from the egress gateway's forward rule, which is where augmentation
 happens on a real edge.  Proactive pre-install runs each flow's packet-ins
 before the event loop starts, in the order the loop would offer the flows
-(by tick, equal ticks in document order).  It takes the hop the same way:
+(by tick, equal ticks in document order), with the packet the flow is
+offered with, built once.  It takes the hop the same way:
 the next domain's ingress is that rule's next hop, and its packet-in
 carries that rule's handle.
 
@@ -49,15 +54,18 @@ from .defense import FloodMonitor, ResponseMode
 from .interdomain import Handle
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
 from .policy import DomainInfo
-from .scenario import FloodSpec, HostSpec, Scenario
+from .scenario import FloodSpec, FlowSpec, HostSpec, Scenario
 from .topology import Graph, gateway_name, probe_topology
 
 __all__ = ["World", "build_world", "run"]
 
 LINK_TICK = 1
 
+# (tick, insertion number, handler, arguments): events run in this order
+_Event = tuple[int, int, Callable[..., None], tuple]
 
-@dataclass
+
+@dataclass(slots=True)
 class _InFlight:
     packet: Packet
     record: FlowRecord
@@ -178,32 +186,36 @@ class Simulation:
             mode=self.scenario.mode,
             enforcement=self.scenario.enforcement,
         )
-        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
+        self._heap: list[_Event] = []
+        # one event kept aside: it was scheduled strictly earlier than the
+        # heap's head, so it usually runs next without a push and a pop
+        self._next: _Event | None = None
         self._seq = 0
         # the two counts no record carries
         self._counters = {"proactive_installs": 0, "table_full_events": 0}
 
     def _schedule(self, tick: int, handler: Callable[..., None], *args) -> None:
-        heapq.heappush(self._heap, (tick, self._seq, handler, args))
+        event = (tick, self._seq, handler, args)
         self._seq += 1
+        if self._next is None and (not self._heap or tick < self._heap[0][0]):
+            self._next = event
+        else:
+            heapq.heappush(self._heap, event)
 
     # --- traffic expansion -----------------------------------------------------
 
-    def _make_packet(self, src: HostSpec, dst_ip: int, spec, port: int) -> Packet:
-        dst_host = self.world.hosts_by_ip.get(dst_ip)
-        return Packet(
+    def _offer_flow(self, spec, port: int, tick: int, from_flood: bool) -> Packet:
+        src = self.world.hosts[spec.src_host]
+        dst_host = self.world.hosts_by_ip.get(spec.dst)
+        packet = Packet(
             src_ip=src.ip,
-            dst_ip=dst_ip,
+            dst_ip=spec.dst,
             src_mac=src.mac,
             dst_mac=dst_host.mac if dst_host else "ff:ff:ff:ff:ff:ff",
             ip_proto=spec.proto,
             service_port=port,
             packet_type=spec.packet_type,
         )
-
-    def _offer_flow(self, spec, port: int, tick: int, from_flood: bool) -> None:
-        src = self.world.hosts[spec.src_host]
-        packet = self._make_packet(src, spec.dst, spec, port)
         record = FlowRecord(
             index=len(self.report.flows),
             flow_id=packet.flow_id,
@@ -215,9 +227,13 @@ class Simulation:
         self.report.flows.append(record)
         inflight = _InFlight(packet=packet, record=record, at=src.switch, came_from=src.id)
         self._schedule(tick + LINK_TICK, self._on_switch_rx, inflight)
+        return packet
 
-    def _expand_traffic(self) -> None:
+    def _expand_traffic(self) -> list[tuple[FlowSpec, Packet]]:
+        """Offer every flow; answer each single (not flood) flow with the
+        packet it was offered with, in document order."""
         ticks_per_second = self.scenario.window_ticks
+        singles = []
         for item in self.scenario.traffic:
             if isinstance(item, FloodSpec):
                 total = item.rate * item.seconds
@@ -225,7 +241,8 @@ class Simulation:
                     tick = item.at + i * ticks_per_second // item.rate
                     self._offer_flow(item, item.port_base + i, tick, from_flood=True)
             else:
-                self._offer_flow(item, item.port, item.at, from_flood=False)
+                singles.append((item, self._offer_flow(item, item.port, item.at, from_flood=False)))
+        return singles
 
     # --- event handlers -----------------------------------------------------
 
@@ -297,13 +314,12 @@ class Simulation:
 
     # --- proactive pre-install ---------------------------------------------------
 
-    def _preinstall(self) -> None:
-        # in tick order, as the event loop would offer them; floods are
-        # reactive by nature
-        flows = [item for item in self.scenario.traffic if not isinstance(item, FloodSpec)]
-        for item in sorted(flows, key=lambda item: item.at):
+    def _preinstall(self, singles: list[tuple[FlowSpec, Packet]]) -> None:
+        # the single flows with the packets they are offered with, in tick
+        # order, as the event loop would offer them; floods are reactive by
+        # nature
+        for item, packet in sorted(singles, key=lambda single: single[0].at):
             src = self.world.hosts[item.src_host]
-            packet = self._make_packet(src, item.dst, item, item.port)
             ingress, entry_peer = src.switch, src.id
             handle = None
             # each hop extends the handle by a domain it has not visited, so
@@ -322,13 +338,29 @@ class Simulation:
 
     # --- main loop -------------------------------------------------------------
 
-    def run(self) -> MetricsReport:
-        if self.scenario.mode == "proactive":
-            self._preinstall()
-        self._expand_traffic()
-        while self._heap:
-            tick, _seq, handler, args = heapq.heappop(self._heap)
+    def _run_events(self) -> None:
+        """Run every scheduled event, the least (tick, insertion number)
+        first: the event kept aside, unless the heap's head is less."""
+        heap = self._heap
+        while True:
+            event = self._next
+            if event is not None and (not heap or event < heap[0]):
+                self._next = None
+            elif heap:
+                event = heapq.heappop(heap)
+            else:
+                return
+            tick, _seq, handler, args = event
             handler(tick, *args)
+
+    def run(self) -> MetricsReport:
+        # an offer records its flow and schedules its first event, neither of
+        # which pre-install reads, so pre-install may follow the offers and
+        # take their packets
+        singles = self._expand_traffic()
+        if self.scenario.mode == "proactive":
+            self._preinstall(singles)
+        self._run_events()
         report = self.report
         outcomes = {"delivered": 0, **dict.fromkeys(_DROP_COUNTERS.values(), 0)}
         for record in report.flows:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import heapq
 import json
 import math
 import random
@@ -32,6 +33,7 @@ from sdnsec.policy import (
     match_pe,
     specificity,
 )
+from sdnsec.simulation import Simulation
 
 AS_IDS = ("AS1", "AS2", "AS3", "AS4")
 AS_TYPES = ("EDU", "COM", "GOV")
@@ -593,3 +595,18 @@ class RollingMonitor:
             return ResponseMode.THROTTLE
         self.active_responses[src_host] = self.response
         return self.response
+
+
+class HeapSimulation(Simulation):
+    """Reference event loop: every event is pushed on the heap and popped
+    from it, in (tick, insertion number) order.  This was the loop before
+    one event could be kept aside."""
+
+    def _schedule(self, tick, handler, *args) -> None:
+        heapq.heappush(self._heap, (tick, self._seq, handler, args))
+        self._seq += 1
+
+    def _run_events(self) -> None:
+        while self._heap:
+            tick, _seq, handler, args = heapq.heappop(self._heap)
+            handler(tick, *args)

@@ -25,7 +25,7 @@ from sdnsec.scenario import bundled_scenario_path, load_scenario
 from sdnsec.simulation import build_world
 from sdnsec.sweep import pad_policies
 
-from helpers import PORTS, ip, make_ctx, oracle_match, random_ctx, random_pe, scan_select
+from helpers import PORTS, ip, make_ctx, matching_pe, oracle_match, random_ctx, random_pe, scan_select
 from test_controller import make_packet
 
 
@@ -234,6 +234,27 @@ def test_indexed_selection_agrees_with_the_scan(ctxs, rows, twins, rng):
         expected = scan_select(repo, ctx)
         assert select_policy(index, ctx) is expected
         assert select_policy(repo, ctx) is expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(1, 10), st.integers(0, 2))
+def test_selection_by_kept_ranks_agrees_with_the_scan(seed, size, denies):
+    # selection ranks allows by the key each expression keeps once worked
+    # out; the scan works out specificity afresh on every call
+    rng = random.Random(seed)
+    ctxs = [random_ctx(rng) for _ in range(3)]
+    ids = [f"pe{i:02d}" for i in range(size + denies)]
+    rng.shuffle(ids)
+    # about half match the first context by construction, so allows compete
+    repo = [
+        matching_pe(rng, ctxs[0], pe_id) if rng.random() < 0.5 else random_pe(rng, pe_id) for pe_id in ids[:size]
+    ] + [random_pe(rng, pe_id, Action.DENY) for pe_id in ids[size:]]
+    index = PolicyIndex(repo)
+    for ctx in ctxs + ctxs:  # the second pass reads the kept keys
+        assert select_policy(index, ctx) is scan_select(repo, ctx)
+    for pe in repo:
+        if "selection_key" in vars(pe):
+            assert pe.selection_key == (-specificity(pe), pe.id)
 
 
 def test_index_rejects_a_repeated_id():

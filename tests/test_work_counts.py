@@ -30,11 +30,12 @@ domain it crosses, and files each written rule with one ``Switch.install``
 call: the workloads at seed 1 have fixed bounds on ``FlowMatch``
 constructions, and their install calls equal the rules the report counts.
 A packet prints its two addresses once, and every record, summary and
-flow id reads that text: the workloads at seed 1 have fixed bounds on
-``format_ipv4`` calls.  The batch check counts a switch's rules before it
-counts new matches, and counts those by mask and key, so a run hashes no
-``FlowMatch``; and every ``FlowRule`` a run builds is a rule
-``synthesize_rules`` returns.
+flow id reads that text, and each flow's packet is built once, a
+pre-installed flow's too: the workloads at seed 1 have fixed bounds on
+``format_ipv4`` calls, two per offered flow.  The batch check counts a
+switch's rules before it counts new matches, and counts those by mask and
+key, so a run hashes no ``FlowMatch``; and every ``FlowRule`` a run builds
+is a rule ``synthesize_rules`` returns.
 
 The policy reader converts each field text once per document: reading the
 ``acl_proactive`` repository at seed 1 parses each distinct (column,
@@ -43,30 +44,42 @@ distinct endpoint selector once, bounds taken from the document itself.  A
 second read of the same document makes the same calls, so no cache outlives
 one read.
 
+Facts that do not change during a run are worked out once, not per
+packet-in or event.  At seed 1: selection ranks an expression with
+``specificity`` at most once (fixed bounds per workload); ``mesh_transit``
+names no gateway during the run, as each controller keeps its gateway
+table from when it was built; ``acl_proactive``'s flood monitor floors and
+prints no ``Fraction``, as it keeps its budgets from when it was built; and
+the event loop pushes at most a fixed number of events on its heap, as an
+event scheduled strictly earlier than the heap's head is kept aside.
+
 The counts are deterministic, so a lost optimisation fails here at once,
 whatever the machine's speed.
 """
 
 import dataclasses
+import heapq
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
-from test_golden import CASES, build_case
-from test_workloads import WORKLOADS
+from test_golden import CASES
+from test_workloads import WORKLOADS, case_world
 
 from sdnsec import controller, formats
 from sdnsec.dataplane import FlowMatch, FlowRule, Switch
+from sdnsec.defense import FloodMonitor
 from sdnsec.interdomain import handle_tag, ptt_tag
 from sdnsec.labels import LabelWindow
 from sdnsec.metrics import emit
-from sdnsec.policy import EndpointSelector, format_ipv4, match_pe, normalize_mac
+from sdnsec.policy import EndpointSelector, format_ipv4, match_pe, normalize_mac, specificity
 from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from sdnsec.simulation import Simulation, build_world
 from sdnsec.sweep import chain_scenario, pad_policies
-from sdnsec.topology import _least_shortest_path
+from sdnsec.topology import _least_shortest_path, gateway_name
 
 COUNTED = (
     *((IPv4Address, name) for name in ("__init__", "__hash__", "__eq__", "__str__", "__format__")),
@@ -131,14 +144,6 @@ class CallCounter:
         return Counter(self.calls)
 
 
-def _world(case: str):
-    if case.startswith("workload:"):
-        document, _ = WORKLOADS[case.removeprefix("workload:")](1)
-        parsed = parse_scenario(json.loads(json.dumps(document, sort_keys=True)))
-        return build_world(parsed, parsed.costs)
-    return build_case(case)
-
-
 def _run_and_emit(world) -> None:
     report = Simulation(world).run()
     for fmt in FORMATS:
@@ -166,7 +171,7 @@ def test_the_counters_see_each_counted_call():
 
 @pytest.mark.parametrize("case", [*CASES, *(f"workload:{name}" for name in sorted(WORKLOADS))])
 def test_run_and_emit_build_no_address_object_and_call_no_asdict(case):
-    world = _world(case)
+    world = case_world(case)
     with CallCounter((dataclasses.asdict, normalize_mac)) as counter:
         calls = counter.counting(lambda: _run_and_emit(world))
     assert calls == Counter()
@@ -235,7 +240,7 @@ def test_chain_credentials_tag_two_handles_per_domain_link(domains, mode):
 
 
 def test_mesh_transit_credential_tags_are_bounded():
-    calls, counters = _run_counts(_world("workload:mesh_transit"), handle_tag, ptt_tag)
+    calls, counters = _run_counts(case_world("workload:mesh_transit"), handle_tag, ptt_tag)
     assert counters["packet_ins"] == 656
     assert 0 < calls["sdnsec.interdomain.handle_tag"] <= 868, calls
     assert 0 < calls["sdnsec.interdomain.ptt_tag"] <= 364, calls
@@ -250,7 +255,7 @@ SEARCH_BOUNDS = {"flood_table": (1, 3), "acl_proactive": (103, 636), "mesh_trans
 
 @pytest.mark.parametrize("workload", sorted(SEARCH_BOUNDS))
 def test_each_controller_searches_a_route_once(workload):
-    calls, _ = _run_counts(_world(f"workload:{workload}"), _least_shortest_path, methods=((LabelWindow, "satisfies"),))
+    calls, _ = _run_counts(case_world(f"workload:{workload}"), _least_shortest_path, methods=((LabelWindow, "satisfies"),))
     searches, checks = SEARCH_BOUNDS[workload]
     assert 0 < calls["sdnsec.topology._least_shortest_path"] <= searches, calls
     assert 0 < calls["LabelWindow.satisfies"] <= checks, calls
@@ -275,15 +280,15 @@ FLOW_MATCH_BOUNDS = {"flood_table": 1_742, "acl_proactive": 720, "mesh_transit":
 @pytest.mark.parametrize("workload", sorted(FLOW_MATCH_BOUNDS))
 def test_rule_path_builds_each_flows_matches_once_and_files_each_rule_once(workload):
     methods = ((FlowMatch, "__post_init__"), (Switch, "install"))
-    calls, counters = _run_counts(_world(f"workload:{workload}"), methods=methods)
+    calls, counters = _run_counts(case_world(f"workload:{workload}"), methods=methods)
     assert 0 < calls["FlowMatch.__post_init__"] <= FLOW_MATCH_BOUNDS[workload], calls
     # build_world wrote the ARP rules before the run
     assert calls["Switch.install"] == counters["rules_installed"] + counters["proactive_installs"] > 0, (calls, counters)
 
 
-# seed 1: two addresses printed per packet built; acl_proactive builds a
-# packet for each pre-installed flow and again when the flow is offered
-FORMAT_IPV4_BOUNDS = {"flood_table": 1_840, "acl_proactive": 3_600, "mesh_transit": 492}
+# seed 1: two addresses printed per packet built, and one packet built per
+# offered flow, pre-installed or not
+FORMAT_IPV4_BOUNDS = {"flood_table": 1_840, "acl_proactive": 2_800, "mesh_transit": 492}
 
 
 @pytest.mark.parametrize("workload", sorted(FORMAT_IPV4_BOUNDS))
@@ -296,10 +301,57 @@ def test_rule_path_prints_each_address_once_and_hashes_no_match(workload, monkey
 
     monkeypatch.setattr(controller, "synthesize_rules", counted)
     methods = ((FlowMatch, "__hash__"), (FlowRule, "__init__"))
-    calls, _ = _run_counts(_world(f"workload:{workload}"), format_ipv4, methods=methods)
+    calls, _ = _run_counts(case_world(f"workload:{workload}"), format_ipv4, methods=methods)
     assert 0 < calls["sdnsec.policy.format_ipv4"] <= FORMAT_IPV4_BOUNDS[workload], calls
     assert calls["FlowMatch.__hash__"] == 0, calls
     assert calls["FlowRule.__init__"] == sum(len(batch) for batch in synthesized) > 0, calls
+
+
+# seed 1: an expression is ranked the first time it is among the matches of
+# a selection with no deny, and its rank is kept
+SPECIFICITY_BOUNDS = {"flood_table": 3, "acl_proactive": 189, "mesh_transit": 22}
+
+
+@pytest.mark.parametrize("workload", sorted(SPECIFICITY_BOUNDS))
+def test_selection_ranks_each_expression_once(workload):
+    calls, _ = _run_counts(case_world(f"workload:{workload}"), specificity)
+    assert 0 < calls["sdnsec.policy.specificity"] <= SPECIFICITY_BOUNDS[workload], calls
+
+
+def test_mesh_transit_names_no_gateway_during_the_run():
+    calls, counters = _run_counts(case_world("workload:mesh_transit"), gateway_name)
+    assert counters["packet_ins"] == 656
+    assert calls["sdnsec.topology.gateway_name"] == 0, calls
+
+
+def test_the_flood_monitor_floors_and_prints_no_fraction_during_the_run():
+    world = case_world("workload:acl_proactive")
+    methods = ((Fraction, "__floor__"), (Fraction, "__str__"), (FloodMonitor, "record_and_check"))
+    calls, _ = _run_counts(world, methods=methods)
+    details = [event.summary for ctrl in world.controllers.values() for event in ctrl.events]
+    # the monitor answered and its budgets were printed, from text kept
+    assert calls["FloodMonitor.record_and_check"] > 0, calls
+    assert any(" thost=" in detail for detail in details)
+    assert calls["Fraction.__floor__"] == calls["Fraction.__str__"] == 0, calls
+
+
+# seed 1: most events are a packet's next step, scheduled strictly earlier
+# than every other flow's, which the loop keeps aside instead of pushing
+HEAP_PUSH_BOUNDS = {"flood_table": 1_797, "acl_proactive": 1_572, "mesh_transit": 247}
+
+
+@pytest.mark.parametrize("workload", sorted(HEAP_PUSH_BOUNDS))
+def test_the_event_loop_keeps_the_next_event_off_the_heap(workload, monkeypatch):
+    world = case_world(f"workload:{workload}")
+    pushes = []
+
+    def counted(heap, item, _original=heapq.heappush):
+        pushes.append(item)
+        _original(heap, item)
+
+    monkeypatch.setattr(heapq, "heappush", counted)
+    Simulation(world).run()
+    assert 0 < len(pushes) <= HEAP_PUSH_BOUNDS[workload]
 
 
 def _code_calls(work, *functions) -> Counter:

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_golden import build_case
 
 from sdnsec.metrics import emit
 from sdnsec.scenario import parse_scenario
@@ -33,6 +34,24 @@ def run_workload(name: str, seed: int = 1):
     document, expectation = WORKLOADS[name](seed)
     parsed = parse_scenario(json.loads(json.dumps(document, sort_keys=True)))
     return Simulation(build_world(parsed, parsed.costs)).run(), expectation
+
+
+def workload_world(name: str, seed: int = 1):
+    """The workload's world at ``seed``, read the way one benchmark
+    repetition reads it, built and not yet run."""
+    document, _ = WORKLOADS[name](seed)
+    parsed = parse_scenario(json.loads(json.dumps(document, sort_keys=True)))
+    return build_world(parsed, parsed.costs)
+
+
+def case_world(case: str):
+    """The world of ``case``, built and not yet run: a golden case
+    (``scenario/mode``, see ``test_golden``) or a workload, at seed 1 as
+    ``workload:name`` and at another seed as ``workload:name@seed``."""
+    if case.startswith("workload:"):
+        name, _, seed = case.removeprefix("workload:").partition("@")
+        return workload_world(name, int(seed or 1))
+    return build_case(case)
 
 
 def _run(name: str, seed: int):
