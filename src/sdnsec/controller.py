@@ -34,6 +34,8 @@ worked out once as well: a controller names, for each neighbour, its own
 gateway toward it and the neighbour's gateway toward it when it is built
 (the entry check reads the one, a flow leaving for that neighbour both),
 and the text a defense drop's detail prints of its flood monitor's budgets.
+The rate check reads the winner's budgets as the expression keeps them
+(``PolicyExpression.rates``) and scans only the token's constraints.
 
 Addresses are plain ``int`` values throughout: the host table, the rate
 windows and the flood monitor are keyed by them, and a domain's subnet is
@@ -69,6 +71,7 @@ from .interdomain import (
 from .policy import (
     BLOCK_PROVENANCE_PREFIX,
     Action,
+    Constraint,
     ConstraintKind,
     DomainInfo,
     FlowContext,
@@ -86,6 +89,8 @@ from .topology import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .scenario import DomainSpec
 
 __all__ = [
@@ -315,13 +320,19 @@ class Controller:
         )
         return FlowModBatch(((ingress, rule),), provenance=f"{BLOCK_PROVENANCE_PREFIX}{packet.src_text}")
 
-    def _rate_admits(self, src: int, constraints, tick: int) -> bool:
-        """Per-source admission against the tightest RATE_THRESHOLD among
-        ``constraints``: a window admits the budget's whole part of flows."""
-        rates = [c.rate for c in constraints if c.kind is ConstraintKind.RATE_THRESHOLD]
-        if not rates:
+    def _rate_admits(
+        self, src: int, delegated: tuple[Constraint, ...], rates: tuple[Fraction, ...], tick: int
+    ) -> bool:
+        """Per-source admission against the tightest budget among the
+        token's RATE_THRESHOLD constraints (``delegated``) and the winner's
+        own ``rates``: a window admits the budget's whole part of flows."""
+        budget = min(rates) if rates else None
+        for c in delegated:
+            if c.kind is ConstraintKind.RATE_THRESHOLD and (budget is None or c.rate < budget):
+                budget = c.rate
+        if budget is None:
             return True
-        if self._rate_counts.get(src, tick) + 1 > min(rates):
+        if self._rate_counts.get(src, tick) + 1 > budget:
             return False
         self._rate_counts.add(src, tick)
         return True
@@ -399,7 +410,7 @@ class Controller:
             return drop(DropReason.UNSATISFIABLE)
         if not predicates_hold(delegated, ctx):
             return drop(DropReason.POLICY)
-        if not self._rate_admits(packet.src_ip, delegated + winner.constraints, tick):
+        if not self._rate_admits(packet.src_ip, delegated, winner.rates, tick):
             return drop(DropReason.RATE_LIMIT)
 
         dst_domain = ctx.dst_as.as_id  # "" when no domain advertises the address

@@ -6,10 +6,17 @@ installations and the counters counted from those records.  Emissions are
 byte-stable: equal runs serialize identically, and the delimited form loads
 straight into standard plotting tools.
 
-A ``records`` line is built straight from its record's fields, read with
-``getattr`` in the order of their sorted names, which are worked out once
-per record class; every field is a JSON string, number, boolean or tuple of
-strings, so a value of any other type is an error, not a guess.
+A ``records`` line is written by a function built once per record class
+(:func:`_line_writer`), as ``dataclasses`` builds ``__init__``: from the
+class's fields in sorted-name order and each field's declared type, it reads
+every field and writes the JSON object in one f-string.  A ``str`` goes
+through ``json``'s own C escaper, an ``int`` is written by ``int.__repr__``,
+a ``bool`` as ``true`` / ``false`` and a ``tuple[str, ...]`` as a list of
+escaped strings, so the line is byte for byte what ``json.dumps`` with sorted
+keys writes.  A value whose type is not its field's declared type (a ``bool``
+in an ``int`` field, a list in a tuple field, a non-``str`` in a ``str``
+field or tuple) is a ``TypeError``, not a guess.  Only the header line goes
+through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -17,6 +24,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from functools import cache
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from typing import get_type_hints
 
 __all__ = ["FORMATS", "FlowRecord", "InstallRecord", "LatencyRecord", "MetricsReport", "emit", "emit_series"]
 
@@ -134,15 +144,54 @@ def _delimited(header: tuple[str, ...], rows: list[list[str]]) -> list[str]:
     return [",".join(row) for row in [header, *rows]]
 
 
+# How a records line writes a field of each declared type: the test, on
+# the value's variable ``%s``, that rejects another type (None where the
+# escaper rejects it), and the f-string replacement field that writes it.
+_FIELD_WRITERS = {
+    str: (None, "{_string(%s)}"),
+    int: ("%s.__class__ is not int", "{%s!r}"),
+    bool: ("%s.__class__ is not bool", '{"true" if %s else "false"}'),
+    tuple[str, ...]: ("%s.__class__ is not tuple", "[{_strings(map(_string, %s))}]"),
+}
+
+
+def _wrong_type(record_class: type, name: str, declared: str, value: object) -> TypeError:
+    return TypeError(f"{record_class.__name__}.{name} is declared {declared}, not {type(value).__name__}: {value!r}")
+
+
 @cache
-def _sorted_fields(record_class: type) -> tuple[str, ...]:
-    return tuple(sorted(f.name for f in fields(record_class)))
-
-
-def _record_line(record: FlowRecord | InstallRecord) -> str:
-    """One ``records`` line: the record's fields as a JSON object with its
-    keys in sorted order."""
-    return json.dumps({name: getattr(record, name) for name in _sorted_fields(type(record))})
+def _line_writer(record_class: type):
+    """The function that writes one ``records`` line of a ``record_class``
+    record: its fields as a JSON object with sorted keys and ``json.dumps``'s
+    separators, every value checked against its field's declared type."""
+    declared = get_type_hints(record_class)
+    body = [
+        "    if record.__class__ is not record_class:",
+        "        raise TypeError(f'{type(record).__name__} is not a {record_class.__name__}')",
+    ]
+    items = []
+    for number, spec in enumerate(sorted(fields(record_class), key=attrgetter("name"))):
+        if declared[spec.name] not in _FIELD_WRITERS:
+            raise TypeError(f"{record_class.__name__}.{spec.name}: a records line writes no {spec.type}")
+        test, value = _FIELD_WRITERS[declared[spec.name]]
+        variable = f"v{number}"
+        body.append(f"    {variable} = record.{spec.name}")
+        if test is not None:
+            body.append(f"    if {test % variable}:")
+            body.append(f"        raise _wrong_type(record_class, {spec.name!r}, {spec.type!r}, {variable})")
+        items.append(f'"{spec.name}": {value % variable}')
+    body.append("    return f'{{" + ", ".join(items) + "}}'")
+    source = "\n".join(["def write(record):", *body])
+    namespace = {
+        "record_class": record_class,
+        "_wrong_type": _wrong_type,
+        "_string": encode_basestring_ascii,
+        "_strings": ", ".join,
+    }
+    exec(source, namespace)
+    write = namespace["write"]
+    write.__qualname__ = write.__name__ = f"write_{record_class.__name__}_line"
+    return write
 
 
 def emit(report: MetricsReport, fmt: str = "table") -> str:
@@ -160,8 +209,8 @@ def emit(report: MetricsReport, fmt: str = "table") -> str:
                 sort_keys=True,
             )
         ]
-        lines += [_record_line(flow) for flow in report.flows]
-        lines += [_record_line(rec) for rec in report.installs]
+        lines += map(_line_writer(FlowRecord), report.flows)
+        lines += map(_line_writer(InstallRecord), report.installs)
         return "\n".join(lines) + "\n"
     rows = [_flow_row(flow) for flow in report.flows]
     counters = sorted(report.counters.items())

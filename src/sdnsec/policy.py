@@ -20,9 +20,10 @@ service port.  A selection probes those few buckets plus the wildcard list
 and runs the full match on the candidates only, so its host cost follows the
 expressions that could match, not the repository size.  The controller's
 modelled cost (``CostModel.per_pe`` ticks per expression) is unchanged.
-Two facts that selection reads of an expression are worked out on first
-read and kept on it: its flow and domain constraints as one tuple
-(``constraints``) and its rank among allows (``selection_key``).
+Facts that selection and the controller read of an expression are worked
+out on first read and kept on it: its flow and domain constraints as one
+tuple (``constraints``), their rate budgets (``rates``) and its rank among
+allows (``selection_key``).
 
 Addresses are plain ``int`` values, which hash and compare natively; dotted
 text appears only where a document is parsed and where output is printed
@@ -247,6 +248,12 @@ class PolicyExpression:
     def constraints(self) -> tuple[Constraint, ...]:
         """The flow constraints, then the domain constraints."""
         return self.flow_cons + self.dom_cons
+
+    @cached_property
+    def rates(self) -> tuple[Fraction, ...]:
+        """The budgets of its RATE_THRESHOLD constraints, in ``constraints``
+        order."""
+        return tuple(c.rate for c in self.constraints if c.kind is ConstraintKind.RATE_THRESHOLD)
 
     @cached_property
     def selection_key(self) -> tuple[int, str]:

@@ -1,8 +1,11 @@
 import json
+import math
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdnsec import controller
 from sdnsec.controller import DropReason, synthesize_rules
@@ -218,6 +221,35 @@ def test_delegated_packet_predicate_that_fails_drops_policy(transit_world):
     assert result.batch is None
     assert result.reason == DropReason.POLICY
     assert ctrl.events[-1].matched_pe == "4"
+
+
+CONSTRAINTS = st.one_of(
+    st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4).map(
+        lambda rate: Constraint(ConstraintKind.RATE_THRESHOLD, rate=rate)
+    ),
+    st.sampled_from(
+        [
+            _label_path("SL2+="),
+            Constraint(ConstraintKind.PACKET_ATTR, attr="type", value="HTTP"),
+            Constraint(ConstraintKind.SIGNATURE, signature="scan"),
+        ]
+    ),
+)
+CONSTRAINT_TUPLES = st.lists(CONSTRAINTS, max_size=3).map(tuple)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(delegated=CONSTRAINT_TUPLES, flow_cons=CONSTRAINT_TUPLES, dom_cons=CONSTRAINT_TUPLES)
+def test_rate_check_admits_by_the_tightest_budget_of_token_and_winner(delegated, flow_cons, dom_cons):
+    # the budget is the least rate among the token's and the winner's
+    # constraints joined, and one window admits its whole part of flows
+    ctrl = build_world(load_scenario(bundled_scenario_path("minimal"))).controllers["AS1"]
+    winner = PolicyExpression(id="w", action=Action.ALLOW, flow_cons=flow_cons, dom_cons=dom_cons)
+    joined = [c.rate for c in delegated + winner.constraints if c.kind is ConstraintKind.RATE_THRESHOLD]
+    offered = 8
+    admitted = min(offered, math.floor(min(joined))) if joined else offered
+    decisions = [ctrl._rate_admits(ip("10.0.0.1"), delegated, winner.rates, 0) for _ in range(offered)]
+    assert decisions == [True] * admitted + [False] * (offered - admitted)
 
 
 def _as1_with_policy_1(world, **changes):

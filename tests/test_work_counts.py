@@ -9,6 +9,8 @@ and the benchmark workloads at seed 1, building each world first, and
 assert that ``Simulation.run()`` and ``emit`` in every format make none of
 these calls.  Nor do they call ``normalize_mac``: the scenario reader
 normalizes every MAC, and a packet-in's flow context holds the packet itself.
+On the same runs ``emit(report, "records")`` calls ``json.dumps`` once, for
+its header line: each record's line is written by its class's line writer.
 
 Dataplane calls that grow with the offered flows: the bundled flood at
 three request rates makes ``Switch.lookup`` and ``Switch.install`` calls
@@ -175,6 +177,14 @@ def test_run_and_emit_build_no_address_object_and_call_no_asdict(case):
     with CallCounter((dataclasses.asdict, normalize_mac)) as counter:
         calls = counter.counting(lambda: _run_and_emit(world))
     assert calls == Counter()
+
+
+@pytest.mark.parametrize("case", [*CASES, *(f"workload:{name}" for name in sorted(WORKLOADS))])
+def test_records_emission_calls_json_dumps_for_its_header_only(case):
+    report = Simulation(case_world(case)).run()
+    with CallCounter((json.dumps,)) as counter:
+        calls = counter.counting(lambda: emit(report, "records"))
+    assert calls == Counter({"json.dumps": 1})
 
 
 FLOOD_RATES = (250, 1_000, 4_000)
