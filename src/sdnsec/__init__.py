@@ -54,6 +54,7 @@ from .dataplane import (
     format_flow_dump,
 )
 from .interdomain import (
+    DomainKey,
     Handle,
     PolicyTransferToken,
     merge_constraints,
@@ -86,6 +87,7 @@ __all__ = [
     "Controller",
     "CostModel",
     "DomainInfo",
+    "DomainKey",
     "DropReason",
     "EndpointSelector",
     "FloodMonitor",

@@ -28,20 +28,27 @@ the expressions filed under the context's values and the wildcard list, and
 each controller searches a route once: it keeps the next domain per
 (destination domain, label window) and the switch path per (ingress,
 egress, required path, label window), since neither graph changes once the
-world is built.  A packet-in served from that memo is still charged the
-search's ticks.  The other facts a packet-in reads that never change are
-worked out once as well: a controller names, for each neighbour, its own
-gateway toward it and the neighbour's gateway toward it when it is built
-(the entry check reads the one, a flow leaving for that neighbour both),
-and the text a defense drop's detail prints of its flood monitor's budgets.
+world is built.  A memo keys the window by its two bounds, which hash
+without running Python code, and a packet-in reads each memo with one
+``get``.  A packet-in served from that memo is still charged the search's
+ticks.  The other facts a packet-in reads that never change are worked out
+once as well: a controller names, for each neighbour, its own gateway
+toward it and the neighbour's gateway toward it when it is built (the entry
+check reads the one, a flow leaving for that neighbour both), and the text
+a defense drop's detail prints of its flood monitor's budgets.  Its own
+handle key and its neighbours' are :class:`~sdnsec.interdomain.DomainKey`
+values, prepared once per domain by the world's builder and shared by
+every controller that holds them.
 The rate check reads the winner's budgets as the expression keeps them
 (``PolicyExpression.rates``) and scans only the token's constraints.
 
 Addresses are plain ``int`` values throughout: the host table, the rate
-windows and the flood monitor are keyed by them, and a domain's subnet is
-matched on its integer network and mask.  Only the event summaries and a
-block rule's provenance print them, as dotted text, and they read that text
-off the packet, which prints its addresses once.
+windows and the flood monitor are keyed by them.  Only the event summaries
+and a block rule's provenance print them, as dotted text, and they read
+that text off the packet, which prints its addresses once.  A controller
+files its own and each known domain's subnet by mask when it is built, so
+finding an address's domain costs one dict probe per distinct mask; the
+subnets are disjoint, so at most one probe hits.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from .dataplane import (
 )
 from .defense import FloodMonitor, ResponseMode, WindowCounts
 from .interdomain import (
+    DomainKey,
     Handle,
     PolicyTransferToken,
     extend_handle,
@@ -177,6 +185,9 @@ class ControllerEvent:
 BASELINE = PolicyExpression(id="baseline", action=Action.ALLOW)
 
 
+# what a route memo answers for a route it has not searched yet
+_UNSEARCHED = object()
+
 # a match is immutable, so every switch's ARP rule shares this one
 _ARP_MATCH = FlowMatch(packet_type="ARP")
 
@@ -234,19 +245,21 @@ class Controller:
         intra: Graph,
         known: dict[str, int],
         monitor: FloodMonitor | None,
-        key_ring: dict[str, bytes],
+        key: DomainKey,
+        key_ring: dict[str, DomainKey],
         enforcement_enabled: bool,
         costs: CostModel,
         window_ticks: int,
     ):
         """``intra`` is the domain's switch graph, ``known`` the foreign
         domains its probes found (see :func:`~sdnsec.topology.probe_topology`);
-        a domain's attributes are read from ``as_graph``."""
-        if not spec.handle_key:
+        a domain's attributes are read from ``as_graph``.  ``key`` is the
+        domain's own prepared handle key and ``key_ring`` its neighbors'."""
+        if not key.secret:
             raise ValueError("controller needs a nonempty handle key")
         self.as_id = spec.id
         self.policy_repo = PolicyIndex(spec.policies)
-        self.handle_key = spec.handle_key.encode()
+        self.handle_key = key
         self.as_graph = as_graph
         self.intra = intra
         self.known = known
@@ -262,10 +275,13 @@ class Controller:
         self._gateway_peers = {egress: neighbor for neighbor, (egress, _) in self._gateways.items()}
         self.user_bindings = spec.users  # MACs normalized by the scenario parser
         self.hosts = {host.ip: host for host in spec.hosts}
-        # (domain, network, mask) for this domain, then each known domain
-        self._subnets = [
-            (as_id, *subnet_bits(as_graph.node(as_id).subnet)) for as_id in (self.as_id, *known)
-        ]
+        # this domain's and each known domain's subnet, filed by mask:
+        # (mask, network -> domain) per distinct mask
+        by_mask: dict[int, dict[int, str]] = {}
+        for as_id in (self.as_id, *known):
+            network, mask = subnet_bits(as_graph.node(as_id).subnet)
+            by_mask.setdefault(mask, {})[network] = as_id
+        self._subnets = tuple(by_mask.items())
         self.enforcement_enabled = enforcement_enabled
         self.costs = costs
         self.events: list[ControllerEvent] = []
@@ -273,8 +289,9 @@ class Controller:
         # admitted flows per source and window, for PE rate constraints
         self._rate_counts = WindowCounts(window_ticks)
         # each route searched once, as both graphs are fixed once built:
-        # (destination domain, window) -> next domain, and (ingress, egress,
-        # required path, window) -> switch path; None where there is none
+        # (destination domain, window bounds) -> next domain, and (ingress,
+        # egress, required path, window bounds) -> switch path; None where
+        # there is none
         self._next_domains: dict[tuple, str | None] = {}
         self._switch_paths: dict[tuple, tuple[str, ...] | None] = {}
 
@@ -286,10 +303,12 @@ class Controller:
         return DomainInfo(as_id)
 
     def domain_for_ip(self, ip: int) -> str | None:
-        """The one domain, this or a known one, whose subnet contains ``ip``
-        (subnets are disjoint)."""
-        for as_id, network, mask in self._subnets:
-            if (ip & mask) == network:
+        """The one domain, this or a known one, whose subnet contains ``ip``:
+        one probe per distinct mask, of which at most one hits, as subnets
+        are disjoint."""
+        for mask, networks in self._subnets:
+            as_id = networks.get(ip & mask)
+            if as_id is not None:
                 return as_id
         return None
 
@@ -422,11 +441,11 @@ class Controller:
             final_switch, final_peer = host.switch, host.id
         else:
             if winner.action_exit is None:
-                route = (dst_domain, window)
-                if route not in self._next_domains:
+                route = (dst_domain, window.lo, window.hi)
+                next_as = self._next_domains.get(route, _UNSEARCHED)
+                if next_as is _UNSEARCHED:
                     paths = find_as_paths(self.as_graph, self.as_id, dst_domain, window)
-                    self._next_domains[route] = paths[0][1] if paths else None
-                next_as = self._next_domains[route]
+                    next_as = self._next_domains[route] = paths[0][1] if paths else None
             else:
                 # hard egress pin: the action's exit switch decides the next
                 # domain; a pinned transit domain must still satisfy the
@@ -440,12 +459,12 @@ class Controller:
 
         # the modelled search cost is charged whether or not the memo holds it
         ticks += self.costs.per_switch * len(self.intra)
-        route = (ingress, final_switch, winner.switch_path, window)
-        if route not in self._switch_paths:
-            self._switch_paths[route] = find_switch_path(
+        route = (ingress, final_switch, winner.switch_path, window.lo, window.hi)
+        path = self._switch_paths.get(route, _UNSEARCHED)
+        if path is _UNSEARCHED:
+            path = self._switch_paths[route] = find_switch_path(
                 self.intra, ingress, final_switch, required=winner.switch_path, constraint=window
             )
-        path = self._switch_paths[route]
         if path is None:
             return drop(DropReason.NO_SATISFYING_PATH)
 

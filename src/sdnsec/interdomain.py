@@ -23,6 +23,13 @@ flow constraints), and the next domain verifies it under the key of the
 adjacent domain it came from, the last entry of the handle's visited list.
 :func:`extend_handle` and :func:`forward_ptt` build each credential, the
 origin's first one and every re-tagged one alike.
+
+A key is a :class:`DomainKey`, prepared once per domain when the world is
+built and shared by every key ring that names the domain: it holds the
+secret and its keyed inner and outer SHA-256 states (RFC 2104), so a tag
+copies those states and hashes only the payload; it never works out the
+key schedule again.  Verification still recomputes a credential's tag from
+its content and compares it with :func:`hmac.compare_digest`.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .labels import LabelWindow
 from .policy import Constraint, ConstraintKind
 
 __all__ = [
+    "DomainKey",
     "Handle",
     "PolicyTransferToken",
     "extend_handle",
@@ -49,6 +57,35 @@ __all__ = [
 # Flow-scoped constraint kinds that may be delegated downstream in a
 # policy transfer token; SIGNATURE stays local to the defining domain.
 DELEGABLE_KINDS = frozenset({ConstraintKind.LABEL_PATH, ConstraintKind.PACKET_ATTR, ConstraintKind.RATE_THRESHOLD})
+
+
+# each byte of a zero-padded secret XORed with HMAC's inner and outer pads
+_INNER_PAD = bytes(x ^ 0x36 for x in range(256))
+_OUTER_PAD = bytes(x ^ 0x5C for x in range(256))
+
+
+class DomainKey:
+    """A domain's HMAC-SHA256 key with its key schedule worked out once.
+
+    :meth:`tag` equals ``hmac.new(secret, payload, hashlib.sha256).hexdigest()``
+    and leaves the prepared states as they were, so one key tags any number
+    of payloads."""
+
+    __slots__ = ("secret", "_inner", "_outer")
+
+    def __init__(self, secret: bytes):
+        self.secret = secret
+        block = hashlib.sha256().block_size
+        padded = (hashlib.sha256(secret).digest() if len(secret) > block else secret).ljust(block, b"\0")
+        self._inner = hashlib.sha256(padded.translate(_INNER_PAD))
+        self._outer = hashlib.sha256(padded.translate(_OUTER_PAD))
+
+    def tag(self, payload: bytes) -> str:
+        inner = self._inner.copy()
+        inner.update(payload)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.hexdigest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,14 +104,13 @@ class Handle:
             raise ValueError(f"handle repeats a domain: {self.visited}")
 
 
-def handle_tag(flow_id: str, visited: tuple[str, ...], ptt: PolicyTransferToken | None, key: bytes) -> str:
+def handle_tag(flow_id: str, visited: tuple[str, ...], ptt: PolicyTransferToken | None, key: DomainKey) -> str:
     token = ptt.tag if ptt is not None else "-"
-    payload = f"handle|v1|{flow_id}|{','.join(visited)}|{token}".encode()
-    return hmac.new(key, payload, hashlib.sha256).hexdigest()
+    return key.tag(f"handle|v1|{flow_id}|{','.join(visited)}|{token}".encode())
 
 
 def extend_handle(
-    handle: Handle | None, flow_id: str, as_id: str, ptt: PolicyTransferToken | None, key: bytes
+    handle: Handle | None, flow_id: str, as_id: str, ptt: PolicyTransferToken | None, key: DomainKey
 ) -> Handle:
     """The handle flow ``flow_id`` leaves ``as_id`` with, holding the token
     ``ptt`` it leaves with and tagged under ``key``: ``handle``'s visited
@@ -101,16 +137,16 @@ class PolicyTransferToken:
             raise ValueError(f"token carries non-flow-scoped constraints: {foreign}")
 
 
-def ptt_tag(flow_id: str, constraints: tuple[Constraint, ...], key: bytes) -> str:
+def ptt_tag(flow_id: str, constraints: tuple[Constraint, ...], key: DomainKey) -> str:
     body = ";".join(map(str, constraints))
-    return hmac.new(key, f"ptt|v1|{flow_id}|{body}".encode(), hashlib.sha256).hexdigest()
+    return key.tag(f"ptt|v1|{flow_id}|{body}".encode())
 
 
 def forward_ptt(
     ptt: PolicyTransferToken | None,
     flow_id: str,
     constraints: tuple[Constraint, ...],
-    key: bytes,
+    key: DomainKey,
 ) -> PolicyTransferToken | None:
     """The token flow ``flow_id`` leaves a domain with, tagged under ``key``.
 
@@ -125,11 +161,11 @@ def forward_ptt(
     return PolicyTransferToken(merged, ptt_tag(flow_id, merged, key))
 
 
-def verify_ptt(ptt: PolicyTransferToken, flow_id: str, key: bytes) -> bool:
+def verify_ptt(ptt: PolicyTransferToken, flow_id: str, key: DomainKey) -> bool:
     return hmac.compare_digest(ptt_tag(flow_id, ptt.constraints, key), ptt.tag)
 
 
-def validate_handle(handle: Handle, flow_id: str, key_ring: dict[str, bytes]) -> bool:
+def validate_handle(handle: Handle, flow_id: str, key_ring: dict[str, DomainKey]) -> bool:
     """A handle is acceptable at a domain for flow ``flow_id`` iff the
     domain it last visited is in the domain's key ring, which holds exactly
     its topology neighbors, and its tag, which covers its token's tag,

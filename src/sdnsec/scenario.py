@@ -365,7 +365,12 @@ def _parse_traffic(items: list, path: str, host_ips: dict[str, int]) -> tuple[Fl
     out: list[FlowSpec | FloodSpec] = []
     for index, item in enumerate(items):
         item_path = f"{path}[{index}]"
-        flood = isinstance(item, dict) and item.get("kind") == "flood"
+        flood = isinstance(item, dict) and "kind" in item
+        if flood and item["kind"] != "flood":
+            kind = item["kind"]
+            raise ScenarioError(
+                f"{item_path}.kind", f"unknown traffic kind {kind!r}; the one kind is 'flood' (a plain flow has none)"
+            )
         _object(item, item_path, _FLOOD_FIELDS if flood else _FLOW_FIELDS)
         src = _want(item, "from", item_path, str)
         if src not in host_ips:

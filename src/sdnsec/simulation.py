@@ -51,7 +51,7 @@ from .controller import (
 )
 from .dataplane import ActionKind, Packet, Switch, install_batch
 from .defense import FloodMonitor, ResponseMode
-from .interdomain import Handle
+from .interdomain import DomainKey, Handle
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
 from .policy import DomainInfo
 from .scenario import FloodSpec, FlowSpec, HostSpec, Scenario
@@ -125,6 +125,9 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
 
     install_batch(switches, [(switch_id, arp_discovery_rule()) for switch_id in switches])
 
+    # one prepared key per domain, shared by its controller and every key
+    # ring that names it
+    keys = {domain.id: DomainKey(domain.handle_key.encode()) for domain in scenario.domains}
     controllers: dict[str, Controller] = {}
     for domain in scenario.domains:
         monitor = None
@@ -134,17 +137,14 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
                 response=scenario.defense_response,
                 window_ticks=scenario.window_ticks,
             )
-        neighbor_keys = {
-            peer: scenario.domain(peer).handle_key.encode()
-            for peer in as_graph.neighbors(domain.id)
-        }
         controllers[domain.id] = Controller(
             domain,
             as_graph=as_graph,
             intra=switch_graphs[domain.id],
             known=probe_topology(as_graph, domain.id, scenario.max_ttl),
             monitor=monitor,
-            key_ring=neighbor_keys,
+            key=keys[domain.id],
+            key_ring={peer: keys[peer] for peer in as_graph.neighbors(domain.id)},
             enforcement_enabled=scenario.enforcement,
             costs=costs,
             window_ticks=scenario.window_ticks,

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from sdnsec.dataplane import format_flow_dump
 from sdnsec.defense import CapacityModel, ResponseMode, compute_thresholds
-from sdnsec.interdomain import extend_handle, validate_handle
+from sdnsec.interdomain import DomainKey, extend_handle, validate_handle
 from sdnsec.labels import parse_label_constraint
 from sdnsec.policy import Action, PolicyExpression, match_pe, select_policy
 from sdnsec.scenario import bundled_scenario_path, load_scenario
@@ -218,7 +218,7 @@ def test_property_suites():
         )
         assert agree == 10_000
         # handle tamper suite: every single-field mutation is rejected
-        keys = {"AS1": b"k1", "AS2": b"k2"}
+        keys = {"AS1": DomainKey(b"k1"), "AS2": DomainKey(b"k2")}
         handle = extend_handle(extend_handle(None, "f", "AS1", None, keys["AS1"]), "f", "AS2", None, keys["AS2"])
 
         assert validate_handle(handle, "f", keys)

@@ -158,7 +158,7 @@ def test_credentials_entering_from_another_neighbor_fail_closed():
 
 # what AS2 honestly sends on to AS3: the handle ('AS1', 'AS2') with AS1's SL2+= token
 _, _, AS2_EGRESS = egress_hop(WORLD, HONEST.batch)
-AS2_KEY = SCENARIO.domain("AS2").handle_key.encode()
+AS2_KEY = WORLD.controllers["AS2"].handle_key
 
 
 def at_as3(handle):

@@ -11,8 +11,8 @@ from sdnsec import controller
 from sdnsec.controller import DropReason, synthesize_rules
 from sdnsec.dataplane import FLOW_RULE_PRIORITY, ActionKind, Packet
 from sdnsec.defense import ResponseMode
-from sdnsec.interdomain import extend_handle, forward_ptt
-from sdnsec.labels import parse_label_constraint
+from sdnsec.interdomain import DomainKey, extend_handle, forward_ptt
+from sdnsec.labels import LabelWindow, parse_label_constraint
 from sdnsec.policy import Action, Constraint, ConstraintKind, PolicyExpression, PolicyIndex
 from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from sdnsec.simulation import Simulation, build_world
@@ -65,8 +65,8 @@ def test_synthesized_batch_is_pinned_rule_by_rule():
     # forward rules in path order, then return rules in path order: install
     # numbers break lookup ties and order a switch's flow dump
     packet = make_packet()
-    ptt = forward_ptt(None, packet.flow_id, (Constraint(ConstraintKind.RATE_THRESHOLD, rate=3),), b"k")
-    handle = extend_handle(None, packet.flow_id, "AS1", ptt, b"k")
+    ptt = forward_ptt(None, packet.flow_id, (Constraint(ConstraintKind.RATE_THRESHOLD, rate=3),), DomainKey(b"k"))
+    handle = extend_handle(None, packet.flow_id, "AS1", ptt, DomainKey(b"k"))
     profile = frozenset({"ids", "fw"})
     batch = synthesize_rules(
         ("S1", "S2", "S3"),
@@ -144,7 +144,7 @@ def test_unknown_destination_is_dropped(transit_world):
 def test_tampered_handle_dropped_in_pipeline(transit_world):
     ctrl = transit_world.controllers["AS2"]
     packet = make_packet()
-    forged = extend_handle(None, packet.flow_id, "AS1", None, b"wrong-key")
+    forged = extend_handle(None, packet.flow_id, "AS1", None, DomainKey(b"wrong-key"))
     result = ctrl.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=forged)
     assert result.batch is None
     assert result.reason == DropReason.HANDLE_INVALID
@@ -196,7 +196,7 @@ def _label_path(token: str) -> Constraint:
     return Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint(token))
 
 
-def _from_as1(world, packet, ptt_key: bytes, *constraints):
+def _from_as1(world, packet, ptt_key: DomainKey, *constraints):
     """A packet-in at AS2 carrying a valid AS1 handle and a token over
     ``constraints`` tagged under ``ptt_key``."""
     ptt = forward_ptt(None, packet.flow_id, constraints, ptt_key)
@@ -206,7 +206,7 @@ def _from_as1(world, packet, ptt_key: bytes, *constraints):
 
 def test_forged_token_drops_the_flow(transit_world):
     ctrl = transit_world.controllers["AS2"]
-    result = _from_as1(transit_world, make_packet(), b"wrong-key", _label_path("SL2+="))
+    result = _from_as1(transit_world, make_packet(), DomainKey(b"wrong-key"), _label_path("SL2+="))
     assert [(e.verdict, e.reason, e.matched_pe) for e in ctrl.events] == [
         ("drop", "HANDLE_INVALID", None),
     ]
@@ -305,7 +305,8 @@ def test_a_route_is_searched_once_and_charged_on_every_packet_in(transit_world, 
     reasons = [ctrl.handle_packet_in(make_packet(), "S1A", "X", tick).reason for tick in (2, 3)]
     assert reasons == [DropReason.NO_SATISFYING_PATH] * 2
     assert searches == {"find_as_paths": 2, "find_switch_path": 1}
-    assert ctrl._next_domains[("AS4", parse_label_constraint("SL3+="))] is None
+    window = parse_label_constraint("SL3+=")
+    assert ctrl._next_domains[("AS4", window.lo, window.hi)] is None
 
 
 def _workload_run(case: str):
@@ -329,12 +330,13 @@ def test_every_memoized_route_is_what_a_fresh_search_returns(case):
     source, _, name = case.partition(":")
     world, _ = RUNS[source](name)
     for ctrl in world.controllers.values():
-        for (dst_domain, window), next_as in ctrl._next_domains.items():
-            paths = find_as_paths(ctrl.as_graph, ctrl.as_id, dst_domain, window)
-            assert next_as == (paths[0][1] if paths else None), (ctrl.as_id, dst_domain, window)
+        # a memo keys a label window by its two bounds
+        for (dst_domain, lo, hi), next_as in ctrl._next_domains.items():
+            paths = find_as_paths(ctrl.as_graph, ctrl.as_id, dst_domain, LabelWindow(lo, hi))
+            assert next_as == (paths[0][1] if paths else None), (ctrl.as_id, dst_domain, lo, hi)
         for key, path in ctrl._switch_paths.items():
-            ingress, egress, required, window = key
-            fresh = find_switch_path(ctrl.intra, ingress, egress, required=required, constraint=window)
+            ingress, egress, required, lo, hi = key
+            fresh = find_switch_path(ctrl.intra, ingress, egress, required=required, constraint=LabelWindow(lo, hi))
             assert path == fresh, (ctrl.as_id, key)
         # an installed flow took its switch path from the memo
         if any(event.verdict == "install" for event in ctrl.events):

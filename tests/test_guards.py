@@ -1,14 +1,13 @@
 """Each constructor and lookup guard refuses its bad input with its own message."""
 
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from sdnsec.controller import Controller
 from sdnsec.dataplane import ActionKind, FlowMatch, FlowRule, Switch
-from sdnsec.interdomain import Handle, PolicyTransferToken
+from sdnsec.interdomain import DomainKey, Handle, PolicyTransferToken
 from sdnsec.labels import SecurityLabel
 from sdnsec.metrics import MetricsReport
 from sdnsec.policy import Action, Constraint, ConstraintKind, PolicyExpression
@@ -28,8 +27,8 @@ def attach_twice():
 def controller_with_key(key):
     # the key is checked before any other argument is read
     return Controller(
-        replace(MINIMAL.domains[0], handle_key=key),
-        as_graph=None, intra=None, known={}, monitor=None, key_ring={},
+        MINIMAL.domains[0],
+        as_graph=None, intra=None, known={}, monitor=None, key=DomainKey(key.encode()), key_ring={},
         enforcement_enabled=True, costs=MINIMAL.costs, window_ticks=1,
     )
 

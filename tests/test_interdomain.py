@@ -1,11 +1,15 @@
+import hashlib
+import hmac
 import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sdnsec.labels import LabelWindow, parse_label_constraint
 from sdnsec.policy import Constraint, ConstraintKind
 from sdnsec.interdomain import (
+    DomainKey,
     Handle,
     extend_handle,
     forward_ptt,
@@ -18,7 +22,7 @@ from sdnsec.interdomain import (
 
 from helpers import egress_hop, ip
 
-KEYS = {"AS1": b"key-as1", "AS2": b"key-as2", "AS3": b"key-as3"}
+KEYS = {as_id: DomainKey(f"key-{as_id.lower()}".encode()) for as_id in ("AS1", "AS2", "AS3")}
 
 
 def ring(*as_ids):
@@ -229,3 +233,40 @@ def test_wire_tampering_is_bit_precise():
         for index in range(len(tag)):
             flipped = tag[:index] + f"{int(tag[index], 16) ^ 1:x}" + tag[index + 1 :]
             assert not verifies(replace(credential, tag=flipped))
+
+
+# secrets on both sides of SHA-256's 64-byte block: HMAC hashes a longer one
+SECRETS = st.one_of(st.binary(max_size=64), st.binary(min_size=65, max_size=200))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(secret=SECRETS, other=SECRETS, payload=st.binary(max_size=300))
+def test_a_prepared_key_tags_as_hmac_sha256_does(secret, other, payload):
+    key = DomainKey(secret)
+    expected = hmac.new(secret, payload, hashlib.sha256).hexdigest()
+    # a second tag under the same key is the same: the prepared states
+    # are copied, never consumed
+    assert key.tag(payload) == expected
+    assert key.tag(payload) == expected
+    # HMAC pads a short secret with zero bytes, so secrets that differ only
+    # there are one key
+    assume(secret.rstrip(b"\0") != other.rstrip(b"\0"))
+    foreign = DomainKey(other)
+    handle = extend_handle(None, "f1", "AS1", forward_ptt(None, "f1", (label_geq(2),), key), key)
+    assert validate_handle(handle, "f1", {"AS1": key}) and verify_ptt(handle.ptt, "f1", key)
+    assert not validate_handle(handle, "f1", {"AS1": foreign})
+    assert not verify_ptt(handle.ptt, "f1", foreign)
+
+
+def test_each_world_prepares_one_key_per_domain_and_every_ring_shares_it():
+    from sdnsec.scenario import bundled_scenario_path, load_scenario
+    from sdnsec.simulation import build_world
+
+    scenario = load_scenario(bundled_scenario_path("four_domain_transit"))
+    world, again = build_world(scenario), build_world(scenario)
+    for as_id, ctrl in world.controllers.items():
+        assert ctrl.handle_key.secret == scenario.domain(as_id).handle_key.encode()
+        for peer, key in ctrl.key_ring.items():
+            assert key is world.controllers[peer].handle_key
+        # no key outlives its world
+        assert ctrl.handle_key is not again.controllers[as_id].handle_key

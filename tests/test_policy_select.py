@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import sdnsec.policy
 from sdnsec.controller import CostModel
-from sdnsec.interdomain import forward_ptt
+from sdnsec.interdomain import DomainKey, forward_ptt
 from sdnsec.labels import LabelWindow, parse_label_constraint
 from sdnsec.policy import (
     Action,
@@ -120,7 +120,7 @@ def test_ptt_constraints_are_flow_scoped_only():
     sig = Constraint(ConstraintKind.SIGNATURE, signature="HTTPS")
     pe = allow("1", flow_cons=(label, sig))
     winner = select_policy([pe], make_ctx(packet_type="HTTPS"))
-    assert forward_ptt(None, "flow", winner.flow_cons, b"k").constraints == (label,)
+    assert forward_ptt(None, "flow", winner.flow_cons, DomainKey(b"k")).constraints == (label,)
 
 
 def test_selection_is_deterministic():

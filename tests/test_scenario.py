@@ -299,103 +299,198 @@ def _host(host_id, ip="10.0.0.3"):
 
 
 @pytest.mark.parametrize(
-    "mutate, path",
+    "mutate, path, message",
     [
-        (_set("traffic", 0, "to", value="ghost"), "$.traffic[0].to"),
-        (_set("traffic", 0, "to", value="10.0.0.300"), "$.traffic[0].to"),
-        (_set("table_capacity", value=0), "$.table_capacity"),
-        (_set("max_ttl", value=0), "$.max_ttl"),
-        (_set("defense", value={"response": "none", "window_ticks": 0}), "$.defense.window_ticks"),
-        (_set("defense", value="throttle"), "$.defense"),
-        (_set("costs", value=5), "$.costs"),
-        (_set("traffic", value=_flood(rate=0)), "$.traffic[0].rate"),
-        (_set("traffic", value=_flood(seconds=0)), "$.traffic[0].seconds"),
-        (_set("traffic", value=_flood(to="nowhere")), "$.traffic[0].to"),
-        (_set("domains", 0, value=5), "$.domains[0]"),
-        (_set("domains", 0, value="AS1"), "$.domains[0]"),
-        (_set("domains", 0, "switches", 0, value=5), "$.domains[0].switches[0]"),
-        (_set("domains", 0, "hosts", 0, value="a"), "$.domains[0].hosts[0]"),
-        (_set("traffic", 0, value=7), "$.traffic[0]"),
-        (_set("traffic", 0, "port", value=70000), "$.traffic[0].port"),
-        (_set("traffic", 0, "port", value=0), "$.traffic[0].port"),
-        (_set("traffic", value=_flood(rate=10, port_base=65530)), "$.traffic[0].port_base"),
-        (_set("costs", value={"base": -50}), "$.costs.base"),
-        (_set("max_tll", value=0), "$.max_tll"),
-        (_set("seed", value=1), "$.seed"),
-        (_set("costs", value={"bass": 5}), "$.costs.bass"),
-        (_set("capacity", value={**CAPACITY, "switch_rps": 9}), "$.capacity.switch_rps"),
-        (_set("capacity", value=[400]), "$.capacity"),
-        (_set("defense", value={"response": "none", "windows_ticks": 0}), "$.defense.windows_ticks"),
-        (_set("traffic", 0, "seconds", value=2), "$.traffic[0].seconds"),
-        (_set("traffic", value=_flood(port=80)), "$.traffic[0].port"),
-        (_set("traffic", 0, "port", value=80.7), "$.traffic[0].port"),
-        (_set("traffic", 0, "port", value=True), "$.traffic[0].port"),
-        (_set("traffic", 0, "port", value="abc"), "$.traffic[0].port"),
-        (_set("traffic", 0, "at", value=-50), "$.traffic[0].at"),
-        (_set("traffic", 0, "at", value="x"), "$.traffic[0].at"),
-        (_set("traffic", 0, "size", value=64), "$.traffic[0].size"),
-        (_set("traffic", value=_flood(rate=10.5)), "$.traffic[0].rate"),
-        (_set("traffic", value=_flood(seconds=True)), "$.traffic[0].seconds"),
-        (_set("traffic", value=_flood(port_base="20000")), "$.traffic[0].port_base"),
-        (_set("traffic", value=_flood(at=-1)), "$.traffic[0].at"),
-        (_set("table_capacity", value="1024"), "$.table_capacity"),
-        (_set("max_ttl", value=2.5), "$.max_ttl"),
-        (_set("defense", value={"response": "none", "window_ticks": 1.5}), "$.defense.window_ticks"),
-        (_set("costs", value={"base": "5"}), "$.costs.base"),
-        (_set("capacity", value={**CAPACITY, "switches_per_controller": 2.5}), "$.capacity.switches_per_controller"),
-        (_set("capacity", value={**CAPACITY, "hosts_per_switch": False}), "$.capacity.hosts_per_switch"),
-        (_set("enforcement", value="false"), "$.enforcement"),
-        (_set("links", value={"AS1": "AS2"}), "$.links"),
-        (_set("links", value=5), "$.links"),
-        (_set("traffic", value={"at": 0}), "$.traffic"),
-        (_set("domains", 0, "policies", value=7), "$.domains[0].policies"),
-        (_set("domains", 0, "policies", value="p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"), "$.domains[0].policies"),
+        (
+            _set("traffic", 0, "to", value="ghost"),
+            "$.traffic[0].to",
+            "'ghost' is neither a declared host nor an IPv4 address",
+        ),
+        (
+            _set("traffic", 0, "to", value="10.0.0.300"),
+            "$.traffic[0].to",
+            "'10.0.0.300' is neither a declared host nor an IPv4 address",
+        ),
+        (_set("table_capacity", value=0), "$.table_capacity", "must be at least 1, got 0"),
+        (_set("max_ttl", value=0), "$.max_ttl", "must be at least 1, got 0"),
+        (
+            _set("defense", value={"response": "none", "window_ticks": 0}),
+            "$.defense.window_ticks",
+            "must be at least 1, got 0",
+        ),
+        (_set("defense", value="throttle"), "$.defense", "expected an object, got str"),
+        (_set("costs", value=5), "$.costs", "expected an object, got int"),
+        (_set("traffic", value=_flood(rate=0)), "$.traffic[0].rate", "must be at least 1, got 0"),
+        (_set("traffic", value=_flood(seconds=0)), "$.traffic[0].seconds", "must be at least 1, got 0"),
+        (
+            _set("traffic", value=_flood(to="nowhere")),
+            "$.traffic[0].to",
+            "'nowhere' is neither a declared host nor an IPv4 address",
+        ),
+        (_set("domains", 0, value=5), "$.domains[0]", "expected an object, got int"),
+        (_set("domains", 0, value="AS1"), "$.domains[0]", "expected an object, got str"),
+        (_set("domains", 0, "switches", 0, value=5), "$.domains[0].switches[0]", "expected an object, got int"),
+        (_set("domains", 0, "hosts", 0, value="a"), "$.domains[0].hosts[0]", "expected an object, got str"),
+        (_set("traffic", 0, value=7), "$.traffic[0]", "expected an object, got int"),
+        (_set("traffic", 0, "port", value=70000), "$.traffic[0].port", "must be in 1..65535, got 70000"),
+        (_set("traffic", 0, "port", value=0), "$.traffic[0].port", "must be in 1..65535, got 0"),
+        (
+            _set("traffic", value=_flood(rate=10, port_base=65530)),
+            "$.traffic[0].port_base",
+            "flood ports 65530..65539 leave 1..65535",
+        ),
+        (_set("costs", value={"base": -50}), "$.costs.base", "must be at least 0, got -50"),
+        (_set("max_tll", value=0), "$.max_tll", "unknown field"),
+        (_set("seed", value=1), "$.seed", "unknown field"),
+        (_set("costs", value={"bass": 5}), "$.costs.bass", "unknown field"),
+        (_set("capacity", value={**CAPACITY, "switch_rps": 9}), "$.capacity.switch_rps", "unknown field"),
+        (_set("capacity", value=[400]), "$.capacity", "expected an object, got list"),
+        (_set("defense", value={"response": "none", "windows_ticks": 0}), "$.defense.windows_ticks", "unknown field"),
+        (_set("traffic", 0, "seconds", value=2), "$.traffic[0].seconds", "unknown field"),
+        (_set("traffic", value=_flood(port=80)), "$.traffic[0].port", "unknown field"),
+        (_set("traffic", 0, "port", value=80.7), "$.traffic[0].port", "expected an integer, got float"),
+        (_set("traffic", 0, "port", value=True), "$.traffic[0].port", "expected an integer, got bool"),
+        (_set("traffic", 0, "port", value="abc"), "$.traffic[0].port", "expected an integer, got str"),
+        (_set("traffic", 0, "at", value=-50), "$.traffic[0].at", "must be at least 0, got -50"),
+        (_set("traffic", 0, "at", value="x"), "$.traffic[0].at", "expected an integer, got str"),
+        (_set("traffic", 0, "size", value=64), "$.traffic[0].size", "unknown field"),
+        (_set("traffic", value=_flood(rate=10.5)), "$.traffic[0].rate", "expected an integer, got float"),
+        (_set("traffic", value=_flood(seconds=True)), "$.traffic[0].seconds", "expected an integer, got bool"),
+        (_set("traffic", value=_flood(port_base="20000")), "$.traffic[0].port_base", "expected an integer, got str"),
+        (_set("traffic", value=_flood(at=-1)), "$.traffic[0].at", "must be at least 0, got -1"),
+        (_set("table_capacity", value="1024"), "$.table_capacity", "expected an integer, got str"),
+        (_set("max_ttl", value=2.5), "$.max_ttl", "expected an integer, got float"),
+        (
+            _set("defense", value={"response": "none", "window_ticks": 1.5}),
+            "$.defense.window_ticks",
+            "expected an integer, got float",
+        ),
+        (_set("costs", value={"base": "5"}), "$.costs.base", "expected an integer, got str"),
+        (
+            _set("capacity", value={**CAPACITY, "switches_per_controller": 2.5}),
+            "$.capacity.switches_per_controller",
+            "expected an integer, got float",
+        ),
+        (
+            _set("capacity", value={**CAPACITY, "hosts_per_switch": False}),
+            "$.capacity.hosts_per_switch",
+            "expected an integer, got bool",
+        ),
+        (_set("enforcement", value="false"), "$.enforcement", "expected bool, got str"),
+        (_set("links", value={"AS1": "AS2"}), "$.links", "expected list, got dict"),
+        (_set("links", value=5), "$.links", "expected list, got int"),
+        (_set("traffic", value={"at": 0}), "$.traffic", "expected list, got dict"),
+        (_set("domains", 0, "policies", value=7), "$.domains[0].policies", "expected list, got int"),
+        (
+            _set("domains", 0, "policies", value="p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"),
+            "$.domains[0].policies",
+            "expected list, got str",
+        ),
         (
             _set("domains", 0, "policies", value=["defense:p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"]),
             "$.domains[0].policies[0]",
+            "policy expression 'defense:p': policy id 'defense:p' starts with the reserved prefix 'defense:'",
         ),
-        (_set("domains", 0, "users", value=["00:00:00:00:00:0a"]), "$.domains[0].users"),
-        (_set("domains", 0, "links", value=5), "$.domains[0].links"),
-        (_set("domains", 0, "hosts", value=5), "$.domains[0].hosts"),
-        (_set("capacity", value={**CAPACITY, "controller_rps": True}), "$.capacity.controller_rps"),
-        (_set("capacity", value={**CAPACITY, "controller_rps": "400"}), "$.capacity.controller_rps"),
-        (_set("capacity", value={**CAPACITY, "controller_rps": 0}), "$.capacity.controller_rps"),
-        (_set("capacity", value={**CAPACITY, "controller_rps": float("inf")}), "$.capacity.controller_rps"),
-        (_set("traffic", 0, "proto", value=6), "$.traffic[0].proto"),
-        (_set("traffic", value=_flood(type=5)), "$.traffic[0].type"),
-        (_set("traffic", value=_flood(proto=17)), "$.traffic[0].proto"),
-        (_set("name", value=5), "$.name"),
-        (_set("mode", value=["reactive"]), "$.mode"),
-        (_set("domains", 0, "users", value={"00:00:00:00:00:0a": None}), "$.domains[0].users['00:00:00:00:00:0a']"),
+        (_set("domains", 0, "users", value=["00:00:00:00:00:0a"]), "$.domains[0].users", "expected dict, got list"),
+        (_set("domains", 0, "links", value=5), "$.domains[0].links", "expected list, got int"),
+        (_set("domains", 0, "hosts", value=5), "$.domains[0].hosts", "expected list, got int"),
+        (
+            _set("capacity", value={**CAPACITY, "controller_rps": True}),
+            "$.capacity.controller_rps",
+            "expected a number, got bool",
+        ),
+        (
+            _set("capacity", value={**CAPACITY, "controller_rps": "400"}),
+            "$.capacity.controller_rps",
+            "expected a number, got str",
+        ),
+        (
+            _set("capacity", value={**CAPACITY, "controller_rps": 0}),
+            "$.capacity.controller_rps",
+            "must be a positive finite number, got 0",
+        ),
+        (
+            _set("capacity", value={**CAPACITY, "controller_rps": float("inf")}),
+            "$.capacity.controller_rps",
+            "must be a positive finite number, got inf",
+        ),
+        (_set("traffic", 0, "proto", value=6), "$.traffic[0].proto", "expected str, got int"),
+        (_set("traffic", value=_flood(type=5)), "$.traffic[0].type", "expected str, got int"),
+        (_set("traffic", value=_flood(proto=17)), "$.traffic[0].proto", "expected str, got int"),
+        (_set("name", value=5), "$.name", "expected str, got int"),
+        (_set("mode", value=["reactive"]), "$.mode", "expected str, got list"),
+        (
+            _set("domains", 0, "users", value={"00:00:00:00:00:0a": None}),
+            "$.domains[0].users['00:00:00:00:00:0a']",
+            "expected str, got NoneType",
+        ),
         (
             _set("domains", 0, "users", value={"00:00:00:00:00:0A": "Alice", "00:00:00:00:00:0a": "Mallory"}),
             "$.domains[0].users['00:00:00:00:00:0a']",
+            "duplicate '00:00:00:00:00:0a', first declared at $.domains[0].users['00:00:00:00:00:0A']",
         ),
-        (_fabric(("S1", "S2"), ("S2", "S1")), "$.domains[0].links[1]"),
-        (_fabric(("S1", "S2"), ("S1", "S2")), "$.domains[0].links[1]"),
-        (_fabric(("S1", "S1")), "$.domains[0].links[0]"),
-        (_set("domains", 0, "links", value=[[["S1"], "S1"]]), "$.domains[0].links[0]"),
-        (_second_domain(("AS1", "AS2"), ("AS1", "AS2")), "$.links[1]"),
-        (_second_domain(("AS1", "AS2"), ("AS2", "AS1")), "$.links[1]"),
-        (_append("domains", 0, "hosts", value=_host("S1")), "$.domains[0].hosts[2].id"),
-        (_set("domains", 0, "polices", value=[]), "$.domains[0].polices"),
-        (_set("domains", 0, "switches", 0, "ports", value=4), "$.domains[0].switches[0].ports"),
-        (_set("domains", 0, "hosts", 0, "vlan", value=10), "$.domains[0].hosts[0].vlan"),
-        (_set("domains", 0, "handle_key", value=""), "$.domains[0].handle_key"),
-        (_set("domains", 0, "hosts", 0, "ip", value="10.0.1.1"), "$.domains[0].hosts[0].ip"),
+        (_fabric(("S1", "S2"), ("S2", "S1")), "$.domains[0].links[1]", "repeats the link between 'S2' and 'S1'"),
+        (_fabric(("S1", "S2"), ("S1", "S2")), "$.domains[0].links[1]", "repeats the link between 'S1' and 'S2'"),
+        (_fabric(("S1", "S1")), "$.domains[0].links[0]", "switch 'S1' is linked to itself"),
+        (_set("domains", 0, "links", value=[[["S1"], "S1"]]), "$.domains[0].links[0]", "undefined switch ['S1']"),
+        (_second_domain(("AS1", "AS2"), ("AS1", "AS2")), "$.links[1]", "repeats the link between 'AS1' and 'AS2'"),
+        (_second_domain(("AS1", "AS2"), ("AS2", "AS1")), "$.links[1]", "repeats the link between 'AS2' and 'AS1'"),
+        (
+            _append("domains", 0, "hosts", value=_host("S1")),
+            "$.domains[0].hosts[2].id",
+            "duplicate 'S1', first declared at $.domains[0].switches[0]",
+        ),
+        (_set("domains", 0, "polices", value=[]), "$.domains[0].polices", "unknown field"),
+        (_set("domains", 0, "switches", 0, "ports", value=4), "$.domains[0].switches[0].ports", "unknown field"),
+        (_set("domains", 0, "hosts", 0, "vlan", value=10), "$.domains[0].hosts[0].vlan", "unknown field"),
+        (_set("domains", 0, "handle_key", value=""), "$.domains[0].handle_key", "must be a non-empty string"),
+        (
+            _set("domains", 0, "hosts", 0, "ip", value="10.0.1.1"),
+            "$.domains[0].hosts[0].ip",
+            "10.0.1.1 lies outside the domain subnet 10.0.0.0/24",
+        ),
         # Arabic-Indic "10": int() reads it, IPv4Address does not
-        (_set("domains", 0, "hosts", 0, "ip", value="\u0661\u0660.0.0.1"), "$.domains[0].hosts[0].ip"),
-        (_second_domain(subnet="10.0.0.0/16"), "$.domains[1].subnet"),
-        (_second_domain(subnet="10.0.0.128/25"), "$.domains[1].subnet"),
-        (_second_domain(subnet="10.0.0.0/24"), "$.domains[1].subnet"),
-        (_append("domains", 0, "switches", value={"id": "S1", "label": "SL1"}), "$.domains[0].switches[1].id"),
+        (
+            _set("domains", 0, "hosts", 0, "ip", value="\u0661\u0660.0.0.1"),
+            "$.domains[0].hosts[0].ip",
+            "Only decimal digits permitted in '\u0661\u0660' in '\u0661\u0660.0.0.1'",
+        ),
+        (
+            _second_domain(subnet="10.0.0.0/16"),
+            "$.domains[1].subnet",
+            "10.0.0.0/16 and 10.0.0.0/24 overlap; the other is at $.domains[0]",
+        ),
+        (
+            _second_domain(subnet="10.0.0.128/25"),
+            "$.domains[1].subnet",
+            "10.0.0.0/24 and 10.0.0.128/25 overlap; the other is at $.domains[0]",
+        ),
+        (
+            _second_domain(subnet="10.0.0.0/24"),
+            "$.domains[1].subnet",
+            "10.0.0.0/24 and 10.0.0.0/24 overlap; the other is at $.domains[0]",
+        ),
+        (
+            _append("domains", 0, "switches", value={"id": "S1", "label": "SL1"}),
+            "$.domains[0].switches[1].id",
+            "duplicate 'S1', first declared at $.domains[0].switches[0]",
+        ),
         (
             _second_domain(switches=[{"id": "2SW1", "label": "SL1"}, {"id": "S1", "label": "SL1"}]),
             "$.domains[1].switches[1].id",
+            "duplicate 'S1', first declared at $.domains[0].switches[0]",
         ),
-        (_append("domains", 0, "hosts", value=_host("a")), "$.domains[0].hosts[2].id"),
-        (_append("domains", 0, "hosts", value=_host("c", ip="10.0.0.1")), "$.domains[0].hosts[2].ip"),
-        (_second_domain(id="AS1"), "$.domains[1].id"),
+        (
+            _append("domains", 0, "hosts", value=_host("a")),
+            "$.domains[0].hosts[2].id",
+            "duplicate 'a', first declared at $.domains[0].hosts[0]",
+        ),
+        (
+            _append("domains", 0, "hosts", value=_host("c", ip="10.0.0.1")),
+            "$.domains[0].hosts[2].ip",
+            "duplicate '10.0.0.1', first declared at $.domains[0].hosts[0]",
+        ),
+        (_second_domain(id="AS1"), "$.domains[1].id", "duplicate 'AS1', first declared at $.domains[0]"),
     ],
     ids=[
         "undeclared-to",
@@ -485,12 +580,27 @@ def _host(host_id, ip="10.0.0.3"):
         "domain-id-repeated",
     ],
 )
-def test_run_time_failures_are_rejected_at_parse(mutate, path):
+def test_run_time_failures_are_rejected_at_parse(mutate, path, message):
     doc = minimal_doc()
     mutate(doc)
     with pytest.raises(ScenarioError) as caught:
         parse_scenario(doc)
     assert caught.value.path == path
+    assert str(caught.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("kind", ["Flood", "FLOOD", 5, None, True, ["flood"]])
+def test_a_traffic_kind_other_than_flood_is_an_unknown_kind(kind):
+    # kind is a known field: a wrong value is not reported as an unknown one
+    doc = minimal_doc()
+    doc["traffic"] = _flood()
+    doc["traffic"][0]["kind"] = kind
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(doc)
+    assert caught.value.path == "$.traffic[0].kind"
+    assert str(caught.value) == (
+        f"$.traffic[0].kind: unknown traffic kind {kind!r}; the one kind is 'flood' (a plain flow has none)"
+    )
 
 
 def filled_minimal():

@@ -25,7 +25,9 @@ bounds on path searches and label checks.  Credentials cost no more HMACs
 than the packet-ins need: a chain of n domains, whose policies delegate
 nothing, tags at most two handles per domain link and no token, and the
 transit mesh has fixed bounds at seed 1.  A handle's tag binds its token
-without a tag of its own.
+without a tag of its own.  Each domain's key is prepared when the world is
+built, so a run at seed 1 calls ``hmac.new`` on no workload: every tag
+copies its key's prepared states.
 
 The rule path builds a flow's two matches once per packet, not once per
 domain it crosses, and files each written rule with one ``Switch.install``
@@ -53,7 +55,10 @@ names no gateway during the run, as each controller keeps its gateway
 table from when it was built; ``acl_proactive``'s flood monitor floors and
 prints no ``Fraction``, as it keeps its budgets from when it was built; and
 the event loop pushes at most a fixed number of events on its heap, as an
-event scheduled strictly earlier than the heap's head is kept aside.
+event scheduled strictly earlier than the heap's head is kept aside.  A
+route memo is read once per packet-in, with a key that holds a label
+window's two bounds, not the window, so no workload hashes a
+``LabelWindow`` during the run.
 
 The counts are deterministic, so a lost optimisation fails here at once,
 whatever the machine's speed.
@@ -61,6 +66,7 @@ whatever the machine's speed.
 
 import dataclasses
 import heapq
+import hmac
 import json
 import sys
 from collections import Counter
@@ -254,6 +260,14 @@ def test_mesh_transit_credential_tags_are_bounded():
     assert counters["packet_ins"] == 656
     assert 0 < calls["sdnsec.interdomain.handle_tag"] <= 868, calls
     assert 0 < calls["sdnsec.interdomain.ptt_tag"] <= 364, calls
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_a_run_prepares_no_key_and_hashes_no_label_window(workload):
+    calls, counters = _run_counts(case_world(f"workload:{workload}"), hmac.new, methods=((LabelWindow, "__hash__"),))
+    assert counters["packet_ins"] > 0
+    assert calls["hmac.new"] == 0, calls
+    assert calls["LabelWindow.__hash__"] == 0, calls
 
 
 # seed 1: (path searches, label checks).  Each controller searches a route
