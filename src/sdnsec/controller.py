@@ -66,6 +66,7 @@ from .dataplane import (
     Packet,
 )
 from .defense import FloodMonitor, ResponseMode, WindowCounts
+from .frozen import frozen
 from .interdomain import (
     DomainKey,
     Handle,
@@ -133,7 +134,7 @@ class DropReason:
     STALLED = "STALLED"
 
 
-@dataclass(frozen=True)
+@frozen
 class CostModel:
     """Deterministic tick charges per pipeline stage."""
 
@@ -144,7 +145,7 @@ class CostModel:
     per_rule: int = 1
 
 
-@dataclass(frozen=True, slots=True)
+@frozen(slots=True)
 class FlowModBatch:
     """Rules to install, attributed to the decision that produced them."""
 
@@ -155,7 +156,7 @@ class FlowModBatch:
         return len(self.installs)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen(slots=True)
 class PipelineResult:
     """What one packet-in yields: the ticks it charged, the rules to write
     (``batch``) and, for a drop, its ``reason``.  An empty ``reason`` means

@@ -32,6 +32,7 @@ from functools import cache, cached_property
 from itertools import count
 from operator import attrgetter
 
+from .frozen import frozen
 from .interdomain import Handle
 from .policy import derive_flow_id, format_ipv4
 
@@ -54,7 +55,7 @@ FLOW_RULE_PRIORITY = 100
 BLOCK_RULE_PRIORITY = 200
 
 
-@dataclass(frozen=True)
+@frozen
 class Packet:
     """One packet's header fields.  It carries its two addresses' dotted
     text, printed once when it is built, and its flow id, which
@@ -111,7 +112,7 @@ def _probe(mask: _Mask) -> Callable[[object], object]:
     return attrgetter(*mask) if mask else lambda _item: ()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen(slots=True)
 class FlowMatch:
     """Wildcardable subset of packet header fields (None matches anything)."""
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Hashable
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
+from .frozen import frozen
 
 __all__ = [
     "CapacityModel",
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class CapacityModel:
     """controller capacity (requests/s), switches per controller, hosts per
     switch."""

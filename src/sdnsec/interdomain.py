@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
 
+from .frozen import frozen
 from .labels import LabelWindow
 from .policy import Constraint, ConstraintKind
 
@@ -88,7 +88,7 @@ class DomainKey:
         return outer.hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen(slots=True)
 class Handle:
     """Integrity-tagged record of the domains a flow has visited, in order
     (the first is its origin), and of the transfer token it carries."""
@@ -124,7 +124,7 @@ def extend_handle(
     return Handle(visited, handle_tag(flow_id, visited, ptt, key), ptt)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen(slots=True)
 class PolicyTransferToken:
     """Flow-scoped constraints delegated from the origin to transit domains."""
 

@@ -13,8 +13,9 @@ A window prints as its canonical token through ``str()``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
+
+from .frozen import frozen
 
 __all__ = [
     "LabelParseError",
@@ -35,7 +36,7 @@ class LabelParseError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True, order=True)
+@frozen(order=True)
 class SecurityLabel:
     """Trust level ``SL<rank>``; a higher rank is more trusted, SL1 is the floor."""
 
@@ -90,7 +91,7 @@ def parse_label_constraint(text: str) -> LabelWindow:
     return LabelWindow(1 if suffix == "-=" else rank, None if suffix == "+=" else rank)
 
 
-@dataclass(frozen=True)
+@frozen
 class LabelWindow:
     """The ranks a label requirement admits, as a closed interval.
 

@@ -28,6 +28,8 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import get_type_hints
 
+from .frozen import frozen
+
 __all__ = ["FORMATS", "FlowRecord", "InstallRecord", "LatencyRecord", "MetricsReport", "emit", "emit_series"]
 
 # the emission formats of a report and of a series
@@ -56,7 +58,7 @@ class FlowRecord:
         return self.delivered_tick - self.request_tick
 
 
-@dataclass(frozen=True, slots=True)
+@frozen(slots=True)
 class LatencyRecord:
     domain: str
     arrival_tick: int
@@ -68,7 +70,7 @@ class LatencyRecord:
         return self.emission_tick - self.arrival_tick
 
 
-@dataclass(frozen=True, slots=True)
+@frozen(slots=True)
 class InstallRecord:
     tick: int
     domain: str

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -44,6 +43,7 @@ from ipaddress import IPv4Network
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
+from .frozen import frozen
 from .labels import LabelWindow, SecurityLabel
 
 if TYPE_CHECKING:
@@ -119,7 +119,7 @@ class ConstraintKind(Enum):
 PACKET_ATTRS = {"type": lambda packet: packet.packet_type, "port": lambda packet: str(packet.service_port)}
 
 
-@dataclass(frozen=True)
+@frozen
 class Constraint:
     """One flow or domain constraint.
 
@@ -163,7 +163,7 @@ class Constraint:
         return f"sig.{self.signature}"
 
 
-@dataclass(frozen=True)
+@frozen
 class EndpointSelector:
     """Wildcardable description of one end of a flow; ``None`` means any."""
 
@@ -190,7 +190,7 @@ def _classify_path(entries: tuple[str, ...]) -> str:
     return kinds.pop()
 
 
-@dataclass(frozen=True)
+@frozen
 class PolicyExpression:
     """One policy rule: condition fields, constraints and an action.
 
@@ -215,6 +215,10 @@ class PolicyExpression:
     def __post_init__(self) -> None:
         if self.id.startswith(BLOCK_PROVENANCE_PREFIX):
             raise ValueError(f"policy id {self.id!r} starts with the reserved prefix {BLOCK_PROVENANCE_PREFIX!r}")
+        # an id both formats print and read back: the compact reader ends a
+        # name at its first '=' or '<' and strips it, and '*' is the wildcard
+        if "=" in self.id or "<" in self.id or self.id == "*" or self.id != self.id.strip():
+            raise ValueError(f"policy id {self.id!r} must not be '*', start or end with whitespace, or hold '=' or '<'")
         if self.path is not None:
             if not self.path:
                 raise ValueError("path must be nonempty or wildcard")
@@ -269,7 +273,7 @@ class PolicyExpression:
         return LabelWindow.conjoin(labels)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen(slots=True)
 class DomainInfo:
     """What a controller knows about an AS when matching: identity, address
     space, administrative type and security label.  Unknown pieces are None
@@ -281,7 +285,7 @@ class DomainInfo:
     label: SecurityLabel | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen(slots=True)
 class FlowContext:
     """What policies see of one flow: its packet, plus what the controller
     knows about it (the two domains, the tick, the bound user and the

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from importlib import resources
 from ipaddress import IPv4Network
 from pathlib import Path
@@ -25,6 +25,7 @@ from .controller import CostModel
 from .dataplane import DEFAULT_TABLE_CAPACITY
 from .defense import CapacityModel, ResponseMode
 from .formats import PolicyParseError, parse_compact_pe, parse_ipv4, parse_network, parse_record
+from .frozen import frozen
 from .labels import SecurityLabel, parse_label
 from .policy import (
     DuplicatePolicyIdError,
@@ -78,13 +79,13 @@ class ScenarioError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
+@frozen
 class SwitchSpec:
     id: str
     label: SecurityLabel
 
 
-@dataclass(frozen=True)
+@frozen
 class HostSpec:
     id: str
     ip: int
@@ -92,7 +93,7 @@ class HostSpec:
     switch: str
 
 
-@dataclass(frozen=True)
+@frozen
 class DomainSpec:
     id: str
     subnet: IPv4Network
@@ -106,7 +107,7 @@ class DomainSpec:
     policies: tuple[PolicyExpression, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class FlowSpec:
     """One flow attempt: a single first packet offered at a tick."""
 
@@ -118,7 +119,7 @@ class FlowSpec:
     proto: str = "tcp"
 
 
-@dataclass(frozen=True)
+@frozen
 class FloodSpec:
     """A burst of one-packet flows from one host at a fixed request rate."""
 
@@ -140,7 +141,7 @@ class FloodSpec:
             raise ValueError(f"flood ports {self.port_base}..{last} leave 1..65535")
 
 
-@dataclass(frozen=True)
+@frozen
 class Scenario:
     name: str
     mode: str  # one of MODES

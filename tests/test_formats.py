@@ -259,6 +259,39 @@ def test_policy_id_with_the_block_provenance_prefix_rejected(compact):
             parse_repository([{"id": "defense:m1", "action": "allow"}])
 
 
+# ids one format took and the other could not read back: the compact reader
+# ends a name at its first '=' or '<' and strips it
+UNREADABLE_IDS = ["a=b", "a<b", " a", "a ", "\ta"]
+
+
+@pytest.mark.parametrize("compact", [True, False], ids=["compact", "record"])
+@pytest.mark.parametrize("pe_id", UNREADABLE_IDS)
+def test_policy_id_that_cannot_be_read_back_is_rejected_naming_it(pe_id, compact):
+    with pytest.raises(PolicyParseError, match=re.escape(f"policy id {pe_id!r} must not be '*'")):
+        if compact:
+            parse_compact_pe(f"<{', '.join(['*'] * 13)}>:<Allow>", pe_id=pe_id)
+        else:
+            parse_repository([{"id": pe_id, "action": "allow"}])
+
+
+def test_wildcard_policy_id_is_rejected():
+    # a record reads '*' as a missing id, so a compact name '*' could not be
+    # written as a record
+    with pytest.raises(PolicyParseError, match=re.escape("policy id '*' must not be '*'")):
+        parse_compact_pe(f"* = <{', '.join(['*'] * 13)}>:<Allow>")
+    with pytest.raises(PolicyParseError, match="missing required field 'id'"):
+        parse_repository([{"id": "*", "action": "allow"}])
+    with pytest.raises(ValueError, match=re.escape("policy id '*'")):
+        PolicyExpression(id="*", action=Action.ALLOW)
+
+
+@pytest.mark.parametrize("pe_id", ["a>b", "a:b", "a b", "r-1.2", "é"])
+def test_legal_policy_ids_round_trip_through_both_formats(pe_id):
+    pe = PolicyExpression(id=pe_id, action=Action.DENY)
+    assert parse_compact_pe(format_compact_pe(pe)) == pe
+    assert parse_repository(serialize_repository([pe])) == [pe]
+
+
 def test_compact_round_trip():
     for text in [HTTP_PATH_PE, FTP_PATH_PE, BYOD_PE, TRANSIT_GUEST_PE]:
         pe = parse_compact_pe(text)
