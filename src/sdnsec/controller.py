@@ -192,6 +192,9 @@ _UNSEARCHED = object()
 # a match is immutable, so every switch's ARP rule shares this one
 _ARP_MATCH = FlowMatch(packet_type="ARP")
 
+# the security profile of a rule whose policy sets none, shared by them all
+_NO_PROFILE: frozenset[str] = frozenset()
+
 
 def arp_discovery_rule() -> FlowRule:
     """Default controller-installed entry for network discovery traffic."""
@@ -205,7 +208,7 @@ def synthesize_rules(
     *,
     final_peer: str,
     entry_peer: str,
-    sec_profile: frozenset[str] = frozenset(),
+    sec_profile: frozenset[str] = _NO_PROFILE,
     handle_out: Handle | None = None,
 ) -> FlowModBatch:
     """One forward rule per path switch plus the symmetric return set.
@@ -481,7 +484,7 @@ class Controller:
             matched,
             final_peer=final_peer,
             entry_peer=entry_peer,
-            sec_profile=winner.sec_profile or frozenset(),
+            sec_profile=winner.sec_profile or _NO_PROFILE,
             handle_out=handle_out,
         )
         ticks += self.costs.per_rule * len(batch)

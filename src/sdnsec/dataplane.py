@@ -21,18 +21,21 @@ its table.  All mutation happens on the simulation loop's thread.
 
 Packet and match addresses are plain ``int`` values, so a probe key hashes
 natively.  A packet prints its two addresses once, for its flow id and the
-records; a flow dump prints a match's as dotted text.
+records, and writes that text and its flow id into its ``__dict__`` in one
+step; it builds its flow's two matches on first read (``Packet.matches``,
+a lock-free :class:`~sdnsec.frozen.cached` field).  A flow dump prints a
+match's addresses as dotted text.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from itertools import count
 from operator import attrgetter
 
-from .frozen import frozen
+from .frozen import cached, frozen
 from .interdomain import Handle
 from .policy import derive_flow_id, format_ipv4
 
@@ -76,11 +79,10 @@ class Packet:
 
     def __post_init__(self) -> None:
         src_text, dst_text = format_ipv4(self.src_ip), format_ipv4(self.dst_ip)
-        object.__setattr__(self, "src_text", src_text)
-        object.__setattr__(self, "dst_text", dst_text)
-        object.__setattr__(self, "flow_id", derive_flow_id(src_text, dst_text, self.ip_proto, self.service_port))
+        flow_id = derive_flow_id(src_text, dst_text, self.ip_proto, self.service_port)
+        self.__dict__.update(src_text=src_text, dst_text=dst_text, flow_id=flow_id)
 
-    @cached_property
+    @cached
     def matches(self) -> tuple[FlowMatch, FlowMatch]:
         """The flow's forward match and its return match, the addresses
         swapped; built once per packet and read by every domain it crosses."""
@@ -139,6 +141,8 @@ class FlowMatch:
                 self.packet_type is None,
             )
         )
+        # a slotted record has no __dict__ to update in one step; the
+        # generic setter also serves a plain dataclass given this method
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "key", _probe(mask)(self))
 

@@ -38,12 +38,11 @@ import re
 from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from ipaddress import IPv4Network
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .frozen import frozen
+from .frozen import cached, frozen
 from .labels import LabelWindow, SecurityLabel
 
 if TYPE_CHECKING:
@@ -174,7 +173,7 @@ class EndpointSelector:
     host_ip: int | None = None
     host_mac: str | None = None
 
-    @cached_property
+    @cached
     def _subnet_bits(self) -> tuple[int, int]:
         """The set subnet's ``(network, mask)``, worked out on first read."""
         return subnet_bits(self.subnet)
@@ -238,34 +237,34 @@ class PolicyExpression:
             if start > end:
                 raise ValueError(f"validity window start {start} after end {end}")
 
-    @cached_property
+    @cached
     def switch_path(self) -> tuple[str, ...] | None:
         """A switch-typed path: the switches the flow must cross, in order."""
         return self.path if self.path is not None and _classify_path(self.path) == "switch" else None
 
-    @cached_property
+    @cached
     def domain_path(self) -> tuple[str, ...] | None:
         """A domain-typed path: a condition on the domains already traversed."""
         return self.path if self.path is not None and _classify_path(self.path) == "as" else None
 
-    @cached_property
+    @cached
     def constraints(self) -> tuple[Constraint, ...]:
         """The flow constraints, then the domain constraints."""
         return self.flow_cons + self.dom_cons
 
-    @cached_property
+    @cached
     def rates(self) -> tuple[Fraction, ...]:
         """The budgets of its RATE_THRESHOLD constraints, in ``constraints``
         order."""
         return tuple(c.rate for c in self.constraints if c.kind is ConstraintKind.RATE_THRESHOLD)
 
-    @cached_property
+    @cached
     def selection_key(self) -> tuple[int, str]:
         """Its rank among matching allows: the more specific first, then the
         smaller id."""
         return -specificity(self), self.id
 
-    @cached_property
+    @cached
     def label_window(self) -> LabelWindow:
         """All LABEL_PATH constraints of this expression collapsed to one
         window; an empty one admits no label."""

@@ -14,7 +14,12 @@ A packet arriving at a switch executes the rule the switch's lookup
 returns: a forward rule passes it to the rule's next hop, a drop rule ends
 its flow, and a miss or a to-controller rule raises a packet-in.  A packet's
 in-flight record holds the switch it is at and the node it came from, which
-a packet-in names as its ingress and entry peer.
+a packet-in names as its ingress and entry peer.  A packet crosses installed
+forward rules in one handler call: while no queued event, kept aside or in
+the heap, has a tick at or before its next hop's, it takes that hop at once
+instead of scheduling it.  The hop's event would have been inserted last,
+so nothing else could run before it, and the (tick, insertion) order holds.
+Every hop is still one lookup at its own tick.
 
 Controllers are modeled as sequential servers: a packet-in waits until the
 controller is free, is charged the pipeline's deterministic service ticks,
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 from .controller import (
@@ -71,8 +76,8 @@ class _InFlight:
     record: FlowRecord
     at: str  # the switch the packet is at
     came_from: str  # the node it reached that switch from
-    handle: Handle | None = None
-    trace: list[str] = field(default_factory=list)
+    handle: Handle | None  # the handle the packet carries, once it has one
+    trace: list[str]  # the switches it has crossed
 
 
 @dataclass
@@ -207,25 +212,16 @@ class Simulation:
     def _offer_flow(self, spec, port: int, tick: int, from_flood: bool) -> Packet:
         src = self.world.hosts[spec.src_host]
         dst_host = self.world.hosts_by_ip.get(spec.dst)
-        packet = Packet(
-            src_ip=src.ip,
-            dst_ip=spec.dst,
-            src_mac=src.mac,
-            dst_mac=dst_host.mac if dst_host else "ff:ff:ff:ff:ff:ff",
-            ip_proto=spec.proto,
-            service_port=port,
-            packet_type=spec.packet_type,
-        )
+        # the per-flow records are built positionally, in field order: no
+        # keyword matching and no default factory, once per offered flow
+        dst_mac = dst_host.mac if dst_host else "ff:ff:ff:ff:ff:ff"
+        packet = Packet(src.ip, spec.dst, src.mac, dst_mac, spec.proto, port, spec.packet_type)
+        flows = self.report.flows
         record = FlowRecord(
-            index=len(self.report.flows),
-            flow_id=packet.flow_id,
-            src=spec.src_host,
-            dst=packet.dst_text,
-            request_tick=tick,
-            from_flood=from_flood,
+            len(flows), packet.flow_id, spec.src_host, packet.dst_text, tick, "pending", "", "", -1, (), (), from_flood
         )
-        self.report.flows.append(record)
-        inflight = _InFlight(packet=packet, record=record, at=src.switch, came_from=src.id)
+        flows.append(record)
+        inflight = _InFlight(packet, record, src.switch, src.id, None, [])
         self._schedule(tick + LINK_TICK, self._on_switch_rx, inflight)
         return packet
 
@@ -259,27 +255,42 @@ class Simulation:
         domains = (self.world.switch_domain[switch_id] for switch_id in inflight.trace)
         record.as_path = tuple(domain for domain, _ in groupby(domains))
 
+    def _runs_next(self, tick: int) -> bool:
+        """Whether an event scheduled now at ``tick`` would run next: no
+        queued event, kept aside or on the heap, has a tick at or before it.
+        An event with an equal tick was inserted earlier, so it runs first."""
+        kept, heap = self._next, self._heap
+        return (kept is None or kept[0] > tick) and (not heap or heap[0][0] > tick)
+
     def _on_switch_rx(self, tick: int, inflight: _InFlight) -> None:
-        switch_id = inflight.at
-        rule = self.world.switches[switch_id].lookup(inflight.packet)
-        if rule is None or rule.action == ActionKind.TO_CONTROLLER:
-            self._schedule(tick + LINK_TICK, self._on_ctrl_job, inflight)
-            return
-        if rule.action == ActionKind.DROP:  # every drop rule is a defense block rule
-            self._finish(inflight.record, DropReason.BLOCKED_AT_SWITCH, self.world.switch_domain[switch_id])
-            return
-        if rule.handle is not None:
-            inflight.handle = rule.handle
-        inflight.trace.append(switch_id)
-        peer = rule.next_hop
-        if peer in self.world.hosts:
-            if self.world.hosts[peer].ip == inflight.packet.dst_ip:
-                self._deliver(inflight, tick + LINK_TICK)
-            else:
-                self._finish(inflight.record, DropReason.MISDELIVERED, self.world.switch_domain[switch_id])
-            return
-        inflight.at, inflight.came_from = peer, switch_id
-        self._schedule(tick + LINK_TICK, self._on_switch_rx, inflight)
+        """The packet arrives at ``inflight.at``; it crosses forward rules
+        in this one call while its next hop would be the next event run."""
+        world, packet = self.world, inflight.packet
+        switches, hosts = world.switches, world.hosts
+        while True:
+            switch_id = inflight.at
+            rule = switches[switch_id].lookup(packet)
+            if rule is None or rule.action == ActionKind.TO_CONTROLLER:
+                self._schedule(tick + LINK_TICK, self._on_ctrl_job, inflight)
+                return
+            if rule.action == ActionKind.DROP:  # every drop rule is a defense block rule
+                self._finish(inflight.record, DropReason.BLOCKED_AT_SWITCH, world.switch_domain[switch_id])
+                return
+            if rule.handle is not None:
+                inflight.handle = rule.handle
+            inflight.trace.append(switch_id)
+            peer = rule.next_hop
+            tick += LINK_TICK
+            if peer in hosts:
+                if hosts[peer].ip == packet.dst_ip:
+                    self._deliver(inflight, tick)
+                else:
+                    self._finish(inflight.record, DropReason.MISDELIVERED, world.switch_domain[switch_id])
+                return
+            inflight.at, inflight.came_from = peer, switch_id
+            if not self._runs_next(tick):
+                self._schedule(tick, self._on_switch_rx, inflight)
+                return
 
     def _on_ctrl_job(self, tick: int, inflight: _InFlight) -> None:
         domain = self.world.switch_domain[inflight.at]

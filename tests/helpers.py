@@ -599,8 +599,13 @@ class RollingMonitor:
 
 class HeapSimulation(Simulation):
     """Reference event loop: every event is pushed on the heap and popped
-    from it, in (tick, insertion number) order.  This was the loop before
-    one event could be kept aside."""
+    from it, in (tick, insertion number) order, and every hop a packet
+    takes is an event of its own.  This was the loop before one event
+    could be kept aside and before a packet crossed installed rules in one
+    handler call."""
+
+    def _runs_next(self, tick) -> bool:
+        return False
 
     def _schedule(self, tick, handler, *args) -> None:
         heapq.heappush(self._heap, (tick, self._seq, handler, args))

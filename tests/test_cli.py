@@ -195,6 +195,16 @@ def test_sweep_request_rate_needs_a_flood(capsys, extra):
     assert captured.err == "error: scenario 'minimal' has no flood to set a request rate on\n"
 
 
+def test_sweep_compare_defenses_needs_a_capacity_model(capsys):
+    # pe_saturation floods, but with no capacity model the three series
+    # would all be the undefended baseline
+    argv = ["sweep", "pe_saturation", "--axis", "request_rate", "--points", "100,400", "--compare-defenses"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scenario 'pe_saturation' has no capacity model to run a flood defense with\n"
+
+
 @pytest.mark.parametrize(
     "extra", [["--points", "0,-3,50"], ["--points", "0", "--compare-defenses"]], ids=["rates", "compare-defenses"]
 )

@@ -637,3 +637,31 @@ def test_mutated_bundled_scenarios_are_rejected_or_run_clean(doc):
             if rule.priority == FLOW_RULE_PRIORITY:
                 match = rule.match
                 assert replace(match, src_ip=match.dst_ip, dst_ip=match.src_ip) in installed
+
+
+# a Simulation needs a world to be built; its loop reads nothing of it
+_LOOP_WORLD = build_world(load("minimal"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 4), max_size=6), st.integers(0, 6), st.integers(0, 4), st.integers(0, 2))
+def test_a_hop_is_taken_at_once_only_when_it_would_run_next(ticks, place, at, delay):
+    # one event, run among others, asks whether an event it schedules now
+    # would run next, then schedules it: the answer must be what the loop does
+    sim = Simulation(_LOOP_WORLD)
+    ran, answers = [], []
+
+    def queued(tick, name):
+        ran.append(name)
+
+    def hop(tick):
+        ran.append("asker")
+        answers.append(sim._runs_next(tick + delay))
+        sim._schedule(tick + delay, queued, "hop")
+
+    events = [(tick, queued, index) for index, tick in enumerate(ticks)]
+    events.insert(min(place, len(events)), (at, hop))
+    for tick, handler, *args in events:
+        sim._schedule(tick, handler, *args)
+    sim._run_events()
+    assert answers == [ran[ran.index("asker") + 1] == "hop"], (ran, answers)

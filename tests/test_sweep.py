@@ -143,6 +143,19 @@ def test_flood_series_has_three_labels_and_shapes():
     assert text.splitlines()[0] == "x,baseline,threshold,drop_rule"
 
 
+@pytest.mark.parametrize("name", ["pe_saturation", "flood_single_domain"])
+def test_flood_series_needs_a_capacity_model(name):
+    # without one the world builds no monitor, so "threshold" and
+    # "drop_rule" would run undefended and repeat the baseline
+    scenario = replace(load(name), capacity=None)
+    assert any(isinstance(item, FloodSpec) for item in scenario.traffic)
+    with pytest.raises(ValueError) as raised:
+        flood_response_series(scenario, [100, 400])
+    assert str(raised.value) == f"scenario {name!r} has no capacity model to run a flood defense with"
+    # a plain request-rate sweep needs no defense
+    assert [point for point, _ in sweep(scenario, "request_rate", [100])] == [100]
+
+
 def test_emit_series_formats():
     series = {"a": [(1, 2.0)], "b": [(1, 3.0), (2, 4.0)]}
     delimited = emit_series(series, "delimited")

@@ -58,7 +58,11 @@ the event loop pushes at most a fixed number of events on its heap, as an
 event scheduled strictly earlier than the heap's head is kept aside.  A
 route memo is read once per packet-in, with a key that holds a label
 window's two bounds, not the window, so no workload hashes a
-``LabelWindow`` during the run.
+``LabelWindow`` during the run.  A packet crosses installed rules in one
+handler call while its next hop would be the next event run: the
+workloads at seed 1 have fixed bounds on events scheduled and on
+``Simulation._on_switch_rx`` calls, and make as many ``Switch.lookup``
+calls as the reference loop, which schedules every hop.
 
 The counts are deterministic, so a lost optimisation fails here at once,
 whatever the machine's speed.
@@ -74,6 +78,7 @@ from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
+from helpers import HeapSimulation
 from test_golden import CASES
 from test_workloads import WORKLOADS, case_world
 
@@ -376,6 +381,29 @@ def test_the_event_loop_keeps_the_next_event_off_the_heap(workload, monkeypatch)
     monkeypatch.setattr(heapq, "heappush", counted)
     Simulation(world).run()
     assert 0 < len(pushes) <= HEAP_PUSH_BOUNDS[workload]
+
+
+# seed 1: (events scheduled, Simulation._on_switch_rx calls); a packet
+# crosses installed rules in one handler call while its next hop would be
+# the next event run, so most hops schedule no event of their own
+HOP_EVENT_BOUNDS = {"flood_table": (3_536, 1_794), "acl_proactive": (3_482, 1_402), "mesh_transit": (2_214, 902)}
+
+
+@pytest.mark.parametrize("workload", sorted(HOP_EVENT_BOUNDS))
+def test_a_packet_crosses_installed_rules_in_one_handler_call(workload):
+    scheduled, handler_calls = HOP_EVENT_BOUNDS[workload]
+    runs = {}
+    for loop in (Simulation, HeapSimulation):
+        sim = loop(case_world(f"workload:{workload}"))
+        with CallCounter((), ((Simulation, "_on_switch_rx"), (Switch, "lookup"))) as counter:
+            runs[loop] = sim, counter.counting(sim.run)
+    (sim, calls), (reference, expected) = runs[Simulation], runs[HeapSimulation]
+    assert 0 < sim._seq <= scheduled, sim._seq
+    assert 0 < calls["Simulation._on_switch_rx"] <= handler_calls, calls
+    # every hop is still one lookup: the reference makes one per handler call
+    lookups = calls["Switch.lookup"]
+    assert lookups == expected["Switch.lookup"] == expected["Simulation._on_switch_rx"], (calls, expected)
+    assert sim._seq < reference._seq
 
 
 def _code_calls(work, *functions) -> Counter:
