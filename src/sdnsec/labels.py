@@ -125,9 +125,14 @@ class LabelWindow:
 
     def __str__(self) -> str:
         """Canonical token of a window parsed from one token: ``SL2``,
-        ``SL2+=`` or ``SL2-=``; the full window prints as ``SL1+=``."""
-        if self.lo == self.hi:
-            return f"SL{self.lo}"
-        if self.hi is None:
-            return f"SL{self.lo}+="
-        return f"SL{self.hi}-="
+        ``SL2+=`` or ``SL2-=``; the full window prints as ``SL1+=``.  A
+        window no token spells, such as SL2..SL3 or an empty one, raises
+        ``ValueError``: any token would read back as another window."""
+        lo, hi = self.lo, self.hi
+        if lo >= 1 and lo == hi:
+            return f"SL{lo}"
+        if lo >= 1 and hi is None:
+            return f"SL{lo}+="
+        if lo == 1 and hi > 1:
+            return f"SL{hi}-="
+        raise ValueError(f"no label token spells the window of ranks {lo}..{hi}")

@@ -4,9 +4,10 @@ The world is rebuilt from the scenario for every run: switches wired port by
 port in declaration order, and one controller per domain, built from the
 domain's spec, its switch graph and a fresh probe of the domain graph.  The
 event loop runs handler calls in (tick, insertion) order, so equal scenarios
-produce byte-identical reports.  They wait in a heap, except one: an event
-scheduled strictly earlier than the heap's head while no other is kept aside
-is kept aside, and the loop runs the lesser of it and the heap's head.  A
+produce byte-identical reports.  Events wait in one heap, which starts as
+the offers, heapified once.  A handler returns its flow's next step, or
+``None`` when the flow ends, and the loop runs that step at once when no
+queued event has a tick at or before it, and pushes it otherwise.  A
 packet's next step usually comes before every other flow's, so it usually
 runs with no push and no pop.
 
@@ -15,11 +16,11 @@ returns: a forward rule passes it to the rule's next hop, a drop rule ends
 its flow, and a miss or a to-controller rule raises a packet-in.  A packet's
 in-flight record holds the switch it is at and the node it came from, which
 a packet-in names as its ingress and entry peer.  A packet crosses installed
-forward rules in one handler call: while no queued event, kept aside or in
-the heap, has a tick at or before its next hop's, it takes that hop at once
-instead of scheduling it.  The hop's event would have been inserted last,
-so nothing else could run before it, and the (tick, insertion) order holds.
-Every hop is still one lookup at its own tick.
+forward rules in one handler call: while no queued event has a tick at or
+before its next hop's, it takes that hop at once instead of returning it.
+A step pushed now would be inserted last, so nothing else could run before
+it, and the (tick, insertion) order holds.  Every hop is still one lookup
+at its own tick.
 
 Controllers are modeled as sequential servers: a packet-in waits until the
 controller is free, is charged the pipeline's deterministic service ticks,
@@ -67,7 +68,9 @@ __all__ = ["World", "build_world", "run"]
 LINK_TICK = 1
 
 # (tick, insertion number, handler, arguments): events run in this order
-_Event = tuple[int, int, Callable[..., None], tuple]
+_Event = tuple[int, int, Callable, tuple]
+# (tick, handler, arguments): the next step a handler returns for its flow
+_Step = tuple[int, Callable, tuple]
 
 
 @dataclass(slots=True)
@@ -192,20 +195,9 @@ class Simulation:
             enforcement=self.scenario.enforcement,
         )
         self._heap: list[_Event] = []
-        # one event kept aside: it was scheduled strictly earlier than the
-        # heap's head, so it usually runs next without a push and a pop
-        self._next: _Event | None = None
         self._seq = 0
         # the two counts no record carries
         self._counters = {"proactive_installs": 0, "table_full_events": 0}
-
-    def _schedule(self, tick: int, handler: Callable[..., None], *args) -> None:
-        event = (tick, self._seq, handler, args)
-        self._seq += 1
-        if self._next is None and (not self._heap or tick < self._heap[0][0]):
-            self._next = event
-        else:
-            heapq.heappush(self._heap, event)
 
     # --- traffic expansion -----------------------------------------------------
 
@@ -222,7 +214,8 @@ class Simulation:
         )
         flows.append(record)
         inflight = _InFlight(packet, record, src.switch, src.id, None, [])
-        self._schedule(tick + LINK_TICK, self._on_switch_rx, inflight)
+        self._heap.append((tick + LINK_TICK, self._seq, self._on_switch_rx, (inflight,)))
+        self._seq += 1
         return packet
 
     def _expand_traffic(self) -> list[tuple[FlowSpec, Packet]]:
@@ -256,13 +249,13 @@ class Simulation:
         record.as_path = tuple(domain for domain, _ in groupby(domains))
 
     def _runs_next(self, tick: int) -> bool:
-        """Whether an event scheduled now at ``tick`` would run next: no
-        queued event, kept aside or on the heap, has a tick at or before it.
-        An event with an equal tick was inserted earlier, so it runs first."""
-        kept, heap = self._next, self._heap
-        return (kept is None or kept[0] > tick) and (not heap or heap[0][0] > tick)
+        """Whether a step pushed now at ``tick`` would run next: no queued
+        event has a tick at or before it.  An event with an equal tick was
+        inserted earlier, so it runs first."""
+        heap = self._heap
+        return not heap or heap[0][0] > tick
 
-    def _on_switch_rx(self, tick: int, inflight: _InFlight) -> None:
+    def _on_switch_rx(self, tick: int, inflight: _InFlight) -> _Step | None:
         """The packet arrives at ``inflight.at``; it crosses forward rules
         in this one call while its next hop would be the next event run."""
         world, packet = self.world, inflight.packet
@@ -271,11 +264,10 @@ class Simulation:
             switch_id = inflight.at
             rule = switches[switch_id].lookup(packet)
             if rule is None or rule.action == ActionKind.TO_CONTROLLER:
-                self._schedule(tick + LINK_TICK, self._on_ctrl_job, inflight)
-                return
+                return tick + LINK_TICK, self._on_ctrl_job, (inflight,)
             if rule.action == ActionKind.DROP:  # every drop rule is a defense block rule
                 self._finish(inflight.record, DropReason.BLOCKED_AT_SWITCH, world.switch_domain[switch_id])
-                return
+                return None
             if rule.handle is not None:
                 inflight.handle = rule.handle
             inflight.trace.append(switch_id)
@@ -286,13 +278,12 @@ class Simulation:
                     self._deliver(inflight, tick)
                 else:
                     self._finish(inflight.record, DropReason.MISDELIVERED, world.switch_domain[switch_id])
-                return
+                return None
             inflight.at, inflight.came_from = peer, switch_id
             if not self._runs_next(tick):
-                self._schedule(tick, self._on_switch_rx, inflight)
-                return
+                return tick, self._on_switch_rx, (inflight,)
 
-    def _on_ctrl_job(self, tick: int, inflight: _InFlight) -> None:
+    def _on_ctrl_job(self, tick: int, inflight: _InFlight) -> _Step | None:
         domain = self.world.switch_domain[inflight.at]
         ctrl = self.world.controllers[domain]
         arrival = tick
@@ -301,7 +292,7 @@ class Simulation:
         emission = start + result.service_ticks
         ctrl.next_free_tick = emission
         self.report.latencies.append(LatencyRecord(domain, arrival, start, emission))
-        self._schedule(emission, self._on_apply_result, inflight, result)
+        return emission, self._on_apply_result, (inflight, result)
 
     def _install_batch(self, batch: FlowModBatch) -> bool:
         if install_batch(self.world.switches, batch.installs):
@@ -309,7 +300,7 @@ class Simulation:
         self._counters["table_full_events"] += 1
         return False
 
-    def _on_apply_result(self, tick: int, inflight: _InFlight, result: PipelineResult) -> None:
+    def _on_apply_result(self, tick: int, inflight: _InFlight, result: PipelineResult) -> _Step | None:
         domain = self.world.switch_domain[inflight.at]
         batch, packet = result.batch, inflight.packet
         written = batch is not None and self._install_batch(batch)
@@ -319,9 +310,9 @@ class Simulation:
             )
         if result.reason or not written:
             self._finish(inflight.record, result.reason or DropReason.TABLE_FULL, domain)
-        else:
-            # the packet that missed is re-offered where it missed
-            self._schedule(tick + LINK_TICK, self._on_switch_rx, inflight)
+            return None
+        # the packet that missed is re-offered where it missed
+        return tick + LINK_TICK, self._on_switch_rx, (inflight,)
 
     # --- proactive pre-install ---------------------------------------------------
 
@@ -350,22 +341,23 @@ class Simulation:
     # --- main loop -------------------------------------------------------------
 
     def _run_events(self) -> None:
-        """Run every scheduled event, the least (tick, insertion number)
-        first: the event kept aside, unless the heap's head is less."""
+        """Run every event, the least (tick, insertion number) first, and each
+        step a handler returns: at once if it would run next, else pushed."""
         heap = self._heap
-        while True:
-            event = self._next
-            if event is not None and (not heap or event < heap[0]):
-                self._next = None
-            elif heap:
-                event = heapq.heappop(heap)
-            else:
-                return
-            tick, _seq, handler, args = event
-            handler(tick, *args)
+        heapq.heapify(heap)
+        while heap:
+            tick, _seq, handler, args = heapq.heappop(heap)
+            step = handler(tick, *args)
+            while step is not None:
+                tick, handler, args = step
+                if not self._runs_next(tick):
+                    heapq.heappush(heap, (tick, self._seq, handler, args))
+                    self._seq += 1
+                    break
+                step = handler(tick, *args)
 
     def run(self) -> MetricsReport:
-        # an offer records its flow and schedules its first event, neither of
+        # an offer records its flow and queues its first event, neither of
         # which pre-install reads, so pre-install may follow the offers and
         # take their packets
         singles = self._expand_traffic()

@@ -175,10 +175,12 @@ def flood_response_series(
     flood = next((item for item in scenario.traffic if isinstance(item, FloodSpec)), None)
     if flood is None:
         raise ValueError(f"scenario {scenario.name!r} has no flood to set a request rate on")
-    # a defense response needs a capacity model: without one the world has
-    # no monitor, and "threshold" and "drop_rule" would run undefended
+    # a defense response needs a capacity model and enforcement: without
+    # either, "threshold" and "drop_rule" would run undefended
     if scenario.capacity is None:
         raise ValueError(f"scenario {scenario.name!r} has no capacity model to run a flood defense with")
+    if not scenario.enforcement:
+        raise ValueError(f"scenario {scenario.name!r} has enforcement off, and a flood defense runs only with it on")
     attacker_ip = format_ipv4(
         next(h.ip for domain in scenario.domains for h in domain.hosts if h.id == flood.src_host)
     )

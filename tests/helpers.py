@@ -597,21 +597,32 @@ class RollingMonitor:
         return self.response
 
 
+def queue_event(sim: Simulation, tick: int, handler, *args) -> None:
+    """Queue an event on ``sim``'s heap as an offer queues a flow's first
+    event, with the next insertion number; the loop heapifies the queue
+    when it starts."""
+    sim._heap.append((tick, sim._seq, handler, args))
+    sim._seq += 1
+
+
 class HeapSimulation(Simulation):
-    """Reference event loop: every event is pushed on the heap and popped
-    from it, in (tick, insertion number) order, and every hop a packet
-    takes is an event of its own.  This was the loop before one event
-    could be kept aside and before a packet crossed installed rules in one
-    handler call."""
+    """Reference event loop: every step a handler returns is pushed on the
+    heap with a fresh insertion number and popped from it, in (tick,
+    insertion number) order, so every hop a packet takes is an event of
+    its own.  This was the loop before a step could run with no push and
+    no pop and before a packet crossed installed rules in one handler
+    call."""
 
     def _runs_next(self, tick) -> bool:
         return False
 
-    def _schedule(self, tick, handler, *args) -> None:
-        heapq.heappush(self._heap, (tick, self._seq, handler, args))
-        self._seq += 1
-
     def _run_events(self) -> None:
-        while self._heap:
-            tick, _seq, handler, args = heapq.heappop(self._heap)
-            handler(tick, *args)
+        heap = self._heap
+        heapq.heapify(heap)
+        while heap:
+            tick, _seq, handler, args = heapq.heappop(heap)
+            step = handler(tick, *args)
+            if step is not None:
+                tick, handler, args = step
+                heapq.heappush(heap, (tick, self._seq, handler, args))
+                self._seq += 1

@@ -205,6 +205,18 @@ def test_sweep_compare_defenses_needs_a_capacity_model(capsys):
     assert captured.err == "error: scenario 'pe_saturation' has no capacity model to run a flood defense with\n"
 
 
+def test_sweep_compare_defenses_needs_enforcement(capsys):
+    # --baseline turns enforcement off, and with it the defense: the three
+    # series would all be the undefended baseline
+    argv = ["sweep", "flood_single_domain", "--axis", "request_rate", "--points", "100,400"]
+    assert main([*argv, "--compare-defenses", "--baseline"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: scenario 'flood_single_domain' has enforcement off, and a flood defense runs only with it on\n"
+    )
+
+
 @pytest.mark.parametrize(
     "extra", [["--points", "0,-3,50"], ["--points", "0", "--compare-defenses"]], ids=["rates", "compare-defenses"]
 )

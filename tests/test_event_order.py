@@ -1,18 +1,18 @@
 """The event loop against a heap-only reference loop.
 
-``Simulation`` keeps one event aside when it is scheduled strictly earlier
-than the heap's head, and runs the lesser of it and the heap's head;
-``helpers.HeapSimulation`` pushes every event on the heap and pops it.  Both
+A handler returns its flow's next step.  ``Simulation`` runs that step at
+once when it would run next and pushes it on the heap otherwise;
+``helpers.HeapSimulation`` pushes every step on the heap and pops it.  Both
 must run the same events in the same (tick, insertion) order: equal reports
 (flow, latency and install records, and counters) and equal controller
 event logs on every golden case, in both modes, and on the benchmark
-workloads at seeds 1 to 3.  A property runs random schedules, with tied
-ticks and events that schedule follow-ups at the same or later ticks,
-through both loops and compares the order the handlers ran in.
+workloads at seeds 1 to 3.  A property runs random chains of steps, with
+tied start ticks and steps at the same or later ticks, through both loops
+and compares the order the handlers ran in.
 """
 
 import pytest
-from helpers import HeapSimulation
+from helpers import HeapSimulation, queue_event
 from hypothesis import given, settings, strategies as st
 from test_golden import CASES
 from test_workloads import SEEDS, WORKLOADS, case_world
@@ -38,43 +38,35 @@ def test_the_loop_runs_events_in_the_heap_only_order(case):
     assert events == expected_events
 
 
-# one event: its tick (a delay after its parent's tick, for a follow-up) and
-# the follow-ups it schedules when it runs; small ticks make ties common
-EVENT = st.recursive(
-    st.tuples(st.integers(0, 3), st.just(())),
-    lambda follow_ups: st.tuples(st.integers(0, 3), st.lists(follow_ups, max_size=3).map(tuple)),
-    max_leaves=12,
-)
+# one chain of steps, as one flow's: the tick of its first event and the
+# delay before each further step; small ticks and delays make ties common
+CHAIN = st.tuples(st.integers(0, 6), st.lists(st.integers(0, 3), max_size=5))
 # the loop reads nothing of the world; a Simulation needs one to be built
 WORLD = build_world(load_scenario(bundled_scenario_path("minimal")))
 
 
 class _Schedule:
-    """Runs one schedule through one loop and logs each handler call as
-    ``(tick, path)``, the path naming the event by its place in the
-    schedule."""
+    """Runs chains of steps through one loop and logs each handler call as
+    ``(tick, chain, steps left)``."""
 
-    def __init__(self, loop: type[Simulation], schedule) -> None:
+    def __init__(self, loop: type[Simulation], chains) -> None:
         self.sim = loop(WORLD)
-        self.ran: list[tuple[int, tuple[int, ...]]] = []
-        for index, (tick, follow_ups) in enumerate(schedule):
-            self.sim._schedule(tick, self.handle, (index,), follow_ups)
+        self.ran: list[tuple[int, int, int]] = []
+        for chain, (tick, delays) in enumerate(chains):
+            queue_event(self.sim, tick, self.step, chain, delays)
         self.sim._run_events()
 
-    def handle(self, tick: int, path: tuple[int, ...], follow_ups) -> None:
-        self.ran.append((tick, path))
-        for index, (delay, more) in enumerate(follow_ups):
-            self.sim._schedule(tick + delay, self.handle, (*path, index), more)
+    def step(self, tick: int, chain: int, delays: list[int]):
+        self.ran.append((tick, chain, len(delays)))
+        if not delays:
+            return None
+        return tick + delays[0], self.step, (chain, delays[1:])
 
 
-def _count(event) -> int:
-    return 1 + sum(_count(follow_up) for follow_up in event[1])
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.lists(EVENT, max_size=8))
-def test_random_schedules_run_in_tick_then_insertion_order(schedule):
-    ran = _Schedule(Simulation, schedule).ran
-    assert ran == _Schedule(HeapSimulation, schedule).ran
-    assert len(ran) == sum(_count(event) for event in schedule)
-    assert [tick for tick, _ in ran] == sorted(tick for tick, _ in ran)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(CHAIN, max_size=8))
+def test_random_schedules_run_in_tick_then_insertion_order(chains):
+    ran = _Schedule(Simulation, chains).ran
+    assert ran == _Schedule(HeapSimulation, chains).ran
+    assert len(ran) == sum(1 + len(delays) for _, delays in chains)
+    assert [tick for tick, _, _ in ran] == sorted(tick for tick, _, _ in ran)

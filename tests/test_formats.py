@@ -8,8 +8,8 @@ from ipaddress import IPv4Network
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnsec.labels import parse_label, parse_label_constraint
-from sdnsec.policy import Action, Constraint, ConstraintKind, PolicyExpression, derive_flow_id, match_pe
+from sdnsec.labels import LabelWindow, parse_label, parse_label_constraint
+from sdnsec.policy import Action, Constraint, ConstraintKind, EndpointSelector, PolicyExpression, derive_flow_id, match_pe
 from sdnsec.formats import (
     PolicyParseError,
     format_compact_pe,
@@ -598,6 +598,22 @@ def test_random_expressions_round_trip_through_both_formats():
         assert from_compact == pe
         assert parse_compact_pe(format_compact_pe(from_repository[0])) == pe
         assert parse_repository(serialize_repository([from_compact])) == [pe]
+
+
+@pytest.mark.parametrize("where", ["flow_cons", "dom_cons", "source"])
+def test_a_label_window_no_token_spells_is_not_serialized(where):
+    # SL2..SL3 would print as SL3-=, which reads back as the looser SL1..SL3
+    window = LabelWindow(2, 3)
+    constraint = Constraint(ConstraintKind.LABEL_PATH, label=window)
+    pe = PolicyExpression("narrow", Action.ALLOW)
+    if where == "source":
+        pe = replace(pe, source=EndpointSelector(label_req=window))
+    else:
+        pe = replace(pe, **{where: (constraint,)})
+    with pytest.raises(ValueError, match=r"no label token spells the window of ranks 2\.\.3"):
+        format_compact_pe(pe)
+    with pytest.raises(ValueError, match=r"no label token spells the window of ranks 2\.\.3"):
+        serialize_repository([pe])
 
 
 # (column, compact position, compact field, record text): a list in a

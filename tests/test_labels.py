@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sdnsec.labels import (
     LabelParseError,
@@ -67,6 +67,19 @@ def test_round_trip_canonical_text():
     assert parse_label_constraint("*") == parse_label_constraint("SL1+=")
     assert str(parse_label_constraint("*")) == "SL1+="
     assert str(parse_label_constraint("SL1-=")) == "SL1"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.none() | st.integers(0, 5))
+def test_a_window_prints_as_a_token_that_reads_back_to_it_or_raises(lo, hi):
+    window = LabelWindow(lo, hi)
+    # the windows one token spells: equality, at-least and at-most
+    spelt = lo == hi or hi is None or (lo == 1 and hi >= 1)
+    if spelt:
+        assert parse_label_constraint(str(window)) == window
+    else:
+        with pytest.raises(ValueError, match=f"no label token spells the window of ranks {lo}..{hi}"):
+            str(window)
 
 
 def test_any_rejects_base():

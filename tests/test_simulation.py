@@ -19,7 +19,7 @@ from sdnsec.scenario import (
 from sdnsec.simulation import Simulation, build_world, run
 from sdnsec.sweep import chain_scenario
 
-from helpers import delivered, installs_per_window, ip, records_digest
+from helpers import HeapSimulation, delivered, installs_per_window, ip, queue_event, records_digest
 
 ALLOW_ALL = "p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"
 
@@ -643,25 +643,40 @@ def test_mutated_bundled_scenarios_are_rejected_or_run_clean(doc):
 _LOOP_WORLD = build_world(load("minimal"))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.integers(0, 4), max_size=6), st.integers(0, 6), st.integers(0, 4), st.integers(0, 2))
-def test_a_hop_is_taken_at_once_only_when_it_would_run_next(ticks, place, at, delay):
-    # one event, run among others, asks whether an event it schedules now
-    # would run next, then schedules it: the answer must be what the loop does
-    sim = Simulation(_LOOP_WORLD)
+def _run_with_a_step(loop, ticks, place, at, delay):
+    """Queue events at ``ticks`` and, at index ``place``, one at ``at`` that
+    returns a step ``delay`` ticks later; answer the order they ran in and
+    each answer ``_runs_next`` gave."""
+    sim = loop(_LOOP_WORLD)
     ran, answers = [], []
+    runs_next = sim._runs_next
+
+    def asked(tick):
+        answers.append(runs_next(tick))
+        return answers[-1]
 
     def queued(tick, name):
         ran.append(name)
 
-    def hop(tick):
-        ran.append("asker")
-        answers.append(sim._runs_next(tick + delay))
-        sim._schedule(tick + delay, queued, "hop")
+    def parent(tick):
+        ran.append("parent")
+        return tick + delay, queued, ("step",)
 
+    sim._runs_next = asked
     events = [(tick, queued, index) for index, tick in enumerate(ticks)]
-    events.insert(min(place, len(events)), (at, hop))
+    events.insert(min(place, len(events)), (at, parent))
     for tick, handler, *args in events:
-        sim._schedule(tick, handler, *args)
+        queue_event(sim, tick, handler, *args)
     sim._run_events()
-    assert answers == [ran[ran.index("asker") + 1] == "hop"], (ran, answers)
+    return ran, answers
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 4), max_size=6), st.integers(0, 6), st.integers(0, 4), st.integers(0, 2))
+def test_a_hop_is_taken_at_once_only_when_it_would_run_next(ticks, place, at, delay):
+    # the loop asks _runs_next once about the returned step, which runs
+    # right after its parent exactly when the answer was yes, in the order
+    # the reference loop runs it
+    ran, answers = _run_with_a_step(Simulation, ticks, place, at, delay)
+    assert answers == [ran[ran.index("parent") + 1] == "step"], (ran, answers)
+    assert ran == _run_with_a_step(HeapSimulation, ticks, place, at, delay)[0]

@@ -156,6 +156,17 @@ def test_flood_series_needs_a_capacity_model(name):
     assert [point for point, _ in sweep(scenario, "request_rate", [100])] == [100]
 
 
+def test_flood_series_needs_enforcement():
+    # with enforcement off the controller runs no defense, so "threshold"
+    # and "drop_rule" would repeat the baseline
+    scenario = replace(load("flood_single_domain"), enforcement=False)
+    with pytest.raises(ValueError) as raised:
+        flood_response_series(scenario, [100, 400])
+    assert str(raised.value) == (
+        "scenario 'flood_single_domain' has enforcement off, and a flood defense runs only with it on"
+    )
+
+
 def test_emit_series_formats():
     series = {"a": [(1, 2.0)], "b": [(1, 3.0), (2, 4.0)]}
     delimited = emit_series(series, "delimited")

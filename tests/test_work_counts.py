@@ -54,15 +54,16 @@ packet-in or event.  At seed 1: selection ranks an expression with
 names no gateway during the run, as each controller keeps its gateway
 table from when it was built; ``acl_proactive``'s flood monitor floors and
 prints no ``Fraction``, as it keeps its budgets from when it was built; and
-the event loop pushes at most a fixed number of events on its heap, as an
-event scheduled strictly earlier than the heap's head is kept aside.  A
-route memo is read once per packet-in, with a key that holds a label
-window's two bounds, not the window, so no workload hashes a
-``LabelWindow`` during the run.  A packet crosses installed rules in one
-handler call while its next hop would be the next event run: the
-workloads at seed 1 have fixed bounds on events scheduled and on
+the event loop pushes at most a fixed number of events on its heap: the
+offers are heapified once, and a handler's next step waits on the heap
+only when something queued comes at or before it.  A route memo is read
+once per packet-in, with a key that holds a label window's two bounds, not
+the window, so no workload hashes a ``LabelWindow`` during the run.  A
+packet crosses installed rules in one handler call while its next hop
+would be the next event run: the workloads at seed 1 have fixed bounds on
+insertion numbers handed out (one per offer and per step pushed) and on
 ``Simulation._on_switch_rx`` calls, and make as many ``Switch.lookup``
-calls as the reference loop, which schedules every hop.
+calls as the reference loop, which pushes every hop.
 
 The counts are deterministic, so a lost optimisation fails here at once,
 whatever the machine's speed.
@@ -364,9 +365,10 @@ def test_the_flood_monitor_floors_and_prints_no_fraction_during_the_run():
     assert calls["Fraction.__floor__"] == calls["Fraction.__str__"] == 0, calls
 
 
-# seed 1: most events are a packet's next step, scheduled strictly earlier
-# than every other flow's, which the loop keeps aside instead of pushing
-HEAP_PUSH_BOUNDS = {"flood_table": 1_797, "acl_proactive": 1_572, "mesh_transit": 247}
+# seed 1: the offers are heapified, not pushed, and a handler's next step is
+# pushed only when something queued comes at or before it; most steps come
+# before every other flow's and run at once
+HEAP_PUSH_BOUNDS = {"flood_table": 877, "acl_proactive": 173, "mesh_transit": 2}
 
 
 @pytest.mark.parametrize("workload", sorted(HEAP_PUSH_BOUNDS))
@@ -383,22 +385,23 @@ def test_the_event_loop_keeps_the_next_event_off_the_heap(workload, monkeypatch)
     assert 0 < len(pushes) <= HEAP_PUSH_BOUNDS[workload]
 
 
-# seed 1: (events scheduled, Simulation._on_switch_rx calls); a packet
-# crosses installed rules in one handler call while its next hop would be
-# the next event run, so most hops schedule no event of their own
-HOP_EVENT_BOUNDS = {"flood_table": (3_536, 1_794), "acl_proactive": (3_482, 1_402), "mesh_transit": (2_214, 902)}
+# seed 1: (insertion numbers handed out, Simulation._on_switch_rx calls); an
+# offer and a pushed step take one insertion number each, and a step that
+# runs at once takes none; a packet crosses installed rules in one handler
+# call while its next hop would be the next event run
+HOP_EVENT_BOUNDS = {"flood_table": (1_797, 1_794), "acl_proactive": (1_573, 1_402), "mesh_transit": (248, 902)}
 
 
 @pytest.mark.parametrize("workload", sorted(HOP_EVENT_BOUNDS))
 def test_a_packet_crosses_installed_rules_in_one_handler_call(workload):
-    scheduled, handler_calls = HOP_EVENT_BOUNDS[workload]
+    numbered, handler_calls = HOP_EVENT_BOUNDS[workload]
     runs = {}
     for loop in (Simulation, HeapSimulation):
         sim = loop(case_world(f"workload:{workload}"))
         with CallCounter((), ((Simulation, "_on_switch_rx"), (Switch, "lookup"))) as counter:
             runs[loop] = sim, counter.counting(sim.run)
     (sim, calls), (reference, expected) = runs[Simulation], runs[HeapSimulation]
-    assert 0 < sim._seq <= scheduled, sim._seq
+    assert 0 < sim._seq <= numbered, sim._seq
     assert 0 < calls["Simulation._on_switch_rx"] <= handler_calls, calls
     # every hop is still one lookup: the reference makes one per handler call
     lookups = calls["Switch.lookup"]
