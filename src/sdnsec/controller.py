@@ -7,17 +7,22 @@ check, route resolution and finally rule synthesis.  Selection returns the
 winning expression, and every later stage reads its obligations off it; no
 winner, a deny, or an allow whose own label window is empty drops as
 ``POLICY``.  The result is either a batch of flow rules or a drop with a
-reason; a drop may carry a defense block rule as its batch.  For a flow
+reason (an empty reason means admitted); a drop may carry a defense block
+rule as its batch.  Each rule forwards to a named next hop: the following
+path switch, the host or peer gateway at the end of the path, and the entry
+peer for the return rules.  For a flow
 leaving the domain, the egress gateway's forward rule is the hop: its next
 hop is the next domain's gateway, and it carries the extended handle, which
 holds the re-tagged transfer token.  Every outcome appends one
 ``ControllerEvent`` naming the matched policy and the ticks charged so far.
 
-Domain routes are searched on the world's domain graph; the caller names the
-node the packet came from (``entry_peer``), which the return rules lead to.
-A next domain that the flow's handle has already visited is a
-``NO_SATISFYING_PATH`` drop, with enforcement on or off, so no flow loops
-back into a domain.
+A controller is built from its domain's ``DomainSpec`` (policies, handle
+key, users, hosts) and reads its own and each known domain's attributes from
+the world graph.  Domain routes are searched on the world's domain graph;
+the caller names the node the packet came from (``entry_peer``), which the
+return rules lead to.  A next domain that the flow's handle has already
+visited is a ``NO_SATISFYING_PATH`` drop, with enforcement on or off, so no
+flow loops back into a domain.
 
 Deterministic service cost in ticks is charged per stage so latency and
 throughput experiments are reproducible: policy selection costs per

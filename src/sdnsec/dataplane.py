@@ -16,15 +16,19 @@ transfer token, and the switch adds it to the packet as it leaves.
 :func:`install_batch` writes a flow-mod batch all or nothing, like an
 OpenFlow 1.4 bundle; it is the one write path and the one capacity and
 next-hop check.  It counts the rules each switch is named in first, and
-counts the matches new to a switch only where that count could overflow
-its table.  All mutation happens on the simulation loop's thread.
+counts the matches new to a switch (by mask and key, a match named twice
+once) only where that count could overflow its table; when one switch would
+overflow, it writes nothing.  All mutation happens on the simulation loop's
+thread.
 
 Packet and match addresses are plain ``int`` values, so a probe key hashes
-natively.  A packet prints its two addresses once, for its flow id and the
-records, and writes that text and its flow id into its ``__dict__`` in one
-step; it builds its flow's two matches on first read (``Packet.matches``,
-a lock-free :class:`~sdnsec.frozen.cached` field).  A flow dump prints a
-match's addresses as dotted text.
+natively.  A packet prints its two addresses once (``src_text``,
+``dst_text``), for its flow id, the records and the event summaries, and
+writes that text and its flow id into its ``__dict__`` in one step; it
+builds its flow's forward and return match on first read
+(``Packet.matches``, a lock-free :class:`~sdnsec.frozen.cached` field), once
+for every domain it crosses.  A flow dump prints a match's addresses as
+dotted text.
 """
 
 from __future__ import annotations

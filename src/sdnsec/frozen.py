@@ -1,5 +1,7 @@
 """Frozen records whose ``__init__`` writes every field in one step.
 
+Every immutable record of the package is built with :func:`frozen`.
+
 ``@dataclass(frozen=True)`` writes each field in ``__init__`` through
 ``object.__setattr__(self, name, value)``, a generic call that costs about
 three plain attribute stores.  :func:`frozen` applies that same
@@ -20,7 +22,8 @@ class is defined.
 
 :class:`cached` is ``functools.cached_property`` without its lock: a
 derived field worked out on an instance's first read and stored in its
-``__dict__``, so later reads find it there without calling the descriptor.
+``__dict__`` (a packet's matches, a selector's subnet bits, an expression's
+obligations), so later reads find it there without calling the descriptor.
 On Python 3.11 ``cached_property`` takes a lock on each instance's first
 read, which more than doubles its cost: building an instance and reading
 one field took 0.77 µs with it and 0.33 µs with ``cached`` (timeit, Python

@@ -22,7 +22,9 @@ under its own key (a handle gains the domain's id, a token its delegable
 flow constraints), and the next domain verifies it under the key of the
 adjacent domain it came from, the last entry of the handle's visited list.
 :func:`extend_handle` and :func:`forward_ptt` build each credential, the
-origin's first one and every re-tagged one alike.
+origin's first one and every re-tagged one alike; :func:`forward_ptt` alone
+picks the delegable kinds (``DELEGABLE_KINDS``: label, ``pkt.`` and rate
+constraints) out of the winner's flow constraints.
 
 A key is a :class:`DomainKey`, prepared once per domain when the world is
 built and shared by every key ring that names the domain: it holds the

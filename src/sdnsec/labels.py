@@ -7,7 +7,9 @@ several requirements, which is what the path search and the constraint
 merger operate on.  An endpoint selector that places no requirement on a
 domain's label holds ``None``, not a window: a requirement, even the full
 window, fails a domain whose label is unknown, while ``None`` passes it.
-A window prints as its canonical token through ``str()``.
+A window prints as its canonical token through ``str()``; a window that no
+token spells, such as SL2..SL3 or an empty one, raises ``ValueError``
+there, since any token would read back as another window.
 """
 
 from __future__ import annotations

@@ -3,8 +3,15 @@
 One simulation run produces one report: per-flow outcomes with the exact
 path taken, per-packet-in latency in ticks, a time series of rule
 installations and the counters counted from those records.  Emissions are
-byte-stable: equal runs serialize identically, and the delimited form loads
-straight into standard plotting tools.
+byte-stable: equal runs serialize identically.  A flow row is read off one
+column list, which ``table`` and ``delimited`` share.
+
+The ``delimited`` form is CSV with a header row, written by ``csv.writer``
+with ``"\\n"`` line ends: a cell is quoted only when it holds a comma, a
+double quote or a line break, so a host id such as ``client "a", east``
+reads back as one cell and every row as wide as its header.  The scenario
+reader refuses an id that does not print, so no cell of a run's report holds
+a bare ``\\r``, which ``csv.writer`` would leave unquoted.
 
 A ``records`` line is written by a function built once per record class
 (:func:`_line_writer`), as ``dataclasses`` builds ``__init__``: from the
@@ -21,6 +28,8 @@ through ``json.dumps``.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field, fields
 from functools import cache
@@ -141,9 +150,12 @@ def _aligned(header: tuple[str, ...], rows: list[list[str]]) -> list[str]:
     return ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)) for row in [header, *rows]]
 
 
-def _delimited(header: tuple[str, ...], rows: list[list[str]]) -> list[str]:
-    """The header and each row as comma-joined lines."""
-    return [",".join(row) for row in [header, *rows]]
+def _delimited(header: tuple[str, ...], rows: list[list[str]]) -> str:
+    """The header and each row as CSV lines, through ``csv.writer``: a cell
+    is quoted only when it holds a comma, a double quote or a line break."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
 
 
 # How a records line writes a field of each declared type: the test, on
@@ -217,10 +229,8 @@ def emit(report: MetricsReport, fmt: str = "table") -> str:
     rows = [_flow_row(flow) for flow in report.flows]
     counters = sorted(report.counters.items())
     if fmt == "delimited":
-        out = _delimited(_FLOW_COLUMNS, rows)
-        out.append("")
-        out += _delimited(("counter", "value"), [[name, str(value)] for name, value in counters])
-        return "\n".join(out) + "\n"
+        counter_rows = [[name, str(value)] for name, value in counters]
+        return _delimited(_FLOW_COLUMNS, rows) + "\n" + _delimited(("counter", "value"), counter_rows)
     if fmt != "table":
         raise ValueError(f"unknown emission format {fmt!r}")
     header, *lines = _aligned(_FLOW_COLUMNS, rows)
@@ -242,7 +252,7 @@ def emit_series(series: dict[str, list[tuple[int, float]]], fmt: str = "delimite
     header = ("x", *labels)
     rows = [[str(x)] + [str(by_label[label].get(x, "")) for label in labels] for x in xs]
     if fmt == "delimited":
-        return "\n".join(_delimited(header, rows)) + "\n"
+        return _delimited(header, rows)
     if fmt == "table":
         return "\n".join(_aligned(header, rows)) + "\n"
     if fmt == "records":

@@ -11,8 +11,9 @@ default deny.  A constraint prints as its policy-format token through
 ``str()``.
 
 A flow context is the packet itself plus what the controller knows about the
-flow.  Host MACs, in a packet or a selector, arrive normalized from the
-reader (:func:`normalize_mac`), so matching compares them as they are.
+flow: its two domains, the tick, the bound user and the domains traversed.
+Host MACs, in a packet or a selector, arrive normalized from the reader
+(:func:`normalize_mac`), so matching compares them as they are.
 
 A repository is selected through a :class:`PolicyIndex`, which files each
 expression under its first exact flow id, source host, destination host or

@@ -7,9 +7,16 @@ bindings, a capacity model with a defense response, and a timed traffic
 program.  ``docs/scenario-format.md`` documents the schema; bundled
 scenarios live in ``sdnsec/scenarios/``.
 
-Host and traffic addresses are parsed to plain ``int`` values; a subnet
-stays an ``IPv4Network``, checked for overlap here.  Dotted text comes back
-only in error messages.
+One reader per field kind (an object with known fields, an integer, a
+converted string, a link list, a declared id) checks every object the same
+way, and a malformed document is a :class:`ScenarioError` that names the
+field path.  Switch and host ids share one namespace.  Every domain, switch
+and host id must print (``str.isprintable``): a line break, a tab or
+another control character would split a report row or a flow-dump line.
+
+Host and traffic addresses are parsed to plain ``int`` values
+(:func:`~sdnsec.formats.parse_ipv4`); a subnet stays an ``IPv4Network``,
+checked for overlap here.  Dotted text comes back only in error messages.
 """
 
 from __future__ import annotations
@@ -227,6 +234,15 @@ def _int(obj: dict, key: str, path: str, low: int, high: int | None = None, defa
     return value
 
 
+def _id(obj: dict, path: str) -> str:
+    """``obj["id"]``, a string that prints on one line: a line break, tab or
+    other non-printable character would split a report row or a flow dump."""
+    value = _want(obj, "id", path, str)
+    if not value.isprintable():
+        raise ScenarioError(f"{path}.id", f"id {value!r} holds a character that does not print")
+    return value
+
+
 def _convert(obj: dict, key: str, path: str, convert):
     """String field ``obj[key]`` passed through ``convert``, whose
     ``ValueError`` becomes an error at ``path.key``."""
@@ -299,7 +315,7 @@ def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[str, str]) ->
     """One domain; its switch and host ids join ``nodes``, its host addresses
     ``ips`` as dotted text."""
     _object(obj, path, _DOMAIN_FIELDS)
-    as_id = _want(obj, "id", path, str)
+    as_id = _id(obj, path)
     if not as_id.startswith("AS"):
         raise ScenarioError(f"{path}.id", f"domain ids start with 'AS', got {as_id!r}")
     subnet = _convert(obj, "subnet", path, parse_network)
@@ -309,7 +325,7 @@ def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[str, str]) ->
     for index, sw in enumerate(_want(obj, "switches", path, list)):
         sw_path = f"{path}.switches[{index}]"
         _object(sw, sw_path, _SWITCH_FIELDS)
-        sw_id = _want(sw, "id", sw_path, str)
+        sw_id = _id(sw, sw_path)
         if sw_id.startswith("AS"):
             raise ScenarioError(f"{sw_path}.id", "switch ids must not start with 'AS'")
         _declare(nodes, sw_id, sw_path, "id")
@@ -320,7 +336,7 @@ def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[str, str]) ->
     for index, h in enumerate(_want(obj, "hosts", path, list, default=[])):
         host_path = f"{path}.hosts[{index}]"
         _object(h, host_path, _HOST_FIELDS)
-        host_id = _want(h, "id", host_path, str)
+        host_id = _id(h, host_path)
         _declare(nodes, host_id, host_path, "id")
         ip = _convert(h, "ip", host_path, parse_ipv4)
         if (ip & mask) != network:

@@ -1,15 +1,18 @@
 """Deterministic event-driven execution of one scenario.
 
 The world is rebuilt from the scenario for every run: switches wired port by
-port in declaration order, and one controller per domain, built from the
-domain's spec, its switch graph and a fresh probe of the domain graph.  The
-event loop runs handler calls in (tick, insertion) order, so equal scenarios
-produce byte-identical reports.  Events wait in one heap, which starts as
-the offers, heapified once.  A handler returns its flow's next step, or
-``None`` when the flow ends, and the loop runs that step at once when no
-queued event has a tick at or before it, and pushes it otherwise.  A
-packet's next step usually comes before every other flow's, so it usually
-runs with no push and no pop.
+port in declaration order, one ``DomainInfo`` per domain, and one controller
+per domain, built from the domain's spec, its switch graph, a fresh probe of
+the domain graph and the scenario's own ``costs``.  The ARP rules written
+then, like every flow-mod batch, go through
+:func:`~sdnsec.dataplane.install_batch`, and the loop counts the batches it
+refuses (``table_full_events``).  The event loop runs handler calls in
+(tick, insertion) order, so equal scenarios produce byte-identical reports.
+Events wait in one heap, which starts as the offers, heapified once.  A
+handler returns its flow's next step, or ``None`` when the flow ends, and
+the loop runs that step at once when no queued event has a tick at or before
+it, and pushes it otherwise.  A packet's next step usually comes before
+every other flow's, so it usually runs with no push and no pop.
 
 A packet arriving at a switch executes the rule the switch's lookup
 returns: a forward rule passes it to the rule's next hop, a drop rule ends

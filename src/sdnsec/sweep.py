@@ -7,6 +7,12 @@ the repository grows, end-to-end establishment time grows with the number of
 domains crossed, and the flooding defenses reshape the installation-rate
 curve (rising baseline, flat plateau at the threshold, near-zero after a
 block rule).
+
+One table maps each axis to the scenario variant at a point, and
+``SWEEP_AXES`` lists its keys.  The domain-count axis runs
+:func:`chain_scenario`, which writes its world as a scenario document and
+reads it with :func:`~sdnsec.scenario.parse_scenario`, so a chain passes
+every check a scenario file does and builds no record of its own.
 """
 
 from __future__ import annotations
@@ -15,17 +21,9 @@ from dataclasses import replace
 
 from .controller import BLOCK_PROVENANCE_PREFIX
 from .defense import ResponseMode
-from .labels import SecurityLabel
 from .metrics import MetricsReport
 from .policy import Action, PolicyExpression, format_ipv4
-from .scenario import (
-    DomainSpec,
-    FloodSpec,
-    FlowSpec,
-    HostSpec,
-    Scenario,
-    SwitchSpec,
-)
+from .scenario import FloodSpec, Scenario, SwitchSpec, parse_scenario
 from .simulation import run
 from .topology import gateway_name
 
@@ -85,56 +83,52 @@ def chain_scenario(as_count: int, mode: str = "reactive", enforcement: bool = Tr
     """A source-to-destination world of ``as_count`` domains in a row, each
     with one transit switch between its gateways, used for the multi-domain
     establishment-time experiment.  The probe TTL is the chain's length, so
-    the source domain learns every domain's subnet."""
-    from .formats import parse_ipv4, parse_network
-
+    the source domain learns every domain's subnet.  The reader checks the
+    world as it checks a file: a misspelt ``mode`` is a ``ScenarioError``."""
     if as_count < 1:
         raise ValueError("need at least one domain")
+    allow_all = "<" + ", ".join("*" * 13) + ">:<Allow>"
     domains = []
-    dst_ip = parse_ipv4(f"10.{as_count}.0.9")
     for i in range(1, as_count + 1):
         transit = f"T{i}"
-        switches = [SwitchSpec(transit, SecurityLabel(2))]
-        links: list[tuple[str, str]] = []
+        switches = [transit]
+        links = []
         if i > 1:
             gateway = gateway_name(f"AS{i}", f"AS{i - 1}")
-            switches.append(SwitchSpec(gateway, SecurityLabel(2)))
-            links.append((gateway, transit))
+            switches.append(gateway)
+            links.append([gateway, transit])
         if i < as_count:
             gateway = gateway_name(f"AS{i}", f"AS{i + 1}")
-            switches.append(SwitchSpec(gateway, SecurityLabel(2)))
-            links.append((transit, gateway))
+            switches.append(gateway)
+            links.append([transit, gateway])
         hosts = []
         if i == 1:
-            hosts.append(HostSpec("src", parse_ipv4("10.1.0.5"), "00:00:00:00:aa:01", transit))
+            hosts.append({"id": "src", "ip": "10.1.0.5", "mac": "00:00:00:00:aa:01", "switch": transit})
         if i == as_count:
-            hosts.append(HostSpec("dst", dst_ip, "00:00:00:00:aa:02", transit))
+            hosts.append({"id": "dst", "ip": f"10.{as_count}.0.9", "mac": "00:00:00:00:aa:02", "switch": transit})
         domains.append(
-            DomainSpec(
-                id=f"AS{i}",
-                subnet=parse_network(f"10.{i}.0.0/24"),
-                as_type="EDU",
-                label=SecurityLabel(2),
-                handle_key=f"chain-key-{i}",
-                switches=tuple(switches),
-                links=tuple(links),
-                hosts=tuple(hosts),
-                users={},
-                policies=(
-                    PolicyExpression(id=f"chain-{i}", action=Action.ALLOW),
-                ),
-            )
+            {
+                "id": f"AS{i}",
+                "subnet": f"10.{i}.0.0/24",
+                "type": "EDU",
+                "label": "SL2",
+                "handle_key": f"chain-key-{i}",
+                "switches": [{"id": switch, "label": "SL2"} for switch in switches],
+                "links": links,
+                "hosts": hosts,
+                "policies": [f"chain-{i} = {allow_all}"],
+            }
         )
-    links = tuple((f"AS{i}", f"AS{i + 1}") for i in range(1, as_count))
-    traffic = (FlowSpec(at=0, src_host="src", dst=dst_ip, port=80, packet_type="HTTP"),)
-    return Scenario(
-        name=f"chain-{as_count}",
-        mode=mode,
-        enforcement=enforcement,
-        domains=tuple(domains),
-        links=links,
-        traffic=traffic,
-        max_ttl=as_count,
+    return parse_scenario(
+        {
+            "name": f"chain-{as_count}",
+            "mode": mode,
+            "enforcement": enforcement,
+            "max_ttl": as_count,
+            "domains": domains,
+            "links": [[f"AS{i}", f"AS{i + 1}"] for i in range(1, as_count)],
+            "traffic": [{"at": 0, "from": "src", "to": "dst", "port": 80, "type": "HTTP"}],
+        }
     )
 
 

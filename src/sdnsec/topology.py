@@ -15,8 +15,10 @@ Both levels share one breadth-first search, linear in the size of the
 graph, that checks each label at most once and never enumerates alternative
 paths.  It runs from the destination and stops at the source's level, where
 it works out the source's key alone.  Of the shortest satisfying paths it
-returns the least by (hand-off bits, names); domain routes have no hand-off
-bits.
+returns the least by (hand-off bits, names), where a hop to a less trusted
+switch sets a hand-off bit; domain routes have no hand-off bits.  A search
+that finds no satisfying path answers ``[]`` for a domain route and
+``None`` for a switch path, never an exception.
 """
 
 from __future__ import annotations

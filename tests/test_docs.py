@@ -133,6 +133,14 @@ def test_report_tables_name_every_counter_and_drop_reason():
     assert sorted(counters) == sorted(run(load_scenario(bundled_scenario_path("minimal"))).counters)
 
 
+def test_layout_rows_say_what_each_module_is_for_in_at_most_50_words():
+    # the module docstring is the design record; a row that restates it
+    # has to be edited with it
+    rows = table_rows(README.read_text(), "module")
+    assert rows
+    assert {row[0]: len(row[1].split()) for row in rows if len(row[1].split()) > 50} == {}
+
+
 def test_layout_table_has_one_row_per_module():
     rows = [row[0] for row in table_rows(README.read_text(), "module")]
     modules = [f"sdnsec.{info.name}" for info in pkgutil.iter_modules(sdnsec.__path__)]

@@ -589,6 +589,31 @@ def test_run_time_failures_are_rejected_at_parse(mutate, path, message):
     assert str(caught.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize(
+    "character", ["\n", "\r", "\t", "\x00", "\u2028"], ids=["newline", "return", "tab", "nul", "line-separator"]
+)
+@pytest.mark.parametrize(
+    "keys, path",
+    [
+        (("hosts", 1), "$.domains[0].hosts[1].id"),
+        (("switches", 0), "$.domains[0].switches[0].id"),
+        ((), "$.domains[0].id"),
+    ],
+    ids=["host", "switch", "domain"],
+)
+def test_an_id_that_does_not_print_is_an_error(keys, path, character):
+    # such a character would split a report row or a flow-dump line
+    doc = minimal_doc()
+    element = doc["domains"][0]
+    for key in keys:
+        element = element[key]
+    element["id"] = f"{element['id']}{character}x"
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(doc)
+    assert caught.value.path == path
+    assert str(caught.value) == f"{path}: id {element['id']!r} holds a character that does not print"
+
+
 @pytest.mark.parametrize("kind", ["Flood", "FLOOD", 5, None, True, ["flood"]])
 def test_a_traffic_kind_other_than_flood_is_an_unknown_kind(kind):
     # kind is a known field: a wrong value is not reported as an unknown one

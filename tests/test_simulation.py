@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 from dataclasses import replace
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sdnsec.dataplane import ARP_RULE_PRIORITY, FLOW_RULE_PRIORITY, ActionKind, Packet, flow_dump, format_flow_dump
 from sdnsec.defense import ResponseMode
 from sdnsec.interdomain import extend_handle
-from sdnsec.metrics import emit
+from sdnsec.metrics import emit, emit_series
 from sdnsec.scenario import (
     ScenarioError,
     bundled_scenario_path,
@@ -275,6 +277,33 @@ def test_emissions_stable_and_parseable():
         emit(report, "yaml")
 
 
+# printable ids, commas, double quotes and spaces among them: a cell that
+# holds a comma or a quote must be quoted for its row to keep its width
+PRINTABLE_IDS = st.text(st.sampled_from(', "a') | st.characters(), min_size=1, max_size=6).filter(str.isprintable)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(PRINTABLE_IDS.filter(lambda text: text not in {"b", "S1"}))
+def test_delimited_report_reads_back_as_csv(host_id):
+    doc = json.loads(bundled_scenario_path("minimal").read_text())
+    doc["domains"][0]["hosts"][0]["id"] = doc["traffic"][0]["from"] = host_id
+    flows, counters = emit(run(parse_scenario(doc)), "delimited").split("\n\n")
+    header, *rows = csv.reader(io.StringIO(flows))
+    assert len(rows) == 1 and all(len(row) == len(header) for row in rows)
+    assert rows[0][header.index("src")] == host_id
+    header, *rows = csv.reader(io.StringIO(counters))
+    assert header == ["counter", "value"] and all(len(row) == 2 for row in rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(PRINTABLE_IDS.filter(lambda text: text != "base"))
+def test_delimited_series_reads_back_as_csv(label):
+    series = {"base": [(1, 2.0), (2, 3.0)], label: [(2, 4.0)]}
+    header, *rows = csv.reader(io.StringIO(emit_series(series, "delimited")))
+    assert header == ["x", "base", label]
+    assert rows == [["1", "2.0", ""], ["2", "3.0", "4.0"]]
+
+
 def line_doc(policy=ALLOW_ALL, labels=("SL2", "SL2", "SL2"), **fields):
     """One domain, switches S1-S2-S3 in a row, host a on S1 and b on S3."""
     doc = {
@@ -378,6 +407,33 @@ def test_a_window_admits_the_whole_part_of_a_fractional_rate(mode, rate, admitte
     report = run(parse_scenario(minimal_doc(traffic, policy, mode=mode)))
     expected = [("delivered", "")] * admitted + [("dropped", "RATE_LIMIT")] * (3 - admitted)
     assert [(f.outcome, f.reason) for f in report.flows] == expected
+
+
+RATE_ONE_FLOW = "p1 = <*, *, *, *, *, *, *, *, rate<=1, *, *, *, *>:<Allow>"
+
+
+@pytest.mark.parametrize(
+    "mode, traffic, fields, reasons",
+    [
+        ("reactive", [(0, "b", 80), (1_500_000, "b", 81)], {"table_capacity": 3}, ["", "TABLE_FULL"]),
+        ("proactive", [(0, "b", 80), (1_500_000, "b", 81)], {"table_capacity": 3}, ["", "RATE_LIMIT"]),
+        ("reactive", [(0, "10.0.0.77", 80), (10, "b", 81)], {}, ["NO_ROUTE", "RATE_LIMIT"]),
+        ("proactive", [(0, "10.0.0.77", 80), (10, "b", 81)], {}, ["RATE_LIMIT", "RATE_LIMIT"]),
+    ],
+)
+def test_limit_a_rate_budget_is_spent_by_flows_never_admitted(mode, traffic, fields, reasons):
+    """ROADMAP item 9, pinned as it stands: the rate check charges a flow's
+    window when it runs, before the route and path checks and before the
+    event loop writes the batch.  With table room for one flow's rules, the
+    second flow (window 1) is refused as TABLE_FULL in reactive mode but
+    RATE_LIMIT in proactive mode, whose pre-install charged it already.  A
+    flow to an address no host has spends the budget of window 0, so the next
+    flow drops RATE_LIMIT; proactive pre-install charges that next flow's
+    window first, so the unroutable flow drops RATE_LIMIT too.  The change
+    that charges only admitted flows flips these reasons on purpose."""
+    offered = [{"at": at, "from": "a", "to": to, "port": port, "type": "HTTP"} for at, to, port in traffic]
+    report = run(parse_scenario(minimal_doc(offered, RATE_ONE_FLOW, mode=mode, **fields)))
+    assert [flow.reason for flow in report.flows] == reasons
 
 
 @pytest.mark.parametrize(

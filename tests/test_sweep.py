@@ -3,7 +3,8 @@ from dataclasses import replace
 import pytest
 
 from sdnsec.metrics import emit_series
-from sdnsec.scenario import FloodSpec, bundled_scenario_path, load_scenario
+from sdnsec.policy import Action, PolicyExpression
+from sdnsec.scenario import FloodSpec, ScenarioError, bundled_scenario_path, load_scenario
 from sdnsec.simulation import run
 from sdnsec.sweep import (
     chain_scenario,
@@ -105,6 +106,16 @@ def test_chain_scenario_shape():
     assert scenario.links == (("AS1", "AS2"), ("AS2", "AS3"))
     report = run(scenario)
     assert report.flows[0].as_path == ("AS1", "AS2", "AS3")
+
+
+def test_a_chain_is_read_as_a_scenario_document():
+    # the reader checks a chain's world as it does a file's: a misspelt
+    # mode is an error, not a reactive run reported under that name
+    with pytest.raises(ScenarioError) as caught:
+        chain_scenario(3, mode="proactiv")
+    assert caught.value.path == "$.mode"
+    for index, domain in enumerate(chain_scenario(3).domains, 1):
+        assert domain.policies == (PolicyExpression(id=f"chain-{index}", action=Action.ALLOW),)
 
 
 def test_pad_policies_preserves_behavior():
