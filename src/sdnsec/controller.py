@@ -232,15 +232,16 @@ def synthesize_rules(
     if not path:
         raise ValueError("cannot synthesize rules for an empty path")
     forward_match, reverse_match = packet.matches
-    forward: list[tuple[str, FlowRule]] = []
-    reverse: list[tuple[str, FlowRule]] = []
-    action, last = ActionKind.FORWARD, len(path) - 1
+    size = len(path)
+    action, last = ActionKind.FORWARD, size - 1
+    # the forward rules fill the first half, the return rules the second
+    installs: list[tuple[str, FlowRule] | None] = [None] * (2 * size)
     for i, switch in enumerate(path):
         ahead, handle = (path[i + 1], None) if i < last else (final_peer, handle_out)
         back = path[i - 1] if i else entry_peer
-        forward.append((switch, FlowRule(forward_match, action, FLOW_RULE_PRIORITY, ahead, sec_profile, handle)))
-        reverse.append((switch, FlowRule(reverse_match, action, FLOW_RULE_PRIORITY, back, sec_profile)))
-    return FlowModBatch(tuple(forward + reverse), pe_id)
+        installs[i] = (switch, FlowRule(forward_match, action, FLOW_RULE_PRIORITY, ahead, sec_profile, handle))
+        installs[size + i] = (switch, FlowRule(reverse_match, action, FLOW_RULE_PRIORITY, back, sec_profile))
+    return FlowModBatch(tuple(installs), pe_id)
 
 
 class Controller:

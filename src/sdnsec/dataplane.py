@@ -5,21 +5,25 @@ SIGCOMM 1999; the megaflow classifier of Open vSwitch): one hash table per
 wildcard mask, the set of match fields a rule fixes.  A lookup probes each
 mask once with the packet's values for that mask's fields, so its cost grows
 with the number of masks (three in a simulated run: ARP, flow and block
-rules), not with the number of rules.  A lookup returns the highest-priority
-matching rule, and among equal priorities the one installed first; the
-simulation executes it (forward, drop or punt to the controller) and raises
-a packet-in on a miss.  A forward rule names its next hop, the attached peer
-(switch or host) the packet goes to; port numbers exist only in a switch's
-wiring (``Switch.ports``) and in its flow dump.  A forward rule at a
-domain's egress gateway also carries the flow's handle, which holds its
-transfer token, and the switch adds it to the packet as it leaves.
+rules), not with the number of rules.  A mask's table files each rule as
+itself under its match's key, and keeps the rule's install number beside it
+under the same key, never on the rule, so one rule object may sit in the
+tables of several switches.  A lookup returns the highest-priority matching
+rule, and among equal priorities the one installed first (the least install
+number); the simulation executes it (forward, drop or punt to the
+controller) and raises a packet-in on a miss.  A forward rule names its next
+hop, the attached peer (switch or host) the packet goes to; port numbers
+exist only in a switch's wiring (``Switch.ports``) and in its flow dump.  A
+forward rule at a domain's egress gateway also carries the flow's handle,
+which holds its transfer token, and the switch adds it to the packet as it
+leaves.
 :func:`install_batch` writes a flow-mod batch all or nothing, like an
 OpenFlow 1.4 bundle; it is the one write path and the one capacity and
-next-hop check.  It counts the rules each switch is named in first, and
-counts the matches new to a switch (by mask and key, a match named twice
-once) only where that count could overflow its table; when one switch would
-overflow, it writes nothing.  All mutation happens on the simulation loop's
-thread.
+next-hop check.  Only on a switch without room for the whole batch does
+it count the rules the switch is named in, and only where that count could
+overflow its table the matches new to it (by mask and key, a match named
+twice once); when one switch would overflow, it writes nothing.  All
+mutation happens on the simulation loop's thread.
 
 Packet and match addresses are plain ``int`` values, so a probe key hashes
 natively.  A packet prints its two addresses once (``src_text``,
@@ -107,15 +111,17 @@ _Mask = tuple[str, ...]
 
 
 @cache
-def _mask(nones: tuple[bool, ...]) -> _Mask:
-    """The header fields a match fixes, from which of its fields are None."""
-    return tuple(name for name, none in zip(_HEADER_FIELDS, nones) if not none)
-
-
-@cache
 def _probe(mask: _Mask) -> Callable[[object], object]:
     """Reads the fields ``mask`` fixes: a match's key, or a packet's probe."""
     return attrgetter(*mask) if mask else lambda _item: ()
+
+
+@cache
+def _layout(nones: tuple[bool, ...]) -> tuple[_Mask, Callable[[object], object]]:
+    """The header fields a match fixes, from which of its fields are None,
+    and the function that reads them (:func:`_probe`)."""
+    mask = tuple(name for name, none in zip(_HEADER_FIELDS, nones) if not none)
+    return mask, _probe(mask)
 
 
 @frozen(slots=True)
@@ -134,7 +140,7 @@ class FlowMatch:
     key: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mask = _mask(
+        mask, probe = _layout(
             (
                 self.src_ip is None,
                 self.dst_ip is None,
@@ -148,7 +154,7 @@ class FlowMatch:
         # a slotted record has no __dict__ to update in one step; the
         # generic setter also serves a plain dataclass given this method
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "key", _probe(mask)(self))
+        object.__setattr__(self, "key", probe(self))
 
     def text(self) -> str:
         parts = []
@@ -168,41 +174,62 @@ class ActionKind:
     TO_CONTROLLER = "TO_CONTROLLER"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class FlowRule:
     match: FlowMatch
     action: str
     priority: int
-    next_hop: str | None = None
-    sec_profile_tags: frozenset[str] = frozenset()
+    next_hop: str | None
+    sec_profile_tags: frozenset[str]
     # the credential added to packets leaving the domain through this rule
-    handle: Handle | None = None
+    handle: Handle | None
 
-    def __post_init__(self) -> None:
-        if self.priority < 0:
+    def __init__(
+        self,
+        match: FlowMatch,
+        action: str,
+        priority: int,
+        next_hop: str | None = None,
+        sec_profile_tags: frozenset[str] = frozenset(),
+        handle: Handle | None = None,
+    ) -> None:
+        # one call checks and writes a rule, not a dataclass __init__ that
+        # calls __post_init__: a flow builds two rules per switch of its path
+        if priority < 0:
             raise ValueError("priority must be >= 0")
-        if self.action == ActionKind.FORWARD and self.next_hop is None:
-            raise ValueError("forward rule needs a next hop")
-        if self.action != ActionKind.FORWARD and self.next_hop is not None:
+        if next_hop is None:
+            if action == ActionKind.FORWARD:
+                raise ValueError("forward rule needs a next hop")
+        elif action != ActionKind.FORWARD:
             raise ValueError("only forward rules carry a next hop")
+        self.match = match
+        self.action = action
+        self.priority = priority
+        self.next_hop = next_hop
+        self.sec_profile_tags = sec_profile_tags
+        self.handle = handle
 
 
 class _MaskTable:
     """The rules of one wildcard mask, keyed by their match's ``key``:
-    ``probe(packet)`` is the key a matching packet yields.  An entry is
-    ``(-priority, install number, rule)``, so the least entry is the one a
-    scan in priority order would meet first."""
+    ``probe(packet)`` is the key a matching packet yields.  ``rules`` maps a
+    key to its rule, filed as itself, and ``numbers`` maps the same key to
+    that rule's install number.  Of two rules, the one a scan in priority
+    order would meet first has the higher priority, or the equal priority
+    and the lesser number."""
 
-    __slots__ = ("probe", "entries")
+    __slots__ = ("probe", "rules", "numbers")
 
     def __init__(self, mask: _Mask):
         self.probe = _probe(mask)
-        self.entries: dict[object, tuple[int, int, FlowRule]] = {}
+        self.rules: dict[object, FlowRule] = {}
+        self.numbers: dict[object, int] = {}
 
 
 class FlowTable:
     """A switch's rules as a tuple space: one :class:`_MaskTable` per
-    wildcard mask in use.  ``len()`` is the number of rules."""
+    wildcard mask in use, each keeping its rules' install numbers beside
+    them.  ``len()`` is the number of rules."""
 
     __slots__ = ("masks", "size")
 
@@ -236,56 +263,71 @@ class Switch:
         self.ports[peer] = len(self.ports) + 1
 
     def install(self, rule: FlowRule) -> None:
-        """File ``rule`` under its match's mask and key.  A rule for an
-        installed match replaces it, unless its priority is lower, when it
-        is ignored.  At equal priority the replacement keeps the old rule's
-        place among equal priorities, so re-installing a rule is idempotent;
-        at higher priority it counts as newly installed.
-        :func:`install_batch` checks next hops and capacity first."""
-        mask = rule.match.mask
-        table = self.table.masks.get(mask) or self.table.masks.setdefault(mask, _MaskTable(mask))
-        entry = (-rule.priority, next(self._install_numbers), rule)
-        # one hash of the key files a new match, the common case
-        existing = table.entries.setdefault(rule.match.key, entry)
-        if existing is entry:
-            self.table.size += 1
+        """File ``rule`` itself under its match's mask and key, and its
+        install number in that mask table's ``numbers`` under the same key.
+        A rule for an installed match replaces it, unless its priority is
+        lower, when it is ignored.  At equal priority the replacement keeps
+        the old rule's number, so its place among equal priorities, and
+        re-installing a rule is idempotent; at higher priority it takes a
+        new number, as if newly installed.  :func:`install_batch` checks
+        next hops and capacity first."""
+        match, tables = rule.match, self.table
+        table = tables.masks.get(match.mask)
+        if table is None:
+            table = tables.masks[match.mask] = _MaskTable(match.mask)
+        key, fresh = match.key, next(self._install_numbers)
+        # numbers are never reused, so the key was new exactly when its
+        # number is the fresh one
+        if table.numbers.setdefault(key, fresh) == fresh:
+            table.rules[key] = rule
+            tables.size += 1
             return
-        _, number, old = existing
+        old = table.rules[key]
         if rule.priority < old.priority:
             return
         if rule.priority > old.priority:
-            number = entry[1]
-        table.entries[rule.match.key] = (-rule.priority, number, rule)
+            table.numbers[key] = fresh
+        table.rules[key] = rule
 
     def lookup(self, packet: Packet) -> FlowRule | None:
         """The highest-priority rule matching ``packet``, the earliest
         installed among equal priorities: one probe per mask."""
         best = None
         for table in self.table.masks.values():
-            entry = table.entries.get(table.probe(packet))
-            if entry is not None and (best is None or entry < best):
-                best = entry
-        return None if best is None else best[2]
+            key = table.probe(packet)
+            rule = table.rules.get(key)
+            if rule is not None and (
+                best is None
+                or rule.priority > best.priority
+                or (rule.priority == best.priority and table.numbers[key] < best_table.numbers[best_key])
+            ):
+                best, best_table, best_key = rule, table, key
+        return best
 
 
 def install_batch(switches: dict[str, Switch], installs: Sequence[tuple[str, FlowRule]]) -> bool:
     """Write every ``(switch id, rule)`` of ``installs`` through
     :meth:`Switch.install`, or none of them.  A forward rule whose next hop
     is not attached to its switch raises ``ValueError`` before anything is
-    written.  The capacity check counts the rules each switch is named in
-    first; only where that count could overflow the switch's table does it
-    count the matches new to the switch, a match named twice counted once.
-    When some switch lacks room for those, the batch is refused and False
-    returned."""
-    named: dict[str, int] = {}
+    written.  A switch with room for the whole batch cannot overflow, so
+    the capacity check looks closer only at a switch without: it counts the
+    rules the switch is named in, and only where that count could overflow
+    its table does it count the matches new to the switch, a match named
+    twice counted once.  When some switch lacks room for those, the batch is
+    refused and False returned."""
+    size = len(installs)
+    tight = set()
     for switch_id, rule in installs:
-        if rule.next_hop is not None and rule.next_hop not in switches[switch_id].ports:
+        switch = switches[switch_id]
+        if rule.next_hop not in switch.ports and rule.next_hop is not None:
             raise ValueError(f"{switch_id} has no port toward {rule.next_hop}")
-        named[switch_id] = named.get(switch_id, 0) + 1
-    for switch_id, count in named.items():
+        if switch.capacity - switch.table.size < size:
+            tight.add(switch_id)
+    for switch_id in tight:
         switch = switches[switch_id]
         room = switch.capacity - switch.table.size
-        if count > room and _new_matches(switch, [rule for s, rule in installs if s == switch_id]) > room:
+        rules = [rule for s, rule in installs if s == switch_id]
+        if len(rules) > room and _new_matches(switch, rules) > room:
             return False
     for switch_id, rule in installs:
         switches[switch_id].install(rule)
@@ -299,7 +341,7 @@ def _new_matches(switch: Switch, rules: list[FlowRule]) -> int:
     for rule in rules:
         match = rule.match
         table = switch.table.masks.get(match.mask)
-        if table is None or match.key not in table.entries:
+        if table is None or match.key not in table.rules:
             new.add((match.mask, match.key))
     return len(new)
 
@@ -307,9 +349,14 @@ def _new_matches(switch: Switch, rules: list[FlowRule]) -> int:
 def flow_dump(switch: Switch) -> list[FlowRule]:
     """Snapshot of the table in canonical order: priority descending, then
     install order, which is also the order in which lookup breaks ties.
-    Sorted on each call; the switch keeps no ordered list."""
-    entries = [entry for table in switch.table.masks.values() for entry in table.entries.values()]
-    return [rule for _, _, rule in sorted(entries)]
+    Sorted on each call by each rule's priority and the install number its
+    mask table keeps beside it; the switch keeps no ordered list."""
+    filed = [
+        (-rule.priority, table.numbers[key], rule)
+        for table in switch.table.masks.values()
+        for key, rule in table.rules.items()
+    ]
+    return [rule for _, _, rule in sorted(filed)]
 
 
 def format_flow_dump(switch: Switch) -> str:

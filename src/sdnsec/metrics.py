@@ -11,7 +11,8 @@ with ``"\\n"`` line ends: a cell is quoted only when it holds a comma, a
 double quote or a line break, so a host id such as ``client "a", east``
 reads back as one cell and every row as wide as its header.  The scenario
 reader refuses an id that does not print, so no cell of a run's report holds
-a bare ``\\r``, which ``csv.writer`` would leave unquoted.
+a bare ``\\r``, which ``csv.writer`` would leave unquoted; :func:`emit_series`
+refuses such a series label, and the label ``x``, the name of its axis column.
 
 A ``records`` line is written by a function built once per record class
 (:func:`_line_writer`), as ``dataclasses`` builds ``__init__``: from the
@@ -244,8 +245,16 @@ def emit_series(series: dict[str, list[tuple[int, float]]], fmt: str = "delimite
     """Render labeled (x, y) series, one column per label, x-aligned.
 
     Used for rate sweeps where several response policies are compared over
-    the same offered-rate axis.
+    the same offered-rate axis.  A label that would corrupt the output is a
+    ``ValueError``: ``"x"``, the axis column's own name, and a label that
+    does not print (``str.isprintable``), which ``csv.writer`` may leave
+    unquoted.
     """
+    for label in series:
+        if label == "x":
+            raise ValueError("series label 'x' is the axis column's name")
+        if not label.isprintable():
+            raise ValueError(f"series label {label!r} holds a character that does not print")
     labels = list(series)
     xs = sorted({x for points in series.values() for x, _ in points})
     by_label = {label: dict(points) for label, points in series.items()}

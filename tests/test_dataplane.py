@@ -304,6 +304,80 @@ def test_tuple_space_agrees_with_the_priority_scan(program):
 SWITCH_IDS = ("SW1", "SW2")
 
 
+def test_one_rule_object_filed_in_two_switches_keeps_its_place_in_each():
+    # each mask table keeps its rules' install numbers beside them, not on
+    # the rule, so a rule shared by two switches has its own place in each
+    first, second = Switch("SW1"), Switch("SW2")
+    for sw in (first, second):
+        sw.attach("peer")
+    references = {"SW1": ScanTable(8), "SW2": ScanTable(8)}
+    shared = forward(100, "peer", service_port=80)
+    other = forward(100, "peer", packet_type="HTTP")
+    switches = {"SW1": first, "SW2": second}
+    steps = [
+        ("SW1", shared),
+        ("SW1", other),
+        ("SW2", other),
+        ("SW2", shared),
+        # an equal-priority re-install keeps the rule's place in its switch
+        ("SW1", shared),
+        ("SW2", shared),
+        # a higher-priority rule for the shared match replaces it in one
+        # switch alone
+        ("SW2", forward(150, "peer", service_port=80)),
+        ("SW1", shared),
+    ]
+    packets = [make_packet(), make_packet(service_port=443), make_packet(packet_type="SYN")]
+    for switch_id, rule in steps:
+        assert install_batch(switches, [(switch_id, rule)])
+        assert references[switch_id].install(rule)
+        for sid, sw in switches.items():
+            assert flow_dump(sw) == references[sid].rules
+            for packet in packets:
+                assert sw.lookup(packet) is scan_lookup(references[sid].rules, packet)
+    assert flow_dump(first) == [shared, other]
+    assert first.lookup(make_packet()) is shared
+    assert second.lookup(make_packet()) is flow_dump(second)[0] is not shared
+
+
+@st.composite
+def shared_rule_programs(draw):
+    """A pool of rule objects, each filed in either of two switches any
+    number of times, and packets looked up in both: one rule object sits
+    in two tables, and equal, higher and lower-priority re-installs occur."""
+    matches = draw(st.lists(MATCHES, min_size=1, max_size=4))
+    specs = st.tuples(
+        st.sampled_from(matches),
+        st.sampled_from((10, 100, 200)),
+        st.sampled_from((ActionKind.FORWARD, ActionKind.DROP)),
+    )
+    pool = [
+        FlowRule(match, action, priority, "peer" if action == ActionKind.FORWARD else None)
+        for match, priority, action in draw(st.lists(specs, min_size=1, max_size=6))
+    ]
+    installs = st.tuples(st.sampled_from(SWITCH_IDS), st.sampled_from(pool))
+    return draw(st.lists(st.one_of(installs, PACKETS), max_size=30))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shared_rule_programs())
+def test_rule_objects_shared_by_two_switches_agree_with_the_priority_scan(ops):
+    switches = {switch_id: Switch(switch_id) for switch_id in SWITCH_IDS}
+    references = {switch_id: ScanTable(switches[switch_id].capacity) for switch_id in SWITCH_IDS}
+    for sw in switches.values():
+        sw.attach("peer")
+    for op in ops:
+        if isinstance(op, tuple):
+            switch_id, rule = op
+            assert install_batch(switches, [(switch_id, rule)])
+            assert references[switch_id].install(rule)
+        for switch_id, sw in switches.items():
+            assert flow_dump(sw) == references[switch_id].rules
+            if not isinstance(op, tuple):
+                assert sw.lookup(op) is scan_lookup(references[switch_id].rules, op)
+
+
+
 @st.composite
 def batch_programs(draw):
     """Both switches' capacities and a sequence of batches, each of 1-6

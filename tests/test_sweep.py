@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 from dataclasses import replace
 
 import pytest
@@ -188,3 +191,31 @@ def test_emit_series_formats():
     assert '"x": 1' in records
     with pytest.raises(ValueError):
         emit_series(series, "csv")
+
+
+@pytest.mark.parametrize("fmt", ["delimited", "table", "records"])
+def test_emit_series_refuses_the_axis_name_as_a_label(fmt):
+    # records would write {"x": 2.0}, losing the axis value, and delimited
+    # the header x,x
+    with pytest.raises(ValueError, match="series label 'x' is the axis column's name"):
+        emit_series({"x": [(1, 2.0)]}, fmt)
+    with pytest.raises(ValueError, match="'x'"):
+        emit_series({"a": [(1, 2.0)], "x": [(1, 3.0)]}, fmt)
+
+
+@pytest.mark.parametrize("label", ["a\rb", "a\nb", "tab\there", "\x1c", "\u2028"])
+@pytest.mark.parametrize("fmt", ["delimited", "table", "records"])
+def test_emit_series_refuses_a_label_that_does_not_print(label, fmt):
+    with pytest.raises(ValueError) as raised:
+        emit_series({"base": [(1, 2.0)], label: [(1, 3.0)]}, fmt)
+    assert str(raised.value) == f"series label {label!r} holds a character that does not print"
+
+
+@pytest.mark.parametrize("label", ['a,b', 'say "hi"', '"', ',', 'X', 'x ', ' x', 'xx'])
+def test_emit_series_labels_with_commas_and_quotes_read_back_as_csv(label):
+    series = {"base": [(1, 2.0), (2, 3.0)], label: [(2, 4.0)]}
+    header, *rows = csv.reader(io.StringIO(emit_series(series, "delimited")))
+    assert header == ["x", "base", label]
+    assert rows == [["1", "2.0", ""], ["2", "3.0", "4.0"]]
+    records = [json.loads(line) for line in emit_series(series, "records").splitlines()]
+    assert records == [{"x": 1, "base": 2.0, label: None}, {"x": 2, "base": 3.0, label: 4.0}]

@@ -65,11 +65,18 @@ insertion numbers handed out (one per offer and per step pushed) and on
 ``Simulation._on_switch_rx`` calls, and make as many ``Switch.lookup``
 calls as the reference loop, which pushes every hop.
 
+A flow table files each rule as itself, its install number kept beside it
+by its mask table: after one warm-up run, which fills the module-level
+caches, the GC-tracked objects a seed-1 run leaves alive repeat exactly from
+run to run, and each workload has a fixed bound on them that a wrapper
+object per filed rule would exceed.
+
 The counts are deterministic, so a lost optimisation fails here at once,
 whatever the machine's speed.
 """
 
 import dataclasses
+import gc
 import heapq
 import hmac
 import json
@@ -407,6 +414,33 @@ def test_a_packet_crosses_installed_rules_in_one_handler_call(workload):
     lookups = calls["Switch.lookup"]
     assert lookups == expected["Switch.lookup"] == expected["Simulation._on_switch_rx"], (calls, expected)
     assert sim._seq < reference._seq
+
+
+# seed 1: the GC-tracked objects a run keeps, a little above the 10,137 /
+# 5,553 / 7,494 of a flow table that files each rule as itself; a wrapper
+# object per rule the run leaves filed (4,944 / 1,074 / 3,936 rules) would
+# pass every bound
+KEPT_OBJECT_BOUNDS = {"flood_table": 10_200, "acl_proactive": 5_600, "mesh_transit": 7_550}
+
+
+def _kept_objects(world) -> tuple[int, dict[str, int]]:
+    """The GC-tracked objects ``Simulation(world).run()`` leaves alive,
+    its report among them, and the run's report counters."""
+    gc.collect()
+    before = len(gc.get_objects())
+    report = Simulation(world).run()
+    gc.collect()
+    return len(gc.get_objects()) - before, report.counters
+
+
+@pytest.mark.parametrize("workload", sorted(KEPT_OBJECT_BOUNDS))
+def test_a_run_keeps_no_wrapper_per_installed_rule(workload):
+    # the first run fills the module-level caches; from the second run on
+    # the count repeats exactly
+    _kept_objects(case_world(f"workload:{workload}"))
+    kept, counters = _kept_objects(case_world(f"workload:{workload}"))
+    assert kept == _kept_objects(case_world(f"workload:{workload}"))[0]
+    assert counters["offered"] < kept <= KEPT_OBJECT_BOUNDS[workload], (kept, counters)
 
 
 def _code_calls(work, *functions) -> Counter:
