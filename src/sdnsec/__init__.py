@@ -66,7 +66,7 @@ from .defense import (
     ResponseMode,
     compute_thresholds,
 )
-from .controller import Controller, CostModel, DropReason, FlowModBatch, synthesize_rules
+from .controller import Controller, CostModel, DropReason, synthesize_rules
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -93,7 +93,6 @@ __all__ = [
     "FloodMonitor",
     "FlowContext",
     "FlowMatch",
-    "FlowModBatch",
     "FlowRule",
     "Graph",
     "Handle",

@@ -6,14 +6,17 @@ checks, context extraction, repository selection (or the fixed
 check, route resolution and finally rule synthesis.  Selection returns the
 winning expression, and every later stage reads its obligations off it; no
 winner, a deny, or an allow whose own label window is empty drops as
-``POLICY``.  The result is either a batch of flow rules or a drop with a
-reason (an empty reason means admitted); a drop may carry a defense block
-rule as its batch.  Each rule forwards to a named next hop: the following
-path switch, the host or peer gateway at the end of the path, and the entry
-peer for the return rules.  For a flow
-leaving the domain, the egress gateway's forward rule is the hop: its next
-hop is the next domain's gateway, and it carries the extended handle, which
-holds the re-tagged transfer token.  Every outcome appends one
+``POLICY``.  The answer is one ``PipelineResult``: the ticks charged, the
+``(switch id, rule)`` installs to write, the provenance they are filed
+under (the winner's id, or ``defense:<source>`` for a block rule) and, for
+a drop, its reason (an empty reason means admitted).  A drop writes
+nothing, except an offender's first defense block, which writes its one
+block rule on the ingress switch.  Each rule forwards to a named next
+hop: the following path switch, the host or peer gateway at the end of the
+path, and the entry peer for the return rules.  For a flow leaving the
+domain, the egress gateway's forward rule is the hop: its next hop is the
+next domain's gateway, and it carries the extended handle, which holds the
+re-tagged transfer token.  Every outcome appends one
 ``ControllerEvent`` naming the matched policy and the ticks charged so far.
 
 A controller is built from its domain's ``DomainSpec`` (policies, handle
@@ -27,7 +30,9 @@ flow loops back into a domain.
 Deterministic service cost in ticks is charged per stage so latency and
 throughput experiments are reproducible: policy selection costs per
 expression in the repository, path search costs per switch in the fabric,
-synthesis per rule.  These ticks model the paper's controller; on the host,
+synthesis per rule.  A controller only counts these ticks and keeps no
+clock: the simulation keeps when each domain's controller is next free.
+These ticks model the paper's controller; on the host,
 selection probes a :class:`~sdnsec.policy.PolicyIndex` and matches only
 the expressions filed under the context's values and the wildcard list, and
 each controller searches a route once: it keeps the next domain per
@@ -114,7 +119,6 @@ __all__ = [
     "ControllerEvent",
     "CostModel",
     "DropReason",
-    "FlowModBatch",
     "PipelineResult",
     "arp_discovery_rule",
     "synthesize_rules",
@@ -151,26 +155,19 @@ class CostModel:
 
 
 @frozen(slots=True)
-class FlowModBatch:
-    """Rules to install, attributed to the decision that produced them."""
-
-    installs: tuple[tuple[str, FlowRule], ...]
-    provenance: str
-
-    def __len__(self) -> int:
-        return len(self.installs)
-
-
-@frozen(slots=True)
 class PipelineResult:
-    """What one packet-in yields: the ticks it charged, the rules to write
-    (``batch``) and, for a drop, its ``reason``.  An empty ``reason`` means
-    the flow was admitted and ``batch`` holds its rules; where the flow goes
-    next, and with which credentials, is read off the batch's egress rule.
-    A drop may carry a defense block rule as its batch."""
+    """What one packet-in yields: the ticks it charged, the ``(switch id,
+    rule)`` pairs to write (``installs``, empty when there is nothing to
+    write), the decision they are filed under (``provenance``) and, for a
+    drop, its ``reason``.  An empty ``reason`` means the flow was admitted,
+    ``installs`` holds its rules and ``provenance`` is the winner's id;
+    where the flow goes next, and with which credentials, is read off the
+    egress rule.  An offender's first defense block is a drop that writes
+    its block rule, under ``defense:<source>``."""
 
     service_ticks: int
-    batch: FlowModBatch | None = None
+    installs: tuple[tuple[str, FlowRule], ...] = ()
+    provenance: str = ""
     reason: str = ""
 
 
@@ -209,13 +206,12 @@ def arp_discovery_rule() -> FlowRule:
 def synthesize_rules(
     path: tuple[str, ...],
     packet: Packet,
-    pe_id: str,
     *,
     final_peer: str,
     entry_peer: str,
     sec_profile: frozenset[str] = _NO_PROFILE,
     handle_out: Handle | None = None,
-) -> FlowModBatch:
+) -> tuple[tuple[str, FlowRule], ...]:
     """One forward rule per path switch plus the symmetric return set.
 
     Rules match the flow's (addresses, protocol, port, type) tuple, the
@@ -224,8 +220,8 @@ def synthesize_rules(
     ``final_peer`` for the last switch's forward rule (a host or the peer
     domain's gateway) and ``entry_peer`` for the first switch's return
     rule.  The last switch's forward rule carries ``handle_out``, the
-    credential of a flow that leaves the domain there.  The batch, an
-    admitted flow's ``PipelineResult.batch``, lists the forward rules in
+    credential of a flow that leaves the domain there.  The installs, an
+    admitted flow's ``PipelineResult.installs``, list the forward rules in
     path order, then the return rules in path order; the install order
     breaks lookup ties and orders a switch's flow dump.
     """
@@ -241,7 +237,7 @@ def synthesize_rules(
         back = path[i - 1] if i else entry_peer
         installs[i] = (switch, FlowRule(forward_match, action, FLOW_RULE_PRIORITY, ahead, sec_profile, handle))
         installs[size + i] = (switch, FlowRule(reverse_match, action, FLOW_RULE_PRIORITY, back, sec_profile))
-    return FlowModBatch(tuple(installs), pe_id)
+    return tuple(installs)
 
 
 class Controller:
@@ -295,7 +291,6 @@ class Controller:
         self.enforcement_enabled = enforcement_enabled
         self.costs = costs
         self.events: list[ControllerEvent] = []
-        self.next_free_tick = 0
         # admitted flows per source and window, for PE rate constraints
         self._rate_counts = WindowCounts(window_ticks)
         # each route searched once, as both graphs are fixed once built:
@@ -341,14 +336,6 @@ class Controller:
 
     # --- pipeline --------------------------------------------------------------
 
-    def _block_rule_batch(self, packet: Packet, ingress: str) -> FlowModBatch:
-        rule = FlowRule(
-            FlowMatch(src_ip=packet.src_ip),
-            ActionKind.DROP,
-            BLOCK_RULE_PRIORITY,
-        )
-        return FlowModBatch(((ingress, rule),), provenance=f"{BLOCK_PROVENANCE_PREFIX}{packet.src_text}")
-
     def _rate_admits(
         self, src: int, delegated: tuple[Constraint, ...], rates: tuple[Fraction, ...], tick: int
     ) -> bool:
@@ -387,9 +374,9 @@ class Controller:
         summary = f"{packet.src_text}->{packet.dst_text}:{packet.service_port}/{packet.packet_type} via {ingress}"
         matched: str | None = None
 
-        def drop(reason: str, detail: str = summary, block: FlowModBatch | None = None) -> PipelineResult:
+        def drop(reason: str, detail: str = summary, block: tuple = (), provenance: str = "") -> PipelineResult:
             self.events.append(ControllerEvent(tick, flow_id, detail, "drop", reason, matched, 0, ticks))
-            return PipelineResult(ticks, block, reason)
+            return PipelineResult(ticks, block, provenance, reason)
 
         if self.enforcement_enabled and defense and self.monitor is not None:
             ticks += self.costs.defense
@@ -404,8 +391,10 @@ class Controller:
                 )
                 if response is ResponseMode.THROTTLE:
                     return drop(DropReason.DEFENSE_THROTTLED, detail)
-                block = self._block_rule_batch(packet, ingress) if newly_blocked else None
-                return drop(DropReason.DEFENSE_BLOCKED, detail, block)
+                if not newly_blocked:
+                    return drop(DropReason.DEFENSE_BLOCKED, detail)
+                block = ((ingress, FlowRule(FlowMatch(src_ip=offender), ActionKind.DROP, BLOCK_RULE_PRIORITY)),)
+                return drop(DropReason.DEFENSE_BLOCKED, detail, block, f"{BLOCK_PROVENANCE_PREFIX}{packet.src_text}")
 
         # credentials: a handle comes through the gateway of the domain it
         # last visited, a neighbor, and it and its token verify
@@ -484,17 +473,16 @@ class Controller:
             ptt_out = forward_ptt(verified_ptt, flow_id, winner.flow_cons, self.handle_key)
             handle_out = extend_handle(handle, flow_id, self.as_id, ptt_out, self.handle_key)
 
-        batch = synthesize_rules(
+        installs = synthesize_rules(
             path,
             packet,
-            matched,
             final_peer=final_peer,
             entry_peer=entry_peer,
             sec_profile=winner.sec_profile or _NO_PROFILE,
             handle_out=handle_out,
         )
-        ticks += self.costs.per_rule * len(batch)
+        ticks += self.costs.per_rule * len(installs)
 
         reason = f"allowed by {matched}" if self.enforcement_enabled else ""
-        self.events.append(ControllerEvent(tick, flow_id, summary, "install", reason, matched, len(batch), ticks))
-        return PipelineResult(ticks, batch)
+        self.events.append(ControllerEvent(tick, flow_id, summary, "install", reason, matched, len(installs), ticks))
+        return PipelineResult(ticks, installs, matched)

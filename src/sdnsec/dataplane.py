@@ -311,10 +311,9 @@ def install_batch(switches: dict[str, Switch], installs: Sequence[tuple[str, Flo
     is not attached to its switch raises ``ValueError`` before anything is
     written.  A switch with room for the whole batch cannot overflow, so
     the capacity check looks closer only at a switch without: it counts the
-    rules the switch is named in, and only where that count could overflow
-    its table does it count the matches new to the switch, a match named
-    twice counted once.  When some switch lacks room for those, the batch is
-    refused and False returned."""
+    matches of the rules the switch is named in that are new to it, a match
+    named twice counted once.  When some switch lacks room for those, the
+    batch is refused and False returned."""
     size = len(installs)
     tight = set()
     for switch_id, rule in installs:
@@ -325,9 +324,7 @@ def install_batch(switches: dict[str, Switch], installs: Sequence[tuple[str, Flo
             tight.add(switch_id)
     for switch_id in tight:
         switch = switches[switch_id]
-        room = switch.capacity - switch.table.size
-        rules = [rule for s, rule in installs if s == switch_id]
-        if len(rules) > room and _new_matches(switch, rules) > room:
+        if _new_matches(switch, [rule for s, rule in installs if s == switch_id]) > switch.capacity - switch.table.size:
             return False
     for switch_id, rule in installs:
         switches[switch_id].install(rule)

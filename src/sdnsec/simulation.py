@@ -27,10 +27,12 @@ at its own tick.
 
 Controllers are modeled as sequential servers: a packet-in waits until the
 controller is free, is charged the pipeline's deterministic service ticks,
-and its flow-mod batch applies at the emission tick.  A packet leaving a
-domain, retries included, picks up its handle, which holds its transfer
-token, from the egress gateway's forward rule, which is where augmentation
-happens on a real edge.  Proactive pre-install runs each flow's packet-ins
+and the installs of its ``PipelineResult`` apply at the emission tick.  The
+loop alone keeps each controller's clock, the tick it is next free, which
+each packet-in's emission moves on.  A packet leaving a domain, retries
+included, picks up its handle, which holds its transfer token, from the
+egress gateway's forward rule, which is where augmentation happens on a
+real edge.  Proactive pre-install runs each flow's packet-ins
 before the event loop starts, in the order the loop would offer the flows
 (by tick, equal ticks in document order), with the packet the flow is
 offered with, built once.  It takes the hop the same way:
@@ -54,11 +56,10 @@ from .controller import (
     Controller,
     CostModel,
     DropReason,
-    FlowModBatch,
     PipelineResult,
     arp_discovery_rule,
 )
-from .dataplane import ActionKind, Packet, Switch, install_batch
+from .dataplane import ActionKind, FlowRule, Packet, Switch, install_batch
 from .defense import FloodMonitor, ResponseMode
 from .interdomain import DomainKey, Handle
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
@@ -199,6 +200,8 @@ class Simulation:
         )
         self._heap: list[_Event] = []
         self._seq = 0
+        # domain -> the tick its controller is next free
+        self._free_at = dict.fromkeys(world.controllers, 0)
         # the two counts no record carries
         self._counters = {"proactive_installs": 0, "table_full_events": 0}
 
@@ -290,26 +293,25 @@ class Simulation:
         domain = self.world.switch_domain[inflight.at]
         ctrl = self.world.controllers[domain]
         arrival = tick
-        start = max(arrival, ctrl.next_free_tick)
+        start = max(arrival, self._free_at[domain])
         result = ctrl.handle_packet_in(inflight.packet, inflight.at, inflight.came_from, start, inflight.handle)
-        emission = start + result.service_ticks
-        ctrl.next_free_tick = emission
+        emission = self._free_at[domain] = start + result.service_ticks
         self.report.latencies.append(LatencyRecord(domain, arrival, start, emission))
         return emission, self._on_apply_result, (inflight, result)
 
-    def _install_batch(self, batch: FlowModBatch) -> bool:
-        if install_batch(self.world.switches, batch.installs):
+    def _install_batch(self, installs: tuple[tuple[str, FlowRule], ...]) -> bool:
+        if install_batch(self.world.switches, installs):
             return True
         self._counters["table_full_events"] += 1
         return False
 
     def _on_apply_result(self, tick: int, inflight: _InFlight, result: PipelineResult) -> _Step | None:
         domain = self.world.switch_domain[inflight.at]
-        batch, packet = result.batch, inflight.packet
-        written = batch is not None and self._install_batch(batch)
+        installs, packet = result.installs, inflight.packet
+        written = bool(installs) and self._install_batch(installs)
         if written:
             self.report.installs.append(
-                InstallRecord(tick, domain, packet.src_text, packet.flow_id, len(batch), batch.provenance)
+                InstallRecord(tick, domain, packet.src_text, packet.flow_id, len(installs), result.provenance)
             )
         if result.reason or not written:
             self._finish(inflight.record, result.reason or DropReason.TABLE_FULL, domain)
@@ -332,10 +334,10 @@ class Simulation:
             while True:
                 ctrl = self.world.controllers[self.world.switch_domain[ingress]]
                 result = ctrl.handle_packet_in(packet, ingress, entry_peer, item.at, handle, defense=False)
-                if result.reason or not self._install_batch(result.batch):
+                if result.reason or not self._install_batch(result.installs):
                     break
-                self._counters["proactive_installs"] += len(result.batch)
-                egress = next(((s, rule) for s, rule in result.batch.installs if rule.handle is not None), None)
+                self._counters["proactive_installs"] += len(result.installs)
+                egress = next(((s, rule) for s, rule in result.installs if rule.handle is not None), None)
                 if egress is None:
                     break  # the flow ends in this domain
                 entry_peer, rule = egress

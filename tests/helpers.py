@@ -481,10 +481,10 @@ def least_switch_path(graph, ingress, egress, constraint) -> tuple[str, ...] | N
     return paths[0] if paths else None
 
 
-def egress_hop(world, batch):
-    """Where a flow admitted by ``batch`` goes next, read off its one rule
-    that carries a handle: ``(gateway, peer gateway, rule)``."""
-    [(switch, rule)] = [(switch, rule) for switch, rule in batch.installs if rule.handle is not None]
+def egress_hop(world, installs):
+    """Where a flow admitted with ``installs`` goes next, read off its one
+    rule that carries a handle: ``(gateway, peer gateway, rule)``."""
+    [(switch, rule)] = [(switch, rule) for switch, rule in installs if rule.handle is not None]
     return switch, rule.next_hop, rule
 
 

@@ -68,7 +68,7 @@ def issued(pkt, as1_policy=None):
     if as1_policy is not None:
         as1.policy_repo = PolicyIndex([parse_compact_pe(as1_policy, pe_id="1")])
     result = as1.handle_packet_in(pkt, "S1A", "X", 0)
-    _, _, rule = egress_hop(WORLD, result.batch)
+    _, _, rule = egress_hop(WORLD, result.installs)
     return rule.handle
 
 
@@ -91,7 +91,7 @@ HONEST, _ = at_as2(packet(), HANDLE)
 
 def assert_no_weaker_admission(attacked):
     result, _ = attacked
-    assert result.batch is None or result.batch == HONEST.batch, result
+    assert result.installs == () or (result.installs, result.provenance) == (HONEST.installs, HONEST.provenance), result
 
 
 def assert_fails_closed(attacked, check):
@@ -102,8 +102,8 @@ def assert_fails_closed(attacked, check):
 
 
 def test_the_honest_packet_in_is_admitted_with_its_credentials_extended():
-    assert HONEST.batch is not None
-    gateway, peer, rule = egress_hop(WORLD, HONEST.batch)
+    assert HONEST.installs != ()
+    gateway, peer, rule = egress_hop(WORLD, HONEST.installs)
     assert (gateway, peer) == ("2SW3", "3SW2")
     assert rule.handle.visited == ("AS1", "AS2")
     assert rule.handle.ptt.constraints == TOKEN.constraints
@@ -157,7 +157,7 @@ def test_credentials_entering_from_another_neighbor_fail_closed():
 
 
 # what AS2 honestly sends on to AS3: the handle ('AS1', 'AS2') with AS1's SL2+= token
-_, _, AS2_EGRESS = egress_hop(WORLD, HONEST.batch)
+_, _, AS2_EGRESS = egress_hop(WORLD, HONEST.installs)
 AS2_KEY = WORLD.controllers["AS2"].handle_key
 
 
@@ -172,13 +172,13 @@ def as2_reminted(visited, ptt):
 
 def test_limit_a_transit_domain_can_strip_the_origins_token_undetected():
     honest, _ = at_as3(AS2_EGRESS.handle)
-    _, _, honest_egress = egress_hop(WORLD, honest.batch)
+    _, _, honest_egress = egress_hop(WORLD, honest.installs)
     assert honest_egress.handle.ptt.constraints == TOKEN.constraints
     # AS2 re-mints the handle with no token: AS3 cannot tell and installs,
     # and the origin's SL2+= constraint is gone from the rest of the path
     stripped, event = at_as3(as2_reminted(("AS1", "AS2"), None))
     assert event.verdict == "install"
-    _, _, stripped_egress = egress_hop(WORLD, stripped.batch)
+    _, _, stripped_egress = egress_hop(WORLD, stripped.installs)
     assert stripped_egress.handle.ptt is None
 
 
@@ -186,7 +186,7 @@ def test_limit_a_transit_domain_can_launder_the_origin_undetected():
     # AS2 re-mints the handle as if the flow began at AS2: the credentials
     # verify, and AS3 decides on the laundered origin, which here drops
     laundered, event = at_as3(as2_reminted(("AS2",), AS2_EGRESS.handle.ptt))
-    assert laundered.batch is None
+    assert laundered.installs == ()
     assert laundered.reason == event.reason == DropReason.POLICY
 
 

@@ -45,16 +45,15 @@ def test_synthesize_batch_is_twice_path_length():
     packet = make_packet()
     for k in range(1, 7):
         path = tuple(f"SW{i}" for i in range(k))
-        batch = synthesize_rules(path, packet, "pe", final_peer="dst", entry_peer="src")
-        assert len(batch) == 2 * k
-        assert batch.provenance == "pe"
+        installs = synthesize_rules(path, packet, final_peer="dst", entry_peer="src")
+        assert len(installs) == 2 * k
 
 
 def test_synthesized_rules_match_flow_tuple_and_reverse():
     packet = make_packet()
-    batch = synthesize_rules(("SW1", "SW2"), packet, "pe", final_peer="dst", entry_peer="src")
-    forward = [rule for _, rule in batch.installs if rule.match.src_ip == packet.src_ip]
-    reverse = [rule for _, rule in batch.installs if rule.match.src_ip == packet.dst_ip]
+    installs = synthesize_rules(("SW1", "SW2"), packet, final_peer="dst", entry_peer="src")
+    forward = [rule for _, rule in installs if rule.match.src_ip == packet.src_ip]
+    reverse = [rule for _, rule in installs if rule.match.src_ip == packet.dst_ip]
     assert len(forward) == len(reverse) == 2
     for rule in forward + reverse:
         assert rule.action == ActionKind.FORWARD
@@ -68,10 +67,9 @@ def test_synthesized_batch_is_pinned_rule_by_rule():
     ptt = forward_ptt(None, packet.flow_id, (Constraint(ConstraintKind.RATE_THRESHOLD, rate=3),), DomainKey(b"k"))
     handle = extend_handle(None, packet.flow_id, "AS1", ptt, DomainKey(b"k"))
     profile = frozenset({"ids", "fw"})
-    batch = synthesize_rules(
+    installs = synthesize_rules(
         ("S1", "S2", "S3"),
         packet,
-        "pe",
         final_peer="dst",
         entry_peer="src",
         sec_profile=profile,
@@ -79,7 +77,7 @@ def test_synthesized_batch_is_pinned_rule_by_rule():
     )
     forward = (packet.src_ip, packet.dst_ip)
     reverse = (packet.dst_ip, packet.src_ip)
-    assert [(s, (r.match.src_ip, r.match.dst_ip), r.next_hop) for s, r in batch.installs] == [
+    assert [(s, (r.match.src_ip, r.match.dst_ip), r.next_hop) for s, r in installs] == [
         ("S1", forward, "S2"),
         ("S2", forward, "S3"),
         ("S3", forward, "dst"),
@@ -87,23 +85,22 @@ def test_synthesized_batch_is_pinned_rule_by_rule():
         ("S2", reverse, "S1"),
         ("S3", reverse, "S2"),
     ]
-    assert [r.handle for _, r in batch.installs] == [None] * 2 + [handle] + [None] * 3
+    assert [r.handle for _, r in installs] == [None] * 2 + [handle] + [None] * 3
     assert handle.ptt == ptt
-    for _, rule in batch.installs:
+    for _, rule in installs:
         assert (rule.action, rule.priority) == (ActionKind.FORWARD, FLOW_RULE_PRIORITY)
         assert rule.sec_profile_tags == profile
         assert (rule.match.ip_proto, rule.match.service_port, rule.match.packet_type) == ("tcp", 443, "HTTPS")
         assert (rule.match.src_mac, rule.match.dst_mac) == (None, None)
-    assert batch.provenance == "pe"
     with pytest.raises(ValueError):
-        synthesize_rules((), packet, "pe", final_peer="dst", entry_peer="src")
+        synthesize_rules((), packet, final_peer="dst", entry_peer="src")
 
 
 def test_empty_repository_is_default_deny(transit_world):
     ctrl = transit_world.controllers["AS1"]
     ctrl.policy_repo = []
     result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
-    assert result.batch is None
+    assert result.installs == ()
     assert result.reason == DropReason.POLICY
 
 
@@ -112,7 +109,7 @@ def test_admitted_flow_installs_and_pins_exit(transit_world):
     result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
     assert ctrl.events[-1].matched_pe == "1"
     # the pinned exit's forward rule leads into AS2 and carries the credential
-    gateway, peer, rule = egress_hop(transit_world, result.batch)
+    gateway, peer, rule = egress_hop(transit_world, result.installs)
     assert (gateway, peer) == ("1SW2", "2SW1")
     assert rule.handle.visited == ("AS1",)
     assert [str(c) for c in rule.handle.ptt.constraints] == ["SL2+="]
@@ -121,14 +118,14 @@ def test_admitted_flow_installs_and_pins_exit(transit_world):
 def test_every_batch_names_its_decision(transit_world):
     ctrl = transit_world.controllers["AS1"]
     result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
-    assert result.batch.provenance == "1"
-    assert all(rule.priority > 10 for _, rule in result.batch.installs)
+    assert result.provenance == "1"
+    assert all(rule.priority > 10 for _, rule in result.installs)
 
 
 def test_no_flow_mod_for_denied_context(transit_world):
     ctrl = transit_world.controllers["AS1"]
     result = ctrl.handle_packet_in(make_packet(port=22, ptype="SSH"), "S1A", "X", 0)
-    assert result.batch is None
+    assert result.installs == ()
     assert result.reason == DropReason.POLICY
 
 
@@ -137,7 +134,7 @@ def test_unknown_destination_is_dropped(transit_world):
     ctrl = transit_world.controllers["AS1"]
     ctrl.policy_repo = PolicyIndex([PolicyExpression(id="any", action=Action.ALLOW)])
     result = ctrl.handle_packet_in(make_packet(dst="198.18.0.1"), "S1A", "X", 0)
-    assert result.batch is None
+    assert result.installs == ()
     assert result.reason == DropReason.NO_ROUTE
 
 
@@ -146,7 +143,7 @@ def test_tampered_handle_dropped_in_pipeline(transit_world):
     packet = make_packet()
     forged = extend_handle(None, packet.flow_id, "AS1", None, DomainKey(b"wrong-key"))
     result = ctrl.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=forged)
-    assert result.batch is None
+    assert result.installs == ()
     assert result.reason == DropReason.HANDLE_INVALID
 
 
@@ -154,7 +151,7 @@ def test_baseline_mode_allows_everything(transit_world):
     ctrl = transit_world.controllers["AS1"]
     ctrl.enforcement_enabled = False
     result = ctrl.handle_packet_in(make_packet(port=22, ptype="SSH"), "S1A", "X", 0)
-    assert result.batch.provenance == "baseline"
+    assert result.provenance == "baseline"
     assert ctrl.events[-1].matched_pe == "baseline"
 
 
@@ -188,7 +185,7 @@ def test_block_rule_is_emitted_once_per_offender():
         for i in range(103)
     ]
     blocked = [result for result in results if result.reason == DropReason.DEFENSE_BLOCKED]
-    assert [result.batch is not None for result in blocked] == [True, False, False]
+    assert [result.installs != () for result in blocked] == [True, False, False]
     assert ctrl.monitor.blocked == {ip("10.9.0.66")}
 
 
@@ -210,7 +207,7 @@ def test_forged_token_drops_the_flow(transit_world):
     assert [(e.verdict, e.reason, e.matched_pe) for e in ctrl.events] == [
         ("drop", "HANDLE_INVALID", None),
     ]
-    assert result.batch is None
+    assert result.installs == ()
 
 
 def test_delegated_packet_predicate_that_fails_drops_policy(transit_world):
@@ -218,7 +215,7 @@ def test_delegated_packet_predicate_that_fails_drops_policy(transit_world):
     as1_key = transit_world.controllers["AS1"].handle_key
     http_only = Constraint(ConstraintKind.PACKET_ATTR, attr="type", value="HTTP")
     result = _from_as1(transit_world, make_packet(), as1_key, http_only)
-    assert result.batch is None
+    assert result.installs == ()
     assert result.reason == DropReason.POLICY
     assert ctrl.events[-1].matched_pe == "4"
 
@@ -264,7 +261,7 @@ def test_unsatisfiable_own_constraints_deny(transit_world):
     # and its own empty window is a policy drop that names it
     ctrl = _as1_with_policy_1(transit_world, flow_cons=(_label_path("SL1"),))
     result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
-    assert result.batch is None
+    assert result.installs == ()
     assert result.reason == DropReason.POLICY
     events = [(e.verdict, e.reason, e.matched_pe) for e in ctrl.events]
     assert events == [("drop", DropReason.POLICY, "1")]
@@ -297,7 +294,7 @@ def test_a_route_is_searched_once_and_charged_on_every_packet_in(transit_world, 
     # with no pinned exit the domain route is searched as well
     ctrl = _as1_with_policy_1(transit_world, action_exit=None)
     first, again = (ctrl.handle_packet_in(make_packet(), "S1A", "X", tick) for tick in (0, 1))
-    assert first.batch == again.batch and first.batch is not None
+    assert first.installs == again.installs and first.installs != ()
     assert first.service_ticks == again.service_ticks
     assert searches == {"find_as_paths": 1, "find_switch_path": 1}
     # AS3 is SL2, so no domain route satisfies SL3+=; the miss is kept too

@@ -208,13 +208,13 @@ def test_transit_packet_in_classifies_transit_and_drop():
     handle = extend_handle(None, packet.flow_id, "AS1", ptt, as1.handle_key)
     result = as2.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle)
     # transit: the egress rule leads on into AS3 with the extended handle
-    gateway, peer, rule = egress_hop(world, result.batch)
+    gateway, peer, rule = egress_hop(world, result.installs)
     assert (gateway, peer) == ("2SW3", "3SW2")
     assert rule.handle.visited == ("AS1", "AS2")
     # a handle tagged under a key other than AS1's is refused
     foreign = extend_handle(None, packet.flow_id, "AS1", None, KEYS["AS1"])
     refused = as2.handle_packet_in(packet, "2SW1", "1SW2", 0, handle=foreign)
-    assert refused.batch is None
+    assert refused.installs == ()
     assert refused.reason == "HANDLE_INVALID"
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdnsec.controller import Controller, DropReason
 from sdnsec.dataplane import ARP_RULE_PRIORITY, FLOW_RULE_PRIORITY, ActionKind, Packet, flow_dump, format_flow_dump
 from sdnsec.defense import ResponseMode
 from sdnsec.interdomain import extend_handle
@@ -169,6 +170,50 @@ def test_built_world_charges_the_scenarios_costs(name):
 
     scenario = load(name)
     assert digest(Simulation(build_world(scenario)).run()) == digest(run(scenario))
+
+
+# every bundled scenario, and the flood under the block-rule response, as no
+# bundled scenario writes a block rule
+PACKET_IN_CASES = [*list_bundled_scenarios(), "flood_single_domain/drop_rule"]
+
+
+@pytest.mark.parametrize("enforcement", [True, False], ids=["enforced", "baseline"])
+@pytest.mark.parametrize("mode", ["reactive", "proactive"])
+@pytest.mark.parametrize("case", PACKET_IN_CASES)
+def test_a_packet_in_answers_one_record_and_the_loop_keeps_each_clock(case, mode, enforcement, monkeypatch):
+    answers = []
+    handle_packet_in = Controller.handle_packet_in
+
+    def recorded(ctrl, packet, *args, **kwargs):
+        before = len(ctrl.events)
+        result = handle_packet_in(ctrl, packet, *args, **kwargs)
+        [event] = ctrl.events[before:]
+        answers.append((ctrl.as_id, packet, result, event))
+        return result
+
+    monkeypatch.setattr(Controller, "handle_packet_in", recorded)
+    name, _, response = case.partition("/")
+    scenario = replace(load(name), mode=mode, enforcement=enforcement)
+    if response:
+        scenario = replace(scenario, defense_response=ResponseMode(response))
+    report = run(scenario)
+
+    blocked = set()
+    for domain, packet, result, event in answers:
+        first_block = result.reason == DropReason.DEFENSE_BLOCKED and (domain, packet.src_ip) not in blocked
+        if first_block:
+            blocked.add((domain, packet.src_ip))
+        admitted = result.reason == ""
+        assert (result.installs != ()) == (admitted or first_block), (case, event)
+        if admitted:
+            assert (result.provenance, len(result.installs)) == (event.matched_pe, event.rules_installed), case
+        elif first_block:
+            assert result.provenance == f"defense:{packet.src_text}", case
+    # a controller serves one packet-in at a time, in arrival order
+    free_at = {}
+    for record in report.latencies:
+        assert record.start_tick == max(record.arrival_tick, free_at.get(record.domain, 0)), (case, record)
+        free_at[record.domain] = record.emission_tick
 
 
 def test_proactive_mode_equivalence():
@@ -608,7 +653,7 @@ def test_flow_never_reenters_a_visited_domain(pin_back, baseline_path):
     )
     handle = extend_handle(None, packet.flow_id, "AS1", None, world.controllers["AS1"].handle_key)
     result = world.controllers["AS2"].handle_packet_in(packet, "2SW1", "1SW2", 0, handle=handle)
-    assert (result.batch, result.reason) == (None, "NO_SATISFYING_PATH")
+    assert (result.installs, result.reason) == ((), "NO_SATISFYING_PATH")
     for mode in ("reactive", "proactive"):
         flow = run(replace(scenario, mode=mode)).flows[0]
         assert (flow.outcome, flow.reason, flow.drop_domain) == ("dropped", "NO_SATISFYING_PATH", "AS2"), mode
