@@ -28,11 +28,15 @@ mutation happens on the simulation loop's thread.
 Packet and match addresses are plain ``int`` values, so a probe key hashes
 natively.  A packet prints its two addresses once (``src_text``,
 ``dst_text``), for its flow id, the records and the event summaries, and
-writes that text and its flow id into its ``__dict__`` in one step; it
-builds its flow's forward and return match on first read
+writes that text and its flow id into its ``__dict__`` in one step.  A
+packet fixes every header field: one left ``None`` is a ``ValueError`` when
+it is built.  It builds its flow's forward and return match on first read
 (``Packet.matches``, a lock-free :class:`~sdnsec.frozen.cached` field), once
-for every domain it crosses.  A flow dump prints a match's addresses as
-dotted text.
+for every domain it crosses, each through :meth:`FlowMatch.exact`: every
+flow match fixes the same fields, so that constructor writes the one flow
+mask and the 5-tuple key with the fields, in one step, where the general
+constructor works both out from which fields are ``None``.  A flow dump
+prints a match's addresses as dotted text.
 """
 
 from __future__ import annotations
@@ -86,6 +90,18 @@ class Packet:
     flow_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if (
+            self.src_ip is None
+            or self.dst_ip is None
+            or self.src_mac is None
+            or self.dst_mac is None
+            or self.ip_proto is None
+            or self.service_port is None
+            or self.packet_type is None
+        ):
+            # a None field would wildcard it in the flow's rules
+            missing = [name for name in _HEADER_FIELDS if getattr(self, name) is None]
+            raise ValueError(f"a packet leaves no header field None: {', '.join(missing)}")
         src_text, dst_text = format_ipv4(self.src_ip), format_ipv4(self.dst_ip)
         flow_id = derive_flow_id(src_text, dst_text, self.ip_proto, self.service_port)
         self.__dict__.update(src_text=src_text, dst_text=dst_text, flow_id=flow_id)
@@ -93,12 +109,11 @@ class Packet:
     @cached
     def matches(self) -> tuple[FlowMatch, FlowMatch]:
         """The flow's forward match and its return match, the addresses
-        swapped; built once per packet and read by every domain it crosses."""
-        proto, port, kind = self.ip_proto, self.service_port, self.packet_type
-        return (
-            FlowMatch(self.src_ip, self.dst_ip, None, None, proto, port, kind),
-            FlowMatch(self.dst_ip, self.src_ip, None, None, proto, port, kind),
-        )
+        swapped, each built with its mask and key in one step
+        (:meth:`FlowMatch.exact`); built once per packet and read by every
+        domain it crosses."""
+        src, dst, proto, port, kind = self.src_ip, self.dst_ip, self.ip_proto, self.service_port, self.packet_type
+        return FlowMatch.exact(src, dst, proto, port, kind), FlowMatch.exact(dst, src, proto, port, kind)
 
 
 # the match fields a Packet carries too, under the same names
@@ -126,7 +141,11 @@ def _layout(nones: tuple[bool, ...]) -> tuple[_Mask, Callable[[object], object]]
 
 @frozen(slots=True)
 class FlowMatch:
-    """Wildcardable subset of packet header fields (None matches anything)."""
+    """Wildcardable subset of packet header fields (None matches anything).
+
+    ``FlowMatch(...)`` works out the match's ``mask`` and ``key`` from which
+    fields are ``None``; ARP and block rules are built so.
+    :meth:`FlowMatch.exact` builds the match a packet's flow takes."""
 
     src_ip: int | None = None
     dst_ip: int | None = None
@@ -156,6 +175,27 @@ class FlowMatch:
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "key", probe(self))
 
+    @classmethod
+    def exact(cls, src_ip: int, dst_ip: int, ip_proto: str, service_port: int, packet_type: str) -> FlowMatch:
+        """The match of one flow: every header field but the two MACs fixed,
+        equal to ``FlowMatch(src_ip, dst_ip, None, None, ip_proto,
+        service_port, packet_type)``.  It writes the fields, the one flow
+        mask and the 5-tuple key through the slots' setters, bound once the
+        class is built (``_set_*`` below), with no ``__post_init__``.  A
+        header field added to the flow's match, such as a request/reply
+        flag, is written here too."""
+        match = _new(cls)
+        _set_src_ip(match, src_ip)
+        _set_dst_ip(match, dst_ip)
+        _set_src_mac(match, None)
+        _set_dst_mac(match, None)
+        _set_ip_proto(match, ip_proto)
+        _set_service_port(match, service_port)
+        _set_packet_type(match, packet_type)
+        _set_mask(match, _FLOW_MASK)
+        _set_key(match, (src_ip, dst_ip, ip_proto, service_port, packet_type))
+        return match
+
     def text(self) -> str:
         parts = []
         for name in _HEADER_FIELDS:
@@ -166,6 +206,23 @@ class FlowMatch:
                 value = format_ipv4(value)
             parts.append(f"{name}={value}")
         return " ".join(parts)
+
+
+# FlowMatch.exact's slot setters, taken from the built class, and the mask
+# every flow match has; its key reads these fields in this order
+_new = object.__new__
+(
+    _set_src_ip,
+    _set_dst_ip,
+    _set_src_mac,
+    _set_dst_mac,
+    _set_ip_proto,
+    _set_service_port,
+    _set_packet_type,
+    _set_mask,
+    _set_key,
+) = (FlowMatch.__dict__[name].__set__ for name in (*_HEADER_FIELDS, "mask", "key"))
+_FLOW_MASK = _layout(tuple(name in ("src_mac", "dst_mac") for name in _HEADER_FIELDS))[0]
 
 
 class ActionKind:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -193,6 +194,16 @@ def test_dump_counts_distinct_installs():
     for port in range(1, 26):
         sw.install(forward(100, "peer", service_port=port))
     assert len(flow_dump(sw)) == 25
+
+
+HEADER_FIELDS = ("src_ip", "dst_ip", "src_mac", "dst_mac", "ip_proto", "service_port", "packet_type")
+
+
+@pytest.mark.parametrize("missing", [*((name,) for name in HEADER_FIELDS), ("ip_proto", "service_port")], ids="+".join)
+def test_a_packet_refuses_a_none_header_field(missing):
+    # a None field would print in the flow id and wildcard the flow's rules
+    with pytest.raises(ValueError, match=f"no header field None: {', '.join(missing)}$"):
+        make_packet(**dict.fromkeys(missing))
 
 
 def test_outcomes_match_linear_scan_oracle():
@@ -441,3 +452,45 @@ def test_a_batch_is_written_whole_exactly_when_its_new_matches_fit(program):
         for switch_id, sw in switches.items():
             assert flow_dump(sw) == references[switch_id].rules
             assert len(sw.table) == len(references[switch_id].rules)
+
+
+def _swapped(packet):
+    return make_packet(
+        src_ip=packet.dst_ip,
+        dst_ip=packet.src_ip,
+        ip_proto=packet.ip_proto,
+        service_port=packet.service_port,
+        packet_type=packet.packet_type,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(packet=PACKETS, probes=st.lists(PACKETS, max_size=6))
+def test_a_packets_matches_are_the_general_constructors(packet, probes):
+    src, dst = packet.src_ip, packet.dst_ip
+    proto, port, kind = packet.ip_proto, packet.service_port, packet.packet_type
+    general = (FlowMatch(src, dst, None, None, proto, port, kind), FlowMatch(dst, src, None, None, proto, port, kind))
+    for match, expected in zip(packet.matches, general):
+        assert match == expected
+        assert hash(match) == hash(expected)
+        assert repr(match) == repr(expected)
+        # every field, mask and key included
+        assert [getattr(match, spec.name) for spec in fields(FlowMatch)] == [
+            getattr(expected, spec.name) for spec in fields(FlowMatch)
+        ]
+    # rules filed under either build of the matches find what the
+    # field-by-field check finds, for the flow's request, its reply and others
+    probes = [packet, _swapped(packet), *probes]
+    found = []
+    for matches in (packet.matches, general):
+        sw = make_switch()
+        sw.attach("peer")
+        rules = [FlowRule(match, ActionKind.FORWARD, 100, "peer") for match in matches]
+        assert install_batch({"SW1": sw}, [("SW1", rule) for rule in rules])
+        hits = [sw.lookup(probe) for probe in probes]
+        for probe, hit in zip(probes, hits):
+            assert (hit is not None) == any(match_hits(match, probe) for match in matches)
+            assert hit is None or match_hits(hit.match, probe)
+        found.append([None if hit is None else hit.match for hit in hits])
+    assert found[0] == found[1]
+    assert found[0][:2] == list(packet.matches)

@@ -31,8 +31,10 @@ copies its key's prepared states.
 
 The rule path builds a flow's two matches once per packet, not once per
 domain it crosses, and files each written rule with one ``Switch.install``
-call: the workloads at seed 1 have fixed bounds on ``FlowMatch``
-constructions, and their install calls equal the rules the report counts.
+call: the workloads at seed 1 have fixed bounds on ``FlowMatch.exact``
+calls, build no match through the general constructor (no
+``FlowMatch.__post_init__`` call), and their install calls equal the rules
+the report counts.
 A packet prints its two addresses once, and every record, summary and
 flow id reads that text, and each flow's packet is built once, a
 pre-installed flow's too: the workloads at seed 1 have fixed bounds on
@@ -316,9 +318,12 @@ FLOW_MATCH_BOUNDS = {"flood_table": 1_742, "acl_proactive": 720, "mesh_transit":
 
 @pytest.mark.parametrize("workload", sorted(FLOW_MATCH_BOUNDS))
 def test_rule_path_builds_each_flows_matches_once_and_files_each_rule_once(workload):
-    methods = ((FlowMatch, "__post_init__"), (Switch, "install"))
+    methods = ((FlowMatch, "exact"), (FlowMatch, "__post_init__"), (Switch, "install"))
     calls, counters = _run_counts(case_world(f"workload:{workload}"), methods=methods)
-    assert 0 < calls["FlowMatch.__post_init__"] <= FLOW_MATCH_BOUNDS[workload], calls
+    assert 0 < calls["FlowMatch.exact"] <= FLOW_MATCH_BOUNDS[workload], calls
+    # a flow's matches skip the general constructor, left to the one ARP
+    # match and to block rules; no workload run blocks a host
+    assert calls["FlowMatch.__post_init__"] == 0, calls
     # build_world wrote the ARP rules before the run
     assert calls["Switch.install"] == counters["rules_installed"] + counters["proactive_installs"] > 0, (calls, counters)
 
