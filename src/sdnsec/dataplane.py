@@ -19,11 +19,10 @@ which holds its transfer token, and the switch adds it to the packet as it
 leaves.
 :func:`install_batch` writes a flow-mod batch all or nothing, like an
 OpenFlow 1.4 bundle; it is the one write path and the one capacity and
-next-hop check.  Only on a switch without room for the whole batch does
-it count the rules the switch is named in, and only where that count could
-overflow its table the matches new to it (by mask and key, a match named
-twice once); when one switch would overflow, it writes nothing.  All
-mutation happens on the simulation loop's thread.
+next-hop check.  Its capacity check passes a switch with room for the
+whole batch unexamined, and counts a tight switch's new matches by mask and
+key, a match named twice once; when one switch would overflow, it writes
+nothing.  All mutation happens on the simulation loop's thread.
 
 Packet and match addresses are plain ``int`` values, so a probe key hashes
 natively.  A packet prints its two addresses once (``src_text``,
@@ -35,8 +34,8 @@ it is built.  It builds its flow's forward and return match on first read
 for every domain it crosses, each through :meth:`FlowMatch.exact`: every
 flow match fixes the same fields, so that constructor writes the one flow
 mask and the 5-tuple key with the fields, in one step, where the general
-constructor works both out from which fields are ``None``.  A flow dump
-prints a match's addresses as dotted text.
+constructor takes its mask from the fields it leaves non-``None``.  A flow
+dump prints a match's addresses as dotted text.
 """
 
 from __future__ import annotations
@@ -127,24 +126,19 @@ _Mask = tuple[str, ...]
 
 @cache
 def _probe(mask: _Mask) -> Callable[[object], object]:
-    """Reads the fields ``mask`` fixes: a match's key, or a packet's probe."""
+    """Reads the fields ``mask`` fixes: a match's key, or a packet's probe.
+    Cached, so the matches and the mask tables of one mask share one
+    getter."""
     return attrgetter(*mask) if mask else lambda _item: ()
-
-
-@cache
-def _layout(nones: tuple[bool, ...]) -> tuple[_Mask, Callable[[object], object]]:
-    """The header fields a match fixes, from which of its fields are None,
-    and the function that reads them (:func:`_probe`)."""
-    mask = tuple(name for name, none in zip(_HEADER_FIELDS, nones) if not none)
-    return mask, _probe(mask)
 
 
 @frozen(slots=True)
 class FlowMatch:
     """Wildcardable subset of packet header fields (None matches anything).
 
-    ``FlowMatch(...)`` works out the match's ``mask`` and ``key`` from which
-    fields are ``None``; ARP and block rules are built so.
+    ``FlowMatch(...)`` takes as its ``mask`` the header fields it leaves
+    non-``None``, in ``_HEADER_FIELDS`` order, and as its ``key`` their
+    values, read by :func:`_probe`; ARP and block rules are built so.
     :meth:`FlowMatch.exact` builds the match a packet's flow takes."""
 
     src_ip: int | None = None
@@ -159,21 +153,11 @@ class FlowMatch:
     key: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mask, probe = _layout(
-            (
-                self.src_ip is None,
-                self.dst_ip is None,
-                self.src_mac is None,
-                self.dst_mac is None,
-                self.ip_proto is None,
-                self.service_port is None,
-                self.packet_type is None,
-            )
-        )
+        mask = tuple(name for name in _HEADER_FIELDS if getattr(self, name) is not None)
         # a slotted record has no __dict__ to update in one step; the
         # generic setter also serves a plain dataclass given this method
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "key", probe(self))
+        object.__setattr__(self, "key", _probe(mask)(self))
 
     @classmethod
     def exact(cls, src_ip: int, dst_ip: int, ip_proto: str, service_port: int, packet_type: str) -> FlowMatch:
@@ -222,7 +206,7 @@ _new = object.__new__
     _set_mask,
     _set_key,
 ) = (FlowMatch.__dict__[name].__set__ for name in (*_HEADER_FIELDS, "mask", "key"))
-_FLOW_MASK = _layout(tuple(name in ("src_mac", "dst_mac") for name in _HEADER_FIELDS))[0]
+_FLOW_MASK = tuple(name for name in _HEADER_FIELDS if name not in ("src_mac", "dst_mac"))
 
 
 class ActionKind:

@@ -32,10 +32,11 @@ loop alone keeps each controller's clock, the tick it is next free, which
 each packet-in's emission moves on.  A packet leaving a domain, retries
 included, picks up its handle, which holds its transfer token, from the
 egress gateway's forward rule, which is where augmentation happens on a
-real edge.  Proactive pre-install runs each flow's packet-ins
+real edge.  Proactive pre-install runs each single flow's packet-ins
 before the event loop starts, in the order the loop would offer the flows
-(by tick, equal ticks in document order), with the packet the flow is
-offered with, built once.  It takes the hop the same way:
+(by tick, equal ticks in document order).  It starts each flow from the
+in-flight record it is offered with: its packet, built once, its ingress,
+its entry peer and its offer tick.  It takes the hop the same way:
 the next domain's ingress is that rule's next hop, and its packet-in
 carries that rule's handle.
 
@@ -64,7 +65,7 @@ from .defense import FloodMonitor, ResponseMode
 from .interdomain import DomainKey, Handle
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
 from .policy import DomainInfo
-from .scenario import FloodSpec, FlowSpec, HostSpec, Scenario
+from .scenario import FloodSpec, HostSpec, Scenario
 from .topology import Graph, gateway_name, probe_topology
 
 __all__ = ["World", "build_world", "run"]
@@ -207,7 +208,7 @@ class Simulation:
 
     # --- traffic expansion -----------------------------------------------------
 
-    def _offer_flow(self, spec, port: int, tick: int, from_flood: bool) -> Packet:
+    def _offer_flow(self, spec, port: int, tick: int, from_flood: bool) -> _InFlight:
         src = self.world.hosts[spec.src_host]
         dst_host = self.world.hosts_by_ip.get(spec.dst)
         # the per-flow records are built positionally, in field order: no
@@ -222,11 +223,11 @@ class Simulation:
         inflight = _InFlight(packet, record, src.switch, src.id, None, [])
         self._heap.append((tick + LINK_TICK, self._seq, self._on_switch_rx, (inflight,)))
         self._seq += 1
-        return packet
+        return inflight
 
-    def _expand_traffic(self) -> list[tuple[FlowSpec, Packet]]:
-        """Offer every flow; answer each single (not flood) flow with the
-        packet it was offered with, in document order."""
+    def _expand_traffic(self) -> list[_InFlight]:
+        """Offer every flow; return the in-flight records the single (not
+        flood) flows are offered with, in document order."""
         ticks_per_second = self.scenario.window_ticks
         singles = []
         for item in self.scenario.traffic:
@@ -236,7 +237,7 @@ class Simulation:
                     tick = item.at + i * ticks_per_second // item.rate
                     self._offer_flow(item, item.port_base + i, tick, from_flood=True)
             else:
-                singles.append((item, self._offer_flow(item, item.port, item.at, from_flood=False)))
+                singles.append(self._offer_flow(item, item.port, item.at, from_flood=False))
         return singles
 
     # --- event handlers -----------------------------------------------------
@@ -321,19 +322,18 @@ class Simulation:
 
     # --- proactive pre-install ---------------------------------------------------
 
-    def _preinstall(self, singles: list[tuple[FlowSpec, Packet]]) -> None:
-        # the single flows with the packets they are offered with, in tick
+    def _preinstall(self, singles: list[_InFlight]) -> None:
+        # each single flow starts where and when it is offered, in tick
         # order, as the event loop would offer them; floods are reactive by
-        # nature
-        for item, packet in sorted(singles, key=lambda single: single[0].at):
-            src = self.world.hosts[item.src_host]
-            ingress, entry_peer = src.switch, src.id
-            handle = None
+        # nature.  The in-flight records stay as offered, for the loop
+        for inflight in sorted(singles, key=lambda single: single.record.request_tick):
+            packet, tick = inflight.packet, inflight.record.request_tick
+            ingress, entry_peer, handle = inflight.at, inflight.came_from, None
             # each hop extends the handle by a domain it has not visited, so
             # the walk ends within one hop per domain
             while True:
                 ctrl = self.world.controllers[self.world.switch_domain[ingress]]
-                result = ctrl.handle_packet_in(packet, ingress, entry_peer, item.at, handle, defense=False)
+                result = ctrl.handle_packet_in(packet, ingress, entry_peer, tick, handle, defense=False)
                 if result.reason or not self._install_batch(result.installs):
                     break
                 self._counters["proactive_installs"] += len(result.installs)
@@ -362,9 +362,9 @@ class Simulation:
                 step = handler(tick, *args)
 
     def run(self) -> MetricsReport:
-        # an offer records its flow and queues its first event, neither of
-        # which pre-install reads, so pre-install may follow the offers and
-        # take their packets
+        # an offer records its flow and queues its first event, and
+        # pre-install only reads them, so it may follow the offers and start
+        # each single flow from its in-flight record
         singles = self._expand_traffic()
         if self.scenario.mode == "proactive":
             self._preinstall(singles)

@@ -1,5 +1,7 @@
 import random
 from dataclasses import fields
+from itertools import product
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -204,6 +206,27 @@ def test_a_packet_refuses_a_none_header_field(missing):
     # a None field would print in the flow id and wildcard the flow's rules
     with pytest.raises(ValueError, match=f"no header field None: {', '.join(missing)}$"):
         make_packet(**dict.fromkeys(missing))
+
+
+# one value per header field, of the field's type
+FIELD_VALUES = dict(
+    zip(HEADER_FIELDS, (ip("10.0.0.2"), ip("10.0.0.9"), "00:00:00:00:00:01", "00:00:00:00:00:09", "tcp", 80, "HTTP"))
+)
+
+
+def test_a_general_match_fixes_the_fields_it_leaves_set():
+    # every None-pattern of the seven header fields
+    for fixed in product((False, True), repeat=len(HEADER_FIELDS)):
+        mask = tuple(name for name, fix in zip(HEADER_FIELDS, fixed) if fix)
+        match = FlowMatch(**{name: FIELD_VALUES[name] for name in mask})
+        assert match.mask == mask
+        assert match.key == (attrgetter(*mask)(match) if mask else ())
+        # a one-field key is the bare value, as a probe of that mask reads it
+        values = tuple(FIELD_VALUES[name] for name in mask)
+        assert match.key == (values[0] if len(values) == 1 else values)
+    flow = {name: value for name, value in FIELD_VALUES.items() if name not in ("src_mac", "dst_mac")}
+    general, exact = FlowMatch(**flow), FlowMatch.exact(**flow)
+    assert (general.mask, general.key) == (exact.mask, exact.key)
 
 
 def test_outcomes_match_linear_scan_oracle():

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import io
 import json
 from dataclasses import replace
@@ -23,6 +24,7 @@ from sdnsec.simulation import Simulation, build_world, run
 from sdnsec.sweep import chain_scenario
 
 from helpers import HeapSimulation, delivered, installs_per_window, ip, queue_event, records_digest
+from test_workloads import workload_world
 
 ALLOW_ALL = "p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"
 
@@ -229,6 +231,65 @@ def test_proactive_mode_equivalence():
         assert [(f.src, f.outcome, f.switch_path) for f in reactive.flows] == [
             (f.src, f.outcome, f.switch_path) for f in proactive.flows
         ], name
+
+
+PREINSTALL_CASES = [
+    *(f"{name}/{on}" for name in list_bundled_scenarios() for on in ("enforced", "baseline")),
+    *(f"acl_proactive@{seed}" for seed in (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("case", PREINSTALL_CASES)
+def test_preinstall_starts_each_flow_where_and_when_it_is_offered(case, monkeypatch):
+    offered, calls = [], []
+    expand_traffic, preinstall = Simulation._expand_traffic, Simulation._preinstall
+    handle_packet_in = Controller.handle_packet_in
+    signature = inspect.signature(handle_packet_in)
+
+    def offers(sim):
+        singles = expand_traffic(sim)
+        # every offer waits on the heap as its flow's first event
+        queued = [args[0] for _, _, _, args in sorted(sim._heap, key=lambda event: event[1])]
+        offered.extend(inflight for inflight in queued if not inflight.record.from_flood)
+        return singles
+
+    def recorded(ctrl, *args, **kwargs):
+        calls.append(signature.bind(ctrl, *args, **kwargs).arguments)
+        return handle_packet_in(ctrl, *args, **kwargs)
+
+    def preinstalling(sim, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(Controller, "handle_packet_in", recorded)
+            preinstall(sim, *args)
+
+    monkeypatch.setattr(Simulation, "_expand_traffic", offers)
+    monkeypatch.setattr(Simulation, "_preinstall", preinstalling)
+    name, _, variant = case.partition("/")
+    if variant:
+        world = build_world(replace(load(name), mode="proactive", enforcement=variant == "enforced"))
+    else:
+        workload, _, seed = name.partition("@")
+        world = workload_world(workload, int(seed))
+        assert world.scenario.mode == "proactive"
+    Simulation(world).run()
+
+    # each single flow's calls run together, the flows in (tick, document)
+    # order; its first call takes the offered packet where and when it is offered
+    firsts = []
+    for call in calls:
+        if not firsts or call["packet"] is not firsts[-1]["packet"]:
+            assert all(call["packet"] is not first["packet"] for first in firsts), case
+            firsts.append(call)
+    expected = sorted(offered, key=lambda inflight: inflight.record.request_tick)
+    assert len(firsts) == len(expected), case
+    for first, inflight in zip(firsts, expected):
+        src = world.hosts[inflight.record.src]
+        assert first["packet"] is inflight.packet, case
+        assert (first["ingress"], first["entry_peer"], first["tick"]) == (
+            src.switch,
+            src.id,
+            inflight.record.request_tick,
+        ), case
 
 
 def test_baseline_establishes_superset():

@@ -38,10 +38,10 @@ the report counts.
 A packet prints its two addresses once, and every record, summary and
 flow id reads that text, and each flow's packet is built once, a
 pre-installed flow's too: the workloads at seed 1 have fixed bounds on
-``format_ipv4`` calls, two per offered flow.  The batch check counts a
-switch's rules before it counts new matches, and counts those by mask and
-key, so a run hashes no ``FlowMatch``; and every ``FlowRule`` a run builds
-is a rule ``synthesize_rules`` returns.
+``format_ipv4`` calls, two per offered flow.  The batch check passes a
+switch with room for the whole batch unexamined, and counts a tight
+switch's new matches by mask and key, so a run hashes no ``FlowMatch``; and
+every ``FlowRule`` a run builds is a rule ``synthesize_rules`` returns.
 
 The policy reader converts each field text once per document: reading the
 ``acl_proactive`` repository at seed 1 parses each distinct (column,
