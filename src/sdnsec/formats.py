@@ -18,25 +18,33 @@ prefix supplies the expression id.  The full grammar lives in
 ``docs/policy-formats.md``.
 
 Both formats share the record layout: a compact expression is lowered onto
-repository record columns (``COMPACT_COLUMNS``), so one builder makes every
-expression and one encoder feeds both serializers.
+repository record columns (``COMPACT_COLUMNS``), so one converter reads
+every column, one builder makes every expression from the converted
+entries, and one encoder feeds both serializers.
 
 A host address parses to a plain ``int`` and prints as dotted text again
 through :func:`~sdnsec.policy.format_ipv4`; a subnet stays an ``IPv4Network``.
 
-One document is read with one value table: a dict from ``(column, field
-text)`` to that column's converted entry, and from each distinct set of
-selector fields to one shared ``EndpointSelector``.  Equal field texts are
-converted once per document; every value is immutable, so expressions may
-share it.  Only successful conversions enter the table, so a bad text raises
-at each occurrence.  A table lives for one document read and no longer.
+One document is read with one value table, a plain dict.  The compact
+reader keeps in it one table per compact position, from a field's raw text
+to that field's converted entries: a domain descriptor lowered onto its
+side's columns, group brackets stripped, each column converted, and the
+wildcard as no entry.  The repository reader maps ``(column, field text)``
+to that column's converted entries.  Each distinct set of selector fields
+maps to one shared ``EndpointSelector``.  Equal field texts (in the compact
+format, equal raw texts at one position) are converted once per document;
+every value is immutable, so expressions may share it.  Only successful
+conversions enter the table, so a bad text raises at each occurrence.  A
+table lives for one document read and no longer.
+
+A conversion's error names the bad text, not where it is: the reader adds
+the expression's position, formatted only when there is an error.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable
 from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
 
@@ -84,6 +92,9 @@ _FLAT_GROUPS = re.compile(r"[^(){}\[\]]*(?:[({\[][^(){}\[\],;]*[)}\]][^(){}\[\]]
 _DEPTH = {"(": 1, "{": 1, "[": 1, ")": -1, "}": -1, "]": -1}
 _CONDITIONS_ACTION = re.compile(r">\s*:\s*<")
 _VERBS = {action.value: action for action in Action}
+# The value table's key of the compact reader's tables, one per compact
+# position: raw field text -> that field's converted entries.
+_POSITIONS = "compact positions"
 
 
 class PolicyParseError(ValueError):
@@ -184,7 +195,7 @@ def _split_list(token: str) -> list[str] | None:
     return [part for part in map(str.strip, _split_top(inner, ",;")) if part]
 
 
-def _parse_constraint_token(token: str, where: str) -> Constraint | tuple[int, int]:
+def _parse_constraint_token(token: str) -> Constraint | tuple[int, int]:
     """One constraint token; a ``valid[a,b)`` token yields a validity window."""
     token = token.strip()
     if token.startswith("valid[") and token.endswith(")"):
@@ -193,32 +204,32 @@ def _parse_constraint_token(token: str, where: str) -> Constraint | tuple[int, i
             start_text, end_text = inner.split(",")
             start, end = _decimal(start_text), _decimal(end_text)
         except ValueError:
-            raise PolicyParseError(f"bad validity token {token!r}", where=where) from None
+            raise PolicyParseError(f"bad validity token {token!r}") from None
         return (start, end)
     if token.startswith("rate<="):
         try:
             rate = _rate(token[len("rate<=") :])
         except (ValueError, ZeroDivisionError):
-            raise PolicyParseError(f"bad rate token {token!r}", where=where) from None
+            raise PolicyParseError(f"bad rate token {token!r}") from None
         if rate <= 0:
-            raise PolicyParseError(f"rate must be positive in {token!r}", where=where)
+            raise PolicyParseError(f"rate must be positive in {token!r}")
         return Constraint(ConstraintKind.RATE_THRESHOLD, rate=rate)
     if token.startswith("pkt."):
         attr, sep, value = (part.strip() for part in token[len("pkt.") :].partition("="))
         if not sep or not value or attr not in PACKET_ATTRS:
             attrs = ", ".join(PACKET_ATTRS)
-            raise PolicyParseError(f"bad packet-attribute token {token!r} (attr: {attrs})", where=where)
-        value = str(_port(value, token, where)) if attr == "port" else value
+            raise PolicyParseError(f"bad packet-attribute token {token!r} (attr: {attrs})")
+        value = str(_port(value, token)) if attr == "port" else value
         return Constraint(ConstraintKind.PACKET_ATTR, attr=attr, value=value)
     if token.startswith("sig."):
         name = token[len("sig.") :].strip()
         if not name:
-            raise PolicyParseError(f"bad signature token {token!r}", where=where)
+            raise PolicyParseError(f"bad signature token {token!r}")
         return Constraint(ConstraintKind.SIGNATURE, signature=name)
     try:
         return Constraint(ConstraintKind.LABEL_PATH, label=parse_label_constraint(token))
     except LabelParseError as exc:
-        raise PolicyParseError(f"bad constraint token {token!r} ({exc.reason})", where=where) from None
+        raise PolicyParseError(f"bad constraint token {token!r} ({exc.reason})") from None
 
 
 def _intersect_validity(
@@ -235,12 +246,12 @@ def _intersect_validity(
 
 
 def _parse_constraints(
-    tokens: list[str], where: str
+    tokens: list[str],
 ) -> tuple[tuple[Constraint, ...], tuple[int, int] | None]:
     constraints: list[Constraint] = []
     validity: tuple[int, int] | None = None
     for token in tokens:
-        parsed = _parse_constraint_token(token, where)
+        parsed = _parse_constraint_token(token)
         if isinstance(parsed, tuple):
             validity = _intersect_validity(validity, parsed)
         else:
@@ -248,37 +259,38 @@ def _parse_constraints(
     return tuple(constraints), validity
 
 
-def _port(text: str, token: str, where: str) -> int:
+def _port(text: str, token: str) -> int:
     """A service port of ``token``: ASCII digits in 1..65535."""
     try:
         port = _decimal(text)
     except ValueError:
-        raise PolicyParseError(f"bad service port {token!r}", where=where) from None
+        raise PolicyParseError(f"bad service port {token!r}") from None
     if not 1 <= port <= 65535:
-        raise PolicyParseError(f"service port {token!r} out of range 1..65535", where=where)
+        raise PolicyParseError(f"service port {token!r} out of range 1..65535")
     return port
 
 
-def _parse_services(tokens: list[str], where: str) -> frozenset[int]:
+def _parse_services(tokens: list[str]) -> frozenset[int]:
     ports: set[int] = set()
     for token in tokens:
         lo, sep, hi = token.partition("-")
-        low, high = (_port(lo, token, where), _port(hi, token, where)) if sep else (_port(token, token, where),) * 2
+        low, high = (_port(lo, token), _port(hi, token)) if sep else (_port(token, token),) * 2
         if low > high:
-            raise PolicyParseError(f"reversed service port range {token!r}", where=where)
+            raise PolicyParseError(f"reversed service port range {token!r}")
         ports.update(range(low, high + 1))
     return frozenset(ports)
 
 
-def _parse_profile(tokens: list[str], where: str) -> frozenset[str]:
+def _parse_profile(tokens: list[str]) -> frozenset[str]:
     return frozenset(token.lower() for token in tokens)
 
 
-def _parse_path(tokens: list[str], where: str) -> tuple[str, ...]:
+def _parse_path(tokens: list[str]) -> tuple[str, ...]:
     return tuple(tokens)
 
 
-def _parse_action(text: str, where: str) -> tuple[Action, str | None]:
+def _parse_action(text: str) -> tuple[Action, str | None]:
+    """An action's verb and exit switch; raises ValueError on a bad action."""
     bare = _VERBS.get(text.lower())
     if bare is not None:
         return bare, None
@@ -289,14 +301,14 @@ def _parse_action(text: str, where: str) -> tuple[Action, str | None]:
         lowered = token.lower()
         if lowered in _VERBS:
             if verb is not None:
-                raise PolicyParseError(f"action names more than one verb in {text!r}", where=where)
+                raise ValueError(f"action names more than one verb in {text!r}")
             verb = _VERBS[lowered]
         elif exit_switch is None:
             exit_switch = token
         else:
-            raise PolicyParseError(f"unrecognized action token {token!r}", where=where)
+            raise ValueError(f"unrecognized action token {token!r}")
     if verb is None:
-        raise PolicyParseError(f"action must be allow or deny, got {text!r}", where=where)
+        raise ValueError(f"action must be allow or deny, got {text!r}")
     return verb, exit_switch
 
 
@@ -333,7 +345,8 @@ _SCALAR_COLUMNS = {
     "user": (None, "user", _token, str),
 }
 
-# List column -> (expression field, converter of its tokens).
+# List column -> (expression field, converter of its tokens).  A converter
+# raises PolicyParseError naming the bad token; the reader adds where it is.
 _LIST_COLUMNS = {
     "flowcons": ("flow_cons", _parse_constraints),
     "domcons": ("dom_cons", _parse_constraints),
@@ -346,71 +359,70 @@ _LIST_COLUMNS = {
 REPOSITORY_FIELDS = ("id", *_SCALAR_COLUMNS, *_LIST_COLUMNS, "action")
 
 
-def _column_entry(column: str, raw: str, where: str) -> tuple | None:
-    """The converted entry of one condition column's text: ``(selector or
-    None, field, value, validity window or None)``, or ``None`` for the
-    wildcard.  A list with no token, such as ``(;)``, would match nothing,
-    and both serializers print it as the wildcard, so it is an error.
+def _column_entry(column: str, raw: str) -> tuple[tuple, ...]:
+    """The converted entries of one condition column's text: none for the
+    wildcard, else one ``(selector or None, field, value, validity window or
+    None)``.  A list with no token, such as ``(;)``, would match nothing,
+    and both serializers print it as the wildcard, so it is an error.  An
+    error does not say where the text is: the reader adds that.
     """
     text = raw.strip()
     if text == "" or text == WILDCARD:
-        return None
+        return ()
     if column in _SCALAR_COLUMNS:
         selector, name, convert, _ = _SCALAR_COLUMNS[column]
         try:
-            return selector, name, convert(text), None
+            return ((selector, name, convert(text), None),)
         except ValueError as exc:
-            raise PolicyParseError(f"bad {column} value {raw!r}: {exc}", where=where) from None
+            raise PolicyParseError(f"bad {column} value {raw!r}: {exc}") from None
     tokens = _split_list(text)
     if tokens is None:
-        return None
+        return ()
     if not tokens:
-        raise PolicyParseError(f"empty {column} list {raw!r}", where=where)
+        raise PolicyParseError(f"empty {column} list {raw!r}")
     name, convert = _LIST_COLUMNS[column]
     if convert is _parse_constraints:
-        return None, name, *convert(tokens, where)
-    return None, name, convert(tokens, where), None
+        return ((None, name, *convert(tokens)),)
+    return ((None, name, convert(tokens), None),)
 
 
-def _build_pe(
-    pe_id: str, action: str, columns: Iterable[tuple[str, str]], where: str, table: dict | None
-) -> PolicyExpression:
-    """Build one expression from its id, action and condition columns.
+def _where(pe_id: str, position: str | None) -> str:
+    """Where an error is: the record at ``position`` with id ``pe_id``, or,
+    for ``None``, the compact expression ``pe_id``."""
+    if position is None:
+        return f"policy expression {pe_id!r}"
+    return f"{position} (id {pe_id!r})"
 
-    Both formats end here: the repository parser passes its checked
-    record's condition items, the compact parser the columns its fields
-    were lowered onto.  Only the columns given are read; an absent or
-    wildcard column leaves its field at the wildcard.  Each ``(column,
-    text)`` is converted once per ``table`` and each distinct selector built
-    once per ``table`` (see the module docstring); ``None`` is a fresh table.
+
+def _build_pe(pe_id: str, action: str, entries: list[tuple], table: dict, position: str | None) -> PolicyExpression:
+    """Build one expression from its id, action and converted condition
+    entries (:func:`_column_entry`).
+
+    Both formats end here: the repository parser passes the entries of its
+    checked record's condition columns, the compact parser those of its
+    thirteen fields.  A field no entry sets stays at the wildcard.  Each
+    distinct set of selector fields is built into one ``EndpointSelector``
+    per ``table`` (see the module docstring).  An error is named as
+    :func:`_where` names ``pe_id`` at ``position``.
     """
-    if table is None:
-        table = {}
     fields: dict[str, object] = {}
     selectors: dict[str, dict[str, object]] = {"source": {}, "dest": {}}
-    validity: tuple[int, int] | None = None
-    for key in columns:
-        if key in table:
-            entry = table[key]
-        else:
-            entry = table[key] = _column_entry(*key, where)
-        if entry is None:
-            continue
-        selector, name, value, window = entry
+    for selector, name, value, window in entries:
         (fields if selector is None else selectors[selector])[name] = value
         if window is not None:
-            validity = _intersect_validity(validity, window)
+            fields["validity"] = _intersect_validity(fields.get("validity"), window)
     for name, selector in selectors.items():
         if selector:
             key = frozenset(selector.items())
-            if key not in table:
-                table[key] = EndpointSelector(**selector)
-            fields[name] = table[key]
-    verb, exit_switch = _parse_action(action, where)
+            shared = table.get(key)
+            if shared is None:
+                shared = table[key] = EndpointSelector(**selector)
+            fields[name] = shared
     try:
-        return PolicyExpression(id=pe_id, action=verb, action_exit=exit_switch, validity=validity, **fields)
+        verb, exit_switch = _parse_action(action)
+        return PolicyExpression(id=pe_id, action=verb, action_exit=exit_switch, **fields)
     except ValueError as exc:
-        raise PolicyParseError(str(exc), where=where) from None
+        raise PolicyParseError(str(exc), where=_where(pe_id, position)) from None
 
 
 def _encode(pe: PolicyExpression) -> dict[str, list[str]]:
@@ -450,7 +462,7 @@ def parse_record(record: object, position: str, *, table: dict | None = None) ->
     """
     if not isinstance(record, dict):
         raise PolicyParseError("record is not an object", where=position)
-    where = f"{position} (id {record.get('id', '?')!r})"
+    where = _where(record.get("id", "?"), position)
     unknown = set(record) - set(REPOSITORY_FIELDS)
     if unknown:
         raise PolicyParseError(f"unknown fields {sorted(unknown)}", where=where)
@@ -462,8 +474,20 @@ def parse_record(record: object, position: str, *, table: dict | None = None) ->
     for required in ("id", "action"):
         if _is_wild(record.get(required, "")):
             raise PolicyParseError(f"missing required field {required!r}", where=where)
-    conditions = [item for item in record.items() if item[0] not in ("id", "action")]
-    return _build_pe(record["id"], record["action"], conditions, where, table)
+    if table is None:
+        table = {}
+    entries: list[tuple] = []
+    try:
+        for column, text in record.items():
+            if column not in ("id", "action"):
+                key = (column, text)
+                found = table.get(key)
+                if found is None:
+                    found = table[key] = _column_entry(column, text)
+                entries += found
+    except PolicyParseError as fault:
+        raise PolicyParseError(str(fault), where=where) from None
+    return _build_pe(record["id"], record["action"], entries, table, position)
 
 
 def parse_repository(document: str | list) -> list[PolicyExpression]:
@@ -507,7 +531,7 @@ def serialize_repository(pes: list[PolicyExpression]) -> str:
 
 # --- compact format ----------------------------------------------------------
 
-def _lower_domain(side: str, text: str, where: str) -> dict[str, str]:
+def _lower_domain(side: str, text: str) -> dict[str, str]:
     """Sort a domain descriptor's elements by shape into ``side``'s columns.
 
     ``a.b.c.d/len`` is the subnet, ``AS...`` the identity, ``SL...`` the label
@@ -527,9 +551,31 @@ def _lower_domain(side: str, text: str, where: str) -> dict[str, str]:
         else:
             column = "astype"
         if side + column in columns:
-            raise PolicyParseError(f"two {side + column} elements in domain descriptor {text!r}", where=where)
+            raise PolicyParseError(f"two {side + column} elements in domain descriptor {text!r}")
         columns[side + column] = token
     return columns
+
+
+def _field_entries(column: str, raw: str) -> tuple[tuple, ...]:
+    """The converted entries of the compact field at ``column`` (of
+    ``COMPACT_COLUMNS``) from its raw text: a domain descriptor's elements
+    lowered onto their side's columns, else the text less its group
+    brackets."""
+    if column in ("src", "dst"):
+        return sum([_column_entry(*key) for key in _lower_domain(column, raw.strip()).items()], ())
+    return _column_entry(column, _strip_group(raw))
+
+
+def _lowering_fault(fields: list[str]) -> PolicyParseError | None:
+    """The first domain descriptor's fault among a compact expression's
+    raw ``fields``, or ``None`` when every descriptor lowers."""
+    for column, raw in zip(COMPACT_COLUMNS, fields):
+        if column in ("src", "dst"):
+            try:
+                _lower_domain(column, raw.strip())
+            except PolicyParseError as fault:
+                return fault
+    return None
 
 
 def parse_compact_pe(text: str, *, pe_id: str = "anon", table: dict | None = None) -> PolicyExpression:
@@ -537,37 +583,49 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon", table: dict | None = Non
 
     A ``name =`` prefix, when present, overrides ``pe_id``.  The thirteen
     condition fields must all be present; a count mismatch is an error that
-    reports expected versus found.  The fields are lowered onto repository
-    record columns through ``COMPACT_COLUMNS``.  ``table`` is the document's
-    value table; a fresh one is used when none is given, with the same
-    result.
+    reports expected versus found.  Each raw field text is looked up in the
+    table for its compact position inside ``table``; a text not there is
+    lowered onto repository record columns through ``COMPACT_COLUMNS``, its
+    columns converted, and its entries enter that position's table.  Of
+    several faults, a domain descriptor's is reported before any
+    conversion's, then the first in field order.  ``table`` is the
+    document's value table; a fresh one is used when none is given, with
+    the same result.
     """
-    body = text.strip()
-    if "=" in body.split("<", 1)[0]:
-        name, _, body = body.partition("=")
+    head, opens, body = text.partition("<")
+    if "=" in head:
+        name, _, head = head.partition("=")
         pe_id = name.strip() or pe_id
-        body = body.strip()
-    where = f"policy expression {pe_id!r}"
-    if not (body.startswith("<") and body.endswith(">")):
-        raise PolicyParseError("expected <conditions>:<action>", where=where)
-    halves = _CONDITIONS_ACTION.split(body)
-    if len(halves) != 2:
-        raise PolicyParseError("expected exactly one ':' between conditions and action", where=where)
-    cond_text, action_text = halves[0][1:], halves[1][:-1]
-    fields = [f.strip() for f in _split_top(cond_text, ",")]
+    body = body.rstrip()
+    if head.strip() or not opens or not body.endswith(">"):
+        raise PolicyParseError("expected <conditions>:<action>", where=_where(pe_id, None))
+    colon = _CONDITIONS_ACTION.search(body)
+    if colon is None or _CONDITIONS_ACTION.search(body, colon.end()):
+        raise PolicyParseError("expected exactly one ':' between conditions and action", where=_where(pe_id, None))
+    action_text = body[colon.end() : -1]
+    fields = _split_top(body[: colon.start()], ",")
     if len(fields) != len(COMPACT_COLUMNS):
         raise PolicyParseError(
-            f"expected {len(COMPACT_COLUMNS)} condition fields, found {len(fields)}", where=where
+            f"expected {len(COMPACT_COLUMNS)} condition fields, found {len(fields)}", where=_where(pe_id, None)
         )
-    columns: list[tuple[str, str]] = []
-    for column, field in zip(COMPACT_COLUMNS, fields):
-        if field == WILDCARD:  # an absent column is the wildcard
-            continue
-        if column in ("src", "dst"):
-            columns += _lower_domain(column, field, where).items()
-        else:
-            columns.append((column, _strip_group(field) if field[:1] in ("(", "{") else field))
-    return _build_pe(pe_id, action_text, columns, where, table)
+    if table is None:
+        table = {}
+    positions = table.get(_POSITIONS)
+    if positions is None:
+        # each position knows the wildcard from the start, as written
+        # first or after ", ", so that no field converts it
+        positions = table[_POSITIONS] = tuple({WILDCARD: (), " " + WILDCARD: ()} for _ in COMPACT_COLUMNS)
+    entries: list[tuple] = []
+    try:
+        for column, known, raw in zip(COMPACT_COLUMNS, positions, fields):
+            found = known.get(raw)
+            if found is None:
+                found = known[raw] = _field_entries(column, raw)
+            if found:
+                entries += found
+    except PolicyParseError as fault:
+        raise PolicyParseError(str(_lowering_fault(fields) or fault), where=_where(pe_id, None)) from None
+    return _build_pe(pe_id, action_text, entries, table, None)
 
 
 def format_compact_pe(pe: PolicyExpression) -> str:

@@ -17,6 +17,10 @@ another control character would split a report row or a flow-dump line.
 Host and traffic addresses are parsed to plain ``int`` values
 (:func:`~sdnsec.formats.parse_ipv4`); a subnet stays an ``IPv4Network``,
 checked for overlap here.  Dotted text comes back only in error messages.
+
+Every domain's policies are read with one value table for the whole
+document (see :mod:`sdnsec.formats`): a field text repeated in several
+domains is converted once, and equal selectors are one object.
 """
 
 from __future__ import annotations
@@ -284,11 +288,11 @@ def _declare(declared: dict, value, path: str, key: str = "") -> None:
     declared[value] = path
 
 
-def _parse_policies(raw, path: str) -> tuple[PolicyExpression, ...]:
+def _parse_policies(raw, path: str, table: dict) -> tuple[PolicyExpression, ...]:
     """A domain's policies in document order, each a named compact string or
-    a repository record; errors name the position in ``policies``."""
+    a repository record, read with the document's value ``table``; errors
+    name the position in ``policies``."""
     policies: list[PolicyExpression] = []
-    table: dict = {}
     for index, item in enumerate(raw):
         if not isinstance(item, (str, dict)):
             raise ScenarioError(f"{path}[{index}]", "policy must be a compact string or a record object")
@@ -311,9 +315,10 @@ def _parse_policies(raw, path: str) -> tuple[PolicyExpression, ...]:
     return tuple(policies)
 
 
-def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[str, str]) -> DomainSpec:
+def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[str, str], table: dict) -> DomainSpec:
     """One domain; its switch and host ids join ``nodes``, its host addresses
-    ``ips`` as dotted text."""
+    ``ips`` as dotted text, and its policies are read with the document's
+    value ``table``."""
     _object(obj, path, _DOMAIN_FIELDS)
     as_id = _id(obj, path)
     if not as_id.startswith("AS"):
@@ -372,7 +377,7 @@ def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[str, str]) ->
         links=links,
         hosts=tuple(hosts),
         users=users,
-        policies=_parse_policies(_want(obj, "policies", path, list, default=[]), f"{path}.policies"),
+        policies=_parse_policies(_want(obj, "policies", path, list, default=[]), f"{path}.policies", table),
     )
 
 
@@ -438,10 +443,11 @@ def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
     domain_paths: dict[str, str] = {}
     nodes: dict[str, str] = {}  # switch and host ids: both are peers on switch ports
     ips: dict[str, str] = {}
+    table: dict = {}  # the policies' value table, one for the whole document
     domains = []
     for index, obj in enumerate(_want(document, "domains", "$", list)):
         path = f"$.domains[{index}]"
-        domain = _parse_domain(obj, path, nodes, ips)
+        domain = _parse_domain(obj, path, nodes, ips, table)
         _declare(domain_paths, domain.id, path, "id")
         domains.append(domain)
     # CIDR blocks overlap only by nesting, so an overlap shows between neighbours in address order

@@ -466,20 +466,43 @@ def test_rate_token_rejects_other_shapes(token):
 WILD_CONDITIONS = ", ".join(["*"] * 13)
 
 
+def _unnamed(position: int, text: str, prefix: str = "") -> str:
+    """``_compact``'s expression with ``prefix`` for its ``t = ``."""
+    return prefix + _compact(position, text).removeprefix("t = ")
+
+
+# the compact expression's name, else the reader's pe_id argument ('q'),
+# names every fault, found before, during or after the conversions
 @pytest.mark.parametrize(
     "text, message",
     [
-        (_compact(8, "(pkt.type)"), "bad packet-attribute token 'pkt.type'"),
-        (_compact(8, "(sig.)"), "bad signature token 'sig.'"),
-        (_compact(8, "(SLx)"), "bad constraint token 'SLx'"),
-        (_compact(10, "(70000)"), "service port '70000' out of range 1..65535"),
-        (_compact(11, "(conf; avail)"), "unknown security-profile tokens: ['avail']"),
-        (_compact(8, "(valid[10,5))"), "validity window start 10 after end 5"),
-        (f"t = <{WILD_CONDITIONS}>:<(1SW2, 2SW3, Allow)>", "unrecognized action token '2SW3'"),
-        (f"t = <{WILD_CONDITIONS}>:<(1SW2)>", "action must be allow or deny"),
-        ("t = Allow", "expected <conditions>:<action>"),
-        (f"t = <{WILD_CONDITIONS}>", "expected exactly one ':' between conditions and action"),
-        (f"t = <{WILD_CONDITIONS}>:<Allow>:<Deny>", "expected exactly one ':' between conditions and action"),
+        (_compact(8, "(pkt.type)"), "policy expression 't': bad packet-attribute token 'pkt.type' (attr: type, port)"),
+        (_compact(8, "(sig.)"), "policy expression 't': bad signature token 'sig.'"),
+        (
+            _compact(8, "(SLx)"),
+            "policy expression 't': bad constraint token 'SLx' (expected SL<n> with optional += or -= suffix)",
+        ),
+        (_compact(10, "(70000)"), "policy expression 't': service port '70000' out of range 1..65535"),
+        (_compact(11, "(conf; avail)"), "policy expression 't': unknown security-profile tokens: ['avail']"),
+        (_compact(8, "(valid[10,5))"), "policy expression 't': validity window start 10 after end 5"),
+        (f"t = <{WILD_CONDITIONS}>:<(1SW2, 2SW3, Allow)>", "policy expression 't': unrecognized action token '2SW3'"),
+        (f"t = <{WILD_CONDITIONS}>:<(1SW2)>", "policy expression 't': action must be allow or deny, got '(1SW2)'"),
+        ("t = Allow", "policy expression 't': expected <conditions>:<action>"),
+        (f"t = <{WILD_CONDITIONS}>", "policy expression 't': expected exactly one ':' between conditions and action"),
+        (
+            f"t = <{WILD_CONDITIONS}>:<Allow>:<Deny>",
+            "policy expression 't': expected exactly one ':' between conditions and action",
+        ),
+        (_unnamed(10, "(70000)"), "policy expression 'q': service port '70000' out of range 1..65535"),
+        (_unnamed(1, "(AS1, AS2)"), "policy expression 'q': two srcasid elements in domain descriptor '(AS1, AS2)'"),
+        (
+            f"<{WILD_CONDITIONS}>:<Allow, Deny>",
+            "policy expression 'q': action names more than one verb in 'Allow, Deny'",
+        ),
+        ("<*, *>:<Allow>", "policy expression 'q': expected 13 condition fields, found 2"),
+        (_unnamed(10, "(70000)", " = "), "policy expression 'q': service port '70000' out of range 1..65535"),
+        (f" = <{WILD_CONDITIONS}>:<(1SW2)>", "policy expression 'q': action must be allow or deny, got '(1SW2)'"),
+        (" = Allow", "policy expression 'q': expected <conditions>:<action>"),
     ],
     ids=[
         "packet-attribute",
@@ -493,11 +516,53 @@ WILD_CONDITIONS = ", ".join(["*"] * 13)
         "no-template",
         "no-colon",
         "two-colons",
+        "unnamed-port-70000",
+        "unnamed-domain-descriptor",
+        "unnamed-two-verbs",
+        "unnamed-field-count",
+        "empty-name-port-70000",
+        "empty-name-action-no-verb",
+        "empty-name-no-template",
     ],
 )
 def test_compact_rejection_names_its_fault(text, message):
-    with pytest.raises(PolicyParseError, match=re.escape(message)):
-        parse_compact_pe(text)
+    with pytest.raises(PolicyParseError) as raised:
+        parse_compact_pe(text, pe_id="q")
+    assert str(raised.value) == message
+    # the same message when the fields were seen before, as in a document
+    table: dict = {}
+    parse_compact_pe(f"seen = <{WILD_CONDITIONS}>:<Allow>", table=table)
+    with pytest.raises(PolicyParseError) as raised:
+        parse_compact_pe(text, pe_id="q", table=table)
+    assert str(raised.value) == message
+
+
+# (faulty fields, the fault reported): a domain descriptor's fault comes
+# before any field's conversion fault, then the first in field order
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({0: "a;b", 1: "(AS1, AS2)"}, "two srcasid elements in domain descriptor '(AS1, AS2)'"),
+        ({1: "(AS1, 10.0.0.0/33)", 2: "(SL1, SL2)"}, "two dstastrulabel elements in domain descriptor '(SL1, SL2)'"),
+        ({1: "(AS1, AS2)", 2: "(SL1, SL2)"}, "two srcasid elements in domain descriptor '(AS1, AS2)'"),
+        ({0: "a;b", 10: "(70000)"}, "bad flowid value 'a;b': a one-value column holds no ',' or ';'"),
+        ({10: "(70000)", 11: "(bogus)"}, "service port '70000' out of range 1..65535"),
+    ],
+    ids=["flowid-then-descriptor", "conversion-then-descriptor", "two-descriptors", "two-conversions", "port-first"],
+)
+def test_a_domain_descriptor_fault_is_reported_first(faults, message):
+    fields = ["*"] * 13
+    for position, text in faults.items():
+        fields[position] = text
+    text = f"t = <{', '.join(fields)}>:<Allow>"
+    # read alone, then twice through a table that has read other texts: a
+    # bad text enters no table
+    warm: dict = {}
+    parse_compact_pe(f"seen = <{WILD_CONDITIONS}>:<Allow>", table=warm)
+    for table in (None, warm, warm):
+        with pytest.raises(PolicyParseError) as raised:
+            parse_compact_pe(text, table=table)
+        assert str(raised.value) == f"policy expression 't': {message}"
 
 
 @pytest.mark.parametrize("compact", [True, False], ids=["compact", "repository"])

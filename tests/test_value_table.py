@@ -1,9 +1,12 @@
 """A document read with one value table gives what reading each of its
 policies alone gives.
 
-The reader converts each (column, field text) once per document and shares
-the converted values, and one ``EndpointSelector`` per distinct set of
-selector fields, among the document's expressions.  These tests read whole
+The reader keeps one value table per document, shared by every domain of a
+scenario.  The compact reader looks up each raw field text in the table for
+its compact position and converts a text it has not seen once; the
+repository reader does the same per (column, field text).  One
+``EndpointSelector`` per distinct set of selector fields is shared among
+the whole document's expressions, across domains.  These tests read whole
 documents (the bundled scenarios, the benchmark workloads at each seed and
 random repositories whose texts repeat) and compare every expression with a
 read of it alone.  A bad text enters no table, so it raises at each of its
@@ -48,15 +51,18 @@ def _assert_document_reads_as_its_policies_alone(document) -> None:
     parsed = parse_scenario(document)
     assert len(parsed.domains) == len(document["domains"])
     for raw, domain in zip(document["domains"], parsed.domains):
-        items = raw.get("policies", [])
-        assert list(domain.policies) == [_read(item) for item in items]
-        _assert_selectors_shared(domain.policies)
-        # a second read into the same table converts nothing again
-        table: dict = {}
-        once = [_read(item, table) for item in items]
-        again = [_read(item, table) for item in items]
-        assert again == once == list(domain.policies)
-        assert all(a.source is b.source and a.dest is b.dest for a, b in zip(once, again))
+        assert list(domain.policies) == [_read(item) for item in raw.get("policies", [])]
+    # one table for the whole document: equal selectors are one object,
+    # whichever domains hold them
+    pes = [pe for domain in parsed.domains for pe in domain.policies]
+    _assert_selectors_shared(pes)
+    # a second read into the same table converts nothing again
+    items = [item for raw in document["domains"] for item in raw.get("policies", [])]
+    table: dict = {}
+    once = [_read(item, table) for item in items]
+    again = [_read(item, table) for item in items]
+    assert again == once == pes
+    assert all(a.source is b.source and a.dest is b.dest for a, b in zip(once, again))
 
 
 @pytest.mark.parametrize("name", list_bundled_scenarios())

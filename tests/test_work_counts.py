@@ -43,12 +43,13 @@ switch with room for the whole batch unexamined, and counts a tight
 switch's new matches by mask and key, so a run hashes no ``FlowMatch``; and
 every ``FlowRule`` a run builds is a rule ``synthesize_rules`` returns.
 
-The policy reader converts each field text once per document: reading the
-``acl_proactive`` repository at seed 1 parses each distinct (column,
-address text) once, each distinct services text once and builds each
-distinct endpoint selector once, bounds taken from the document itself.  A
-second read of the same document makes the same calls, so no cache outlives
-one read.
+The policy reader converts each field text once per document, not once
+per domain: reading the ``acl_proactive`` repository at seed 1 and the
+four domains of the bundled ``four_domain_transit`` parses each distinct
+(position, address or domain descriptor text) once, each distinct services
+text once and builds each distinct endpoint selector once, bounds taken
+from the document itself.  A second read of the same document makes the
+same calls, so no cache outlives one read.
 
 Facts that do not change during a run are worked out once, not per
 packet-in or event.  At seed 1: selection ranks an expression with
@@ -468,38 +469,60 @@ def _code_calls(work, *functions) -> Counter:
 
 
 def _compact_fields(text: str) -> tuple[str, ...]:
-    """The thirteen condition fields of a compact policy with no nested
-    list, each stripped of its outer brackets."""
+    """The thirteen condition fields of a compact policy as written, split
+    at the commas outside brackets, surrounding spaces kept."""
     conditions = text.partition("<")[2].rpartition(">:<")[0]
-    fields = tuple(field.strip().strip("(){}").strip() for field in conditions.split(","))
+    fields = [""]
+    depth = 0
+    for char in conditions:
+        if char == "," and not depth:
+            fields.append("")
+            continue
+        depth += (char in "({[") - (char in ")}]")
+        fields[-1] += char
     assert len(fields) == 13, text
-    return fields
+    return tuple(fields)
 
 
-def test_the_policy_reader_converts_each_field_text_once_per_document():
-    document, _ = WORKLOADS["acl_proactive"](1)
+def _assert_each_field_text_converts_once(document: dict, sizes: tuple[int, ...]) -> None:
     text = json.dumps(document, sort_keys=True)
     counted = (formats.parse_ipv4, formats._parse_services, EndpointSelector.__init__)
     reads = [_code_calls(lambda: parse_scenario(json.loads(text)), *counted) for _ in range(2)]
     # the bounds, from the document: the addresses parsed outside the
-    # policies (host and subnet fields), then each distinct text once
+    # policies (host and subnet fields), then each distinct text once, in
+    # whichever domain it first appears
     bare = json.loads(text)
     for domain in bare["domains"]:
         domain["policies"] = []
     outside = _code_calls(lambda: parse_scenario(bare), formats.parse_ipv4)["parse_ipv4"]
     policies = [_compact_fields(policy) for domain in document["domains"] for policy in domain.get("policies", [])]
-    addresses = {(column, fields[column]) for fields in policies for column in (3, 4) if fields[column] != "*"}
-    services = {fields[10] for fields in policies if fields[10] != "*"}
+
+    def given(fields, position):
+        return fields[position].strip() != "*"
+
+    addresses = {(position, fields[position]) for fields in policies for position in (3, 4) if given(fields, position)}
+    # a domain descriptor parses its subnet's address
+    subnets = {(position, fields[position]) for fields in policies for position in (1, 2) if "/" in fields[position]}
+    services = {fields[10] for fields in policies if given(fields, 10)}
     # a selector is its domain, host address and MAC fields, on either side
     selectors = {
-        selector
+        fields[positions]
         for fields in policies
-        for selector in (fields[1:6:2], fields[2:7:2])
-        if selector != ("*", "*", "*")
+        for positions in (slice(1, 6, 2), slice(2, 7, 2))
+        if any(field.strip() != "*" for field in fields[positions])
     }
-    assert len(policies) == 1_700 and (len(addresses), len(services), len(selectors)) == (1_560, 6, 1_500)
+    assert (len(policies), len(addresses), len(subnets), len(services), len(selectors)) == sizes
     first = reads[0]
-    assert 0 < first["parse_ipv4"] <= outside + len(addresses), first
+    assert 0 < first["parse_ipv4"] <= outside + len(addresses) + len(subnets), first
     assert 0 < first["_parse_services"] <= len(services), first
     assert 0 < first["EndpointSelector.__init__"] <= len(selectors), first
     assert reads[1] == first
+
+
+def test_the_policy_reader_converts_each_field_text_once_per_document():
+    # sizes: the policies, then the distinct address, subnet, services and
+    # selector texts
+    _assert_each_field_text_converts_once(WORKLOADS["acl_proactive"](1)[0], (1_700, 1_560, 0, 6, 1_500))
+    # four domains whose policies repeat descriptor, services and selector texts
+    four_domains = json.loads(bundled_scenario_path("four_domain_transit").read_text())
+    _assert_each_field_text_converts_once(four_domains, (4, 2, 3, 1, 5))
