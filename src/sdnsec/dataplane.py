@@ -2,27 +2,27 @@
 
 A switch keeps its flow table as a tuple space (Srinivasan, Suri & Varghese,
 SIGCOMM 1999; the megaflow classifier of Open vSwitch): one hash table per
-wildcard mask, the set of match fields a rule fixes.  A lookup probes each
-mask once with the packet's values for that mask's fields, so its cost grows
-with the number of masks (three in a simulated run: ARP, flow and block
-rules), not with the number of rules.  A mask's table files each rule as
-itself under its match's key, and keeps the rule's install number beside it
-under the same key, never on the rule, so one rule object may sit in the
-tables of several switches.  A lookup returns the highest-priority matching
-rule, and among equal priorities the one installed first (the least install
-number); the simulation executes it (forward, drop or punt to the
-controller) and raises a packet-in on a miss.  A forward rule names its next
-hop, the attached peer (switch or host) the packet goes to; port numbers
-exist only in a switch's wiring (``Switch.ports``) and in its flow dump.  A
-forward rule at a domain's egress gateway also carries the flow's handle,
-which holds its transfer token, and the switch adds it to the packet as it
-leaves.
-:func:`install_batch` writes a flow-mod batch all or nothing, like an
-OpenFlow 1.4 bundle; it is the one write path and the one capacity and
-next-hop check.  Its capacity check passes a switch with room for the
-whole batch unexamined, and counts a tight switch's new matches by mask and
-key, a match named twice once; when one switch would overflow, it writes
-nothing.  All mutation happens on the simulation loop's thread.
+wildcard mask, the set of match fields a rule fixes.  The program's three
+rule shapes, ARP (10), flow (100) and defense block (200), each have their
+own mask and priority, so a table holds one priority per mask and one mask
+per priority, and keeps its masks in descending priority.  A lookup probes
+them in that order with the packet's values for each mask's fields and
+returns the first hit: its cost grows with the masks, not the rules.  A
+mask's table files each rule as itself under its match's key, in install
+order, so one rule object may sit in the tables of several switches.  The
+simulation executes the rule found (forward, drop or punt to the
+controller) and raises a packet-in on a miss.  A forward rule names its
+next hop, the attached peer (switch or host) the packet goes to; port
+numbers exist only in a switch's wiring (``Switch.ports``) and in its flow
+dump.  A forward rule at a domain's egress gateway also carries the flow's
+handle, which holds its transfer token, and the switch adds it to the
+packet as it leaves.  :func:`install_batch` writes a flow-mod batch all or
+nothing, like an OpenFlow 1.4 bundle; it is the one write path and the one
+capacity, next-hop and priority check.  Its capacity check passes a switch
+with room for the whole batch unexamined, and counts a tight switch's new
+matches by mask and key, a match named twice once; when one switch would
+overflow, it writes nothing.  All mutation happens on the simulation loop's
+thread.
 
 Packet and match addresses are plain ``int`` values, so a probe key hashes
 natively.  A packet prints its two addresses once (``src_text``,
@@ -43,7 +43,6 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import count
 from operator import attrgetter
 
 from .frozen import cached, frozen
@@ -253,24 +252,22 @@ class FlowRule:
 
 class _MaskTable:
     """The rules of one wildcard mask, keyed by their match's ``key``:
-    ``probe(packet)`` is the key a matching packet yields.  ``rules`` maps a
-    key to its rule, filed as itself, and ``numbers`` maps the same key to
-    that rule's install number.  Of two rules, the one a scan in priority
-    order would meet first has the higher priority, or the equal priority
-    and the lesser number."""
+    ``probe(packet)`` is the key a matching packet yields, and ``rules``
+    maps a key to its rule, filed as itself, in install order.  Every rule
+    of the mask has the table's ``priority``, fixed by its first rule."""
 
-    __slots__ = ("probe", "rules", "numbers")
+    __slots__ = ("probe", "priority", "rules")
 
-    def __init__(self, mask: _Mask):
+    def __init__(self, mask: _Mask, priority: int):
         self.probe = _probe(mask)
+        self.priority = priority
         self.rules: dict[object, FlowRule] = {}
-        self.numbers: dict[object, int] = {}
 
 
 class FlowTable:
     """A switch's rules as a tuple space: one :class:`_MaskTable` per
-    wildcard mask in use, each keeping its rules' install numbers beside
-    them.  ``len()`` is the number of rules."""
+    wildcard mask in use, ``masks`` in descending priority, re-ordered only
+    when a new mask arrives.  ``len()`` is the number of rules."""
 
     __slots__ = ("masks", "size")
 
@@ -295,7 +292,6 @@ class Switch:
         # attached peer (switch or host id) -> its port number
         self.ports: dict[str, int] = {}
         self.table = FlowTable()
-        self._install_numbers = count()
 
     def attach(self, peer: str) -> None:
         """Wire a peer (switch or host id) to the next free port; injective."""
@@ -304,72 +300,77 @@ class Switch:
         self.ports[peer] = len(self.ports) + 1
 
     def install(self, rule: FlowRule) -> None:
-        """File ``rule`` itself under its match's mask and key, and its
-        install number in that mask table's ``numbers`` under the same key.
-        A rule for an installed match replaces it, unless its priority is
-        lower, when it is ignored.  At equal priority the replacement keeps
-        the old rule's number, so its place among equal priorities, and
-        re-installing a rule is idempotent; at higher priority it takes a
-        new number, as if newly installed.  :func:`install_batch` checks
-        next hops and capacity first."""
+        """File ``rule`` itself under its match's mask and key.  A rule for
+        an installed match replaces it in place, so re-installing a rule is
+        idempotent; a new mask takes the rule's priority and its place in
+        priority order.  :func:`install_batch` checks next hops, capacity
+        and priorities first."""
         match, tables = rule.match, self.table
         table = tables.masks.get(match.mask)
         if table is None:
-            table = tables.masks[match.mask] = _MaskTable(match.mask)
-        key, fresh = match.key, next(self._install_numbers)
-        # numbers are never reused, so the key was new exactly when its
-        # number is the fresh one
-        if table.numbers.setdefault(key, fresh) == fresh:
-            table.rules[key] = rule
+            table = tables.masks[match.mask] = _MaskTable(match.mask, rule.priority)
+            if len(tables.masks) > 1:
+                tables.masks = dict(sorted(tables.masks.items(), key=lambda item: -item[1].priority))
+        rules, key = table.rules, match.key
+        if key not in rules:
             tables.size += 1
-            return
-        old = table.rules[key]
-        if rule.priority < old.priority:
-            return
-        if rule.priority > old.priority:
-            table.numbers[key] = fresh
-        table.rules[key] = rule
+        rules[key] = rule
 
     def lookup(self, packet: Packet) -> FlowRule | None:
-        """The highest-priority rule matching ``packet``, the earliest
-        installed among equal priorities: one probe per mask."""
-        best = None
+        """The highest-priority rule matching ``packet``: one probe per mask,
+        in priority order, up to the first hit."""
         for table in self.table.masks.values():
-            key = table.probe(packet)
-            rule = table.rules.get(key)
-            if rule is not None and (
-                best is None
-                or rule.priority > best.priority
-                or (rule.priority == best.priority and table.numbers[key] < best_table.numbers[best_key])
-            ):
-                best, best_table, best_key = rule, table, key
-        return best
+            rule = table.rules.get(table.probe(packet))
+            if rule is not None:
+                return rule
+        return None
 
 
 def install_batch(switches: dict[str, Switch], installs: Sequence[tuple[str, FlowRule]]) -> bool:
     """Write every ``(switch id, rule)`` of ``installs`` through
     :meth:`Switch.install`, or none of them.  A forward rule whose next hop
-    is not attached to its switch raises ``ValueError`` before anything is
-    written.  A switch with room for the whole batch cannot overflow, so
-    the capacity check looks closer only at a switch without: it counts the
-    matches of the rules the switch is named in that are new to it, a match
-    named twice counted once.  When some switch lacks room for those, the
-    batch is refused and False returned."""
+    is not attached to its switch, or a rule that would leave its switch
+    with two priorities for one mask or two masks for one priority, raises
+    ``ValueError`` before anything is written.  A switch with room for the
+    whole batch cannot overflow, so the capacity check looks closer only at
+    a switch without: it counts the matches of the rules the switch is named
+    in that are new to it, a match named twice counted once.  When some
+    switch lacks room for those, the batch is refused and False returned."""
     size = len(installs)
-    tight = set()
+    # switch id -> its rules: in tight all of them, for a switch without
+    # room for the whole batch; in unfiled those the priority check reads
+    tight: dict[str, list[FlowRule]] = {}
+    unfiled: dict[str, list[FlowRule]] = {}
     for switch_id, rule in installs:
         switch = switches[switch_id]
         if rule.next_hop not in switch.ports and rule.next_hop is not None:
             raise ValueError(f"{switch_id} has no port toward {rule.next_hop}")
+        table = switch.table.masks.get(rule.match.mask)
+        if table is None or table.priority != rule.priority:
+            unfiled.setdefault(switch_id, []).append(rule)
         if switch.capacity - switch.table.size < size:
-            tight.add(switch_id)
-    for switch_id in tight:
+            tight.setdefault(switch_id, []).append(rule)
+    for switch_id, rules in unfiled.items():
+        _check_priorities(switches[switch_id], rules)
+    for switch_id, rules in tight.items():
         switch = switches[switch_id]
-        if _new_matches(switch, [rule for s, rule in installs if s == switch_id]) > switch.capacity - switch.table.size:
+        if _new_matches(switch, rules) > switch.capacity - switch.table.size:
             return False
     for switch_id, rule in installs:
         switches[switch_id].install(rule)
     return True
+
+
+def _check_priorities(switch: Switch, rules: list[FlowRule]) -> None:
+    """Raise ``ValueError`` unless ``switch`` with ``rules`` filed would
+    hold one priority per mask and one mask per priority."""
+    filed = {mask: table.priority for mask, table in switch.table.masks.items()}
+    for rule in rules:
+        mask, priority = rule.match.mask, rule.priority
+        if filed.setdefault(mask, priority) != priority:
+            raise ValueError(f"{switch.id} files mask {mask} at priority {filed[mask]}, not {priority}: one priority per mask")
+    if len(set(filed.values())) < len(filed):
+        raise ValueError(f"{switch.id} would file masks at priorities {sorted(filed.values())}: one mask per priority")
 
 
 def _new_matches(switch: Switch, rules: list[FlowRule]) -> int:
@@ -385,16 +386,9 @@ def _new_matches(switch: Switch, rules: list[FlowRule]) -> int:
 
 
 def flow_dump(switch: Switch) -> list[FlowRule]:
-    """Snapshot of the table in canonical order: priority descending, then
-    install order, which is also the order in which lookup breaks ties.
-    Sorted on each call by each rule's priority and the install number its
-    mask table keeps beside it; the switch keeps no ordered list."""
-    filed = [
-        (-rule.priority, table.numbers[key], rule)
-        for table in switch.table.masks.values()
-        for key, rule in table.rules.items()
-    ]
-    return [rule for _, _, rule in sorted(filed)]
+    """Snapshot of the table in canonical order, the order lookup probes:
+    priority descending, one mask per priority, then install order."""
+    return [rule for table in switch.table.masks.values() for rule in table.rules.values()]
 
 
 def format_flow_dump(switch: Switch) -> str:

@@ -84,9 +84,12 @@ def chain_scenario(as_count: int, mode: str = "reactive", enforcement: bool = Tr
     with one transit switch between its gateways, used for the multi-domain
     establishment-time experiment.  The probe TTL is the chain's length, so
     the source domain learns every domain's subnet.  The reader checks the
-    world as it checks a file: a misspelt ``mode`` is a ``ScenarioError``."""
+    world as it checks a file: a misspelt ``mode`` is a ``ScenarioError``.
+    Domain i takes the subnet 10.i.0.0/24, so a chain has at most 255."""
     if as_count < 1:
         raise ValueError("need at least one domain")
+    if as_count > 255:
+        raise ValueError(f"a chain has at most 255 domains, one 10.i.0.0/24 subnet each, got {as_count}")
     allow_all = "<" + ", ".join("*" * 13) + ">:<Allow>"
     domains = []
     for i in range(1, as_count + 1):

@@ -227,6 +227,15 @@ def test_sweep_request_rate_must_be_positive(capsys, extra):
     assert captured.err == "error: flood rate must be at least 1, got 0\n"
 
 
+def test_sweep_as_count_stops_at_one_octet_of_domains(capsys):
+    # the chain numbers its domains' subnets 10.i.0.0/24; past 255 the
+    # error names that limit, not a field of a document the user never wrote
+    assert main(["sweep", "minimal", "--axis", "as_count", "--points", "256"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a chain has at most 255 domains, one 10.i.0.0/24 subnet each, got 256\n"
+
+
 @pytest.mark.parametrize("points", ["1,x", ""], ids=["letter", "empty"])
 def test_sweep_points_must_be_integers(capsys, points):
     # a usage error, named after the option, like the sweep's other misuses

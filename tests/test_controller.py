@@ -62,7 +62,7 @@ def test_synthesized_rules_match_flow_tuple_and_reverse():
 
 def test_synthesized_batch_is_pinned_rule_by_rule():
     # forward rules in path order, then return rules in path order: install
-    # numbers break lookup ties and order a switch's flow dump
+    # order orders a switch's flow rules in its flow dump
     packet = make_packet()
     ptt = forward_ptt(None, packet.flow_id, (Constraint(ConstraintKind.RATE_THRESHOLD, rate=3),), DomainKey(b"k"))
     handle = extend_handle(None, packet.flow_id, "AS1", ptt, DomainKey(b"k"))

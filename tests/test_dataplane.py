@@ -7,7 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import ScanTable, ip, match_hits, scan_lookup
+from sdnsec.controller import _ARP_MATCH, arp_discovery_rule
 from sdnsec.dataplane import (
+    ARP_RULE_PRIORITY,
+    BLOCK_RULE_PRIORITY,
+    FLOW_RULE_PRIORITY,
     ActionKind,
     FlowMatch,
     FlowRule,
@@ -39,6 +43,18 @@ def make_switch(**kwargs):
 
 def forward(priority, next_hop, **match):
     return FlowRule(FlowMatch(**match), ActionKind.FORWARD, priority, next_hop=next_hop)
+
+
+# the program's three rule shapes, each its own mask at its own priority: a
+# flow's match (here the flow of make_packet(**fields)), the ARP match and a
+# defense block on a source address
+def flow_rule(action=ActionKind.FORWARD, **fields):
+    next_hop = "peer" if action == ActionKind.FORWARD else None
+    return FlowRule(make_packet(**fields).matches[0], action, FLOW_RULE_PRIORITY, next_hop)
+
+
+def block_rule(src_ip=ip("10.0.0.2")):
+    return FlowRule(FlowMatch(src_ip=src_ip), ActionKind.DROP, BLOCK_RULE_PRIORITY)
 
 
 def test_empty_table_is_packet_in():
@@ -116,14 +132,86 @@ def test_reinstall_same_rule_is_idempotent():
     assert len(flow_dump(sw)) == 1
 
 
-def test_higher_priority_replaces_identical_match():
+def test_an_installed_match_at_another_priority_is_refused():
     sw = make_switch()
     sw.attach("peer")
-    sw.install(forward(100, "peer", packet_type="HTTP"))
-    replacement = forward(150, "peer", packet_type="HTTP")
-    sw.install(replacement)
-    assert flow_dump(sw) == [replacement]
-    assert sw.lookup(make_packet()) is replacement
+    installed = flow_rule()
+    assert install_batch({"SW1": sw}, [("SW1", installed)])
+    for priority in (FLOW_RULE_PRIORITY - 1, FLOW_RULE_PRIORITY + 50):
+        replacement = FlowRule(installed.match, ActionKind.FORWARD, priority, "peer")
+        with pytest.raises(ValueError, match=f"SW1 files mask .* at priority 100, not {priority}: one priority per mask"):
+            install_batch({"SW1": sw}, [("SW1", replacement)])
+    assert flow_dump(sw) == [installed]
+    assert sw.lookup(make_packet()) is installed
+
+
+def test_a_new_mask_at_a_taken_priority_is_refused():
+    sw = make_switch()
+    sw.attach("peer")
+    installed = flow_rule()
+    assert install_batch({"SW1": sw}, [("SW1", installed)])
+    refused = {
+        # a new mask at the flow rules' priority
+        r"\[100, 100\]": [("SW1", forward(FLOW_RULE_PRIORITY, "peer", packet_type="HTTP"))],
+        # two new masks at one priority, neither taken before the batch
+        r"\[50, 50, 100\]": [
+            ("SW1", forward(50, "peer", service_port=80)),
+            ("SW1", forward(50, "peer", packet_type="HTTP")),
+        ],
+    }
+    for priorities, batch in refused.items():
+        with pytest.raises(ValueError, match=f"SW1 would file masks at priorities {priorities}: one mask per priority"):
+            install_batch({"SW1": sw}, batch)
+    # one new mask at two priorities in one batch
+    twice = [("SW1", block_rule()), ("SW1", FlowRule(block_rule().match, ActionKind.DROP, BLOCK_RULE_PRIORITY + 1))]
+    with pytest.raises(ValueError, match=r"SW1 files mask \('src_ip',\) at priority 200, not 201: one priority per mask"):
+        install_batch({"SW1": sw}, twice)
+    assert flow_dump(sw) == [installed]
+    assert len(sw.table) == 1
+
+
+@pytest.mark.parametrize("capacity", [1, 8])
+def test_a_batch_refused_for_a_priority_writes_on_no_switch(capacity):
+    # the offending rule comes last, after rules that fit on both switches,
+    # whether or not a switch has room for the whole batch
+    first, second = Switch("SW1", capacity), Switch("SW2", capacity)
+    switches = {"SW1": first, "SW2": second}
+    for sw in switches.values():
+        sw.attach("peer")
+    assert install_batch(switches, [("SW1", arp_discovery_rule())])
+    before = {switch_id: (flow_dump(sw), len(sw.table)) for switch_id, sw in switches.items()}
+    batch = [
+        ("SW2", flow_rule()),
+        ("SW1", arp_discovery_rule()),
+        ("SW1", FlowRule(_ARP_MATCH, ActionKind.TO_CONTROLLER, FLOW_RULE_PRIORITY)),
+    ]
+    with pytest.raises(ValueError, match="one priority per mask"):
+        install_batch(switches, batch)
+    assert {switch_id: (flow_dump(sw), len(sw.table)) for switch_id, sw in switches.items()} == before
+
+
+def test_a_block_mask_filed_after_the_flow_mask_wins_the_lookup():
+    sw = make_switch()
+    sw.attach("peer")
+    arp, flow, block = arp_discovery_rule(), flow_rule(), block_rule()
+    for rule in (arp, flow, block):
+        assert install_batch({"SW1": sw}, [("SW1", rule)])
+    assert sw.lookup(make_packet()) is block
+    assert sw.lookup(make_packet(src_ip=ip("10.0.0.3"), packet_type="ARP")) is arp
+    assert flow_dump(sw) == [block, flow, arp]
+
+
+def test_the_programs_rule_shapes_have_distinct_masks_and_priorities():
+    # a rule kind added at a taken priority, or on a taken mask, would be
+    # refused at run time by the first switch that holds both
+    shapes = {
+        "flow": (make_packet().matches[0].mask, FLOW_RULE_PRIORITY),
+        "arp": (arp_discovery_rule().match.mask, arp_discovery_rule().priority),
+        "block": (block_rule().match.mask, BLOCK_RULE_PRIORITY),
+    }
+    assert shapes["arp"] == (_ARP_MATCH.mask, ARP_RULE_PRIORITY)
+    masks, priorities = zip(*shapes.values())
+    assert len(set(masks)) == len(set(priorities)) == len(shapes)
 
 
 def test_table_capacity_surfaces_error():
@@ -151,7 +239,7 @@ def test_a_batch_that_overflows_one_switch_writes_on_no_switch():
         # a new match and a replacement on the switch with room, then a
         # new match on the full one
         ("SW1", forward(100, "peer", service_port=2)),
-        ("SW1", forward(200, "peer", service_port=1)),
+        ("SW1", forward(100, "peer", service_port=1)),
         ("SW2", forward(100, "peer", service_port=2)),
     ]
     assert not install_batch({"SW1": first, "SW2": second}, batch)
@@ -163,8 +251,8 @@ def test_a_batch_that_overflows_one_switch_writes_on_no_switch():
 def test_a_match_named_twice_on_one_switch_takes_one_entry():
     sw = make_switch(capacity=2)
     sw.attach("peer")
-    sw.install(forward(100, "peer", service_port=1))
-    twice = [("SW1", forward(priority, "peer", service_port=2)) for priority in (100, 200)]
+    assert install_batch({"SW1": sw}, [("SW1", flow_rule(service_port=1))])
+    twice = [("SW1", flow_rule(action, service_port=2)) for action in (ActionKind.FORWARD, ActionKind.DROP)]
     assert install_batch({"SW1": sw}, twice)
     assert len(sw.table) == len(flow_dump(sw)) == 2
     assert sw.lookup(make_packet(service_port=2)) is twice[1][1]
@@ -173,15 +261,15 @@ def test_a_match_named_twice_on_one_switch_takes_one_entry():
 def test_dump_is_priority_then_insertion_ordered():
     sw = make_switch()
     sw.attach("peer")
-    a = forward(100, "peer", packet_type="HTTP")
-    b = forward(100, "peer", packet_type="FTP")
-    c = FlowRule(FlowMatch(packet_type="ARP"), ActionKind.TO_CONTROLLER, 10)
-    sw.install(a)
-    sw.install(b)
-    sw.install(c)
-    assert flow_dump(sw) == [a, b, c]
+    arp, a, block, b = arp_discovery_rule(), flow_rule(packet_type="HTTP"), block_rule(), flow_rule(packet_type="FTP")
+    for rule in (arp, a, block, b):
+        assert install_batch({"SW1": sw}, [("SW1", rule)])
+    # re-installing a rule keeps its place
+    assert install_batch({"SW1": sw}, [("SW1", a)])
+    assert flow_dump(sw) == [block, a, b, arp]
     text = format_flow_dump(sw)
-    assert text.splitlines()[0].startswith("priority=100")
+    assert text.splitlines()[0].startswith("priority=200")
+    assert text.splitlines()[1].startswith("priority=100")
     assert text.splitlines()[-1].endswith("action=TO_CONTROLLER")
 
 
@@ -233,17 +321,23 @@ def test_outcomes_match_linear_scan_oracle():
     rng = random.Random(1234)
     sw = make_switch(capacity=100)
     sw.attach("peer")
-    rules = []
+    sources = (ip("10.0.0.2"), ip("10.0.0.3"), ip("10.0.0.4"))
     for i in range(50):
-        match = FlowMatch(
-            service_port=rng.choice((None, 80, 443, 21)),
-            packet_type=rng.choice((None, "HTTP", "FTP", "SYN")),
-            src_ip=rng.choice((None, ip("10.0.0.2"), ip("10.0.0.3"))),
-        )
-        action = rng.choice((ActionKind.FORWARD, ActionKind.DROP))
-        rule = FlowRule(match, action, rng.randrange(0, 300), next_hop="peer" if action == ActionKind.FORWARD else None)
-        sw.install(rule)
+        shape = rng.randrange(10)
+        if shape == 0:
+            rule = arp_discovery_rule()
+        elif shape == 1:
+            rule = block_rule(rng.choice(sources))
+        else:
+            rule = flow_rule(
+                rng.choice((ActionKind.FORWARD, ActionKind.DROP)),
+                service_port=rng.choice((80, 443, 21)),
+                packet_type=rng.choice(("HTTP", "FTP", "SYN")),
+                src_ip=rng.choice(sources),
+            )
+        assert install_batch({"SW1": sw}, [("SW1", rule)])
     snapshot = flow_dump(sw)
+    assert {rule.priority for rule in snapshot} == {ARP_RULE_PRIORITY, FLOW_RULE_PRIORITY, BLOCK_RULE_PRIORITY}
 
     def oracle(packet):
         best = None
@@ -256,8 +350,8 @@ def test_outcomes_match_linear_scan_oracle():
     for trial in range(200):
         packet = make_packet(
             service_port=rng.choice((80, 443, 21, 9999)),
-            packet_type=rng.choice(("HTTP", "FTP", "SYN", "HTTPS")),
-            src_ip=rng.choice((ip("10.0.0.2"), ip("10.0.0.3"))),
+            packet_type=rng.choice(("HTTP", "FTP", "SYN", "HTTPS", "ARP")),
+            src_ip=rng.choice((*sources, ip("10.0.0.5"))),
         )
         assert sw.lookup(packet) is oracle(packet)
 
@@ -266,23 +360,6 @@ ADDRESSES = (ip("10.0.0.2"), ip("10.0.0.3"))
 MAC = "00:00:00:00:00:01"
 
 
-def maybe(values):
-    return st.one_of(st.none(), st.sampled_from(values))
-
-
-# a match fixes any subset of the fields, so the masks vary from the empty
-# one (matches everything) to all seven; MAC fields take one value, so they
-# change the mask without changing which packets match
-MATCHES = st.builds(
-    FlowMatch,
-    src_ip=maybe(ADDRESSES),
-    dst_ip=maybe(ADDRESSES),
-    src_mac=maybe((MAC,)),
-    dst_mac=maybe((MAC,)),
-    ip_proto=maybe(("tcp", "udp")),
-    service_port=maybe((80, 443)),
-    packet_type=maybe(("HTTP", "SYN")),
-)
 PACKETS = st.builds(
     Packet,
     src_ip=st.sampled_from(ADDRESSES),
@@ -291,20 +368,36 @@ PACKETS = st.builds(
     dst_mac=st.just(MAC),
     ip_proto=st.sampled_from(("tcp", "udp")),
     service_port=st.sampled_from((80, 443)),
-    packet_type=st.sampled_from(("HTTP", "SYN")),
+    packet_type=st.sampled_from(("HTTP", "SYN", "ARP")),
+)
+# a match of one of the program's three rule shapes and its priority: a
+# flow's, the ARP match or a defense block
+SHAPED_MATCHES = st.one_of(
+    st.tuples(
+        st.builds(
+            FlowMatch.exact,
+            src_ip=st.sampled_from(ADDRESSES),
+            dst_ip=st.sampled_from(ADDRESSES),
+            ip_proto=st.sampled_from(("tcp", "udp")),
+            service_port=st.sampled_from((80, 443)),
+            packet_type=st.sampled_from(("HTTP", "SYN")),
+        ),
+        st.just(FLOW_RULE_PRIORITY),
+    ),
+    st.just((_ARP_MATCH, ARP_RULE_PRIORITY)),
+    st.tuples(st.builds(FlowMatch, src_ip=st.sampled_from(ADDRESSES)), st.just(BLOCK_RULE_PRIORITY)),
 )
 
 
 @st.composite
 def table_programs(draw):
     """A capacity and a sequence of installs and packets.  Installs draw
-    from a small pool of matches at three priorities, so re-installs at
-    equal, higher and lower priority and full tables all occur."""
-    pool = draw(st.lists(MATCHES, min_size=1, max_size=6))
+    from a small pool of shaped matches, each at its shape's priority, so
+    re-installs, rules of every shape and full tables all occur."""
+    pool = draw(st.lists(SHAPED_MATCHES, min_size=1, max_size=6))
     installs = st.tuples(
         st.just("install"),
         st.sampled_from(pool),
-        st.sampled_from((10, 100, 200)),
         st.sampled_from((ActionKind.FORWARD, ActionKind.DROP, ActionKind.TO_CONTROLLER)),
     )
     packets = st.tuples(st.just("packet"), PACKETS)
@@ -320,7 +413,7 @@ def test_tuple_space_agrees_with_the_priority_scan(program):
     reference = ScanTable(capacity)
     for op in ops:
         if op[0] == "install":
-            _, match, priority, action = op
+            _, (match, priority), action = op
             rule = FlowRule(match, action, priority, next_hop="peer" if action == ActionKind.FORWARD else None)
             # the switch refuses a new match beyond capacity as the reference does
             assert install_batch({"SW1": sw}, [("SW1", rule)]) is reference.install(rule)
@@ -339,26 +432,27 @@ SWITCH_IDS = ("SW1", "SW2")
 
 
 def test_one_rule_object_filed_in_two_switches_keeps_its_place_in_each():
-    # each mask table keeps its rules' install numbers beside them, not on
-    # the rule, so a rule shared by two switches has its own place in each
+    # a rule's place in a switch is its key's place in that switch's mask
+    # table, not a field of the rule, so a rule shared by two switches has
+    # its own place in each
     first, second = Switch("SW1"), Switch("SW2")
     for sw in (first, second):
         sw.attach("peer")
     references = {"SW1": ScanTable(8), "SW2": ScanTable(8)}
-    shared = forward(100, "peer", service_port=80)
-    other = forward(100, "peer", packet_type="HTTP")
+    shared = flow_rule()
+    other = flow_rule(service_port=443)
     switches = {"SW1": first, "SW2": second}
     steps = [
         ("SW1", shared),
         ("SW1", other),
         ("SW2", other),
         ("SW2", shared),
-        # an equal-priority re-install keeps the rule's place in its switch
+        # a re-install keeps the rule's place in its switch
         ("SW1", shared),
         ("SW2", shared),
-        # a higher-priority rule for the shared match replaces it in one
-        # switch alone
-        ("SW2", forward(150, "peer", service_port=80)),
+        # another rule for the shared match replaces it, in its place, in
+        # one switch alone
+        ("SW2", flow_rule(ActionKind.DROP)),
         ("SW1", shared),
     ]
     packets = [make_packet(), make_packet(service_port=443), make_packet(packet_type="SYN")]
@@ -371,23 +465,20 @@ def test_one_rule_object_filed_in_two_switches_keeps_its_place_in_each():
                 assert sw.lookup(packet) is scan_lookup(references[sid].rules, packet)
     assert flow_dump(first) == [shared, other]
     assert first.lookup(make_packet()) is shared
-    assert second.lookup(make_packet()) is flow_dump(second)[0] is not shared
+    assert second.lookup(make_packet()) is flow_dump(second)[1] is not shared
 
 
 @st.composite
 def shared_rule_programs(draw):
-    """A pool of rule objects, each filed in either of two switches any
-    number of times, and packets looked up in both: one rule object sits
-    in two tables, and equal, higher and lower-priority re-installs occur."""
-    matches = draw(st.lists(MATCHES, min_size=1, max_size=4))
-    specs = st.tuples(
-        st.sampled_from(matches),
-        st.sampled_from((10, 100, 200)),
-        st.sampled_from((ActionKind.FORWARD, ActionKind.DROP)),
-    )
+    """A pool of rule objects of the three shapes, each filed in either of
+    two switches any number of times, and packets looked up in both: one
+    rule object sits in two tables, and re-installs of a rule and of
+    another rule for its match occur."""
+    matches = draw(st.lists(SHAPED_MATCHES, min_size=1, max_size=4))
+    specs = st.tuples(st.sampled_from(matches), st.sampled_from((ActionKind.FORWARD, ActionKind.DROP)))
     pool = [
         FlowRule(match, action, priority, "peer" if action == ActionKind.FORWARD else None)
-        for match, priority, action in draw(st.lists(specs, min_size=1, max_size=6))
+        for (match, priority), action in draw(st.lists(specs, min_size=1, max_size=6))
     ]
     installs = st.tuples(st.sampled_from(SWITCH_IDS), st.sampled_from(pool))
     return draw(st.lists(st.one_of(installs, PACKETS), max_size=30))
@@ -416,13 +507,12 @@ def test_rule_objects_shared_by_two_switches_agree_with_the_priority_scan(ops):
 def batch_programs(draw):
     """Both switches' capacities and a sequence of batches, each of 1-6
     rules over the two switches.  The rules draw from a pool of at most
-    four matches at three priorities, so batches name installed matches,
-    name one match twice and fill the tables."""
-    pool = draw(st.lists(MATCHES, min_size=1, max_size=4))
+    four shaped matches, each at its shape's priority, so batches name
+    installed matches, name one match twice and fill the tables."""
+    pool = draw(st.lists(SHAPED_MATCHES, min_size=1, max_size=4))
     rules = st.tuples(
         st.sampled_from(SWITCH_IDS),
         st.sampled_from(pool),
-        st.sampled_from((10, 100, 200)),
         st.sampled_from((ActionKind.FORWARD, ActionKind.DROP)),
     )
     capacities = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
@@ -442,11 +532,14 @@ def reference_batch(tables: dict[str, ScanTable], batch: list[tuple[str, FlowRul
     return True
 
 
-_PORT_80, _PORT_443, _SYN = FlowMatch(service_port=80), FlowMatch(service_port=443), FlowMatch(packet_type="SYN")
+_PORT_80, _PORT_443, _SYN = (
+    (make_packet(**fields).matches[0], FLOW_RULE_PRIORITY)
+    for fields in ({}, {"service_port": 443}, {"packet_type": "SYN"})
+)
 
 
 def _rules(*names):
-    return [(switch_id, match, 100, ActionKind.FORWARD) for switch_id, match in names]
+    return [(switch_id, shaped, ActionKind.FORWARD) for switch_id, shaped in names]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -457,7 +550,7 @@ def _rules(*names):
 # one past capacity by its rule count, but naming an installed match
 @example(((2, 6), [_rules(("SW1", _PORT_80)), _rules(("SW1", _PORT_80), ("SW1", _PORT_443))]))
 # one past capacity by its rule count, but naming one match twice
-@example(((1, 6), [[("SW1", _PORT_80, 100, ActionKind.FORWARD), ("SW1", _PORT_80, 200, ActionKind.DROP)]]))
+@example(((1, 6), [[("SW1", _PORT_80, ActionKind.FORWARD), ("SW1", _PORT_80, ActionKind.DROP)]]))
 # room on one switch and none on the other writes on neither
 @example(((6, 1), [_rules(("SW1", _PORT_80), ("SW2", _PORT_80), ("SW2", _SYN))]))
 def test_a_batch_is_written_whole_exactly_when_its_new_matches_fit(program):
@@ -469,7 +562,7 @@ def test_a_batch_is_written_whole_exactly_when_its_new_matches_fit(program):
     for drawn in batches:
         batch = [
             (switch_id, FlowRule(match, action, priority, "peer" if action == ActionKind.FORWARD else None))
-            for switch_id, match, priority, action in drawn
+            for switch_id, (match, priority), action in drawn
         ]
         assert install_batch(switches, batch) is reference_batch(references, batch)
         for switch_id, sw in switches.items():

@@ -68,6 +68,8 @@ GUARDS = {
         lambda: pad_switches(MINIMAL, 0), ValueError,
         f"domain already has {len(MINIMAL.domains[0].switches)} switches > 0"),
     "chain-without-domains": (lambda: chain_scenario(0), ValueError, "need at least one domain"),
+    "chain-past-one-octet": (
+        lambda: chain_scenario(256), ValueError, "a chain has at most 255 domains, one 10.i.0.0/24 subnet each, got 256"),
     "probe-ttl-zero": (lambda: probe_topology(Graph(), "AS1", max_ttl=0), ValueError, "max_ttl must be >= 1"),
     "controller-empty-key": (
         lambda: controller_with_key(""), ValueError, "controller needs a nonempty handle key"),

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from sdnsec.metrics import emit_series
-from sdnsec.policy import Action, PolicyExpression
+from sdnsec.policy import Action, PolicyExpression, format_ipv4
 from sdnsec.scenario import FloodSpec, ScenarioError, bundled_scenario_path, load_scenario
 from sdnsec.simulation import run
 from sdnsec.sweep import (
@@ -109,6 +109,11 @@ def test_chain_scenario_shape():
     assert scenario.links == (("AS1", "AS2"), ("AS2", "AS3"))
     report = run(scenario)
     assert report.flows[0].as_path == ("AS1", "AS2", "AS3")
+
+
+def test_the_longest_chain_numbers_its_last_domain_in_the_last_octet():
+    last = chain_scenario(255).domains[-1]
+    assert (last.id, str(last.subnet), format_ipv4(last.hosts[0].ip)) == ("AS255", "10.255.0.0/24", "10.255.0.9")
 
 
 def test_a_chain_is_read_as_a_scenario_document():

@@ -41,7 +41,10 @@ pre-installed flow's too: the workloads at seed 1 have fixed bounds on
 ``format_ipv4`` calls, two per offered flow.  The batch check passes a
 switch with room for the whole batch unexamined, and counts a tight
 switch's new matches by mask and key, so a run hashes no ``FlowMatch``; and
-every ``FlowRule`` a run builds is a rule ``synthesize_rules`` returns.
+every ``FlowRule`` a run builds is a rule ``synthesize_rules`` returns.  It
+collects each tight switch's rules in its first pass over the batch, so a
+batch on more switches than a table holds, such as a world's ARP batch, is
+read twice in all, not once per switch.
 
 The policy reader converts each field text once per document, not once
 per domain: reading the ``acl_proactive`` repository at seed 1 and the
@@ -68,11 +71,11 @@ insertion numbers handed out (one per offer and per step pushed) and on
 ``Simulation._on_switch_rx`` calls, and make as many ``Switch.lookup``
 calls as the reference loop, which pushes every hop.
 
-A flow table files each rule as itself, its install number kept beside it
-by its mask table: after one warm-up run, which fills the module-level
-caches, the GC-tracked objects a seed-1 run leaves alive repeat exactly from
-run to run, and each workload has a fixed bound on them that a wrapper
-object per filed rule would exceed.
+A flow table files each rule as itself in its mask's table, with nothing
+beside it: after one warm-up run, which fills the module-level caches, the
+GC-tracked objects a seed-1 run leaves alive repeat exactly from run to
+run, and each workload has a fixed bound on them that a wrapper object per
+filed rule would exceed.
 
 The counts are deterministic, so a lost optimisation fails here at once,
 whatever the machine's speed.
@@ -94,7 +97,7 @@ from test_golden import CASES
 from test_workloads import WORKLOADS, case_world
 
 from sdnsec import controller, formats
-from sdnsec.dataplane import FlowMatch, FlowRule, Switch
+from sdnsec.dataplane import FlowMatch, FlowRule, Switch, install_batch
 from sdnsec.defense import FloodMonitor
 from sdnsec.interdomain import handle_tag, ptt_tag
 from sdnsec.labels import LabelWindow
@@ -348,6 +351,26 @@ def test_rule_path_prints_each_address_once_and_hashes_no_match(workload, monkey
     assert 0 < calls["sdnsec.policy.format_ipv4"] <= FORMAT_IPV4_BOUNDS[workload], calls
     assert calls["FlowMatch.__hash__"] == 0, calls
     assert calls["FlowRule.__init__"] == sum(len(batch) for batch in synthesized) > 0, calls
+
+
+class _CountedBatch(tuple):
+    """A batch that counts the items its iterations yield."""
+
+    read = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.read += 1
+            yield item
+
+
+def test_a_batch_on_tight_switches_is_read_twice_not_once_per_switch():
+    # each switch has less room than the ARP batch holds rules, so every
+    # switch is tight
+    switches = {f"SW{i}": Switch(f"SW{i}", capacity=2) for i in range(6)}
+    batch = _CountedBatch((switch_id, controller.arp_discovery_rule()) for switch_id in switches)
+    assert install_batch(switches, batch)
+    assert batch.read <= 2 * len(batch), batch.read
 
 
 # seed 1: an expression is ranked the first time it is among the matches of
