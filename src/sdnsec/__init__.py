@@ -3,7 +3,7 @@
 The package splits into a policy core (labels, expressions, two text
 formats, match/decide semantics), a topology layer (probe-built
 repositories, label-constrained path search), a simulated data plane
-(switches with one table mask per priority), the per-domain controller
+(switches with one table per rule shape), the per-domain controller
 pipeline with cross-domain handles and transfer tokens, a flooding defense,
 and a scenario harness with deterministic metrics, sweeps and a CLI.
 """

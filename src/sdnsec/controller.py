@@ -67,9 +67,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .dataplane import (
-    ARP_RULE_PRIORITY,
-    BLOCK_RULE_PRIORITY,
-    FLOW_RULE_PRIORITY,
     ActionKind,
     FlowMatch,
     FlowRule,
@@ -200,7 +197,7 @@ _NO_PROFILE: frozenset[str] = frozenset()
 
 def arp_discovery_rule() -> FlowRule:
     """Default controller-installed entry for network discovery traffic."""
-    return FlowRule(_ARP_MATCH, ActionKind.TO_CONTROLLER, ARP_RULE_PRIORITY)
+    return FlowRule(_ARP_MATCH, ActionKind.TO_CONTROLLER)
 
 
 def synthesize_rules(
@@ -235,8 +232,8 @@ def synthesize_rules(
     for i, switch in enumerate(path):
         ahead, handle = (path[i + 1], None) if i < last else (final_peer, handle_out)
         back = path[i - 1] if i else entry_peer
-        installs[i] = (switch, FlowRule(forward_match, action, FLOW_RULE_PRIORITY, ahead, sec_profile, handle))
-        installs[size + i] = (switch, FlowRule(reverse_match, action, FLOW_RULE_PRIORITY, back, sec_profile))
+        installs[i] = (switch, FlowRule(forward_match, action, ahead, sec_profile, handle))
+        installs[size + i] = (switch, FlowRule(reverse_match, action, back, sec_profile))
     return tuple(installs)
 
 
@@ -393,7 +390,7 @@ class Controller:
                     return drop(DropReason.DEFENSE_THROTTLED, detail)
                 if not newly_blocked:
                     return drop(DropReason.DEFENSE_BLOCKED, detail)
-                block = ((ingress, FlowRule(FlowMatch(src_ip=offender), ActionKind.DROP, BLOCK_RULE_PRIORITY)),)
+                block = ((ingress, FlowRule(FlowMatch(src_ip=offender), ActionKind.DROP)),)
                 return drop(DropReason.DEFENSE_BLOCKED, detail, block, f"{BLOCK_PROVENANCE_PREFIX}{packet.src_text}")
 
         # credentials: a handle comes through the gateway of the domain it

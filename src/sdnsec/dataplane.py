@@ -1,28 +1,30 @@
 """Simulated match-action switches: flow tables and lookup.
 
-A switch keeps its flow table as a tuple space (Srinivasan, Suri & Varghese,
-SIGCOMM 1999; the megaflow classifier of Open vSwitch): one hash table per
-wildcard mask, the set of match fields a rule fixes.  The program's three
-rule shapes, ARP (10), flow (100) and defense block (200), each have their
-own mask and priority, so a table holds one priority per mask and one mask
-per priority, and keeps its masks in descending priority.  A lookup probes
-them in that order with the packet's values for each mask's fields and
-returns the first hit: its cost grows with the masks, not the rules.  A
-mask's table files each rule as itself under its match's key, in install
-order, so one rule object may sit in the tables of several switches.  The
-simulation executes the rule found (forward, drop or punt to the
-controller) and raises a packet-in on a miss.  A forward rule names its
+The program writes three kinds of rule, and a rule's shape, the header
+fields its match fixes, is its priority: a defense block on a source address
+(200), a flow's 5-tuple (100) and the ARP punt to the controller (10).
+``_SHAPES`` lists them once, in lookup order, each with its fields, its
+priority and the getter of its key; a match of any other shape is a
+``ValueError`` when it is built, so a rule cannot carry a wrong priority.
+A switch's flow table is a tuple space with fixed masks (Srinivasan, Suri &
+Varghese, SIGCOMM 1999), one table per kind of rule as in OpenFlow 1.3: one
+dict per shape, which files each rule as itself under its match's key, in
+install order, so one rule object may sit in the tables of several
+switches.  A lookup probes the block table when it holds a rule, then the
+flow table, then the ARP table, with the packet's values for each shape's
+fields, and returns the first hit: three hash probes at most, whatever the
+rules.  The simulation executes the rule found (forward, drop or punt to
+the controller) and raises a packet-in on a miss.  A forward rule names its
 next hop, the attached peer (switch or host) the packet goes to; port
 numbers exist only in a switch's wiring (``Switch.ports``) and in its flow
 dump.  A forward rule at a domain's egress gateway also carries the flow's
 handle, which holds its transfer token, and the switch adds it to the
 packet as it leaves.  :func:`install_batch` writes a flow-mod batch all or
 nothing, like an OpenFlow 1.4 bundle; it is the one write path and the one
-capacity, next-hop and priority check.  Its capacity check passes a switch
-with room for the whole batch unexamined, and counts a tight switch's new
-matches by mask and key, a match named twice once; when one switch would
-overflow, it writes nothing.  All mutation happens on the simulation loop's
-thread.
+capacity and next-hop check.  Its capacity check passes a switch with room
+for the whole batch unexamined, and counts a tight switch's new matches by
+priority and key, a match named twice once; when one switch would overflow,
+it writes nothing.  All mutation happens on the simulation loop's thread.
 
 Packet and match addresses are plain ``int`` values, so a probe key hashes
 natively.  A packet prints its two addresses once (``src_text``,
@@ -32,17 +34,16 @@ packet fixes every header field: one left ``None`` is a ``ValueError`` when
 it is built.  It builds its flow's forward and return match on first read
 (``Packet.matches``, a lock-free :class:`~sdnsec.frozen.cached` field), once
 for every domain it crosses, each through :meth:`FlowMatch.exact`: every
-flow match fixes the same fields, so that constructor writes the one flow
-mask and the 5-tuple key with the fields, in one step, where the general
-constructor takes its mask from the fields it leaves non-``None``.  A flow
-dump prints a match's addresses as dotted text.
+flow match has the same shape, so that constructor writes the flow
+priority and the 5-tuple key with the fields, in one step, where the
+general constructor works its shape out from the fields it leaves
+non-``None``.  A flow dump prints a match's addresses as dotted text.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache
 from operator import attrgetter
 
 from .frozen import cached, frozen
@@ -107,7 +108,7 @@ class Packet:
     @cached
     def matches(self) -> tuple[FlowMatch, FlowMatch]:
         """The flow's forward match and its return match, the addresses
-        swapped, each built with its mask and key in one step
+        swapped, each built with its priority and key in one step
         (:meth:`FlowMatch.exact`); built once per packet and read by every
         domain it crosses."""
         src, dst, proto, port, kind = self.src_ip, self.dst_ip, self.ip_proto, self.service_port, self.packet_type
@@ -119,26 +120,31 @@ _HEADER_FIELDS = ("src_ip", "dst_ip", "src_mac", "dst_mac", "ip_proto", "service
 
 _ADDRESS_FIELDS = ("src_ip", "dst_ip")
 
-# the header fields a match fixes
-_Mask = tuple[str, ...]
+_FLOW_FIELDS = ("src_ip", "dst_ip", "ip_proto", "service_port", "packet_type")
 
-
-@cache
-def _probe(mask: _Mask) -> Callable[[object], object]:
-    """Reads the fields ``mask`` fixes: a match's key, or a packet's probe.
-    Cached, so the matches and the mask tables of one mask share one
-    getter."""
-    return attrgetter(*mask) if mask else lambda _item: ()
+# the program's three rule shapes, in lookup order: the header fields a
+# match of the shape fixes -> its priority and the getter of its key, which
+# reads those fields off a match or a packet alike
+_SHAPES = {
+    ("src_ip",): (BLOCK_RULE_PRIORITY, attrgetter("src_ip")),
+    _FLOW_FIELDS: (FLOW_RULE_PRIORITY, attrgetter(*_FLOW_FIELDS)),
+    ("packet_type",): (ARP_RULE_PRIORITY, attrgetter("packet_type")),
+}
+_block_key, _flow_key, _arp_key = (key for _, key in _SHAPES.values())
 
 
 @frozen(slots=True)
 class FlowMatch:
-    """Wildcardable subset of packet header fields (None matches anything).
+    """A match of one of the program's rule shapes (``_SHAPES``): the
+    header fields its shape fixes are set, the others ``None``, which
+    matches anything.
 
-    ``FlowMatch(...)`` takes as its ``mask`` the header fields it leaves
-    non-``None``, in ``_HEADER_FIELDS`` order, and as its ``key`` their
-    values, read by :func:`_probe`; ARP and block rules are built so.
-    :meth:`FlowMatch.exact` builds the match a packet's flow takes."""
+    ``FlowMatch(...)`` takes its shape from the fields it leaves
+    non-``None``, and from the shape its ``priority`` and its ``key``, the
+    values of those fields as the shape's getter reads them; a field
+    pattern of no shape raises ``ValueError``.  ARP and block matches are
+    built so.  :meth:`FlowMatch.exact` builds the match a packet's flow
+    takes."""
 
     src_ip: int | None = None
     dst_ip: int | None = None
@@ -147,24 +153,28 @@ class FlowMatch:
     ip_proto: str | None = None
     service_port: int | None = None
     packet_type: str | None = None
-    # its table in a switch's tuple space and its key there, worked out once
-    mask: _Mask = field(init=False, repr=False, compare=False)
+    # its shape's priority and its key in that shape's table, worked out once
+    priority: int = field(init=False, repr=False, compare=False)
     key: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mask = tuple(name for name in _HEADER_FIELDS if getattr(self, name) is not None)
+        fixed = tuple(name for name in _HEADER_FIELDS if getattr(self, name) is not None)
+        shape = _SHAPES.get(fixed)
+        if shape is None:
+            raise ValueError(f"no rule shape fixes just the fields: {', '.join(fixed) or 'none'}")
+        priority, key = shape
         # a slotted record has no __dict__ to update in one step; the
         # generic setter also serves a plain dataclass given this method
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "key", _probe(mask)(self))
+        object.__setattr__(self, "priority", priority)
+        object.__setattr__(self, "key", key(self))
 
     @classmethod
     def exact(cls, src_ip: int, dst_ip: int, ip_proto: str, service_port: int, packet_type: str) -> FlowMatch:
         """The match of one flow: every header field but the two MACs fixed,
         equal to ``FlowMatch(src_ip, dst_ip, None, None, ip_proto,
-        service_port, packet_type)``.  It writes the fields, the one flow
-        mask and the 5-tuple key through the slots' setters, bound once the
-        class is built (``_set_*`` below), with no ``__post_init__``.  A
+        service_port, packet_type)``.  It writes the fields, the flow
+        priority and the 5-tuple key through the slots' setters, bound once
+        the class is built (``_set_*`` below), with no ``__post_init__``.  A
         header field added to the flow's match, such as a request/reply
         flag, is written here too."""
         match = _new(cls)
@@ -175,7 +185,7 @@ class FlowMatch:
         _set_ip_proto(match, ip_proto)
         _set_service_port(match, service_port)
         _set_packet_type(match, packet_type)
-        _set_mask(match, _FLOW_MASK)
+        _set_priority(match, FLOW_RULE_PRIORITY)
         _set_key(match, (src_ip, dst_ip, ip_proto, service_port, packet_type))
         return match
 
@@ -191,8 +201,7 @@ class FlowMatch:
         return " ".join(parts)
 
 
-# FlowMatch.exact's slot setters, taken from the built class, and the mask
-# every flow match has; its key reads these fields in this order
+# FlowMatch.exact's slot setters, taken from the built class
 _new = object.__new__
 (
     _set_src_ip,
@@ -202,10 +211,9 @@ _new = object.__new__
     _set_ip_proto,
     _set_service_port,
     _set_packet_type,
-    _set_mask,
+    _set_priority,
     _set_key,
-) = (FlowMatch.__dict__[name].__set__ for name in (*_HEADER_FIELDS, "mask", "key"))
-_FLOW_MASK = tuple(name for name in _HEADER_FIELDS if name not in ("src_mac", "dst_mac"))
+) = (FlowMatch.__dict__[name].__set__ for name in (*_HEADER_FIELDS, "priority", "key"))
 
 
 class ActionKind:
@@ -218,7 +226,6 @@ class ActionKind:
 class FlowRule:
     match: FlowMatch
     action: str
-    priority: int
     next_hop: str | None
     sec_profile_tags: frozenset[str]
     # the credential added to packets leaving the domain through this rule
@@ -228,15 +235,12 @@ class FlowRule:
         self,
         match: FlowMatch,
         action: str,
-        priority: int,
         next_hop: str | None = None,
         sec_profile_tags: frozenset[str] = frozenset(),
         handle: Handle | None = None,
     ) -> None:
         # one call checks and writes a rule, not a dataclass __init__ that
         # calls __post_init__: a flow builds two rules per switch of its path
-        if priority < 0:
-            raise ValueError("priority must be >= 0")
         if next_hop is None:
             if action == ActionKind.FORWARD:
                 raise ValueError("forward rule needs a next hop")
@@ -244,35 +248,21 @@ class FlowRule:
             raise ValueError("only forward rules carry a next hop")
         self.match = match
         self.action = action
-        self.priority = priority
         self.next_hop = next_hop
         self.sec_profile_tags = sec_profile_tags
         self.handle = handle
 
 
-class _MaskTable:
-    """The rules of one wildcard mask, keyed by their match's ``key``:
-    ``probe(packet)`` is the key a matching packet yields, and ``rules``
-    maps a key to its rule, filed as itself, in install order.  Every rule
-    of the mask has the table's ``priority``, fixed by its first rule."""
-
-    __slots__ = ("probe", "priority", "rules")
-
-    def __init__(self, mask: _Mask, priority: int):
-        self.probe = _probe(mask)
-        self.priority = priority
-        self.rules: dict[object, FlowRule] = {}
-
-
 class FlowTable:
-    """A switch's rules as a tuple space: one :class:`_MaskTable` per
-    wildcard mask in use, ``masks`` in descending priority, re-ordered only
-    when a new mask arrives.  ``len()`` is the number of rules."""
+    """A switch's rules: ``rules`` maps each shape's priority to its table,
+    in lookup order (block, flow, ARP), and a table maps a match's key to
+    its rule, filed as itself, in install order.  ``len()`` is the number
+    of rules."""
 
-    __slots__ = ("masks", "size")
+    __slots__ = ("rules", "size")
 
     def __init__(self) -> None:
-        self.masks: dict[_Mask, _MaskTable] = {}
+        self.rules: dict[int, dict[object, FlowRule]] = {priority: {} for priority, _ in _SHAPES.values()}
         self.size = 0
 
     def __len__(self) -> int:
@@ -300,58 +290,50 @@ class Switch:
         self.ports[peer] = len(self.ports) + 1
 
     def install(self, rule: FlowRule) -> None:
-        """File ``rule`` itself under its match's mask and key.  A rule for
-        an installed match replaces it in place, so re-installing a rule is
-        idempotent; a new mask takes the rule's priority and its place in
-        priority order.  :func:`install_batch` checks next hops, capacity
-        and priorities first."""
-        match, tables = rule.match, self.table
-        table = tables.masks.get(match.mask)
-        if table is None:
-            table = tables.masks[match.mask] = _MaskTable(match.mask, rule.priority)
-            if len(tables.masks) > 1:
-                tables.masks = dict(sorted(tables.masks.items(), key=lambda item: -item[1].priority))
-        rules, key = table.rules, match.key
+        """File ``rule`` itself in its match's shape's table, under the
+        match's key.  A rule for an installed match replaces it in place, so
+        re-installing a rule is idempotent.  :func:`install_batch` checks
+        next hops and capacity first."""
+        match, table = rule.match, self.table
+        rules, key = table.rules[match.priority], match.key
         if key not in rules:
-            tables.size += 1
+            table.size += 1
         rules[key] = rule
 
     def lookup(self, packet: Packet) -> FlowRule | None:
-        """The highest-priority rule matching ``packet``: one probe per mask,
-        in priority order, up to the first hit."""
-        for table in self.table.masks.values():
-            rule = table.rules.get(table.probe(packet))
+        """The highest-priority rule matching ``packet``: a probe of the
+        block table when it holds a rule, then of the flow table, then of
+        the ARP table, up to the first hit."""
+        rules = self.table.rules
+        block = rules[BLOCK_RULE_PRIORITY]
+        if block:
+            rule = block.get(_block_key(packet))
             if rule is not None:
                 return rule
-        return None
+        rule = rules[FLOW_RULE_PRIORITY].get(_flow_key(packet))
+        if rule is None:
+            return rules[ARP_RULE_PRIORITY].get(_arp_key(packet))
+        return rule
 
 
 def install_batch(switches: dict[str, Switch], installs: Sequence[tuple[str, FlowRule]]) -> bool:
     """Write every ``(switch id, rule)`` of ``installs`` through
     :meth:`Switch.install`, or none of them.  A forward rule whose next hop
-    is not attached to its switch, or a rule that would leave its switch
-    with two priorities for one mask or two masks for one priority, raises
-    ``ValueError`` before anything is written.  A switch with room for the
-    whole batch cannot overflow, so the capacity check looks closer only at
-    a switch without: it counts the matches of the rules the switch is named
-    in that are new to it, a match named twice counted once.  When some
-    switch lacks room for those, the batch is refused and False returned."""
+    is not attached to its switch raises ``ValueError`` before anything is
+    written.  A switch with room for the whole batch cannot overflow, so
+    the capacity check looks closer only at a switch without: it counts the
+    matches of the rules the switch is named in that are new to it, a match
+    named twice counted once.  When some switch lacks room for those, the
+    batch is refused and False returned."""
     size = len(installs)
-    # switch id -> its rules: in tight all of them, for a switch without
-    # room for the whole batch; in unfiled those the priority check reads
+    # switch id -> its rules, for a switch without room for the whole batch
     tight: dict[str, list[FlowRule]] = {}
-    unfiled: dict[str, list[FlowRule]] = {}
     for switch_id, rule in installs:
         switch = switches[switch_id]
         if rule.next_hop not in switch.ports and rule.next_hop is not None:
             raise ValueError(f"{switch_id} has no port toward {rule.next_hop}")
-        table = switch.table.masks.get(rule.match.mask)
-        if table is None or table.priority != rule.priority:
-            unfiled.setdefault(switch_id, []).append(rule)
         if switch.capacity - switch.table.size < size:
             tight.setdefault(switch_id, []).append(rule)
-    for switch_id, rules in unfiled.items():
-        _check_priorities(switches[switch_id], rules)
     for switch_id, rules in tight.items():
         switch = switches[switch_id]
         if _new_matches(switch, rules) > switch.capacity - switch.table.size:
@@ -361,34 +343,23 @@ def install_batch(switches: dict[str, Switch], installs: Sequence[tuple[str, Flo
     return True
 
 
-def _check_priorities(switch: Switch, rules: list[FlowRule]) -> None:
-    """Raise ``ValueError`` unless ``switch`` with ``rules`` filed would
-    hold one priority per mask and one mask per priority."""
-    filed = {mask: table.priority for mask, table in switch.table.masks.items()}
-    for rule in rules:
-        mask, priority = rule.match.mask, rule.priority
-        if filed.setdefault(mask, priority) != priority:
-            raise ValueError(f"{switch.id} files mask {mask} at priority {filed[mask]}, not {priority}: one priority per mask")
-    if len(set(filed.values())) < len(filed):
-        raise ValueError(f"{switch.id} would file masks at priorities {sorted(filed.values())}: one mask per priority")
-
-
 def _new_matches(switch: Switch, rules: list[FlowRule]) -> int:
     """How many distinct matches of ``rules`` ``switch``'s table lacks; a
-    match counts by its ``(mask, key)``, as the table files it."""
+    match counts by its ``(priority, key)``, as the table files it."""
+    tables = switch.table.rules
     new = set()
     for rule in rules:
         match = rule.match
-        table = switch.table.masks.get(match.mask)
-        if table is None or match.key not in table.rules:
-            new.add((match.mask, match.key))
+        if match.key not in tables[match.priority]:
+            new.add((match.priority, match.key))
     return len(new)
 
 
 def flow_dump(switch: Switch) -> list[FlowRule]:
     """Snapshot of the table in canonical order, the order lookup probes:
-    priority descending, one mask per priority, then install order."""
-    return [rule for table in switch.table.masks.values() for rule in table.rules.values()]
+    the block, flow and ARP tables, priority descending, each in install
+    order."""
+    return [rule for rules in switch.table.rules.values() for rule in rules.values()]
 
 
 def format_flow_dump(switch: Switch) -> str:
@@ -398,5 +369,5 @@ def format_flow_dump(switch: Switch) -> str:
     for rule in flow_dump(switch):
         action = rule.action if rule.next_hop is None else f"{rule.action}:{switch.ports[rule.next_hop]}"
         tags = ",".join(sorted(rule.sec_profile_tags)) if rule.sec_profile_tags else "-"
-        lines.append(f"priority={rule.priority} {rule.match.text()} tags={tags} action={action}")
+        lines.append(f"priority={rule.match.priority} {rule.match.text()} tags={tags} action={action}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -512,11 +512,10 @@ def scan_lookup(rules: list[FlowRule], packet: Packet) -> FlowRule | None:
 
 class ScanTable:
     """Reference flow table: one list kept in priority order by a bisect
-    insort, equal priorities in install order.  Install rules follow the
-    switch's: an equal-priority re-install keeps its place, a higher-priority
-    one is removed and inserted again as the newest, a lower-priority one is
-    ignored, and a new match beyond capacity is refused: ``install`` returns
-    False and the table is unchanged."""
+    insort, equal priorities in install order, a rule's priority read off
+    its match.  Install rules follow the switch's: a rule for an installed
+    match replaces it in its place, and a new match beyond capacity is
+    refused: ``install`` returns False and the table is unchanged."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -525,16 +524,12 @@ class ScanTable:
     def install(self, rule: FlowRule) -> bool:
         existing = next((old for old in self.rules if old.match == rule.match), None)
         if existing is not None:
-            if rule.priority < existing.priority:
-                return True
-            if rule.priority == existing.priority:
-                self.rules[self.rules.index(existing)] = rule
-                return True
-            self.rules.remove(existing)
-        elif len(self.rules) >= self.capacity:
+            self.rules[self.rules.index(existing)] = rule
+            return True
+        if len(self.rules) >= self.capacity:
             return False
         # insertion point after equal priorities keeps install order stable
-        index = bisect.bisect_right(self.rules, -rule.priority, key=lambda r: -r.priority)
+        index = bisect.bisect_right(self.rules, -rule.match.priority, key=lambda r: -r.match.priority)
         self.rules.insert(index, rule)
         return True
 

@@ -88,7 +88,7 @@ def test_synthesized_batch_is_pinned_rule_by_rule():
     assert [r.handle for _, r in installs] == [None] * 2 + [handle] + [None] * 3
     assert handle.ptt == ptt
     for _, rule in installs:
-        assert (rule.action, rule.priority) == (ActionKind.FORWARD, FLOW_RULE_PRIORITY)
+        assert (rule.action, rule.match.priority) == (ActionKind.FORWARD, FLOW_RULE_PRIORITY)
         assert rule.sec_profile_tags == profile
         assert (rule.match.ip_proto, rule.match.service_port, rule.match.packet_type) == ("tcp", 443, "HTTPS")
         assert (rule.match.src_mac, rule.match.dst_mac) == (None, None)
@@ -119,7 +119,7 @@ def test_every_batch_names_its_decision(transit_world):
     ctrl = transit_world.controllers["AS1"]
     result = ctrl.handle_packet_in(make_packet(), "S1A", "X", 0)
     assert result.provenance == "1"
-    assert all(rule.priority > 10 for _, rule in result.installs)
+    assert all(rule.match.priority > 10 for _, rule in result.installs)
 
 
 def test_no_flow_mod_for_denied_context(transit_world):

@@ -1,7 +1,7 @@
 import random
+import re
 from dataclasses import fields
 from itertools import product
-from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -41,20 +41,15 @@ def make_switch(**kwargs):
     return Switch("SW1", **kwargs)
 
 
-def forward(priority, next_hop, **match):
-    return FlowRule(FlowMatch(**match), ActionKind.FORWARD, priority, next_hop=next_hop)
-
-
-# the program's three rule shapes, each its own mask at its own priority: a
-# flow's match (here the flow of make_packet(**fields)), the ARP match and a
-# defense block on a source address
-def flow_rule(action=ActionKind.FORWARD, **fields):
-    next_hop = "peer" if action == ActionKind.FORWARD else None
-    return FlowRule(make_packet(**fields).matches[0], action, FLOW_RULE_PRIORITY, next_hop)
+# rules of the program's three shapes, each of which decides its priority:
+# a flow's match (here the flow of make_packet(**fields)), the ARP match and
+# a defense block on a source address
+def flow_rule(action=ActionKind.FORWARD, next_hop="peer", **fields):
+    return FlowRule(make_packet(**fields).matches[0], action, next_hop if action == ActionKind.FORWARD else None)
 
 
 def block_rule(src_ip=ip("10.0.0.2")):
-    return FlowRule(FlowMatch(src_ip=src_ip), ActionKind.DROP, BLOCK_RULE_PRIORITY)
+    return FlowRule(FlowMatch(src_ip=src_ip), ActionKind.DROP)
 
 
 def test_empty_table_is_packet_in():
@@ -65,7 +60,7 @@ def test_installed_rule_forwards():
     sw = make_switch()
     sw.attach("peer-a")
     sw.attach("peer-b")
-    rule = forward(100, "peer-b", packet_type="HTTP")
+    rule = flow_rule(next_hop="peer-b")
     sw.install(rule)
     assert sw.lookup(make_packet()) is rule
     assert sw.ports[rule.next_hop] == 2
@@ -75,12 +70,12 @@ def test_installed_rule_forwards():
 def test_forward_rule_toward_an_unattached_node_is_refused():
     sw = make_switch()
     sw.attach("peer")
-    sw.install(forward(100, "peer", service_port=80))
+    sw.install(flow_rule())
     before = format_flow_dump(sw)
     with pytest.raises(ValueError, match="SW1 has no port toward stranger"):
-        install_batch({"SW1": sw}, [("SW1", forward(200, "stranger", service_port=80))])
+        install_batch({"SW1": sw}, [("SW1", flow_rule(next_hop="stranger"))])
     with pytest.raises(ValueError, match="SW1 has no port toward stranger"):
-        install_batch({"SW1": sw}, [("SW1", forward(100, "stranger", service_port=443))])
+        install_batch({"SW1": sw}, [("SW1", flow_rule(next_hop="stranger", service_port=443))])
     assert format_flow_dump(sw) == before
     assert len(sw.table) == 1
 
@@ -89,7 +84,7 @@ def test_a_batch_with_a_rule_toward_an_unattached_node_writes_nothing():
     sw = make_switch()
     sw.attach("peer")
     before = format_flow_dump(sw)
-    batch = [("SW1", forward(100, "peer", service_port=80)), ("SW1", forward(100, "stranger", service_port=443))]
+    batch = [("SW1", flow_rule()), ("SW1", flow_rule(next_hop="stranger", service_port=443))]
     with pytest.raises(ValueError, match="SW1 has no port toward stranger"):
         install_batch({"SW1": sw}, batch)
     assert len(sw.table) == 0
@@ -98,14 +93,14 @@ def test_a_batch_with_a_rule_toward_an_unattached_node_writes_nothing():
 
 def test_drop_consumes_silently():
     sw = make_switch()
-    block = FlowRule(FlowMatch(src_ip=ip("10.0.0.2")), ActionKind.DROP, 200)
+    block = block_rule()
     sw.install(block)
     assert sw.lookup(make_packet()) is block
 
 
 def test_block_rule_stops_packet_ins():
     sw = make_switch()
-    block = FlowRule(FlowMatch(src_ip=ip("10.0.0.2")), ActionKind.DROP, 200)
+    block = block_rule()
     sw.install(block)
     for port in range(2000, 2050):
         assert sw.lookup(make_packet(service_port=port)) is block
@@ -113,81 +108,26 @@ def test_block_rule_stops_packet_ins():
 
 
 def test_priority_wins_over_insertion_order():
-    sw = make_switch()
-    sw.attach("low")
-    sw.attach("high")
-    sw.install(forward(10, "low"))
-    high = forward(50, "high", packet_type="HTTP")
-    sw.install(high)
-    assert sw.lookup(make_packet()) is high
-    assert sw.ports[high.next_hop] == 2
+    # an ARP packet's own flow rule outranks the ARP punt, installed before
+    # it or after it
+    arp_packet = make_packet(packet_type="ARP")
+    for order in ((0, 1), (1, 0)):
+        sw = make_switch()
+        sw.attach("peer")
+        rules = (arp_discovery_rule(), flow_rule(packet_type="ARP"))
+        for index in order:
+            sw.install(rules[index])
+        assert sw.lookup(arp_packet) is rules[1]
+        assert sw.lookup(make_packet(packet_type="ARP", service_port=443)) is rules[0]
 
 
 def test_reinstall_same_rule_is_idempotent():
     sw = make_switch()
     sw.attach("peer")
-    rule = forward(100, "peer", packet_type="HTTP")
+    rule = flow_rule()
     sw.install(rule)
-    sw.install(forward(100, "peer", packet_type="HTTP"))
+    sw.install(flow_rule())
     assert len(flow_dump(sw)) == 1
-
-
-def test_an_installed_match_at_another_priority_is_refused():
-    sw = make_switch()
-    sw.attach("peer")
-    installed = flow_rule()
-    assert install_batch({"SW1": sw}, [("SW1", installed)])
-    for priority in (FLOW_RULE_PRIORITY - 1, FLOW_RULE_PRIORITY + 50):
-        replacement = FlowRule(installed.match, ActionKind.FORWARD, priority, "peer")
-        with pytest.raises(ValueError, match=f"SW1 files mask .* at priority 100, not {priority}: one priority per mask"):
-            install_batch({"SW1": sw}, [("SW1", replacement)])
-    assert flow_dump(sw) == [installed]
-    assert sw.lookup(make_packet()) is installed
-
-
-def test_a_new_mask_at_a_taken_priority_is_refused():
-    sw = make_switch()
-    sw.attach("peer")
-    installed = flow_rule()
-    assert install_batch({"SW1": sw}, [("SW1", installed)])
-    refused = {
-        # a new mask at the flow rules' priority
-        r"\[100, 100\]": [("SW1", forward(FLOW_RULE_PRIORITY, "peer", packet_type="HTTP"))],
-        # two new masks at one priority, neither taken before the batch
-        r"\[50, 50, 100\]": [
-            ("SW1", forward(50, "peer", service_port=80)),
-            ("SW1", forward(50, "peer", packet_type="HTTP")),
-        ],
-    }
-    for priorities, batch in refused.items():
-        with pytest.raises(ValueError, match=f"SW1 would file masks at priorities {priorities}: one mask per priority"):
-            install_batch({"SW1": sw}, batch)
-    # one new mask at two priorities in one batch
-    twice = [("SW1", block_rule()), ("SW1", FlowRule(block_rule().match, ActionKind.DROP, BLOCK_RULE_PRIORITY + 1))]
-    with pytest.raises(ValueError, match=r"SW1 files mask \('src_ip',\) at priority 200, not 201: one priority per mask"):
-        install_batch({"SW1": sw}, twice)
-    assert flow_dump(sw) == [installed]
-    assert len(sw.table) == 1
-
-
-@pytest.mark.parametrize("capacity", [1, 8])
-def test_a_batch_refused_for_a_priority_writes_on_no_switch(capacity):
-    # the offending rule comes last, after rules that fit on both switches,
-    # whether or not a switch has room for the whole batch
-    first, second = Switch("SW1", capacity), Switch("SW2", capacity)
-    switches = {"SW1": first, "SW2": second}
-    for sw in switches.values():
-        sw.attach("peer")
-    assert install_batch(switches, [("SW1", arp_discovery_rule())])
-    before = {switch_id: (flow_dump(sw), len(sw.table)) for switch_id, sw in switches.items()}
-    batch = [
-        ("SW2", flow_rule()),
-        ("SW1", arp_discovery_rule()),
-        ("SW1", FlowRule(_ARP_MATCH, ActionKind.TO_CONTROLLER, FLOW_RULE_PRIORITY)),
-    ]
-    with pytest.raises(ValueError, match="one priority per mask"):
-        install_batch(switches, batch)
-    assert {switch_id: (flow_dump(sw), len(sw.table)) for switch_id, sw in switches.items()} == before
 
 
 def test_a_block_mask_filed_after_the_flow_mask_wins_the_lookup():
@@ -201,30 +141,17 @@ def test_a_block_mask_filed_after_the_flow_mask_wins_the_lookup():
     assert flow_dump(sw) == [block, flow, arp]
 
 
-def test_the_programs_rule_shapes_have_distinct_masks_and_priorities():
-    # a rule kind added at a taken priority, or on a taken mask, would be
-    # refused at run time by the first switch that holds both
-    shapes = {
-        "flow": (make_packet().matches[0].mask, FLOW_RULE_PRIORITY),
-        "arp": (arp_discovery_rule().match.mask, arp_discovery_rule().priority),
-        "block": (block_rule().match.mask, BLOCK_RULE_PRIORITY),
-    }
-    assert shapes["arp"] == (_ARP_MATCH.mask, ARP_RULE_PRIORITY)
-    masks, priorities = zip(*shapes.values())
-    assert len(set(masks)) == len(set(priorities)) == len(shapes)
-
-
 def test_table_capacity_surfaces_error():
     sw = make_switch(capacity=2)
     sw.attach("peer")
     switches = {"SW1": sw}
     for port in (1, 2):
-        assert install_batch(switches, [("SW1", forward(1, "peer", service_port=port))])
+        assert install_batch(switches, [("SW1", flow_rule(service_port=port))])
     # a match already installed takes no new entry
-    assert install_batch(switches, [("SW1", forward(1, "peer", service_port=port)) for port in (1, 2)])
+    assert install_batch(switches, [("SW1", flow_rule(service_port=port)) for port in (1, 2)])
     before = flow_dump(sw)
-    assert not install_batch(switches, [("SW1", forward(1, "peer", service_port=port)) for port in (1, 3)])
-    assert not install_batch(switches, [("SW1", forward(1, "peer", service_port=3))])
+    assert not install_batch(switches, [("SW1", flow_rule(service_port=port)) for port in (1, 3)])
+    assert not install_batch(switches, [("SW1", flow_rule(service_port=3))])
     assert flow_dump(sw) == before
     assert len(sw.table) == 2
 
@@ -233,14 +160,14 @@ def test_a_batch_that_overflows_one_switch_writes_on_no_switch():
     first, second = Switch("SW1"), Switch("SW2", capacity=1)
     for sw in (first, second):
         sw.attach("peer")
-        sw.install(forward(100, "peer", service_port=1))
+        sw.install(flow_rule(service_port=1))
     before = flow_dump(first)
     batch = [
         # a new match and a replacement on the switch with room, then a
         # new match on the full one
-        ("SW1", forward(100, "peer", service_port=2)),
-        ("SW1", forward(100, "peer", service_port=1)),
-        ("SW2", forward(100, "peer", service_port=2)),
+        ("SW1", flow_rule(service_port=2)),
+        ("SW1", flow_rule(service_port=1)),
+        ("SW2", flow_rule(service_port=2)),
     ]
     assert not install_batch({"SW1": first, "SW2": second}, batch)
     assert flow_dump(first) == before
@@ -282,7 +209,7 @@ def test_dump_counts_distinct_installs():
     sw = make_switch()
     sw.attach("peer")
     for port in range(1, 26):
-        sw.install(forward(100, "peer", service_port=port))
+        sw.install(flow_rule(service_port=port))
     assert len(flow_dump(sw)) == 25
 
 
@@ -302,19 +229,39 @@ FIELD_VALUES = dict(
 )
 
 
-def test_a_general_match_fixes_the_fields_it_leaves_set():
+# the fields each rule shape fixes -> its priority
+SHAPES = {
+    ("src_ip",): BLOCK_RULE_PRIORITY,
+    ("src_ip", "dst_ip", "ip_proto", "service_port", "packet_type"): FLOW_RULE_PRIORITY,
+    ("packet_type",): ARP_RULE_PRIORITY,
+}
+
+
+def test_a_match_builds_in_a_rule_shape_and_in_no_other():
     # every None-pattern of the seven header fields
+    packet = make_packet(**FIELD_VALUES)
+    built = {}
     for fixed in product((False, True), repeat=len(HEADER_FIELDS)):
-        mask = tuple(name for name, fix in zip(HEADER_FIELDS, fixed) if fix)
-        match = FlowMatch(**{name: FIELD_VALUES[name] for name in mask})
-        assert match.mask == mask
-        assert match.key == (attrgetter(*mask)(match) if mask else ())
-        # a one-field key is the bare value, as a probe of that mask reads it
-        values = tuple(FIELD_VALUES[name] for name in mask)
-        assert match.key == (values[0] if len(values) == 1 else values)
+        names = tuple(name for name, fix in zip(HEADER_FIELDS, fixed) if fix)
+        values = {name: FIELD_VALUES[name] for name in names}
+        if names not in SHAPES:
+            message = f"no rule shape fixes just the fields: {', '.join(names) or 'none'}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                FlowMatch(**values)
+            continue
+        match = built[names] = FlowMatch(**values)
+        assert match.priority == SHAPES[names]
+        # a one-field key is the bare value, a flow's the five values in order
+        assert match.key == (values[names[0]] if len(names) == 1 else tuple(values.values()))
+        # the key is what lookup probes for a packet of the flow
+        sw = make_switch()
+        rule = FlowRule(match, ActionKind.DROP)
+        sw.install(rule)
+        assert sw.lookup(packet) is rule
+    assert set(built) == set(SHAPES)
     flow = {name: value for name, value in FIELD_VALUES.items() if name not in ("src_mac", "dst_mac")}
     general, exact = FlowMatch(**flow), FlowMatch.exact(**flow)
-    assert (general.mask, general.key) == (exact.mask, exact.key)
+    assert (general.priority, general.key) == (exact.priority, exact.key) == (FLOW_RULE_PRIORITY, packet.matches[0].key)
 
 
 def test_outcomes_match_linear_scan_oracle():
@@ -337,13 +284,13 @@ def test_outcomes_match_linear_scan_oracle():
             )
         assert install_batch({"SW1": sw}, [("SW1", rule)])
     snapshot = flow_dump(sw)
-    assert {rule.priority for rule in snapshot} == {ARP_RULE_PRIORITY, FLOW_RULE_PRIORITY, BLOCK_RULE_PRIORITY}
+    assert {rule.match.priority for rule in snapshot} == {ARP_RULE_PRIORITY, FLOW_RULE_PRIORITY, BLOCK_RULE_PRIORITY}
 
     def oracle(packet):
         best = None
         for rule in snapshot:  # snapshot is priority-desc, insertion-stable
             if match_hits(rule.match, packet):
-                if best is None or rule.priority > best.priority:
+                if best is None or rule.match.priority > best.match.priority:
                     best = rule
         return best
 
@@ -370,30 +317,27 @@ PACKETS = st.builds(
     service_port=st.sampled_from((80, 443)),
     packet_type=st.sampled_from(("HTTP", "SYN", "ARP")),
 )
-# a match of one of the program's three rule shapes and its priority: a
-# flow's, the ARP match or a defense block
+# a match of one of the program's three rule shapes: a flow's, the ARP
+# match or a defense block
 SHAPED_MATCHES = st.one_of(
-    st.tuples(
-        st.builds(
-            FlowMatch.exact,
-            src_ip=st.sampled_from(ADDRESSES),
-            dst_ip=st.sampled_from(ADDRESSES),
-            ip_proto=st.sampled_from(("tcp", "udp")),
-            service_port=st.sampled_from((80, 443)),
-            packet_type=st.sampled_from(("HTTP", "SYN")),
-        ),
-        st.just(FLOW_RULE_PRIORITY),
+    st.builds(
+        FlowMatch.exact,
+        src_ip=st.sampled_from(ADDRESSES),
+        dst_ip=st.sampled_from(ADDRESSES),
+        ip_proto=st.sampled_from(("tcp", "udp")),
+        service_port=st.sampled_from((80, 443)),
+        packet_type=st.sampled_from(("HTTP", "SYN")),
     ),
-    st.just((_ARP_MATCH, ARP_RULE_PRIORITY)),
-    st.tuples(st.builds(FlowMatch, src_ip=st.sampled_from(ADDRESSES)), st.just(BLOCK_RULE_PRIORITY)),
+    st.just(_ARP_MATCH),
+    st.builds(FlowMatch, src_ip=st.sampled_from(ADDRESSES)),
 )
 
 
 @st.composite
 def table_programs(draw):
     """A capacity and a sequence of installs and packets.  Installs draw
-    from a small pool of shaped matches, each at its shape's priority, so
-    re-installs, rules of every shape and full tables all occur."""
+    from a small pool of shaped matches, so re-installs, rules of every
+    shape and full tables all occur."""
     pool = draw(st.lists(SHAPED_MATCHES, min_size=1, max_size=6))
     installs = st.tuples(
         st.just("install"),
@@ -413,8 +357,8 @@ def test_tuple_space_agrees_with_the_priority_scan(program):
     reference = ScanTable(capacity)
     for op in ops:
         if op[0] == "install":
-            _, (match, priority), action = op
-            rule = FlowRule(match, action, priority, next_hop="peer" if action == ActionKind.FORWARD else None)
+            _, match, action = op
+            rule = FlowRule(match, action, next_hop="peer" if action == ActionKind.FORWARD else None)
             # the switch refuses a new match beyond capacity as the reference does
             assert install_batch({"SW1": sw}, [("SW1", rule)]) is reference.install(rule)
             # the same rules in the same order
@@ -432,8 +376,8 @@ SWITCH_IDS = ("SW1", "SW2")
 
 
 def test_one_rule_object_filed_in_two_switches_keeps_its_place_in_each():
-    # a rule's place in a switch is its key's place in that switch's mask
-    # table, not a field of the rule, so a rule shared by two switches has
+    # a rule's place in a switch is its key's place in that switch's table
+    # of its shape, not a field of the rule, so a rule shared by two switches has
     # its own place in each
     first, second = Switch("SW1"), Switch("SW2")
     for sw in (first, second):
@@ -477,8 +421,8 @@ def shared_rule_programs(draw):
     matches = draw(st.lists(SHAPED_MATCHES, min_size=1, max_size=4))
     specs = st.tuples(st.sampled_from(matches), st.sampled_from((ActionKind.FORWARD, ActionKind.DROP)))
     pool = [
-        FlowRule(match, action, priority, "peer" if action == ActionKind.FORWARD else None)
-        for (match, priority), action in draw(st.lists(specs, min_size=1, max_size=6))
+        FlowRule(match, action, "peer" if action == ActionKind.FORWARD else None)
+        for match, action in draw(st.lists(specs, min_size=1, max_size=6))
     ]
     installs = st.tuples(st.sampled_from(SWITCH_IDS), st.sampled_from(pool))
     return draw(st.lists(st.one_of(installs, PACKETS), max_size=30))
@@ -507,8 +451,8 @@ def test_rule_objects_shared_by_two_switches_agree_with_the_priority_scan(ops):
 def batch_programs(draw):
     """Both switches' capacities and a sequence of batches, each of 1-6
     rules over the two switches.  The rules draw from a pool of at most
-    four shaped matches, each at its shape's priority, so batches name
-    installed matches, name one match twice and fill the tables."""
+    four shaped matches, so batches name installed matches, name one match
+    twice and fill the tables."""
     pool = draw(st.lists(SHAPED_MATCHES, min_size=1, max_size=4))
     rules = st.tuples(
         st.sampled_from(SWITCH_IDS),
@@ -533,7 +477,7 @@ def reference_batch(tables: dict[str, ScanTable], batch: list[tuple[str, FlowRul
 
 
 _PORT_80, _PORT_443, _SYN = (
-    (make_packet(**fields).matches[0], FLOW_RULE_PRIORITY)
+    make_packet(**fields).matches[0]
     for fields in ({}, {"service_port": 443}, {"packet_type": "SYN"})
 )
 
@@ -561,8 +505,8 @@ def test_a_batch_is_written_whole_exactly_when_its_new_matches_fit(program):
         sw.attach("peer")
     for drawn in batches:
         batch = [
-            (switch_id, FlowRule(match, action, priority, "peer" if action == ActionKind.FORWARD else None))
-            for switch_id, (match, priority), action in drawn
+            (switch_id, FlowRule(match, action, "peer" if action == ActionKind.FORWARD else None))
+            for switch_id, match, action in drawn
         ]
         assert install_batch(switches, batch) is reference_batch(references, batch)
         for switch_id, sw in switches.items():
@@ -590,7 +534,7 @@ def test_a_packets_matches_are_the_general_constructors(packet, probes):
         assert match == expected
         assert hash(match) == hash(expected)
         assert repr(match) == repr(expected)
-        # every field, mask and key included
+        # every field, priority and key included
         assert [getattr(match, spec.name) for spec in fields(FlowMatch)] == [
             getattr(expected, spec.name) for spec in fields(FlowMatch)
         ]
@@ -601,7 +545,7 @@ def test_a_packets_matches_are_the_general_constructors(packet, probes):
     for matches in (packet.matches, general):
         sw = make_switch()
         sw.attach("peer")
-        rules = [FlowRule(match, ActionKind.FORWARD, 100, "peer") for match in matches]
+        rules = [FlowRule(match, ActionKind.FORWARD, "peer") for match in matches]
         assert install_batch({"SW1": sw}, [("SW1", rule) for rule in rules])
         hits = [sw.lookup(probe) for probe in probes]
         for probe, hit in zip(probes, hits):

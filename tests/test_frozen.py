@@ -89,8 +89,8 @@ _constraints = st.sampled_from(
 _packets = st.sampled_from([Packet(1, 2, "m1", "m2", "tcp", 80, "SYN"), Packet(3, 4, "m3", "m4", "udp", 53, "DATA")])
 _rules = st.sampled_from(
     [
-        FlowRule(FlowMatch(dst_ip=2), ActionKind.FORWARD, 100, "SW2"),
-        FlowRule(FlowMatch(packet_type="ARP"), ActionKind.TO_CONTROLLER, 10),
+        FlowRule(FlowMatch(src_ip=2), ActionKind.FORWARD, "SW2"),
+        FlowRule(FlowMatch(packet_type="ARP"), ActionKind.TO_CONTROLLER),
     ]
 )
 _switches = st.sampled_from([SwitchSpec("SW1", SecurityLabel(1)), SwitchSpec("SW2", SecurityLabel(3))])

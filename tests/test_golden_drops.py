@@ -35,7 +35,7 @@ import pytest
 from test_golden import GOLDEN, MODES, events_trail_digest, records_digest_of
 
 from sdnsec import bundled_scenario_path, load_scenario
-from sdnsec.dataplane import FLOW_RULE_PRIORITY, ActionKind, FlowMatch, FlowRule
+from sdnsec.dataplane import ActionKind, FlowMatch, FlowRule, install_batch
 from sdnsec.scenario import parse_scenario
 from sdnsec.simulation import Simulation, build_world
 
@@ -123,10 +123,12 @@ def _minimal_world():
 
 
 def test_a_rule_toward_the_wrong_host_misdelivers():
+    # the a->b:80/HTTP flow's own rule, planted before the flow starts,
+    # sends its packets back to a
     world = _minimal_world()
-    switch = world.switches["S1"]
-    to_b = FlowMatch(dst_ip=world.hosts["b"].ip)
-    switch.install(FlowRule(to_b, ActionKind.FORWARD, FLOW_RULE_PRIORITY, next_hop="a"))
+    a, b = world.hosts["a"], world.hosts["b"]
+    to_b = FlowMatch.exact(a.ip, b.ip, "tcp", 80, "HTTP")
+    assert install_batch(world.switches, [("S1", FlowRule(to_b, ActionKind.FORWARD, next_hop="a"))])
     report = Simulation(world).run()
     assert [(f.reason, f.drop_domain) for f in report.flows] == [("MISDELIVERED", "AS1")]
     assert report.counters["dropped_other"] == 1

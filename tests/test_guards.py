@@ -35,12 +35,10 @@ def controller_with_key(key):
 
 # guard -> (the call that trips it, the exception, its message)
 GUARDS = {
-    "rule-negative-priority": (
-        lambda: FlowRule(FlowMatch(), ActionKind.DROP, -1), ValueError, "priority must be >= 0"),
     "forward-rule-without-next-hop": (
-        lambda: FlowRule(FlowMatch(), ActionKind.FORWARD, 1), ValueError, "forward rule needs a next hop"),
+        lambda: FlowRule(FlowMatch(src_ip=1), ActionKind.FORWARD), ValueError, "forward rule needs a next hop"),
     "drop-rule-with-next-hop": (
-        lambda: FlowRule(FlowMatch(), ActionKind.DROP, 1, next_hop="S2"),
+        lambda: FlowRule(FlowMatch(src_ip=1), ActionKind.DROP, next_hop="S2"),
         ValueError, "only forward rules carry a next hop"),
     "switch-attach-twice": (attach_twice, ValueError, "h1 already attached to S1"),
     "handle-without-origin": (

@@ -472,7 +472,7 @@ def test_flow_mod_batch_is_all_or_nothing(mode):
     assert report.counters["rules_installed"] == report.counters["proactive_installs"] == 0
     assert report.installs == []
     for switch in world.switches.values():
-        assert [rule.priority for rule in flow_dump(switch)] == [ARP_RULE_PRIORITY]
+        assert [rule.match.priority for rule in flow_dump(switch)] == [ARP_RULE_PRIORITY]
 
 
 RATE_ONE = "p1 = <*, *, *, *, *, *, *, *, (rate<=1), *, *, *, *>:<Allow>"
@@ -796,7 +796,7 @@ def test_mutated_bundled_scenarios_are_rejected_or_run_clean(doc):
         for rule in flow_dump(switch):
             if rule.action == ActionKind.FORWARD:
                 assert rule.next_hop in switch.ports
-            if rule.priority == FLOW_RULE_PRIORITY:
+            if rule.match.priority == FLOW_RULE_PRIORITY:
                 match = rule.match
                 assert replace(match, src_ip=match.dst_ip, dst_ip=match.src_ip) in installed
 

@@ -445,11 +445,11 @@ def test_a_packet_crosses_installed_rules_in_one_handler_call(workload):
     assert sim._seq < reference._seq
 
 
-# seed 1: the GC-tracked objects a run keeps, a little above the 10,137 /
-# 5,553 / 7,494 of a flow table that files each rule as itself; a wrapper
-# object per rule the run leaves filed (4,944 / 1,074 / 3,936 rules) would
-# pass every bound
-KEPT_OBJECT_BOUNDS = {"flood_table": 10_200, "acl_proactive": 5_600, "mesh_transit": 7_550}
+# seed 1: the GC-tracked objects a run keeps, a little above the 10,134 /
+# 5,539 / 7,410 of a flow table that files each rule as itself in one of
+# three fixed tables; a wrapper object per rule the run leaves filed (4,944
+# / 1,074 / 3,936 rules) would pass every bound
+KEPT_OBJECT_BOUNDS = {"flood_table": 10_200, "acl_proactive": 5_600, "mesh_transit": 7_470}
 
 
 def _kept_objects(world) -> tuple[int, dict[str, int]]:
