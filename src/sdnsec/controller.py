@@ -67,6 +67,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .dataplane import (
+    ARP_RULE_PRIORITY,
+    BLOCK_RULE_PRIORITY,
     ActionKind,
     FlowMatch,
     FlowRule,
@@ -189,7 +191,7 @@ BASELINE = PolicyExpression(id="baseline", action=Action.ALLOW)
 _UNSEARCHED = object()
 
 # a match is immutable, so every switch's ARP rule shares this one
-_ARP_MATCH = FlowMatch(packet_type="ARP")
+_ARP_MATCH = FlowMatch(ARP_RULE_PRIORITY, "ARP")
 
 # the security profile of a rule whose policy sets none, shared by them all
 _NO_PROFILE: frozenset[str] = frozenset()
@@ -390,7 +392,7 @@ class Controller:
                     return drop(DropReason.DEFENSE_THROTTLED, detail)
                 if not newly_blocked:
                     return drop(DropReason.DEFENSE_BLOCKED, detail)
-                block = ((ingress, FlowRule(FlowMatch(src_ip=offender), ActionKind.DROP)),)
+                block = ((ingress, FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, offender), ActionKind.DROP)),)
                 return drop(DropReason.DEFENSE_BLOCKED, detail, block, f"{BLOCK_PROVENANCE_PREFIX}{packet.src_text}")
 
         # credentials: a handle comes through the gateway of the domain it

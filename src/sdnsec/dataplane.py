@@ -3,9 +3,11 @@
 The program writes three kinds of rule, and a rule's shape, the header
 fields its match fixes, is its priority: a defense block on a source address
 (200), a flow's 5-tuple (100) and the ARP punt to the controller (10).
-``_SHAPES`` lists them once, in lookup order, each with its fields, its
-priority and the getter of its key; a match of any other shape is a
-``ValueError`` when it is built, so a rule cannot carry a wrong priority.
+``_SHAPES`` lists them once, by priority in lookup order, each with its
+fields and the getter of its key.  A match is what a table files and
+probes, its shape's priority and its key, the values of the fields the
+shape fixes as that getter reads them off a packet; a priority of no shape,
+or a key of another arity, is a ``ValueError`` when the match is built.
 A switch's flow table is a tuple space with fixed masks (Srinivasan, Suri &
 Varghese, SIGCOMM 1999), one table per kind of rule as in OpenFlow 1.3: one
 dict per shape, which files each rule as itself under its match's key, in
@@ -33,11 +35,8 @@ writes that text and its flow id into its ``__dict__`` in one step.  A
 packet fixes every header field: one left ``None`` is a ``ValueError`` when
 it is built.  It builds its flow's forward and return match on first read
 (``Packet.matches``, a lock-free :class:`~sdnsec.frozen.cached` field), once
-for every domain it crosses, each through :meth:`FlowMatch.exact`: every
-flow match has the same shape, so that constructor writes the flow
-priority and the 5-tuple key with the fields, in one step, where the
-general constructor works its shape out from the fields it leaves
-non-``None``.  A flow dump prints a match's addresses as dotted text.
+for every domain it crosses.  A flow dump prints the fields a match fixes,
+its addresses as dotted text, and ``*`` for the others.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ class Packet:
             or self.service_port is None
             or self.packet_type is None
         ):
-            # a None field would wildcard it in the flow's rules
+            # a None field would print in the flow id and sit in the flow's key
             missing = [name for name in _HEADER_FIELDS if getattr(self, name) is None]
             raise ValueError(f"a packet leaves no header field None: {', '.join(missing)}")
         src_text, dst_text = format_ipv4(self.src_ip), format_ipv4(self.dst_ip)
@@ -108,27 +107,30 @@ class Packet:
     @cached
     def matches(self) -> tuple[FlowMatch, FlowMatch]:
         """The flow's forward match and its return match, the addresses
-        swapped, each built with its priority and key in one step
-        (:meth:`FlowMatch.exact`); built once per packet and read by every
-        domain it crosses."""
+        swapped: the flow priority and the 5-tuple key; built once per
+        packet and read by every domain it crosses."""
         src, dst, proto, port, kind = self.src_ip, self.dst_ip, self.ip_proto, self.service_port, self.packet_type
-        return FlowMatch.exact(src, dst, proto, port, kind), FlowMatch.exact(dst, src, proto, port, kind)
+        return (
+            FlowMatch(FLOW_RULE_PRIORITY, (src, dst, proto, port, kind)),
+            FlowMatch(FLOW_RULE_PRIORITY, (dst, src, proto, port, kind)),
+        )
 
 
-# the match fields a Packet carries too, under the same names
+# the header fields a Packet carries, in the order a flow dump prints them
 _HEADER_FIELDS = ("src_ip", "dst_ip", "src_mac", "dst_mac", "ip_proto", "service_port", "packet_type")
 
 _ADDRESS_FIELDS = ("src_ip", "dst_ip")
 
 _FLOW_FIELDS = ("src_ip", "dst_ip", "ip_proto", "service_port", "packet_type")
 
-# the program's three rule shapes, in lookup order: the header fields a
-# match of the shape fixes -> its priority and the getter of its key, which
-# reads those fields off a match or a packet alike
+# the program's three rule shapes, in lookup order: a shape's priority ->
+# the header fields its matches fix and the getter of its key, which reads
+# those fields off a packet: the bare value of a one-field shape, a tuple
+# of a wider one's
 _SHAPES = {
-    ("src_ip",): (BLOCK_RULE_PRIORITY, attrgetter("src_ip")),
-    _FLOW_FIELDS: (FLOW_RULE_PRIORITY, attrgetter(*_FLOW_FIELDS)),
-    ("packet_type",): (ARP_RULE_PRIORITY, attrgetter("packet_type")),
+    BLOCK_RULE_PRIORITY: (("src_ip",), attrgetter("src_ip")),
+    FLOW_RULE_PRIORITY: (_FLOW_FIELDS, attrgetter(*_FLOW_FIELDS)),
+    ARP_RULE_PRIORITY: (("packet_type",), attrgetter("packet_type")),
 }
 _block_key, _flow_key, _arp_key = (key for _, key in _SHAPES.values())
 
@@ -136,84 +138,37 @@ _block_key, _flow_key, _arp_key = (key for _, key in _SHAPES.values())
 @frozen(slots=True)
 class FlowMatch:
     """A match of one of the program's rule shapes (``_SHAPES``): the
-    header fields its shape fixes are set, the others ``None``, which
-    matches anything.
+    shape's ``priority`` and the ``key`` its table files the match under,
+    the values of the fields the shape fixes, as the shape's getter reads
+    them off a packet; every other header field matches anything.  A
+    priority that names no shape, or a key of another arity than its
+    shape's fields (a bare value for one field, a tuple for more), raises
+    ``ValueError``."""
 
-    ``FlowMatch(...)`` takes its shape from the fields it leaves
-    non-``None``, and from the shape its ``priority`` and its ``key``, the
-    values of those fields as the shape's getter reads them; a field
-    pattern of no shape raises ``ValueError``.  ARP and block matches are
-    built so.  :meth:`FlowMatch.exact` builds the match a packet's flow
-    takes."""
-
-    src_ip: int | None = None
-    dst_ip: int | None = None
-    src_mac: str | None = None
-    dst_mac: str | None = None
-    ip_proto: str | None = None
-    service_port: int | None = None
-    packet_type: str | None = None
-    # its shape's priority and its key in that shape's table, worked out once
-    priority: int = field(init=False, repr=False, compare=False)
-    key: object = field(init=False, repr=False, compare=False)
+    priority: int
+    key: object
 
     def __post_init__(self) -> None:
-        fixed = tuple(name for name in _HEADER_FIELDS if getattr(self, name) is not None)
-        shape = _SHAPES.get(fixed)
+        shape = _SHAPES.get(self.priority)
         if shape is None:
-            raise ValueError(f"no rule shape fixes just the fields: {', '.join(fixed) or 'none'}")
-        priority, key = shape
-        # a slotted record has no __dict__ to update in one step; the
-        # generic setter also serves a plain dataclass given this method
-        object.__setattr__(self, "priority", priority)
-        object.__setattr__(self, "key", key(self))
+            raise ValueError(f"no rule shape has priority {self.priority!r}")
+        names, key = shape[0], self.key
+        # a wider shape's key is a tuple of its values, a one-field shape's the bare value
+        if (len(key) if type(key) is tuple else None) != (len(names) if len(names) > 1 else None):
+            raise ValueError(f"a priority-{self.priority} key holds the values of: {', '.join(names)}")
 
-    @classmethod
-    def exact(cls, src_ip: int, dst_ip: int, ip_proto: str, service_port: int, packet_type: str) -> FlowMatch:
-        """The match of one flow: every header field but the two MACs fixed,
-        equal to ``FlowMatch(src_ip, dst_ip, None, None, ip_proto,
-        service_port, packet_type)``.  It writes the fields, the flow
-        priority and the 5-tuple key through the slots' setters, bound once
-        the class is built (``_set_*`` below), with no ``__post_init__``.  A
-        header field added to the flow's match, such as a request/reply
-        flag, is written here too."""
-        match = _new(cls)
-        _set_src_ip(match, src_ip)
-        _set_dst_ip(match, dst_ip)
-        _set_src_mac(match, None)
-        _set_dst_mac(match, None)
-        _set_ip_proto(match, ip_proto)
-        _set_service_port(match, service_port)
-        _set_packet_type(match, packet_type)
-        _set_priority(match, FLOW_RULE_PRIORITY)
-        _set_key(match, (src_ip, dst_ip, ip_proto, service_port, packet_type))
-        return match
+    def fixed(self) -> dict[str, object]:
+        """``{field: value}`` for the header fields the match fixes."""
+        names, key = _SHAPES[self.priority][0], self.key
+        return dict(zip(names, key)) if len(names) > 1 else {names[0]: key}
 
     def text(self) -> str:
-        parts = []
-        for name in _HEADER_FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                value = "*"
-            elif name in _ADDRESS_FIELDS:
-                value = format_ipv4(value)
-            parts.append(f"{name}={value}")
-        return " ".join(parts)
-
-
-# FlowMatch.exact's slot setters, taken from the built class
-_new = object.__new__
-(
-    _set_src_ip,
-    _set_dst_ip,
-    _set_src_mac,
-    _set_dst_mac,
-    _set_ip_proto,
-    _set_service_port,
-    _set_packet_type,
-    _set_priority,
-    _set_key,
-) = (FlowMatch.__dict__[name].__set__ for name in (*_HEADER_FIELDS, "priority", "key"))
+        """Every header field, as it fixes it or ``*``."""
+        fixed = self.fixed()
+        for name in _ADDRESS_FIELDS:
+            if name in fixed:
+                fixed[name] = format_ipv4(fixed[name])
+        return " ".join(f"{name}={fixed.get(name, '*')}" for name in _HEADER_FIELDS)
 
 
 class ActionKind:
@@ -254,15 +209,15 @@ class FlowRule:
 
 
 class FlowTable:
-    """A switch's rules: ``rules`` maps each shape's priority to its table,
-    in lookup order (block, flow, ARP), and a table maps a match's key to
-    its rule, filed as itself, in install order.  ``len()`` is the number
-    of rules."""
+    """A switch's rules: ``rules`` maps each priority of ``_SHAPES`` to its
+    shape's table, in lookup order (block, flow, ARP), and a table maps a
+    match's key to its rule, filed as itself, in install order.  ``len()``
+    is the number of rules."""
 
     __slots__ = ("rules", "size")
 
     def __init__(self) -> None:
-        self.rules: dict[int, dict[object, FlowRule]] = {priority: {} for priority, _ in _SHAPES.values()}
+        self.rules: dict[int, dict[object, FlowRule]] = {priority: {} for priority in _SHAPES}
         self.size = 0
 
     def __len__(self) -> int:

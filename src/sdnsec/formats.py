@@ -285,10 +285,6 @@ def _parse_profile(tokens: list[str]) -> frozenset[str]:
     return frozenset(token.lower() for token in tokens)
 
 
-def _parse_path(tokens: list[str]) -> tuple[str, ...]:
-    return tuple(tokens)
-
-
 def _parse_action(text: str) -> tuple[Action, str | None]:
     """An action's verb and exit switch; raises ValueError on a bad action."""
     bare = _VERBS.get(text.lower())
@@ -352,7 +348,7 @@ _LIST_COLUMNS = {
     "domcons": ("dom_cons", _parse_constraints),
     "services": ("services", _parse_services),
     "secprof": ("sec_profile", _parse_profile),
-    "seq": ("path", _parse_path),
+    "seq": ("path", tuple),
 }
 
 # A repository record's fields, in the order the serializer writes them.

@@ -269,7 +269,7 @@ class PolicyExpression:
     def label_window(self) -> LabelWindow:
         """All LABEL_PATH constraints of this expression collapsed to one
         window; an empty one admits no label."""
-        labels = [c.label for c in self.flow_cons + self.dom_cons if c.kind is ConstraintKind.LABEL_PATH]
+        labels = [c.label for c in self.constraints if c.kind is ConstraintKind.LABEL_PATH]
         return LabelWindow.conjoin(labels)
 
 

@@ -490,15 +490,10 @@ def egress_hop(world, installs):
 
 def match_hits(match: FlowMatch, packet: Packet) -> bool:
     """Field-by-field check: every field ``match`` fixes equals the packet's."""
-    return (
-        (match.src_ip is None or match.src_ip == packet.src_ip)
-        and (match.dst_ip is None or match.dst_ip == packet.dst_ip)
-        and (match.src_mac is None or match.src_mac == packet.src_mac)
-        and (match.dst_mac is None or match.dst_mac == packet.dst_mac)
-        and (match.ip_proto is None or match.ip_proto == packet.ip_proto)
-        and (match.service_port is None or match.service_port == packet.service_port)
-        and (match.packet_type is None or match.packet_type == packet.packet_type)
-    )
+    for name, value in match.fixed().items():
+        if getattr(packet, name) != value:
+            return False
+    return True
 
 
 def scan_lookup(rules: list[FlowRule], packet: Packet) -> FlowRule | None:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdnsec import controller
 from sdnsec.controller import DropReason, synthesize_rules
-from sdnsec.dataplane import FLOW_RULE_PRIORITY, ActionKind, Packet
+from sdnsec.dataplane import FLOW_RULE_PRIORITY, ActionKind, FlowMatch, Packet
 from sdnsec.defense import ResponseMode
 from sdnsec.interdomain import DomainKey, extend_handle, forward_ptt
 from sdnsec.labels import LabelWindow, parse_label_constraint
@@ -52,12 +52,14 @@ def test_synthesize_batch_is_twice_path_length():
 def test_synthesized_rules_match_flow_tuple_and_reverse():
     packet = make_packet()
     installs = synthesize_rules(("SW1", "SW2"), packet, final_peer="dst", entry_peer="src")
-    forward = [rule for _, rule in installs if rule.match.src_ip == packet.src_ip]
-    reverse = [rule for _, rule in installs if rule.match.src_ip == packet.dst_ip]
+    rest = (packet.ip_proto, packet.service_port, packet.packet_type)
+    to_dst = FlowMatch(FLOW_RULE_PRIORITY, (packet.src_ip, packet.dst_ip, *rest))
+    to_src = FlowMatch(FLOW_RULE_PRIORITY, (packet.dst_ip, packet.src_ip, *rest))
+    forward = [rule for _, rule in installs if rule.match == to_dst]
+    reverse = [rule for _, rule in installs if rule.match == to_src]
     assert len(forward) == len(reverse) == 2
     for rule in forward + reverse:
         assert rule.action == ActionKind.FORWARD
-        assert rule.match.service_port == packet.service_port
 
 
 def test_synthesized_batch_is_pinned_rule_by_rule():
@@ -77,7 +79,7 @@ def test_synthesized_batch_is_pinned_rule_by_rule():
     )
     forward = (packet.src_ip, packet.dst_ip)
     reverse = (packet.dst_ip, packet.src_ip)
-    assert [(s, (r.match.src_ip, r.match.dst_ip), r.next_hop) for s, r in installs] == [
+    assert [(s, (r.match.fixed()["src_ip"], r.match.fixed()["dst_ip"]), r.next_hop) for s, r in installs] == [
         ("S1", forward, "S2"),
         ("S2", forward, "S3"),
         ("S3", forward, "dst"),
@@ -90,8 +92,10 @@ def test_synthesized_batch_is_pinned_rule_by_rule():
     for _, rule in installs:
         assert (rule.action, rule.match.priority) == (ActionKind.FORWARD, FLOW_RULE_PRIORITY)
         assert rule.sec_profile_tags == profile
-        assert (rule.match.ip_proto, rule.match.service_port, rule.match.packet_type) == ("tcp", 443, "HTTPS")
-        assert (rule.match.src_mac, rule.match.dst_mac) == (None, None)
+        fixed = rule.match.fixed()
+        assert (fixed["ip_proto"], fixed["service_port"], fixed["packet_type"]) == ("tcp", 443, "HTTPS")
+        # the MACs are wildcards
+        assert "src_mac" not in fixed and "dst_mac" not in fixed
     with pytest.raises(ValueError):
         synthesize_rules((), packet, final_peer="dst", entry_peer="src")
 

@@ -1,12 +1,11 @@
 import random
-import re
-from dataclasses import fields
-from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import ScanTable, ip, match_hits, scan_lookup
+from helpers import ScanTable, ip, match_hits, records_digest, scan_lookup
+from test_golden import CASES
+from test_workloads import WORKLOADS, case_world
 from sdnsec.controller import _ARP_MATCH, arp_discovery_rule
 from sdnsec.dataplane import (
     ARP_RULE_PRIORITY,
@@ -21,6 +20,7 @@ from sdnsec.dataplane import (
     format_flow_dump,
     install_batch,
 )
+from sdnsec.simulation import Simulation
 
 
 def make_packet(**overrides):
@@ -41,15 +41,23 @@ def make_switch(**kwargs):
     return Switch("SW1", **kwargs)
 
 
-# rules of the program's three shapes, each of which decides its priority:
-# a flow's match (here the flow of make_packet(**fields)), the ARP match and
-# a defense block on a source address
+FLOW_FIELDS = ("src_ip", "dst_ip", "ip_proto", "service_port", "packet_type")
+
+
+# matches and rules of the program's three shapes, each a priority and a
+# key: a flow's match (here the flow of make_packet(**fields)), the ARP
+# match and a defense block on a source address
+def flow_match(**fields):
+    packet = make_packet(**fields)
+    return FlowMatch(FLOW_RULE_PRIORITY, tuple(getattr(packet, name) for name in FLOW_FIELDS))
+
+
 def flow_rule(action=ActionKind.FORWARD, next_hop="peer", **fields):
-    return FlowRule(make_packet(**fields).matches[0], action, next_hop if action == ActionKind.FORWARD else None)
+    return FlowRule(flow_match(**fields), action, next_hop if action == ActionKind.FORWARD else None)
 
 
 def block_rule(src_ip=ip("10.0.0.2")):
-    return FlowRule(FlowMatch(src_ip=src_ip), ActionKind.DROP)
+    return FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, src_ip), ActionKind.DROP)
 
 
 def test_empty_table_is_packet_in():
@@ -229,39 +237,51 @@ FIELD_VALUES = dict(
 )
 
 
-# the fields each rule shape fixes -> its priority
-SHAPES = {
-    ("src_ip",): BLOCK_RULE_PRIORITY,
-    ("src_ip", "dst_ip", "ip_proto", "service_port", "packet_type"): FLOW_RULE_PRIORITY,
-    ("packet_type",): ARP_RULE_PRIORITY,
-}
+# the fields each rule shape fixes, by its priority
+SHAPES = {BLOCK_RULE_PRIORITY: ("src_ip",), FLOW_RULE_PRIORITY: FLOW_FIELDS, ARP_RULE_PRIORITY: ("packet_type",)}
+FLOW_KEY = tuple(FIELD_VALUES[name] for name in FLOW_FIELDS)
 
 
-def test_a_match_builds_in_a_rule_shape_and_in_no_other():
-    # every None-pattern of the seven header fields
-    packet = make_packet(**FIELD_VALUES)
-    built = {}
-    for fixed in product((False, True), repeat=len(HEADER_FIELDS)):
-        names = tuple(name for name, fix in zip(HEADER_FIELDS, fixed) if fix)
-        values = {name: FIELD_VALUES[name] for name in names}
-        if names not in SHAPES:
-            message = f"no rule shape fixes just the fields: {', '.join(names) or 'none'}"
-            with pytest.raises(ValueError, match=re.escape(message)):
-                FlowMatch(**values)
-            continue
-        match = built[names] = FlowMatch(**values)
-        assert match.priority == SHAPES[names]
-        # a one-field key is the bare value, a flow's the five values in order
-        assert match.key == (values[names[0]] if len(names) == 1 else tuple(values.values()))
-        # the key is what lookup probes for a packet of the flow
-        sw = make_switch()
-        rule = FlowRule(match, ActionKind.DROP)
-        sw.install(rule)
-        assert sw.lookup(packet) is rule
-    assert set(built) == set(SHAPES)
-    flow = {name: value for name, value in FIELD_VALUES.items() if name not in ("src_mac", "dst_mac")}
-    general, exact = FlowMatch(**flow), FlowMatch.exact(**flow)
-    assert (general.priority, general.key) == (exact.priority, exact.key) == (FLOW_RULE_PRIORITY, packet.matches[0].key)
+def drawn_key(priority, arity):
+    """A key of the packet of ``FIELD_VALUES``: a bare value (the field of
+    the one-field shape at ``priority``, else ``src_ip``), that value as a
+    1-tuple, or the first four or all five values of the flow's key."""
+    value = FIELD_VALUES[SHAPES.get(priority, ("src_ip",))[0]]
+    return {"scalar": value, "1-tuple": (value,), "4-tuple": FLOW_KEY[:4], "5-tuple": FLOW_KEY}[arity]
+
+
+BUILT = {(BLOCK_RULE_PRIORITY, "scalar"), (FLOW_RULE_PRIORITY, "5-tuple"), (ARP_RULE_PRIORITY, "scalar")}
+
+
+@pytest.mark.parametrize("arity", ["scalar", "1-tuple", "4-tuple", "5-tuple"])
+@pytest.mark.parametrize("priority", [0, 10, 99, 100, 150, 200, 201])
+def test_a_match_builds_at_a_shapes_priority_with_a_key_of_its_arity(priority, arity):
+    key = drawn_key(priority, arity)
+    if (priority, arity) not in BUILT:
+        message = "no rule shape has priority" if priority not in SHAPES else f"a priority-{priority} key holds"
+        with pytest.raises(ValueError, match=message):
+            FlowMatch(priority, key)
+        return
+    match = FlowMatch(priority, key)
+    assert (match.priority, match.key) == (priority, key)
+    assert match.fixed() == {name: FIELD_VALUES[name] for name in SHAPES[priority]}
+    # the key is what lookup probes for a packet of the flow
+    sw = make_switch()
+    rule = FlowRule(match, ActionKind.DROP)
+    sw.install(rule)
+    assert sw.lookup(make_packet(**FIELD_VALUES)) is rule
+
+
+def test_a_match_prints_the_fields_it_fixes_and_stars_the_others():
+    # the flow and ARP lines of tests/golden/service_paths_sw5_dump.txt
+    flow = FlowMatch(FLOW_RULE_PRIORITY, (ip("172.56.16.4"), ip("172.56.16.6"), "tcp", 80, "HTTP"))
+    assert flow.text() == (
+        "src_ip=172.56.16.4 dst_ip=172.56.16.6 src_mac=* dst_mac=* ip_proto=tcp service_port=80 packet_type=HTTP"
+    )
+    assert _ARP_MATCH.text() == "src_ip=* dst_ip=* src_mac=* dst_mac=* ip_proto=* service_port=* packet_type=ARP"
+    assert FlowMatch(BLOCK_RULE_PRIORITY, ip("10.0.0.2")).text() == (
+        "src_ip=10.0.0.2 dst_ip=* src_mac=* dst_mac=* ip_proto=* service_port=* packet_type=*"
+    )
 
 
 def test_outcomes_match_linear_scan_oracle():
@@ -321,15 +341,18 @@ PACKETS = st.builds(
 # match or a defense block
 SHAPED_MATCHES = st.one_of(
     st.builds(
-        FlowMatch.exact,
-        src_ip=st.sampled_from(ADDRESSES),
-        dst_ip=st.sampled_from(ADDRESSES),
-        ip_proto=st.sampled_from(("tcp", "udp")),
-        service_port=st.sampled_from((80, 443)),
-        packet_type=st.sampled_from(("HTTP", "SYN")),
+        FlowMatch,
+        st.just(FLOW_RULE_PRIORITY),
+        st.tuples(
+            st.sampled_from(ADDRESSES),
+            st.sampled_from(ADDRESSES),
+            st.sampled_from(("tcp", "udp")),
+            st.sampled_from((80, 443)),
+            st.sampled_from(("HTTP", "SYN")),
+        ),
     ),
     st.just(_ARP_MATCH),
-    st.builds(FlowMatch, src_ip=st.sampled_from(ADDRESSES)),
+    st.builds(FlowMatch, st.just(BLOCK_RULE_PRIORITY), st.sampled_from(ADDRESSES)),
 )
 
 
@@ -476,10 +499,7 @@ def reference_batch(tables: dict[str, ScanTable], batch: list[tuple[str, FlowRul
     return True
 
 
-_PORT_80, _PORT_443, _SYN = (
-    make_packet(**fields).matches[0]
-    for fields in ({}, {"service_port": 443}, {"packet_type": "SYN"})
-)
+_PORT_80, _PORT_443, _SYN = flow_match(), flow_match(service_port=443), flow_match(packet_type="SYN")
 
 
 def _rules(*names):
@@ -526,31 +546,35 @@ def _swapped(packet):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(packet=PACKETS, probes=st.lists(PACKETS, max_size=6))
-def test_a_packets_matches_are_the_general_constructors(packet, probes):
-    src, dst = packet.src_ip, packet.dst_ip
-    proto, port, kind = packet.ip_proto, packet.service_port, packet.packet_type
-    general = (FlowMatch(src, dst, None, None, proto, port, kind), FlowMatch(dst, src, None, None, proto, port, kind))
-    for match, expected in zip(packet.matches, general):
-        assert match == expected
-        assert hash(match) == hash(expected)
-        assert repr(match) == repr(expected)
-        # every field, priority and key included
-        assert [getattr(match, spec.name) for spec in fields(FlowMatch)] == [
-            getattr(expected, spec.name) for spec in fields(FlowMatch)
-        ]
-    # rules filed under either build of the matches find what the
-    # field-by-field check finds, for the flow's request, its reply and others
+def test_rules_filed_under_a_packets_matches_find_what_the_field_check_finds(packet, probes):
+    # for the flow's request, its reply and other packets
     probes = [packet, _swapped(packet), *probes]
-    found = []
-    for matches in (packet.matches, general):
-        sw = make_switch()
-        sw.attach("peer")
-        rules = [FlowRule(match, ActionKind.FORWARD, "peer") for match in matches]
-        assert install_batch({"SW1": sw}, [("SW1", rule) for rule in rules])
-        hits = [sw.lookup(probe) for probe in probes]
-        for probe, hit in zip(probes, hits):
-            assert (hit is not None) == any(match_hits(match, probe) for match in matches)
-            assert hit is None or match_hits(hit.match, probe)
-        found.append([None if hit is None else hit.match for hit in hits])
-    assert found[0] == found[1]
-    assert found[0][:2] == list(packet.matches)
+    sw = make_switch()
+    sw.attach("peer")
+    rules = [FlowRule(match, ActionKind.FORWARD, "peer") for match in packet.matches]
+    assert install_batch({"SW1": sw}, [("SW1", rule) for rule in rules])
+    hits = [sw.lookup(probe) for probe in probes]
+    for probe, hit in zip(probes, hits):
+        assert (hit is not None) == any(match_hits(match, probe) for match in packet.matches)
+        assert hit is None or match_hits(hit.match, probe)
+    assert [hit.match for hit in hits[:2]] == list(packet.matches)
+
+
+def _scan_lookup(switch, packet):
+    # the switch's rules in a stable sort by descending priority
+    return scan_lookup(sorted(flow_dump(switch), key=lambda rule: -rule.match.priority), packet)
+
+
+def _run_outputs(case):
+    world = case_world(case)
+    report = Simulation(world).run()
+    return records_digest(report), {switch_id: format_flow_dump(sw) for switch_id, sw in world.switches.items()}
+
+
+@pytest.mark.parametrize("case", [*CASES, *(f"workload:{name}" for name in sorted(WORKLOADS))])
+def test_a_run_decides_as_a_run_that_scans_every_rule(case, monkeypatch):
+    # every golden case, the defense responses' block rules included, and
+    # each workload at seed 1
+    probed = _run_outputs(case)
+    monkeypatch.setattr(Switch, "lookup", _scan_lookup)
+    assert _run_outputs(case) == probed

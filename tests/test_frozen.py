@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import sdnsec
 from sdnsec.controller import CostModel
-from sdnsec.dataplane import ActionKind, FlowMatch, FlowRule, Packet
+from sdnsec.dataplane import ARP_RULE_PRIORITY, BLOCK_RULE_PRIORITY, ActionKind, FlowMatch, FlowRule, Packet
 from sdnsec.defense import CapacityModel, ResponseMode
 from sdnsec.frozen import frozen
 from sdnsec.interdomain import PolicyTransferToken
@@ -71,8 +71,11 @@ TWINS = {cls: _twin(cls) for cls in FROZEN}
 
 # --- drawn field values, by the field's declared type ---------------------
 
-_ints = st.one_of(st.integers(-2, 3), st.integers(0, 70_000))
+# the rule shapes' priorities among them, so that some drawn matches build
+_ints = st.one_of(st.integers(-2, 3), st.integers(0, 70_000), st.sampled_from([10, 100, 200]))
 _texts = st.one_of(st.text(max_size=5), st.sampled_from(["AS1", "SW1", "defense:x", "a=b", "*", " a"]))
+# a match's key: a bare value, or a tuple of a flow's values or one short
+_keys = st.one_of(_ints, _texts, st.tuples(_ints, _ints, _texts, _ints, _texts), st.tuples(_ints, _ints, _texts, _ints))
 _names = st.lists(st.sampled_from(["AS1", "AS2", "SW1", "SW2"]), max_size=3).map(tuple)
 _fractions = st.fractions(min_value=-1, max_value=5, max_denominator=4)
 _networks = st.sampled_from([IPv4Network("10.0.0.0/8"), IPv4Network("192.168.1.0/24")])
@@ -89,8 +92,8 @@ _constraints = st.sampled_from(
 _packets = st.sampled_from([Packet(1, 2, "m1", "m2", "tcp", 80, "SYN"), Packet(3, 4, "m3", "m4", "udp", 53, "DATA")])
 _rules = st.sampled_from(
     [
-        FlowRule(FlowMatch(src_ip=2), ActionKind.FORWARD, "SW2"),
-        FlowRule(FlowMatch(packet_type="ARP"), ActionKind.TO_CONTROLLER),
+        FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, 2), ActionKind.FORWARD, "SW2"),
+        FlowRule(FlowMatch(ARP_RULE_PRIORITY, "ARP"), ActionKind.TO_CONTROLLER),
     ]
 )
 _switches = st.sampled_from([SwitchSpec("SW1", SecurityLabel(1)), SwitchSpec("SW2", SecurityLabel(3))])
@@ -109,6 +112,7 @@ def _optional(values):
 
 VALUES = {
     "int": _ints,
+    "object": _keys,
     "bool": st.booleans(),
     "str": _texts,
     "Fraction": _fractions,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sdnsec.controller import Controller
-from sdnsec.dataplane import ActionKind, FlowMatch, FlowRule, Switch
+from sdnsec.dataplane import BLOCK_RULE_PRIORITY, ActionKind, FlowMatch, FlowRule, Switch
 from sdnsec.interdomain import DomainKey, Handle, PolicyTransferToken
 from sdnsec.labels import SecurityLabel
 from sdnsec.metrics import MetricsReport
@@ -36,9 +36,10 @@ def controller_with_key(key):
 # guard -> (the call that trips it, the exception, its message)
 GUARDS = {
     "forward-rule-without-next-hop": (
-        lambda: FlowRule(FlowMatch(src_ip=1), ActionKind.FORWARD), ValueError, "forward rule needs a next hop"),
+        lambda: FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, 1), ActionKind.FORWARD),
+        ValueError, "forward rule needs a next hop"),
     "drop-rule-with-next-hop": (
-        lambda: FlowRule(FlowMatch(src_ip=1), ActionKind.DROP, next_hop="S2"),
+        lambda: FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, 1), ActionKind.DROP, next_hop="S2"),
         ValueError, "only forward rules carry a next hop"),
     "switch-attach-twice": (attach_twice, ValueError, "h1 already attached to S1"),
     "handle-without-origin": (

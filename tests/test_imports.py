@@ -10,6 +10,11 @@ name, one with a leading underscore that a module-level statement binds,
 is read when the module reads it as a bare name, in code or in a string
 annotation; a module's private names serve the module itself, so one it
 never reads is dead.
+
+Records are built through their one constructor: no module but
+``frozen.py``, which builds the records' ``__init__``, reads a
+descriptor's ``__set__`` or ``object.__new__``, the two halves of a second
+way to write a slotted record's fields without running its checks.
 """
 
 import ast
@@ -20,6 +25,8 @@ import pytest
 import sdnsec
 
 MODULES = sorted(path for path in Path(sdnsec.__file__).parent.glob("*.py") if path.name != "__init__.py")
+# the one module that writes a record's fields through its slots' setters
+SLOT_WRITER = "frozen.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -102,3 +109,38 @@ def test_the_check_sees_an_unread_private_name():
         "TABLE = _Table()\n"
     )
     assert unread_private_names(source) == ["_Mask", "_set", "_count", "_unused"]
+
+
+def slot_writes(source: str) -> list[str]:
+    """The reads of a descriptor's ``__set__`` or of ``object.__new__`` in
+    ``source``, as written, in the order of its syntax tree."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        on_object = isinstance(node.value, ast.Name) and node.value.id == "object"
+        if node.attr == "__set__" or (node.attr == "__new__" and on_object):
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != SLOT_WRITER], ids=lambda path: path.name)
+def test_a_record_is_built_through_its_one_constructor(path):
+    assert slot_writes(path.read_text()) == []
+
+
+def test_the_check_sees_a_slot_write():
+    source = (
+        "_new = object.__new__\n"
+        "_set_key = Match.__dict__['key'].__set__\n"
+        "def build(key):\n"
+        "    match = object.__new__(Match)\n"
+        "    type(match).priority.__set__(match, 1)\n"
+        "    return cls.__new__(Match), match.set(key)\n"
+    )
+    assert slot_writes(source) == [
+        "object.__new__",
+        "Match.__dict__['key'].__set__",
+        "object.__new__",
+        "type(match).priority.__set__",
+    ]

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnsec.controller import Controller, DropReason
-from sdnsec.dataplane import ARP_RULE_PRIORITY, FLOW_RULE_PRIORITY, ActionKind, Packet, flow_dump, format_flow_dump
+from sdnsec.dataplane import (
+    ARP_RULE_PRIORITY,
+    FLOW_RULE_PRIORITY,
+    ActionKind,
+    FlowMatch,
+    Packet,
+    flow_dump,
+    format_flow_dump,
+)
 from sdnsec.defense import ResponseMode
 from sdnsec.interdomain import extend_handle
 from sdnsec.metrics import emit, emit_series
@@ -797,8 +805,8 @@ def test_mutated_bundled_scenarios_are_rejected_or_run_clean(doc):
             if rule.action == ActionKind.FORWARD:
                 assert rule.next_hop in switch.ports
             if rule.match.priority == FLOW_RULE_PRIORITY:
-                match = rule.match
-                assert replace(match, src_ip=match.dst_ip, dst_ip=match.src_ip) in installed
+                src, dst, *rest = rule.match.key
+                assert FlowMatch(FLOW_RULE_PRIORITY, (dst, src, *rest)) in installed
 
 
 # a Simulation needs a world to be built; its loop reads nothing of it

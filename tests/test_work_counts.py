@@ -31,16 +31,15 @@ copies its key's prepared states.
 
 The rule path builds a flow's two matches once per packet, not once per
 domain it crosses, and files each written rule with one ``Switch.install``
-call: the workloads at seed 1 have fixed bounds on ``FlowMatch.exact``
-calls, build no match through the general constructor (no
-``FlowMatch.__post_init__`` call), and their install calls equal the rules
-the report counts.
+call: the workloads at seed 1 have fixed bounds on the ``FlowMatch``
+objects they build, through its one constructor, and their install calls
+equal the rules the report counts.
 A packet prints its two addresses once, and every record, summary and
 flow id reads that text, and each flow's packet is built once, a
 pre-installed flow's too: the workloads at seed 1 have fixed bounds on
 ``format_ipv4`` calls, two per offered flow.  The batch check passes a
 switch with room for the whole batch unexamined, and counts a tight
-switch's new matches by mask and key, so a run hashes no ``FlowMatch``; and
+switch's new matches by priority and key, so a run hashes no ``FlowMatch``; and
 every ``FlowRule`` a run builds is a rule ``synthesize_rules`` returns.  It
 collects each tight switch's rules in its first pass over the batch, so a
 batch on more switches than a table holds, such as a world's ARP batch, is
@@ -71,7 +70,7 @@ insertion numbers handed out (one per offer and per step pushed) and on
 ``Simulation._on_switch_rx`` calls, and make as many ``Switch.lookup``
 calls as the reference loop, which pushes every hop.
 
-A flow table files each rule as itself in its mask's table, with nothing
+A flow table files each rule as itself in its shape's table, with nothing
 beside it: after one warm-up run, which fills the module-level caches, the
 GC-tracked objects a seed-1 run leaves alive repeat exactly from run to
 run, and each workload has a fixed bound on them that a wrapper object per
@@ -322,12 +321,11 @@ FLOW_MATCH_BOUNDS = {"flood_table": 1_742, "acl_proactive": 720, "mesh_transit":
 
 @pytest.mark.parametrize("workload", sorted(FLOW_MATCH_BOUNDS))
 def test_rule_path_builds_each_flows_matches_once_and_files_each_rule_once(workload):
-    methods = ((FlowMatch, "exact"), (FlowMatch, "__post_init__"), (Switch, "install"))
+    methods = ((FlowMatch, "__init__"), (Switch, "install"))
     calls, counters = _run_counts(case_world(f"workload:{workload}"), methods=methods)
-    assert 0 < calls["FlowMatch.exact"] <= FLOW_MATCH_BOUNDS[workload], calls
-    # a flow's matches skip the general constructor, left to the one ARP
-    # match and to block rules; no workload run blocks a host
-    assert calls["FlowMatch.__post_init__"] == 0, calls
+    # every match a run builds is a flow's: the one ARP match is built on
+    # import, and no workload run blocks a host
+    assert 0 < calls["FlowMatch.__init__"] <= FLOW_MATCH_BOUNDS[workload], calls
     # build_world wrote the ARP rules before the run
     assert calls["Switch.install"] == counters["rules_installed"] + counters["proactive_installs"] > 0, (calls, counters)
 
