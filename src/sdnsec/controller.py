@@ -20,10 +20,11 @@ re-tagged transfer token.  Every outcome appends one
 ``ControllerEvent`` naming the matched policy and the ticks charged so far.
 
 A controller is built from its domain's ``DomainSpec`` (policies, handle
-key, users, hosts) and reads its own and each known domain's attributes from
-the world graph.  Domain routes are searched on the world's domain graph;
-the caller names the node the packet came from (``entry_peer``), which the
-return rules lead to.  A next domain that the flow's handle has already
+key, users, hosts) and the world's :class:`~sdnsec.topology.DomainTable`,
+which every controller shares.  It reads its own and each known domain's
+attributes from the table's domain graph, and takes each domain route from
+the table, which searches it on that graph.  The caller names the node the
+packet came from (``entry_peer``), which the return rules lead to.  A next domain that the flow's handle has already
 visited is a ``NO_SATISFYING_PATH`` drop, with enforcement on or off, so no
 flow loops back into a domain.
 
@@ -35,17 +36,17 @@ clock: the simulation keeps when each domain's controller is next free.
 These ticks model the paper's controller; on the host,
 selection probes a :class:`~sdnsec.policy.PolicyIndex` and matches only
 the expressions filed under the context's values and the wildcard list, and
-each controller searches a route once: it keeps the next domain per
-(destination domain, label window) and the switch path per (ingress,
-egress, required path, label window), since neither graph changes once the
-world is built.  A memo keys the window by its two bounds, which hash
-without running Python code, and a packet-in reads each memo with one
-``get``.  A packet-in served from that memo is still charged the search's
-ticks.  The other facts a packet-in reads that never change are worked out
-once as well: a controller names, for each neighbour, its own gateway
-toward it and the neighbour's gateway toward it when it is built (the entry
-check reads the one, a flow leaving for that neighbour both), and the text
-a defense drop's detail prints of its flood monitor's budgets.  Its own
+a route is searched once, since neither graph changes once the world is
+built: the world's table keeps each domain route per (source, destination,
+label window), and each controller keeps its switch path per (ingress,
+egress, required path, label window).  A memo keys the window by its two
+bounds, which hash without running Python code, and a packet-in reads each
+memo with one lookup.  A packet-in served from a memo is still charged the
+search's ticks.  The other facts a packet-in reads that never change are
+worked out once as well: a controller names, for each neighbour, its own
+gateway toward it and the neighbour's gateway toward it when it is built
+(the entry check reads the one, a flow leaving for that neighbour both),
+and the text a defense drop's detail prints of its flood monitor's budgets.  Its own
 handle key and its neighbours' are :class:`~sdnsec.interdomain.DomainKey`
 values, prepared once per domain by the world's builder and shared by
 every controller that holds them.
@@ -56,9 +57,10 @@ Addresses are plain ``int`` values throughout: the host table, the rate
 windows and the flood monitor are keyed by them.  Only the event summaries
 and a block rule's provenance print them, as dotted text, and they read
 that text off the packet, which prints its addresses once.  A controller
-files its own and each known domain's subnet by mask when it is built, so
-finding an address's domain costs one dict probe per distinct mask; the
-subnets are disjoint, so at most one probe hits.
+finds an address's domain in the world's table, which files every domain's
+subnet by mask, and answers only its own domain or a known one; the subnets
+are disjoint, so that is the domain a table of its own and its known
+domains' subnets would find.
 """
 
 from __future__ import annotations
@@ -97,14 +99,8 @@ from .policy import (
     PolicyIndex,
     predicates_hold,
     select_policy,
-    subnet_bits,
 )
-from .topology import (
-    Graph,
-    find_as_paths,
-    find_switch_path,
-    gateway_name,
-)
+from .topology import DomainTable, find_switch_path, gateway_name
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -187,7 +183,7 @@ class ControllerEvent:
 BASELINE = PolicyExpression(id="baseline", action=Action.ALLOW)
 
 
-# what a route memo answers for a route it has not searched yet
+# what the switch path memo answers for a path it has not searched yet
 _UNSEARCHED = object()
 
 # a match is immutable, so every switch's ARP rule shares this one
@@ -246,7 +242,7 @@ class Controller:
         self,
         spec: DomainSpec,
         *,
-        as_graph: Graph,
+        domains: DomainTable,
         intra: Graph,
         known: dict[str, int],
         monitor: FloodMonitor | None,
@@ -256,16 +252,17 @@ class Controller:
         costs: CostModel,
         window_ticks: int,
     ):
-        """``intra`` is the domain's switch graph, ``known`` the foreign
-        domains its probes found (see :func:`~sdnsec.topology.probe_topology`);
-        a domain's attributes are read from ``as_graph``.  ``key`` is the
-        domain's own prepared handle key and ``key_ring`` its neighbors'."""
+        """``domains`` is the world's domain table, shared by every
+        controller, ``intra`` the domain's switch graph and ``known`` the
+        foreign domains its probes found (see
+        :func:`~sdnsec.topology.probe_topology`).  ``key`` is the domain's own
+        prepared handle key and ``key_ring`` its neighbors'."""
         if not key.secret:
             raise ValueError("controller needs a nonempty handle key")
         self.as_id = spec.id
         self.policy_repo = PolicyIndex(spec.policies)
         self.handle_key = key
-        self.as_graph = as_graph
+        self.domains = domains
         self.intra = intra
         self.known = known
         self.monitor = monitor
@@ -280,41 +277,28 @@ class Controller:
         self._gateway_peers = {egress: neighbor for neighbor, (egress, _) in self._gateways.items()}
         self.user_bindings = spec.users  # MACs normalized by the scenario parser
         self.hosts = {host.ip: host for host in spec.hosts}
-        # this domain's and each known domain's subnet, filed by mask:
-        # (mask, network -> domain) per distinct mask
-        by_mask: dict[int, dict[int, str]] = {}
-        for as_id in (self.as_id, *known):
-            network, mask = subnet_bits(as_graph.node(as_id).subnet)
-            by_mask.setdefault(mask, {})[network] = as_id
-        self._subnets = tuple(by_mask.items())
         self.enforcement_enabled = enforcement_enabled
         self.costs = costs
         self.events: list[ControllerEvent] = []
         # admitted flows per source and window, for PE rate constraints
         self._rate_counts = WindowCounts(window_ticks)
-        # each route searched once, as both graphs are fixed once built:
-        # (destination domain, window bounds) -> next domain, and (ingress,
-        # egress, required path, window bounds) -> switch path; None where
-        # there is none
-        self._next_domains: dict[tuple, str | None] = {}
+        # each switch path searched once, as the switch graph is fixed once
+        # built: (ingress, egress, required path, window bounds) -> switch
+        # path, or None where there is none
         self._switch_paths: dict[tuple, tuple[str, ...] | None] = {}
 
     # --- context -------------------------------------------------------------
 
     def _domain_info(self, as_id: str) -> DomainInfo:
         if as_id == self.as_id or as_id in self.known:
-            return self.as_graph.node(as_id)
+            return self.domains.graph.node(as_id)
         return DomainInfo(as_id)
 
     def domain_for_ip(self, ip: int) -> str | None:
-        """The one domain, this or a known one, whose subnet contains ``ip``:
-        one probe per distinct mask, of which at most one hits, as subnets
-        are disjoint."""
-        for mask, networks in self._subnets:
-            as_id = networks.get(ip & mask)
-            if as_id is not None:
-                return as_id
-        return None
+        """The one domain, this or a known one, whose subnet contains ``ip``,
+        as the world's domain table finds it."""
+        as_id = self.domains.domain_for_ip(ip)
+        return as_id if as_id == self.as_id or as_id in self.known else None
 
     def build_context(self, packet: Packet, handle: Handle | None, tick: int) -> FlowContext:
         if handle is not None:
@@ -439,17 +423,14 @@ class Controller:
             final_switch, final_peer = host.switch, host.id
         else:
             if winner.action_exit is None:
-                route = (dst_domain, window.lo, window.hi)
-                next_as = self._next_domains.get(route, _UNSEARCHED)
-                if next_as is _UNSEARCHED:
-                    paths = find_as_paths(self.as_graph, self.as_id, dst_domain, window)
-                    next_as = self._next_domains[route] = paths[0][1] if paths else None
+                route = self.domains.route(self.as_id, dst_domain, window)
+                next_as = route[1] if route else None
             else:
                 # hard egress pin: the action's exit switch decides the next
                 # domain; a pinned transit domain must still satisfy the
                 # merged label window
                 next_as = self._gateway_peers.get(winner.action_exit)
-                if next_as not in (None, dst_domain) and not window.satisfies(self.as_graph.node(next_as).label):
+                if next_as not in (None, dst_domain) and not window.satisfies(self.domains.graph.node(next_as).label):
                     next_as = None
             if next_as is None or (handle is not None and next_as in handle.visited):
                 return drop(DropReason.NO_SATISFYING_PATH)

@@ -1,12 +1,13 @@
 """Deterministic event-driven execution of one scenario.
 
 The world is rebuilt from the scenario for every run: switches wired port by
-port in declaration order, one ``DomainInfo`` per domain, and one controller
-per domain, built from the domain's spec, its switch graph, a fresh probe of
-the domain graph and the scenario's own ``costs``.  The ARP rules written
-then, like every flow-mod batch, go through
-:func:`~sdnsec.dataplane.install_batch`, and the loop counts the batches it
-refuses (``table_full_events``).  The event loop runs handler calls in
+port in declaration order, one ``DomainInfo`` per domain, one
+:class:`~sdnsec.topology.DomainTable` that every controller reads for
+subnets and domain routes, and one controller per domain, built from the
+domain's spec, its switch graph, a fresh probe of the domain graph and the
+scenario's own ``costs``.  The ARP rules written then, like every flow-mod
+batch, go through :func:`~sdnsec.dataplane.install_batch`, and the loop
+counts the batches it refuses (``table_full_events``).  The event loop runs handler calls in
 (tick, insertion) order, so equal scenarios produce byte-identical reports.
 Events wait in one heap, which starts as the offers, heapified once.  A
 handler returns its flow's next step, or ``None`` when the flow ends, and
@@ -66,7 +67,7 @@ from .interdomain import DomainKey, Handle
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
 from .policy import DomainInfo
 from .scenario import FloodSpec, HostSpec, Scenario
-from .topology import Graph, gateway_name, probe_topology
+from .topology import DomainTable, Graph, gateway_name, probe_topology
 
 __all__ = ["World", "build_world", "run"]
 
@@ -91,7 +92,7 @@ class _InFlight:
 @dataclass
 class World:
     scenario: Scenario
-    as_graph: Graph
+    domains: DomainTable
     switches: dict[str, Switch]
     switch_domain: dict[str, str]
     controllers: dict[str, Controller]
@@ -107,6 +108,7 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
         as_graph.add_node(domain.id, DomainInfo(domain.id, domain.subnet, domain.as_type, domain.label))
     for a, b in scenario.links:
         as_graph.add_link(a, b)
+    domains = DomainTable(as_graph)
 
     # port wiring: intra links first (declaration order), then domain links,
     # then hosts, so port numbers are a pure function of the scenario
@@ -152,7 +154,7 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
             )
         controllers[domain.id] = Controller(
             domain,
-            as_graph=as_graph,
+            domains=domains,
             intra=switch_graphs[domain.id],
             known=probe_topology(as_graph, domain.id, scenario.max_ttl),
             monitor=monitor,
@@ -164,7 +166,7 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
         )
     return World(
         scenario=scenario,
-        as_graph=as_graph,
+        domains=domains,
         switches=switches,
         switch_domain=switch_domain,
         controllers=controllers,

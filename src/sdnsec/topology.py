@@ -6,26 +6,34 @@ answers become the controller's topology repository: the foreign domains
 within the probe horizon, each with its hop count.  One :class:`Graph` class
 models both levels: the world's domain graph, whose nodes each carry the
 domain's :class:`~sdnsec.policy.DomainInfo`, and a domain's own switch
-graph, whose nodes each carry the switch's security label.  A controller
-reads a known domain's identity, label and addressing from the world graph,
-so a domain's attributes live in one place.  Path search runs over the
-domain graph, which is the union of every controller's hop-1 answers, or
-over a switch graph, filtering every element through a label constraint.
-Both levels share one breadth-first search, linear in the size of the
-graph, that checks each label at most once and never enumerates alternative
-paths.  It runs from the destination and stops at the source's level, where
-it works out the source's key alone.  Of the shortest satisfying paths it
-returns the least by (hand-off bits, names), where a hop to a less trusted
-switch sets a hand-off bit; domain routes have no hand-off bits.  A search
-that finds no satisfying path answers ``[]`` for a domain route and
-``None`` for a switch path, never an exception.
+graph, whose nodes each carry the switch's security label.  The world's
+:class:`DomainTable` holds the domain graph with what every controller reads
+of it: each domain's subnet, filed once per world, and each domain route.
+A controller reads a known domain's identity, label and addressing from
+that graph, so a domain's attributes live in one place.  Path search runs
+over the domain graph, which is the union of every controller's hop-1
+answers, or over a switch graph, filtering every element through a label
+constraint.  Both levels share one breadth-first search, linear in the size
+of the graph, that checks each label at most once and never enumerates
+alternative paths.  It runs from the destination and stops at the source's
+level, where it works out the source's key alone.  The search can be kept
+and resumed: the table keeps one per (destination, label window), which
+every source toward that destination extends only as far as it needs, so
+each domain's label is asked at most once per (destination, window) for all
+controllers.  Of the shortest satisfying paths it returns the least by
+(hand-off bits, names), where a hop to a less trusted switch sets a
+hand-off bit; domain routes have no hand-off bits.  A search that finds no
+satisfying path answers ``[]`` for a domain route and ``None`` for a switch
+path, never an exception.
 """
 
 from __future__ import annotations
 
 from .labels import LabelWindow
+from .policy import subnet_bits
 
 __all__ = [
+    "DomainTable",
     "Graph",
     "find_as_paths",
     "find_switch_path",
@@ -114,50 +122,72 @@ def probe_topology(world: Graph, owner_as: str, max_ttl: int) -> dict[str, int]:
     }
 
 
-def _least_shortest_path(neighbors, src: str, dst: str, accepts, handoff=None) -> tuple[str, ...] | None:
+# the key under which a search state keeps its last settled level
+_FRONTIER = None
+
+
+def _least_shortest_path(
+    neighbors, src: str, dst: str, accepts, handoff=None, state: dict | None = None
+) -> tuple[str, ...] | None:
     """The least shortest path src..dst whose transit nodes pass ``accepts``
-    (asked at most once per node, never of an endpoint), or None.
+    (asked at most once per node, never of ``dst``, nor in a fresh search of
+    ``src``), or None.
 
     Paths compare by the bits ``handoff(a, b)`` gives each hop a->b, then by
     names.  The search from ``dst`` keeps each node's least shortest suffix
     toward ``dst``; that is exact because two shortest paths through one
-    node compare the way their suffixes from it do.  Once the source is
-    next to the frontier, only the source's key is worked out: the other
-    nodes of its level are never read, nor asked of ``accepts``.
+    node compare the way their suffixes from it do.  It settles one level
+    at a time until a neighbour of the source is settled, and then works
+    out the source's key alone, from those of its neighbours settled
+    nearest to ``dst``: the other nodes of the source's level are never
+    read, nor asked of ``accepts``.
+
+    ``state`` keeps the search between calls for one ``dst``, ``accepts``
+    and ``handoff``: pass the same dict, empty at first, and each call
+    resumes where the last stopped, so a node is asked at most once for all
+    sources.  A suffix does not depend on the source, so the answer is the
+    one a fresh search gives.
     """
-    # node -> (hand-off bits, names) of its least suffix to dst
-    best: dict[str, tuple[tuple, tuple[str, ...]]] = {dst: ((), (dst,))}
-    refused: set[str] = set()
+    # node -> (hand-off bits, names) of its least suffix to dst, or None for
+    # a refused node; _FRONTIER -> the last level settled
+    if state is None:
+        state = {}
+    if not state:
+        state[dst] = ((), (dst,))
+        state[_FRONTIER] = (dst,)
 
     def key(node: str, via: str) -> tuple[tuple, tuple[str, ...]]:
-        bits, names = best[via]
+        bits, names = state[via]
         return ((handoff(node, via), *bits) if handoff else bits, (node, *names))
 
-    frontier = [dst]
-    while frontier:
-        # a neighbor of the source already settled lies on the last level,
-        # or the search would have ended a level earlier
-        ends = [node for node in neighbors(src) if node in best]
+    while True:
+        ends = [node for node in neighbors(src) if state.get(node)]
         if ends:
-            return min(key(src, node) for node in ends)[1]
+            return min((len(state[node][1]), key(src, node)) for node in ends)[1][1]
+        frontier = state[_FRONTIER]
+        if not frontier:
+            return None
         level: dict[str, tuple[tuple, tuple[str, ...]]] = {}
         for node in frontier:
             for neighbor in neighbors(node):
-                if neighbor in best or neighbor in refused:
+                if neighbor in state:
                     continue
                 if neighbor not in level and not accepts(neighbor):
-                    refused.add(neighbor)
+                    state[neighbor] = None
                     continue
                 offer = key(neighbor, node)
                 if neighbor not in level or offer < level[neighbor]:
                     level[neighbor] = offer
-        best.update(level)
-        frontier = list(level)
-    return None
+        state.update(level)
+        state[_FRONTIER] = tuple(level)
 
 
 def find_as_paths(
-    graph: Graph, src_as: str, dst_as: str, constraint: LabelWindow = LabelWindow()
+    graph: Graph,
+    src_as: str,
+    dst_as: str,
+    constraint: LabelWindow = LabelWindow(),
+    state: dict | None = None,
 ) -> list[tuple[str, ...]]:
     """The domain route src..dst in ``graph`` whose transit domains satisfy
     the constraint: ``[route]``, or ``[]`` when there is none.
@@ -170,16 +200,62 @@ def find_as_paths(
     ``graph`` is the world's domain graph, the union of what every
     controller's probes find at hop 1.  Endpoints are not filtered: the
     constraint governs the domains a flow passes through, not where it
-    starts or ends.
+    starts or ends.  ``state`` is a search toward ``dst_as`` under
+    ``constraint`` kept between calls, as :class:`DomainTable` keeps one;
+    without it the search starts afresh.
     """
     if src_as == dst_as:
         raise ValueError("source and destination domain must differ")
     if src_as not in graph or dst_as not in graph:
         return []
     route = _least_shortest_path(
-        graph.neighbors, src_as, dst_as, lambda as_id: constraint.satisfies(graph.node(as_id).label)
+        graph.neighbors, src_as, dst_as, lambda as_id: constraint.satisfies(graph.node(as_id).label), state=state
     )
     return [route] if route else []
+
+
+class DomainTable:
+    """The world's domain graph with what every controller reads of it:
+    each domain's subnet and each domain route, worked out once per world.
+
+    The subnets are filed by mask, so finding an address's domain costs one
+    dict probe per distinct mask; the subnets are disjoint, so at most one
+    probe hits.  A route is searched once per (source, destination, label
+    window), and every source toward one (destination, window) resumes one
+    search, so each label is asked at most once per (destination, window)
+    and the destination's never.  A window is keyed by its two bounds,
+    which hash without running Python code.
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
+        # (mask, network -> domain) per distinct mask
+        by_mask: dict[int, dict[int, str]] = {}
+        for as_id in graph.nodes():
+            network, mask = subnet_bits(graph.node(as_id).subnet)
+            by_mask.setdefault(mask, {})[network] = as_id
+        self._subnets = tuple(by_mask.items())
+        # (source, destination, window bounds) -> route, or None where there
+        # is none; (destination, window bounds) -> search state
+        self._routes: dict[tuple, tuple[str, ...] | None] = {}
+        self._searches: dict[tuple, dict] = {}
+
+    def domain_for_ip(self, ip: int) -> str | None:
+        """The one domain whose subnet contains ``ip``, or None."""
+        for mask, networks in self._subnets:
+            as_id = networks.get(ip & mask)
+            if as_id is not None:
+                return as_id
+        return None
+
+    def route(self, src_as: str, dst_as: str, window: LabelWindow) -> tuple[str, ...] | None:
+        """The first route of ``find_as_paths(graph, src_as, dst_as,
+        window)``, or None where there is none."""
+        key = (src_as, dst_as, window.lo, window.hi)
+        if key not in self._routes:
+            paths = find_as_paths(self.graph, src_as, dst_as, window, self._searches.setdefault(key[1:], {}))
+            self._routes[key] = paths[0] if paths else None
+        return self._routes[key]
 
 
 def find_switch_path(
@@ -193,9 +269,9 @@ def find_switch_path(
     ``None`` when no path satisfies the constraint; callers map that to a
     deny.
 
-    With ``required``, the explicit path is validated (hops exist, are
-    adjacent, span ingress to egress, and every switch satisfies the
-    constraint) and returned verbatim.  Otherwise the shortest path whose
+    With ``required``, the explicit path is validated (it is not empty, its
+    hops exist, are adjacent, span ingress to egress, and every switch
+    satisfies the constraint) and returned verbatim.  Otherwise the shortest path whose
     switches, ends included, satisfy the constraint wins.  Among equals the
     least tuple of hand-off bits wins, one bit per hop, set when it hands off
     to a less trusted switch (the rule is nondecreasing labels; earlier hops
@@ -207,7 +283,8 @@ def find_switch_path(
     satisfies = lambda switch: constraint.satisfies(graph.node(switch))
     if required is not None:
         valid = (
-            all(switch in graph and satisfies(switch) for switch in required)
+            required
+            and all(switch in graph and satisfies(switch) for switch in required)
             and required[0] == ingress
             and required[-1] == egress
             and all(graph.adjacent(a, b) for a, b in zip(required, required[1:]))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnsec import controller
+from sdnsec import controller, topology
 from sdnsec.controller import DropReason, synthesize_rules
 from sdnsec.dataplane import FLOW_RULE_PRIORITY, ActionKind, FlowMatch, Packet
 from sdnsec.defense import ResponseMode
@@ -287,14 +287,15 @@ def test_pinned_exit_that_is_not_a_gateway_has_no_path(transit_world):
 
 
 def test_a_route_is_searched_once_and_charged_on_every_packet_in(transit_world, monkeypatch):
+    # the world's domain table searches domain routes, the controller switch paths
     searches = Counter()
-    for name in ("find_as_paths", "find_switch_path"):
+    for module, name in ((topology, "find_as_paths"), (controller, "find_switch_path")):
 
-        def counted(*args, _original=getattr(controller, name), _name=name, **kwargs):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
             searches[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(controller, name, counted)
+        monkeypatch.setattr(module, name, counted)
     # with no pinned exit the domain route is searched as well
     ctrl = _as1_with_policy_1(transit_world, action_exit=None)
     first, again = (ctrl.handle_packet_in(make_packet(), "S1A", "X", tick) for tick in (0, 1))
@@ -307,7 +308,7 @@ def test_a_route_is_searched_once_and_charged_on_every_packet_in(transit_world, 
     assert reasons == [DropReason.NO_SATISFYING_PATH] * 2
     assert searches == {"find_as_paths": 2, "find_switch_path": 1}
     window = parse_label_constraint("SL3+=")
-    assert ctrl._next_domains[("AS4", window.lo, window.hi)] is None
+    assert transit_world.domains._routes[("AS1", "AS4", window.lo, window.hi)] is None
 
 
 def _workload_run(case: str):
@@ -330,11 +331,11 @@ MEMO_CASES = [
 def test_every_memoized_route_is_what_a_fresh_search_returns(case):
     source, _, name = case.partition(":")
     world, _ = RUNS[source](name)
+    # a memo keys a label window by its two bounds
+    for (src_domain, dst_domain, lo, hi), route in world.domains._routes.items():
+        paths = find_as_paths(world.domains.graph, src_domain, dst_domain, LabelWindow(lo, hi))
+        assert route == (paths[0] if paths else None), (src_domain, dst_domain, lo, hi)
     for ctrl in world.controllers.values():
-        # a memo keys a label window by its two bounds
-        for (dst_domain, lo, hi), next_as in ctrl._next_domains.items():
-            paths = find_as_paths(ctrl.as_graph, ctrl.as_id, dst_domain, LabelWindow(lo, hi))
-            assert next_as == (paths[0][1] if paths else None), (ctrl.as_id, dst_domain, lo, hi)
         for key, path in ctrl._switch_paths.items():
             ingress, egress, required, lo, hi = key
             fresh = find_switch_path(ctrl.intra, ingress, egress, required=required, constraint=LabelWindow(lo, hi))

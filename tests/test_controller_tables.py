@@ -1,39 +1,56 @@
 """A controller's standing tables against fresh derivations.
 
 When it is built, a controller names its own gateway toward each neighbour
-and the neighbour's gateway toward it, and it lists the subnets of its own
-domain and the domains it knows.  For every controller of every bundled
+and the neighbour's gateway toward it.  It finds an address's domain in the
+world's domain table, which lists every domain's subnet, and answers only
+its own domain or one it knows.  For every controller of every bundled
 scenario and of the benchmark workloads at seeds 1 to 3: the gateway table
 equals ``gateway_name`` in both directions, over exactly the domain graph's
-neighbours, and ``domain_for_ip`` equals a fresh scan of those domains'
-subnets.  The addresses
-asked are the hosts', each subnet's network, gateway (first host) and
-broadcast addresses and the two just outside it, and random ones, many of
-them outside every subnet.
+neighbours, and ``domain_for_ip`` equals a fresh scan of the subnets of its
+own domain and the domains it knows.  Some worlds are built again with a
+probe horizon shorter than their diameter, so that some controllers do not
+know every domain the world table lists.  The addresses asked are the
+hosts', each subnet's network, gateway (first host) and broadcast addresses
+and the two just outside it, and random ones, many of them outside every
+subnet.
 """
 
 import random
+from dataclasses import replace
 from ipaddress import IPv4Address
 
 import pytest
 from test_workloads import SEEDS, WORKLOADS, case_world
 
 from sdnsec.scenario import list_bundled_scenarios
+from sdnsec.simulation import build_world
 from sdnsec.topology import gateway_name
 
-# the tables do not depend on the mode, so each scenario is built reactive
+# the tables do not depend on the mode, so each scenario is built reactive;
+# a " max_ttl=N" suffix builds the world again with that probe horizon, each
+# shorter than the world's diameter
 WORLDS = [
     *(f"{name}/reactive" for name in list_bundled_scenarios()),
     *(f"workload:{name}@{seed}" for name in sorted(WORKLOADS) for seed in SEEDS),
+    "four_domain_transit/reactive max_ttl=1",
+    "four_domain_transit/reactive max_ttl=2",
+    "unknown_transit/reactive max_ttl=1",
+    "workload:mesh_transit@1 max_ttl=1",
 ]
 LAST_ADDRESS = 2**32 - 1
 
 
+def _world(name: str):
+    case, _, max_ttl = name.partition(" max_ttl=")
+    world = case_world(case)
+    return build_world(replace(world.scenario, max_ttl=int(max_ttl)), world.scenario.costs) if max_ttl else world
+
+
 @pytest.mark.parametrize("name", WORLDS)
 def test_the_gateway_table_names_each_neighbours_gateways(name):
-    world = case_world(name)
+    world = _world(name)
     for owner, ctrl in world.controllers.items():
-        neighbors = world.as_graph.neighbors(owner)
+        neighbors = world.domains.graph.neighbors(owner)
         assert ctrl._gateways == {peer: (gateway_name(owner, peer), gateway_name(peer, owner)) for peer in neighbors}
         assert ctrl._gateway_peers == {gateway_name(owner, peer): peer for peer in neighbors}
         for egress, ingress in ctrl._gateways.values():
@@ -59,9 +76,12 @@ def _scan(world, ctrl, address: int) -> str | None:
 
 @pytest.mark.parametrize("name", WORLDS)
 def test_domain_for_ip_equals_a_fresh_scan_of_the_subnets(name):
-    world = case_world(name)
+    world = _world(name)
     addresses = _addresses(world, random.Random(name))
     for ctrl in world.controllers.values():
         expected = [_scan(world, ctrl, address) for address in addresses]
         assert [ctrl.domain_for_ip(address) for address in addresses] == expected
         assert None in expected and any(expected), ctrl.as_id
+    if " max_ttl=" in name:
+        # the horizon hides some domain the world table lists from some controller
+        assert any(len(ctrl.known) < len(world.controllers) - 1 for ctrl in world.controllers.values())

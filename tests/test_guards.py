@@ -28,7 +28,7 @@ def controller_with_key(key):
     # the key is checked before any other argument is read
     return Controller(
         MINIMAL.domains[0],
-        as_graph=None, intra=None, known={}, monitor=None, key=DomainKey(key.encode()), key_ring={},
+        domains=None, intra=None, known={}, monitor=None, key=DomainKey(key.encode()), key_ring={},
         enforcement_enabled=True, costs=MINIMAL.costs, window_ticks=1,
     )
 

@@ -194,7 +194,7 @@ def test_transit_packet_in_classifies_transit_and_drop():
     world = build_world(load_scenario(bundled_scenario_path("four_domain_transit")))
     as1, as2 = world.controllers["AS1"], world.controllers["AS2"]
     # a controller holds the keys of its neighbors and of no other domain
-    assert sorted(as2.key_ring) == list(world.as_graph.neighbors("AS2")) == ["AS1", "AS3"]
+    assert sorted(as2.key_ring) == list(world.domains.graph.neighbors("AS2")) == ["AS1", "AS3"]
     packet = Packet(
         src_ip=ip("10.0.0.2"),
         dst_ip=ip("192.168.52.72"),

@@ -2,6 +2,7 @@ import random
 from collections import Counter, deque
 from dataclasses import replace
 from ipaddress import IPv4Network
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from sdnsec.scenario import bundled_scenario_path, load_scenario
 from sdnsec.simulation import build_world
 from sdnsec.sweep import chain_scenario
 from sdnsec.topology import (
+    DomainTable,
     Graph,
     find_as_paths,
     find_switch_path,
@@ -88,7 +90,7 @@ def test_controller_reads_known_domains_from_the_world_graph():
                         continue
                     address = int(next(domain.subnet.hosts()))
                     if hops.get(domain.id, max_ttl + 1) <= max_ttl:
-                        assert ctrl._domain_info(domain.id) is world.as_graph.node(domain.id)
+                        assert ctrl._domain_info(domain.id) is world.domains.graph.node(domain.id)
                         assert ctrl.domain_for_ip(address) == domain.id
                     else:
                         assert ctrl._domain_info(domain.id) == DomainInfo(domain.id)
@@ -218,6 +220,24 @@ def test_route_is_first_of_all_satisfying_paths(data):
     allowed = lambda as_id: constraint.satisfies(SecurityLabel(ranks[as_id]))
     expected = dfs_all_paths(link_adjacency(links), src, dst, allowed)
     assert find_as_paths(graph, src, dst, constraint) == expected[:1]
+    # every source toward dst, in a drawn order, through one world table: the
+    # sources resume one search, which asks each label at most once and
+    # never the destination's
+    order = data.draw(st.permutations([as_id for as_id in ids if as_id != dst]), label="order")
+    oracle = {source: dfs_all_paths(link_adjacency(links), source, dst, allowed)[:1] for source in order}
+    owners = {id(graph.node(as_id).label): as_id for as_id in ids}
+    asked = Counter()
+    satisfies = LabelWindow.satisfies
+
+    def counted(window, label):
+        asked[owners[id(label)]] += 1
+        return satisfies(window, label)
+
+    table = DomainTable(graph)
+    with mock.patch.object(LabelWindow, "satisfies", counted):
+        answers = {source: table.route(source, dst, constraint) for source in order}
+    assert {source: [route] if route else [] for source, route in answers.items()} == oracle
+    assert max(asked.values(), default=0) <= 1 and dst not in asked, asked
 
 
 class CountingConstraint:
@@ -298,6 +318,7 @@ def test_required_path_validation():
     graph = five_switch_graph()
     assert find_switch_path(graph, "SW1", "SW4", required=("SW1", "SW4")) is None  # not a link
     assert find_switch_path(graph, "SW1", "SW4", required=("SW5", "SW4")) is None  # wrong span
+    assert find_switch_path(graph, "SW1", "SW4", required=()) is None  # no hop at all
     assert (
         find_switch_path(
             graph,

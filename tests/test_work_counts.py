@@ -18,10 +18,15 @@ in proportion to its flows, within :data:`GROWTH_FACTOR`.
 
 Control-plane calls with upper bounds that hold at every size: a padded
 repository matches at most one expression per offered flow, whatever its
-size; a chain of n domains makes at most 2n-1 switch path searches and n
-matches.  Each controller searches a route once: the bundled flood makes
-one path search at every rate, and the workloads at seed 1 have fixed
-bounds on path searches and label checks.  Credentials cost no more HMACs
+size; a chain of n domains makes at most 2n-1 path searches, n matches and
+4n label checks, and building its world reads each domain's subnet once.
+The world keeps one subnet table and one domain route search per
+(destination, label window), which every controller resumes; a table and a
+search per controller would ask about n**2 / 2 labels and read n**2 subnets
+on a chain of n domains.  Each controller searches a switch path once,
+and the world a domain route once per source: the bundled flood makes one
+path search at every rate, and the workloads at seed 1 have fixed bounds
+on path searches and label checks.  Credentials cost no more HMACs
 than the packet-ins need: a chain of n domains, whose policies delegate
 nothing, tags at most two handles per domain link and no token, and the
 transit mesh has fixed bounds at seed 1.  A handle's tag binds its token
@@ -101,7 +106,7 @@ from sdnsec.defense import FloodMonitor
 from sdnsec.interdomain import handle_tag, ptt_tag
 from sdnsec.labels import LabelWindow
 from sdnsec.metrics import emit
-from sdnsec.policy import EndpointSelector, format_ipv4, match_pe, normalize_mac, specificity
+from sdnsec.policy import EndpointSelector, format_ipv4, match_pe, normalize_mac, specificity, subnet_bits
 from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from sdnsec.simulation import Simulation, build_world
 from sdnsec.sweep import chain_scenario, pad_policies
@@ -266,6 +271,24 @@ def test_chain_path_searches_and_matches_grow_linearly(domains, mode):
 
 
 @pytest.mark.parametrize("mode", ["reactive", "proactive"])
+@pytest.mark.parametrize("domains", [16, 64])
+def test_chain_label_checks_grow_linearly(domains, mode):
+    # every controller on the chain routes toward one (destination, window),
+    # so one resumed search asks each domain's label at most once; a search
+    # per controller would ask about n**2 / 2
+    calls, _ = _run_counts(build_world(chain_scenario(domains, mode)), methods=((LabelWindow, "satisfies"),))
+    assert 0 < calls["LabelWindow.satisfies"] <= 4 * domains, calls
+
+
+def test_a_chain_world_reads_each_subnet_once():
+    # one subnet table per world, not one per controller
+    scenario = chain_scenario(128)
+    with CallCounter((subnet_bits,)) as counter:
+        calls = counter.counting(lambda: build_world(scenario))
+    assert 0 < calls["sdnsec.policy.subnet_bits"] <= 128, calls
+
+
+@pytest.mark.parametrize("mode", ["reactive", "proactive"])
 @pytest.mark.parametrize("domains", [4, 16, 64])
 def test_chain_credentials_tag_two_handles_per_domain_link(domains, mode):
     calls, _ = _run_counts(build_world(chain_scenario(domains, mode)), handle_tag, ptt_tag)
@@ -288,11 +311,14 @@ def test_a_run_prepares_no_key_and_hashes_no_label_window(workload):
     assert calls["LabelWindow.__hash__"] == 0, calls
 
 
-# seed 1: (path searches, label checks).  Each controller searches a route
-# once per (ends, required path, window), so flood_table, whose flows share
-# one source switch, destination and window, searches once; and a search
-# stops at the source's level, so it asks no label beyond it.
-SEARCH_BOUNDS = {"flood_table": (1, 3), "acl_proactive": (103, 636), "mesh_transit": (458, 1_536)}
+# seed 1: (path searches, label checks).  Each controller searches a switch
+# path once per (ends, required path, window), so flood_table, whose flows
+# share one source switch, destination and window, searches once; and a
+# search stops at the source's level, so it asks no label beyond it.  The
+# world searches a domain route once per (source, destination, window), and
+# the sources toward one (destination, window) resume one search, so
+# mesh_transit asks 892 labels; a search per source asks 1,536.
+SEARCH_BOUNDS = {"flood_table": (1, 3), "acl_proactive": (103, 636), "mesh_transit": (458, 900)}
 
 
 @pytest.mark.parametrize("workload", sorted(SEARCH_BOUNDS))
