@@ -232,15 +232,12 @@ def _parse_constraint_token(token: str) -> Constraint | tuple[int, int]:
         raise PolicyParseError(f"bad constraint token {token!r} ({exc.reason})") from None
 
 
-def _intersect_validity(
-    a: tuple[int, int] | None, b: tuple[int, int] | None
-) -> tuple[int, int] | None:
-    """Overlap of two ``[start, end)`` windows; ``None`` is unbounded.
-    Disjoint windows overlap in the empty window at the later start."""
+def _intersect_validity(a: tuple[int, int] | None, b: tuple[int, int]) -> tuple[int, int]:
+    """Overlap of the ``[start, end)`` window ``b`` with ``a``, or ``b``
+    itself when ``a`` is ``None`` (no window yet).  Disjoint windows
+    overlap in the empty window at the later start."""
     if a is None:
         return b
-    if b is None:
-        return a
     start = max(a[0], b[0])
     return (start, max(start, min(a[1], b[1])))
 
@@ -562,18 +559,6 @@ def _field_entries(column: str, raw: str) -> tuple[tuple, ...]:
     return _column_entry(column, _strip_group(raw))
 
 
-def _lowering_fault(fields: list[str]) -> PolicyParseError | None:
-    """The first domain descriptor's fault among a compact expression's
-    raw ``fields``, or ``None`` when every descriptor lowers."""
-    for column, raw in zip(COMPACT_COLUMNS, fields):
-        if column in ("src", "dst"):
-            try:
-                _lower_domain(column, raw.strip())
-            except PolicyParseError as fault:
-                return fault
-    return None
-
-
 def parse_compact_pe(text: str, *, pe_id: str = "anon", table: dict | None = None) -> PolicyExpression:
     """Parse one compact ``<conditions>:<action>`` policy expression.
 
@@ -583,8 +568,7 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon", table: dict | None = Non
     table for its compact position inside ``table``; a text not there is
     lowered onto repository record columns through ``COMPACT_COLUMNS``, its
     columns converted, and its entries enter that position's table.  Of
-    several faults, a domain descriptor's is reported before any
-    conversion's, then the first in field order.  ``table`` is the
+    several faulty fields, the first is reported.  ``table`` is the
     document's value table; a fresh one is used when none is given, with
     the same result.
     """
@@ -620,7 +604,7 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon", table: dict | None = Non
             if found:
                 entries += found
     except PolicyParseError as fault:
-        raise PolicyParseError(str(_lowering_fault(fields) or fault), where=_where(pe_id, None)) from None
+        raise PolicyParseError(str(fault), where=_where(pe_id, None)) from None
     return _build_pe(pe_id, action_text, entries, table, None)
 
 

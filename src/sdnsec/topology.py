@@ -97,29 +97,28 @@ def probe_topology(world: Graph, owner_as: str, max_ttl: int) -> dict[str, int]:
     """A controller's topology repository: each foreign domain within
     ``max_ttl`` hops of ``owner_as``, mapped to its hop count, in id order.
 
-    Simulates probes at TTL 1..max_ttl: a domain at shortest-path distance d
-    answers the TTL-d probe, so hop counts come out as breadth-first
-    distances and unreachable domains are simply absent.  The answer is a
+    Simulates probes at TTL 1..max_ttl, one breadth-first level each: a
+    domain at shortest-path distance d answers the TTL-d probe, so hop
+    counts come out as breadth-first distances, and domains beyond the
+    horizon or unreachable are simply absent.  The answer is a
     new dict each time, so re-probing is idempotent.
     """
     if max_ttl < 1:
         raise ValueError("max_ttl must be >= 1")
     distances: dict[str, int] = {owner_as: 0}
     frontier = [owner_as]
-    while frontier:
+    for ttl in range(1, max_ttl + 1):
         next_frontier: list[str] = []
         for node in frontier:
             for neighbor in world.neighbors(node):
-                if neighbor in distances:
-                    continue
-                distances[neighbor] = distances[node] + 1
-                next_frontier.append(neighbor)
+                if neighbor not in distances:
+                    distances[neighbor] = ttl
+                    next_frontier.append(neighbor)
+        if not next_frontier:
+            break
         frontier = next_frontier
-    return {
-        as_id: distance
-        for as_id, distance in sorted(distances.items())
-        if as_id != owner_as and distance <= max_ttl
-    }
+    del distances[owner_as]
+    return dict(sorted(distances.items()))
 
 
 # the key under which a search state keeps its last settled level

@@ -537,22 +537,35 @@ def test_compact_rejection_names_its_fault(text, message):
     assert str(raised.value) == message
 
 
-# (faulty fields, the fault reported): a domain descriptor's fault comes
-# before any field's conversion fault, then the first in field order
-@pytest.mark.parametrize(
-    "faults, message",
-    [
-        ({0: "a;b", 1: "(AS1, AS2)"}, "two srcasid elements in domain descriptor '(AS1, AS2)'"),
-        ({1: "(AS1, 10.0.0.0/33)", 2: "(SL1, SL2)"}, "two dstastrulabel elements in domain descriptor '(SL1, SL2)'"),
-        ({1: "(AS1, AS2)", 2: "(SL1, SL2)"}, "two srcasid elements in domain descriptor '(AS1, AS2)'"),
-        ({0: "a;b", 10: "(70000)"}, "bad flowid value 'a;b': a one-value column holds no ',' or ';'"),
-        ({10: "(70000)", 11: "(bogus)"}, "service port '70000' out of range 1..65535"),
+# faulty field texts by compact position: (name, text, the fault reported
+# when the field is the only faulty one).  secprof's tokens are checked by
+# the expression itself, after every field.
+FAULTY_FIELDS = {
+    0: [("flowid", "a;b", "bad flowid value 'a;b': a one-value column holds no ',' or ';'")],
+    1: [
+        ("src-two-ids", "(AS1, AS2)", "two srcasid elements in domain descriptor '(AS1, AS2)'"),
+        ("src-netmask", "(AS1, 10.0.0.0/33)", "bad srcassub value '10.0.0.0/33': '33' is not a valid netmask"),
     ],
-    ids=["flowid-then-descriptor", "conversion-then-descriptor", "two-descriptors", "two-conversions", "port-first"],
-)
-def test_a_domain_descriptor_fault_is_reported_first(faults, message):
+    2: [
+        ("dst-two-labels", "(SL1, SL2)", "two dstastrulabel elements in domain descriptor '(SL1, SL2)'"),
+        ("dst-netmask", "(AS1, 10.0.0.0/33)", "bad dstassub value '10.0.0.0/33': '33' is not a valid netmask"),
+    ],
+    3: [("srcip", "10.0.0.300", "bad srcip value '10.0.0.300': Octet 300 (> 255) not permitted in '10.0.0.300'")],
+    10: [("port", "(70000)", "service port '70000' out of range 1..65535")],
+    11: [("secprof", "(bogus)", "unknown security-profile tokens: ['bogus']")],
+}
+_FAULTS = [(position, *fault) for position, faults in FAULTY_FIELDS.items() for fault in faults]
+# one faulty field, then every pair of faulty fields at two positions, in
+# field order
+_FAULT_SETS = [(fault,) for fault in _FAULTS] + [
+    (first, second) for index, first in enumerate(_FAULTS) for second in _FAULTS[index + 1 :] if first[0] < second[0]
+]
+
+
+@pytest.mark.parametrize("faults", _FAULT_SETS, ids=["-then-".join(fault[1] for fault in faults) for faults in _FAULT_SETS])
+def test_a_compact_policy_reports_its_first_faulty_field(faults):
     fields = ["*"] * 13
-    for position, text in faults.items():
+    for position, _, text, _ in faults:
         fields[position] = text
     text = f"t = <{', '.join(fields)}>:<Allow>"
     # read alone, then twice through a table that has read other texts: a
@@ -562,7 +575,7 @@ def test_a_domain_descriptor_fault_is_reported_first(faults, message):
     for table in (None, warm, warm):
         with pytest.raises(PolicyParseError) as raised:
             parse_compact_pe(text, table=table)
-        assert str(raised.value) == f"policy expression 't': {message}"
+        assert str(raised.value) == f"policy expression 't': {faults[0][3]}"
 
 
 @pytest.mark.parametrize("compact", [True, False], ids=["compact", "repository"])

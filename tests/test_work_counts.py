@@ -20,6 +20,9 @@ Control-plane calls with upper bounds that hold at every size: a padded
 repository matches at most one expression per offered flow, whatever its
 size; a chain of n domains makes at most 2n-1 path searches, n matches and
 4n label checks, and building its world reads each domain's subnet once.
+A controller's topology probe expands at most ``max_ttl`` levels of the
+domain graph: from a chain's end it asks at most ``max_ttl`` domains their
+neighbours, not every domain of the chain.
 The world keeps one subnet table and one domain route search per
 (destination, label window), which every controller resumes; a table and a
 search per controller would ask about n**2 / 2 labels and read n**2 subnets
@@ -110,7 +113,7 @@ from sdnsec.policy import EndpointSelector, format_ipv4, match_pe, normalize_mac
 from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from sdnsec.simulation import Simulation, build_world
 from sdnsec.sweep import chain_scenario, pad_policies
-from sdnsec.topology import _least_shortest_path, gateway_name
+from sdnsec.topology import Graph, _least_shortest_path, gateway_name, probe_topology
 
 COUNTED = (
     *((IPv4Address, name) for name in ("__init__", "__hash__", "__eq__", "__str__", "__format__")),
@@ -278,6 +281,16 @@ def test_chain_label_checks_grow_linearly(domains, mode):
     # per controller would ask about n**2 / 2
     calls, _ = _run_counts(build_world(chain_scenario(domains, mode)), methods=((LabelWindow, "satisfies"),))
     assert 0 < calls["LabelWindow.satisfies"] <= 4 * domains, calls
+
+
+@pytest.mark.parametrize("ttl", [1, 2, 4, 16])
+def test_a_probe_expands_at_most_max_ttl_levels(ttl):
+    # from a chain's end each level holds one domain, so a probe of horizon
+    # k asks k domains their neighbours; a walk of the whole graph asks 16
+    graph = build_world(chain_scenario(16)).domains.graph
+    with CallCounter((), methods=((Graph, "neighbors"),)) as counter:
+        calls = counter.counting(lambda: probe_topology(graph, "AS1", ttl))
+    assert 0 < calls["Graph.neighbors"] <= ttl, calls
 
 
 def test_a_chain_world_reads_each_subnet_once():
