@@ -17,25 +17,21 @@ carry an exit-switch attribute: ``(1SW2, Allow)``.  An optional ``name =``
 prefix supplies the expression id.  The full grammar lives in
 ``docs/policy-formats.md``.
 
-Both formats share the record layout: a compact expression is lowered onto
-repository record columns (``COMPACT_COLUMNS``), so one converter reads
-every column, one builder makes every expression from the converted
-entries, and one encoder feeds both serializers.
+Both formats share the record layout: a compact field is read through its
+record column (``COMPACT_COLUMNS``), so one converter reads every column,
+one builder makes every expression, and one encoder feeds both serializers.
 
 A host address parses to a plain ``int`` and prints as dotted text again
 through :func:`~sdnsec.policy.format_ipv4`; a subnet stays an ``IPv4Network``.
 
-One document is read with one value table, a plain dict.  The compact
-reader keeps in it one table per compact position, from a field's raw text
-to that field's converted entries: a domain descriptor lowered onto its
-side's columns, group brackets stripped, each column converted, and the
-wildcard as no entry.  The repository reader maps ``(column, field text)``
-to that column's converted entries.  Each distinct set of selector fields
-maps to one shared ``EndpointSelector``.  Equal field texts (in the compact
-format, equal raw texts at one position) are converted once per document;
-every value is immutable, so expressions may share it.  Only successful
-conversions enter the table, so a bad text raises at each occurrence.  A
-table lives for one document read and no longer.
+One document is read with one value table, a plain dict, from a field's
+text to its parts, the ``(field, value)`` pairs the builder takes: per
+compact position by raw text, per ``(column, text)`` for a record.  A side's
+parts, in record column order, key its one ``EndpointSelector``, and an
+action text its verb and exit switch.  Each distinct text converts once per
+document; every value is immutable, so expressions share it.  Only
+successful conversions enter, so a bad text raises at each occurrence.  A
+table lives for one document read.
 
 A conversion's error names the bad text, not where it is: the reader adds
 the expression's position, formatted only when there is an error.
@@ -92,9 +88,9 @@ _FLAT_GROUPS = re.compile(r"[^(){}\[\]]*(?:[({\[][^(){}\[\],;]*[)}\]][^(){}\[\]]
 _DEPTH = {"(": 1, "{": 1, "[": 1, ")": -1, "}": -1, "]": -1}
 _CONDITIONS_ACTION = re.compile(r">\s*:\s*<")
 _VERBS = {action.value: action for action in Action}
-# The value table's key of the compact reader's tables, one per compact
-# position: raw field text -> that field's converted entries.
-_POSITIONS = "compact positions"
+# The value table's key of the compact position tables: no text, so no
+# action text can be it.
+_POSITIONS = None
 
 
 class PolicyParseError(ValueError):
@@ -352,10 +348,18 @@ _LIST_COLUMNS = {
 REPOSITORY_FIELDS = ("id", *_SCALAR_COLUMNS, *_LIST_COLUMNS, "action")
 
 
-def _column_entry(column: str, raw: str) -> tuple[tuple, ...]:
-    """The converted entries of one condition column's text: none for the
-    wildcard, else one ``(selector or None, field, value, validity window or
-    None)``.  A list with no token, such as ``(;)``, would match nothing,
+# The condition columns of the source and destination selectors and of the
+# expression itself, in record order.
+_GROUPS = [
+    [column for column in REPOSITORY_FIELDS[1:-1] if _SCALAR_COLUMNS.get(column, [None])[0] == group]
+    for group in ("source", "dest", None)
+]
+
+
+def _column_parts(column: str, raw: str) -> tuple[tuple, ...]:
+    """The parts of one condition column's text: none for the wildcard, else
+    ``(field, value)``, and ``("validity", window)`` for a ``valid[a,b)``
+    constraint.  A list with no token, such as ``(;)``, would match nothing,
     and both serializers print it as the wildcard, so it is an error.  An
     error does not say where the text is: the reader adds that.
     """
@@ -363,9 +367,9 @@ def _column_entry(column: str, raw: str) -> tuple[tuple, ...]:
     if text == "" or text == WILDCARD:
         return ()
     if column in _SCALAR_COLUMNS:
-        selector, name, convert, _ = _SCALAR_COLUMNS[column]
+        _, name, convert, _ = _SCALAR_COLUMNS[column]
         try:
-            return ((selector, name, convert(text), None),)
+            return ((name, convert(text)),)
         except ValueError as exc:
             raise PolicyParseError(f"bad {column} value {raw!r}: {exc}") from None
     tokens = _split_list(text)
@@ -374,9 +378,10 @@ def _column_entry(column: str, raw: str) -> tuple[tuple, ...]:
     if not tokens:
         raise PolicyParseError(f"empty {column} list {raw!r}")
     name, convert = _LIST_COLUMNS[column]
-    if convert is _parse_constraints:
-        return ((None, name, *convert(tokens)),)
-    return ((None, name, convert(tokens), None),)
+    if convert is not _parse_constraints:
+        return ((name, convert(tokens)),)
+    constraints, window = convert(tokens)
+    return ((name, constraints),) if window is None else ((name, constraints), ("validity", window))
 
 
 def _where(pe_id: str, position: str | None) -> str:
@@ -387,33 +392,27 @@ def _where(pe_id: str, position: str | None) -> str:
     return f"{position} (id {pe_id!r})"
 
 
-def _build_pe(pe_id: str, action: str, entries: list[tuple], table: dict, position: str | None) -> PolicyExpression:
-    """Build one expression from its id, action and converted condition
-    entries (:func:`_column_entry`).
-
-    Both formats end here: the repository parser passes the entries of its
-    checked record's condition columns, the compact parser those of its
-    thirteen fields.  A field no entry sets stays at the wildcard.  Each
-    distinct set of selector fields is built into one ``EndpointSelector``
-    per ``table`` (see the module docstring).  An error is named as
-    :func:`_where` names ``pe_id`` at ``position``.
-    """
-    fields: dict[str, object] = {}
-    selectors: dict[str, dict[str, object]] = {"source": {}, "dest": {}}
-    for selector, name, value, window in entries:
-        (fields if selector is None else selectors[selector])[name] = value
-        if window is not None:
-            fields["validity"] = _intersect_validity(fields.get("validity"), window)
-    for name, selector in selectors.items():
-        if selector:
-            key = frozenset(selector.items())
-            shared = table.get(key)
-            if shared is None:
-                shared = table[key] = EndpointSelector(**selector)
-            fields[name] = shared
+def _build_pe(
+    pe_id: str, action: str, source: tuple, dest: tuple, own: tuple, table: dict, position: str | None
+) -> PolicyExpression:
+    """One expression from its id, action text, the parts of its source and
+    destination selectors and its own parts, with ``table``; both readers
+    end here.  A field no part sets stays at the wildcard.  An error is
+    named as :func:`_where` names ``pe_id`` at ``position``."""
+    fields = dict(own)
+    if len(fields) < len(own):  # both constraint columns hold a window
+        fields["validity"] = _intersect_validity(*(value for name, value in own if name == "validity"))
+    for name, key in ("source", source), ("dest", dest):
+        if key:
+            selector = table.get(key)
+            if selector is None:
+                selector = table[key] = EndpointSelector(**dict(key))
+            fields[name] = selector
     try:
-        verb, exit_switch = _parse_action(action)
-        return PolicyExpression(id=pe_id, action=verb, action_exit=exit_switch, **fields)
+        verb = table.get(action)
+        if verb is None:
+            verb = table[action] = _parse_action(action)
+        return PolicyExpression(id=pe_id, action=verb[0], action_exit=verb[1], **fields)
     except ValueError as exc:
         raise PolicyParseError(str(exc), where=_where(pe_id, position)) from None
 
@@ -469,18 +468,19 @@ def parse_record(record: object, position: str, *, table: dict | None = None) ->
             raise PolicyParseError(f"missing required field {required!r}", where=where)
     if table is None:
         table = {}
-    entries: list[tuple] = []
+    parts: dict[str, tuple] = {}
     try:
         for column, text in record.items():
             if column not in ("id", "action"):
                 key = (column, text)
                 found = table.get(key)
                 if found is None:
-                    found = table[key] = _column_entry(column, text)
-                entries += found
+                    found = table[key] = _column_parts(column, text)
+                parts[column] = found
     except PolicyParseError as fault:
         raise PolicyParseError(str(fault), where=where) from None
-    return _build_pe(record["id"], record["action"], entries, table, position)
+    groups = (tuple(part for column in group for part in parts.get(column, ())) for group in _GROUPS)
+    return _build_pe(record["id"], record["action"], *groups, table, position)
 
 
 def parse_repository(document: str | list) -> list[PolicyExpression]:
@@ -524,39 +524,49 @@ def serialize_repository(pes: list[PolicyExpression]) -> str:
 
 # --- compact format ----------------------------------------------------------
 
-def _lower_domain(side: str, text: str) -> dict[str, str]:
-    """Sort a domain descriptor's elements by shape into ``side``'s columns.
-
-    ``a.b.c.d/len`` is the subnet, ``AS...`` the identity, ``SL...`` the label
-    requirement, anything else the type; a second element of one shape is
-    an error.
-    """
-    columns: dict[str, str] = {}
+def _descriptor_parts(side: str, raw: str) -> tuple[tuple, ...]:
+    """The parts of a compact domain field on ``side``: ``a.b.c.d/len`` is
+    the subnet, ``AS...`` the identity, ``SL...`` the label requirement,
+    anything else the type; a second element of one shape is an error.  The
+    elements convert as written, and their parts come in column order."""
+    text = raw.strip()
+    elements: dict[str, str] = {}
     for token in _split_list(text) or [_strip_group(text)]:
         if _is_wild(token):
             continue
         if "/" in token:
-            column = "assub"
+            element = "assub"
         elif token.startswith("AS"):
-            column = "asid"
+            element = "asid"
         elif token.startswith("SL"):
-            column = "astrulabel"
+            element = "astrulabel"
         else:
-            column = "astype"
-        if side + column in columns:
-            raise PolicyParseError(f"two {side + column} elements in domain descriptor {text!r}")
-        columns[side + column] = token
-    return columns
+            element = "astype"
+        if side + element in elements:
+            raise PolicyParseError(f"two {side + element} elements in domain descriptor {text!r}")
+        elements[side + element] = token
+    found = {column: _column_parts(column, token) for column, token in elements.items()}
+    return sum([found[column] for column in _SCALAR_COLUMNS if column in found], ())
 
 
-def _field_entries(column: str, raw: str) -> tuple[tuple, ...]:
-    """The converted entries of the compact field at ``column`` (of
-    ``COMPACT_COLUMNS``) from its raw text: a domain descriptor's elements
-    lowered onto their side's columns, else the text less its group
-    brackets."""
-    if column in ("src", "dst"):
-        return sum([_column_entry(*key) for key in _lower_domain(column, raw.strip()).items()], ())
-    return _column_entry(column, _strip_group(raw))
+class _Position(dict):
+    """A compact position's table: raw text -> parts.  A missing text
+    converts through the position's column.  The wildcard as written (first
+    or after ``", "``) is there from the start, so no field converts it."""
+
+    __slots__ = ("column",)
+
+    def __init__(self, column: str):
+        self.column = column
+        self[WILDCARD] = self[" " + WILDCARD] = ()
+
+    def __missing__(self, raw: str) -> tuple[tuple, ...]:
+        column = self.column
+        if column in ("src", "dst"):
+            found = self[raw] = _descriptor_parts(column, raw)
+        else:
+            found = self[raw] = _column_parts(column, _strip_group(raw))
+        return found
 
 
 def parse_compact_pe(text: str, *, pe_id: str = "anon", table: dict | None = None) -> PolicyExpression:
@@ -564,13 +574,10 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon", table: dict | None = Non
 
     A ``name =`` prefix, when present, overrides ``pe_id``.  The thirteen
     condition fields must all be present; a count mismatch is an error that
-    reports expected versus found.  Each raw field text is looked up in the
-    table for its compact position inside ``table``; a text not there is
-    lowered onto repository record columns through ``COMPACT_COLUMNS``, its
-    columns converted, and its entries enter that position's table.  Of
-    several faulty fields, the first is reported.  ``table`` is the
-    document's value table; a fresh one is used when none is given, with
-    the same result.
+    reports expected versus found.  The fields are looked up left to right,
+    so of several faulty fields the first is reported.  ``table`` is the
+    document's value table; a fresh one is used when none is given, with the
+    same result.
     """
     head, opens, body = text.partition("<")
     if "=" in head:
@@ -582,8 +589,7 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon", table: dict | None = Non
     colon = _CONDITIONS_ACTION.search(body)
     if colon is None or _CONDITIONS_ACTION.search(body, colon.end()):
         raise PolicyParseError("expected exactly one ':' between conditions and action", where=_where(pe_id, None))
-    action_text = body[colon.end() : -1]
-    fields = _split_top(body[: colon.start()], ",")
+    fields = _split_top(body[: colon.start()])
     if len(fields) != len(COMPACT_COLUMNS):
         raise PolicyParseError(
             f"expected {len(COMPACT_COLUMNS)} condition fields, found {len(fields)}", where=_where(pe_id, None)
@@ -592,20 +598,15 @@ def parse_compact_pe(text: str, *, pe_id: str = "anon", table: dict | None = Non
         table = {}
     positions = table.get(_POSITIONS)
     if positions is None:
-        # each position knows the wildcard from the start, as written
-        # first or after ", ", so that no field converts it
-        positions = table[_POSITIONS] = tuple({WILDCARD: (), " " + WILDCARD: ()} for _ in COMPACT_COLUMNS)
-    entries: list[tuple] = []
+        positions = table[_POSITIONS] = tuple(map(_Position, COMPACT_COLUMNS))
     try:
-        for column, known, raw in zip(COMPACT_COLUMNS, positions, fields):
-            found = known.get(raw)
-            if found is None:
-                found = known[raw] = _field_entries(column, raw)
-            if found:
-                entries += found
+        flowid, src, dst, srcip, dstip, srcmac, dstmac, user, flowcons, domcons, services, secprof, seq = map(
+            dict.__getitem__, positions, fields
+        )
     except PolicyParseError as fault:
         raise PolicyParseError(str(fault), where=_where(pe_id, None)) from None
-    return _build_pe(pe_id, action_text, entries, table, None)
+    own = flowid + user + flowcons + domcons + services + secprof + seq
+    return _build_pe(pe_id, body[colon.end() : -1], src + srcip + srcmac, dst + dstip + dstmac, own, table, None)
 
 
 def format_compact_pe(pe: PolicyExpression) -> str:

@@ -14,10 +14,12 @@ import json
 import math
 import random
 from collections import deque
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
+from functools import lru_cache
 from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
 
+from sdnsec.controller import Controller
 from sdnsec.dataplane import FlowMatch, FlowRule, Packet
 from sdnsec.defense import ResponseMode, compute_thresholds
 from sdnsec.labels import LabelWindow, SecurityLabel, parse_label_constraint
@@ -33,7 +35,7 @@ from sdnsec.policy import (
     match_pe,
     specificity,
 )
-from sdnsec.simulation import Simulation
+from sdnsec.simulation import Simulation, build_world
 
 AS_IDS = ("AS1", "AS2", "AS3", "AS4")
 AS_TYPES = ("EDU", "COM", "GOV")
@@ -359,6 +361,37 @@ def delivered(report: MetricsReport) -> list[FlowRecord]:
     return [f for f in report.flows if f.outcome == "delivered"]
 
 
+def decided_deliveries(scenario) -> list[FlowRecord]:
+    """Every flow a run of ``scenario`` delivers through a domain that never
+    admitted its own flow id, in report order.
+
+    The run is the usual one, world build included, with
+    ``Controller.handle_packet_in`` wrapped to record each admitting
+    decision (a result with no drop reason) as ``(domain, flow_id, tick)``;
+    a delivered flow needs one for each domain of its ``as_path``.
+    """
+    decisions: list[tuple[str, str, int]] = []
+    original = Controller.handle_packet_in
+
+    def recorded(self, packet, ingress, entry_peer, tick, *args, **kwargs):
+        result = original(self, packet, ingress, entry_peer, tick, *args, **kwargs)
+        if not result.reason:
+            decisions.append((self.as_id, packet.flow_id, tick))
+        return result
+
+    Controller.handle_packet_in = recorded
+    try:
+        report = Simulation(build_world(scenario)).run()
+    finally:
+        Controller.handle_packet_in = original
+    admitted = {(domain, flow_id) for domain, flow_id, _ in decisions}
+    return [
+        flow
+        for flow in delivered(report)
+        if any((domain, flow.flow_id) not in admitted for domain in flow.as_path)
+    ]
+
+
 def installs_per_window(report: MetricsReport, window_ticks: int, src_ip: str | None = None) -> dict[int, int]:
     """Non-defense installs per rate window of ``window_ticks``, optionally for one source."""
     out: dict[int, int] = {}
@@ -488,19 +521,33 @@ def egress_hop(world, installs):
     return switch, rule.next_hop, rule
 
 
+HEADER_FIELDS = tuple(spec.name for spec in fields(Packet) if spec.init)
+
+
+@lru_cache(maxsize=4096)
+def fixed_items(match: FlowMatch):
+    """The ``(field, value)`` items ``match`` fixes (:meth:`FlowMatch.fixed`),
+    worked out once per match while it is among the last 4,096 asked for (a
+    run builds fewer): a match is immutable and hashable."""
+    return match.fixed().items()
+
+
+def header_items(packet: Packet):
+    """The packet's ``(field, value)`` items, one per header field."""
+    return {name: getattr(packet, name) for name in HEADER_FIELDS}.items()
+
+
 def match_hits(match: FlowMatch, packet: Packet) -> bool:
     """Field-by-field check: every field ``match`` fixes equals the packet's."""
-    for name, value in match.fixed().items():
-        if getattr(packet, name) != value:
-            return False
-    return True
+    return fixed_items(match) <= header_items(packet)
 
 
 def scan_lookup(rules: list[FlowRule], packet: Packet) -> FlowRule | None:
     """The first rule of a priority-ordered table that matches: a linear
     scan, so its cost grows with the table."""
+    header = header_items(packet)
     for rule in rules:
-        if match_hits(rule.match, packet):
+        if fixed_items(rule.match) <= header:
             return rule
     return None
 

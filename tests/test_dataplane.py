@@ -1,4 +1,5 @@
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -562,7 +563,7 @@ def test_rules_filed_under_a_packets_matches_find_what_the_field_check_finds(pac
 
 def _scan_lookup(switch, packet):
     # the switch's rules in a stable sort by descending priority
-    return scan_lookup(sorted(flow_dump(switch), key=lambda rule: -rule.match.priority), packet)
+    return scan_lookup(sorted(flow_dump(switch), key=attrgetter("match.priority"), reverse=True), packet)
 
 
 def _run_outputs(case):

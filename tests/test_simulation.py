@@ -31,8 +31,9 @@ from sdnsec.scenario import (
 from sdnsec.simulation import Simulation, build_world, run
 from sdnsec.sweep import chain_scenario
 
-from helpers import HeapSimulation, delivered, installs_per_window, ip, queue_event, records_digest
-from test_workloads import workload_world
+from helpers import HeapSimulation, decided_deliveries, delivered, installs_per_window, ip, queue_event, records_digest
+from test_workloads import SEEDS, WORKLOADS, workload_world
+from workloads import MESH_REPLIES
 
 ALLOW_ALL = "p = <*,*,*,*,*,*,*,*,*,*,*,*,*>:<Allow>"
 
@@ -550,6 +551,29 @@ def test_limit_a_rate_budget_is_spent_by_flows_never_admitted(mode, traffic, fie
     assert [flow.reason for flow in report.flows] == reasons
 
 
+# (workload, seed) -> the indices of the flows delivered through a domain
+# that never admitted their own flow id
+UNDECIDED_DELIVERIES = {
+    ("acl_proactive", 2): [88],
+    ("acl_proactive", 3): [70],
+    # the replies, offered after the 234 requests, ride their request's return rules
+    **{("mesh_transit", seed): list(range(234, 234 + MESH_REPLIES)) for seed in SEEDS},
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_limit_deliveries_without_their_own_decision(name, seed):
+    """ROADMAP item 17, pinned as it stands: a flow can be delivered through
+    a domain that never admitted it, on rules another flow's decision wrote
+    (item 1: a reply on its request's return rules) or rules decided ahead
+    of its own request (item 10).  The changes that close those paths
+    shrink this list on purpose."""
+    document, _ = WORKLOADS[name](seed)
+    flows = decided_deliveries(parse_scenario(json.loads(json.dumps(document, sort_keys=True))))
+    assert [flow.index for flow in flows] == UNDECIDED_DELIVERIES.get((name, seed), [])
+
+
 @pytest.mark.parametrize(
     "token, outcome",
     [
@@ -791,6 +815,8 @@ def test_mutated_bundled_scenarios_are_rejected_or_run_clean(doc):
     report = Simulation(world).run()
     counters = report.counters
     assert report.conservation_holds()
+    # every delivered flow crossed only domains that admitted it
+    assert decided_deliveries(scenario) == []
     dropped = sum(value for key, value in counters.items() if key.startswith("dropped_"))
     assert counters["delivered"] + dropped == counters["offered"] == len(report.flows)
     for switch in world.switches.values():

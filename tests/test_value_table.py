@@ -29,7 +29,8 @@ from sdnsec.formats import (
     parse_repository,
     serialize_repository,
 )
-from sdnsec.policy import Action
+from sdnsec.labels import parse_label_constraint
+from sdnsec.policy import Action, EndpointSelector
 from sdnsec.scenario import bundled_scenario_path, list_bundled_scenarios, parse_scenario
 from test_workloads import SEEDS, WORKLOADS
 
@@ -75,6 +76,22 @@ def test_bundled_scenario_reads_as_its_policies_alone(name):
 def test_workload_reads_as_its_policies_alone(name, seed):
     document, _ = WORKLOADS[name](seed)
     _assert_document_reads_as_its_policies_alone(json.loads(json.dumps(document, sort_keys=True)))
+
+
+def test_a_selector_written_three_ways_is_one_object():
+    # one source selector as a domain descriptor in both element orders and
+    # as a record's columns, in one document
+    document = json.loads(bundled_scenario_path("minimal").read_text())
+    items = [
+        "p1 = <*, (AS1, SL2), *, *, *, *, *, *, *, *, *, *, *>:<Allow>",
+        "p2 = <*, (SL2, AS1), *, *, *, *, *, *, *, *, *, *, *>:<Deny>",
+        {"id": "p3", "srcasid": "AS1", "srcastrulabel": "SL2", "action": "allow"},
+    ]
+    document["domains"][0]["policies"] = items
+    pes = parse_scenario(document).domains[0].policies
+    assert len({id(pe.source) for pe in pes}) == 1
+    assert pes[0].source == EndpointSelector(as_id="AS1", label_req=parse_label_constraint("SL2"))
+    assert list(pes) == [_read(item) for item in items]
 
 
 # (compact position, text) of a field no reader accepts; the last two fail
