@@ -21,7 +21,8 @@ re-tagged transfer token.  Every outcome appends one
 
 A controller is built from its domain's ``DomainSpec`` (policies, handle
 key, users, hosts) and the world's :class:`~sdnsec.topology.DomainTable`,
-which every controller shares.  It reads its own and each known domain's
+which every controller shares.  It asks the table which foreign domains
+its probes reach (it knows those), reads its own and each known domain's
 attributes from the table's domain graph, and takes each domain route from
 the table, which searches it on that graph.  The caller names the node the
 packet came from (``entry_peer``), which the return rules lead to.  A next domain that the flow's handle has already
@@ -106,6 +107,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .scenario import DomainSpec
+    from .topology import Graph
 
 __all__ = [
     "BASELINE",
@@ -244,7 +246,6 @@ class Controller:
         *,
         domains: DomainTable,
         intra: Graph,
-        known: dict[str, int],
         monitor: FloodMonitor | None,
         key: DomainKey,
         key_ring: dict[str, DomainKey],
@@ -253,9 +254,9 @@ class Controller:
         window_ticks: int,
     ):
         """``domains`` is the world's domain table, shared by every
-        controller, ``intra`` the domain's switch graph and ``known`` the
-        foreign domains its probes found (see
-        :func:`~sdnsec.topology.probe_topology`).  ``key`` is the domain's own
+        controller, which also answers which foreign domains this domain's
+        probes reach (see :meth:`~sdnsec.topology.DomainTable.knows`), and
+        ``intra`` the domain's switch graph.  ``key`` is the domain's own
         prepared handle key and ``key_ring`` its neighbors'."""
         if not key.secret:
             raise ValueError("controller needs a nonempty handle key")
@@ -264,7 +265,6 @@ class Controller:
         self.handle_key = key
         self.domains = domains
         self.intra = intra
-        self.known = known
         self.monitor = monitor
         # the monitor's budgets as a defense drop's detail prints them
         self._thresholds_text = f"thost={monitor.thost} tsw={monitor.tsw}" if monitor is not None else ""
@@ -289,29 +289,32 @@ class Controller:
 
     # --- context -------------------------------------------------------------
 
-    def _domain_info(self, as_id: str) -> DomainInfo:
-        if as_id == self.as_id or as_id in self.known:
-            return self.domains.graph.node(as_id)
-        return DomainInfo(as_id)
-
     def domain_for_ip(self, ip: int) -> str | None:
         """The one domain, this or a known one, whose subnet contains ``ip``,
         as the world's domain table finds it."""
         as_id = self.domains.domain_for_ip(ip)
-        return as_id if as_id == self.as_id or as_id in self.known else None
+        if as_id is None or as_id == self.as_id or self.domains.knows(self.as_id, as_id):
+            return as_id
+        return None
 
     def build_context(self, packet: Packet, handle: Handle | None, tick: int) -> FlowContext:
+        """The flow's context.  A domain it names is the world graph's record
+        if this domain knows it, else known by id only; the table is asked
+        about each foreign domain once, and never about this one."""
+        domain = self.domains.graph.node
         if handle is not None:
-            src_domain = handle.visited[0]
+            origin = handle.visited[0]
+            known = origin == self.as_id or self.domains.knows(self.as_id, origin)
+            src_as = domain(origin) if known else DomainInfo(origin)
             traversed = handle.visited
         else:
-            src_domain = self.domain_for_ip(packet.src_ip) or self.as_id
+            src_as = domain(self.domain_for_ip(packet.src_ip) or self.as_id)
             traversed = ()
         dst_domain = self.domain_for_ip(packet.dst_ip)
         return FlowContext(
             packet=packet,
-            src_as=self._domain_info(src_domain),
-            dst_as=self._domain_info(dst_domain) if dst_domain else DomainInfo(""),
+            src_as=src_as,
+            dst_as=domain(dst_domain) if dst_domain else DomainInfo(""),
             timestamp=tick,
             user=self.user_bindings.get(packet.src_mac),
             traversed_path=traversed,

@@ -3,10 +3,12 @@
 The world is rebuilt from the scenario for every run: switches wired port by
 port in declaration order, one ``DomainInfo`` per domain, one
 :class:`~sdnsec.topology.DomainTable` that every controller reads for
-subnets and domain routes, and one controller per domain, built from the
-domain's spec, its switch graph, a fresh probe of the domain graph and the
-scenario's own ``costs``.  The ARP rules written then, like every flow-mod
-batch, go through :func:`~sdnsec.dataplane.install_batch`, and the loop
+subnets, domain routes and the domains its probes reach within the
+scenario's ``max_ttl``, and one controller per domain, built from the
+domain's spec, its switch graph and the scenario's own ``costs``.  No
+domain is probed while the world is built: the table probes a domain the
+first time a packet-in asks about it.  The ARP rules written then, like
+every flow-mod batch, go through :func:`~sdnsec.dataplane.install_batch`, and the loop
 counts the batches it refuses (``table_full_events``).  The event loop runs handler calls in
 (tick, insertion) order, so equal scenarios produce byte-identical reports.
 Events wait in one heap, which starts as the offers, heapified once.  A
@@ -67,7 +69,7 @@ from .interdomain import DomainKey, Handle
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
 from .policy import DomainInfo
 from .scenario import FloodSpec, HostSpec, Scenario
-from .topology import DomainTable, Graph, gateway_name, probe_topology
+from .topology import DomainTable, Graph, gateway_name
 
 __all__ = ["World", "build_world", "run"]
 
@@ -108,7 +110,7 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
         as_graph.add_node(domain.id, DomainInfo(domain.id, domain.subnet, domain.as_type, domain.label))
     for a, b in scenario.links:
         as_graph.add_link(a, b)
-    domains = DomainTable(as_graph)
+    domains = DomainTable(as_graph, scenario.max_ttl)
 
     # port wiring: intra links first (declaration order), then domain links,
     # then hosts, so port numbers are a pure function of the scenario
@@ -156,7 +158,6 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
             domain,
             domains=domains,
             intra=switch_graphs[domain.id],
-            known=probe_topology(as_graph, domain.id, scenario.max_ttl),
             monitor=monitor,
             key=keys[domain.id],
             key_ring={peer: keys[peer] for peer in as_graph.neighbors(domain.id)},

@@ -1,22 +1,23 @@
 """Topology discovery by TTL probing and label-constrained path search.
 
-Each controller walks the domain graph with probes of increasing TTL; a
-probe whose TTL expires at a domain is answered by that domain, and the
-answers become the controller's topology repository: the foreign domains
-within the probe horizon, each with its hop count.  One :class:`Graph` class
-models both levels: the world's domain graph, whose nodes each carry the
-domain's :class:`~sdnsec.policy.DomainInfo`, and a domain's own switch
-graph, whose nodes each carry the switch's security label.  The world's
-:class:`DomainTable` holds the domain graph with what every controller reads
-of it: each domain's subnet, filed once per world, and each domain route.
-A controller reads a known domain's identity, label and addressing from
-that graph, so a domain's attributes live in one place.  Path search runs
-over the domain graph, which is the union of every controller's hop-1
-answers, or over a switch graph, filtering every element through a label
-constraint.  Both levels share one breadth-first search, linear in the size
-of the graph, that checks each label at most once and never enumerates
-alternative paths.  It runs from the destination and stops at the source's
-level, where it works out the source's key alone.  The search can be kept
+A domain's probes walk the domain graph with increasing TTL; a probe whose
+TTL expires at a domain is answered by that domain, and the answers are the
+foreign domains within the probe horizon, each with its hop count.  One
+:class:`Graph` class models both levels: the world's domain graph, whose
+nodes each carry the domain's :class:`~sdnsec.policy.DomainInfo`, and a
+domain's own switch graph, whose nodes each carry the switch's security
+label.  The world's :class:`DomainTable` holds the domain graph with what
+every controller reads of it: each domain's subnet, filed once per world,
+each domain route, and whether a controller's probes reach a domain, which
+it answers from that domain's own probe, made once per world.  A controller
+reads a known domain's identity, label and addressing from that graph, so a
+domain's attributes live in one place.  Path search runs over the domain
+graph, which is the union of every domain's hop-1 answers, or over a switch
+graph, filtering every element through a label constraint.  Both levels
+share one breadth-first search, linear in the size of the graph, that
+checks each label at most once and never enumerates alternative paths.  It
+runs from the destination and stops at the source's level, where it works
+out the source's key alone.  The search can be kept
 and resumed: the table keeps one per (destination, label window), which
 every source toward that destination extends only as far as it needs, so
 each domain's label is asked at most once per (destination, window) for all
@@ -94,8 +95,8 @@ class Graph:
 
 
 def probe_topology(world: Graph, owner_as: str, max_ttl: int) -> dict[str, int]:
-    """A controller's topology repository: each foreign domain within
-    ``max_ttl`` hops of ``owner_as``, mapped to its hop count, in id order.
+    """What ``owner_as``'s probes find: each foreign domain within
+    ``max_ttl`` hops of it, mapped to its hop count, in id order.
 
     Simulates probes at TTL 1..max_ttl, one breadth-first level each: a
     domain at shortest-path distance d answers the TTL-d probe, so hop
@@ -215,7 +216,8 @@ def find_as_paths(
 
 class DomainTable:
     """The world's domain graph with what every controller reads of it:
-    each domain's subnet and each domain route, worked out once per world.
+    each domain's subnet, each domain route and which domains each
+    controller's probes reach, worked out once per world.
 
     The subnets are filed by mask, so finding an address's domain costs one
     dict probe per distinct mask; the subnets are disjoint, so at most one
@@ -223,11 +225,20 @@ class DomainTable:
     window), and every source toward one (destination, window) resumes one
     search, so each label is asked at most once per (destination, window)
     and the destination's never.  A window is keyed by its two bounds,
-    which hash without running Python code.
+    which hash without running Python code.  Hop distance is symmetric, so
+    a domain is within a controller's horizon exactly when the controller's
+    domain is within the domain's: the table probes a domain the first time
+    anyone asks about it and keeps the answer, so a world probes each domain
+    at most once, and only the domains its flows name.
     """
 
-    def __init__(self, graph: Graph) -> None:
+    def __init__(self, graph: Graph, max_ttl: int) -> None:
+        if max_ttl < 1:
+            raise ValueError("max_ttl must be >= 1")
         self.graph = graph
+        self._max_ttl = max_ttl
+        # domain -> the domains its probes reach, probed on the first ask
+        self._horizons: dict[str, dict[str, int]] = {}
         # (mask, network -> domain) per distinct mask
         by_mask: dict[int, dict[int, str]] = {}
         for as_id in graph.nodes():
@@ -255,6 +266,15 @@ class DomainTable:
             paths = find_as_paths(self.graph, src_as, dst_as, window, self._searches.setdefault(key[1:], {}))
             self._routes[key] = paths[0] if paths else None
         return self._routes[key]
+
+    def knows(self, owner: str, as_id: str) -> bool:
+        """Whether ``as_id``, a domain of the world, is a foreign domain
+        within ``owner``'s probe horizon: one ``probe_topology(graph, owner,
+        max_ttl)`` lists."""
+        horizon = self._horizons.get(as_id)
+        if horizon is None:
+            horizon = self._horizons[as_id] = probe_topology(self.graph, as_id, self._max_ttl)
+        return owner in horizon
 
 
 def find_switch_path(

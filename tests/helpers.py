@@ -449,6 +449,20 @@ def link_adjacency(links) -> dict[str, set[str]]:
     return adjacency
 
 
+def bfs_distances(adjacency, start) -> dict[str, int]:
+    """Textbook breadth-first hop counts from ``start`` over undirected
+    adjacency sets, ``start`` itself at 0; unreachable nodes are absent."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for neighbor in adjacency.get(node, ()):
+            if neighbor not in dist:
+                dist[neighbor] = dist[node] + 1
+                queue.append(neighbor)
+    return dist
+
+
 def dfs_all_paths(adjacency, src, dst, allowed):
     """Every simple path src..dst whose transit nodes pass ``allowed``,
     ordered by (length, lexicographic): brute-force enumeration, exponential

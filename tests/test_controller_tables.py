@@ -7,12 +7,12 @@ its own domain or one it knows.  For every controller of every bundled
 scenario and of the benchmark workloads at seeds 1 to 3: the gateway table
 equals ``gateway_name`` in both directions, over exactly the domain graph's
 neighbours, and ``domain_for_ip`` equals a fresh scan of the subnets of its
-own domain and the domains it knows.  Some worlds are built again with a
-probe horizon shorter than their diameter, so that some controllers do not
-know every domain the world table lists.  The addresses asked are the
-hosts', each subnet's network, gateway (first host) and broadcast addresses
-and the two just outside it, and random ones, many of them outside every
-subnet.
+own domain and the domains a fresh probe from it finds.  Some worlds are
+built again with a probe horizon shorter than their diameter, so that some
+controllers do not know every domain the world table lists.  The
+addresses asked are the hosts', each subnet's network, gateway (first host)
+and broadcast addresses and the two just outside it, and random ones, many
+of them outside every subnet.
 """
 
 import random
@@ -24,7 +24,7 @@ from test_workloads import SEEDS, WORKLOADS, case_world
 
 from sdnsec.scenario import list_bundled_scenarios
 from sdnsec.simulation import build_world
-from sdnsec.topology import gateway_name
+from sdnsec.topology import gateway_name, probe_topology
 
 # the tables do not depend on the mode, so each scenario is built reactive;
 # a " max_ttl=N" suffix builds the world again with that probe horizon, each
@@ -67,9 +67,14 @@ def _addresses(world, rng: random.Random) -> list[int]:
     return [address for address in addresses if 0 <= address <= LAST_ADDRESS]
 
 
-def _scan(world, ctrl, address: int) -> str | None:
+def _probe(world, ctrl) -> dict[str, int]:
+    """The foreign domains a fresh probe from the controller's domain finds."""
+    return probe_topology(world.domains.graph, ctrl.as_id, world.scenario.max_ttl)
+
+
+def _scan(world, known: tuple[str, ...], address: int) -> str | None:
     subnets = {domain.id: domain.subnet for domain in world.scenario.domains}
-    found = [as_id for as_id in (ctrl.as_id, *ctrl.known) if IPv4Address(address) in subnets[as_id]]
+    found = [as_id for as_id in known if IPv4Address(address) in subnets[as_id]]
     assert len(found) <= 1, (address, found)
     return found[0] if found else None
 
@@ -79,9 +84,10 @@ def test_domain_for_ip_equals_a_fresh_scan_of_the_subnets(name):
     world = _world(name)
     addresses = _addresses(world, random.Random(name))
     for ctrl in world.controllers.values():
-        expected = [_scan(world, ctrl, address) for address in addresses]
+        known = (ctrl.as_id, *_probe(world, ctrl))
+        expected = [_scan(world, known, address) for address in addresses]
         assert [ctrl.domain_for_ip(address) for address in addresses] == expected
         assert None in expected and any(expected), ctrl.as_id
     if " max_ttl=" in name:
         # the horizon hides some domain the world table lists from some controller
-        assert any(len(ctrl.known) < len(world.controllers) - 1 for ctrl in world.controllers.values())
+        assert any(len(_probe(world, ctrl)) < len(world.controllers) - 1 for ctrl in world.controllers.values())

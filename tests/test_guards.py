@@ -1,6 +1,7 @@
 """Each constructor and lookup guard refuses its bad input with its own message."""
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from sdnsec.labels import SecurityLabel
 from sdnsec.metrics import MetricsReport
 from sdnsec.policy import Action, Constraint, ConstraintKind, PolicyExpression
 from sdnsec.scenario import bundled_scenario_path, load_scenario
+from sdnsec.simulation import build_world
 from sdnsec.sweep import chain_scenario, pad_switches
 from sdnsec.topology import Graph, probe_topology
 
@@ -28,7 +30,7 @@ def controller_with_key(key):
     # the key is checked before any other argument is read
     return Controller(
         MINIMAL.domains[0],
-        domains=None, intra=None, known={}, monitor=None, key=DomainKey(key.encode()), key_ring={},
+        domains=None, intra=None, monitor=None, key=DomainKey(key.encode()), key_ring={},
         enforcement_enabled=True, costs=MINIMAL.costs, window_ticks=1,
     )
 
@@ -70,6 +72,9 @@ GUARDS = {
     "chain-past-one-octet": (
         lambda: chain_scenario(256), ValueError, "a chain has at most 255 domains, one 10.i.0.0/24 subnet each, got 256"),
     "probe-ttl-zero": (lambda: probe_topology(Graph(), "AS1", max_ttl=0), ValueError, "max_ttl must be >= 1"),
+    # a one-domain world never probes, so the horizon is checked when its
+    # table is built
+    "world-ttl-zero": (lambda: build_world(replace(MINIMAL, max_ttl=0)), ValueError, "max_ttl must be >= 1"),
     "controller-empty-key": (
         lambda: controller_with_key(""), ValueError, "controller needs a nonempty handle key"),
 }

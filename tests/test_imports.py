@@ -11,6 +11,12 @@ is read when the module reads it as a bare name, in code or in a string
 annotation; a module's private names serve the module itself, so one it
 never reads is dead.
 
+Every bare name an annotation reads, in code or in a string, is bound in
+its module, by an import (one under ``if TYPE_CHECKING:`` included), a
+definition or an assignment, or is a builtin: with postponed annotations
+nothing evaluates them, so only this check sees a name that is never
+imported.
+
 Records are built through their one constructor: no module but
 ``frozen.py``, which builds the records' ``__init__``, reads a
 descriptor's ``__set__`` or ``object.__new__``, the two halves of a second
@@ -18,6 +24,7 @@ way to write a slotted record's fields without running its checks.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -27,6 +34,21 @@ import sdnsec
 MODULES = sorted(path for path in Path(sdnsec.__file__).parent.glob("*.py") if path.name != "__init__.py")
 # the one module that writes a record's fields through its slots' setters
 SLOT_WRITER = "frozen.py"
+
+
+def _annotation_names(tree: ast.AST) -> list[str]:
+    """The bare names the annotations in ``tree`` read: an argument's, a
+    return's or a variable's.  A string annotation is a constant in the
+    tree; the names in its text are read too."""
+    names = []
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Name):
+                    names.append(part.id)
+                elif isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    names += [name.id for name in ast.walk(ast.parse(part.value, mode="eval")) if isinstance(name, ast.Name)]
+    return names
 
 
 def unused_imports(source: str) -> list[str]:
@@ -58,15 +80,27 @@ def unread_private_names(source: str) -> list[str]:
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 bound += [name.id for name in ast.walk(target) if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    # a string annotation, an argument's, a return's or a variable's, is a
-    # constant in the tree; the names in its text are read too
-    for node in ast.walk(tree):
-        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
-            for text in ast.walk(annotation) if annotation is not None else ():
-                if isinstance(text, ast.Constant) and isinstance(text.value, str):
-                    read.update(name.id for name in ast.walk(ast.parse(text.value, mode="eval")) if isinstance(name, ast.Name))
+    # the names in a string annotation's text are read too
+    read.update(_annotation_names(tree))
     private = [name for name in bound if name.startswith("_") and not name.startswith("__")]
     return [name for name in dict.fromkeys(private) if name not in read]
+
+
+def unbound_annotation_names(source: str) -> list[str]:
+    """The bare names ``source``'s annotations read that nothing in the
+    module binds and that are no builtin, sorted."""
+    tree = ast.parse(source)
+    bound = set(dir(builtins))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    return sorted(set(_annotation_names(tree)) - bound)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -109,6 +143,27 @@ def test_the_check_sees_an_unread_private_name():
         "TABLE = _Table()\n"
     )
     assert unread_private_names(source) == ["_Mask", "_set", "_count", "_unused"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_name_an_annotation_reads_is_bound(path):
+    assert unbound_annotation_names(path.read_text()) == []
+
+
+def test_the_check_sees_an_unbound_annotation_name():
+    source = (
+        "from __future__ import annotations\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from .topology import DomainTable\n"
+        "Key = tuple[int, ...]\n"
+        "class Table:\n"
+        "    rows: dict[Key, Row]\n"
+        "    def read(self, graph: Graph, table: DomainTable, n: int) -> 'list[Match] | None':\n"
+        "        local: Graph = graph\n"
+        "        return None\n"
+    )
+    assert unbound_annotation_names(source) == ["Graph", "Match", "Row"]
 
 
 def slot_writes(source: str) -> list[str]:

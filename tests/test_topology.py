@@ -1,5 +1,5 @@
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import replace
 from ipaddress import IPv4Network
 from unittest import mock
@@ -7,6 +7,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdnsec.dataplane import Packet
+from sdnsec.interdomain import Handle
 from sdnsec.labels import LabelWindow, SecurityLabel, parse_label_constraint
 from sdnsec.policy import DomainInfo
 from sdnsec.scenario import bundled_scenario_path, load_scenario
@@ -21,7 +23,7 @@ from sdnsec.topology import (
     probe_topology,
 )
 
-from helpers import dfs_all_paths, least_switch_path, link_adjacency, shortest_switch_paths
+from helpers import bfs_distances, dfs_all_paths, least_switch_path, link_adjacency, shortest_switch_paths
 
 
 def make_world(links, labels=None, domains=()):
@@ -38,18 +40,6 @@ def make_world(links, labels=None, domains=()):
 
 
 CHAIN = [("AS1", "AS2"), ("AS2", "AS3"), ("AS3", "AS4")]
-
-
-def bfs_distances(adjacency, start):
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for neighbor in adjacency.get(node, ()):
-            if neighbor not in dist:
-                dist[neighbor] = dist[node] + 1
-                queue.append(neighbor)
-    return dist
 
 
 def test_gateway_naming_convention():
@@ -77,23 +67,32 @@ def test_probe_single_domain_world():
 
 
 def test_controller_reads_known_domains_from_the_world_graph():
-    # a domain within the probe horizon is the world graph's own record; one
-    # beyond it is known by id only, and its addresses by no domain
+    # a domain within the probe horizon, by a textbook BFS, is the world
+    # graph's own record; one beyond it is known by id only, and its
+    # addresses by no domain.  A flow whose handle starts at the domain and
+    # whose destination is in it names the domain twice in its context
     for scenario in (load_scenario(bundled_scenario_path("four_domain_transit")), chain_scenario(6)):
         adjacency = link_adjacency(scenario.links)
         for max_ttl in range(1, len(scenario.domains) + 1):
             world = build_world(replace(scenario, max_ttl=max_ttl))
             for owner, ctrl in world.controllers.items():
                 hops = bfs_distances(adjacency, owner)
+                own = int(next(scenario.domain(owner).subnet.hosts()))
                 for domain in scenario.domains:
                     if domain.id == owner:
                         continue
                     address = int(next(domain.subnet.hosts()))
-                    if hops.get(domain.id, max_ttl + 1) <= max_ttl:
-                        assert ctrl._domain_info(domain.id) is world.domains.graph.node(domain.id)
+                    packet = Packet(own, address, "00:00:00:00:00:01", "00:00:00:00:00:02", "tcp", 80, "HTTP")
+                    ctx = ctrl.build_context(packet, Handle((domain.id,), "tag"), 0)
+                    within = hops.get(domain.id, max_ttl + 1) <= max_ttl
+                    assert world.domains.knows(owner, domain.id) is within
+                    if within:
+                        assert ctx.src_as is world.domains.graph.node(domain.id)
+                        assert ctx.dst_as is world.domains.graph.node(domain.id)
                         assert ctrl.domain_for_ip(address) == domain.id
                     else:
-                        assert ctrl._domain_info(domain.id) == DomainInfo(domain.id)
+                        assert ctx.src_as == DomainInfo(domain.id)
+                        assert ctx.dst_as == DomainInfo("")
                         assert ctrl.domain_for_ip(address) is None
 
 
@@ -233,11 +232,30 @@ def test_route_is_first_of_all_satisfying_paths(data):
         asked[owners[id(label)]] += 1
         return satisfies(window, label)
 
-    table = DomainTable(graph)
+    table = DomainTable(graph, max_ttl=n)
     with mock.patch.object(LabelWindow, "satisfies", counted):
         answers = {source: table.route(source, dst, constraint) for source in order}
     assert {source: [route] if route else [] for source, route in answers.items()} == oracle
     assert max(asked.values(), default=0) <= 1 and dst not in asked, asked
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_table_knows_the_domains_within_each_horizon(data):
+    # the table answers from the asked domain's own probe, made once; a
+    # textbook BFS from the owner must agree, in any order of questions
+    n = data.draw(st.integers(1, 12), label="domains")
+    ids = [f"AS{i}" for i in range(1, n + 1)]
+    possible = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    links = data.draw(st.lists(st.sampled_from(possible), max_size=2 * n, unique=True), label="links") if possible else []
+    max_ttl = data.draw(st.integers(1, n + 1), label="max_ttl")
+    pairs = data.draw(st.permutations([(owner, as_id) for owner in ids for as_id in ids]), label="order")
+    table = DomainTable(make_world(links, domains=ids), max_ttl)
+    with mock.patch("sdnsec.topology.probe_topology", side_effect=probe_topology) as probes:
+        answers = {pair: table.knows(*pair) for pair in pairs}
+    hops = {owner: bfs_distances(link_adjacency(links), owner) for owner in ids}
+    assert answers == {(owner, as_id): 0 < hops[owner].get(as_id, max_ttl + 1) <= max_ttl for owner, as_id in pairs}
+    assert sorted(call.args[1] for call in probes.call_args_list) == sorted(ids)
 
 
 class CountingConstraint:

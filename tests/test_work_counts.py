@@ -22,7 +22,11 @@ size; a chain of n domains makes at most 2n-1 path searches, n matches and
 4n label checks, and building its world reads each domain's subnet once.
 A controller's topology probe expands at most ``max_ttl`` levels of the
 domain graph: from a chain's end it asks at most ``max_ttl`` domains their
-neighbours, not every domain of the chain.
+neighbours, not every domain of the chain.  A controller's horizon is a
+question to the world's domain table, which probes a domain the first time
+a flow names it: no world probes while it is built, none probes a domain
+twice, and building and running a chain of n domains asks at most 12n
+domains their neighbours, where a probe per controller asks about n**2 / 2.
 The world keeps one subnet table and one domain route search per
 (destination, label window), which every controller resumes; a table and a
 search per controller would ask about n**2 / 2 labels and read n**2 subnets
@@ -295,6 +299,51 @@ def test_a_probe_expands_at_most_max_ttl_levels(ttl):
     with CallCounter((), methods=((Graph, "neighbors"),)) as counter:
         calls = counter.counting(lambda: probe_topology(graph, "AS1", ttl))
     assert 0 < calls["Graph.neighbors"] <= ttl, calls
+
+
+@pytest.mark.parametrize("mode", ["reactive", "proactive"])
+def test_a_chain_asks_its_domains_neighbours_linearly(mode):
+    # a controller's horizon is a question to the world's table, which probes
+    # only the domains a flow names; a probe per controller with the chain's
+    # horizon asks about n**2 / 2 domains their neighbours
+    domains = 255
+    scenario = chain_scenario(domains, mode)
+    with CallCounter((), methods=((Graph, "neighbors"),)) as counter:
+        calls = counter.counting(lambda: Simulation(build_world(scenario)).run())
+    assert 0 < calls["Graph.neighbors"] <= 12 * domains, calls
+
+
+def _probes(work) -> Counter:
+    """The domains ``work()`` probes, each with its number of probes, seen
+    wherever an ``sdnsec`` module reads ``probe_topology`` by name."""
+    probed: Counter[str] = Counter()
+
+    def counted(graph, owner_as, max_ttl):
+        probed[owner_as] += 1
+        return probe_topology(graph, owner_as, max_ttl)
+
+    modules = [
+        module
+        for name, module in sys.modules.items()
+        if name.split(".")[0] == "sdnsec" and getattr(module, "probe_topology", None) is probe_topology
+    ]
+    for module in modules:
+        module.probe_topology = counted
+    try:
+        work()
+    finally:
+        for module in modules:
+            module.probe_topology = probe_topology
+    return probed
+
+
+@pytest.mark.parametrize("case", [*CASES, *(f"workload:{name}" for name in sorted(WORKLOADS))])
+def test_a_world_probes_each_domain_at_most_once_and_none_while_built(case):
+    worlds = []
+    built = _probes(lambda: worlds.append(case_world(case)))
+    ran = _probes(lambda: Simulation(worlds[0]).run())
+    assert built == Counter(), built
+    assert set(ran) <= set(worlds[0].controllers) and max(ran.values(), default=0) <= 1, ran
 
 
 def test_a_chain_world_reads_each_subnet_once():
