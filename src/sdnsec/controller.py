@@ -97,7 +97,6 @@ from .policy import (
     DomainInfo,
     FlowContext,
     PolicyExpression,
-    PolicyIndex,
     predicates_hold,
     select_policy,
 )
@@ -261,7 +260,7 @@ class Controller:
         if not key.secret:
             raise ValueError("controller needs a nonempty handle key")
         self.as_id = spec.id
-        self.policy_repo = PolicyIndex(spec.policies)
+        self.policy_repo = spec.policy_index
         self.handle_key = key
         self.domains = domains
         self.intra = intra

@@ -72,7 +72,7 @@ def _with_init(cls: type) -> type:
         if name not in names:
             raise _refuse(cls, name, "InitVar")
 
-    # the built __init__ names this module, a dataclass's the record's own
+    # the built __init__ names this module, a dataclass's the record's own; its code names the record
     namespace: dict[str, object] = {"__name__": __name__}
     if "__slots__" in cls.__dict__:
         body = []
@@ -84,7 +84,7 @@ def _with_init(cls: type) -> type:
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     source = "\n".join([f"def __init__({', '.join(['self', *names])}):", *(body or ["    pass"])])
-    exec(source, namespace)
+    exec(compile(source, f"<frozen {cls.__qualname__}>", "exec"), namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__defaults__ = tuple(spec.default for spec in init_fields if spec.default is not MISSING) or None

@@ -7,12 +7,13 @@ bindings, a capacity model with a defense response, and a timed traffic
 program.  ``docs/scenario-format.md`` documents the schema; bundled
 scenarios live in ``sdnsec/scenarios/``.
 
-One reader per field kind (an object with known fields, an integer, a
-converted string, a link list, a declared id) checks every object the same
-way, and a malformed document is a :class:`ScenarioError` that names the
-field path.  Switch and host ids share one namespace.  Every domain, switch
-and host id must print (``str.isprintable``): a line break, a tab or
-another control character would split a report row or a flow-dump line.
+Each object kind has a field table, compiled into one reader that reads
+all of an object's fields in one call (:func:`_reader`), in table order: the
+first fault met is reported, its path built only then, a step per enclosing
+reader.  Switch and host ids share one namespace.  Every id must print
+(``str.isprintable``) and a traffic ``type`` or ``proto`` is one printable
+word: a line break, a tab or a space would split a report row, a flow id or
+a flow-dump line.
 
 Host and traffic addresses are parsed to plain ``int`` values
 (:func:`~sdnsec.formats.parse_ipv4`); a subnet stays an ``IPv4Network``,
@@ -20,7 +21,9 @@ checked for overlap here.  Dotted text comes back only in error messages.
 
 Every domain's policies are read with one value table for the whole
 document (see :mod:`sdnsec.formats`): a field text repeated in several
-domains is converted once, and equal selectors are one object.
+domains is converted once, and equal selectors are one object.  Reading a
+domain builds its :attr:`DomainSpec.policy_index`, which checks the ids
+and is the index its controller selects from.
 """
 
 from __future__ import annotations
@@ -36,50 +39,18 @@ from .controller import CostModel
 from .dataplane import DEFAULT_TABLE_CAPACITY
 from .defense import CapacityModel, ResponseMode
 from .formats import PolicyParseError, parse_compact_pe, parse_ipv4, parse_network, parse_record
-from .frozen import frozen
+from .frozen import cached, frozen
 from .labels import SecurityLabel, parse_label
-from .policy import (
-    DuplicatePolicyIdError,
-    PolicyExpression,
-    check_unique_ids,
-    format_ipv4,
-    normalize_mac,
-    subnet_bits,
-)
+from .policy import DuplicatePolicyIdError, PolicyExpression, PolicyIndex, format_ipv4, normalize_mac, subnet_bits
 from .topology import gateway_name
 
 __all__ = [
-    "DomainSpec",
-    "FloodSpec",
-    "FlowSpec",
-    "HostSpec",
-    "MODES",
-    "Scenario",
-    "ScenarioError",
-    "SwitchSpec",
-    "bundled_scenario_path",
-    "list_bundled_scenarios",
-    "load_scenario",
-    "parse_scenario",
+    "DomainSpec", "FloodSpec", "FlowSpec", "HostSpec", "MODES", "Scenario", "ScenarioError", "SwitchSpec",
+    "bundled_scenario_path", "list_bundled_scenarios", "load_scenario", "parse_scenario",
 ]
 
 TICKS_PER_SECOND = 1_000_000
 MODES = ("reactive", "proactive")
-
-_TOP_LEVEL_FIELDS = {
-    "name", "mode", "enforcement", "max_ttl", "table_capacity", "costs",
-    "capacity", "defense", "domains", "links", "traffic",
-}
-_CAPACITY_FIELDS = {"controller_rps", "switches_per_controller", "hosts_per_switch"}
-_DEFENSE_FIELDS = {"response", "window_ticks"}
-_COST_FIELDS = {field.name for field in fields(CostModel)}
-_DOMAIN_FIELDS = {
-    "id", "subnet", "type", "label", "handle_key", "switches", "links", "hosts", "users", "policies",
-}
-_SWITCH_FIELDS = {"id", "label"}
-_HOST_FIELDS = {"id", "ip", "mac", "switch"}
-_FLOW_FIELDS = {"at", "from", "to", "port", "type", "proto"}
-_FLOOD_FIELDS = {"kind", "at", "from", "to", "rate", "seconds", "type", "port_base", "proto"}
 
 
 class ScenarioError(ValueError):
@@ -87,7 +58,7 @@ class ScenarioError(ValueError):
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
-        self.path = path
+        self.path, self.message = path, message
 
 
 @frozen
@@ -116,6 +87,11 @@ class DomainSpec:
     hosts: tuple[HostSpec, ...]
     users: dict[str, str]
     policies: tuple[PolicyExpression, ...]
+
+    @cached
+    def policy_index(self) -> PolicyIndex:
+        """The policies filed for selection, which checks their ids once."""
+        return PolicyIndex(self.policies)
 
 
 @frozen
@@ -179,333 +155,350 @@ class Scenario:
         domain = self.domain(as_id)
         if pe_id not in {pe.id for pe in domain.policies}:
             raise KeyError(f"{as_id} has no policy {pe_id}")
-        updated = replace(
-            domain, policies=tuple(pe for pe in domain.policies if pe.id != pe_id)
-        )
-        return replace(
-            self, domains=tuple(updated if d.id == as_id else d for d in self.domains)
-        )
+        updated = replace(domain, policies=tuple(pe for pe in domain.policies if pe.id != pe_id))
+        return replace(self, domains=tuple(updated if d.id == as_id else d for d in self.domains))
 
     def with_policies(self, as_id: str, policies: tuple[PolicyExpression, ...]) -> Scenario:
         domain = self.domain(as_id)
         updated = replace(domain, policies=domain.policies + tuple(policies))
-        return replace(
-            self, domains=tuple(updated if d.id == as_id else d for d in self.domains)
-        )
+        return replace(self, domains=tuple(updated if d.id == as_id else d for d in self.domains))
 
     def with_flood_rate(self, rate: int) -> Scenario:
         if not any(isinstance(item, FloodSpec) for item in self.traffic):
             raise ValueError(f"scenario {self.name!r} has no flood to set a request rate on")
-        traffic = tuple(
-            replace(item, rate=rate) if isinstance(item, FloodSpec) else item
-            for item in self.traffic
-        )
+        traffic = tuple(replace(item, rate=rate) if isinstance(item, FloodSpec) else item for item in self.traffic)
         return replace(self, traffic=traffic)
 
 
-def _object(value, path: str, known: set[str]) -> dict:
-    """``value`` as an object whose every field is in ``known``."""
-    if not isinstance(value, dict):
-        raise ScenarioError(path, f"expected an object, got {type(value).__name__}")
-    for key in value:
-        if key not in known:
-            raise ScenarioError(f"{path}.{key}", "unknown field")
-    return value
+def _within(step: str, fault: ScenarioError) -> ScenarioError:
+    return ScenarioError(step + fault.path, fault.message)
 
 
-_REQUIRED = object()
+# the straight-line code of a reader: its object test, then per row the fetch, the JSON type test and the check
+_OBJECT = "def read(obj, reading):\n if type(obj) is not dict or not known.issuperset(obj):\n  raise fault(None, obj)\n"
+_FETCH = " v{n} = obj.get({key!r}, absent)\n if v{n} is absent:\n  {absent}\n"
+_TYPE = " elif {test}:\n  raise fault({n}, v{n})\n"
+_CHECK = " else:\n  try:\n   v{n} = {call}(v{n})\n  except ValueError as e:\n   raise fault({n}, v{n}, e) from None\n"
 
 
-def _want(obj: dict, key: str, path: str, kind=None, default=_REQUIRED):
-    """``obj[key]`` (or ``default`` when absent), of type ``kind`` if given."""
-    if key not in obj and default is _REQUIRED:
-        raise ScenarioError(f"{path}.{key}", "missing required field")
-    value = obj.get(key, default)
-    if kind is not None and not isinstance(value, kind):
-        raise ScenarioError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
+def _reader(kind: str, *table: tuple):
+    """``read(obj, reading)``: the ``table`` fields of ``obj`` as read, in
+    table order, compiled once as straight-line code that only tests; when a
+    test fails, ``fault`` builds that field's path and message.  A row is
+    ``(key, json_type, check)``, plus a default for an optional field.  The
+    type test is exact (a bool is an int to Python, not to JSON); with None,
+    ``check`` alone reads the value.  A check is a ``(test, message)`` pair,
+    an expression of the value ``{v}`` written into the reader and the
+    message it formats when false, or it reads the value: a function of it or
+    the name of a :class:`_Reading` method, whose ``ValueError`` is a fault."""
+    known, absent = {row[0] for row in table}, object()
+
+    def fault(number: int | None, value, exc: ValueError | None = None) -> ScenarioError:
+        """The fault of row ``number`` (None: the object), whose ``value`` failed a test."""
+        if number is None:
+            if value.__class__ is not dict:
+                return ScenarioError("", f"expected an object, got {type(value).__name__}")
+            return ScenarioError(f".{next(key for key in value if key not in known)}", "unknown field")
+        key, json_type, check, *_ = table[number]
+        if exc is not None:  # a LabelParseError's reason omits the token, which the path locates
+            located = exc if isinstance(exc, ScenarioError) else ScenarioError("", getattr(exc, "reason", str(exc)))
+            return _within(f".{key}", located)
+        if value is absent:
+            return ScenarioError(f".{key}", "missing required field")
+        if value.__class__ not in (json_type if isinstance(json_type, tuple) else (json_type,)):
+            name = {int: "an integer", (int, float): "a number"}.get(json_type) or json_type.__name__
+            return ScenarioError(f".{key}", f"expected {name}, got {type(value).__name__}")
+        return ScenarioError(f".{key}", check[1].format(v=value))
+
+    names, source = dict(absent=absent, known=known, fault=fault, inf=math.inf), [_OBJECT]
+    for n, (key, json_type, check, *default) in enumerate(table):
+        names.update({f"d{n}": default[0] if default else None, f"t{n}": json_type, f"c{n}": check})
+        source.append(_FETCH.format(n=n, key=key, absent=f"v{n} = d{n}" if default else f"raise fault({n}, absent)"))
+        if json_type is not None:
+            test = f"v{n}.__class__ {'not in' if isinstance(json_type, tuple) else 'is not'} t{n}"
+            if isinstance(check, tuple):
+                test += f" or not ({check[0].format(v=f'v{n}')})"
+            source.append(_TYPE.format(n=n, test=test))
+        if check is not None and not isinstance(check, tuple):
+            source.append(_CHECK.format(n=n, call=f"reading.{check}" if isinstance(check, str) else f"c{n}"))
+    source.append(f" return {''.join(f'v{n}, ' for n in range(len(table)))}")
+    exec(compile("".join(source), f"<reader {kind}>", "exec"), names)
+    names["read"].known = known
+    return names["read"]
 
 
-def _int(obj: dict, key: str, path: str, low: int, high: int | None = None, default=_REQUIRED) -> int:
-    """``obj[key]`` as a JSON integer in ``low..high``; booleans, floats and
-    strings are errors."""
-    value = _want(obj, key, path, default=default)
-    if type(value) is not int:  # a bool is an int to Python, not to JSON
-        raise ScenarioError(f"{path}.{key}", f"expected an integer, got {type(value).__name__}")
-    if value < low or (high is not None and value > high):
-        bounds = f"at least {low}" if high is None else f"in {low}..{high}"
-        raise ScenarioError(f"{path}.{key}", f"must be {bounds}, got {value}")
-    return value
+def _each(read):
+    """The check of a list whose items ``read(reading, index, item)`` reads."""
+
+    def each(reading, items: list) -> tuple:
+        out = []
+        try:
+            for index, item in enumerate(items):
+                out.append(read(reading, index, item))
+        except ScenarioError as fault:
+            raise _within(f"[{index}]", fault) from None
+        return tuple(out)
+
+    return each
 
 
-def _id(obj: dict, path: str) -> str:
-    """``obj["id"]``, a string that prints on one line: a line break, tab or
-    other non-printable character would split a report row or a flow dump."""
-    value = _want(obj, "id", path, str)
-    if not value.isprintable():
-        raise ScenarioError(f"{path}.id", f"id {value!r} holds a character that does not print")
-    return value
-
-
-def _convert(obj: dict, key: str, path: str, convert):
-    """String field ``obj[key]`` passed through ``convert``, whose
-    ``ValueError`` becomes an error at ``path.key``."""
-    text = _want(obj, key, path, str)
-    try:
-        return convert(text)
-    except ValueError as exc:  # a LabelParseError's reason omits the token, which the path locates
-        raise ScenarioError(f"{path}.{key}", getattr(exc, "reason", str(exc))) from None
-
-
-def _pairs(obj: dict, path: str, ends, what: str) -> tuple[tuple[str, str], ...]:
-    """``obj["links"]``: ``[a, b]`` pairs of two different declared ``what``
-    ids, no pair repeated in either order."""
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for index, pair in enumerate(_want(obj, "links", path, list, default=[])):
-        link_path = f"{path}.links[{index}]"
+def _pairs(items: list, ends, what: str) -> tuple[tuple[str, str], ...]:
+    """A ``links`` list: ``[a, b]`` pairs of two different declared ``what`` ids, none repeated."""
+    pairs, seen = [], set()
+    for index, pair in enumerate(items):
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise ScenarioError(link_path, f"{what} link must be a [a, b] pair")
+            raise ScenarioError(f"[{index}]", f"{what} link must be a [a, b] pair")
         for end in pair:
             if not isinstance(end, str) or end not in ends:
-                raise ScenarioError(link_path, f"undefined {what} {end!r}")
+                raise ScenarioError(f"[{index}]", f"undefined {what} {end!r}")
         a, b = pair
         if a == b:
-            raise ScenarioError(link_path, f"{what} {a!r} is linked to itself")
+            raise ScenarioError(f"[{index}]", f"{what} {a!r} is linked to itself")
         if (a, b) in seen:
-            raise ScenarioError(link_path, f"repeats the link between {a!r} and {b!r}")
+            raise ScenarioError(f"[{index}]", f"repeats the link between {a!r} and {b!r}")
         seen.update(((a, b), (b, a)))
         pairs.append((a, b))
     return tuple(pairs)
 
 
-def _declare(declared: dict, value, path: str, key: str = "") -> None:
-    """Map ``value`` to the element at ``path`` that declares it; a repeat is
-    an error at ``path.key``, or at ``path`` when no key is given."""
-    if value in declared:
-        where = f"{path}.{key}" if key else path
-        raise ScenarioError(where, f"duplicate {str(value)!r}, first declared at {declared[value]}")
-    declared[value] = path
+class _Reading:
+    """One document being read: what it has declared so far, and the checks
+    of the fields that look at it.  An element declaring an id, an address
+    or a user's MAC is kept as its position, ``(domain index, "switches" |
+    "hosts" | "users", index or MAC)``, written out only for a duplicate."""
 
+    def __init__(self):
+        # declared switch and host ids (peers on switch ports), host addresses and domain ids; hosts' addresses
+        self.nodes, self.ips, self.domain_ids, self.host_ips = {}, {}, {}, {}
+        self.table: dict = {}  # the policies' value table, one for the whole document
+        self.capacity: CapacityModel | None = None
+        # the domain being read, its subnet and switch ids, and the position of its switch or host being read
+        self.domain_index, self.subnet, self.network, self.mask, self.switch_ids, self.at = 0, None, 0, 0, set(), ()
 
-def _parse_policies(raw, path: str, table: dict) -> tuple[PolicyExpression, ...]:
-    """A domain's policies in document order, each a named compact string or
-    a repository record, read with the document's value ``table``; errors
-    name the position in ``policies``."""
-    policies: list[PolicyExpression] = []
-    for index, item in enumerate(raw):
-        if not isinstance(item, (str, dict)):
-            raise ScenarioError(f"{path}[{index}]", "policy must be a compact string or a record object")
-        try:
-            if isinstance(item, str):
-                pe = parse_compact_pe(item, pe_id="", table=table)
-            else:
-                pe = parse_record(item, "record", table=table)
-        except PolicyParseError as exc:
-            raise ScenarioError(f"{path}[{index}]", str(exc)) from None
-        if not pe.id:
-            raise ScenarioError(
-                f"{path}[{index}]", "a compact policy needs a 'name =' prefix: its id names it in every decision"
-            )
-        policies.append(pe)
-    try:
-        check_unique_ids(policies)
-    except DuplicatePolicyIdError as exc:
-        raise ScenarioError(f"{path}[{exc.position}]", str(exc)) from None
-    return tuple(policies)
+    def declare(self, declared: dict, value, position: tuple):
+        """``value``, declared at ``position``; a repeat is an error naming the first."""
+        first = declared.setdefault(value, position)
+        if first is not position:
+            domain, kind, key = first
+            text = format_ipv4(value) if value.__class__ is int else value
+            raise ValueError(f"duplicate {text!r}, first declared at $.domains[{domain}].{kind}[{key!r}]")
+        return value
 
+    def domain_id(self, text: str) -> str:
+        if not text.isprintable():
+            raise ValueError(f"id {text!r} holds a character that does not print")
+        if not text.startswith("AS"):
+            raise ValueError(f"domain ids start with 'AS', got {text!r}")
+        return text
 
-def _parse_domain(obj, path: str, nodes: dict[str, str], ips: dict[str, str], table: dict) -> DomainSpec:
-    """One domain; its switch and host ids join ``nodes``, its host addresses
-    ``ips`` as dotted text, and its policies are read with the document's
-    value ``table``."""
-    _object(obj, path, _DOMAIN_FIELDS)
-    as_id = _id(obj, path)
-    if not as_id.startswith("AS"):
-        raise ScenarioError(f"{path}.id", f"domain ids start with 'AS', got {as_id!r}")
-    subnet = _convert(obj, "subnet", path, parse_network)
-    network, mask = subnet_bits(subnet)
-    label = _convert(obj, "label", path, parse_label)
-    switches = []
-    for index, sw in enumerate(_want(obj, "switches", path, list)):
-        sw_path = f"{path}.switches[{index}]"
-        _object(sw, sw_path, _SWITCH_FIELDS)
-        sw_id = _id(sw, sw_path)
-        if sw_id.startswith("AS"):
-            raise ScenarioError(f"{sw_path}.id", "switch ids must not start with 'AS'")
-        _declare(nodes, sw_id, sw_path, "id")
-        switches.append(SwitchSpec(sw_id, _convert(sw, "label", sw_path, parse_label)))
-    switch_ids = {s.id for s in switches}
-    links = _pairs(obj, path, switch_ids, "switch")
-    hosts = []
-    for index, h in enumerate(_want(obj, "hosts", path, list, default=[])):
-        host_path = f"{path}.hosts[{index}]"
-        _object(h, host_path, _HOST_FIELDS)
-        host_id = _id(h, host_path)
-        _declare(nodes, host_id, host_path, "id")
-        ip = _convert(h, "ip", host_path, parse_ipv4)
-        if (ip & mask) != network:
-            raise ScenarioError(f"{host_path}.ip", f"{format_ipv4(ip)} lies outside the domain subnet {subnet}")
-        _declare(ips, format_ipv4(ip), host_path, "ip")
-        mac = _convert(h, "mac", host_path, normalize_mac)
-        attach = _want(h, "switch", host_path, str)
-        if attach not in switch_ids:
-            raise ScenarioError(f"{host_path}.switch", f"undefined switch {attach!r}")
-        hosts.append(HostSpec(host_id, ip, mac, attach))
-    users = {}
-    user_macs: dict[str, str] = {}
-    for mac, user in _want(obj, "users", path, dict, default={}).items():
-        user_path = f"{path}.users[{mac!r}]"
-        if not isinstance(user, str):
-            raise ScenarioError(user_path, f"expected str, got {type(user).__name__}")
-        try:
-            normalized = normalize_mac(mac)
-        except ValueError as exc:
-            raise ScenarioError(user_path, str(exc)) from None
-        _declare(user_macs, normalized, user_path)
-        users[normalized] = user
-    handle_key = _want(obj, "handle_key", path, str)
-    if not handle_key:
-        raise ScenarioError(f"{path}.handle_key", "must be a non-empty string")
-    return DomainSpec(
-        id=as_id,
-        subnet=subnet,
-        as_type=_want(obj, "type", path, str),
-        label=label,
-        handle_key=handle_key,
-        switches=tuple(switches),
-        links=links,
-        hosts=tuple(hosts),
-        users=users,
-        policies=_parse_policies(_want(obj, "policies", path, list, default=[]), f"{path}.policies", table),
-    )
+    def node_id(self, text: str) -> str:
+        if not text.isprintable():
+            raise ValueError(f"id {text!r} holds a character that does not print")
+        if self.at[1] != "switches":
+            return self.declare(self.nodes, text, self.at)
+        if text.startswith("AS"):
+            raise ValueError("switch ids must not start with 'AS'")
+        self.switch_ids.add(self.declare(self.nodes, text, self.at))
+        return text
 
+    def subnet_of(self, text: str) -> IPv4Network:
+        self.subnet = parse_network(text)
+        self.network, self.mask = subnet_bits(self.subnet)
+        return self.subnet
 
-def _parse_traffic(items: list, path: str, host_ips: dict[str, int]) -> tuple[FlowSpec | FloodSpec, ...]:
-    """The traffic program, each ``to`` resolved to an address: a declared
-    host's, or else the literal's."""
-    out: list[FlowSpec | FloodSpec] = []
-    for index, item in enumerate(items):
-        item_path = f"{path}[{index}]"
-        flood = isinstance(item, dict) and "kind" in item
-        if flood and item["kind"] != "flood":
-            kind = item["kind"]
-            raise ScenarioError(
-                f"{item_path}.kind", f"unknown traffic kind {kind!r}; the one kind is 'flood' (a plain flow has none)"
-            )
-        _object(item, item_path, _FLOOD_FIELDS if flood else _FLOW_FIELDS)
-        src = _want(item, "from", item_path, str)
-        if src not in host_ips:
-            raise ScenarioError(f"{item_path}.from", f"undefined host {src!r}")
-        to = _want(item, "to", item_path, str)
-        dst = host_ips.get(to)
-        if dst is None:
+    @_each
+    def switches(self, index: int, item) -> SwitchSpec:
+        self.at = (self.domain_index, "switches", index)
+        return SwitchSpec(*_read_switch(item, self))
+
+    def switch_links(self, items: list) -> tuple[tuple[str, str], ...]:
+        return _pairs(items, self.switch_ids, "switch")
+
+    def host_ip(self, text: str) -> int:
+        ip = parse_ipv4(text)
+        if ip & self.mask != self.network:
+            raise ValueError(f"{format_ipv4(ip)} lies outside the domain subnet {self.subnet}")
+        return self.declare(self.ips, ip, self.at)
+
+    @_each
+    def hosts(self, index: int, item) -> HostSpec:
+        self.at = (self.domain_index, "hosts", index)
+        return HostSpec(*_read_host(item, self))
+
+    def users(self, mapping: dict) -> dict[str, str]:
+        """A domain's ``users``: each MAC, normalized, to its user."""
+        users, first_keys = {}, {}
+        for mac, user in mapping.items():
             try:
-                dst = parse_ipv4(to)
+                if user.__class__ is not str:
+                    raise ValueError(f"expected str, got {type(user).__name__}")
+                users[self.declare(first_keys, normalize_mac(mac), (self.domain_index, "users", mac))] = user
+            except ValueError as exc:
+                raise ScenarioError(f"[{mac!r}]", str(exc)) from None
+        return users
+
+    def policies(self, items: list) -> tuple[PolicyExpression, ...]:
+        """A domain's policies, named compact strings or records, read with the value table."""
+        policies = []
+        for index, item in enumerate(items):
+            try:
+                if item.__class__ is str:
+                    policies.append(parse_compact_pe(item, pe_id="", table=self.table))
+                elif item.__class__ is dict:
+                    policies.append(parse_record(item, "record", table=self.table))
+                else:
+                    raise ScenarioError(f"[{index}]", "policy must be a compact string or a record object")
+            except PolicyParseError as exc:
+                raise ScenarioError(f"[{index}]", str(exc)) from None
+            if not policies[-1].id:
+                message = "a compact policy needs a 'name =' prefix: its id names it in every decision"
+                raise ScenarioError(f"[{index}]", message)
+        return tuple(policies)
+
+    @_each
+    def each_domain(self, index: int, item) -> DomainSpec:
+        self.domain_index, self.switch_ids = index, set()
+        as_id, subnet, label, switches, links, hosts, users, key, as_type, policies = _read_domain(item, self)
+        domain = DomainSpec(as_id, subnet, as_type, label, key, switches, links, hosts, users or {}, policies)
+        try:
+            domain.policy_index  # checks the ids; the domain's controller selects from this index
+        except DuplicatePolicyIdError as exc:
+            raise ScenarioError(f".policies[{exc.position}]", str(exc)) from None
+        first = self.domain_ids.setdefault(as_id, index)
+        if first != index:
+            raise ScenarioError(".id", f"duplicate {as_id!r}, first declared at $.domains[{first}]")
+        return domain
+
+    def domains(self, items: list) -> tuple[DomainSpec, ...]:
+        """The domains, no two subnets overlapping."""
+        domains = self.each_domain(items)
+        # CIDR blocks overlap only by nesting, so an overlap shows between neighbours in address order
+        by_address = sorted((domain.subnet, index) for index, domain in enumerate(domains))
+        for (low, i), (high, j) in zip(by_address, by_address[1:]):
+            if high.network_address <= low.broadcast_address:
+                message = f"{low} and {high} overlap; the other is at $.domains[{min(i, j)}]"
+                raise ScenarioError(f"[{max(i, j)}].subnet", message)
+        self.host_ips = {host.id: host.ip for domain in domains for host in domain.hosts}
+        return domains
+
+    def domain_links(self, items: list) -> tuple[tuple[str, str], ...]:
+        """The domain links, each end's gateway switch declared in its domain."""
+        links = _pairs(items, self.domain_ids, "domain")
+        for index, (a, b) in enumerate(links):
+            for owner, peer in ((a, b), (b, a)):
+                gateway = gateway_name(owner, peer)
+                if self.nodes.get(gateway, ())[:2] != (self.domain_ids[owner], "switches"):
+                    raise ScenarioError(f"[{index}]", f"gateway switch {gateway!r} must be declared in domain {owner}")
+        return links
+
+    def capacity_model(self, obj) -> CapacityModel:
+        self.capacity = CapacityModel(*_read_capacity(obj, self))
+        return self.capacity
+
+    def response(self, value) -> ResponseMode:
+        try:
+            return ResponseMode(value)
+        except ValueError:
+            raise ValueError(f"unknown response {value!r}") from None
+
+    def defense(self, obj) -> tuple[ResponseMode, int]:
+        response, window_ticks = _read_defense(obj, self)
+        if response is not ResponseMode.NONE and self.capacity is None:
+            raise ScenarioError("", "a defense response requires a capacity model")
+        return response, window_ticks
+
+    def costs(self, obj) -> CostModel:
+        """The cost model, its given charges checked in document order."""
+        for key in obj if obj.__class__ is dict and _read_costs.known.issuperset(obj) else ():
+            _read_costs({key: obj[key]}, self)
+        return CostModel(*_read_costs(obj, self))
+
+    def destination(self, text: str) -> int:
+        """A declared host's address, or else the literal's."""
+        address = self.host_ips.get(text)
+        if address is None:
+            try:
+                return parse_ipv4(text)
             except ValueError:
-                raise ScenarioError(
-                    f"{item_path}.to", f"{to!r} is neither a declared host nor an IPv4 address"
-                ) from None
-        at = _int(item, "at", item_path, 0, default=0)
-        if flood:
-            fields = dict(
-                rate=_int(item, "rate", item_path, 1),
-                seconds=_int(item, "seconds", item_path, 1, default=1),
-                port_base=_int(item, "port_base", item_path, 1, 65535, default=FloodSpec.port_base),
-                packet_type=_want(item, "type", item_path, str, default=FloodSpec.packet_type),
-                proto=_want(item, "proto", item_path, str, default=FloodSpec.proto),
-            )
-            try:
-                out.append(FloodSpec(at=at, src_host=src, dst=dst, **fields))
-            except ValueError as exc:  # the port bound
-                raise ScenarioError(f"{item_path}.port_base", str(exc)) from None
-        else:
-            out.append(
-                FlowSpec(
-                    at=at,
-                    src_host=src,
-                    dst=dst,
-                    port=_int(item, "port", item_path, 1, 65535),
-                    packet_type=_want(item, "type", item_path, str),
-                    proto=_want(item, "proto", item_path, str, default=FlowSpec.proto),
-                )
-            )
-    return tuple(out)
+                raise ValueError(f"{text!r} is neither a declared host nor an IPv4 address") from None
+        return address
+
+    @_each
+    def traffic(self, index: int, item) -> FlowSpec | FloodSpec:
+        """A plain flow, or a flood: an item with a ``kind``."""
+        if item.__class__ is not dict or "kind" not in item:
+            src, dst, at, port, packet_type, proto = _read_flow(item, self)
+            return FlowSpec(at, src, dst, port, packet_type, proto)
+        if item["kind"] != "flood":
+            message = f"unknown traffic kind {item['kind']!r}; the one kind is 'flood' (a plain flow has none)"
+            raise ScenarioError(".kind", message)
+        src, dst, at, rate, seconds, port_base, packet_type, proto, _ = _read_flood(item, self)
+        try:
+            return FloodSpec(at, src, dst, rate, seconds, packet_type, port_base, proto)
+        except ValueError as exc:  # the port bound
+            raise ScenarioError(".port_base", str(exc)) from None
+
+
+def _at_least(low: int) -> tuple[str, str]:
+    return f"{low} <= {{v}}", f"must be at least {low}, got {{v}}"
+
+
+_PORT = "1 <= {v} <= 65535", "must be in 1..65535, got {v}"
+# a traffic type or proto is one word, as a flow id and a flow-dump line print it
+_WORD = "{v} and ' ' not in {v} and {v}.isprintable()", "must be non-empty printable text with no whitespace, got {v!r}"
+_SOURCE = "{v} in reading.host_ips", "undefined host {v!r}"
+_MODE = f"{{v}} in {MODES}", f"mode must be {' or '.join(MODES)}, got {{v!r}}"
+
+_read_switch = _reader("switch", ("id", str, "node_id"), ("label", str, parse_label))
+_read_host = _reader(
+    "host", ("id", str, "node_id"), ("ip", str, "host_ip"), ("mac", str, normalize_mac),
+    ("switch", str, ("{v} in reading.switch_ids", "undefined switch {v!r}")),
+)
+_read_domain = _reader(
+    "domain", ("id", str, "domain_id"), ("subnet", str, "subnet_of"), ("label", str, parse_label),
+    ("switches", list, "switches"), ("links", list, "switch_links", ()), ("hosts", list, "hosts", ()),
+    ("users", dict, "users", None), ("handle_key", str, ("{v}", "must be a non-empty string")), ("type", str, None),
+    ("policies", list, "policies", ()),
+)
+_read_flow = _reader(
+    "flow", ("from", str, _SOURCE), ("to", str, "destination"), ("at", int, _at_least(0), 0), ("port", int, _PORT),
+    ("type", str, _WORD), ("proto", str, _WORD, FlowSpec.proto),
+)
+_read_flood = _reader(
+    "flood", ("from", str, _SOURCE), ("to", str, "destination"), ("at", int, _at_least(0), 0),
+    ("rate", int, _at_least(1)), ("seconds", int, _at_least(1), 1), ("port_base", int, _PORT, FloodSpec.port_base),
+    ("type", str, _WORD, FloodSpec.packet_type), ("proto", str, _WORD, FloodSpec.proto),
+    ("kind", None, None),  # "flood", checked before the other fields
+)
+_read_capacity = _reader(
+    "capacity", ("controller_rps", (int, float), ("0 < {v} < inf", "must be a positive finite number, got {v}")),
+    ("switches_per_controller", int, _at_least(1)), ("hosts_per_switch", int, _at_least(1)),
+)
+_read_defense = _reader(
+    "defense", ("response", None, "response", Scenario.defense_response),
+    ("window_ticks", int, _at_least(1), Scenario.window_ticks),
+)
+_read_costs = _reader("costs", *((spec.name, int, _at_least(0), spec.default) for spec in fields(CostModel)))
+_read_scenario = _reader(
+    "scenario", ("name", str, None, None), ("mode", str, _MODE, MODES[0]),  # name None: the name hint
+    ("domains", list, "domains"), ("links", list, "domain_links", ()), ("capacity", None, "capacity_model", None),
+    ("defense", None, "defense", (Scenario.defense_response, Scenario.window_ticks)),
+    ("costs", None, "costs", Scenario.costs), ("enforcement", bool, None, True), ("traffic", list, "traffic", ()),
+    ("table_capacity", int, _at_least(1), Scenario.table_capacity), ("max_ttl", int, _at_least(1), Scenario.max_ttl),
+)
 
 
 def parse_scenario(document: dict, name_hint: str = "scenario") -> Scenario:
     """Validate a loaded scenario document and resolve every reference."""
-    _object(document, "$", _TOP_LEVEL_FIELDS)
-    name = _want(document, "name", "$", str, default=name_hint)
-    mode = _want(document, "mode", "$", str, default="reactive")
-    if mode not in MODES:
-        raise ScenarioError("$.mode", f"mode must be {' or '.join(MODES)}, got {mode!r}")
-    domain_paths: dict[str, str] = {}
-    nodes: dict[str, str] = {}  # switch and host ids: both are peers on switch ports
-    ips: dict[str, str] = {}
-    table: dict = {}  # the policies' value table, one for the whole document
-    domains = []
-    for index, obj in enumerate(_want(document, "domains", "$", list)):
-        path = f"$.domains[{index}]"
-        domain = _parse_domain(obj, path, nodes, ips, table)
-        _declare(domain_paths, domain.id, path, "id")
-        domains.append(domain)
-    # CIDR blocks overlap only by nesting, so an overlap shows between neighbours in address order
-    by_address = sorted((domain.subnet, index) for index, domain in enumerate(domains))
-    for (low, i), (high, j) in zip(by_address, by_address[1:]):
-        if high.network_address <= low.broadcast_address:
-            message = f"{low} and {high} overlap; the other is at $.domains[{min(i, j)}]"
-            raise ScenarioError(f"$.domains[{max(i, j)}].subnet", message)
-    links = _pairs(document, "$", domain_paths, "domain")
-    for index, (a, b) in enumerate(links):
-        for owner, peer in ((a, b), (b, a)):
-            gateway = gateway_name(owner, peer)
-            if not nodes.get(gateway, "").startswith(f"{domain_paths[owner]}.switches["):
-                raise ScenarioError(
-                    f"$.links[{index}]", f"gateway switch {gateway!r} must be declared in domain {owner}"
-                )
-    host_ips = {host.id: host.ip for domain in domains for host in domain.hosts}
-    capacity = None
-    if "capacity" in document:
-        cap = _object(document["capacity"], "$.capacity", _CAPACITY_FIELDS)
-        cc = _want(cap, "controller_rps", "$.capacity")
-        if type(cc) not in (int, float):  # a bool is an int to Python, not to JSON
-            raise ScenarioError("$.capacity.controller_rps", f"expected a number, got {type(cc).__name__}")
-        if not 0 < cc < math.inf:
-            raise ScenarioError("$.capacity.controller_rps", f"must be a positive finite number, got {cc}")
-        capacity = CapacityModel(
-            cc=cc,
-            x=_int(cap, "switches_per_controller", "$.capacity", 1),
-            y=_int(cap, "hosts_per_switch", "$.capacity", 1),
+    try:
+        name, mode, domains, links, capacity, defense, costs, enforcement, traffic, table_capacity, max_ttl = (
+            _read_scenario(document, _Reading())
         )
-    response = Scenario.defense_response
-    window_ticks = Scenario.window_ticks
-    if "defense" in document:
-        defense = _object(document["defense"], "$.defense", _DEFENSE_FIELDS)
-        try:
-            response = ResponseMode(defense.get("response", Scenario.defense_response.value))
-        except ValueError:
-            raise ScenarioError("$.defense.response", f"unknown response {defense.get('response')!r}") from None
-        window_ticks = _int(defense, "window_ticks", "$.defense", 1, default=Scenario.window_ticks)
-        if response is not ResponseMode.NONE and capacity is None:
-            raise ScenarioError("$.defense", "a defense response requires a capacity model")
-    costs = Scenario.costs
-    if "costs" in document:
-        raw = _object(document["costs"], "$.costs", _COST_FIELDS)
-        costs = CostModel(**{key: _int(raw, key, "$.costs", 0) for key in raw})
+    except ScenarioError as fault:
+        raise _within("$", fault) from None
     return Scenario(
-        name=name,
-        mode=mode,
-        enforcement=_want(document, "enforcement", "$", bool, default=True),
-        domains=tuple(domains),
-        links=links,
-        traffic=_parse_traffic(_want(document, "traffic", "$", list, default=[]), "$.traffic", host_ips),
-        capacity=capacity,
-        defense_response=response,
-        window_ticks=window_ticks,
-        table_capacity=_int(document, "table_capacity", "$", 1, default=Scenario.table_capacity),
-        max_ttl=_int(document, "max_ttl", "$", 1, default=Scenario.max_ttl),
-        costs=costs,
+        name_hint if name is None else name, mode, enforcement, domains, links, traffic, capacity, *defense,
+        table_capacity, max_ttl, costs,
     )
 
 

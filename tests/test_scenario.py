@@ -614,6 +614,22 @@ def test_an_id_that_does_not_print_is_an_error(keys, path, character):
     assert str(caught.value) == f"{path}: id {element['id']!r} holds a character that does not print"
 
 
+@pytest.mark.parametrize("value", ["", "SYN\nX", "t p", "SYN ", "tcp\t", "\u00a0"])
+@pytest.mark.parametrize("field", ["type", "proto"])
+@pytest.mark.parametrize("flood", [False, True], ids=["flow", "flood"])
+def test_a_traffic_type_or_proto_is_one_printable_word(flood, field, value):
+    # a flow id and a flow-dump line print both as one field=value token
+    doc = minimal_doc()
+    if flood:
+        doc["traffic"] = _flood()
+    doc["traffic"][0][field] = value
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(doc)
+    path = f"$.traffic[0].{field}"
+    assert caught.value.path == path
+    assert str(caught.value) == f"{path}: must be non-empty printable text with no whitespace, got {value!r}"
+
+
 @pytest.mark.parametrize("kind", ["Flood", "FLOOD", 5, None, True, ["flood"]])
 def test_a_traffic_kind_other_than_flood_is_an_unknown_kind(kind):
     # kind is a known field: a wrong value is not reported as an unknown one
@@ -641,22 +657,23 @@ def filled_minimal():
     return doc
 
 
-# each field set of the reader -> the path of one object it checks in filled_minimal()
+# each object kind's reader -> the path of one object it reads in filled_minimal()
 FIELD_SETS = {
-    "_TOP_LEVEL_FIELDS": "$",
-    "_CAPACITY_FIELDS": "$.capacity",
-    "_DEFENSE_FIELDS": "$.defense",
-    "_COST_FIELDS": "$.costs",
-    "_DOMAIN_FIELDS": "$.domains[0]",
-    "_SWITCH_FIELDS": "$.domains[0].switches[0]",
-    "_HOST_FIELDS": "$.domains[0].hosts[0]",
-    "_FLOW_FIELDS": "$.traffic[0]",
-    "_FLOOD_FIELDS": "$.traffic[1]",
+    "_read_scenario": "$",
+    "_read_capacity": "$.capacity",
+    "_read_defense": "$.defense",
+    "_read_costs": "$.costs",
+    "_read_domain": "$.domains[0]",
+    "_read_switch": "$.domains[0].switches[0]",
+    "_read_host": "$.domains[0].hosts[0]",
+    "_read_flow": "$.traffic[0]",
+    "_read_flood": "$.traffic[1]",
 }
 
 
 def reader_field_sets() -> dict[str, set[str]]:
-    return {name: value for name, value in vars(scenario_module).items() if re.fullmatch(r"_[A-Z_]+_FIELDS", name)}
+    """Each reader's fields: the keys of its field table."""
+    return {name: value.known for name, value in vars(scenario_module).items() if name.startswith("_read_")}
 
 
 def test_every_field_set_is_checked_below():
