@@ -8,12 +8,13 @@ program.  ``docs/scenario-format.md`` documents the schema; bundled
 scenarios live in ``sdnsec/scenarios/``.
 
 Each object kind has a field table, compiled into one reader that reads
-all of an object's fields in one call (:func:`_reader`), in table order: the
-first fault met is reported, its path built only then, a step per enclosing
-reader.  Switch and host ids share one namespace.  Every id must print
-(``str.isprintable``) and a traffic ``type`` or ``proto`` is one printable
-word: a line break, a tab or a space would split a report row, a flow id or
-a flow-dump line.
+all of an object's fields in one call (:func:`_reader`): one set test for
+unknown fields, then each field in table order.  The first fault met is
+reported (an unknown field: the first in document order), and its path is
+built only then, a step per enclosing reader.  Switch and host ids share
+one namespace.  Every id must print (``str.isprintable``) and a traffic
+``type`` or ``proto`` is one printable word: a line break, a tab or a space
+would split a report row, a flow id or a flow-dump line.
 
 Host and traffic addresses are parsed to plain ``int`` values
 (:func:`~sdnsec.formats.parse_ipv4`); a subnet stays an ``IPv4Network``,
@@ -187,10 +188,11 @@ def _reader(kind: str, *table: tuple):
     test fails, ``fault`` builds that field's path and message.  A row is
     ``(key, json_type, check)``, plus a default for an optional field.  The
     type test is exact (a bool is an int to Python, not to JSON); with None,
-    ``check`` alone reads the value.  A check is a ``(test, message)`` pair,
-    an expression of the value ``{v}`` written into the reader and the
-    message it formats when false, or it reads the value: a function of it or
-    the name of a :class:`_Reading` method, whose ``ValueError`` is a fault."""
+    ``check`` alone reads the value.  A check is None, a ``(test, message)``
+    pair (an expression of the value ``{v}``, written into the reader after
+    the type test, and the message it formats when false), or a function or
+    :class:`_Reading` method name that returns the value read and raises
+    ``ValueError`` for a fault."""
     known, absent = {row[0] for row in table}, object()
 
     def fault(number: int | None, value, exc: ValueError | None = None) -> ScenarioError:

@@ -66,6 +66,11 @@ from the document itself.  A second read of the same document makes the
 same calls, so no cache outlives one read.  A compact expression costs one
 split, thirteen lookups and one constructor: reading the ``acl_proactive``
 repository at seed 1 stays under a fixed bound on the calls cProfile counts.
+The scenario reader makes one call per object, which tests its fields
+inline: one seed-1 parse of ``flood_table`` and of ``mesh_transit`` each
+stay under a fixed call bound too.  A setup checks each domain's policy
+ids once: parsing and building every golden case and workload calls
+``check_unique_ids`` once per domain.
 
 Facts that do not change during a run are worked out once, not per
 packet-in or event.  At seed 1: selection ranks an expression with
