@@ -650,20 +650,21 @@ def _parse_calls(workload: str) -> int:
     """The calls cProfile counts in one seed-1 ``parse_scenario`` of ``workload``."""
     document = json.loads(json.dumps(WORKLOADS[workload](1)[0], sort_keys=True))
     profile = cProfile.Profile()
+    gc.disable()  # a collection would add the calls of any gc callback, such as hypothesis's
     profile.enable()
     parse_scenario(document)
     profile.disable()
+    gc.enable()
     return pstats.Stats(profile).total_calls
 
 
 def test_reading_the_acl_repository_stays_under_a_call_bound():
-    # 81,765 calls (81,769 on a process's first read, 81,817 after the whole
-    # suite); each record's __init__ is profiled under its own name, so the
-    # count does not depend on memory layout
-    assert _parse_calls("acl_proactive") <= 82_000
+    # 81,765 calls (81,769 on a process's first read); each record's __init__
+    # is profiled under its own name, so the count does not depend on memory layout
+    assert _parse_calls("acl_proactive") <= 81_800
 
 
-@pytest.mark.parametrize(("workload", "bound"), [("flood_table", 2_500), ("mesh_transit", 9_500)])
+@pytest.mark.parametrize(("workload", "bound"), [("flood_table", 2_400), ("mesh_transit", 9_350)])
 def test_reading_a_scenario_stays_under_a_call_bound(workload, bound):
     # 2,392 and 9,315 calls: one reader call per object, which tests its fields inline
     assert _parse_calls(workload) <= bound
