@@ -17,7 +17,9 @@ path, and the entry peer for the return rules.  For a flow leaving the
 domain, the egress gateway's forward rule is the hop: its next hop is the
 next domain's gateway, and it carries the extended handle, which holds the
 re-tagged transfer token.  Every outcome appends one
-``ControllerEvent`` naming the matched policy and the ticks charged so far.
+``ControllerEvent`` naming the matched policy and the ticks charged so far;
+every drop's event and result are written in one place,
+``Controller._drop``, so a packet-in builds no function object of its own.
 
 A controller is built from its domain's ``DomainSpec`` (policies, handle
 key, users, hosts) and the world's :class:`~sdnsec.topology.DomainTable`,
@@ -32,8 +34,11 @@ flow loops back into a domain.
 Deterministic service cost in ticks is charged per stage so latency and
 throughput experiments are reproducible: policy selection costs per
 expression in the repository, path search costs per switch in the fabric,
-synthesis per rule.  A controller only counts these ticks and keeps no
-clock: the simulation keeps when each domain's controller is next free.
+synthesis per rule.  The repository and the switch graph are fixed once
+the world is built, so the selection and search charges are worked out
+once, when the controller is built.  A controller only counts these ticks
+and keeps no clock: the simulation keeps when each domain's controller is
+next free.
 These ticks model the paper's controller; on the host,
 selection probes a :class:`~sdnsec.policy.PolicyIndex` and matches only
 the expressions filed under the context's values and the wildcard list, and
@@ -61,7 +66,11 @@ that text off the packet, which prints its addresses once.  A controller
 finds an address's domain in the world's table, which files every domain's
 subnet by mask, and answers only its own domain or a known one; the subnets
 are disjoint, so that is the domain a table of its own and its known
-domains' subnets would find.
+domains' subnets would find.  The domain table, its horizons and the domain
+graph are fixed once the world is built, so each controller keeps an
+address table: address to the domain's record, or None where it answers no
+domain, filled the first time a packet-in names the address.  A packet-in
+reads each of its addresses there with one lookup.
 """
 
 from __future__ import annotations
@@ -193,6 +202,9 @@ _ARP_MATCH = FlowMatch(ARP_RULE_PRIORITY, "ARP")
 # the security profile of a rule whose policy sets none, shared by them all
 _NO_PROFILE: frozenset[str] = frozenset()
 
+# the destination domain of a flow to an address no domain advertises
+_NO_DOMAIN = DomainInfo("")
+
 
 def arp_discovery_rule() -> FlowRule:
     """Default controller-installed entry for network discovery traffic."""
@@ -278,6 +290,10 @@ class Controller:
         self.hosts = {host.ip: host for host in spec.hosts}
         self.enforcement_enabled = enforcement_enabled
         self.costs = costs
+        # the charges for selection and path search, fixed as the repository
+        # and the switch graph are
+        self._select_ticks = costs.per_pe * len(self.policy_repo)
+        self._search_ticks = costs.per_switch * len(intra)
         self.events: list[ControllerEvent] = []
         # admitted flows per source and window, for PE rate constraints
         self._rate_counts = WindowCounts(window_ticks)
@@ -285,35 +301,45 @@ class Controller:
         # built: (ingress, egress, required path, window bounds) -> switch
         # path, or None where there is none
         self._switch_paths: dict[tuple, tuple[str, ...] | None] = {}
+        # address -> the record of its domain, this or a known one, or None
+        # where there is none; filled on the first ask, as the domain table,
+        # its horizons and the domain graph are fixed once built
+        self._addresses: dict[int, DomainInfo | None] = {}
 
     # --- context -------------------------------------------------------------
 
-    def domain_for_ip(self, ip: int) -> str | None:
-        """The one domain, this or a known one, whose subnet contains ``ip``,
-        as the world's domain table finds it."""
-        as_id = self.domains.domain_for_ip(ip)
-        if as_id is None or as_id == self.as_id or self.domains.knows(self.as_id, as_id):
-            return as_id
-        return None
+    def domain_for_ip(self, ip: int) -> DomainInfo | None:
+        """The record of the one domain, this or a known one, whose subnet
+        contains ``ip``, as the world's domain table finds it, or None; kept
+        in the address table from the first ask."""
+        domains = self.domains
+        as_id = domains.domain_for_ip(ip)
+        known = as_id is not None and (as_id == self.as_id or domains.knows(self.as_id, as_id))
+        info = self._addresses[ip] = domains.graph.node(as_id) if known else None
+        return info
 
     def build_context(self, packet: Packet, handle: Handle | None, tick: int) -> FlowContext:
         """The flow's context.  A domain it names is the world graph's record
-        if this domain knows it, else known by id only; the table is asked
-        about each foreign domain once, and never about this one."""
-        domain = self.domains.graph.node
+        if this domain knows it, else known by id only; an address's domain
+        is read off the address table, and the domain table is asked about
+        each foreign domain once, and never about this one."""
+        addresses = self._addresses
         if handle is not None:
             origin = handle.visited[0]
             known = origin == self.as_id or self.domains.knows(self.as_id, origin)
-            src_as = domain(origin) if known else DomainInfo(origin)
+            src_as = self.domains.graph.node(origin) if known else DomainInfo(origin)
             traversed = handle.visited
         else:
-            src_as = domain(self.domain_for_ip(packet.src_ip) or self.as_id)
+            ip = packet.src_ip
+            src_as = addresses[ip] if ip in addresses else self.domain_for_ip(ip)
+            src_as = src_as or self.domains.graph.node(self.as_id)
             traversed = ()
-        dst_domain = self.domain_for_ip(packet.dst_ip)
+        ip = packet.dst_ip
+        dst_as = addresses[ip] if ip in addresses else self.domain_for_ip(ip)
         return FlowContext(
             packet=packet,
             src_as=src_as,
-            dst_as=domain(dst_domain) if dst_domain else DomainInfo(""),
+            dst_as=dst_as or _NO_DOMAIN,
             timestamp=tick,
             user=self.user_bindings.get(packet.src_mac),
             traversed_path=traversed,
@@ -338,6 +364,22 @@ class Controller:
         self._rate_counts.add(src, tick)
         return True
 
+    def _drop(
+        self,
+        tick: int,
+        flow_id: str,
+        matched: str | None,
+        ticks: int,
+        reason: str,
+        detail: str,
+        block: tuple[tuple[str, FlowRule], ...] = (),
+        provenance: str = "",
+    ) -> PipelineResult:
+        """Log a drop's event and answer its result; ``block`` is an
+        offender's first defense block rule, filed under ``provenance``."""
+        self.events.append(ControllerEvent(tick, flow_id, detail, "drop", reason, matched, 0, ticks))
+        return PipelineResult(ticks, block, provenance, reason)
+
     def handle_packet_in(
         self,
         packet: Packet,
@@ -357,11 +399,6 @@ class Controller:
         ticks = self.costs.base
         flow_id = packet.flow_id
         summary = f"{packet.src_text}->{packet.dst_text}:{packet.service_port}/{packet.packet_type} via {ingress}"
-        matched: str | None = None
-
-        def drop(reason: str, detail: str = summary, block: tuple = (), provenance: str = "") -> PipelineResult:
-            self.events.append(ControllerEvent(tick, flow_id, detail, "drop", reason, matched, 0, ticks))
-            return PipelineResult(ticks, block, provenance, reason)
 
         if self.enforcement_enabled and defense and self.monitor is not None:
             ticks += self.costs.defense
@@ -375,11 +412,12 @@ class Controller:
                     f" {self._thresholds_text}]"
                 )
                 if response is ResponseMode.THROTTLE:
-                    return drop(DropReason.DEFENSE_THROTTLED, detail)
+                    return self._drop(tick, flow_id, None, ticks, DropReason.DEFENSE_THROTTLED, detail)
                 if not newly_blocked:
-                    return drop(DropReason.DEFENSE_BLOCKED, detail)
+                    return self._drop(tick, flow_id, None, ticks, DropReason.DEFENSE_BLOCKED, detail)
                 block = ((ingress, FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, offender), ActionKind.DROP)),)
-                return drop(DropReason.DEFENSE_BLOCKED, detail, block, f"{BLOCK_PROVENANCE_PREFIX}{packet.src_text}")
+                provenance = f"{BLOCK_PROVENANCE_PREFIX}{packet.src_text}"
+                return self._drop(tick, flow_id, None, ticks, DropReason.DEFENSE_BLOCKED, detail, block, provenance)
 
         # credentials: a handle comes through the gateway of the domain it
         # last visited, a neighbor, and it and its token verify
@@ -393,32 +431,33 @@ class Controller:
                 else None
             )
             if failed is not None:
-                return drop(DropReason.HANDLE_INVALID, f"{summary} [credentials check={failed}]")
+                detail = f"{summary} [credentials check={failed}]"
+                return self._drop(tick, flow_id, None, ticks, DropReason.HANDLE_INVALID, detail)
             verified_ptt = ptt
 
         ctx = self.build_context(packet, handle, tick)
         winner: PolicyExpression | None = BASELINE
         if self.enforcement_enabled:
-            ticks += self.costs.per_pe * len(self.policy_repo)
+            ticks += self._select_ticks
             winner = select_policy(self.policy_repo, ctx)
         if winner is None:  # default deny
-            return drop(DropReason.POLICY)
+            return self._drop(tick, flow_id, None, ticks, DropReason.POLICY, summary)
         matched = winner.id
         # an allow whose own label constraints admit no label denies too
         if winner.action is Action.DENY or winner.label_window.empty:
-            return drop(DropReason.POLICY)
+            return self._drop(tick, flow_id, matched, ticks, DropReason.POLICY, summary)
 
         window, delegated = merge_constraints(winner.label_window, verified_ptt)
         if window.empty:
-            return drop(DropReason.UNSATISFIABLE)
+            return self._drop(tick, flow_id, matched, ticks, DropReason.UNSATISFIABLE, summary)
         if not predicates_hold(delegated, ctx):
-            return drop(DropReason.POLICY)
+            return self._drop(tick, flow_id, matched, ticks, DropReason.POLICY, summary)
         if not self._rate_admits(packet.src_ip, delegated, winner.rates, tick):
-            return drop(DropReason.RATE_LIMIT)
+            return self._drop(tick, flow_id, matched, ticks, DropReason.RATE_LIMIT, summary)
 
         dst_domain = ctx.dst_as.as_id  # "" when no domain advertises the address
         if not dst_domain or (dst_domain == self.as_id and packet.dst_ip not in self.hosts):
-            return drop(DropReason.NO_ROUTE)
+            return self._drop(tick, flow_id, matched, ticks, DropReason.NO_ROUTE, summary)
         next_as: str | None = None
         if dst_domain == self.as_id:
             host = self.hosts[packet.dst_ip]
@@ -435,11 +474,11 @@ class Controller:
                 if next_as not in (None, dst_domain) and not window.satisfies(self.domains.graph.node(next_as).label):
                     next_as = None
             if next_as is None or (handle is not None and next_as in handle.visited):
-                return drop(DropReason.NO_SATISFYING_PATH)
+                return self._drop(tick, flow_id, matched, ticks, DropReason.NO_SATISFYING_PATH, summary)
             final_switch, final_peer = self._gateways[next_as]
 
         # the modelled search cost is charged whether or not the memo holds it
-        ticks += self.costs.per_switch * len(self.intra)
+        ticks += self._search_ticks
         route = (ingress, final_switch, winner.switch_path, window.lo, window.hi)
         path = self._switch_paths.get(route, _UNSEARCHED)
         if path is _UNSEARCHED:
@@ -447,7 +486,7 @@ class Controller:
                 self.intra, ingress, final_switch, required=winner.switch_path, constraint=window
             )
         if path is None:
-            return drop(DropReason.NO_SATISFYING_PATH)
+            return self._drop(tick, flow_id, matched, ticks, DropReason.NO_SATISFYING_PATH, summary)
 
         # the credential for the next domain; tagging charges no ticks
         handle_out: Handle | None = None

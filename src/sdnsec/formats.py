@@ -264,14 +264,15 @@ def _port(text: str, token: str) -> int:
 
 
 def _parse_services(tokens: list[str]) -> frozenset[int]:
-    ports: set[int] = set()
+    """The ports of every token's range, built into one ``frozenset``."""
+    ranges = []
     for token in tokens:
         lo, sep, hi = token.partition("-")
         low, high = (_port(lo, token), _port(hi, token)) if sep else (_port(token, token),) * 2
         if low > high:
             raise PolicyParseError(f"reversed service port range {token!r}")
-        ports.update(range(low, high + 1))
-    return frozenset(ports)
+        ranges.append(range(low, high + 1))
+    return frozenset().union(*ranges)
 
 
 def _parse_profile(tokens: list[str]) -> frozenset[str]:

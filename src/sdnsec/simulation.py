@@ -53,7 +53,6 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import groupby
 
 from .controller import (
     BLOCK_PROVENANCE_PREFIX,
@@ -251,12 +250,21 @@ class Simulation:
         record.drop_domain = domain
 
     def _deliver(self, inflight: _InFlight, tick: int) -> None:
+        """Record the flow as delivered at ``tick``, with its switch path
+        and its domain path, read off the trace in one loop."""
         record = inflight.record
         record.outcome = "delivered"
         record.delivered_tick = tick
         record.switch_path = tuple(inflight.trace)
-        domains = (self.world.switch_domain[switch_id] for switch_id in inflight.trace)
-        record.as_path = tuple(domain for domain, _ in groupby(domains))
+        switch_domain = self.world.switch_domain
+        as_path: list[str] = []
+        last = None
+        for switch_id in inflight.trace:
+            domain = switch_domain[switch_id]
+            if domain != last:
+                as_path.append(domain)
+                last = domain
+        record.as_path = tuple(as_path)
 
     def _runs_next(self, tick: int) -> bool:
         """Whether a step pushed now at ``tick`` would run next: no queued

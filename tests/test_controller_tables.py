@@ -6,8 +6,10 @@ world's domain table, which lists every domain's subnet, and answers only
 its own domain or one it knows.  For every controller of every bundled
 scenario and of the benchmark workloads at seeds 1 to 3: the gateway table
 equals ``gateway_name`` in both directions, over exactly the domain graph's
-neighbours, and ``domain_for_ip`` equals a fresh scan of the subnets of its
-own domain and the domains a fresh probe from it finds.  Some worlds are
+neighbours, and ``domain_for_ip`` answers the world graph's record of the
+domain a fresh scan of the subnets of its own domain and the domains a
+fresh probe from it finds, or None where the scan finds none; asked again,
+its address table answers the same.  Some worlds are
 built again with a probe horizon shorter than their diameter, so that some
 controllers do not know every domain the world table lists.  The
 addresses asked are the hosts', each subnet's network, gateway (first host)
@@ -85,8 +87,10 @@ def test_domain_for_ip_equals_a_fresh_scan_of_the_subnets(name):
     addresses = _addresses(world, random.Random(name))
     for ctrl in world.controllers.values():
         known = (ctrl.as_id, *_probe(world, ctrl))
-        expected = [_scan(world, known, address) for address in addresses]
+        scans = [_scan(world, known, address) for address in addresses]
+        expected = [world.domains.graph.node(as_id) if as_id else None for as_id in scans]
         assert [ctrl.domain_for_ip(address) for address in addresses] == expected
+        assert [ctrl._addresses[address] for address in addresses] == expected
         assert None in expected and any(expected), ctrl.as_id
     if " max_ttl=" in name:
         # the horizon hides some domain the world table lists from some controller

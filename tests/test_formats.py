@@ -171,6 +171,9 @@ def test_ftp_path_expression():
     assert pe.services == frozenset({20, 21, 22, 23})
     assert pe.sec_profile == frozenset({"conf"})
     assert pe.path == ("SW1", "SW3", "SW4")
+    # the same ports as one range, and as overlapping ranges out of order
+    for services in ("(20-23)", "(22-23;20-22;21)"):
+        assert parse_compact_pe(FTP_PATH_PE.replace("(20;21;22;23)", services)) == pe
 
 
 def test_all_wildcard_allow():

@@ -89,7 +89,7 @@ def test_controller_reads_known_domains_from_the_world_graph():
                     if within:
                         assert ctx.src_as is world.domains.graph.node(domain.id)
                         assert ctx.dst_as is world.domains.graph.node(domain.id)
-                        assert ctrl.domain_for_ip(address) == domain.id
+                        assert ctrl.domain_for_ip(address) is world.domains.graph.node(domain.id)
                     else:
                         assert ctx.src_as == DomainInfo(domain.id)
                         assert ctx.dst_as == DomainInfo("")

@@ -77,7 +77,13 @@ packet-in or event.  At seed 1: selection ranks an expression with
 ``specificity`` at most once (fixed bounds per workload); ``mesh_transit``
 names no gateway during the run, as each controller keeps its gateway
 table from when it was built; ``acl_proactive``'s flood monitor floors and
-prints no ``Fraction``, as it keeps its budgets from when it was built; and
+prints no ``Fraction``, as it keeps its budgets from when it was built;
+each controller asks the world's domain table about an address at most
+once, as it keeps each answer in its address table; a run measures no
+repository and no switch graph with ``len()``, as each controller works out
+its selection and search charges when it is built; a packet-in builds no
+function object; one run of each workload stays under a fixed bound on the
+calls cProfile counts, with the world built beforehand; and
 the event loop pushes at most a fixed number of events on its heap: the
 offers are heapified once, and a handler's next step waits on the heap
 only when something queued comes at or before it.  A route memo is read
@@ -105,8 +111,8 @@ import gc
 import heapq
 import hmac
 import json
-import pstats
 import sys
+import types
 from collections import Counter
 from fractions import Fraction
 from ipaddress import IPv4Address, IPv4Network
@@ -122,11 +128,19 @@ from sdnsec.defense import FloodMonitor
 from sdnsec.interdomain import handle_tag, ptt_tag
 from sdnsec.labels import LabelWindow
 from sdnsec.metrics import emit
-from sdnsec.policy import EndpointSelector, format_ipv4, match_pe, normalize_mac, specificity, subnet_bits
+from sdnsec.policy import (
+    EndpointSelector,
+    PolicyIndex,
+    format_ipv4,
+    match_pe,
+    normalize_mac,
+    specificity,
+    subnet_bits,
+)
 from sdnsec.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from sdnsec.simulation import Simulation, build_world
 from sdnsec.sweep import chain_scenario, pad_policies
-from sdnsec.topology import Graph, _least_shortest_path, gateway_name, probe_topology
+from sdnsec.topology import DomainTable, Graph, _least_shortest_path, gateway_name, probe_topology
 
 COUNTED = (
     *((IPv4Address, name) for name in ("__init__", "__hash__", "__eq__", "__str__", "__format__")),
@@ -496,6 +510,59 @@ def test_the_flood_monitor_floors_and_prints_no_fraction_during_the_run():
     assert calls["Fraction.__floor__"] == calls["Fraction.__str__"] == 0, calls
 
 
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_a_controller_asks_the_domain_table_about_each_address_once(workload, monkeypatch):
+    # an address's domain is fixed once the world is built, so a controller
+    # keeps each answer; asking on every packet-in asks about two addresses
+    # per packet-in, 1,742 times on flood_table
+    world = case_world(f"workload:{workload}")
+    asks: Counter[tuple[str, int]] = Counter()
+
+    def counted(table, ip, _original=DomainTable.domain_for_ip):
+        asks[sys._getframe(1).f_locals["self"].as_id, ip] += 1
+        return _original(table, ip)
+
+    monkeypatch.setattr(DomainTable, "domain_for_ip", counted)
+    counters = Simulation(world).run().counters
+    assert 0 < len(asks) < 2 * counters["packet_ins"], (len(asks), counters)
+    assert {asker for asker, _ in asks} <= set(world.controllers), asks
+    assert max(asks.values()) == 1, asks.most_common(3)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_a_run_charges_selection_and_search_without_measuring_a_table(workload):
+    # a repository and a switch graph are fixed once the world is built, so
+    # each controller works out its selection and search charges then
+    world = case_world(f"workload:{workload}")
+    ctrl = next(iter(world.controllers.values()))
+    with CallCounter((), ((PolicyIndex, "__len__"), (Graph, "__len__"))) as counter:
+        calls = counter.counting(Simulation(world).run)
+        seen = counter.counting(lambda: len(ctrl.policy_repo) + len(ctrl.intra))
+    assert seen == Counter({"PolicyIndex.__len__": 1, "Graph.__len__": 1}), seen
+    assert calls == Counter(), calls
+
+
+def test_a_packet_in_builds_no_function_object():
+    # a nested function, and the cell variables it closes over, would be
+    # built again on every call
+    code = controller.Controller.handle_packet_in.__code__
+    assert code.co_cellvars == ()
+    assert [const for const in code.co_consts if isinstance(const, types.CodeType)] == []
+
+
+# seed 1: the calls cProfile counts in one Simulation.run(), the world built
+# beforehand: 97,489 / 100,223 / 100,704.  A closure per packet-in, two domain
+# table asks per packet-in and a len() per charge make 104,665 / 116,130 /
+# 109,591
+RUN_CALL_BOUNDS = {"acl_proactive": 97_550, "flood_table": 100_300, "mesh_transit": 100_800}
+
+
+@pytest.mark.parametrize("workload", sorted(RUN_CALL_BOUNDS))
+def test_a_run_stays_under_a_call_bound(workload):
+    world = case_world(f"workload:{workload}")
+    assert _profiled_calls(Simulation(world).run) <= RUN_CALL_BOUNDS[workload]
+
+
 # seed 1: the offers are heapified, not pushed, and a handler's next step is
 # pushed only when something queued comes at or before it; most steps come
 # before every other flow's and run at once
@@ -646,27 +713,34 @@ def test_the_policy_reader_converts_each_field_text_once_per_document():
     _assert_each_field_text_converts_once(four_domains, (4, 2, 3, 1, 5))
 
 
-def _parse_calls(workload: str) -> int:
-    """The calls cProfile counts in one seed-1 ``parse_scenario`` of ``workload``."""
-    document = json.loads(json.dumps(WORKLOADS[workload](1)[0], sort_keys=True))
+def _profiled_calls(work) -> int:
+    """The calls cProfile counts in ``work()``, summed over its raw entries:
+    ``pstats`` keeps one of the functions that share a label, such as the
+    ``__init__`` of every dataclass, built from ``<string>``."""
     profile = cProfile.Profile()
     gc.disable()  # a collection would add the calls of any gc callback, such as hypothesis's
     profile.enable()
-    parse_scenario(document)
+    work()
     profile.disable()
     gc.enable()
-    return pstats.Stats(profile).total_calls
+    return sum(entry.callcount for entry in profile.getstats())
+
+
+def _parse_calls(workload: str) -> int:
+    """The calls cProfile counts in one seed-1 ``parse_scenario`` of ``workload``."""
+    document = json.loads(json.dumps(WORKLOADS[workload](1)[0], sort_keys=True))
+    return _profiled_calls(lambda: parse_scenario(document))
 
 
 def test_reading_the_acl_repository_stays_under_a_call_bound():
-    # 81,765 calls (81,769 on a process's first read); each record's __init__
+    # 81,772 calls (81,776 on a process's first read); each record's __init__
     # is profiled under its own name, so the count does not depend on memory layout
     assert _parse_calls("acl_proactive") <= 81_800
 
 
 @pytest.mark.parametrize(("workload", "bound"), [("flood_table", 2_400), ("mesh_transit", 9_350)])
 def test_reading_a_scenario_stays_under_a_call_bound(workload, bound):
-    # 2,392 and 9,315 calls: one reader call per object, which tests its fields inline
+    # 2,394 and 9,316 calls: one reader call per object, which tests its fields inline
     assert _parse_calls(workload) <= bound
 
 
