@@ -6,13 +6,16 @@ pinned once more under each response (``flood_single_domain+throttle`` and
 
 ``records_sha256.json`` pins the ``records`` emission; ``events_sha256.json``
 pins every controller's event log and the report's latency records, which
-carry the drop ticks and matched policies that ``records`` does not.
+carry the drop ticks and matched policies that ``records`` does not;
+``dumps_sha256.json`` pins every switch's flow dump at the end of the run,
+in switch-id order, which prints each rule's match, tags and action.
 
 A change that should not move behaviour must leave these digests alone.
 After an intended behaviour change, regenerate a file with::
 
     PYTHONPATH=src python tests/test_golden.py records > tests/golden/records_sha256.json
     PYTHONPATH=src python tests/test_golden.py events > tests/golden/events_sha256.json
+    PYTHONPATH=src python tests/test_golden.py dumps > tests/golden/dumps_sha256.json
 """
 
 import hashlib
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from sdnsec import bundled_scenario_path, emit, list_bundled_scenarios, load_scenario
+from sdnsec import bundled_scenario_path, emit, format_flow_dump, list_bundled_scenarios, load_scenario
 from sdnsec.defense import ResponseMode
 from sdnsec.simulation import Simulation, build_world
 
@@ -71,7 +74,14 @@ def events_digest(case: str) -> str:
     return events_trail_digest(*_run(case))
 
 
-DIGESTS = {"records": records_digest, "events": events_digest}
+def dumps_digest(case: str) -> str:
+    """Every switch's flow dump after the run, keyed and ordered by switch id."""
+    switches = _run(case)[0].switches
+    dumps = {switch_id: format_flow_dump(switches[switch_id]) for switch_id in sorted(switches)}
+    return hashlib.sha256(json.dumps(dumps, sort_keys=True).encode()).hexdigest()
+
+
+DIGESTS = {"records": records_digest, "events": events_digest, "dumps": dumps_digest}
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -82,6 +92,11 @@ def test_records_digest_unchanged(case):
 @pytest.mark.parametrize("case", CASES)
 def test_events_and_latencies_digest_unchanged(case):
     assert events_digest(case) == json.loads((GOLDEN / "events_sha256.json").read_text())[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_flow_dumps_digest_unchanged(case):
+    assert dumps_digest(case) == json.loads((GOLDEN / "dumps_sha256.json").read_text())[case]
 
 
 if __name__ == "__main__":
