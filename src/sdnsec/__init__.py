@@ -45,7 +45,6 @@ from .topology import (
     probe_topology,
 )
 from .dataplane import (
-    ActionKind,
     FlowMatch,
     FlowRule,
     Packet,
@@ -80,7 +79,6 @@ from .sweep import chain_scenario, flood_response_series, sweep
 
 __all__ = [
     "Action",
-    "ActionKind",
     "CapacityModel",
     "Constraint",
     "ConstraintKind",

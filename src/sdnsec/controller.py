@@ -67,10 +67,11 @@ finds an address's domain in the world's table, which files every domain's
 subnet by mask, and answers only its own domain or a known one; the subnets
 are disjoint, so that is the domain a table of its own and its known
 domains' subnets would find.  The domain table, its horizons and the domain
-graph are fixed once the world is built, so each controller keeps an
-address table: address to the domain's record, or None where it answers no
-domain, filled the first time a packet-in names the address.  A packet-in
-reads each of its addresses there with one lookup.
+graph are fixed once the world is built, so each controller keeps two
+tables, each filled on the first ask: a domain's record, or None where it
+is neither this domain nor a known one (``Controller.domain_record``), and
+an address's domain record, read through the first.  A packet-in reads each
+of its addresses, and a handle's origin, with one lookup.
 """
 
 from __future__ import annotations
@@ -78,14 +79,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .dataplane import (
-    ARP_RULE_PRIORITY,
-    BLOCK_RULE_PRIORITY,
-    ActionKind,
-    FlowMatch,
-    FlowRule,
-    Packet,
-)
+from .dataplane import BLOCK_RULE_PRIORITY, FlowMatch, FlowRule, Packet
 from .defense import FloodMonitor, ResponseMode, WindowCounts
 from .frozen import frozen
 from .interdomain import (
@@ -125,7 +119,6 @@ __all__ = [
     "CostModel",
     "DropReason",
     "PipelineResult",
-    "arp_discovery_rule",
     "synthesize_rules",
 ]
 
@@ -196,19 +189,11 @@ BASELINE = PolicyExpression(id="baseline", action=Action.ALLOW)
 # what the switch path memo answers for a path it has not searched yet
 _UNSEARCHED = object()
 
-# a match is immutable, so every switch's ARP rule shares this one
-_ARP_MATCH = FlowMatch(ARP_RULE_PRIORITY, "ARP")
-
 # the security profile of a rule whose policy sets none, shared by them all
 _NO_PROFILE: frozenset[str] = frozenset()
 
 # the destination domain of a flow to an address no domain advertises
 _NO_DOMAIN = DomainInfo("")
-
-
-def arp_discovery_rule() -> FlowRule:
-    """Default controller-installed entry for network discovery traffic."""
-    return FlowRule(_ARP_MATCH, ActionKind.TO_CONTROLLER)
 
 
 def synthesize_rules(
@@ -237,14 +222,14 @@ def synthesize_rules(
         raise ValueError("cannot synthesize rules for an empty path")
     forward_match, reverse_match = packet.matches
     size = len(path)
-    action, last = ActionKind.FORWARD, size - 1
+    last = size - 1
     # the forward rules fill the first half, the return rules the second
     installs: list[tuple[str, FlowRule] | None] = [None] * (2 * size)
     for i, switch in enumerate(path):
         ahead, handle = (path[i + 1], None) if i < last else (final_peer, handle_out)
         back = path[i - 1] if i else entry_peer
-        installs[i] = (switch, FlowRule(forward_match, action, ahead, sec_profile, handle))
-        installs[size + i] = (switch, FlowRule(reverse_match, action, back, sec_profile))
+        installs[i] = (switch, FlowRule(forward_match, ahead, sec_profile, handle))
+        installs[size + i] = (switch, FlowRule(reverse_match, back, sec_profile))
     return tuple(installs)
 
 
@@ -301,38 +286,44 @@ class Controller:
         # built: (ingress, egress, required path, window bounds) -> switch
         # path, or None where there is none
         self._switch_paths: dict[tuple, tuple[str, ...] | None] = {}
-        # address -> the record of its domain, this or a known one, or None
-        # where there is none; filled on the first ask, as the domain table,
-        # its horizons and the domain graph are fixed once built
+        # domain -> its record, address -> its domain's record, each None
+        # where it is not this or a known domain; filled on the first ask
+        self._records: dict[str, DomainInfo | None] = {}
         self._addresses: dict[int, DomainInfo | None] = {}
 
     # --- context -------------------------------------------------------------
+
+    def domain_record(self, as_id: str) -> DomainInfo | None:
+        """The domain graph's record of ``as_id`` if it is this domain or one
+        it knows, else None; kept from the first ask, so the domain table is
+        asked about each foreign domain once, and never about this one."""
+        records = self._records
+        if as_id not in records:
+            known = as_id == self.as_id or self.domains.knows(self.as_id, as_id)
+            records[as_id] = self.domains.graph.node(as_id) if known else None
+        return records[as_id]
 
     def domain_for_ip(self, ip: int) -> DomainInfo | None:
         """The record of the one domain, this or a known one, whose subnet
         contains ``ip``, as the world's domain table finds it, or None; kept
         in the address table from the first ask."""
-        domains = self.domains
-        as_id = domains.domain_for_ip(ip)
-        known = as_id is not None and (as_id == self.as_id or domains.knows(self.as_id, as_id))
-        info = self._addresses[ip] = domains.graph.node(as_id) if known else None
+        as_id = self.domains.domain_for_ip(ip)
+        info = self._addresses[ip] = None if as_id is None else self.domain_record(as_id)
         return info
 
     def build_context(self, packet: Packet, handle: Handle | None, tick: int) -> FlowContext:
-        """The flow's context.  A domain it names is the world graph's record
-        if this domain knows it, else known by id only; an address's domain
-        is read off the address table, and the domain table is asked about
-        each foreign domain once, and never about this one."""
+        """The flow's context.  A domain it names is its record
+        (:meth:`domain_record`), else known by id only; an address's domain
+        is read off the address table."""
         addresses = self._addresses
         if handle is not None:
             origin = handle.visited[0]
-            known = origin == self.as_id or self.domains.knows(self.as_id, origin)
-            src_as = self.domains.graph.node(origin) if known else DomainInfo(origin)
+            src_as = self.domain_record(origin) or DomainInfo(origin)
             traversed = handle.visited
         else:
             ip = packet.src_ip
             src_as = addresses[ip] if ip in addresses else self.domain_for_ip(ip)
-            src_as = src_as or self.domains.graph.node(self.as_id)
+            src_as = src_as or self.domain_record(self.as_id)
             traversed = ()
         ip = packet.dst_ip
         dst_as = addresses[ip] if ip in addresses else self.domain_for_ip(ip)
@@ -415,7 +406,7 @@ class Controller:
                     return self._drop(tick, flow_id, None, ticks, DropReason.DEFENSE_THROTTLED, detail)
                 if not newly_blocked:
                     return self._drop(tick, flow_id, None, ticks, DropReason.DEFENSE_BLOCKED, detail)
-                block = ((ingress, FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, offender), ActionKind.DROP)),)
+                block = ((ingress, FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, offender))),)
                 provenance = f"{BLOCK_PROVENANCE_PREFIX}{packet.src_text}"
                 return self._drop(tick, flow_id, None, ticks, DropReason.DEFENSE_BLOCKED, detail, block, provenance)
 

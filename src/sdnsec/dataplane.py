@@ -1,32 +1,34 @@
 """Simulated match-action switches: flow tables and lookup.
 
 The program writes three kinds of rule, and a rule's shape, the header
-fields its match fixes, is its priority: a defense block on a source address
-(200), a flow's 5-tuple (100) and the ARP punt to the controller (10).
-``_SHAPES`` lists them once, by priority in lookup order, each with its
-fields and the getter of its key.  A match is what a table files and
-probes, its shape's priority and its key, the values of the fields the
-shape fixes as that getter reads them off a packet; a priority of no shape,
-or a key of another arity, is a ``ValueError`` when the match is built.
-A switch's flow table is a tuple space with fixed masks (Srinivasan, Suri &
-Varghese, SIGCOMM 1999), one table per kind of rule as in OpenFlow 1.3: one
-dict per shape, which files each rule as itself under its match's key, in
-install order, so one rule object may sit in the tables of several
-switches.  A lookup probes the block table when it holds a rule, then the
-flow table, then the ARP table, with the packet's values for each shape's
-fields, and returns the first hit: three hash probes at most, whatever the
-rules.  The simulation executes the rule found (forward, drop or punt to
-the controller) and raises a packet-in on a miss.  A forward rule names its
-next hop, the attached peer (switch or host) the packet goes to; port
+fields its match fixes, is its priority and fixes its action: a defense
+block on a source address drops (200), a flow's 5-tuple forwards (100) and
+the ARP match punts to the controller (10).  ``_SHAPES`` lists them once, by
+priority in lookup order, each with its fields, the getter of its key and
+its action.  A match is what a table files and probes, its shape's priority
+and its key, the values of the fields the shape fixes as that getter reads
+them off a packet; a priority of no shape, or a key of another arity, is a
+``ValueError`` when the match is built.  A switch's flow table is a tuple
+space with fixed masks (Srinivasan, Suri & Varghese, SIGCOMM 1999), one
+table per kind of rule as in OpenFlow 1.3: one dict per shape, which files
+each rule as itself under its match's key, in install order, so one rule
+object may sit in the tables of several switches.  A lookup probes the block
+table when it holds a rule, then the flow table, then the ARP table, with
+the packet's values for each shape's fields, and returns the first hit:
+three hash probes at most, whatever the rules.  The simulation executes the
+rule found and raises a packet-in on a miss.  Every switch's ARP rule is one
+shared object, ``ARP_RULE``.  A forward rule, and only a forward rule, names
+its next hop, the attached peer (switch or host) the packet goes to; port
 numbers exist only in a switch's wiring (``Switch.ports``) and in its flow
-dump.  A forward rule at a domain's egress gateway also carries the flow's
-handle, which holds its transfer token, and the switch adds it to the
-packet as it leaves.  :func:`install_batch` writes a flow-mod batch all or
-nothing, like an OpenFlow 1.4 bundle; it is the one write path and the one
-capacity and next-hop check.  Its capacity check passes a switch with room
-for the whole batch unexamined, and counts a tight switch's new matches by
-priority and key, a match named twice once; when one switch would overflow,
-it writes nothing.  All mutation happens on the simulation loop's thread.
+dump, which prints a rule's action as its shape names it.  A forward rule at
+a domain's egress gateway also carries the flow's handle, which holds its
+transfer token, and the switch adds it to the packet as it leaves.
+:func:`install_batch` writes a flow-mod batch all or nothing, like an
+OpenFlow 1.4 bundle; it is the one write path and the one capacity and
+next-hop check.  Its capacity check passes a switch with room for the whole
+batch unexamined, and counts a tight switch's new matches by priority and
+key, a match named twice once; when one switch would overflow, it writes
+nothing.  All mutation happens on the simulation loop's thread.
 
 Packet and match addresses are plain ``int`` values, so a probe key hashes
 natively.  A packet prints its two addresses once (``src_text``,
@@ -50,7 +52,6 @@ from .interdomain import Handle
 from .policy import derive_flow_id, format_ipv4
 
 __all__ = [
-    "ActionKind",
     "FlowMatch",
     "FlowRule",
     "FlowTable",
@@ -124,15 +125,15 @@ _ADDRESS_FIELDS = ("src_ip", "dst_ip")
 _FLOW_FIELDS = ("src_ip", "dst_ip", "ip_proto", "service_port", "packet_type")
 
 # the program's three rule shapes, in lookup order: a shape's priority ->
-# the header fields its matches fix and the getter of its key, which reads
-# those fields off a packet: the bare value of a one-field shape, a tuple
-# of a wider one's
+# the header fields its matches fix, the getter of its key, which reads
+# those fields off a packet (the bare value of a one-field shape, a tuple
+# of a wider one's), and the action its rules take, as a flow dump prints it
 _SHAPES = {
-    BLOCK_RULE_PRIORITY: (("src_ip",), attrgetter("src_ip")),
-    FLOW_RULE_PRIORITY: (_FLOW_FIELDS, attrgetter(*_FLOW_FIELDS)),
-    ARP_RULE_PRIORITY: (("packet_type",), attrgetter("packet_type")),
+    BLOCK_RULE_PRIORITY: (("src_ip",), attrgetter("src_ip"), "DROP"),
+    FLOW_RULE_PRIORITY: (_FLOW_FIELDS, attrgetter(*_FLOW_FIELDS), "FORWARD"),
+    ARP_RULE_PRIORITY: (("packet_type",), attrgetter("packet_type"), "TO_CONTROLLER"),
 }
-_block_key, _flow_key, _arp_key = (key for _, key in _SHAPES.values())
+_block_key, _flow_key, _arp_key = (key for _, key, _ in _SHAPES.values())
 
 
 @frozen(slots=True)
@@ -171,16 +172,13 @@ class FlowMatch:
         return " ".join(f"{name}={fixed.get(name, '*')}" for name in _HEADER_FIELDS)
 
 
-class ActionKind:
-    FORWARD = "FORWARD"
-    DROP = "DROP"
-    TO_CONTROLLER = "TO_CONTROLLER"
-
-
 @dataclass(slots=True, init=False)
 class FlowRule:
+    """A rule's match's shape fixes what it does (``_SHAPES``): it names a
+    ``next_hop`` to forward to exactly when its match has the flow shape,
+    else it is a ``ValueError``."""
+
     match: FlowMatch
-    action: str
     next_hop: str | None
     sec_profile_tags: frozenset[str]
     # the credential added to packets leaving the domain through this rule
@@ -189,7 +187,6 @@ class FlowRule:
     def __init__(
         self,
         match: FlowMatch,
-        action: str,
         next_hop: str | None = None,
         sec_profile_tags: frozenset[str] = frozenset(),
         handle: Handle | None = None,
@@ -197,15 +194,18 @@ class FlowRule:
         # one call checks and writes a rule, not a dataclass __init__ that
         # calls __post_init__: a flow builds two rules per switch of its path
         if next_hop is None:
-            if action == ActionKind.FORWARD:
+            if match.priority == FLOW_RULE_PRIORITY:
                 raise ValueError("forward rule needs a next hop")
-        elif action != ActionKind.FORWARD:
+        elif match.priority != FLOW_RULE_PRIORITY:
             raise ValueError("only forward rules carry a next hop")
         self.match = match
-        self.action = action
         self.next_hop = next_hop
         self.sec_profile_tags = sec_profile_tags
         self.handle = handle
+
+
+# a table files a rule as itself, so every switch's ARP rule is this one
+ARP_RULE = FlowRule(FlowMatch(ARP_RULE_PRIORITY, "ARP"))
 
 
 class FlowTable:
@@ -318,11 +318,14 @@ def flow_dump(switch: Switch) -> list[FlowRule]:
 
 
 def format_flow_dump(switch: Switch) -> str:
-    """One line per rule of :func:`flow_dump`; a forward rule prints the
-    port its next hop is attached to."""
+    """One line per rule of :func:`flow_dump`, which prints its match's
+    shape's action; a forward rule prints the port its next hop is attached
+    to."""
     lines = []
     for rule in flow_dump(switch):
-        action = rule.action if rule.next_hop is None else f"{rule.action}:{switch.ports[rule.next_hop]}"
+        action = _SHAPES[rule.match.priority][2]
+        if rule.next_hop is not None:
+            action = f"{action}:{switch.ports[rule.next_hop]}"
         tags = ",".join(sorted(rule.sec_profile_tags)) if rule.sec_profile_tags else "-"
         lines.append(f"priority={rule.match.priority} {rule.match.text()} tags={tags} action={action}")
     return "\n".join(lines) + ("\n" if lines else "")

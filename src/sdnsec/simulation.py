@@ -5,28 +5,29 @@ port in declaration order, one ``DomainInfo`` per domain, one
 :class:`~sdnsec.topology.DomainTable` that every controller reads for
 subnets, domain routes and the domains its probes reach within the
 scenario's ``max_ttl``, and one controller per domain, built from the
-domain's spec, its switch graph and the scenario's own ``costs``.  No
-domain is probed while the world is built: the table probes a domain the
-first time a packet-in asks about it.  The ARP rules written then, like
-every flow-mod batch, go through :func:`~sdnsec.dataplane.install_batch`, and the loop
-counts the batches it refuses (``table_full_events``).  The event loop runs handler calls in
-(tick, insertion) order, so equal scenarios produce byte-identical reports.
-Events wait in one heap, which starts as the offers, heapified once.  A
-handler returns its flow's next step, or ``None`` when the flow ends, and
-the loop runs that step at once when no queued event has a tick at or before
-it, and pushes it otherwise.  A packet's next step usually comes before
-every other flow's, so it usually runs with no push and no pop.
+domain's spec, its switch graph and the scenario's own ``costs``.  No domain
+is probed while the world is built: the table probes a domain the first time
+a packet-in asks about it.  Every switch's ARP rule, the one ``ARP_RULE``,
+is written then through :func:`~sdnsec.dataplane.install_batch`, like every
+flow-mod batch, and the loop counts the batches it refuses
+(``table_full_events``).  The event loop runs handler calls in (tick,
+insertion) order, so equal scenarios produce byte-identical reports.  Events
+wait in one heap, which starts as the offers, heapified once.  A handler
+returns its flow's next step, or ``None`` when the flow ends, and the loop
+runs that step at once when no queued event has a tick at or before it, and
+pushes it otherwise.  A packet's next step usually comes before every other
+flow's, so it usually runs with no push and no pop.
 
-A packet arriving at a switch executes the rule the switch's lookup
-returns: a forward rule passes it to the rule's next hop, a drop rule ends
-its flow, and a miss or a to-controller rule raises a packet-in.  A packet's
-in-flight record holds the switch it is at and the node it came from, which
-a packet-in names as its ingress and entry peer.  A packet crosses installed
-forward rules in one handler call: while no queued event has a tick at or
-before its next hop's, it takes that hop at once instead of returning it.
-A step pushed now would be inserted last, so nothing else could run before
-it, and the (tick, insertion) order holds.  Every hop is still one lookup
-at its own tick.
+A packet arriving at a switch executes the rule the switch's lookup returns:
+a forward rule, the one kind that names a next hop, passes it to that hop, a
+block rule ends its flow, and a miss or the ARP rule raises a packet-in.  A
+packet's in-flight record holds the switch it is at and the node it came
+from, which a packet-in names as its ingress and entry peer.  A packet
+crosses installed forward rules in one handler call: while no queued event
+has a tick at or before its next hop's, it takes that hop at once instead of
+returning it.  A step pushed now would be inserted last, so nothing else
+could run before it, and the (tick, insertion) order holds.  Every hop is
+still one lookup at its own tick.
 
 Controllers are modeled as sequential servers: a packet-in waits until the
 controller is free, is charged the pipeline's deterministic service ticks,
@@ -54,15 +55,8 @@ import heapq
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .controller import (
-    BLOCK_PROVENANCE_PREFIX,
-    Controller,
-    CostModel,
-    DropReason,
-    PipelineResult,
-    arp_discovery_rule,
-)
-from .dataplane import ActionKind, FlowRule, Packet, Switch, install_batch
+from .controller import BLOCK_PROVENANCE_PREFIX, Controller, CostModel, DropReason, PipelineResult
+from .dataplane import ARP_RULE, BLOCK_RULE_PRIORITY, FlowRule, Packet, Switch, install_batch
 from .defense import FloodMonitor, ResponseMode
 from .interdomain import DomainKey, Handle
 from .metrics import FlowRecord, InstallRecord, LatencyRecord, MetricsReport
@@ -139,7 +133,7 @@ def build_world(scenario: Scenario, costs: CostModel | None = None) -> World:
             hosts[host.id] = host
             hosts_by_ip[host.ip] = host
 
-    install_batch(switches, [(switch_id, arp_discovery_rule()) for switch_id in switches])
+    install_batch(switches, [(switch_id, ARP_RULE) for switch_id in switches])
 
     # one prepared key per domain, shared by its controller and every key
     # ring that names it
@@ -281,11 +275,13 @@ class Simulation:
         while True:
             switch_id = inflight.at
             rule = switches[switch_id].lookup(packet)
-            if rule is None or rule.action == ActionKind.TO_CONTROLLER:
+            # a rule with no next hop is a block rule, which drops, or the
+            # ARP rule, which raises a packet-in as a miss does
+            if rule is None or rule.next_hop is None:
+                if rule is not None and rule.match.priority == BLOCK_RULE_PRIORITY:
+                    self._finish(inflight.record, DropReason.BLOCKED_AT_SWITCH, world.switch_domain[switch_id])
+                    return None
                 return tick + LINK_TICK, self._on_ctrl_job, (inflight,)
-            if rule.action == ActionKind.DROP:  # every drop rule is a defense block rule
-                self._finish(inflight.record, DropReason.BLOCKED_AT_SWITCH, world.switch_domain[switch_id])
-                return None
             if rule.handle is not None:
                 inflight.handle = rule.handle
             inflight.trace.append(switch_id)

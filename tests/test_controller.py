@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdnsec import controller, topology
 from sdnsec.controller import DropReason, synthesize_rules
-from sdnsec.dataplane import FLOW_RULE_PRIORITY, ActionKind, FlowMatch, Packet
+from sdnsec.dataplane import FLOW_RULE_PRIORITY, FlowMatch, Packet
 from sdnsec.defense import ResponseMode
 from sdnsec.interdomain import DomainKey, extend_handle, forward_ptt
 from sdnsec.labels import LabelWindow, parse_label_constraint
@@ -57,9 +57,9 @@ def test_synthesized_rules_match_flow_tuple_and_reverse():
     to_src = FlowMatch(FLOW_RULE_PRIORITY, (packet.dst_ip, packet.src_ip, *rest))
     forward = [rule for _, rule in installs if rule.match == to_dst]
     reverse = [rule for _, rule in installs if rule.match == to_src]
-    assert len(forward) == len(reverse) == 2
-    for rule in forward + reverse:
-        assert rule.action == ActionKind.FORWARD
+    # each forwards: ahead along the path, then back toward the source
+    assert [rule.next_hop for rule in forward] == ["SW2", "dst"]
+    assert [rule.next_hop for rule in reverse] == ["src", "SW1"]
 
 
 def test_synthesized_batch_is_pinned_rule_by_rule():
@@ -90,7 +90,7 @@ def test_synthesized_batch_is_pinned_rule_by_rule():
     assert [r.handle for _, r in installs] == [None] * 2 + [handle] + [None] * 3
     assert handle.ptt == ptt
     for _, rule in installs:
-        assert (rule.action, rule.match.priority) == (ActionKind.FORWARD, FLOW_RULE_PRIORITY)
+        assert rule.match.priority == FLOW_RULE_PRIORITY
         assert rule.sec_profile_tags == profile
         fixed = rule.match.fixed()
         assert (fixed["ip_proto"], fixed["service_port"], fixed["packet_type"]) == ("tcp", 443, "HTTPS")

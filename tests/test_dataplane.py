@@ -7,12 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import ScanTable, ip, match_hits, records_digest, scan_lookup
 from test_golden import CASES
 from test_workloads import WORKLOADS, case_world
-from sdnsec.controller import _ARP_MATCH, arp_discovery_rule
 from sdnsec.dataplane import (
+    ARP_RULE,
     ARP_RULE_PRIORITY,
     BLOCK_RULE_PRIORITY,
     FLOW_RULE_PRIORITY,
-    ActionKind,
     FlowMatch,
     FlowRule,
     Packet,
@@ -53,12 +52,18 @@ def flow_match(**fields):
     return FlowMatch(FLOW_RULE_PRIORITY, tuple(getattr(packet, name) for name in FLOW_FIELDS))
 
 
-def flow_rule(action=ActionKind.FORWARD, next_hop="peer", **fields):
-    return FlowRule(flow_match(**fields), action, next_hop if action == ActionKind.FORWARD else None)
+def flow_rule(next_hop="peer", **fields):
+    return FlowRule(flow_match(**fields), next_hop)
 
 
 def block_rule(src_ip=ip("10.0.0.2")):
-    return FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, src_ip), ActionKind.DROP)
+    return FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, src_ip))
+
+
+def shaped_rule(match):
+    """A new rule for ``match``, as its shape has it: a flow match's forwards
+    to ``peer``, a block or ARP match's names no next hop."""
+    return FlowRule(match, "peer" if match.priority == FLOW_RULE_PRIORITY else None)
 
 
 def test_empty_table_is_packet_in():
@@ -123,7 +128,7 @@ def test_priority_wins_over_insertion_order():
     for order in ((0, 1), (1, 0)):
         sw = make_switch()
         sw.attach("peer")
-        rules = (arp_discovery_rule(), flow_rule(packet_type="ARP"))
+        rules = (ARP_RULE, flow_rule(packet_type="ARP"))
         for index in order:
             sw.install(rules[index])
         assert sw.lookup(arp_packet) is rules[1]
@@ -142,7 +147,7 @@ def test_reinstall_same_rule_is_idempotent():
 def test_a_block_mask_filed_after_the_flow_mask_wins_the_lookup():
     sw = make_switch()
     sw.attach("peer")
-    arp, flow, block = arp_discovery_rule(), flow_rule(), block_rule()
+    arp, flow, block = ARP_RULE, flow_rule(), block_rule()
     for rule in (arp, flow, block):
         assert install_batch({"SW1": sw}, [("SW1", rule)])
     assert sw.lookup(make_packet()) is block
@@ -188,7 +193,7 @@ def test_a_match_named_twice_on_one_switch_takes_one_entry():
     sw = make_switch(capacity=2)
     sw.attach("peer")
     assert install_batch({"SW1": sw}, [("SW1", flow_rule(service_port=1))])
-    twice = [("SW1", flow_rule(action, service_port=2)) for action in (ActionKind.FORWARD, ActionKind.DROP)]
+    twice = [("SW1", flow_rule(service_port=2)) for _ in range(2)]
     assert install_batch({"SW1": sw}, twice)
     assert len(sw.table) == len(flow_dump(sw)) == 2
     assert sw.lookup(make_packet(service_port=2)) is twice[1][1]
@@ -197,7 +202,7 @@ def test_a_match_named_twice_on_one_switch_takes_one_entry():
 def test_dump_is_priority_then_insertion_ordered():
     sw = make_switch()
     sw.attach("peer")
-    arp, a, block, b = arp_discovery_rule(), flow_rule(packet_type="HTTP"), block_rule(), flow_rule(packet_type="FTP")
+    arp, a, block, b = ARP_RULE, flow_rule(packet_type="HTTP"), block_rule(), flow_rule(packet_type="FTP")
     for rule in (arp, a, block, b):
         assert install_batch({"SW1": sw}, [("SW1", rule)])
     # re-installing a rule keeps its place
@@ -268,7 +273,7 @@ def test_a_match_builds_at_a_shapes_priority_with_a_key_of_its_arity(priority, a
     assert match.fixed() == {name: FIELD_VALUES[name] for name in SHAPES[priority]}
     # the key is what lookup probes for a packet of the flow
     sw = make_switch()
-    rule = FlowRule(match, ActionKind.DROP)
+    rule = shaped_rule(match)
     sw.install(rule)
     assert sw.lookup(make_packet(**FIELD_VALUES)) is rule
 
@@ -279,7 +284,7 @@ def test_a_match_prints_the_fields_it_fixes_and_stars_the_others():
     assert flow.text() == (
         "src_ip=172.56.16.4 dst_ip=172.56.16.6 src_mac=* dst_mac=* ip_proto=tcp service_port=80 packet_type=HTTP"
     )
-    assert _ARP_MATCH.text() == "src_ip=* dst_ip=* src_mac=* dst_mac=* ip_proto=* service_port=* packet_type=ARP"
+    assert ARP_RULE.match.text() == "src_ip=* dst_ip=* src_mac=* dst_mac=* ip_proto=* service_port=* packet_type=ARP"
     assert FlowMatch(BLOCK_RULE_PRIORITY, ip("10.0.0.2")).text() == (
         "src_ip=10.0.0.2 dst_ip=* src_mac=* dst_mac=* ip_proto=* service_port=* packet_type=*"
     )
@@ -293,12 +298,11 @@ def test_outcomes_match_linear_scan_oracle():
     for i in range(50):
         shape = rng.randrange(10)
         if shape == 0:
-            rule = arp_discovery_rule()
+            rule = ARP_RULE
         elif shape == 1:
             rule = block_rule(rng.choice(sources))
         else:
             rule = flow_rule(
-                rng.choice((ActionKind.FORWARD, ActionKind.DROP)),
                 service_port=rng.choice((80, 443, 21)),
                 packet_type=rng.choice(("HTTP", "FTP", "SYN")),
                 src_ip=rng.choice(sources),
@@ -352,7 +356,7 @@ SHAPED_MATCHES = st.one_of(
             st.sampled_from(("HTTP", "SYN")),
         ),
     ),
-    st.just(_ARP_MATCH),
+    st.just(ARP_RULE.match),
     st.builds(FlowMatch, st.just(BLOCK_RULE_PRIORITY), st.sampled_from(ADDRESSES)),
 )
 
@@ -363,11 +367,7 @@ def table_programs(draw):
     from a small pool of shaped matches, so re-installs, rules of every
     shape and full tables all occur."""
     pool = draw(st.lists(SHAPED_MATCHES, min_size=1, max_size=6))
-    installs = st.tuples(
-        st.just("install"),
-        st.sampled_from(pool),
-        st.sampled_from((ActionKind.FORWARD, ActionKind.DROP, ActionKind.TO_CONTROLLER)),
-    )
+    installs = st.tuples(st.just("install"), st.sampled_from(pool))
     packets = st.tuples(st.just("packet"), PACKETS)
     return draw(st.integers(1, 6)), draw(st.lists(st.one_of(installs, packets), max_size=40))
 
@@ -381,8 +381,7 @@ def test_tuple_space_agrees_with_the_priority_scan(program):
     reference = ScanTable(capacity)
     for op in ops:
         if op[0] == "install":
-            _, match, action = op
-            rule = FlowRule(match, action, next_hop="peer" if action == ActionKind.FORWARD else None)
+            rule = shaped_rule(op[1])
             # the switch refuses a new match beyond capacity as the reference does
             assert install_batch({"SW1": sw}, [("SW1", rule)]) is reference.install(rule)
             # the same rules in the same order
@@ -420,7 +419,7 @@ def test_one_rule_object_filed_in_two_switches_keeps_its_place_in_each():
         ("SW2", shared),
         # another rule for the shared match replaces it, in its place, in
         # one switch alone
-        ("SW2", flow_rule(ActionKind.DROP)),
+        ("SW2", flow_rule()),
         ("SW1", shared),
     ]
     packets = [make_packet(), make_packet(service_port=443), make_packet(packet_type="SYN")]
@@ -443,11 +442,7 @@ def shared_rule_programs(draw):
     rule object sits in two tables, and re-installs of a rule and of
     another rule for its match occur."""
     matches = draw(st.lists(SHAPED_MATCHES, min_size=1, max_size=4))
-    specs = st.tuples(st.sampled_from(matches), st.sampled_from((ActionKind.FORWARD, ActionKind.DROP)))
-    pool = [
-        FlowRule(match, action, "peer" if action == ActionKind.FORWARD else None)
-        for match, action in draw(st.lists(specs, min_size=1, max_size=6))
-    ]
+    pool = [shaped_rule(match) for match in draw(st.lists(st.sampled_from(matches), min_size=1, max_size=6))]
     installs = st.tuples(st.sampled_from(SWITCH_IDS), st.sampled_from(pool))
     return draw(st.lists(st.one_of(installs, PACKETS), max_size=30))
 
@@ -478,11 +473,7 @@ def batch_programs(draw):
     four shaped matches, so batches name installed matches, name one match
     twice and fill the tables."""
     pool = draw(st.lists(SHAPED_MATCHES, min_size=1, max_size=4))
-    rules = st.tuples(
-        st.sampled_from(SWITCH_IDS),
-        st.sampled_from(pool),
-        st.sampled_from((ActionKind.FORWARD, ActionKind.DROP)),
-    )
+    rules = st.tuples(st.sampled_from(SWITCH_IDS), st.sampled_from(pool))
     capacities = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
     return capacities, draw(st.lists(st.lists(rules, min_size=1, max_size=6), min_size=1, max_size=8))
 
@@ -503,21 +494,17 @@ def reference_batch(tables: dict[str, ScanTable], batch: list[tuple[str, FlowRul
 _PORT_80, _PORT_443, _SYN = flow_match(), flow_match(service_port=443), flow_match(packet_type="SYN")
 
 
-def _rules(*names):
-    return [(switch_id, shaped, ActionKind.FORWARD) for switch_id, shaped in names]
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(batch_programs())
 # a batch that lands exactly at capacity fits, and one past it does not
-@example(((2, 6), [_rules(("SW1", _PORT_80), ("SW1", _PORT_443))]))
-@example(((2, 6), [_rules(("SW1", _PORT_80), ("SW1", _PORT_443), ("SW1", _SYN))]))
+@example(((2, 6), [[("SW1", _PORT_80), ("SW1", _PORT_443)]]))
+@example(((2, 6), [[("SW1", _PORT_80), ("SW1", _PORT_443), ("SW1", _SYN)]]))
 # one past capacity by its rule count, but naming an installed match
-@example(((2, 6), [_rules(("SW1", _PORT_80)), _rules(("SW1", _PORT_80), ("SW1", _PORT_443))]))
+@example(((2, 6), [[("SW1", _PORT_80)], [("SW1", _PORT_80), ("SW1", _PORT_443)]]))
 # one past capacity by its rule count, but naming one match twice
-@example(((1, 6), [[("SW1", _PORT_80, ActionKind.FORWARD), ("SW1", _PORT_80, ActionKind.DROP)]]))
+@example(((1, 6), [[("SW1", _PORT_80), ("SW1", _PORT_80)]]))
 # room on one switch and none on the other writes on neither
-@example(((6, 1), [_rules(("SW1", _PORT_80), ("SW2", _PORT_80), ("SW2", _SYN))]))
+@example(((6, 1), [[("SW1", _PORT_80), ("SW2", _PORT_80), ("SW2", _SYN)]]))
 def test_a_batch_is_written_whole_exactly_when_its_new_matches_fit(program):
     capacities, batches = program
     switches = {switch_id: Switch(switch_id, capacity) for switch_id, capacity in zip(SWITCH_IDS, capacities)}
@@ -525,10 +512,7 @@ def test_a_batch_is_written_whole_exactly_when_its_new_matches_fit(program):
     for sw in switches.values():
         sw.attach("peer")
     for drawn in batches:
-        batch = [
-            (switch_id, FlowRule(match, action, "peer" if action == ActionKind.FORWARD else None))
-            for switch_id, match, action in drawn
-        ]
+        batch = [(switch_id, shaped_rule(match)) for switch_id, match in drawn]
         assert install_batch(switches, batch) is reference_batch(references, batch)
         for switch_id, sw in switches.items():
             assert flow_dump(sw) == references[switch_id].rules
@@ -552,7 +536,7 @@ def test_rules_filed_under_a_packets_matches_find_what_the_field_check_finds(pac
     probes = [packet, _swapped(packet), *probes]
     sw = make_switch()
     sw.attach("peer")
-    rules = [FlowRule(match, ActionKind.FORWARD, "peer") for match in packet.matches]
+    rules = [FlowRule(match, "peer") for match in packet.matches]
     assert install_batch({"SW1": sw}, [("SW1", rule) for rule in rules])
     hits = [sw.lookup(probe) for probe in probes]
     for probe, hit in zip(probes, hits):

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import sdnsec
 from sdnsec.controller import CostModel
-from sdnsec.dataplane import ARP_RULE_PRIORITY, BLOCK_RULE_PRIORITY, ActionKind, FlowMatch, FlowRule, Packet
+from sdnsec.dataplane import ARP_RULE, BLOCK_RULE_PRIORITY, FLOW_RULE_PRIORITY, FlowMatch, FlowRule, Packet
 from sdnsec.defense import CapacityModel, ResponseMode
 from sdnsec.frozen import frozen
 from sdnsec.interdomain import PolicyTransferToken
@@ -92,8 +92,9 @@ _constraints = st.sampled_from(
 _packets = st.sampled_from([Packet(1, 2, "m1", "m2", "tcp", 80, "SYN"), Packet(3, 4, "m3", "m4", "udp", 53, "DATA")])
 _rules = st.sampled_from(
     [
-        FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, 2), ActionKind.FORWARD, "SW2"),
-        FlowRule(FlowMatch(ARP_RULE_PRIORITY, "ARP"), ActionKind.TO_CONTROLLER),
+        FlowRule(FlowMatch(FLOW_RULE_PRIORITY, (1, 2, "tcp", 80, "SYN")), "SW2"),
+        FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, 2)),
+        ARP_RULE,
     ]
 )
 _switches = st.sampled_from([SwitchSpec("SW1", SecurityLabel(1)), SwitchSpec("SW2", SecurityLabel(3))])

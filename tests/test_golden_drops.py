@@ -35,7 +35,7 @@ import pytest
 from test_golden import GOLDEN, MODES, events_trail_digest, records_digest_of
 
 from sdnsec import bundled_scenario_path, load_scenario
-from sdnsec.dataplane import FLOW_RULE_PRIORITY, ActionKind, FlowMatch, FlowRule, install_batch
+from sdnsec.dataplane import FLOW_RULE_PRIORITY, FlowMatch, FlowRule, install_batch
 from sdnsec.scenario import parse_scenario
 from sdnsec.simulation import Simulation, build_world
 
@@ -128,7 +128,7 @@ def test_a_rule_toward_the_wrong_host_misdelivers():
     world = _minimal_world()
     a, b = world.hosts["a"], world.hosts["b"]
     to_b = FlowMatch(FLOW_RULE_PRIORITY, (a.ip, b.ip, "tcp", 80, "HTTP"))
-    assert install_batch(world.switches, [("S1", FlowRule(to_b, ActionKind.FORWARD, next_hop="a"))])
+    assert install_batch(world.switches, [("S1", FlowRule(to_b, next_hop="a"))])
     report = Simulation(world).run()
     assert [(f.reason, f.drop_domain) for f in report.flows] == [("MISDELIVERED", "AS1")]
     assert report.counters["dropped_other"] == 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sdnsec.controller import Controller
-from sdnsec.dataplane import BLOCK_RULE_PRIORITY, ActionKind, FlowMatch, FlowRule, Switch
+from sdnsec.dataplane import ARP_RULE_PRIORITY, BLOCK_RULE_PRIORITY, FLOW_RULE_PRIORITY, FlowMatch, FlowRule, Switch
 from sdnsec.interdomain import DomainKey, Handle, PolicyTransferToken
 from sdnsec.labels import SecurityLabel
 from sdnsec.metrics import MetricsReport
@@ -37,11 +37,16 @@ def controller_with_key(key):
 
 # guard -> (the call that trips it, the exception, its message)
 GUARDS = {
+    # a match's shape fixes its rule's action: a flow match forwards, so it
+    # names a next hop, and a block or ARP match names none
     "forward-rule-without-next-hop": (
-        lambda: FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, 1), ActionKind.FORWARD),
+        lambda: FlowRule(FlowMatch(FLOW_RULE_PRIORITY, (1, 2, "tcp", 80, "HTTP"))),
         ValueError, "forward rule needs a next hop"),
-    "drop-rule-with-next-hop": (
-        lambda: FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, 1), ActionKind.DROP, next_hop="S2"),
+    "block-rule-with-next-hop": (
+        lambda: FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, 1), next_hop="S2"),
+        ValueError, "only forward rules carry a next hop"),
+    "arp-rule-with-next-hop": (
+        lambda: FlowRule(FlowMatch(ARP_RULE_PRIORITY, "ARP"), next_hop="S2"),
         ValueError, "only forward rules carry a next hop"),
     "switch-attach-twice": (attach_twice, ValueError, "h1 already attached to S1"),
     "handle-without-origin": (

@@ -12,7 +12,6 @@ from sdnsec.controller import Controller, DropReason
 from sdnsec.dataplane import (
     ARP_RULE_PRIORITY,
     FLOW_RULE_PRIORITY,
-    ActionKind,
     FlowMatch,
     Packet,
     flow_dump,
@@ -828,7 +827,7 @@ def test_mutated_bundled_scenarios_are_rejected_or_run_clean(doc):
         # short leaves a forward rule without its return rule
         installed = {rule.match for rule in flow_dump(switch)}
         for rule in flow_dump(switch):
-            if rule.action == ActionKind.FORWARD:
+            if rule.next_hop is not None:
                 assert rule.next_hop in switch.ports
             if rule.match.priority == FLOW_RULE_PRIORITY:
                 src, dst, *rest = rule.match.key

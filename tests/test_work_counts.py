@@ -79,7 +79,8 @@ names no gateway during the run, as each controller keeps its gateway
 table from when it was built; ``acl_proactive``'s flood monitor floors and
 prints no ``Fraction``, as it keeps its budgets from when it was built;
 each controller asks the world's domain table about an address at most
-once, as it keeps each answer in its address table; a run measures no
+once, as it keeps each answer in its address table, and whether it knows a
+domain at most once, as it keeps each domain's record; a run measures no
 repository and no switch graph with ``len()``, as each controller works out
 its selection and search charges when it is built; a packet-in builds no
 function object; one run of each workload stays under a fixed bound on the
@@ -123,7 +124,7 @@ from test_golden import CASES
 from test_workloads import WORKLOADS, case_world
 
 from sdnsec import controller, formats, policy
-from sdnsec.dataplane import FlowMatch, FlowRule, Switch, install_batch
+from sdnsec.dataplane import ARP_RULE, FlowMatch, FlowRule, Switch, install_batch
 from sdnsec.defense import FloodMonitor
 from sdnsec.interdomain import handle_tag, ptt_tag
 from sdnsec.labels import LabelWindow
@@ -477,7 +478,7 @@ def test_a_batch_on_tight_switches_is_read_twice_not_once_per_switch():
     # each switch has less room than the ARP batch holds rules, so every
     # switch is tight
     switches = {f"SW{i}": Switch(f"SW{i}", capacity=2) for i in range(6)}
-    batch = _CountedBatch((switch_id, controller.arp_discovery_rule()) for switch_id in switches)
+    batch = _CountedBatch((switch_id, ARP_RULE) for switch_id in switches)
     assert install_batch(switches, batch)
     assert batch.read <= 2 * len(batch), batch.read
 
@@ -527,6 +528,27 @@ def test_a_controller_asks_the_domain_table_about_each_address_once(workload, mo
     assert 0 < len(asks) < 2 * counters["packet_ins"], (len(asks), counters)
     assert {asker for asker, _ in asks} <= set(world.controllers), asks
     assert max(asks.values()) == 1, asks.most_common(3)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_a_controller_asks_the_domain_table_about_each_domain_once(workload, monkeypatch):
+    # whether a domain is known is fixed once the world is built, so a
+    # controller keeps each answer for its addresses and handle origins
+    # alike; asking about a handle's origin on every packet-in asks 656
+    # times on mesh_transit, for 132 (controller, domain) pairs
+    world = case_world(f"workload:{workload}")
+    asks: Counter[tuple[str, str]] = Counter()
+
+    def counted(table, owner, as_id, _original=DomainTable.knows):
+        asks[owner, as_id] += 1
+        return _original(table, owner, as_id)
+
+    monkeypatch.setattr(DomainTable, "knows", counted)
+    Simulation(world).run()
+    assert {owner for owner, _ in asks} <= set(world.controllers), asks
+    assert max(asks.values(), default=1) == 1, asks.most_common(3)
+    if workload == "mesh_transit":
+        assert len(asks) == 132
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
