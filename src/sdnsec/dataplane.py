@@ -174,9 +174,9 @@ class FlowMatch:
 
 @dataclass(slots=True, init=False)
 class FlowRule:
-    """A rule's match's shape fixes what it does (``_SHAPES``): it names a
-    ``next_hop`` to forward to exactly when its match has the flow shape,
-    else it is a ``ValueError``."""
+    """A flow-table entry, whose match's shape fixes what it does
+    (``_SHAPES``): it names a ``next_hop`` to forward to exactly when its
+    match has the flow shape, and raises ``ValueError`` otherwise."""
 
     match: FlowMatch
     next_hop: str | None

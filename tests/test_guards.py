@@ -42,7 +42,7 @@ GUARDS = {
     "forward-rule-without-next-hop": (
         lambda: FlowRule(FlowMatch(FLOW_RULE_PRIORITY, (1, 2, "tcp", 80, "HTTP"))),
         ValueError, "forward rule needs a next hop"),
-    "block-rule-with-next-hop": (
+    "drop-rule-with-next-hop": (
         lambda: FlowRule(FlowMatch(BLOCK_RULE_PRIORITY, 1), next_hop="S2"),
         ValueError, "only forward rules carry a next hop"),
     "arp-rule-with-next-hop": (
